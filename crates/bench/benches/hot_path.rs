@@ -6,13 +6,9 @@
 //! fan-out (`complete_forwards`), the message-set algebra (`exclusion`,
 //! fullness), witness-thread flood ingest (`round_core_ingest`) and the
 //! all-guess Maximal-Consistency recompute (`mc_scan`) — on
-//! `figure_1b_small` and a clique. Faithful reimplementations of the
-//! pre-refactor designs (channels keyed by `(initiator, owned Path)`,
-//! forwarding via clone + `extended()` + `is_simple()`, message sets as
-//! `BTreeMap<PathId, f64>`, witness threads tracking per-guess progress
-//! with incremental hash-map counters) run alongside as the *legacy*
-//! baselines, so one run reports the before/after numbers recorded in
-//! CHANGES.md. With `-- --json <path>` the harness also writes the
+//! `figure_1b_small` and a clique. Live kernels only: the retired designs
+//! they replaced are no longer re-measured (their speedups are recorded in
+//! CHANGES.md). With `-- --json <path>` the harness also writes the
 //! measurements consumed by the CI `bench-trend` gate.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -21,248 +17,8 @@ use dbac_core::fifo::{complete_forwards, FifoReceiver};
 use dbac_core::message_set::{CompletePayload, MessageSet};
 use dbac_core::precompute::Topology;
 use dbac_core::witness::{NodePlan, RoundAction, RoundCore, WitnessScratch};
-use dbac_graph::{generators, Digraph, FastHashMap, NodeId, NodeSet, Path, PathBudget, PathId};
-use std::collections::{BTreeMap, HashMap};
+use dbac_graph::{generators, Digraph, NodeId, NodeSet, PathBudget, PathId};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Legacy (pre-interning) implementations, kept verbatim-in-spirit as the
-// baseline: owned-path channel keys, per-arrival Vec hash + clone, and
-// clone + re-scan forwarding.
-// ---------------------------------------------------------------------------
-
-struct LegacyFifo {
-    channels: HashMap<(NodeId, Path), LegacyChannel>,
-}
-
-type LegacyBuffered = (u32, NodeSet, Arc<CompletePayload>, u64);
-
-struct LegacyChannel {
-    next: u64,
-    buffer: BTreeMap<u64, Vec<LegacyBuffered>>,
-}
-
-struct LegacyDelivery {
-    #[allow(dead_code)]
-    initiator: NodeId,
-    #[allow(dead_code)]
-    path: Path,
-    #[allow(dead_code)]
-    round: u32,
-}
-
-impl LegacyFifo {
-    fn new() -> Self {
-        LegacyFifo { channels: HashMap::new() }
-    }
-
-    fn accept(
-        &mut self,
-        path: &Path,
-        seq: u64,
-        round: u32,
-        suspects: NodeSet,
-        payload: Arc<CompletePayload>,
-    ) -> Vec<LegacyDelivery> {
-        let initiator = path.init();
-        let channel = self
-            .channels
-            .entry((initiator, path.clone()))
-            .or_insert_with(|| LegacyChannel { next: 1, buffer: BTreeMap::new() });
-        if seq >= channel.next {
-            let fp = payload.fingerprint();
-            let slot = channel.buffer.entry(seq).or_default();
-            if !slot.iter().any(|(r, s, _, f)| *r == round && *s == suspects && *f == fp) {
-                slot.push((round, suspects, payload, fp));
-            }
-        }
-        let mut out = Vec::new();
-        while let Some(batch) = channel.buffer.remove(&channel.next) {
-            for (round, ..) in batch {
-                out.push(LegacyDelivery { initiator, path: path.clone(), round });
-            }
-            channel.next += 1;
-        }
-        out
-    }
-}
-
-fn legacy_complete_forwards(g: &Digraph, me: NodeId, stored: &Path) -> usize {
-    let mut sent = 0;
-    for w in g.out_neighbors(me).iter() {
-        let Ok(extended) = stored.extended(w) else {
-            continue;
-        };
-        if extended.is_simple() {
-            sent += 1; // the real code also cloned `stored` into a message
-            black_box(stored.clone());
-        }
-    }
-    sent
-}
-
-/// The pre-columnar message set (PR 1's design): a `BTreeMap<PathId, f64>`
-/// with set operations as per-entry filters through the index metadata.
-/// A deliberate frozen copy of `dbac_core::message_set::reference` (same
-/// idiom as `LegacyFifo` above): depending on the `reference-messageset`
-/// feature from here would, via feature unification, compile the reference
-/// module into every workspace build — and the baseline should stay the
-/// *historical* design even if the test oracle evolves.
-#[derive(Clone, Default)]
-struct LegacyMessageSet {
-    entries: BTreeMap<dbac_graph::PathId, f64>,
-}
-
-impl LegacyMessageSet {
-    fn insert(&mut self, path: PathId, value: f64) -> bool {
-        match self.entries.entry(path) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value);
-                true
-            }
-            std::collections::btree_map::Entry::Occupied(_) => false,
-        }
-    }
-
-    fn exclusion(&self, a: NodeSet, index: &dbac_graph::PathIndex) -> LegacyMessageSet {
-        LegacyMessageSet {
-            entries: self
-                .entries
-                .iter()
-                .filter(|(&p, _)| !index.intersects(p, a))
-                .map(|(&p, &v)| (p, v))
-                .collect(),
-        }
-    }
-
-    fn is_full_avoiding(&self, a: NodeSet, v: NodeId, index: &dbac_graph::PathIndex) -> bool {
-        index
-            .paths_ending_at(v)
-            .iter()
-            .filter(|&&p| !index.intersects(p, a))
-            .all(|p| self.entries.contains_key(p))
-    }
-}
-
-/// The pre-mask witness-thread flood path (PR 2's design), frozen: one
-/// state machine per guess tracking Maximal-Consistency with an
-/// incremental `value_by_init` hash map and a `NodeSet` disjointness test
-/// per thread per arrival, firing the `COMPLETE` payload through a cloned
-/// exclusion set. A deliberate frozen copy of `dbac_core::witness::
-/// reference`'s ingest path (same isolation rationale as the legacy
-/// structures above: the `reference-witness` feature must not leak into
-/// workspace builds via unification, and the baseline should stay the
-/// historical design even if the test oracle evolves).
-struct LegacyRoundIngest {
-    mset: MessageSet,
-    paths_by_init_value: HashMap<(NodeId, u64), Vec<NodeSet>>,
-    threads: Vec<LegacyThread>,
-}
-
-struct LegacyThread {
-    guess: NodeSet,
-    consistent: bool,
-    value_by_init: FastHashMap<NodeId, u64>,
-    flood_remaining: usize,
-    mc_fired: bool,
-}
-
-impl LegacyRoundIngest {
-    fn new(topo: &Topology, me: NodeId) -> Self {
-        let threads = topo
-            .guesses()
-            .iter()
-            .filter(|g| !g.contains(me))
-            .map(|&guess| LegacyThread {
-                guess,
-                consistent: true,
-                value_by_init: FastHashMap::default(),
-                flood_remaining: topo.index().required_count(guess, me),
-                mc_fired: false,
-            })
-            .collect();
-        LegacyRoundIngest { mset: MessageSet::new(), paths_by_init_value: HashMap::new(), threads }
-    }
-
-    /// The counter-based ingest: returns the number of MC firings.
-    fn ingest(&mut self, stored: PathId, value: f64, topo: &Topology) -> usize {
-        let index = topo.index();
-        let node_set = index.node_set(stored);
-        let init = index.init(stored);
-        let bits = value.to_bits();
-        if !self.mset.insert(stored, value) {
-            return 0;
-        }
-        self.paths_by_init_value.entry((init, bits)).or_default().push(node_set);
-        let mut fired = 0;
-        for thread in &mut self.threads {
-            if thread.mc_fired {
-                continue;
-            }
-            if !node_set.is_disjoint(thread.guess) {
-                continue;
-            }
-            thread.flood_remaining -= 1;
-            if thread.consistent {
-                match thread.value_by_init.entry(init) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(bits);
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if *e.get() != bits {
-                            thread.consistent = false;
-                        }
-                    }
-                }
-            }
-            if thread.consistent && thread.flood_remaining == 0 {
-                thread.mc_fired = true;
-                black_box(CompletePayload::from_message_set(
-                    &self.mset.exclusion(thread.guess, index),
-                ));
-                fired += 1;
-            }
-        }
-        fired
-    }
-}
-
-/// The scalar all-guess Maximal-Consistency recompute: per guess, one
-/// per-entry pass over the whole history with an intersects filter, a
-/// hash-map consistency probe and a fullness count — what recomputation
-/// cost before the mask scans.
-fn legacy_mc_scan(
-    mset: &MessageSet,
-    guesses: &[(NodeSet, usize)],
-    topo: &Topology,
-) -> (usize, usize) {
-    let index = topo.index();
-    let (mut full, mut consistent) = (0usize, 0usize);
-    for &(guess, required) in guesses {
-        let mut count = 0usize;
-        let mut ok = true;
-        let mut by_init: FastHashMap<NodeId, u64> = FastHashMap::default();
-        for (p, v) in mset.iter() {
-            if index.intersects(p, guess) {
-                continue;
-            }
-            count += 1;
-            match by_init.entry(index.init(p)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v.to_bits());
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != v.to_bits() {
-                        ok = false;
-                    }
-                }
-            }
-        }
-        full += usize::from(count == required);
-        consistent += usize::from(ok);
-    }
-    (full, consistent)
-}
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -306,7 +62,6 @@ const SEQS: u64 = 8;
 fn bench_fifo_accept(c: &mut Criterion) {
     for fx in fixtures() {
         let index = fx.topo.index();
-        let owned: Vec<Path> = fx.fifo_paths.iter().map(|&p| index.path(p).clone()).collect();
 
         let mut group = c.benchmark_group(format!("fifo_accept/{}", fx.name));
         group.sample_size(30);
@@ -322,19 +77,6 @@ fn bench_fifo_accept(c: &mut Criterion) {
                         delivered += rx
                             .accept(p, init, seq, 0, NodeSet::EMPTY, Arc::clone(&fx.payload))
                             .len();
-                    }
-                }
-                black_box(delivered)
-            });
-        });
-        group.bench_function("in_order/legacy", |b| {
-            b.iter(|| {
-                let mut rx = LegacyFifo::new();
-                let mut delivered = 0usize;
-                for p in &owned {
-                    for seq in 1..=SEQS {
-                        delivered +=
-                            rx.accept(p, seq, 0, NodeSet::EMPTY, Arc::clone(&fx.payload)).len();
                     }
                 }
                 black_box(delivered)
@@ -359,20 +101,6 @@ fn bench_fifo_accept(c: &mut Criterion) {
                 black_box(delivered)
             });
         });
-        group.bench_function("gap_close/legacy", |b| {
-            b.iter(|| {
-                let mut rx = LegacyFifo::new();
-                let mut delivered = 0usize;
-                for p in &owned {
-                    for seq in 2..=SEQS {
-                        delivered +=
-                            rx.accept(p, seq, 0, NodeSet::EMPTY, Arc::clone(&fx.payload)).len();
-                    }
-                    delivered += rx.accept(p, 1, 0, NodeSet::EMPTY, Arc::clone(&fx.payload)).len();
-                }
-                black_box(delivered)
-            });
-        });
 
         // Replay: Byzantine duplicates of an already-drained counter.
         group.bench_function("replay/interned", |b| {
@@ -384,19 +112,6 @@ fn bench_fifo_accept(c: &mut Criterion) {
                     for _ in 0..SEQS {
                         delivered +=
                             rx.accept(p, init, 1, 0, NodeSet::EMPTY, Arc::clone(&fx.payload)).len();
-                    }
-                }
-                black_box(delivered)
-            });
-        });
-        group.bench_function("replay/legacy", |b| {
-            b.iter(|| {
-                let mut rx = LegacyFifo::new();
-                let mut delivered = 0usize;
-                for p in &owned {
-                    for _ in 0..SEQS {
-                        delivered +=
-                            rx.accept(p, 1, 0, NodeSet::EMPTY, Arc::clone(&fx.payload)).len();
                     }
                 }
                 black_box(delivered)
@@ -423,8 +138,6 @@ fn bench_complete_forwards(c: &mut Criterion) {
             .nodes()
             .flat_map(|v| fx.topo.simple_paths_to(v).iter().copied())
             .collect();
-        let owned: Vec<(NodeId, Path)> =
-            stored.iter().map(|&p| (index.ter(p), index.path(p).clone())).collect();
 
         group.bench_with_input(BenchmarkId::new("interned", fx.name), &(), |b, ()| {
             b.iter(|| {
@@ -437,43 +150,31 @@ fn bench_complete_forwards(c: &mut Criterion) {
                 black_box(sent)
             });
         });
-        group.bench_with_input(BenchmarkId::new("legacy", fx.name), &(), |b, ()| {
-            b.iter(|| {
-                let mut sent = 0usize;
-                for (me, p) in &owned {
-                    sent += legacy_complete_forwards(fx.topo.graph(), *me, p);
-                }
-                black_box(sent)
-            });
-        });
     }
     group.finish();
 }
 
 // ---------------------------------------------------------------------------
-// MessageSet algebra: exclusion and fullness, columnar vs BTreeMap
+// MessageSet algebra: exclusion and fullness
 // ---------------------------------------------------------------------------
 
-/// Builds node 0's full round history in both representations: every pool
-/// path toward node 0 carrying its initiator's value (the state a node is
-/// in when the Maximal-Consistency exclusions and fullness probes run).
-fn message_set_pair(topo: &Topology) -> (MessageSet, LegacyMessageSet) {
+/// Builds node 0's full round history: every pool path toward node 0
+/// carrying its initiator's value (the state a node is in when the
+/// Maximal-Consistency exclusions and fullness probes run).
+fn full_history(topo: &Topology) -> MessageSet {
     let v0 = NodeId::new(0);
     let mut columnar = MessageSet::new();
-    let mut legacy = LegacyMessageSet::default();
     for &p in topo.required_paths_to(v0) {
-        let value = topo.index().init(p).index() as f64;
-        columnar.insert(p, value);
-        legacy.insert(p, value);
+        columnar.insert(p, topo.index().init(p).index() as f64);
     }
-    (columnar, legacy)
+    columnar
 }
 
 fn bench_message_set_exclusion(c: &mut Criterion) {
     for fx in fixtures() {
         let index = fx.topo.index();
         let guesses: Vec<NodeSet> = fx.topo.guesses().to_vec();
-        let (columnar, legacy) = message_set_pair(&fx.topo);
+        let columnar = full_history(&fx.topo);
 
         let mut group = c.benchmark_group(format!("mset_exclusion/{}", fx.name));
         group.sample_size(30);
@@ -488,15 +189,6 @@ fn bench_message_set_exclusion(c: &mut Criterion) {
                 black_box(kept)
             });
         });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let mut kept = 0usize;
-                for &g in &guesses {
-                    kept += legacy.exclusion(g, index).entries.len();
-                }
-                black_box(kept)
-            });
-        });
         group.finish();
     }
 }
@@ -506,14 +198,13 @@ fn bench_message_set_fullness(c: &mut Criterion) {
         let index = fx.topo.index();
         let guesses: Vec<NodeSet> = fx.topo.guesses().to_vec();
         let v0 = NodeId::new(0);
-        let (full_col, full_leg) = message_set_pair(&fx.topo);
+        let full_col = full_history(&fx.topo);
         // A one-short set: fullness scans must also be fast when they fail.
         let missing = *fx.topo.required_paths_to(v0).last().expect("non-empty pool");
-        let (mut part_col, mut part_leg) = (MessageSet::new(), LegacyMessageSet::default());
+        let mut part_col = MessageSet::new();
         for (p, v) in full_col.iter() {
             if p != missing {
                 part_col.insert(p, v);
-                part_leg.insert(p, v);
             }
         }
 
@@ -531,22 +222,12 @@ fn bench_message_set_fullness(c: &mut Criterion) {
                 black_box(full_count)
             });
         });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let mut full_count = 0usize;
-                for &g in &guesses {
-                    full_count += usize::from(full_leg.is_full_avoiding(g, v0, index));
-                    full_count += usize::from(part_leg.is_full_avoiding(g, v0, index));
-                }
-                black_box(full_count)
-            });
-        });
         group.finish();
     }
 }
 
 // ---------------------------------------------------------------------------
-// RoundCore flood ingest: mask-batched witness threads vs counter-based
+// RoundCore flood ingest: mask-batched witness threads
 // ---------------------------------------------------------------------------
 
 /// One batch = a node-0 round from `start` through every pool flood with
@@ -583,22 +264,12 @@ fn bench_round_core_ingest(c: &mut Criterion) {
                 black_box(fired)
             });
         });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let mut legacy = LegacyRoundIngest::new(&fx.topo, v0);
-                let mut fired = legacy.ingest(index.trivial(v0), 0.0, &fx.topo);
-                for &(p, v) in &floods {
-                    fired += legacy.ingest(p, v, &fx.topo);
-                }
-                black_box(fired)
-            });
-        });
         group.finish();
     }
 }
 
 // ---------------------------------------------------------------------------
-// All-guess Maximal-Consistency recompute: mask scans vs per-entry passes
+// All-guess Maximal-Consistency recompute: mask scans
 // ---------------------------------------------------------------------------
 
 /// One batch = recomputing fullness + consistency of `M|_F̄v` for every
@@ -610,13 +281,6 @@ fn bench_mc_scan(c: &mut Criterion) {
         let v0 = NodeId::new(0);
         let plan = NodePlan::new(&fx.topo, v0);
         let index = fx.topo.index();
-        let legacy_guesses: Vec<(NodeSet, usize)> = fx
-            .topo
-            .guesses()
-            .iter()
-            .filter(|g| !g.contains(v0))
-            .map(|&g| (g, index.required_count(g, v0)))
-            .collect();
         let mut good = MessageSet::new();
         let mut bad = MessageSet::new();
         for &p in fx.topo.required_paths_to(v0) {
@@ -638,33 +302,13 @@ fn bench_mc_scan(c: &mut Criterion) {
                 black_box(hits)
             });
         });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for m in [&good, &bad] {
-                    let (full, consistent) = legacy_mc_scan(m, &legacy_guesses, &fx.topo);
-                    hits += full + consistent;
-                }
-                black_box(hits)
-            });
-        });
         group.finish();
     }
 }
 
 // ---------------------------------------------------------------------------
-// FIFO-Receive-All progress: slot bitmaps vs HashSet/count-map tracking
+// FIFO-Receive-All progress: slot bitmaps
 // ---------------------------------------------------------------------------
-
-/// The pre-mask FRA progress structures (frozen from the counter-based
-/// witness design): a `HashSet<(PathId, u64)>` dedup set plus a
-/// fingerprint-count hash map per witness.
-struct LegacyFra {
-    required: usize,
-    seen: std::collections::HashSet<(PathId, u64)>,
-    counts: HashMap<u64, usize>,
-    done: bool,
-}
 
 /// One batch = a full round of FIFO-Receive-All bookkeeping at node 0:
 /// every `(guess, witness, in-reach delivery path)` mark once, then a
@@ -674,8 +318,7 @@ fn bench_fra_scan(c: &mut Criterion) {
     for fx in fixtures() {
         let v0 = NodeId::new(0);
         let plan = NodePlan::new(&fx.topo, v0);
-        let simple: Vec<PathId> = fx.topo.simple_paths_to(v0).to_vec();
-        let slot_words = simple.len().div_ceil(64);
+        let slot_words = fx.topo.simple_paths_to(v0).len().div_ceil(64);
         // The delivery stream as (guess, witness, slot) triples, one
         // fingerprint (the honest case).
         let mut stream: Vec<(usize, usize, usize)> = Vec::new();
@@ -690,7 +333,6 @@ fn bench_fra_scan(c: &mut Criterion) {
                 }
             }
         }
-        const FP: u64 = 0x9E37_79B9_7F4A_7C15;
 
         let mut group = c.benchmark_group(format!("fra_scan/{}", fx.name));
         group.sample_size(20);
@@ -724,51 +366,14 @@ fn bench_fra_scan(c: &mut Criterion) {
                 black_box(done)
             });
         });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let mut states: Vec<Vec<LegacyFra>> = plan
-                    .guesses()
-                    .iter()
-                    .map(|gp| {
-                        gp.fra_witnesses()
-                            .iter()
-                            .map(|w| LegacyFra {
-                                required: w.required,
-                                seen: std::collections::HashSet::new(),
-                                counts: HashMap::new(),
-                                done: false,
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let mut done = 0usize;
-                for _pass in 0..2 {
-                    for &(gi, wi, s) in &stream {
-                        let st = &mut states[gi][wi];
-                        if !st.done && st.seen.insert((simple[s], FP)) {
-                            let count = st.counts.entry(FP).or_insert(0);
-                            *count += 1;
-                            if *count == st.required {
-                                st.done = true;
-                                done += 1;
-                            }
-                        }
-                    }
-                }
-                black_box(done)
-            });
-        });
         group.finish();
     }
 }
 
 /// The iterative engine's per-round update: W-MSR trimmed mean over one
-/// in-neighborhood. The *columnar* variant models the engine (values
-/// already contiguous, one reusable scratch sort); the *legacy* variant
-/// models the pre-engine design sketch — a per-round `HashMap<NodeId,
-/// f64>` buffer collected into a fresh `Vec` every step.
+/// in-neighborhood, as the engine runs it (values already contiguous, one
+/// reusable scratch sort).
 fn bench_wmsr_step(c: &mut Criterion) {
-    use dbac_baselines::iterative::wmsr_step;
     use dbac_baselines::iterengine::wmsr_step_in_place;
     for deg in [8usize, 64] {
         let rounds = 60usize;
@@ -787,18 +392,6 @@ fn bench_wmsr_step(c: &mut Criterion) {
                     scratch.clear();
                     scratch.extend_from_slice(&columns[r * deg..(r + 1) * deg]);
                     own = wmsr_step_in_place(own, &mut scratch, f);
-                }
-                black_box(own)
-            });
-        });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let mut own = 50.0f64;
-                for r in 0..rounds {
-                    let map: HashMap<NodeId, f64> =
-                        (0..deg).map(|i| (NodeId::new(i), columns[r * deg + i])).collect();
-                    let received: Vec<f64> = map.values().copied().collect();
-                    own = wmsr_step(own, received, f);
                 }
                 black_box(own)
             });

@@ -111,9 +111,9 @@
 //! [`LinkFaultPlan`] places faults on *edges*: the link-failure model of
 //! Tseng–Vaidya (arXiv 1401.6615), where the network itself drops,
 //! duplicates, reorders or corrupts messages while every node stays
-//! honest. The two compose freely on the builder, and both runtimes apply
-//! the plan through the same stateless seeded decision function, so the
-//! fate of the k-th message on an edge is runtime-independent:
+//! honest. The two compose freely on the builder, and every runtime sends
+//! through the same gate and its stateless seeded decision function, so
+//! the fate of the k-th message on an edge is runtime-independent:
 //!
 //! ```
 //! use dbac_core::scenario::{LinkFault, LinkFaultPlan, Scenario};
@@ -229,11 +229,18 @@
 //!   [`RunError`] variants (`InputLengthMismatch`, `NonPositiveEpsilon`,
 //!   `FaultOutsideGraph`, `TooManyFaults`, …) instead of stringly-typed
 //!   reasons, so harnesses can branch on failure causes.
-//! * **[`drive`] is the only place that touches the runtimes.** Protocol
-//!   implementations hand it a fully-assigned process fleet; no other
-//!   module constructs [`Simulation`], [`Threaded`] or `Net` (the one sanctioned
-//!   exception is the Appendix-B splice executor in `dbac-bench`, which
-//!   replays message-level traces below the scenario abstraction).
+//! * **One fleet, one send gate, two drivers, two outlets.** [`drive`] is
+//!   the only place that touches the runtimes: it assembles the protocol's
+//!   actors into one `dbac_sim` [`Fleet`] and picks a driver — the
+//!   virtual-time event loop ([`Simulation`]) or the wall-clock
+//!   thread-per-node loop ([`Fleet::run`]), the latter over one of two
+//!   outlets (crossbeam channels for [`Runtime::Threaded`], framed byte
+//!   streams for [`Runtime::Net`]). Every message of every driver passes
+//!   the fleet's single send gate (classify, count, link-fault verdict,
+//!   ledger), and the run's [`StatsRegistry`] is the only ledger there is.
+//!   No other module builds a fleet (the one sanctioned exception is the
+//!   Appendix-B splice executor in `dbac-bench`, which replays
+//!   message-level traces below the scenario abstraction).
 //! * **Faults are protocol-agnostic data.** [`FaultKind`] is the union of
 //!   every behaviour the workspace knows; each protocol maps the subset it
 //!   can express and rejects the rest with a typed error.
@@ -249,12 +256,12 @@ use crate::error::RunError;
 use crate::node::HonestNode;
 use crate::precompute::Topology;
 use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget};
-use dbac_sim::net::{Net, NetConfig};
+use dbac_sim::net::NetConfig;
 use dbac_sim::process::{Adversary, Process};
 use dbac_sim::scheduler::{EdgeDelay, FixedDelay, RandomDelay};
 use dbac_sim::sim::Simulation;
-use dbac_sim::threaded::{Threaded, ThreadedConfig};
-use dbac_sim::{DeliveryPolicy, VirtualTime};
+use dbac_sim::threaded::ThreadedConfig;
+use dbac_sim::{DeliveryPolicy, Fleet, VirtualTime};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -829,7 +836,7 @@ impl ScenarioBuilder {
 
     /// Attaches a deterministic link-fault plan (the chaos layer): seeded
     /// per-edge drop / duplicate / reorder / corrupt / partition / omit
-    /// faults, honored identically by both runtimes.
+    /// faults, honored identically by all three runtimes.
     #[must_use]
     pub fn link_faults(mut self, plan: LinkFaultPlan) -> Self {
         self.link_faults = Some(plan);
@@ -1189,7 +1196,7 @@ pub type Adversaries<M> = Vec<(NodeId, Box<dyn Adversary<M> + Send>)>;
 
 /// What [`drive`] hands back to a protocol implementation: runtime
 /// counters, the optional delivery trace, and the stragglers of a
-/// gracefully-degraded threaded run.
+/// gracefully-degraded wall-clock run.
 #[derive(Clone, Debug, Default)]
 pub struct DriveReport {
     /// The final merged snapshot of the run's [`StatsRegistry`].
@@ -1197,29 +1204,34 @@ pub struct DriveReport {
     /// Recorded delivery trace ([`Runtime::Sim`] only, when requested).
     pub trace: Option<TraceSummary>,
     /// Honest nodes that failed to complete, with typed reasons
-    /// ([`Runtime::Threaded`] only — the simulator runs to quiescence).
+    /// ([`Runtime::Threaded`] and [`Runtime::Net`] — the simulator runs to
+    /// quiescence and reports non-deciders through the outcome instead).
     pub incomplete: Vec<Incomplete>,
 }
 
-/// Drives a fully-assigned process fleet on the scenario's runtime — the
-/// single place in the workspace that constructs [`Simulation`] or
-/// [`Threaded`]. Protocol implementations hand it the run's stats
-/// registry (from [`Scenario::resolve_stats`], so an externally attached
-/// registry is honored), one actor per node (honest processes plus boxed
-/// adversaries covering every fault slot) and an `extract` callback
-/// invoked with each surviving honest process after the run.
+/// Drives a process fleet on the scenario's runtime — the single place in
+/// the workspace that assembles a [`Fleet`] and picks its driver
+/// ([`Simulation`] for virtual time; [`Fleet::run`] over channels for
+/// [`Runtime::Threaded`] or over framed connections for [`Runtime::Net`]).
+/// Protocol implementations hand it the run's stats registry (from
+/// [`Scenario::resolve_stats`], so an externally attached registry is
+/// honored), one actor per node (honest processes plus boxed adversaries
+/// covering every fault slot) and an `extract` callback invoked with each
+/// surviving honest process after the run.
 ///
-/// `drive` attaches the registry to the runtime, freezes the wall clock
+/// `drive` makes the registry the fleet's ledger, freezes the wall clock
 /// when the run lands, and returns the final merged snapshot in
 /// [`DriveReport::stats`].
 ///
-/// `done` is the per-node termination predicate the threaded and network
-/// runtimes poll (the simulator instead runs to quiescence).
+/// `done` is the per-node termination predicate the wall-clock driver
+/// polls (the simulator instead runs to quiescence and settles the done
+/// gauges afterwards).
 ///
-/// All three runtimes honor the scenario's [`LinkFaultPlan`], if any,
-/// through the same seeded decision function. A threaded or network node
-/// that misses its watchdog deadline is *not* an error: it lands in
-/// [`DriveReport::incomplete`] and every survivor is still extracted.
+/// Every driver sends through the fleet's one send gate, so all three
+/// runtimes honor the scenario's [`LinkFaultPlan`], if any, identically.
+/// A threaded or network node that misses its watchdog deadline is *not*
+/// an error: it lands in [`DriveReport::incomplete`] and every survivor is
+/// still extracted.
 ///
 /// The `P::Message: WireMessage` bound is what lets one fleet run on any
 /// runtime: every drivable protocol message carries a canonical binary
@@ -1241,37 +1253,25 @@ where
     P: Process + Send + 'static,
     P::Message: WireMessage,
 {
-    let (trace, incomplete) = match scenario.runtime {
+    let mut fleet: Fleet<P> = Fleet::new(Arc::clone(&scenario.graph));
+    fleet.set_stats(Arc::clone(registry));
+    if let Some(plan) = &scenario.link_faults {
+        fleet.set_link_faults(plan.clone());
+    }
+    for (v, p) in honest {
+        fleet.set_honest(v, p);
+    }
+    for (v, a) in byzantine {
+        fleet.set_byzantine(v, a);
+    }
+    let (nodes, trace, incomplete) = match scenario.runtime {
         Runtime::Sim => {
-            let mut sim: Simulation<P> =
-                Simulation::new(Arc::clone(&scenario.graph), scenario.scheduler.build());
+            let mut sim = Simulation::over(fleet, scenario.scheduler.build());
             sim.set_max_events(scenario.max_events);
-            sim.set_stats(Arc::clone(registry));
             if scenario.record_trace {
                 sim.record_trace();
             }
-            if let Some(plan) = &scenario.link_faults {
-                sim.set_link_faults(plan.clone());
-            }
-            let mut honest_ids = Vec::with_capacity(honest.len());
-            for (v, p) in honest {
-                honest_ids.push(v);
-                sim.set_honest(v, p);
-            }
-            for (v, a) in byzantine {
-                sim.set_byzantine(v, a);
-            }
             sim.run()?;
-            // The simulator has no in-loop done polling (it runs to
-            // quiescence), so the done gauges are settled here instead.
-            let gauge = registry.register();
-            for v in honest_ids {
-                let node = sim.honest(v).expect("honest node present");
-                if done(node) {
-                    gauge.mark_done(v.index());
-                }
-                extract(v, node);
-            }
             let trace = sim.trace().map(|t| TraceSummary {
                 deliveries: t
                     .events()
@@ -1279,51 +1279,23 @@ where
                     .map(|e| Delivery { at: e.at, from: e.from, to: e.to })
                     .collect(),
             });
-            (trace, Vec::new())
+            (sim.into_nodes(done), trace, Vec::new())
         }
         Runtime::Threaded { timeout, jitter_micros } => {
-            let mut runtime: Threaded<P> = Threaded::new(Arc::clone(&scenario.graph));
-            runtime.set_stats(Arc::clone(registry));
-            for (v, p) in honest {
-                runtime.set_honest(v, p);
-            }
-            for (v, a) in byzantine {
-                runtime.set_byzantine(v, a);
-            }
-            if let Some(plan) = &scenario.link_faults {
-                runtime.set_link_faults(plan.clone());
-            }
             let config = ThreadedConfig { timeout, jitter_micros, seed: scenario.scheduler.seed() };
-            let report = runtime.run(done, config)?;
-            for (i, node) in report.nodes.iter().enumerate() {
-                if let Some(node) = node {
-                    extract(NodeId::new(i), node);
-                }
-            }
-            (None, report.incomplete)
+            let report = fleet.run(done, config)?;
+            (report.nodes, None, report.incomplete)
         }
         Runtime::Net { timeout } => {
-            let mut runtime: Net<P> = Net::new(Arc::clone(&scenario.graph));
-            runtime.set_stats(Arc::clone(registry));
-            for (v, p) in honest {
-                runtime.set_honest(v, p);
-            }
-            for (v, a) in byzantine {
-                runtime.set_byzantine(v, a);
-            }
-            if let Some(plan) = &scenario.link_faults {
-                runtime.set_link_faults(plan.clone());
-            }
-            let config = NetConfig { timeout, transport: TransportKind::Auto };
-            let report = runtime.run(done, config)?;
-            for (i, node) in report.nodes.iter().enumerate() {
-                if let Some(node) = node {
-                    extract(NodeId::new(i), node);
-                }
-            }
-            (None, report.incomplete)
+            let report = fleet.run(done, NetConfig { timeout, transport: TransportKind::Auto })?;
+            (report.nodes, None, report.incomplete)
         }
     };
+    for (i, node) in nodes.iter().enumerate() {
+        if let Some(node) = node {
+            extract(NodeId::new(i), node);
+        }
+    }
     registry.finalize_wall();
     Ok(DriveReport { stats: registry.snapshot(), trace, incomplete })
 }

@@ -230,51 +230,6 @@ impl<const W: usize> WordSet<W> {
     pub fn from_words(words: [u64; W]) -> Self {
         WordSet(words)
     }
-
-    /// Returns the low 128 bits as a mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set contains a member with index ≥ 128 — the mask
-    /// cannot represent it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "128-bit escape hatch from the u128 era; use words()/from_words(), \
-                rank_below(), or key maps by NodeSet directly"
-    )]
-    #[must_use]
-    pub fn bits(self) -> u128 {
-        assert!(
-            self.0.iter().skip(2).all(|&w| w == 0),
-            "NodeSet::bits: set {self} has members ≥ 128"
-        );
-        let lo = self.0.first().copied().unwrap_or(0) as u128;
-        let hi = if W > 1 { self.0[1] as u128 } else { 0 };
-        lo | hi << 64
-    }
-
-    /// Reconstructs a set from a raw 128-bit mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the width cannot hold 128 bits and `bits` has high bits
-    /// set.
-    #[deprecated(
-        since = "0.1.0",
-        note = "128-bit escape hatch from the u128 era; use from_words()"
-    )]
-    #[must_use]
-    pub fn from_bits(bits: u128) -> Self {
-        let mut s = Self::EMPTY;
-        s.0[0] = bits as u64;
-        let hi = (bits >> 64) as u64;
-        if W > 1 {
-            s.0[1] = hi;
-        } else {
-            assert!(hi == 0, "WordSet<1>::from_bits: mask has bits ≥ 64");
-        }
-        s
-    }
 }
 
 impl<const W: usize> Default for WordSet<W> {
@@ -658,18 +613,23 @@ mod tests {
         assert_eq!(NodeSet::EMPTY.to_string(), "{}");
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn bits_round_trip() {
-        let s = ns(&[0, 64, 127]);
-        assert_eq!(NodeSet::from_bits(s.bits()), s);
+    /// The low 128 bits of a set as the mask the u128-era `NodeSet` held.
+    fn low128(s: &NodeSet) -> u128 {
+        s.words()[0] as u128 | (s.words()[1] as u128) << 64
     }
 
     #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "members ≥ 128")]
-    fn bits_rejects_members_past_128() {
-        let _ = ns(&[130]).bits();
+    fn words_round_trip_within_128() {
+        let s = ns(&[0, 64, 127]);
+        assert_eq!(low128(&s), 1 | 1 << 64 | 1 << 127);
+        assert_eq!(NodeSet::from_words(*s.words()), s);
+    }
+
+    #[test]
+    fn members_past_128_live_above_the_low_words() {
+        let s = ns(&[130]);
+        assert_eq!(low128(&s), 0, "the low 128 bits cannot represent member 130");
+        assert_eq!(s.words()[2], 1 << 2);
     }
 
     #[test]
@@ -700,9 +660,7 @@ mod tests {
         let cases = [ns(&[0]), ns(&[1]), ns(&[0, 1]), ns(&[64]), ns(&[127]), ns(&[5, 127])];
         for a in &cases {
             for b in &cases {
-                #[allow(deprecated)]
-                let expect = a.bits().cmp(&b.bits());
-                assert_eq!(a.cmp(b), expect, "{a} vs {b}");
+                assert_eq!(a.cmp(b), low128(a).cmp(&low128(b)), "{a} vs {b}");
             }
         }
         // Past 128 bits the order is still total and mask-numeric.

@@ -4,11 +4,11 @@
 //! models faults on *edges* — the lossy/duplicating/reordering links of
 //! Tseng–Vaidya's link-failure model (arXiv 1401.6615). A [`LinkFaultPlan`]
 //! is a seeded, per-edge fault schedule whose every decision is a **pure
-//! function** of `(plan seed, edge, per-edge message index)`. Both runtimes
-//! consult the same function, so the fate of the k-th message on edge
-//! `(u, v)` is identical under the discrete-event simulator and the
-//! thread-per-node runtime — the cross-runtime differential extends to
-//! chaos scenarios.
+//! function** of `(plan seed, edge, per-edge message index)`. Every driver
+//! consults it at one place — the fleet's send gate — so the fate of the
+//! k-th message on edge `(u, v)` is identical under the discrete-event
+//! simulator, the thread-per-node runtime and the network runtime — the
+//! cross-runtime differential extends to chaos scenarios.
 //!
 //! Statelessness is what buys determinism: no RNG stream is advanced when a
 //! decision is taken, so a plan whose probabilities are all zero perturbs
@@ -168,8 +168,8 @@ impl LinkFaultPlan {
 
     /// Judges the `k`-th message on edge `from -> to`.
     ///
-    /// Pure in `(self, from, to, k)`: no internal state advances, so both
-    /// runtimes (and replays) reach identical verdicts.
+    /// Pure in `(self, from, to, k)`: no internal state advances, so every
+    /// runtime (and every replay) reaches identical verdicts.
     #[must_use]
     pub fn decide(&self, from: NodeId, to: NodeId, k: u64) -> LinkDecision {
         let mut copies: u32 = 1;
@@ -240,9 +240,9 @@ fn unit_f64(word: u64) -> f64 {
 }
 
 /// Per-edge message counters: assigns each send on `(from, to)` its index
-/// `k` in send order. Each runtime keeps its own instance(s); because an
-/// edge has exactly one sender, per-sender counting in the threaded runtime
-/// agrees with the simulator's global counting.
+/// `k` in send order. Each send gate keeps its own instance; because an
+/// edge has exactly one sender, per-sender counting under the wall-clock
+/// driver agrees with the simulator's global counting.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeCounters {
     counts: HashMap<(usize, usize), u64>,

@@ -18,20 +18,6 @@ pub enum SimError {
         /// Events delivered before giving up.
         delivered: u64,
     },
-    /// The threaded runtime hit its wall-clock timeout before every honest
-    /// node reported completion. Retained for downstream matches: since the
-    /// runtime learned to degrade gracefully it reports stragglers per node
-    /// (`ThreadedReport::incomplete`) instead of returning this.
-    Timeout {
-        /// Nodes that had completed when the timeout fired.
-        completed: usize,
-        /// Total honest nodes expected to complete.
-        expected: usize,
-    },
-    /// A worker thread panicked. Retained for downstream matches: the
-    /// threaded runtime now reports panics per node instead of returning
-    /// this.
-    WorkerPanicked,
     /// The network runtime could not establish or handshake a connection
     /// (socket failure, handshake rejection). Setup-time only: once the
     /// mesh is up, peer failures degrade per node instead.
@@ -50,10 +36,6 @@ impl fmt::Display for SimError {
             SimError::EventBudgetExhausted { delivered } => {
                 write!(f, "event budget exhausted after {delivered} deliveries")
             }
-            SimError::Timeout { completed, expected } => {
-                write!(f, "timed out with {completed}/{expected} nodes complete")
-            }
-            SimError::WorkerPanicked => write!(f, "a worker thread panicked"),
             SimError::Transport { detail } => {
                 write!(f, "network transport setup failed: {detail}")
             }
@@ -71,12 +53,13 @@ mod tests {
     fn display() {
         assert!(SimError::UnassignedNode { node: 3 }.to_string().contains('3'));
         assert!(SimError::EventBudgetExhausted { delivered: 9 }.to_string().contains('9'));
-        assert!(SimError::Timeout { completed: 1, expected: 4 }.to_string().contains("1/4"));
+        let transport = SimError::Transport { detail: "0<->1: refused".into() };
+        assert!(transport.to_string().contains("0<->1"));
     }
 
     #[test]
     fn is_error() {
         fn assert_error<E: Error>(_: E) {}
-        assert_error(SimError::WorkerPanicked);
+        assert_error(SimError::UnassignedNode { node: 0 });
     }
 }

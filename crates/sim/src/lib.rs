@@ -4,32 +4,44 @@
 //!
 //! The paper's system model (Section 2): reliable directed links, unbounded
 //! but finite message delays, event-driven nodes, up to `f` Byzantine
-//! nodes. Three interchangeable runtimes realize the model:
+//! nodes. The model has one send primitive — a node, honest or Byzantine,
+//! transmits over its own outgoing authenticated edge — and one receive
+//! event, and the crate states each of them once: **one fleet, one send
+//! gate, two drivers, two outlets.**
 //!
-//! * [`sim::Simulation`] — a **deterministic discrete-event simulator**.
-//!   Delivery times come from a pluggable [`scheduler::DeliveryPolicy`]
-//!   (fixed, seeded-random, or adversarial per-edge delays — the latter is
-//!   exactly what the Appendix-B impossibility construction needs). Runs
-//!   are reproducible bit-for-bit from a seed, and can record a
+//! * The [`Fleet`] is a run under construction: the network, one actor per
+//!   node (a [`process::Process`] state machine, or a
+//!   [`process::Adversary`] that may send arbitrary well-typed messages
+//!   over its own out-edges — links are authenticated, so a faulty node
+//!   cannot impersonate another sender), an optional
+//!   [`chaos::LinkFaultPlan`] and the run's [`stats::StatsRegistry`], the
+//!   only ledger a run keeps.
+//! * The **send gate** is the send primitive. Every message of every
+//!   driver passes it: it classifies and counts the message, asks the
+//!   seeded per-edge fault schedule (drop / duplicate / reorder / corrupt /
+//!   partition / omit) for a verdict that is a pure function of the plan
+//!   and the edge's message index, and books the fate on the sender's
+//!   registry shard — so the fate of the k-th message on an edge is
+//!   runtime-independent.
+//! * The **virtual-time driver**, [`sim::Simulation`], is a deterministic
+//!   discrete-event loop: one `(time, seq)` heap on one thread. Delivery
+//!   times come from a pluggable [`scheduler::DeliveryPolicy`] (fixed,
+//!   seeded-random, or adversarial per-edge delays — the latter is exactly
+//!   what the Appendix-B impossibility construction needs). Runs are
+//!   reproducible bit-for-bit from a seed, and can record a
 //!   [`trace::Trace`] for the indistinguishability replay experiment.
-//! * [`threaded`] — a **thread-per-node runtime** over crossbeam channels,
-//!   demonstrating that the protocol really is event-driven and
-//!   order-insensitive under true OS-level concurrency.
-//! * [`net`] — a **network runtime**: every message serialized through the
-//!   length-prefixed binary codec ([`net::codec`]) and moved over framed,
-//!   handshaken duplex connections ([`net::connection`]) — loopback TCP
-//!   when the sandbox allows sockets, byte-real in-process pipes otherwise.
-//!
-//! All three honor the same optional [`chaos::LinkFaultPlan`] — a
-//! seeded, per-edge fault schedule (drop / duplicate / reorder / corrupt /
-//! partition / omit) whose every decision is a pure function of the plan,
-//! so the fate of the k-th message on an edge is runtime-independent.
-//!
-//! All three drive the same [`process::Process`] state machines; Byzantine nodes
-//! implement [`process::Adversary`] and may send arbitrary well-typed
-//! messages over their own out-edges (links are authenticated, so a faulty
-//! node cannot impersonate another sender — receivers always learn the true
-//! edge a message arrived on).
+//! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
+//!   thread — a node holding its inbox and its outlet, looping until the
+//!   watchdog stops the network — demonstrating that the protocol really
+//!   is event-driven and order-insensitive under true OS-level
+//!   concurrency. It is monomorphised over one of two outlets, chosen by
+//!   the configuration it is given: crossbeam channels with seeded jitter
+//!   ([`threaded::ThreadedConfig`], the [`threaded`] runtime), or every
+//!   message serialized through the length-prefixed binary codec
+//!   ([`net::codec`]) onto framed, handshaken duplex connections
+//!   ([`net::connection`]) — loopback TCP when the sandbox allows sockets,
+//!   byte-real in-process pipes otherwise ([`net::NetConfig`], the [`net`]
+//!   runtime).
 //!
 //! # Example
 //!
@@ -67,6 +79,7 @@
 
 pub mod chaos;
 pub mod error;
+mod fleet;
 pub mod net;
 pub mod process;
 pub mod scheduler;
@@ -78,6 +91,7 @@ pub mod trace;
 
 pub use chaos::{EdgeCounters, LinkDecision, LinkFault, LinkFaultPlan};
 pub use error::SimError;
+pub use fleet::Fleet;
 pub use net::codec::{WireError, WireMessage};
 pub use net::connection::TransportKind;
 pub use net::{Net, NetConfig};

@@ -17,37 +17,33 @@
 //!   directed edge, established and handshaken sequentially before any
 //!   node starts;
 //! * one **reader thread** per connection end, pumping frames into the
-//!   owning node's inbox; a frame that fails to decode is counted in
-//!   [`SimStats::messages_rejected`](crate::sim::SimStats::messages_rejected)
-//!   and skipped — a framing-level error
-//!   (oversize prefix, truncation) closes that connection, and neither
-//!   ever wedges the node's event loop;
-//! * one **node thread** per node running the same
-//!   [`Process`]/[`Adversary`] dispatch loop as the threaded runtime, with
-//!   [`LinkFaultPlan`] decisions interposed on the send path through the
-//!   same per-edge message-index function, so the fate of the k-th message
-//!   on an edge is identical across all three runtimes;
-//! * the **watchdog and straggler classification are shared** with the
-//!   threaded runtime (`await_completion` / `join_and_classify`), so a
-//!   partitioned or panicked node degrades into the same typed
+//!   owning node's inbox; a frame that fails to decode is booked as
+//!   `rejected` on the run's [`StatsRegistry`] (and so in
+//!   [`SimStats::messages_rejected`](crate::sim::SimStats::messages_rejected))
+//!   and skipped — a framing-level error (oversize prefix, truncation)
+//!   closes that connection, and neither ever wedges the node's event
+//!   loop;
+//! * one **node thread** per node: the shared wall-clock driver
+//!   ([`Fleet::run`]) — the very loop, send gate, watchdog and straggler
+//!   classification of the threaded runtime — writing frames where that
+//!   runtime sends on a channel. The fate of the k-th message on an edge
+//!   is therefore identical across all three runtimes, and a partitioned
+//!   or panicked node degrades into the same typed
 //!   [`Incomplete`](crate::threaded::Incomplete) reports.
 
 pub mod codec;
 pub mod connection;
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
-use crate::process::{Adversary, Context, Process};
+use crate::fleet::{Connected, Fleet, Inbox, Wire};
 use crate::stats::{MsgClass, StatsHandle, StatsRegistry};
-use crate::threaded::{await_completion, join_and_classify, ThreadedReport, Transport};
 use codec::{write_frame, FrameReader, WireMessage};
 use connection::{establish, Duplex, TransportKind};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbac_graph::{Digraph, NodeId};
-use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration for a network run.
 #[derive(Clone, Copy, Debug)]
@@ -65,297 +61,94 @@ impl Default for NetConfig {
     }
 }
 
-/// A node's frame inbox: decoded messages tagged with their sender.
-type Inbox<M> = Sender<(NodeId, M)>;
-/// The receiving half a node thread drains.
-type InboxRx<M> = Receiver<(NodeId, M)>;
+/// A network execution: a [`Fleet`] whose [`run`](Fleet::run) is given a
+/// [`NetConfig`] — every node on its own thread, every message through the
+/// wire codec and a framed duplex connection. The report type is shared
+/// with the threaded runtime; both degrade identically.
+pub type Net<P> = Fleet<P>;
 
-enum Actor<P: Process> {
-    Honest(P),
-    Byzantine(Box<dyn Adversary<P::Message> + Send>),
+/// One node's framed writers, indexed by peer (`None` where no connection
+/// exists).
+pub struct FramedOutlet {
+    writers: Vec<Option<Box<dyn Write + Send>>>,
 }
 
-/// A network execution: every node on its own thread, every message
-/// through the wire codec and a framed duplex connection. Assign an actor
-/// to every node, then [`run`](Net::run). The report type is shared with
-/// the threaded runtime — both degrade identically.
-pub struct Net<P: Process> {
-    graph: Arc<Digraph>,
-    actors: Vec<Option<Actor<P>>>,
-    link_faults: Option<Arc<LinkFaultPlan>>,
-    registry: Option<Arc<StatsRegistry>>,
-}
+impl<M: WireMessage + Send + 'static> Wire<M> for NetConfig {
+    type Outlet = FramedOutlet;
 
-impl<P> Net<P>
-where
-    P: Process + Send + 'static,
-    P::Message: WireMessage + Send,
-{
-    /// Creates a network execution over `graph`.
-    #[must_use]
-    pub fn new(graph: Arc<Digraph>) -> Self {
+    fn timeout(&self) -> Duration {
+        self.timeout
+    }
+
+    /// Establishes one handshaken duplex connection per unordered pair
+    /// with at least one directed edge, sequentially in this thread, and
+    /// starts one reader thread per connection end.
+    fn connect(
+        self,
+        graph: &Digraph,
+        registry: &StatsRegistry,
+        inboxes: Vec<Inbox<M>>,
+        stop: &Arc<AtomicBool>,
+    ) -> Result<Connected<FramedOutlet>, SimError> {
         let n = graph.node_count();
-        Net { graph, actors: (0..n).map(|_| None).collect(), link_faults: None, registry: None }
-    }
-
-    /// Assigns an honest process to `v`.
-    pub fn set_honest(&mut self, v: NodeId, process: P) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Honest(process));
-        self
-    }
-
-    /// Assigns a Byzantine adversary to `v`.
-    pub fn set_byzantine(
-        &mut self,
-        v: NodeId,
-        adversary: Box<dyn Adversary<P::Message> + Send>,
-    ) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Byzantine(adversary));
-        self
-    }
-
-    /// Attaches a deterministic link-fault plan, interposed on every send
-    /// (before serialization, through the same per-edge message-index
-    /// function as the other runtimes).
-    pub fn set_link_faults(&mut self, plan: LinkFaultPlan) -> &mut Self {
-        self.link_faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Attaches a live stats registry: every node thread and every
-    /// connection reader thread registers its own shard. Node threads
-    /// mirror send/delivery counters (per message class via
-    /// [`Process::classify`]) plus the per-node gauges; reader threads
-    /// account undecodable frames as rejected.
-    pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
-        registry.note_transport_observed();
-        registry.note_nodes_observed();
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Runs every node on its own thread until each honest node satisfies
-    /// `done` or the watchdog deadline expires, then stops the network and
-    /// hands back the shared per-node report.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnassignedNode`] if a node has no actor;
-    /// [`SimError::Transport`] if a connection cannot be established or
-    /// handshaken.
-    pub fn run(
-        mut self,
-        done: impl Fn(&P) -> bool + Send + Sync + 'static,
-        config: NetConfig,
-    ) -> Result<ThreadedReport<P>, SimError> {
-        if let Some(missing) = self.actors.iter().position(Option::is_none) {
-            return Err(SimError::UnassignedNode { node: missing });
-        }
-        let n = self.graph.node_count();
-        let honest_slots: Vec<bool> =
-            self.actors.iter().map(|a| matches!(a, Some(Actor::Honest(_)))).collect();
-        let honest_total = honest_slots.iter().filter(|h| **h).count();
-        let kind = config.transport.resolve();
-
-        let mut inbox_tx: Vec<Option<Inbox<P::Message>>> = Vec::with_capacity(n);
-        let mut inbox_rx: Vec<Option<InboxRx<P::Message>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            inbox_tx.push(Some(tx));
-            inbox_rx.push(Some(rx));
-        }
-
-        // Establish one handshaken duplex connection per unordered pair
-        // with at least one directed edge, sequentially in this thread.
-        let mut writers: Vec<Vec<Option<Box<dyn std::io::Write + Send>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut reader_specs: Vec<(NodeId, NodeId, Box<dyn Read + Send>)> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // `u < v` pair walk, indexing two rows at once
+        let kind = self.transport.resolve();
+        let mut outlets: Vec<FramedOutlet> =
+            (0..n).map(|_| FramedOutlet { writers: (0..n).map(|_| None).collect() }).collect();
+        let mut readers: Vec<(NodeId, NodeId, Box<dyn Read + Send>)> = Vec::new();
         for u in 0..n {
             for v in (u + 1)..n {
                 let (u_id, v_id) = (NodeId::new(u), NodeId::new(v));
-                if !self.graph.has_edge(u_id, v_id) && !self.graph.has_edge(v_id, u_id) {
+                if !graph.has_edge(u_id, v_id) && !graph.has_edge(v_id, u_id) {
                     continue;
                 }
                 let (u_end, v_end) = establish(kind, u_id, v_id)
                     .map_err(|e| SimError::Transport { detail: format!("{u_id}<->{v_id}: {e}") })?;
                 let Duplex { reader: u_reader, writer: u_writer } = u_end;
                 let Duplex { reader: v_reader, writer: v_writer } = v_end;
-                writers[u][v] = Some(u_writer);
-                writers[v][u] = Some(v_writer);
+                outlets[u].writers[v] = Some(u_writer);
+                outlets[v].writers[u] = Some(v_writer);
                 // Node u hears v on u's end of the pair, and vice versa.
-                reader_specs.push((u_id, v_id, u_reader));
-                reader_specs.push((v_id, u_id, v_reader));
+                readers.push((u_id, v_id, u_reader));
+                readers.push((v_id, u_id, v_reader));
             }
         }
+        // Reader threads hold the only inbox senders once `inboxes` drops,
+        // so a node whose connections all die sees its inbox disconnect —
+        // starvation.
+        let pumps = readers
+            .into_iter()
+            .map(|(owner, from, reader)| {
+                let inbox = inboxes[owner.index()].clone();
+                let stop = Arc::clone(stop);
+                let stats = registry.register();
+                std::thread::spawn(move || pump_frames(reader, from, &inbox, &stop, &stats))
+            })
+            .collect();
+        Ok((outlets, pumps))
+    }
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let done_count = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(done);
-        let transport = Arc::new(Transport::default());
-
-        let mut reader_handles = Vec::with_capacity(reader_specs.len());
-        for (owner, from, reader) in reader_specs {
-            let inbox = inbox_tx[owner.index()].as_ref().expect("sender alive").clone();
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let stats = self.registry.as_ref().map(|r| r.register());
-            reader_handles.push(std::thread::spawn(move || {
-                pump_frames::<P::Message>(reader, from, &inbox, &stop, &transport, stats.as_ref());
-            }));
+    fn emit(outlet: &mut FramedOutlet, to: NodeId, msg: M, copies: u32) {
+        let body = msg.to_bytes();
+        let writer = outlet.writers[to.index()].as_mut().expect("edge has a connection");
+        for _ in 0..copies {
+            let _ = write_frame(&mut **writer, &body);
         }
-        // Reader threads hold the only inbox senders from here on, so a
-        // node whose connections all die sees Disconnected — starvation.
-        drop(inbox_tx);
-
-        let mut handles = Vec::with_capacity(n);
-        for (i, rx_slot) in inbox_rx.iter_mut().enumerate() {
-            let me = NodeId::new(i);
-            let actor = self.actors[i].take().expect("checked above");
-            let rx = rx_slot.take().expect("taken once");
-            let graph = Arc::clone(&self.graph);
-            let mut writers = std::mem::take(&mut writers[i]);
-            let stop = Arc::clone(&stop);
-            let done_count = Arc::clone(&done_count);
-            let done = Arc::clone(&done);
-            let transport = Arc::clone(&transport);
-            let plan = self.link_faults.clone();
-            let stats = self.registry.as_ref().map(|r| r.register());
-
-            handles.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                let mut reported_done = false;
-                // Edge (u, v) has exactly one sender, so this thread-local
-                // counter agrees with the simulator's global one.
-                let mut edge_counters = EdgeCounters::new();
-                let out = graph.out_neighbors(me);
-                let mut dispatch = |ctx: &mut Context<P::Message>| {
-                    for (to, msg) in ctx.take_outbox() {
-                        transport.sent.fetch_add(1, Ordering::Relaxed);
-                        let class = P::classify(&msg);
-                        if let Some(h) = &stats {
-                            h.record_sent(class);
-                        }
-                        let decision = match plan.as_deref() {
-                            Some(p) => p.decide(me, to, edge_counters.next(me, to)),
-                            None => LinkDecision::CLEAN,
-                        };
-                        if decision.copies == 0 {
-                            let counter = if decision.corrupted {
-                                &transport.corrupted
-                            } else {
-                                &transport.dropped
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                if decision.corrupted {
-                                    h.record_corrupted(class);
-                                } else {
-                                    h.record_dropped(class);
-                                }
-                            }
-                            continue;
-                        }
-                        if decision.extra_delay > 0 {
-                            std::thread::sleep(Duration::from_micros(decision.extra_delay));
-                        }
-                        let body = msg.to_bytes();
-                        let writer = writers[to.index()].as_mut().expect("edge has a connection");
-                        for _ in 1..decision.copies {
-                            transport.duplicated.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_duplicated(class);
-                                h.record_enqueued(to.index());
-                            }
-                            // Peer may already have shut down; ignore.
-                            let _ = write_frame(&mut **writer, &body);
-                        }
-                        if let Some(h) = &stats {
-                            h.record_enqueued(to.index());
-                        }
-                        let _ = write_frame(&mut **writer, &body);
-                    }
-                };
-                let check_done = |actor: &Actor<P>, reported: &mut bool| {
-                    if !*reported {
-                        if let Actor::Honest(p) = actor {
-                            if done(p) {
-                                *reported = true;
-                                done_count.fetch_add(1, Ordering::SeqCst);
-                                if let Some(h) = &stats {
-                                    h.mark_done(me.index());
-                                }
-                            }
-                        }
-                    }
-                };
-
-                let mut ctx = Context::new(me, out);
-                match &mut actor {
-                    Actor::Honest(p) => p.on_start(&mut ctx),
-                    Actor::Byzantine(a) => a.on_start(&mut ctx),
-                }
-                dispatch(&mut ctx);
-                check_done(&actor, &mut reported_done);
-
-                let mut starved = false;
-                while !stop.load(Ordering::SeqCst) {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok((from, msg)) => {
-                            transport.delivered.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_delivered(P::classify(&msg));
-                                h.record_consumed(me.index());
-                            }
-                            let mut ctx = Context::new(me, out);
-                            match &mut actor {
-                                Actor::Honest(p) => p.on_message(&mut ctx, from, msg),
-                                Actor::Byzantine(a) => a.on_message(&mut ctx, from, msg),
-                            }
-                            dispatch(&mut ctx);
-                            check_done(&actor, &mut reported_done);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            starved = !stop.load(Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-                match actor {
-                    Actor::Honest(p) => (Some(p), starved),
-                    Actor::Byzantine(_) => (None, starved),
-                }
-            }));
-        }
-
-        await_completion(&done_count, honest_total, Instant::now() + config.timeout);
-        stop.store(true, Ordering::SeqCst);
-
-        let (nodes, incomplete) = join_and_classify(handles, &honest_slots, &*done);
-        // Node threads have dropped their writer halves; readers unblock
-        // via their read timeout, observe the stop flag or EOF, and exit.
-        for h in reader_handles {
-            let _ = h.join();
-        }
-        Ok(ThreadedReport { nodes, incomplete, stats: transport.stats() })
     }
 }
 
 /// The per-connection reader loop: pulls frames, decodes, forwards into
 /// the owner's inbox. Total by construction — an undecodable frame is
-/// counted in [`messages_rejected`](crate::sim::SimStats::messages_rejected)
-/// and **skipped** (the loop
-/// keeps pumping), while a framing-level error (oversize length prefix,
-/// mid-frame truncation) also counts once and closes this connection. A
-/// Byzantine byte stream can therefore never wedge the peer's event loop.
+/// booked as rejected (it has no classifiable payload, so it lands in the
+/// [`MsgClass::Other`] bucket) and **skipped** (the loop keeps pumping),
+/// while a framing-level error (oversize length prefix, mid-frame
+/// truncation) also counts once and closes this connection. A Byzantine
+/// byte stream can therefore never wedge the peer's event loop.
 fn pump_frames<M: WireMessage>(
     reader: Box<dyn Read + Send>,
     from: NodeId,
     inbox: &Inbox<M>,
     stop: &AtomicBool,
-    transport: &Transport,
-    stats: Option<&StatsHandle>,
+    stats: &StatsHandle,
 ) {
     // Buffer socket reads so a burst of small frames costs one syscall,
     // not two per frame. `BufReader` passes the transport's `WouldBlock`
@@ -370,21 +163,11 @@ fn pump_frames<M: WireMessage>(
                 Ok(msg) => {
                     let _ = inbox.send((from, msg));
                 }
-                Err(_) => {
-                    transport.rejected.fetch_add(1, Ordering::Relaxed);
-                    // A frame that fails to decode has no classifiable
-                    // payload; it lands in the `Other` bucket.
-                    if let Some(h) = stats {
-                        h.record_rejected(MsgClass::Other);
-                    }
-                }
+                Err(_) => stats.record_rejected(MsgClass::Other),
             },
             Ok(None) => break,
             Err(_) => {
-                transport.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(h) = stats {
-                    h.record_rejected(MsgClass::Other);
-                }
+                stats.record_rejected(MsgClass::Other);
                 break;
             }
         }
@@ -394,12 +177,12 @@ fn pump_frames<M: WireMessage>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::LinkFault;
-    use crate::process::Silent;
+    use crate::chaos::{LinkFault, LinkFaultPlan};
+    use crate::process::{Context, Process, Silent};
     use crate::threaded::{Incomplete, IncompleteReason};
     use codec::MAX_FRAME;
+    use crossbeam::channel::unbounded;
     use dbac_graph::generators;
-    use std::io::Write;
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -541,6 +324,13 @@ mod tests {
 
     // -- adversarial byte streams never wedge the pump ---------------------
 
+    /// A registry whose snapshot reports the pump's rejection count.
+    fn ledger() -> Arc<StatsRegistry> {
+        let registry = StatsRegistry::new(4);
+        registry.note_transport_observed();
+        registry
+    }
+
     #[test]
     fn pump_skips_undecodable_frames_and_keeps_going() {
         let (mut w, r) = connection::pipe();
@@ -550,11 +340,11 @@ mod tests {
         drop(w); // EOF ends the pump
         let (tx, rx) = unbounded();
         let stop = AtomicBool::new(false);
-        let transport = Transport::default();
-        pump_frames::<u64>(Box::new(r), id(3), &tx, &stop, &transport, None);
+        let registry = ledger();
+        pump_frames::<u64>(Box::new(r), id(3), &tx, &stop, &registry.register());
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(3), 7), (id(3), 9)], "good frames flow past the bad one");
-        assert_eq!(transport.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(registry.snapshot().messages_rejected(), 1);
     }
 
     #[test]
@@ -566,13 +356,13 @@ mod tests {
         w.write_all(&2u64.to_le_bytes()).unwrap();
         let (tx, rx) = unbounded();
         let stop = AtomicBool::new(false);
-        let transport = Transport::default();
+        let registry = ledger();
         // The writer stays alive: the pump must exit via the framing
         // error, not EOF — that is exactly the no-wedge guarantee.
-        pump_frames::<u64>(Box::new(r), id(0), &tx, &stop, &transport, None);
+        pump_frames::<u64>(Box::new(r), id(0), &tx, &stop, &registry.register());
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(0), 1)], "frames before the error were delivered");
-        assert_eq!(transport.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(registry.snapshot().messages_rejected(), 1);
         drop(w);
     }
 
@@ -604,10 +394,10 @@ mod tests {
             drop(w);
             let (tx, rx) = unbounded();
             let stop = AtomicBool::new(false);
-            let transport = Transport::default();
-            pump_frames::<u64>(Box::new(r), id(1), &tx, &stop, &transport, None);
+            let registry = ledger();
+            pump_frames::<u64>(Box::new(r), id(1), &tx, &stop, &registry.register());
             let delivered = rx.try_iter().count() as u64;
-            let rejected = transport.rejected.load(Ordering::Relaxed);
+            let rejected = registry.snapshot().messages_rejected();
             assert!(
                 delivered + rejected <= frames as u64 + 1,
                 "every frame is either delivered or rejected (plus at most \

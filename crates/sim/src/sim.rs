@@ -1,10 +1,12 @@
-//! The deterministic discrete-event simulator.
+//! The deterministic discrete-event simulator: the virtual-time driver of
+//! a [`Fleet`].
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
+use crate::chaos::LinkFaultPlan;
 use crate::error::SimError;
+use crate::fleet::{Actor, Fleet, SendGate};
 use crate::process::{Adversary, Context, Process};
 use crate::scheduler::DeliveryPolicy;
-use crate::stats::{StatsHandle, StatsRegistry};
+use crate::stats::StatsRegistry;
 use crate::time::VirtualTime;
 use crate::trace::Trace;
 use dbac_graph::{Digraph, NodeId};
@@ -12,15 +14,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Counters describing a finished (or aborted) run.
+/// The transport totals of a finished (or aborted) run: the run's
+/// [`StatsRegistry`] ledger summed over message classes once the run
+/// lands, plus the simulator's clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Messages handed to the delivery queue.
     pub messages_sent: u64,
     /// Messages delivered to a recipient's handler.
     pub messages_delivered: u64,
-    /// Messages still queued past the horizon when the run stopped
-    /// (non-zero only with adversarial far-future delays).
+    /// Copies still queued or in flight when the run stopped (on the
+    /// simulator: held past the horizon by adversarial far-future delays).
     pub messages_undelivered: u64,
     /// Messages destroyed by a link-fault plan (drop, partition, omit).
     pub messages_dropped: u64,
@@ -35,13 +39,8 @@ pub struct SimStats {
     ///
     /// [`Runtime::Net`]: https://docs.rs/dbac/latest/dbac/scenario/enum.Runtime.html
     pub messages_rejected: u64,
-    /// Virtual time of the last delivery.
+    /// Virtual time of the last delivery (zero on wall-clock runs).
     pub final_time: VirtualTime,
-}
-
-enum Actor<P: Process> {
-    Honest(P),
-    Byzantine(Box<dyn Adversary<P::Message> + Send>),
 }
 
 /// A deterministic event-driven run of one protocol instance over a fixed
@@ -49,25 +48,23 @@ enum Actor<P: Process> {
 ///
 /// Construction: [`Simulation::new`], then assign an actor to **every**
 /// node with [`set_honest`](Simulation::set_honest) /
-/// [`set_byzantine`](Simulation::set_byzantine), then [`run`](Simulation::run).
+/// [`set_byzantine`](Simulation::set_byzantine), then [`run`](Simulation::run)
+/// — or assemble a [`Fleet`] first and put it under [`Simulation::over`].
 ///
 /// Determinism: events are ordered by `(delivery time, enqueue sequence)`;
 /// with a deterministic [`DeliveryPolicy`] the entire execution — including
 /// every adversarial interleaving decision — is a pure function of the
 /// configuration.
 pub struct Simulation<P: Process> {
-    graph: Arc<Digraph>,
-    actors: Vec<Option<Actor<P>>>,
+    fleet: Fleet<P>,
     policy: Box<dyn DeliveryPolicy + Send>,
     queue: BinaryHeap<Reverse<QueuedEvent<P::Message>>>,
     now: VirtualTime,
     seq: u64,
-    stats: SimStats,
+    delivered: u64,
     max_events: u64,
     horizon: VirtualTime,
     trace: Option<Trace<P::Message>>,
-    chaos: Option<(LinkFaultPlan, EdgeCounters)>,
-    registry: Option<(Arc<StatsRegistry>, StatsHandle)>,
 }
 
 struct QueuedEvent<M> {
@@ -99,26 +96,28 @@ impl<P: Process> Simulation<P> {
     /// Creates a simulation over `graph` with the given delivery policy.
     #[must_use]
     pub fn new(graph: Arc<Digraph>, policy: Box<dyn DeliveryPolicy + Send>) -> Self {
-        let n = graph.node_count();
+        Simulation::over(Fleet::new(graph), policy)
+    }
+
+    /// Puts an assembled `fleet` under the virtual-time driver.
+    #[must_use]
+    pub fn over(fleet: Fleet<P>, policy: Box<dyn DeliveryPolicy + Send>) -> Self {
         Simulation {
-            graph,
-            actors: (0..n).map(|_| None).collect(),
+            fleet,
             policy,
             queue: BinaryHeap::new(),
             now: VirtualTime::ZERO,
             seq: 0,
-            stats: SimStats::default(),
+            delivered: 0,
             max_events: 50_000_000,
             horizon: VirtualTime::FAR_FUTURE,
             trace: None,
-            chaos: None,
-            registry: None,
         }
     }
 
     /// Assigns an honest process to `v`.
     pub fn set_honest(&mut self, v: NodeId, process: P) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Honest(process));
+        self.fleet.set_honest(v, process);
         self
     }
 
@@ -128,7 +127,7 @@ impl<P: Process> Simulation<P> {
         v: NodeId,
         adversary: Box<dyn Adversary<P::Message> + Send>,
     ) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Byzantine(adversary));
+        self.fleet.set_byzantine(v, adversary);
         self
     }
 
@@ -147,24 +146,19 @@ impl<P: Process> Simulation<P> {
         self
     }
 
-    /// Attaches a deterministic link-fault plan: every outgoing message is
-    /// judged by [`LinkFaultPlan::decide`] under a per-edge message index
-    /// before it reaches the delivery queue.
+    /// Attaches a deterministic link-fault plan (see
+    /// [`Fleet::set_link_faults`]): a message it destroys never reaches
+    /// the delivery queue.
     pub fn set_link_faults(&mut self, plan: LinkFaultPlan) -> &mut Self {
-        self.chaos = Some((plan, EdgeCounters::new()));
+        self.fleet.set_link_faults(plan);
         self
     }
 
-    /// Attaches a live stats registry. The single-threaded event loop
-    /// registers one shard and mirrors every [`SimStats`] increment into
-    /// it (bucketed per message class via [`Process::classify`]), so the
-    /// registry's merged snapshot agrees with the returned `SimStats`
-    /// totals message-for-message.
+    /// Makes `registry` the run's ledger (see [`Fleet::set_stats`]). The
+    /// single-threaded event loop writes one shard of it, and the
+    /// [`SimStats`] that [`run`](Simulation::run) returns are its totals.
     pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
-        registry.note_transport_observed();
-        registry.note_nodes_observed();
-        let handle = registry.register();
-        self.registry = Some((registry, handle));
+        self.fleet.set_stats(registry);
         self
     }
 
@@ -181,26 +175,29 @@ impl<P: Process> Simulation<P> {
         self.trace.as_ref()
     }
 
-    /// The network.
-    #[must_use]
-    pub fn graph(&self) -> &Digraph {
-        &self.graph
-    }
-
-    /// Shared handle to the network.
-    #[must_use]
-    pub fn graph_arc(&self) -> Arc<Digraph> {
-        Arc::clone(&self.graph)
-    }
-
     /// Immutable access to the honest process at `v` (e.g. to read its
     /// output after the run). Returns `None` for Byzantine nodes.
     #[must_use]
     pub fn honest(&self, v: NodeId) -> Option<&P> {
-        match self.actors[v.index()] {
-            Some(Actor::Honest(ref p)) => Some(p),
-            _ => None,
+        self.fleet.actors[v.index()].as_ref()?.honest()
+    }
+
+    /// Consumes the simulation and returns every honest node's final state
+    /// (`None` for Byzantine slots), marking the registry's done gauge of
+    /// each node that satisfies `done`: the event loop runs to quiescence
+    /// and polls no predicate on the way, so the gauges are settled here.
+    #[must_use]
+    pub fn into_nodes(self, done: impl Fn(&P) -> bool) -> Vec<Option<P>> {
+        let gauge = self.fleet.registry.register();
+        let mut nodes = Vec::with_capacity(self.fleet.actors.len());
+        for (i, slot) in self.fleet.actors.into_iter().enumerate() {
+            let node = slot.and_then(Actor::into_honest);
+            if node.as_ref().is_some_and(&done) {
+                gauge.mark_done(i);
+            }
+            nodes.push(node);
         }
+        nodes
     }
 
     /// Current virtual time.
@@ -217,18 +214,14 @@ impl<P: Process> Simulation<P> {
     /// [`SimError::UnassignedNode`] if a node has no actor;
     /// [`SimError::EventBudgetExhausted`] if the budget runs out.
     pub fn run(&mut self) -> Result<SimStats, SimError> {
-        if let Some(missing) = self.actors.iter().position(Option::is_none) {
-            return Err(SimError::UnassignedNode { node: missing });
-        }
+        self.fleet.check_assigned()?;
+        let mut gate = self.fleet.gate();
+        let graph = Arc::clone(&self.fleet.graph);
         // Start phase.
-        for i in 0..self.actors.len() {
-            let v = NodeId::new(i);
-            let mut ctx = Context::new(v, self.graph.out_neighbors(v));
-            match self.actors[i].as_mut().expect("checked above") {
-                Actor::Honest(p) => p.on_start(&mut ctx),
-                Actor::Byzantine(a) => a.on_start(&mut ctx),
-            }
-            self.dispatch(v, &mut ctx);
+        for v in graph.nodes() {
+            let mut ctx = Context::new(v, graph.out_neighbors(v));
+            self.actor(v).on_start(&mut ctx);
+            self.dispatch(&mut gate, v, &mut ctx);
         }
         // Delivery loop.
         while let Some(Reverse(ev)) = self.queue.peek() {
@@ -236,76 +229,39 @@ impl<P: Process> Simulation<P> {
                 break;
             }
             let Reverse(ev) = self.queue.pop().expect("peeked");
-            if self.stats.messages_delivered >= self.max_events {
-                return Err(SimError::EventBudgetExhausted {
-                    delivered: self.stats.messages_delivered,
-                });
+            if self.delivered >= self.max_events {
+                return Err(SimError::EventBudgetExhausted { delivered: self.delivered });
             }
             self.now = ev.at;
-            self.stats.messages_delivered += 1;
-            self.stats.final_time = ev.at;
-            if let Some((registry, handle)) = self.registry.as_ref() {
-                handle.record_delivered(P::classify(&ev.msg));
-                handle.record_consumed(ev.to.index());
-                registry.record_virtual_time(ev.at.ticks());
-            }
+            self.delivered += 1;
+            gate.stats.record_delivered(P::classify(&ev.msg));
+            gate.stats.record_consumed(ev.to.index());
+            self.fleet.registry.record_virtual_time(ev.at.ticks());
             if let Some(trace) = self.trace.as_mut() {
                 trace.record(ev.at, ev.from, ev.to, ev.msg.clone());
             }
-            let mut ctx = Context::new(ev.to, self.graph.out_neighbors(ev.to));
-            match self.actors[ev.to.index()].as_mut().expect("checked above") {
-                Actor::Honest(p) => p.on_message(&mut ctx, ev.from, ev.msg),
-                Actor::Byzantine(a) => a.on_message(&mut ctx, ev.from, ev.msg),
-            }
-            let sender = ev.to;
-            self.dispatch(sender, &mut ctx);
+            let mut ctx = Context::new(ev.to, graph.out_neighbors(ev.to));
+            self.actor(ev.to).on_message(&mut ctx, ev.from, ev.msg);
+            self.dispatch(&mut gate, ev.to, &mut ctx);
         }
-        self.stats.messages_undelivered = self.queue.len() as u64;
-        Ok(self.stats)
+        Ok(self.fleet.ledger(self.now))
     }
 
-    fn dispatch(&mut self, from: NodeId, ctx: &mut Context<P::Message>) {
+    fn actor(&mut self, v: NodeId) -> &mut Actor<P> {
+        self.fleet.actors[v.index()].as_mut().expect("assignment checked at run start")
+    }
+
+    fn dispatch(&mut self, gate: &mut SendGate, from: NodeId, ctx: &mut Context<P::Message>) {
         for (to, msg) in ctx.take_outbox() {
-            self.stats.messages_sent += 1;
-            let class = P::classify(&msg);
-            if let Some((_, handle)) = self.registry.as_ref() {
-                handle.record_sent(class);
-            }
-            let decision = match self.chaos.as_mut() {
-                Some((plan, counters)) => {
-                    let k = counters.next(from, to);
-                    plan.decide(from, to, k)
-                }
-                None => LinkDecision::CLEAN,
-            };
+            let decision = gate.admit(from, to, P::classify(&msg));
             if decision.copies == 0 {
-                // Destroyed messages must not advance the delivery policy's
-                // RNG stream — that keeps clean edges bit-identical whether
-                // or not a plan is attached.
-                if decision.corrupted {
-                    self.stats.messages_corrupted += 1;
-                } else {
-                    self.stats.messages_dropped += 1;
-                }
-                if let Some((_, handle)) = self.registry.as_ref() {
-                    if decision.corrupted {
-                        handle.record_corrupted(class);
-                    } else {
-                        handle.record_dropped(class);
-                    }
-                }
+                // A destroyed message must not advance the delivery
+                // policy's RNG stream — that keeps clean edges bit-identical
+                // whether or not a plan is attached.
                 continue;
             }
-            if let Some((_, handle)) = self.registry.as_ref() {
-                for _ in 0..decision.copies {
-                    handle.record_enqueued(to.index());
-                }
-                for _ in 1..decision.copies {
-                    handle.record_duplicated(class);
-                }
-            }
+            // Duplicates draw their arrival before the original.
             for _ in 1..decision.copies {
-                self.stats.messages_duplicated += 1;
                 let at = self.arrival(from, to, decision.extra_delay);
                 self.seq += 1;
                 self.queue.push(Reverse(QueuedEvent {
@@ -336,10 +292,10 @@ impl<P: Process> Simulation<P> {
 impl<P: Process> std::fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("nodes", &self.graph.node_count())
+            .field("nodes", &self.fleet.graph.node_count())
             .field("now", &self.now)
             .field("queued", &self.queue.len())
-            .field("stats", &self.stats)
+            .field("delivered", &self.delivered)
             .finish()
     }
 }

@@ -574,7 +574,7 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    fn total(&self) -> ClassCounters {
+    pub(crate) fn total(&self) -> ClassCounters {
         self.transport.measured().map(TransportSnapshot::total).unwrap_or_default()
     }
 

@@ -1,37 +1,37 @@
 //! Thread-per-node runtime over crossbeam channels.
 //!
 //! The discrete-event simulator is the primary, deterministic runtime;
-//! this runtime runs the *same* [`Process`] state machines under genuine
-//! OS-level concurrency, with reliable unbounded channels standing in for
-//! the paper's reliable asynchronous links. It demonstrates that the
-//! protocol logic is event-driven and insensitive to real interleavings,
-//! and it backs the crate's stress tests.
+//! this runtime runs the *same* [`Process`](crate::process::Process) state
+//! machines under genuine OS-level concurrency, with reliable unbounded
+//! channels standing in for the paper's reliable asynchronous links. It
+//! demonstrates that the protocol logic is event-driven and insensitive to
+//! real interleavings, and it backs the crate's stress tests.
 //!
-//! Two production-shaped properties distinguish it from a toy harness:
+//! The run itself is the shared wall-clock driver, [`Fleet::run`]; this
+//! module contributes its configuration, its report types, and the channel
+//! `Wire`. Two production-shaped properties distinguish the driver from
+//! a toy harness:
 //!
 //! * **Graceful degradation.** A node that never completes — partitioned
 //!   by a link-fault plan, starved, or panicked — does not abort the run.
 //!   The watchdog deadline stops the network, every surviving node's final
 //!   state is extracted, and the stragglers are reported per node in
 //!   [`ThreadedReport::incomplete`] with a typed [`IncompleteReason`].
-//! * **Chaos parity.** An optional [`LinkFaultPlan`] interposes on the
-//!   crossbeam send path using the same stateless decision function as the
-//!   simulator, so the fate of the k-th message on an edge is identical in
-//!   both runtimes.
+//! * **Chaos parity.** An optional
+//!   [`LinkFaultPlan`](crate::chaos::LinkFaultPlan) interposes on the send
+//!   path through the same send gate as the simulator, so the fate of the
+//!   k-th message on an edge is identical in every runtime.
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
-use crate::process::{Adversary, Context, Process};
+use crate::fleet::{Connected, Fleet, Inbox, Wire};
 use crate::sim::SimStats;
 use crate::stats::StatsRegistry;
-use crate::time::VirtualTime;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbac_graph::{Digraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration for a threaded run.
 #[derive(Clone, Copy, Debug)]
@@ -85,8 +85,9 @@ pub struct Incomplete {
     pub reason: IncompleteReason,
 }
 
-/// The outcome of a threaded run: per-node final states, per-node
-/// stragglers, and transport counters.
+/// The outcome of a wall-clock run ([`Threaded`] or
+/// [`Net`](crate::net::Net)): per-node final states, per-node stragglers,
+/// and transport totals.
 #[derive(Debug)]
 pub struct ThreadedReport<P> {
     /// Final process state per node: `None` for Byzantine slots and for
@@ -95,350 +96,67 @@ pub struct ThreadedReport<P> {
     pub nodes: Vec<Option<P>>,
     /// Honest nodes that failed to complete, in node order.
     pub incomplete: Vec<Incomplete>,
-    /// Transport counters observed by the send-path interposer
-    /// (`final_time` stays zero — wall-clock runs have no virtual clock).
+    /// The totals of the run's [`StatsRegistry`] transport ledger, read
+    /// once after every thread has joined (`final_time` stays zero —
+    /// wall-clock runs have no virtual clock).
     pub stats: SimStats,
 }
 
-/// Send-path counters shared by every node thread (and, in the network
-/// runtime, by every connection reader thread).
-#[derive(Default)]
-pub(crate) struct Transport {
-    pub(crate) sent: AtomicU64,
-    pub(crate) delivered: AtomicU64,
-    pub(crate) dropped: AtomicU64,
-    pub(crate) duplicated: AtomicU64,
-    pub(crate) corrupted: AtomicU64,
-    /// Frames discarded by a receiver because they failed to decode
-    /// (network runtime only; always zero for in-process channels).
-    pub(crate) rejected: AtomicU64,
+/// A thread-per-node execution: a [`Fleet`] whose [`run`](Fleet::run) is
+/// given a [`ThreadedConfig`]. Assign an actor to every node, then run.
+pub type Threaded<P> = Fleet<P>;
+
+/// One node's senders toward every inbox, with its seeded jitter.
+pub struct ChannelOutlet<M> {
+    me: NodeId,
+    peers: Vec<Inbox<M>>,
+    jitter_micros: u64,
+    rng: SmallRng,
 }
 
-impl Transport {
-    pub(crate) fn stats(&self) -> SimStats {
-        let sent = self.sent.load(Ordering::Relaxed);
-        let delivered = self.delivered.load(Ordering::Relaxed);
-        let dropped = self.dropped.load(Ordering::Relaxed);
-        let duplicated = self.duplicated.load(Ordering::Relaxed);
-        let corrupted = self.corrupted.load(Ordering::Relaxed);
-        let rejected = self.rejected.load(Ordering::Relaxed);
-        let expected = sent
-            .saturating_sub(dropped + corrupted)
-            .saturating_add(duplicated)
-            .saturating_sub(rejected);
-        SimStats {
-            messages_sent: sent,
-            messages_delivered: delivered,
-            messages_undelivered: expected.saturating_sub(delivered),
-            messages_dropped: dropped,
-            messages_duplicated: duplicated,
-            messages_corrupted: corrupted,
-            messages_rejected: rejected,
-            final_time: VirtualTime::ZERO,
-        }
+impl<M: Clone + Send + 'static> Wire<M> for ThreadedConfig {
+    type Outlet = ChannelOutlet<M>;
+
+    fn timeout(&self) -> Duration {
+        self.timeout
     }
-}
 
-/// Blocks until every honest node has reported completion or the watchdog
-/// deadline expires — the shared degradation clock of the threaded and
-/// network runtimes.
-pub(crate) fn await_completion(done_count: &AtomicUsize, honest_total: usize, deadline: Instant) {
-    loop {
-        if done_count.load(Ordering::SeqCst) >= honest_total {
-            break;
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    fn connect(
+        self,
+        _graph: &Digraph,
+        _registry: &StatsRegistry,
+        inboxes: Vec<Inbox<M>>,
+        _stop: &Arc<AtomicBool>,
+    ) -> Result<Connected<Self::Outlet>, SimError> {
+        let outlet = |i: usize| ChannelOutlet {
+            me: NodeId::new(i),
+            peers: inboxes.clone(),
+            jitter_micros: self.jitter_micros,
+            rng: SmallRng::seed_from_u64(self.seed ^ (i as u64).wrapping_mul(0x9E37)),
+        };
+        Ok(((0..inboxes.len()).map(outlet).collect(), Vec::new()))
     }
-}
 
-/// Joins every node thread and classifies stragglers: a missing state is
-/// [`IncompleteReason::Panicked`], an unfinished one is `Starved` or
-/// `Timeout` depending on whether its inbox disconnected early. Shared by
-/// the threaded and network runtimes so both degrade identically.
-pub(crate) fn join_and_classify<P: Process>(
-    handles: Vec<std::thread::JoinHandle<(Option<P>, bool)>>,
-    honest_slots: &[bool],
-    done: &dyn Fn(&P) -> bool,
-) -> (Vec<Option<P>>, Vec<Incomplete>) {
-    let mut nodes = Vec::with_capacity(handles.len());
-    let mut incomplete = Vec::new();
-    for (i, h) in handles.into_iter().enumerate() {
-        let node = NodeId::new(i);
-        match h.join() {
-            Ok((state, starved)) => {
-                if honest_slots[i] {
-                    let finished = state.as_ref().map(done).unwrap_or(false);
-                    if !finished {
-                        let reason = if starved {
-                            IncompleteReason::Starved
-                        } else {
-                            IncompleteReason::Timeout
-                        };
-                        incomplete.push(Incomplete { node, reason });
-                    }
-                }
-                nodes.push(state);
+    fn emit(outlet: &mut Self::Outlet, to: NodeId, msg: M, copies: u32) {
+        let mut send = |msg: M| {
+            if outlet.jitter_micros > 0 {
+                let jitter = outlet.rng.gen_range(0..outlet.jitter_micros);
+                std::thread::sleep(Duration::from_micros(jitter));
             }
-            Err(_) => {
-                if honest_slots[i] {
-                    incomplete.push(Incomplete { node, reason: IncompleteReason::Panicked });
-                }
-                nodes.push(None);
-            }
+            let _ = outlet.peers[to.index()].send((outlet.me, msg));
+        };
+        for _ in 1..copies {
+            send(msg.clone());
         }
-    }
-    (nodes, incomplete)
-}
-
-enum Actor<P: Process> {
-    Honest(P),
-    Byzantine(Box<dyn Adversary<P::Message> + Send>),
-}
-
-/// A thread-per-node execution. Assign an actor to every node, then
-/// [`run`](Threaded::run).
-pub struct Threaded<P: Process> {
-    graph: Arc<Digraph>,
-    actors: Vec<Option<Actor<P>>>,
-    link_faults: Option<Arc<LinkFaultPlan>>,
-    registry: Option<Arc<StatsRegistry>>,
-}
-
-impl<P> Threaded<P>
-where
-    P: Process + Send + 'static,
-    P::Message: Send,
-{
-    /// Creates a threaded execution over `graph`.
-    #[must_use]
-    pub fn new(graph: Arc<Digraph>) -> Self {
-        let n = graph.node_count();
-        Threaded {
-            graph,
-            actors: (0..n).map(|_| None).collect(),
-            link_faults: None,
-            registry: None,
-        }
-    }
-
-    /// Assigns an honest process to `v`.
-    pub fn set_honest(&mut self, v: NodeId, process: P) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Honest(process));
-        self
-    }
-
-    /// Assigns a Byzantine adversary to `v`.
-    pub fn set_byzantine(
-        &mut self,
-        v: NodeId,
-        adversary: Box<dyn Adversary<P::Message> + Send>,
-    ) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Byzantine(adversary));
-        self
-    }
-
-    /// Attaches a deterministic link-fault plan, interposed on every send.
-    pub fn set_link_faults(&mut self, plan: LinkFaultPlan) -> &mut Self {
-        self.link_faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Attaches a live stats registry: every node thread registers its
-    /// own shard and mirrors the send-interposer / delivery counters
-    /// into it (per message class via [`Process::classify`]), plus the
-    /// per-node queue and done gauges. Snapshots taken from other
-    /// threads while the run is live are safe and monotone.
-    pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
-        registry.note_transport_observed();
-        registry.note_nodes_observed();
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Runs every node on its own thread until each honest node satisfies
-    /// `done` (nodes keep relaying after finishing, so slower nodes are
-    /// never starved) or the watchdog deadline expires, then stops the
-    /// network and hands back a [`ThreadedReport`].
-    ///
-    /// Non-completion is data, not an error: a node that times out, is
-    /// starved, or panics lands in [`ThreadedReport::incomplete`] while
-    /// every other node's final state is still extracted.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnassignedNode`] if a node has no actor.
-    pub fn run(
-        mut self,
-        done: impl Fn(&P) -> bool + Send + Sync + 'static,
-        config: ThreadedConfig,
-    ) -> Result<ThreadedReport<P>, SimError> {
-        if let Some(missing) = self.actors.iter().position(Option::is_none) {
-            return Err(SimError::UnassignedNode { node: missing });
-        }
-        let n = self.graph.node_count();
-        let honest_slots: Vec<bool> =
-            self.actors.iter().map(|a| matches!(a, Some(Actor::Honest(_)))).collect();
-        let honest_total = honest_slots.iter().filter(|h| **h).count();
-
-        type Envelope<M> = (NodeId, M);
-        let mut senders: Vec<Sender<Envelope<P::Message>>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Option<Receiver<Envelope<P::Message>>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let done_count = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(done);
-        let transport = Arc::new(Transport::default());
-
-        let mut handles = Vec::with_capacity(n);
-        for (i, rx_slot) in receivers.iter_mut().enumerate() {
-            let me = NodeId::new(i);
-            let actor = self.actors[i].take().expect("checked above");
-            let rx = rx_slot.take().expect("taken once");
-            let graph = Arc::clone(&self.graph);
-            let senders = senders.clone();
-            let stop = Arc::clone(&stop);
-            let done_count = Arc::clone(&done_count);
-            let done = Arc::clone(&done);
-            let transport = Arc::clone(&transport);
-            let plan = self.link_faults.clone();
-            let stats = self.registry.as_ref().map(|r| r.register());
-            let jitter = config.jitter_micros;
-            let mut rng = SmallRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
-
-            handles.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                let mut reported_done = false;
-                // Edge (u, v) has exactly one sender, so this thread-local
-                // counter agrees with the simulator's global one.
-                let mut edge_counters = EdgeCounters::new();
-                let out = graph.out_neighbors(me);
-                let mut dispatch = |ctx: &mut Context<P::Message>, rng: &mut SmallRng| {
-                    for (to, msg) in ctx.take_outbox() {
-                        transport.sent.fetch_add(1, Ordering::Relaxed);
-                        let class = P::classify(&msg);
-                        if let Some(h) = &stats {
-                            h.record_sent(class);
-                        }
-                        let decision = match plan.as_deref() {
-                            Some(p) => p.decide(me, to, edge_counters.next(me, to)),
-                            None => LinkDecision::CLEAN,
-                        };
-                        if decision.copies == 0 {
-                            let counter = if decision.corrupted {
-                                &transport.corrupted
-                            } else {
-                                &transport.dropped
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                if decision.corrupted {
-                                    h.record_corrupted(class);
-                                } else {
-                                    h.record_dropped(class);
-                                }
-                            }
-                            continue;
-                        }
-                        let deliver = |msg: P::Message, rng: &mut SmallRng| {
-                            if jitter > 0 {
-                                std::thread::sleep(Duration::from_micros(rng.gen_range(0..jitter)));
-                            }
-                            if decision.extra_delay > 0 {
-                                std::thread::sleep(Duration::from_micros(decision.extra_delay));
-                            }
-                            // Receiver may already have shut down; ignore.
-                            let _ = senders[to.index()].send((me, msg));
-                            if let Some(h) = &stats {
-                                h.record_enqueued(to.index());
-                            }
-                        };
-                        for _ in 1..decision.copies {
-                            transport.duplicated.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_duplicated(class);
-                            }
-                            deliver(msg.clone(), rng);
-                        }
-                        deliver(msg, rng);
-                    }
-                };
-                let check_done = |actor: &Actor<P>, reported: &mut bool| {
-                    if !*reported {
-                        if let Actor::Honest(p) = actor {
-                            if done(p) {
-                                *reported = true;
-                                done_count.fetch_add(1, Ordering::SeqCst);
-                                if let Some(h) = &stats {
-                                    h.mark_done(me.index());
-                                }
-                            }
-                        }
-                    }
-                };
-
-                let mut ctx = Context::new(me, out);
-                match &mut actor {
-                    Actor::Honest(p) => p.on_start(&mut ctx),
-                    Actor::Byzantine(a) => a.on_start(&mut ctx),
-                }
-                dispatch(&mut ctx, &mut rng);
-                check_done(&actor, &mut reported_done);
-
-                let mut starved = false;
-                while !stop.load(Ordering::SeqCst) {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok((from, msg)) => {
-                            transport.delivered.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_delivered(P::classify(&msg));
-                                h.record_consumed(me.index());
-                            }
-                            let mut ctx = Context::new(me, out);
-                            match &mut actor {
-                                Actor::Honest(p) => p.on_message(&mut ctx, from, msg),
-                                Actor::Byzantine(a) => a.on_message(&mut ctx, from, msg),
-                            }
-                            dispatch(&mut ctx, &mut rng);
-                            check_done(&actor, &mut reported_done);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            starved = !stop.load(Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-                match actor {
-                    Actor::Honest(p) => (Some(p), starved),
-                    Actor::Byzantine(_) => (None, starved),
-                }
-            }));
-        }
-
-        // Watchdog: wait for completion or the deadline, then stop the
-        // network — stragglers become per-node reports, never a run error.
-        await_completion(&done_count, honest_total, Instant::now() + config.timeout);
-        stop.store(true, Ordering::SeqCst);
-        drop(senders);
-
-        let (nodes, incomplete) = join_and_classify(handles, &honest_slots, &*done);
-        Ok(ThreadedReport { nodes, incomplete, stats: transport.stats() })
+        send(msg);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::LinkFault;
-    use crate::process::Silent;
+    use crate::chaos::{LinkFault, LinkFaultPlan};
+    use crate::process::{Context, Process, Silent};
     use dbac_graph::generators;
 
     fn id(i: usize) -> NodeId {
