@@ -18,18 +18,29 @@
 
 use crate::aad04::{AadNode, LiarAdversary};
 use crate::iterative::IterStrategy;
-use crate::iterengine::{IterLiar, IterMsg, IterNode};
+use crate::iterengine::{IterLiar, IterNode};
 use crate::reliable_broadcast::{RbcEngine, RbcMsg};
 use dbac_conditions::robustness::CertificationStatus;
 use dbac_core::error::RunError;
-use dbac_core::scenario::{drive, FaultKind, Outcome, Protocol, Scenario};
-use dbac_graph::{Digraph, NodeId};
+use dbac_core::scenario::{run_fleet, FaultKind, Outcome, Protocol, Readout, Scenario};
+use dbac_graph::NodeId;
 use dbac_sim::process::{Adversary, Context, Process, Silent};
 use std::collections::HashSet;
 
-fn is_complete(g: &Digraph) -> bool {
-    let n = g.node_count();
-    g.edge_count() == n * (n.saturating_sub(1))
+/// The shared precondition of the two reliable-broadcast protocols: a
+/// complete network with `n > 3f`, and only crash or constant-liar faults
+/// (RBC rules out equivocation, so a planted value is the strongest lie).
+fn check_rbc_setting(protocol: &'static str, scenario: &Scenario) -> Result<(), RunError> {
+    let (n, f) = (scenario.graph().node_count(), scenario.f());
+    if scenario.graph().edge_count() != n * n.saturating_sub(1) {
+        return Err(RunError::IncompleteGraph { protocol });
+    }
+    if n <= 3 * f {
+        return Err(RunError::ResilienceExceeded { protocol, n, f, requires: "n > 3f" });
+    }
+    scenario.check_faults(protocol, |kind| {
+        matches!(kind, FaultKind::Crash | FaultKind::ConstantLiar { .. })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -49,80 +60,38 @@ impl Protocol for Aad04 {
     }
 
     fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        let n = scenario.graph().node_count();
-        if !is_complete(scenario.graph()) {
-            return Err(RunError::IncompleteGraph { protocol: self.name() });
-        }
-        if n <= 3 * scenario.f() {
-            return Err(RunError::ResilienceExceeded {
-                protocol: self.name(),
-                n,
-                f: scenario.f(),
-                requires: "n > 3f",
-            });
-        }
-        for (_, kind) in scenario.faults() {
-            if !matches!(kind, FaultKind::Crash | FaultKind::ConstantLiar { .. }) {
-                return Err(RunError::UnsupportedFault {
-                    protocol: self.name(),
-                    fault: kind.label(),
-                });
-            }
-        }
-        Ok(())
+        check_rbc_setting(self.name(), scenario)
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let n = scenario.graph().node_count();
-        let f = scenario.f();
+        let (n, f) = (scenario.graph().node_count(), scenario.f());
         let rounds = scenario.rounds();
         let make_node = |v: NodeId, input: f64| {
             AadNode::new(v, n, f, input, scenario.epsilon(), scenario.range()).with_rounds(rounds)
         };
-        let honest_set = scenario.honest_set();
-        let honest: Vec<(NodeId, AadNode)> =
-            honest_set.iter().map(|v| (v, make_node(v, scenario.inputs()[v.index()]))).collect();
-        let byzantine = scenario
-            .faults()
-            .iter()
-            .map(|&(v, ref kind)| {
-                let boxed: Box<dyn Adversary<<AadNode as Process>::Message> + Send> = match *kind {
-                    FaultKind::Crash => Box::new(Silent),
-                    // The liar's node goes through `make_node` so a rounds
-                    // override applies to it too — otherwise it would decide
-                    // early and degrade into a crash for the tail rounds.
-                    FaultKind::ConstantLiar { value } => {
-                        Box::new(LiarAdversary::from_node(make_node(v, value)))
-                    }
-                    _ => unreachable!("checked"),
-                };
-                (v, boxed)
-            })
-            .collect();
-        let registry = scenario.resolve_stats();
-        let mut outputs = vec![None; n];
-        let mut histories = vec![None; n];
-        let mut honest_messages = 0u64;
-        let report =
-            drive(scenario, &registry, honest, byzantine, AadNode::is_done, &mut |v, node| {
-                outputs[v.index()] = node.output();
-                histories[v.index()] = Some(node.x_history().to_vec());
-                honest_messages += node.sent;
-            })?;
-        Ok(Outcome {
-            protocol: self.name(),
-            outputs,
-            honest: honest_set,
-            epsilon: scenario.epsilon(),
-            honest_input_range: scenario.honest_input_range(),
+        run_fleet(
+            scenario,
+            self.name(),
             rounds,
-            sim_stats: report.stats,
-            incomplete: report.incomplete,
-            histories,
-            honest_messages: Some(honest_messages),
-            trace: report.trace,
-            certification: None,
-        })
+            &scenario.resolve_stats(),
+            make_node,
+            |v, kind| match *kind {
+                FaultKind::Crash => Box::new(Silent),
+                // The liar's node goes through `make_node` so a rounds
+                // override applies to it too — otherwise it would decide
+                // early and degrade into a crash for the tail rounds.
+                FaultKind::ConstantLiar { value } => {
+                    Box::new(LiarAdversary::from_node(make_node(v, value)))
+                }
+                _ => unreachable!("checked"),
+            },
+            AadNode::is_done,
+            |node| Readout {
+                output: node.output(),
+                history: node.x_history().to_vec(),
+                sent: Some(node.sent),
+            },
+        )
     }
 }
 
@@ -135,7 +104,7 @@ impl Protocol for Aad04 {
 /// `(f+1, f+1)`-robustness rather than 3-reach (the E10 contrast).
 ///
 /// Backed by the message-passing [`crate::iterengine`] since PR 9: nodes
-/// exchange explicit per-round [`IterMsg`]
+/// exchange explicit per-round [`IterMsg`](crate::iterengine::IterMsg)
 /// values, so the protocol runs on **all three runtimes** (Sim, Threaded,
 /// Net) with real transport counters under [`Outcome::sim_stats`]'s
 /// `iter` message class. With `f = 0` each node waits for every
@@ -182,88 +151,56 @@ impl Protocol for IterativeTrimmedMean {
         "iterative-trimmed-mean"
     }
 
+    /// Robustness is consulted, not enforced: an `Uncertified` topology may
+    /// still be `(f+1, f+1)`-robust (the rules are sufficient, not
+    /// necessary), and running on a non-robust graph is itself an
+    /// experiment (E10). `execute` attaches the status to the outcome so
+    /// callers see the warning.
     fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        for (_, kind) in scenario.faults() {
-            if !matches!(
+        scenario.check_faults(self.name(), |kind| {
+            matches!(
                 kind,
                 FaultKind::Crash | FaultKind::ConstantLiar { .. } | FaultKind::Ramp { .. }
-            ) {
-                return Err(RunError::UnsupportedFault {
-                    protocol: self.name(),
-                    fault: kind.label(),
-                });
-            }
-        }
-        // Robustness is consulted, not enforced: an `Uncertified` topology
-        // may still be (f+1, f+1)-robust (the rules are sufficient, not
-        // necessary), and running on a non-robust graph is itself an
-        // experiment (E10). The status is recomputed in `execute` and
-        // attached to the outcome so callers see the warning.
-        let _ = Self::certification(scenario);
-        Ok(())
+            )
+        })
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let g = scenario.graph();
-        let n = g.node_count();
-        let f = scenario.f();
-        let rounds = match scenario.rounds_override() {
-            Some(r) => r as usize,
-            None => self.rounds,
-        } as u32;
-        let honest_set = scenario.honest_set();
-        let honest: Vec<(NodeId, IterNode)> = honest_set
-            .iter()
-            .map(|v| (v, IterNode::new(v, g, f, rounds, scenario.inputs()[v.index()])))
-            .collect();
-        let byzantine = scenario
-            .faults()
-            .iter()
-            .map(|&(v, ref kind)| {
-                let strategy = match *kind {
-                    FaultKind::Crash => IterStrategy::Silent,
-                    FaultKind::ConstantLiar { value } => IterStrategy::Constant(value),
-                    FaultKind::Ramp { base, slope } => IterStrategy::Ramp { base, slope },
-                    _ => unreachable!("checked"),
-                };
-                let boxed: Box<dyn Adversary<IterMsg> + Send> = match strategy {
-                    IterStrategy::Silent => Box::new(Silent),
-                    lie => Box::new(IterLiar::new(lie, rounds)),
-                };
-                (v, boxed)
-            })
-            .collect();
+        let (g, f) = (scenario.graph(), scenario.f());
+        let rounds = scenario.rounds_override().unwrap_or(self.rounds as u32);
         let registry = scenario.resolve_stats();
         // One shared gauge handle for progress: a per-node handle would
         // cost O(n) atomics *per registration* — 10⁴-node runs register
         // exactly one.
         let gauge = registry.register();
-        let mut outputs = vec![None; n];
-        let mut histories = vec![None; n];
-        let mut honest_messages = 0u64;
-        let report =
-            drive(scenario, &registry, honest, byzantine, IterNode::is_done, &mut |v, node| {
-                if node.is_done() {
-                    outputs[v.index()] = Some(node.value());
-                }
-                histories[v.index()] = Some(node.history().to_vec());
-                honest_messages += node.sent;
-                gauge.add_rounds_fired(u64::from(node.rounds_fired()));
-            })?;
-        Ok(Outcome {
-            protocol: self.name(),
-            outputs,
-            honest: honest_set,
-            epsilon: scenario.epsilon(),
-            honest_input_range: scenario.honest_input_range(),
+        let mut outcome = run_fleet(
+            scenario,
+            self.name(),
             rounds,
-            sim_stats: report.stats,
-            incomplete: report.incomplete,
-            histories,
-            honest_messages: Some(honest_messages),
-            trace: report.trace,
-            certification: Some(Self::certification(scenario)),
-        })
+            &registry,
+            |v, input| IterNode::new(v, g, f, rounds, input),
+            |_, kind| match *kind {
+                FaultKind::Crash => Box::new(Silent),
+                FaultKind::ConstantLiar { value } => {
+                    Box::new(IterLiar::new(IterStrategy::Constant(value), rounds))
+                }
+                FaultKind::Ramp { base, slope } => {
+                    Box::new(IterLiar::new(IterStrategy::Ramp { base, slope }, rounds))
+                }
+                _ => unreachable!("checked"),
+            },
+            IterNode::is_done,
+            |node| {
+                gauge.add_rounds_fired(u64::from(node.rounds_fired()));
+                Readout {
+                    output: node.is_done().then(|| node.value()),
+                    history: node.history().to_vec(),
+                    sent: Some(node.sent),
+                }
+            },
+        )?;
+        outcome.certification = Some(Self::certification(scenario));
+        Ok(outcome)
     }
 }
 
@@ -387,77 +324,31 @@ impl Protocol for ReliableBroadcastProbe {
     }
 
     fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        let n = scenario.graph().node_count();
-        if !is_complete(scenario.graph()) {
-            return Err(RunError::IncompleteGraph { protocol: self.name() });
-        }
-        if n <= 3 * scenario.f() {
-            return Err(RunError::ResilienceExceeded {
-                protocol: self.name(),
-                n,
-                f: scenario.f(),
-                requires: "n > 3f",
-            });
-        }
-        for (_, kind) in scenario.faults() {
-            if !matches!(kind, FaultKind::Crash | FaultKind::ConstantLiar { .. }) {
-                return Err(RunError::UnsupportedFault {
-                    protocol: self.name(),
-                    fault: kind.label(),
-                });
-            }
-        }
-        Ok(())
+        check_rbc_setting(self.name(), scenario)
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let n = scenario.graph().node_count();
-        let f = scenario.f();
-        let honest_set = scenario.honest_set();
-        let honest: Vec<(NodeId, ProbeNode)> = honest_set
-            .iter()
-            .map(|v| (v, ProbeNode::new(v, n, f, scenario.inputs()[v.index()])))
-            .collect();
-        let byzantine = scenario
-            .faults()
-            .iter()
-            .map(|&(v, ref kind)| {
-                let boxed: Box<dyn Adversary<ProbeMsg> + Send> = match *kind {
-                    FaultKind::Crash => Box::new(Silent),
-                    FaultKind::ConstantLiar { value } => {
-                        Box::new(ProbeLiar { inner: ProbeNode::new(v, n, f, value) })
-                    }
-                    _ => unreachable!("checked"),
-                };
-                (v, boxed)
-            })
-            .collect();
-        let registry = scenario.resolve_stats();
-        let mut outputs = vec![None; n];
-        let mut histories = vec![None; n];
-        let mut honest_messages = 0u64;
-        let report =
-            drive(scenario, &registry, honest, byzantine, ProbeNode::is_done, &mut |v, node| {
-                outputs[v.index()] = node.output;
-                let mut h = vec![node.input];
-                h.extend(node.output);
-                histories[v.index()] = Some(h);
-                honest_messages += node.sent;
-            })?;
-        Ok(Outcome {
-            protocol: self.name(),
-            outputs,
-            honest: honest_set,
-            epsilon: scenario.epsilon(),
-            honest_input_range: scenario.honest_input_range(),
-            rounds: 1,
-            sim_stats: report.stats,
-            incomplete: report.incomplete,
-            histories,
-            honest_messages: Some(honest_messages),
-            trace: report.trace,
-            certification: None,
-        })
+        let (n, f) = (scenario.graph().node_count(), scenario.f());
+        run_fleet(
+            scenario,
+            self.name(),
+            1, // the probe is one communication round, whatever the override
+            &scenario.resolve_stats(),
+            |v, input| ProbeNode::new(v, n, f, input),
+            |v, kind| match *kind {
+                FaultKind::Crash => Box::new(Silent),
+                FaultKind::ConstantLiar { value } => {
+                    Box::new(ProbeLiar { inner: ProbeNode::new(v, n, f, value) })
+                }
+                _ => unreachable!("checked"),
+            },
+            ProbeNode::is_done,
+            |node| Readout {
+                output: node.output,
+                history: std::iter::once(node.input).chain(node.output).collect(),
+                sent: Some(node.sent),
+            },
+        )
     }
 }
 

@@ -13,22 +13,19 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin ablation`
 
+use dbac_bench::plan::{last_node as last, run_plan};
 use dbac_bench::table::{yes_no, Table};
 use dbac_core::config::FloodMode;
 use dbac_core::scenario::sweep::ExperimentPlan;
 use dbac_core::scenario::{ByzantineWitness, FaultKind};
-use dbac_graph::{generators, Digraph, NodeId};
-
-fn last(g: &Digraph) -> NodeId {
-    NodeId::new(g.node_count() - 1)
-}
+use dbac_graph::generators;
 
 fn main() {
     println!("E11b — redundant-path ablation\n");
     const GRAPHS: [&str; 3] = ["K4", "K5", "two-K4 bridged"];
     const ADVERSARIES: [&str; 4] = ["none", "crash", "liar", "tamperer"];
     const MODES: [&str; 2] = ["Redundant", "SimpleOnly"];
-    let report = ExperimentPlan::new()
+    let sweep = ExperimentPlan::new()
         .protocol("Redundant", ByzantineWitness::default())
         .protocol("SimpleOnly", ByzantineWitness::default().with_flood_mode(FloodMode::SimpleOnly))
         .graph(GRAPHS[0], generators::clique(4))
@@ -41,10 +38,9 @@ fn main() {
         .placement(ADVERSARIES[3], |g, _| vec![(last(g), FaultKind::RelayTamperer { spoof: -1e5 })])
         .epsilon(1.0)
         .seed(15)
-        .max_events(100_000_000)
         .build()
-        .expect("E11b plan expands")
-        .run();
+        .expect("E11b plan expands");
+    let report = run_plan(&sweep, "E11b cells failed");
 
     // Render graph-major (the paper's grouping); the plan expands with the
     // protocol axis outermost.
@@ -62,7 +58,7 @@ fn main() {
                             && r.coord("protocol") == Some(mode)
                     })
                     .expect("every grid cell present");
-                let s = row.summary.as_ref().unwrap_or_else(|e| panic!("{}: {e}", row.label));
+                let s = row.summary.as_ref().expect("run_plan checked every cell");
                 t.row(vec![
                     graph.into(),
                     adversary.into(),

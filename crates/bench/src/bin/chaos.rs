@@ -12,6 +12,7 @@
 //! report as `bench_trend`-compatible JSON, uploaded as a CI artifact next
 //! to `sweep.json`).
 
+use dbac_bench::plan::{json_path, run_plan};
 use dbac_bench::table::Table;
 use dbac_core::scenario::sweep::ExperimentPlan;
 use dbac_core::scenario::{ByzantineWitness, LinkFault, LinkFaultPlan};
@@ -50,14 +51,7 @@ fn main() {
         .seeds([1, 2, 3])
         .build()
         .expect("chaos plan expands");
-    let report = sweep.run();
-    assert!(
-        report.failures().is_empty(),
-        "chaos cells must degrade, not error: {:?}",
-        report.failures().iter().map(|r| &r.label).collect::<Vec<_>>()
-    );
-    let reduced = report.reduce();
-    println!("plan: {} cells in {} seed-batch groups\n", sweep.cell_count(), reduced.cells.len());
+    let reduced = run_plan(&sweep, "chaos cells must degrade, not error").reduce();
 
     let mut t = Table::new(vec![
         "links",
@@ -93,14 +87,4 @@ fn main() {
         reduced.write_json(std::path::Path::new(&path)).expect("chaos JSON written");
         println!("reduced chaos report written to {path}");
     }
-}
-
-fn json_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            return Some(args.next().expect("--json requires a path"));
-        }
-    }
-    None
 }

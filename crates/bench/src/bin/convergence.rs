@@ -5,6 +5,7 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin convergence`
 
+use dbac_bench::plan::run_plan;
 use dbac_bench::table::{num, yes_no, Table};
 use dbac_core::config::num_rounds;
 use dbac_core::scenario::sweep::{CellRow, ExperimentPlan, InputSpec};
@@ -17,7 +18,7 @@ fn main() {
 }
 
 fn summary(row: &CellRow) -> &dbac_core::scenario::sweep::CellSummary {
-    row.summary.as_ref().unwrap_or_else(|e| panic!("{}: {e}", row.label))
+    row.summary.as_ref().expect("run_plan checked every cell")
 }
 
 /// E5: measured spread per round vs the `K/2^r` bound — one plan with the
@@ -26,7 +27,7 @@ fn halving() {
     println!("E5 / Lemma 15 — spread halves every round\n");
     let k = 16.0;
     let v3 = NodeId::new(3);
-    let report = ExperimentPlan::new()
+    let sweep = ExperimentPlan::new()
         .protocol("bw", ByzantineWitness::default())
         .graph("K4", generators::clique(4))
         .faults("all honest", Vec::new())
@@ -39,8 +40,8 @@ fn halving() {
         .rounds(6)
         .seed(31)
         .build()
-        .expect("E5 plan expands")
-        .run();
+        .expect("E5 plan expands");
+    let report = run_plan(&sweep, "E5 cells failed");
     for row in &report.rows {
         let adversary = row.coord("placement").expect("placement axis");
         let s = summary(row);
@@ -63,7 +64,7 @@ fn halving() {
 fn termination_bound() {
     println!("E6 / Section 4.6 — termination bound sweep\n");
     let k = 8.0;
-    let report = ExperimentPlan::new()
+    let sweep = ExperimentPlan::new()
         .protocol("bw", ByzantineWitness::default())
         .graph("K4", generators::clique(4))
         .faults("liar", vec![(NodeId::new(3), FaultKind::ConstantLiar { value: -1e4 })])
@@ -71,8 +72,8 @@ fn termination_bound() {
         .epsilons([4.0, 2.0, 1.0, 0.5, 0.25])
         .seed(77)
         .build()
-        .expect("E6 plan expands")
-        .run();
+        .expect("E6 plan expands");
+    let report = run_plan(&sweep, "E6 cells failed");
     let mut t = Table::new(vec![
         "epsilon",
         "rounds bound",

@@ -13,6 +13,7 @@
 //! report as `bench_trend`-compatible JSON, uploaded as a CI artifact next
 //! to `sweep.json` and `chaos.json`.)
 
+use dbac_bench::plan::{json_path, run_plan};
 use dbac_bench::table::Table;
 use dbac_core::scenario::sweep::ExperimentPlan;
 use dbac_core::scenario::{ByzantineWitness, Runtime};
@@ -32,14 +33,7 @@ fn main() {
         .seeds([1, 2, 3])
         .build()
         .expect("net smoke plan expands");
-    let report = sweep.run();
-    assert!(
-        report.failures().is_empty(),
-        "a loopback transport must never error: {:?}",
-        report.failures().iter().map(|r| &r.label).collect::<Vec<_>>()
-    );
-    let reduced = report.reduce();
-    println!("plan: {} cells in {} seed-batch groups\n", sweep.cell_count(), reduced.cells.len());
+    let reduced = run_plan(&sweep, "a loopback transport must never error").reduce();
 
     let mut t = Table::new(vec!["graph", "runtime", "converged", "valid", "messages (mean)"]);
     let mut messages_by_graph: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
@@ -75,14 +69,4 @@ fn main() {
         reduced.write_json(std::path::Path::new(&path)).expect("net JSON written");
         println!("reduced net report written to {path}");
     }
-}
-
-fn json_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            return Some(args.next().expect("--json requires a path"));
-        }
-    }
-    None
 }

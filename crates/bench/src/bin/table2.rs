@@ -14,16 +14,13 @@
 //! Run: `cargo run --release -p dbac-bench --bin table2`
 
 use dbac_bench::catalog;
+use dbac_bench::plan::last_node as last;
 use dbac_bench::table::{yes_no, Table};
 use dbac_conditions::kreach::{one_reach, three_reach, two_reach};
 use dbac_conditions::partition::{bcs, cca, ccs};
 use dbac_core::scenario::sweep::{Axis, ExperimentPlan, InputSpec, SchedulerFamily};
 use dbac_core::scenario::{ByzantineWitness, CrashTwoReach, FaultKind};
-use dbac_graph::{Digraph, NodeId};
-
-fn last(g: &Digraph) -> NodeId {
-    NodeId::new(g.node_count() - 1)
-}
+use dbac_graph::Digraph;
 
 fn catalog_axis(instances: Vec<catalog::Instance>) -> Axis<Digraph> {
     // Every catalog instance targets f = 1, so the graph axis can cross a

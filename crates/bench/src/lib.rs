@@ -1,10 +1,11 @@
 //! # dbac-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper
-//! (see DESIGN.md §4 for the experiment index E1–E11), plus shared
-//! utilities: text tables, graph catalogs, the Appendix-B
-//! indistinguishability splice, and the [`daemon`] module backing the
-//! `dbacd` live-stats operator binary.
+//! (the binaries in `src/bin`, experiments E1–E14), plus shared utilities:
+//! text tables, graph catalogs, the [`plan`] plumbing of the
+//! `ExperimentPlan`-driven binaries, the Appendix-B indistinguishability
+//! splice, and the [`daemon`] module backing the `dbacd` live-stats
+//! operator binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,5 +13,6 @@
 pub mod catalog;
 pub mod daemon;
 pub mod impossibility;
+pub mod plan;
 pub mod table;
 pub mod trend;

@@ -13,7 +13,7 @@
 use crate::flood;
 use crate::message::ProtocolMsg;
 use crate::precompute::Topology;
-use dbac_graph::{NodeId, NodeSet, PathId};
+use dbac_graph::{NodeId, PathId};
 use dbac_sim::process::{Adversary, Context};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -317,13 +317,6 @@ impl Adversary<ProtocolMsg> for Replayer {
     }
 }
 
-/// Picks `count` deterministic victim nodes for experiments: the highest
-/// node indices, which keeps examples readable.
-#[must_use]
-pub fn default_victims(n: usize, count: usize) -> NodeSet {
-    (n.saturating_sub(count)..n).map(NodeId::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,12 +454,5 @@ mod tests {
             ctx.take_outbox().len()
         };
         assert_eq!(run(3), run(3));
-    }
-
-    #[test]
-    fn default_victims_picks_top_indices() {
-        let v = default_victims(6, 2);
-        assert_eq!(v.len(), 2);
-        assert!(v.contains(NodeId::new(4)) && v.contains(NodeId::new(5)));
     }
 }

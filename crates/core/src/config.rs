@@ -66,12 +66,6 @@ impl ProtocolConfig {
         self.flood_mode = mode;
         self
     }
-
-    /// Width `K` of the input range.
-    #[must_use]
-    pub fn range_width(&self) -> f64 {
-        self.range.1 - self.range.0
-    }
 }
 
 /// The paper's termination bound (Section 4.6): the smallest round count
@@ -116,7 +110,6 @@ mod tests {
     fn config_derives_rounds() {
         let c = ProtocolConfig::new(1, 0.5, (0.0, 10.0));
         assert_eq!(c.rounds, 5);
-        assert_eq!(c.range_width(), 10.0);
         assert_eq!(c.flood_mode, FloodMode::Redundant);
         let c = c.with_rounds(2).with_flood_mode(FloodMode::SimpleOnly);
         assert_eq!(c.rounds, 2);

@@ -48,10 +48,9 @@
 //! # Reference implementation
 //!
 //! The pre-columnar `BTreeMap<PathId, f64>` implementation survives as
-//! `reference::MessageSet` (feature `reference-messageset`, always on
-//! under `cfg(test)`), together with differential tests asserting the two
-//! backends agree on every observable. See `tests/differential.rs` for the
-//! generated-operation-sequence harness.
+//! test code (`tests/oracles/message_set.rs`): the generated-sequence
+//! harness and the property tests in `tests/differential.rs` assert the
+//! two backends agree on every observable, on every `cargo test`.
 
 use dbac_graph::{NodeId, NodeSet, PathId, PathIndex};
 use serde::{Deserialize, Serialize};
@@ -59,9 +58,6 @@ use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
-
-#[cfg(any(test, feature = "reference-messageset"))]
-pub mod reference;
 
 /// An accumulated set of `(value, path)` messages, keyed by interned path.
 ///
@@ -616,180 +612,6 @@ mod tests {
         // Duplicate wire entries: first value wins, as in live insertion.
         let dup = vec![(pid(&t, &[2]), 7.0), (pid(&t, &[2]), 9.0)];
         assert_eq!(MessageSet::from(dup).value_on_path(pid(&t, &[2])), Some(7.0));
-    }
-
-    /// Property tests: the columnar set and the BTreeMap reference model
-    /// agree on every observable under random operation interleavings over
-    /// arbitrary small topologies. The heavyweight generated-sequence
-    /// harness lives in `tests/differential.rs` (feature
-    /// `reference-messageset`); these run on every plain `cargo test`.
-    mod equivalence {
-        use super::super::{reference, MessageSet};
-        use crate::config::FloodMode;
-        use crate::precompute::Topology;
-        use crate::test_support::topo_of;
-        use dbac_graph::{generators, NodeSet, PathId};
-        use proptest::prelude::*;
-        use std::sync::OnceLock;
-
-        /// The topology classes the properties quantify over.
-        fn catalog() -> &'static Vec<Topology> {
-            static CATALOG: OnceLock<Vec<Topology>> = OnceLock::new();
-            CATALOG.get_or_init(|| {
-                vec![
-                    topo_of(generators::clique(4), 1, FloodMode::Redundant),
-                    topo_of(generators::clique(5), 1, FloodMode::SimpleOnly),
-                    topo_of(
-                        generators::two_cliques_bridged(3, &[(0, 0)], &[(2, 2)]),
-                        1,
-                        FloodMode::Redundant,
-                    ),
-                    topo_of(generators::figure_1a(), 1, FloodMode::Redundant),
-                ]
-            })
-        }
-
-        /// Decodes one op word into an insertion over the population.
-        fn decode(word: u64, population: usize) -> (PathId, f64) {
-            let path = PathId::from_raw((word % population as u64) as u32);
-            // A tiny value alphabet maximizes collisions (consistency and
-            // first-value-wins are only interesting under collisions);
-            // include the 0.0 / -0.0 bit distinction.
-            let value = [0.0, -0.0, 1.0, -1.5, 7.25][(word >> 32) as usize % 5];
-            (path, value)
-        }
-
-        /// Asserts every observable of the two backends is identical.
-        fn assert_equivalent(t: &Topology, col: &MessageSet, model: &reference::MessageSet) {
-            let index = t.index();
-            prop_assert_eq!(col.len(), model.len());
-            prop_assert_eq!(col.is_empty(), model.is_empty());
-            let col_entries: Vec<(PathId, u64)> =
-                col.iter().map(|(p, v)| (p, v.to_bits())).collect();
-            let model_entries: Vec<(PathId, u64)> =
-                model.iter().map(|(p, v)| (p, v.to_bits())).collect();
-            prop_assert_eq!(col_entries, model_entries, "iteration differs");
-            prop_assert_eq!(col.is_consistent(index), model.is_consistent(index));
-            prop_assert_eq!(col.initiators(index), model.initiators(index));
-            for v in t.graph().nodes() {
-                prop_assert_eq!(
-                    col.value_of(v, index).map(f64::to_bits),
-                    model.value_of(v, index).map(f64::to_bits),
-                    "value_of({}) differs",
-                    v
-                );
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Random insert interleavings leave identical sets, and every
-            /// per-path probe agrees.
-            #[test]
-            fn inserts_probe_identically(
-                topo_sel in 0usize..4,
-                words in prop::collection::vec(0u64..u64::MAX, 1..48),
-            ) {
-                let t = &catalog()[topo_sel];
-                let population = t.index().len();
-                let mut col = MessageSet::new();
-                let mut model = reference::MessageSet::new();
-                for &w in &words {
-                    let (p, v) = decode(w, population);
-                    prop_assert_eq!(col.insert(p, v), model.insert(p, v));
-                    prop_assert_eq!(col.contains_path(p), model.contains_path(p));
-                    prop_assert_eq!(
-                        col.value_on_path(p).map(f64::to_bits),
-                        model.value_on_path(p).map(f64::to_bits)
-                    );
-                }
-                assert_equivalent(t, &col, &model);
-            }
-
-            /// Exclusion agrees for every guess-sized fault set, and the
-            /// excluded sets are again equivalent (closure under the op).
-            #[test]
-            fn exclusion_agrees_on_every_guess(
-                topo_sel in 0usize..4,
-                words in prop::collection::vec(0u64..u64::MAX, 0..32),
-            ) {
-                let t = &catalog()[topo_sel];
-                let population = t.index().len();
-                let mut col = MessageSet::new();
-                let mut model = reference::MessageSet::new();
-                for &w in &words {
-                    let (p, v) = decode(w, population);
-                    col.insert(p, v);
-                    model.insert(p, v);
-                }
-                for &guess in t.guesses() {
-                    assert_equivalent(t, &col.exclusion(guess, t.index()), &model.exclusion(guess, t.index()));
-                }
-                // Arbitrary (non-guess) sets too, including the universe.
-                let n = t.graph().node_count();
-                for set in [NodeSet::universe(n), NodeSet::universe(n.min(2))] {
-                    assert_equivalent(t, &col.exclusion(set, t.index()), &model.exclusion(set, t.index()));
-                }
-            }
-
-            /// Mask-scan fullness agrees with the reference filter for every
-            /// (guess, terminal) pair, as does the requirement-list form.
-            #[test]
-            fn fullness_agrees_on_every_guess_terminal_pair(
-                topo_sel in 0usize..4,
-                words in prop::collection::vec(0u64..u64::MAX, 0..64),
-            ) {
-                let t = &catalog()[topo_sel];
-                let index = t.index();
-                let mut col = MessageSet::new();
-                let mut model = reference::MessageSet::new();
-                for &w in &words {
-                    let (p, v) = decode(w, index.len());
-                    col.insert(p, v);
-                    model.insert(p, v);
-                }
-                for &guess in t.guesses() {
-                    for v in t.graph().nodes() {
-                        prop_assert_eq!(
-                            col.is_full_avoiding(guess, v, index),
-                            model.is_full_avoiding(guess, v, index),
-                            "fullness({:?}, {}) differs", guess, v
-                        );
-                        let required: Vec<PathId> = index
-                            .paths_ending_at(v)
-                            .iter()
-                            .copied()
-                            .filter(|&p| !index.intersects(p, guess))
-                            .collect();
-                        prop_assert_eq!(col.is_full_for(&required), model.is_full_for(&required));
-                    }
-                }
-            }
-
-            /// The sparse wire form round-trips through both backends.
-            #[test]
-            fn wire_form_is_backend_agnostic(
-                topo_sel in 0usize..4,
-                words in prop::collection::vec(0u64..u64::MAX, 0..32),
-            ) {
-                let t = &catalog()[topo_sel];
-                let mut col = MessageSet::new();
-                let mut model = reference::MessageSet::new();
-                for &w in &words {
-                    let (p, v) = decode(w, t.index().len());
-                    col.insert(p, v);
-                    model.insert(p, v);
-                }
-                let wire: Vec<(PathId, f64)> = col.clone().into();
-                let model_wire: Vec<(PathId, f64)> = model.iter().collect();
-                prop_assert_eq!(
-                    wire.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>(),
-                    model_wire.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>()
-                );
-                prop_assert_eq!(&MessageSet::from(wire), &col);
-            }
-        }
     }
 
     #[test]

@@ -44,12 +44,9 @@
 //!
 //! # Scale past 128 nodes
 //!
-//! `NodeSet` was a `u128` bitset through PR 8, capping every topology at
-//! 128 nodes. It is now a const-generic multi-word bitset: 256 nodes at
-//! the default width, 16 384 under the `huge-graphs` cargo feature — and
-//! the retired u128 implementation survives as a differential oracle
-//! behind `reference-nodeset`. Which protocols actually *reach* those
-//! widths is a different question:
+//! `NodeSet` is a const-generic multi-word bitset: 256 nodes at the
+//! default width, 16 384 under the `huge-graphs` cargo feature. Which
+//! protocols actually *reach* those widths is a different question:
 //!
 //! * [`ByzantineWitness`] enumerates simple paths, which is exponential
 //!   in `n` — it stays the small-`n` exact reference (experiment E11a
@@ -164,11 +161,12 @@
 //! **Codec wire format.** Each frame is `len:u32le ‖ body` with `len`
 //! capped at 1 MiB; the body is one hand-rolled little-endian message
 //! encoding (see each protocol's [`WireMessage`] impl — path ids travel as
-//! raw `u32`s, suspect sets as `u128` bitmasks, values as `f64` bit
-//! patterns, so NaN payloads and the `0.0`/`-0.0` distinction survive
-//! bit-exactly). Connections begin with a 7-byte handshake
-//! (`magic ‖ version ‖ node-id`) in both directions. The codec is total:
-//! adversarial bytes produce typed [`WireError`]s, never panics.
+//! raw `u32`s, suspect sets as their `NODE_WORDS` little-endian `u64`
+//! words, values as `f64` bit patterns, so NaN payloads and the
+//! `0.0`/`-0.0` distinction survive bit-exactly). Connections begin with
+//! a 7-byte handshake (`magic ‖ version ‖ node-id`) in both directions.
+//! The codec is total: adversarial bytes produce typed [`WireError`]s,
+//! never panics.
 //!
 //! **Degradation semantics.** A frame that fails to decode is counted in
 //! the `rejected` transport bucket of [`Outcome::sim_stats`] and skipped;
@@ -229,21 +227,27 @@
 //!   [`RunError`] variants (`InputLengthMismatch`, `NonPositiveEpsilon`,
 //!   `FaultOutsideGraph`, `TooManyFaults`, …) instead of stringly-typed
 //!   reasons, so harnesses can branch on failure causes.
-//! * **One fleet, one send gate, two drivers, two outlets.** [`drive`] is
-//!   the only place that touches the runtimes: it assembles the protocol's
-//!   actors into one `dbac_sim` [`Fleet`] and picks a driver — the
-//!   virtual-time event loop ([`Simulation`]) or the wall-clock
-//!   thread-per-node loop ([`Fleet::run`]), the latter over one of two
-//!   outlets (crossbeam channels for [`Runtime::Threaded`], framed byte
-//!   streams for [`Runtime::Net`]). Every message of every driver passes
-//!   the fleet's single send gate (classify, count, link-fault verdict,
-//!   ledger), and the run's [`StatsRegistry`] is the only ledger there is.
-//!   No other module builds a fleet (the one sanctioned exception is the
-//!   Appendix-B splice executor in `dbac-bench`, which replays
-//!   message-level traces below the scenario abstraction).
+//! * **One driver, one fleet runner; protocols supply constructors.** Two
+//!   functions stand between a [`Scenario`] and its [`Outcome`].
+//!   [`drive`] is the only place that touches the runtimes: it assembles
+//!   the actors into one `dbac_sim` [`Fleet`], picks the virtual-time
+//!   event loop ([`Simulation`]) or the wall-clock thread-per-node loop
+//!   ([`Fleet::run`], over crossbeam channels for [`Runtime::Threaded`] or
+//!   framed byte streams for [`Runtime::Net`]), and extracts the survivors;
+//!   every message of every driver passes the fleet's single send gate,
+//!   and the run's [`StatsRegistry`] is the only ledger there is.
+//!   [`run_fleet`] is the only product caller of `drive` and the only place
+//!   an `Outcome` is assembled: it walks the honest/fault roster, collects
+//!   each survivor's [`Readout`] and sums the honest-message counts. A
+//!   [`Protocol::execute`] is therefore its precomputation followed by one
+//!   `run_fleet` call naming an honest-node constructor, an adversary
+//!   constructor, a `done` predicate and a readout — a new algorithm adds
+//!   those four and nothing else. (The one sanctioned fleet built outside
+//!   `drive` is the Appendix-B splice executor in `dbac-bench`, which
+//!   replays message-level traces below the scenario abstraction.)
 //! * **Faults are protocol-agnostic data.** [`FaultKind`] is the union of
 //!   every behaviour the workspace knows; each protocol maps the subset it
-//!   can express and rejects the rest with a typed error.
+//!   can express and rejects the rest through [`Scenario::check_faults`].
 
 #![deny(missing_docs)]
 
@@ -498,21 +502,6 @@ impl FaultKind {
     }
 }
 
-impl From<AdversaryKind> for FaultKind {
-    fn from(kind: AdversaryKind) -> Self {
-        match kind {
-            AdversaryKind::Crash => FaultKind::Crash,
-            AdversaryKind::ConstantLiar { value } => FaultKind::ConstantLiar { value },
-            AdversaryKind::Equivocator { low, high } => FaultKind::Equivocator { low, high },
-            AdversaryKind::RelayTamperer { spoof } => FaultKind::RelayTamperer { spoof },
-            AdversaryKind::PathFabricator { forged_value } => {
-                FaultKind::PathFabricator { forged_value }
-            }
-            AdversaryKind::Chaotic { seed } => FaultKind::Chaotic { seed },
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The Protocol trait
 // ---------------------------------------------------------------------------
@@ -593,20 +582,24 @@ impl Scenario {
     #[must_use]
     pub fn builder(graph: impl Into<Arc<Digraph>>, f: usize) -> ScenarioBuilder {
         ScenarioBuilder {
-            graph: graph.into(),
-            f,
-            inputs: Vec::new(),
-            epsilon: 0.1,
+            scenario: Scenario {
+                graph: graph.into(),
+                f,
+                inputs: Vec::new(),
+                epsilon: 0.1,
+                // Placeholder: `build` derives or validates the real range.
+                range: (0.0, 0.0),
+                faults: Vec::new(),
+                link_faults: None,
+                scheduler: SchedulerSpec::Fixed(1),
+                runtime: Runtime::Sim,
+                rounds_override: None,
+                max_events: 50_000_000,
+                record_trace: false,
+                stats: None,
+                protocol: Arc::new(ByzantineWitness::default()),
+            },
             range: None,
-            faults: Vec::new(),
-            link_faults: None,
-            scheduler: SchedulerSpec::Fixed(1),
-            runtime: Runtime::Sim,
-            rounds_override: None,
-            max_events: 50_000_000,
-            record_trace: false,
-            stats: None,
-            protocol: None,
         }
     }
 
@@ -691,18 +684,6 @@ impl Scenario {
         self.max_events
     }
 
-    /// Whether a delivery trace is recorded (Sim runtime only).
-    #[must_use]
-    pub fn records_trace(&self) -> bool {
-        self.record_trace
-    }
-
-    /// The externally attached live stats registry, if any.
-    #[must_use]
-    pub fn stats_registry(&self) -> Option<&Arc<StatsRegistry>> {
-        self.stats.as_ref()
-    }
-
     /// Returns the scenario with `registry` attached, replacing any
     /// previously attached registry — the post-build counterpart of
     /// [`ScenarioBuilder::stats`], for callers (like the `dbacd` daemon)
@@ -716,7 +697,7 @@ impl Scenario {
 
     /// The registry this scenario's run will feed: the attached one, or a
     /// fresh private registry. Protocol implementations call this once per
-    /// run, register per-node handles on it, and hand it to [`drive`].
+    /// run, register per-node handles on it, and hand it to [`run_fleet`].
     #[must_use]
     pub fn resolve_stats(&self) -> Arc<StatsRegistry> {
         self.stats.clone().unwrap_or_else(|| StatsRegistry::new(self.graph.node_count()))
@@ -752,6 +733,24 @@ impl Scenario {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)))
     }
 
+    /// Checks the fault assignment against what a protocol can express —
+    /// the fault half of every [`Protocol::check`].
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::UnsupportedFault`] naming `protocol` and the first
+    /// assigned [`FaultKind`] that `supported` rejects.
+    pub fn check_faults(
+        &self,
+        protocol: &'static str,
+        supported: impl Fn(&FaultKind) -> bool,
+    ) -> Result<(), RunError> {
+        match self.faults.iter().find(|(_, kind)| !supported(kind)) {
+            Some((_, kind)) => Err(RunError::UnsupportedFault { protocol, fault: kind.label() }),
+            None => Ok(()),
+        }
+    }
+
     /// The round count protocols derived from ε and the range honour,
     /// unless overridden: the paper's termination bound (Section 4.6).
     #[must_use]
@@ -762,45 +761,27 @@ impl Scenario {
 }
 
 /// Builder for [`Scenario`]. Obtain via [`Scenario::builder`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ScenarioBuilder {
-    graph: Arc<Digraph>,
-    f: usize,
-    inputs: Vec<f64>,
-    epsilon: f64,
+    /// The scenario under construction — not yet validated, and its
+    /// `range` is a placeholder until [`ScenarioBuilder::build`].
+    scenario: Scenario,
+    /// The explicit a-priori range, if any (`None`: derive the hull).
     range: Option<(f64, f64)>,
-    faults: Vec<(NodeId, FaultKind)>,
-    link_faults: Option<LinkFaultPlan>,
-    scheduler: SchedulerSpec,
-    runtime: Runtime,
-    rounds_override: Option<u32>,
-    max_events: u64,
-    record_trace: bool,
-    stats: Option<Arc<StatsRegistry>>,
-    protocol: Option<Arc<dyn Protocol>>,
-}
-
-impl std::fmt::Debug for ScenarioBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioBuilder")
-            .field("nodes", &self.graph.node_count())
-            .field("f", &self.f)
-            .finish()
-    }
 }
 
 impl ScenarioBuilder {
     /// Sets one input per node (fault nodes' entries are ignored).
     #[must_use]
     pub fn inputs(mut self, inputs: Vec<f64>) -> Self {
-        self.inputs = inputs;
+        self.scenario.inputs = inputs;
         self
     }
 
     /// Sets the agreement parameter ε (default 0.1).
     #[must_use]
     pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
+        self.scenario.epsilon = epsilon;
         self
     }
 
@@ -823,14 +804,14 @@ impl ScenarioBuilder {
     /// Assigns a fault behaviour to `v`.
     #[must_use]
     pub fn fault(mut self, v: NodeId, kind: FaultKind) -> Self {
-        self.faults.push((v, kind));
+        self.scenario.faults.push((v, kind));
         self
     }
 
     /// Assigns several fault behaviours at once.
     #[must_use]
     pub fn faults(mut self, faults: impl IntoIterator<Item = (NodeId, FaultKind)>) -> Self {
-        self.faults.extend(faults);
+        self.scenario.faults.extend(faults);
         self
     }
 
@@ -839,7 +820,7 @@ impl ScenarioBuilder {
     /// faults, honored identically by all three runtimes.
     #[must_use]
     pub fn link_faults(mut self, plan: LinkFaultPlan) -> Self {
-        self.link_faults = Some(plan);
+        self.scenario.link_faults = Some(plan);
         self
     }
 
@@ -847,35 +828,35 @@ impl ScenarioBuilder {
     /// application hook.
     #[must_use]
     pub fn link_faults_opt(mut self, plan: Option<LinkFaultPlan>) -> Self {
-        self.link_faults = plan;
+        self.scenario.link_faults = plan;
         self
     }
 
     /// Uses a seeded random schedule with delays in `[1, 20]`.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.scheduler = SchedulerSpec::Random { seed, min: 1, max: 20 };
+        self.scenario.scheduler = SchedulerSpec::Random { seed, min: 1, max: 20 };
         self
     }
 
     /// Uses an explicit scheduler spec.
     #[must_use]
     pub fn scheduler(mut self, spec: SchedulerSpec) -> Self {
-        self.scheduler = spec;
+        self.scenario.scheduler = spec;
         self
     }
 
     /// Selects the runtime (default: the deterministic simulator).
     #[must_use]
     pub fn runtime(mut self, runtime: Runtime) -> Self {
-        self.runtime = runtime;
+        self.scenario.runtime = runtime;
         self
     }
 
     /// Overrides the round count (default: the paper's termination bound).
     #[must_use]
     pub fn rounds(mut self, rounds: u32) -> Self {
-        self.rounds_override = Some(rounds);
+        self.scenario.rounds_override = Some(rounds);
         self
     }
 
@@ -883,21 +864,21 @@ impl ScenarioBuilder {
     /// application hook (`None` restores the derived termination bound).
     #[must_use]
     pub fn rounds_opt(mut self, rounds: Option<u32>) -> Self {
-        self.rounds_override = rounds;
+        self.scenario.rounds_override = rounds;
         self
     }
 
     /// Caps the simulator's event budget.
     #[must_use]
     pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
+        self.scenario.max_events = max_events;
         self
     }
 
     /// Records a delivery trace (Sim runtime only; see [`Outcome::trace`]).
     #[must_use]
     pub fn record_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
+        self.scenario.record_trace = record;
         self
     }
 
@@ -909,21 +890,21 @@ impl ScenarioBuilder {
     /// graph; after the run, its snapshot equals [`Outcome::sim_stats`].
     #[must_use]
     pub fn stats(mut self, registry: Arc<StatsRegistry>) -> Self {
-        self.stats = Some(registry);
+        self.scenario.stats = Some(registry);
         self
     }
 
     /// Selects the protocol (default: [`ByzantineWitness`]).
     #[must_use]
     pub fn protocol(mut self, protocol: impl Protocol + 'static) -> Self {
-        self.protocol = Some(Arc::new(protocol));
+        self.scenario.protocol = Arc::new(protocol);
         self
     }
 
     /// Selects a shared protocol handle (useful in sweeps).
     #[must_use]
     pub fn protocol_arc(mut self, protocol: Arc<dyn Protocol>) -> Self {
-        self.protocol = Some(protocol);
+        self.scenario.protocol = protocol;
         self
     }
 
@@ -942,18 +923,19 @@ impl ScenarioBuilder {
     /// * [`RunError::InvalidConfig`] — non-finite inputs, empty or
     ///   violated a-priori range, no honest nodes.
     pub fn build(self) -> Result<Scenario, RunError> {
-        let n = self.graph.node_count();
-        if self.inputs.len() != n {
-            return Err(RunError::InputLengthMismatch { expected: n, got: self.inputs.len() });
+        let ScenarioBuilder { scenario, range } = self;
+        let n = scenario.graph.node_count();
+        if scenario.inputs.len() != n {
+            return Err(RunError::InputLengthMismatch { expected: n, got: scenario.inputs.len() });
         }
-        if self.inputs.iter().any(|v| !v.is_finite()) {
+        if scenario.inputs.iter().any(|v| !v.is_finite()) {
             return Err(RunError::InvalidConfig { reason: "inputs must be finite".into() });
         }
-        if !(self.epsilon > 0.0 && self.epsilon.is_finite()) {
-            return Err(RunError::NonPositiveEpsilon { epsilon: self.epsilon });
+        if !(scenario.epsilon > 0.0 && scenario.epsilon.is_finite()) {
+            return Err(RunError::NonPositiveEpsilon { epsilon: scenario.epsilon });
         }
         let mut faulty = NodeSet::EMPTY;
-        for &(v, _) in &self.faults {
+        for &(v, _) in &scenario.faults {
             if v.index() >= n {
                 return Err(RunError::FaultOutsideGraph { node: v.index(), nodes: n });
             }
@@ -961,15 +943,15 @@ impl ScenarioBuilder {
                 return Err(RunError::DuplicateFault { node: v.index() });
             }
         }
-        if faulty.len() > self.f {
-            return Err(RunError::TooManyFaults { configured: faulty.len(), f: self.f });
+        if faulty.len() > scenario.f {
+            return Err(RunError::TooManyFaults { configured: faulty.len(), f: scenario.f });
         }
         if faulty.len() == n {
             return Err(RunError::InvalidConfig { reason: "no honest nodes".into() });
         }
-        if let Some(plan) = &self.link_faults {
+        if let Some(plan) = &scenario.link_faults {
             for (u, v, fault) in plan.faults() {
-                if !self.graph.has_edge(*u, *v) {
+                if !scenario.graph.has_edge(*u, *v) {
                     return Err(RunError::LinkFaultOutsideGraph { from: u.index(), to: v.index() });
                 }
                 let invalid =
@@ -999,41 +981,17 @@ impl ScenarioBuilder {
                 }
             }
         }
-        let honest_inputs: Vec<f64> = self
-            .inputs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !faulty.contains(NodeId::new(*i)))
-            .map(|(_, &v)| v)
-            .collect();
-        let derived = honest_inputs
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        let range = self.range.unwrap_or(derived);
+        let range = range.unwrap_or_else(|| scenario.honest_input_range());
         if range.0 > range.1 || !range.0.is_finite() || !range.1.is_finite() {
             return Err(RunError::InvalidConfig { reason: "invalid input range".into() });
         }
-        if honest_inputs.iter().any(|&v| v < range.0 || v > range.1) {
+        let outside = |v: NodeId| !(range.0..=range.1).contains(&scenario.inputs[v.index()]);
+        if scenario.honest_set().iter().any(outside) {
             return Err(RunError::InvalidConfig {
                 reason: "honest inputs fall outside the a-priori range".into(),
             });
         }
-        Ok(Scenario {
-            graph: self.graph,
-            f: self.f,
-            inputs: self.inputs,
-            epsilon: self.epsilon,
-            range,
-            faults: self.faults,
-            link_faults: self.link_faults,
-            scheduler: self.scheduler,
-            runtime: self.runtime,
-            rounds_override: self.rounds_override,
-            max_events: self.max_events,
-            record_trace: self.record_trace,
-            stats: self.stats,
-            protocol: self.protocol.unwrap_or_else(|| Arc::new(ByzantineWitness::default())),
-        })
+        Ok(Scenario { range, ..scenario })
     }
 
     /// Builds and runs in one step.
@@ -1097,15 +1055,17 @@ pub struct Outcome {
     /// [`ScenarioBuilder::stats`], this equals that registry's post-run
     /// snapshot bit-for-bit.
     pub sim_stats: StatsSnapshot,
-    /// Honest nodes the threaded runtime's watchdog gave up on, each with
-    /// a typed reason (timeout, panic, starvation). Always empty under
-    /// [`Runtime::Sim`], which runs to quiescence instead. Survivors'
-    /// outputs are still extracted and scored — degradation is data.
+    /// Honest nodes the watchdog of a wall-clock run ([`Runtime::Threaded`]
+    /// or [`Runtime::Net`]) gave up on, each with a typed reason (timeout,
+    /// panic, starvation). Always empty under [`Runtime::Sim`], which runs
+    /// to quiescence instead. Survivors' outputs are still extracted and
+    /// scored — degradation is data.
     pub incomplete: Vec<Incomplete>,
     /// Per node: the state-value trajectory (honest nodes only).
     pub histories: Vec<Option<Vec<f64>>>,
-    /// Protocol-level messages sent by honest nodes, where the protocol
-    /// counts them itself (AAD04's E9 metric); `None` otherwise.
+    /// Protocol-level messages sent by the surviving honest nodes, where
+    /// the protocol counts them itself (AAD04's E9 metric); `None`
+    /// otherwise.
     pub honest_messages: Option<u64>,
     /// The recorded delivery trace, if requested.
     pub trace: Option<TraceSummary>,
@@ -1300,6 +1260,85 @@ where
     Ok(DriveReport { stats: registry.snapshot(), trace, incomplete })
 }
 
+/// What [`run_fleet`] reads off one surviving honest process.
+#[derive(Clone, Debug)]
+pub struct Readout {
+    /// The decided output, if the node decided.
+    pub output: Option<f64>,
+    /// The node's state-value trajectory.
+    pub history: Vec<f64>,
+    /// Messages the node counted itself, for protocols that count
+    /// ([`Outcome::honest_messages`] is their sum); `None` otherwise.
+    pub sent: Option<u64>,
+}
+
+/// Runs one protocol's fleet over the scenario and assembles the
+/// [`Outcome`] — the shared body of every [`Protocol::execute`].
+///
+/// A protocol supplies what only it knows: its `name` and configured
+/// `rounds`, how to build an honest node from `(node, input)`, which
+/// adversary realizes a [`FaultKind`] at a fault node (only kinds its
+/// `check` admitted arrive here), when a node is `done`, and how to read a
+/// survivor out. The runner owns the rest, once: the honest/fault roster
+/// walk, [`drive`], extraction (`outputs` and `histories` are `None` at
+/// fault nodes and at honest nodes that did not survive), the
+/// honest-message sum and the outcome's protocol-agnostic fields.
+/// Protocol-specific tails — [`Outcome::certification`] — are set on the
+/// returned value.
+///
+/// `registry` is the run's ledger, from [`Scenario::resolve_stats`]: the
+/// constructors may register handles on it, and `readout` runs *before* the
+/// final snapshot is taken, so counters it settles land in
+/// [`Outcome::sim_stats`].
+///
+/// # Errors
+///
+/// As [`drive`].
+#[allow(clippy::too_many_arguments)] // one argument per fact only the protocol knows
+pub fn run_fleet<P>(
+    scenario: &Scenario,
+    name: &'static str,
+    rounds: u32,
+    registry: &Arc<StatsRegistry>,
+    mut honest: impl FnMut(NodeId, f64) -> P,
+    mut adversary: impl FnMut(NodeId, &FaultKind) -> Box<dyn Adversary<P::Message> + Send>,
+    done: fn(&P) -> bool,
+    mut readout: impl FnMut(&P) -> Readout,
+) -> Result<Outcome, RunError>
+where
+    P: Process + Send + 'static,
+    P::Message: WireMessage,
+{
+    let honest_set = scenario.honest_set();
+    let nodes = honest_set.iter().map(|v| (v, honest(v, scenario.inputs[v.index()]))).collect();
+    let adversaries = scenario.faults.iter().map(|(v, kind)| (*v, adversary(*v, kind))).collect();
+    let n = scenario.graph.node_count();
+    let (mut outputs, mut histories) = (vec![None; n], vec![None; n]);
+    let mut honest_messages = None;
+    let report = drive(scenario, registry, nodes, adversaries, done, &mut |v, node| {
+        let read = readout(node);
+        outputs[v.index()] = read.output;
+        histories[v.index()] = Some(read.history);
+        if let Some(sent) = read.sent {
+            *honest_messages.get_or_insert(0) += sent;
+        }
+    })?;
+    Ok(Outcome {
+        protocol: name,
+        outputs,
+        honest: honest_set,
+        epsilon: scenario.epsilon,
+        honest_input_range: scenario.honest_input_range(),
+        rounds,
+        sim_stats: report.stats,
+        incomplete: report.incomplete,
+        histories,
+        honest_messages,
+        trace: report.trace,
+        certification: None,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Core protocol implementations
 // ---------------------------------------------------------------------------
@@ -1339,15 +1378,7 @@ impl Protocol for ByzantineWitness {
     }
 
     fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        for (_, kind) in scenario.faults() {
-            if kind.adversary_kind().is_none() {
-                return Err(RunError::UnsupportedFault {
-                    protocol: self.name(),
-                    fault: kind.label(),
-                });
-            }
-        }
-        Ok(())
+        scenario.check_faults(self.name(), |kind| kind.adversary_kind().is_some())
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
@@ -1363,47 +1394,24 @@ impl Protocol for ByzantineWitness {
             config = config.with_rounds(r);
         }
         let registry = scenario.resolve_stats();
-        let honest_set = scenario.honest_set();
-        let honest: Vec<(NodeId, HonestNode)> = honest_set
-            .iter()
-            .map(|v| {
-                (
-                    v,
-                    HonestNode::new(Arc::clone(&topo), config, v, scenario.inputs()[v.index()])
-                        .with_stats(registry.register()),
-                )
-            })
-            .collect();
-        let byzantine = scenario
-            .faults()
-            .iter()
-            .map(|(v, kind)| {
-                let kind = kind.adversary_kind().expect("checked");
-                (*v, kind.build(Arc::clone(&topo), *v, config.rounds))
-            })
-            .collect();
-        let n = scenario.graph().node_count();
-        let mut outputs = vec![None; n];
-        let mut histories = vec![None; n];
-        let report =
-            drive(scenario, &registry, honest, byzantine, HonestNode::is_done, &mut |v, node| {
-                outputs[v.index()] = node.output();
-                histories[v.index()] = Some(node.x_history().to_vec());
-            })?;
-        Ok(Outcome {
-            protocol: self.name(),
-            outputs,
-            honest: honest_set,
-            epsilon: scenario.epsilon(),
-            honest_input_range: scenario.honest_input_range(),
-            rounds: config.rounds,
-            sim_stats: report.stats,
-            incomplete: report.incomplete,
-            histories,
-            honest_messages: None,
-            trace: report.trace,
-            certification: None,
-        })
+        run_fleet(
+            scenario,
+            self.name(),
+            config.rounds,
+            &registry,
+            |v, input| {
+                HonestNode::new(Arc::clone(&topo), config, v, input).with_stats(registry.register())
+            },
+            |v, kind| {
+                kind.adversary_kind().expect("checked").build(Arc::clone(&topo), v, config.rounds)
+            },
+            HonestNode::is_done,
+            |node| Readout {
+                output: node.output(),
+                history: node.x_history().to_vec(),
+                sent: None,
+            },
+        )
     }
 }
 
@@ -1433,71 +1441,41 @@ impl Protocol for CrashTwoReach {
     }
 
     fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        for (_, kind) in scenario.faults() {
-            if !matches!(kind, FaultKind::Crash | FaultKind::CrashAfter { .. }) {
-                return Err(RunError::UnsupportedFault {
-                    protocol: self.name(),
-                    fault: kind.label(),
-                });
-            }
-        }
-        Ok(())
+        scenario.check_faults(self.name(), |kind| {
+            matches!(kind, FaultKind::Crash | FaultKind::CrashAfter { .. })
+        })
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
         let topo =
             Arc::new(CrashTopology::new(scenario.graph().clone(), scenario.f(), self.budget)?);
         let rounds = scenario.rounds();
-        let make_node = |v: NodeId| {
-            CrashNode::new(
-                Arc::clone(&topo),
-                v,
-                scenario.inputs()[v.index()],
-                scenario.epsilon(),
-                scenario.range(),
-            )
-            .with_rounds(rounds)
+        let make_node = |v: NodeId, input: f64| {
+            CrashNode::new(Arc::clone(&topo), v, input, scenario.epsilon(), scenario.range())
+                .with_rounds(rounds)
         };
-        let registry = scenario.resolve_stats();
-        let honest_set = scenario.honest_set();
-        let honest: Vec<(NodeId, CrashNode)> =
-            honest_set.iter().map(|v| (v, make_node(v))).collect();
-        let byzantine = scenario
-            .faults()
-            .iter()
-            .map(|&(v, ref kind)| {
+        run_fleet(
+            scenario,
+            self.name(),
+            rounds,
+            &scenario.resolve_stats(),
+            make_node,
+            // A crashing node is an honest one cut off after `sends` sends.
+            |v, kind| {
                 let sends = match kind {
                     FaultKind::Crash => 0,
                     FaultKind::CrashAfter { sends } => *sends,
                     _ => unreachable!("checked"),
                 };
-                let boxed: Box<dyn Adversary<crate::crash::CrashMsg> + Send> =
-                    Box::new(CrashAfter::new(make_node(v), sends));
-                (v, boxed)
-            })
-            .collect();
-        let n = scenario.graph().node_count();
-        let mut outputs = vec![None; n];
-        let mut histories = vec![None; n];
-        let report =
-            drive(scenario, &registry, honest, byzantine, CrashNode::is_done, &mut |v, node| {
-                outputs[v.index()] = node.output();
-                histories[v.index()] = Some(node.x_history().to_vec());
-            })?;
-        Ok(Outcome {
-            protocol: self.name(),
-            outputs,
-            honest: honest_set,
-            epsilon: scenario.epsilon(),
-            honest_input_range: scenario.honest_input_range(),
-            rounds,
-            sim_stats: report.stats,
-            incomplete: report.incomplete,
-            histories,
-            honest_messages: None,
-            trace: report.trace,
-            certification: None,
-        })
+                Box::new(CrashAfter::new(make_node(v, scenario.inputs()[v.index()]), sends))
+            },
+            CrashNode::is_done,
+            |node| Readout {
+                output: node.output(),
+                history: node.x_history().to_vec(),
+                sent: None,
+            },
+        )
     }
 }
 

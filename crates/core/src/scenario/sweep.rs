@@ -260,17 +260,42 @@ impl<T> Axis<T> {
         self.points.is_empty()
     }
 
-    /// The points, or `default` when the axis was left empty — what
-    /// [`ExperimentPlan::build`] expands.
-    fn or_default(&self, default: (String, T)) -> Vec<(String, T)>
-    where
-        T: Clone,
-    {
+    /// Collapses an axis left empty to the dimension's neutral point.
+    fn default_to(&mut self, label: &str, value: T) {
         if self.points.is_empty() {
-            vec![default]
-        } else {
-            self.points.clone()
+            self.points.push((label.into(), value));
         }
+    }
+
+    /// The value of the `i`-th point.
+    fn at(&self, i: usize) -> &T {
+        &self.points[i].1
+    }
+
+    /// This axis as a row of the plan's axis table, under its
+    /// [`Cell::coord`] name.
+    fn row(&self, name: &'static str) -> AxisRow<'_> {
+        AxisRow { name, noun: name, labels: self.points.iter().map(|(l, _)| l.as_str()).collect() }
+    }
+}
+
+/// Number of plan dimensions, the statistical (seed) axis included.
+const AXES: usize = 11;
+
+/// One row of an [`ExperimentPlan`]'s axis table: the name
+/// [`Cell::coord`] looks the dimension up by, what duplicate-label errors
+/// call it, and its points' label fragments in insertion order.
+struct AxisRow<'a> {
+    name: &'static str,
+    noun: &'static str,
+    labels: Vec<&'a str>,
+}
+
+impl AxisRow<'_> {
+    /// Overrides the name used in duplicate-label errors.
+    fn called(mut self, noun: &'static str) -> Self {
+        self.noun = noun;
+        self
     }
 }
 
@@ -286,43 +311,29 @@ impl<T> Axis<T> {
 /// no faults, indexed inputs `v ↦ v`, ε = 0.5, the seeded `random(1, 20)`
 /// schedule family, clean links, the Sim runtime, the derived round count,
 /// seed 0.
+#[derive(Default)]
 pub struct ExperimentPlan {
     protocols: Axis<Arc<dyn Protocol>>,
     graphs: Axis<Arc<Digraph>>,
     graph_tag: Option<GraphTag>,
-    fault_bounds: Vec<usize>,
+    fault_bounds: Axis<usize>,
     placements: Axis<PlaceFaults>,
     inputs: Axis<InputSpec>,
-    epsilons: Vec<f64>,
+    epsilons: Axis<f64>,
     schedulers: Axis<SchedulerFamily>,
     link_faults: Axis<GenLinkFaults>,
     runtimes: Axis<Runtime>,
-    rounds: Vec<u32>,
-    seeds: Vec<u64>,
-    max_events: u64,
+    rounds: Axis<Option<u32>>,
+    seeds: Axis<u64>,
+    /// `None`: the plan default of 10⁸ events per cell.
+    max_events: Option<u64>,
 }
 
-impl Default for ExperimentPlan {
-    fn default() -> Self {
-        ExperimentPlan::new()
-    }
-}
-
+/// Prints every axis's point labels, keyed by axis name.
 impl std::fmt::Debug for ExperimentPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExperimentPlan")
-            .field("protocols", &self.protocols.len())
-            .field("graphs", &self.graphs.len())
-            .field("fault_bounds", &self.fault_bounds)
-            .field("placements", &self.placements.len())
-            .field("inputs", &self.inputs.len())
-            .field("epsilons", &self.epsilons)
-            .field("schedulers", &self.schedulers.len())
-            .field("link_faults", &self.link_faults.len())
-            .field("runtimes", &self.runtimes.len())
-            .field("rounds", &self.rounds)
-            .field("seeds", &self.seeds)
-            .finish()
+        f.write_str("ExperimentPlan ")?;
+        f.debug_map().entries(self.axes().iter().map(|row| (row.name, &row.labels))).finish()
     }
 }
 
@@ -330,21 +341,26 @@ impl ExperimentPlan {
     /// An empty plan (see the type docs for per-dimension defaults).
     #[must_use]
     pub fn new() -> Self {
-        ExperimentPlan {
-            protocols: Axis::new(),
-            graphs: Axis::new(),
-            graph_tag: None,
-            fault_bounds: Vec::new(),
-            placements: Axis::new(),
-            inputs: Axis::new(),
-            epsilons: Vec::new(),
-            schedulers: Axis::new(),
-            link_faults: Axis::new(),
-            runtimes: Axis::new(),
-            rounds: Vec::new(),
-            seeds: Vec::new(),
-            max_events: 100_000_000,
-        }
+        ExperimentPlan::default()
+    }
+
+    /// The axis table, outermost dimension first: expansion order, label
+    /// fragment order and the index order of [`ExperimentPlan::build`]'s
+    /// odometer all follow it.
+    fn axes(&self) -> [AxisRow<'_>; AXES] {
+        [
+            self.protocols.row("protocol"),
+            self.graphs.row("graph"),
+            self.fault_bounds.row("f").called("fault-bound"),
+            self.placements.row("placement"),
+            self.inputs.row("inputs"),
+            self.epsilons.row("epsilon"),
+            self.schedulers.row("scheduler"),
+            self.link_faults.row("links").called("link-faults"),
+            self.runtimes.row("runtime"),
+            self.rounds.row("rounds"),
+            self.seeds.row("seed"),
+        ]
     }
 
     /// Adds a protocol axis point. Per-protocol knobs (flood mode, path
@@ -360,13 +376,6 @@ impl ExperimentPlan {
     #[must_use]
     pub fn protocol_arc(mut self, label: impl Into<String>, protocol: Arc<dyn Protocol>) -> Self {
         self.protocols = self.protocols.point(label, protocol);
-        self
-    }
-
-    /// Replaces the whole protocol axis.
-    #[must_use]
-    pub fn protocols_axis(mut self, axis: Axis<Arc<dyn Protocol>>) -> Self {
-        self.protocols = axis;
         self
     }
 
@@ -414,7 +423,7 @@ impl ExperimentPlan {
     /// Adds a fault-bound axis point (labelled `f<n>`; default `[1]`).
     #[must_use]
     pub fn fault_bound(mut self, f: usize) -> Self {
-        self.fault_bounds.push(f);
+        self.fault_bounds = self.fault_bounds.point(format!("f{f}"), f);
         self
     }
 
@@ -449,15 +458,14 @@ impl ExperimentPlan {
     /// Adds an ε axis point (labelled `eps<ε>`; default `[0.5]`).
     #[must_use]
     pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilons.push(epsilon);
+        self.epsilons = self.epsilons.point(format!("eps{epsilon}"), epsilon);
         self
     }
 
     /// Adds several ε axis points.
     #[must_use]
-    pub fn epsilons(mut self, epsilons: impl IntoIterator<Item = f64>) -> Self {
-        self.epsilons.extend(epsilons);
-        self
+    pub fn epsilons(self, epsilons: impl IntoIterator<Item = f64>) -> Self {
+        epsilons.into_iter().fold(self, ExperimentPlan::epsilon)
     }
 
     /// Adds a scheduler-family axis point (default: `random(1, 20)`).
@@ -504,7 +512,7 @@ impl ExperimentPlan {
     /// protocol's derived round count).
     #[must_use]
     pub fn rounds(mut self, rounds: u32) -> Self {
-        self.rounds.push(rounds);
+        self.rounds = self.rounds.point(format!("r{rounds}"), Some(rounds));
         self
     }
 
@@ -512,22 +520,21 @@ impl ExperimentPlan {
     /// `[0]`). [`SweepReport::reduce`] aggregates over exactly this axis.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seeds.push(seed);
+        self.seeds = self.seeds.point(format!("s{seed}"), seed);
         self
     }
 
     /// Adds several seeds to the statistical axis.
     #[must_use]
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds.extend(seeds);
-        self
+    pub fn seeds(self, seeds: impl IntoIterator<Item = u64>) -> Self {
+        seeds.into_iter().fold(self, ExperimentPlan::seed)
     }
 
     /// Caps the simulator event budget for every cell (a budget, not an
     /// axis).
     #[must_use]
     pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
+        self.max_events = Some(max_events);
         self
     }
 
@@ -545,138 +552,83 @@ impl ExperimentPlan {
     /// numeric axes), or two expanded cells sharing a full label — since
     /// colliding cells would silently merge in the reducer and in the JSON
     /// kernel keys.
-    pub fn build(self) -> Result<Sweep, String> {
+    pub fn build(mut self) -> Result<Sweep, String> {
         if self.protocols.is_empty() {
             return Err("experiment plan needs at least one protocol".into());
         }
         if self.graphs.is_empty() {
             return Err("experiment plan needs at least one graph".into());
         }
-        check_unique("protocol", self.protocols.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("graph", self.graphs.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("fault-bound", self.fault_bounds.iter().map(|f| format!("f{f}")))?;
-        check_unique("placement", self.placements.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("inputs", self.inputs.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("epsilon", self.epsilons.iter().map(|e| format!("eps{e}")))?;
-        check_unique("scheduler", self.schedulers.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("link-faults", self.link_faults.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("runtime", self.runtimes.points().iter().map(|(l, _)| l.clone()))?;
-        check_unique("rounds", self.rounds.iter().map(|r| format!("r{r}")))?;
-        check_unique("seed", self.seeds.iter().map(|s| format!("s{s}")))?;
-        let fault_bounds = if self.fault_bounds.is_empty() { vec![1] } else { self.fault_bounds };
-        let placements = self.placements.or_default((
-            "none".into(),
-            Arc::new(|_: &Digraph, _: usize| Vec::new()) as PlaceFaults,
-        ));
-        let inputs = self.inputs.or_default((String::new(), InputSpec::indexed()));
-        // The ε fragment appears in labels only when the caller populated
-        // the axis. Label policy: the historical Grid dimensions keep
-        // their fragments even when defaulted (f, placement "none",
-        // seed — so labels stay `proto/graph/f1/none/s0`-shaped), while
-        // the dimensions new in the plan API (inputs, ε, scheduler,
-        // runtime, rounds) contribute a fragment only when populated.
-        let eps_explicit = !self.epsilons.is_empty();
-        let epsilons = if self.epsilons.is_empty() { vec![0.5] } else { self.epsilons };
-        let schedulers =
-            self.schedulers.or_default((String::new(), SchedulerFamily::random(1, 20)));
-        let link_faults = self
-            .link_faults
-            .or_default((String::new(), Arc::new(|_: &Digraph, _: u64| None) as GenLinkFaults));
-        let runtimes = self.runtimes.or_default((String::new(), Runtime::Sim));
-        let rounds: Vec<Option<u32>> = if self.rounds.is_empty() {
-            vec![None]
-        } else {
-            self.rounds.into_iter().map(Some).collect()
-        };
-        let seeds = if self.seeds.is_empty() { vec![0] } else { self.seeds };
-
-        // Apply the graph-axis labelling hook once per point (labels were
-        // checked unique above; a tag only appends, per-graph, so tagged
-        // labels stay unique).
-        let graph_points: Vec<(String, Arc<Digraph>)> = self
-            .graphs
-            .points()
-            .iter()
-            .map(|(label, graph)| {
-                let label = match self.graph_tag.as_ref().and_then(|tag| tag(graph)) {
-                    Some(tag) => format!("{label}[{tag}]"),
-                    None => label.clone(),
-                };
-                (label, Arc::clone(graph))
-            })
-            .collect();
-
-        let mut cells = Vec::new();
-        for (proto_label, protocol) in self.protocols.points() {
-            for (graph_label, graph) in &graph_points {
-                for &f in &fault_bounds {
-                    for (place_label, placer) in &placements {
-                        for (input_label, input) in &inputs {
-                            for &epsilon in &epsilons {
-                                for (sched_label, family) in &schedulers {
-                                    for (links_label, links) in &link_faults {
-                                        for &(ref runtime_label, runtime) in &runtimes {
-                                            for &round in &rounds {
-                                                for &seed in &seeds {
-                                                    let coords: Arc<[(&'static str, String)]> =
-                                                        Arc::from(vec![
-                                                            ("protocol", proto_label.clone()),
-                                                            ("graph", graph_label.clone()),
-                                                            ("f", format!("f{f}")),
-                                                            ("placement", place_label.clone()),
-                                                            ("inputs", input_label.clone()),
-                                                            (
-                                                                "epsilon",
-                                                                if eps_explicit {
-                                                                    format!("eps{epsilon}")
-                                                                } else {
-                                                                    String::new()
-                                                                },
-                                                            ),
-                                                            ("scheduler", sched_label.clone()),
-                                                            ("links", links_label.clone()),
-                                                            ("runtime", runtime_label.clone()),
-                                                            (
-                                                                "rounds",
-                                                                round.map_or(String::new(), |r| {
-                                                                    format!("r{r}")
-                                                                }),
-                                                            ),
-                                                            ("seed", format!("s{seed}")),
-                                                        ]);
-                                                    let group = join_fragments(
-                                                        coords.iter().take(coords.len() - 1),
-                                                    );
-                                                    let label = join_fragments(coords.iter());
-                                                    let scenario =
-                                                        Scenario::builder(Arc::clone(graph), f)
-                                                            .inputs(input.values(graph))
-                                                            .epsilon(epsilon)
-                                                            .range_opt(input.range(graph))
-                                                            .faults(placer(graph, f))
-                                                            .scheduler(family.spec(seed))
-                                                            .link_faults_opt(links(graph, seed))
-                                                            .runtime(runtime)
-                                                            .rounds_opt(round)
-                                                            .max_events(self.max_events)
-                                                            .protocol_arc(Arc::clone(protocol))
-                                                            .build();
-                                                    cells.push(Cell {
-                                                        label,
-                                                        group,
-                                                        seed,
-                                                        coords,
-                                                        scenario,
-                                                    });
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        // Label policy: the historical Grid dimensions keep their fragments
+        // even when defaulted (f, placement "none", seed — so labels stay
+        // `proto/graph/f1/none/s0`-shaped), while the dimensions new in the
+        // plan API (inputs, ε, scheduler, links, runtime, rounds) default
+        // to an empty fragment and so appear only when populated.
+        self.fault_bounds.default_to("f1", 1);
+        self.placements.default_to("none", Arc::new(|_: &Digraph, _: usize| Vec::new()));
+        self.inputs.default_to("", InputSpec::indexed());
+        self.epsilons.default_to("", 0.5);
+        self.schedulers.default_to("", SchedulerFamily::random(1, 20));
+        self.link_faults.default_to("", Arc::new(|_: &Digraph, _: u64| None));
+        self.runtimes.default_to("", Runtime::Sim);
+        self.rounds.default_to("", None);
+        self.seeds.default_to("s0", 0);
+        // The graph-axis labelling hook runs once per point, not per cell.
+        if let Some(tag) = &self.graph_tag {
+            for (label, graph) in &mut self.graphs.points {
+                if let Some(tag) = tag(graph) {
+                    *label = format!("{label}[{tag}]");
                 }
+            }
+        }
+
+        // Duplicate labels within one axis would merge cells silently in
+        // the reducer and the JSON kernel keys.
+        let axes = self.axes();
+        for row in &axes {
+            let mut seen = std::collections::HashSet::new();
+            if let Some(label) = row.labels.iter().find(|label| !seen.insert(**label)) {
+                return Err(format!("duplicate {} axis label '{label}'", row.noun));
+            }
+        }
+
+        // Walk the product as a mixed-radix odometer over the table: the
+        // last axis (the seed) turns fastest, so cells come out in
+        // nested-loop order with each seed batch contiguous.
+        let total = axes.iter().map(|row| row.labels.len()).product();
+        let mut cells = Vec::with_capacity(total);
+        let mut at = [0usize; AXES];
+        for _ in 0..total {
+            let coords: Arc<[(&'static str, String)]> =
+                axes.iter().zip(at).map(|(row, i)| (row.name, row.labels[i].to_string())).collect();
+            let [proto, graph, bound, place, input, eps, sched, links, rt, rounds, seed] = at;
+            let (graph, f) = (self.graphs.at(graph), *self.fault_bounds.at(bound));
+            let (input, seed) = (self.inputs.at(input), *self.seeds.at(seed));
+            let scenario = Scenario::builder(Arc::clone(graph), f)
+                .inputs(input.values(graph))
+                .epsilon(*self.epsilons.at(eps))
+                .range_opt(input.range(graph))
+                .faults(self.placements.at(place)(graph, f))
+                .scheduler(self.schedulers.at(sched).spec(seed))
+                .link_faults_opt(self.link_faults.at(links)(graph, seed))
+                .runtime(*self.runtimes.at(rt))
+                .rounds_opt(*self.rounds.at(rounds))
+                .max_events(self.max_events.unwrap_or(100_000_000))
+                .protocol_arc(Arc::clone(self.protocols.at(proto)))
+                .build();
+            cells.push(Cell {
+                label: join_fragments(&coords),
+                group: join_fragments(&coords[..AXES - 1]),
+                seed,
+                coords,
+                scenario,
+            });
+            for (digit, row) in at.iter_mut().zip(&axes).rev() {
+                *digit += 1;
+                if *digit < row.labels.len() {
+                    break;
+                }
+                *digit = 0;
             }
         }
         // Per-axis uniqueness leaves one corner open: empty fragments are
@@ -696,18 +648,6 @@ impl ExperimentPlan {
     }
 }
 
-/// Rejects duplicate labels within one axis: colliding cells would merge
-/// silently in the reducer and the JSON kernel keys.
-fn check_unique(axis: &str, labels: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut seen = std::collections::HashSet::new();
-    for label in labels {
-        if !seen.insert(label.clone()) {
-            return Err(format!("duplicate {axis} axis label '{label}'"));
-        }
-    }
-    Ok(())
-}
-
 /// Looks up one named axis fragment in a shared coordinate slice (the one
 /// body behind [`Cell::coord`], [`CellRow::coord`] and
 /// [`ReducedCell::coord`]).
@@ -715,7 +655,8 @@ fn coord_of<'a>(coords: &'a [(&'static str, String)], axis: &str) -> Option<&'a 
     coords.iter().find(|(a, _)| *a == axis).map(|(_, l)| l.as_str())
 }
 
-fn join_fragments<'a>(coords: impl Iterator<Item = &'a (&'static str, String)>) -> String {
+/// Joins the non-empty fragments with `/`.
+fn join_fragments(coords: &[(&'static str, String)]) -> String {
     let mut out = String::new();
     for (_, fragment) in coords {
         if fragment.is_empty() {
@@ -852,10 +793,10 @@ pub struct CellSummary {
     pub rounds_to_epsilon: Option<u32>,
     /// The run's agreement parameter ε.
     pub epsilon: f64,
-    /// Messages handed to the delivery queue (0 for synchronous and
-    /// threaded runs).
+    /// Messages handed to the runtime's send gate (counted on every
+    /// runtime).
     pub messages_sent: u64,
-    /// Messages actually delivered by the simulator.
+    /// Messages actually delivered to a node.
     pub messages_delivered: u64,
     /// Messages destroyed by the cell's link-fault plan (drops plus
     /// corruptions; 0 for clean links).
@@ -955,6 +896,19 @@ fn jnum(v: f64) -> String {
     }
 }
 
+/// Renders the `bench_trend` report schema — `{"kernels": {<key>: {<fields>}}}`,
+/// one kernel per line — from each kernel's key and pre-rendered fields.
+fn kernels_json<'a>(kernels: impl ExactSizeIterator<Item = (&'a str, String)>) -> String {
+    let mut out = String::from("{\n  \"kernels\": {\n");
+    let last = kernels.len().saturating_sub(1);
+    for (i, (key, fields)) in kernels.enumerate() {
+        let sep = if i == last { "" } else { "," };
+        out.push_str(&format!("    \"{}\": {{ {fields} }}{sep}\n", json_escape(key)));
+    }
+    out.push_str("  }\n}\n");
+    out
+}
+
 impl SweepReport {
     /// Rows whose cell was rejected or whose run failed.
     #[must_use]
@@ -1018,38 +972,25 @@ impl SweepReport {
     /// `"error": 1`.
     #[must_use]
     pub fn to_bench_json(&self) -> String {
-        let mut out = String::from("{\n  \"kernels\": {\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            match &row.summary {
-                Ok(s) => {
-                    let flag = |b: bool| u8::from(b);
-                    out.push_str(&format!(
-                        "    \"{}\": {{ \"mean_ns\": {:.1}, \"converged\": {}, \"valid\": {}, \
-                         \"decided\": {}, \"spread\": {}, \"messages\": {}, \"dropped\": {}, \
-                         \"rounds\": {} }}{sep}\n",
-                        json_escape(&row.label),
-                        row.wall_ns,
-                        flag(s.converged),
-                        flag(s.valid),
-                        flag(s.all_decided),
-                        jnum(s.spread),
-                        s.messages(),
-                        s.messages_dropped,
-                        s.rounds,
-                    ));
-                }
-                Err(_) => {
-                    out.push_str(&format!(
-                        "    \"{}\": {{ \"mean_ns\": {:.1}, \"error\": 1 }}{sep}\n",
-                        json_escape(&row.label),
-                        row.wall_ns,
-                    ));
-                }
-            }
-        }
-        out.push_str("  }\n}\n");
-        out
+        let flag = |b: bool| u8::from(b);
+        kernels_json(self.rows.iter().map(|row| {
+            let fields = match &row.summary {
+                Ok(s) => format!(
+                    "\"mean_ns\": {:.1}, \"converged\": {}, \"valid\": {}, \"decided\": {}, \
+                     \"spread\": {}, \"messages\": {}, \"dropped\": {}, \"rounds\": {}",
+                    row.wall_ns,
+                    flag(s.converged),
+                    flag(s.valid),
+                    flag(s.all_decided),
+                    jnum(s.spread),
+                    s.messages(),
+                    s.messages_dropped,
+                    s.rounds,
+                ),
+                Err(_) => format!("\"mean_ns\": {:.1}, \"error\": 1", row.wall_ns),
+            };
+            (row.label.as_str(), fields)
+        }))
     }
 
     /// Writes [`SweepReport::to_bench_json`] to `path`.
@@ -1162,16 +1103,13 @@ impl ReducedReport {
     /// flattened to extra numbers the gate's parser accepts and ignores.
     #[must_use]
     pub fn to_bench_json(&self) -> String {
-        let mut out = String::from("{\n  \"kernels\": {\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{}\": {{ \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
+        kernels_json(self.cells.iter().map(|c| {
+            let fields = format!(
+                "\"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
                  \"stddev_ns\": {:.1}, \"runs\": {}, \"errors\": {}, \"converged\": {}, \
                  \"valid\": {}, \"decided\": {}, \"spread_mean\": {}, \"spread_median\": {}, \
                  \"spread_max\": {}, \"rounds_to_eps_mean\": {}, \"messages_mean\": {:.1}, \
-                 \"messages_max\": {:.1}, \"dropped_mean\": {:.1} }}{sep}\n",
-                json_escape(&c.group),
+                 \"messages_max\": {:.1}, \"dropped_mean\": {:.1}",
                 c.wall_ns.mean,
                 c.wall_ns.min,
                 c.wall_ns.max,
@@ -1188,10 +1126,9 @@ impl ReducedReport {
                 c.messages.mean,
                 c.messages.max,
                 c.dropped.mean,
-            ));
-        }
-        out.push_str("  }\n}\n");
-        out
+            );
+            (c.group.as_str(), fields)
+        }))
     }
 
     /// Writes [`ReducedReport::to_bench_json`] to `path`.

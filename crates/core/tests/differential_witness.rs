@@ -1,6 +1,6 @@
 //! Differential testing of the mask-batched witness state machine
-//! ([`RoundCore`]) against the counter-based
-//! [`reference`](dbac_core::witness::reference) oracle.
+//! ([`RoundCore`]) against the counter-based [`reference`] oracle
+//! (`tests/oracles/witness.rs`).
 //!
 //! Both implementations are driven with **identical generated
 //! flood/COMPLETE sequences** — round start at a random point, flood
@@ -13,15 +13,14 @@
 //! `started`/`fired` flags and the accumulated message set. Sequences are
 //! drawn from a deterministic splitmix64 stream, so failures reproduce by
 //! seed.
-//!
-//! Gated on the `reference-witness` feature:
-//! `cargo test -p dbac-core --features reference-witness`.
-#![cfg(feature = "reference-witness")]
+
+#[path = "oracles/witness.rs"]
+mod reference;
 
 use dbac_core::config::FloodMode;
 use dbac_core::message_set::{CompletePayload, MessageSet};
 use dbac_core::precompute::Topology;
-use dbac_core::witness::{reference, NodePlan, RoundAction, RoundCore, WitnessScratch};
+use dbac_core::witness::{NodePlan, RoundAction, RoundCore, WitnessScratch};
 use dbac_graph::{generators, NodeId, NodeSet, PathBudget};
 use std::sync::Arc;
 
@@ -261,4 +260,170 @@ fn bridged_cliques_redundant() {
 #[test]
 fn figure_1a_redundant() {
     run_class("fig1a/redundant", &topo(generators::figure_1a(), 1, FloodMode::Redundant), 5);
+}
+
+#[test]
+fn plan_masks_match_counter_reference() {
+    // The mask popcounts must agree with the pre-mask reference plan's
+    // hash-map census on every guess and witness.
+    for (n, f) in [(3, 0), (4, 1), (5, 1)] {
+        let topo = topo(generators::clique(n), f, FloodMode::Redundant);
+        for v in topo.graph().nodes() {
+            let plan = NodePlan::new(&topo, v);
+            let model = reference::NodePlan::new(&topo, v);
+            assert_eq!(plan.guesses().len(), model.guesses().len());
+            for (gp, mp) in plan.guesses().iter().zip(model.guesses()) {
+                assert_eq!(gp.guess, mp.guess);
+                assert_eq!(gp.reach, mp.reach);
+                assert_eq!(gp.flood_required, mp.flood_required, "census({:?})", gp.guess);
+                let got: Vec<(NodeId, usize)> =
+                    gp.fra_witnesses().iter().map(|w| (w.c, w.required)).collect();
+                assert_eq!(got, mp.fra_required, "FRA census({:?})", gp.guess);
+            }
+        }
+    }
+}
+
+/// Equivalence properties: the mask-batched [`RoundCore`] and the
+/// counter-based [`reference::RoundCore`] must emit identical action
+/// streams under random flood/COMPLETE interleavings (proptest shrinks
+/// what the generated sequences above only reproduce by seed).
+mod equivalence {
+    use super::{reference, topo as topo_of};
+    use dbac_core::config::FloodMode;
+    use dbac_core::message_set::{CompletePayload, MessageSet};
+    use dbac_core::precompute::Topology;
+    use dbac_core::witness::{NodePlan, RoundAction, RoundCore, WitnessScratch};
+    use dbac_graph::{generators, NodeId, NodeSet};
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
+
+    fn catalog() -> &'static Vec<Topology> {
+        static CATALOG: OnceLock<Vec<Topology>> = OnceLock::new();
+        CATALOG.get_or_init(|| {
+            vec![
+                topo_of(generators::clique(3), 0, FloodMode::Redundant),
+                topo_of(generators::clique(4), 1, FloodMode::Redundant),
+                topo_of(
+                    generators::two_cliques_bridged(3, &[(0, 0)], &[(2, 2)]),
+                    1,
+                    FloodMode::Redundant,
+                ),
+            ]
+        })
+    }
+
+    fn actions_equal(a: &[RoundAction], b: &[RoundAction]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| match (x, y) {
+                (
+                    RoundAction::FloodComplete { guess: g1, payload: p1 },
+                    RoundAction::FloodComplete { guess: g2, payload: p2 },
+                ) => g1 == g2 && p1 == p2 && p1.fingerprint() == p2.fingerprint(),
+                (
+                    RoundAction::Advance { guess: g1, outcome: o1 },
+                    RoundAction::Advance { guess: g2, outcome: o2 },
+                ) => g1 == g2 && o1 == o2,
+                _ => false,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random flood orders and values produce identical action
+        /// streams and message sets in both state machines.
+        #[test]
+        fn flood_sequences_agree(
+            topo_sel in 0usize..3,
+            words in prop::collection::vec(0u64..u64::MAX, 1..48),
+        ) {
+            let t = &catalog()[topo_sel];
+            let me = NodeId::new(0);
+            let plan = NodePlan::new(t, me);
+            let model_plan = reference::NodePlan::new(t, me);
+            let mut core = RoundCore::new(t, &plan);
+            let mut model = reference::RoundCore::new(t, &model_plan);
+            let mut scratch = WitnessScratch::new();
+            let pool = t.required_paths_to(me);
+            let a0 = core.start(0.5, t, &plan, &mut scratch);
+            let b0 = model.start(0.5, t, &model_plan);
+            prop_assert!(actions_equal(&a0, &b0), "start diverged");
+            for &w in &words {
+                let p = pool[(w % pool.len() as u64) as usize];
+                if t.index().is_trivial(p) {
+                    continue;
+                }
+                // A small value alphabet keyed off the initiator, with
+                // occasional equivocation.
+                let init = t.index().init(p).index() as f64;
+                let v = if w & 7 == 0 { -init - 1.0 } else { init };
+                let (f1, a) = core.add_flood(p, v, t, &plan, &mut scratch);
+                let (f2, b) = model.add_flood(p, v, t, &model_plan);
+                prop_assert_eq!(f1, f2, "freshness diverged");
+                prop_assert!(actions_equal(&a, &b), "flood actions diverged");
+            }
+            prop_assert_eq!(core.message_set(), model.message_set());
+            prop_assert_eq!(core.fired(), model.fired());
+        }
+
+        /// Random COMPLETE deliveries (varying paths, suspects and
+        /// payload contents) keep the two state machines in lockstep
+        /// through to Verify.
+        #[test]
+        fn delivery_sequences_agree(
+            topo_sel in 0usize..3,
+            words in prop::collection::vec(0u64..u64::MAX, 1..40),
+        ) {
+            let t = &catalog()[topo_sel];
+            let me = NodeId::new(0);
+            let plan = NodePlan::new(t, me);
+            let model_plan = reference::NodePlan::new(t, me);
+            let mut core = RoundCore::new(t, &plan);
+            let mut model = reference::RoundCore::new(t, &model_plan);
+            let mut scratch = WitnessScratch::new();
+            let a0 = core.start(1.0, t, &plan, &mut scratch);
+            let b0 = model.start(1.0, t, &model_plan);
+            prop_assert!(actions_equal(&a0, &b0));
+            // A small pool of payloads: per-initiator-consistent,
+            // inconsistent, and empty.
+            let payloads: Vec<Arc<CompletePayload>> = {
+                let mut out = Vec::new();
+                for (k, c) in t.graph().nodes().enumerate() {
+                    let mut m = MessageSet::new();
+                    for &p in t.required_paths_to(c) {
+                        m.insert(p, t.index().init(p).index() as f64 + k as f64);
+                    }
+                    out.push(Arc::new(CompletePayload::from_message_set(&m)));
+                }
+                let mut bad = MessageSet::new();
+                for (i, &p) in t.required_paths_to(me).iter().enumerate().take(4) {
+                    bad.insert(p, i as f64);
+                }
+                out.push(Arc::new(CompletePayload::from_message_set(&bad)));
+                out.push(Arc::new(CompletePayload::from_message_set(&MessageSet::new())));
+                out
+            };
+            let simple = t.simple_paths_to(me);
+            let guesses: Vec<NodeSet> = t.guesses().to_vec();
+            for &w in &words {
+                let p = simple[(w % simple.len() as u64) as usize];
+                let suspects = guesses[((w >> 16) % guesses.len() as u64) as usize];
+                let payload = &payloads[((w >> 32) % payloads.len() as u64) as usize];
+                let init = t.index().init(p);
+                if suspects.contains(init) {
+                    continue; // validation would drop it
+                }
+                let fp = payload.fingerprint();
+                let a = core.add_fifo_delivery(
+                    init, p, suspects, payload, fp, t, &plan, &mut scratch,
+                );
+                let b = model.add_fifo_delivery(
+                    init, p, suspects, payload, fp, t, &model_plan,
+                );
+                prop_assert!(actions_equal(&a, &b), "delivery actions diverged");
+                prop_assert_eq!(core.fired(), model.fired());
+            }
+        }
+    }
 }

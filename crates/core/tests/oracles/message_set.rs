@@ -1,17 +1,16 @@
 //! The pre-columnar `BTreeMap` message set, kept as a differential-testing
 //! oracle.
 //!
-//! This is the implementation the columnar [`MessageSet`](super::MessageSet)
-//! replaced: one `BTreeMap<PathId, f64>` entry per message, set operations
-//! by per-entry filtering through the [`PathIndex`] metadata. It is simple
-//! enough to audit by eye against Definitions 7–9, which is exactly what
-//! makes it a trustworthy model: the property tests in the parent module
-//! and the generated-sequence harness in `tests/differential.rs` drive both
-//! backends with identical operations and require identical results on
-//! every observable.
+//! This is the implementation the columnar
+//! [`MessageSet`](dbac_core::message_set::MessageSet) replaced: one
+//! `BTreeMap<PathId, f64>` entry per message, set operations by per-entry
+//! filtering through the [`PathIndex`] metadata. It is simple enough to
+//! audit by eye against Definitions 7–9, which is exactly what makes it a
+//! trustworthy model: the generated-sequence harness and the
+//! property tests in `tests/differential.rs` drive both backends with
+//! identical operations and require identical results on every observable.
 //!
-//! Compiled only under `cfg(test)` or the `reference-messageset` feature —
-//! production builds carry no second implementation.
+//! Test code only — the library carries no second implementation.
 
 use dbac_graph::{NodeId, NodeSet, PathId, PathIndex};
 

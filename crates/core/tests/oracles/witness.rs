@@ -1,25 +1,25 @@
 //! The pre-columnar, counter-based witness state machine, kept as a
 //! differential-testing oracle.
 //!
-//! This is the implementation the mask-batched [`RoundCore`](super::RoundCore)
-//! replaced: per-guess progress tracked with incremental hash-map counters —
-//! a `value_by_init` map per thread for Maximal-Consistency, a
-//! `HashSet<(PathId, u64)>` dedup set plus a fingerprint-count map per
-//! FIFO-Receive-All witness — updated on every arrival. It follows
+//! This is the implementation the mask-batched
+//! [`RoundCore`](dbac_core::witness::RoundCore) replaced: per-guess
+//! progress tracked with incremental hash-map counters — a `value_by_init`
+//! map per thread for Maximal-Consistency, a `HashSet<(PathId, u64)>`
+//! dedup set plus a fingerprint-count map per FIFO-Receive-All witness —
+//! updated on every arrival. It follows
 //! Algorithm 1 line by line with no precomputed masks, which is exactly
-//! what makes it a trustworthy model: the generated-sequence harness in
-//! `tests/differential_witness.rs` and the property tests in the parent
-//! module drive both state machines through identical flood/COMPLETE
-//! sequences and require identical [`RoundAction`] streams.
+//! what makes it a trustworthy model: the generated-sequence harness and
+//! the property tests in `tests/differential_witness.rs` drive both state
+//! machines through identical flood/COMPLETE sequences and require
+//! identical [`RoundAction`] streams.
 //!
-//! Compiled only under `cfg(test)` or the `reference-witness` feature —
-//! production builds carry no second implementation.
+//! Test code only — the library carries no second implementation.
 
-use super::RoundAction;
-use crate::filter::filter_and_average;
-use crate::message_set::{CompletePayload, MessageSet};
-use crate::precompute::Topology;
 use dbac_conditions::cover::has_cover;
+use dbac_core::filter::filter_and_average;
+use dbac_core::message_set::{CompletePayload, MessageSet};
+use dbac_core::precompute::Topology;
+use dbac_core::witness::RoundAction;
 use dbac_graph::{FastHashMap, NodeId, NodeSet, PathId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -70,12 +70,6 @@ impl NodePlan {
             guesses.push(GuessPlan { guess, reach, flood_required, fra_required });
         }
         NodePlan { me, guesses }
-    }
-
-    /// The node this plan belongs to.
-    #[must_use]
-    pub fn me(&self) -> NodeId {
-        self.me
     }
 
     /// The per-guess plans.

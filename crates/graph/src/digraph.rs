@@ -180,16 +180,6 @@ impl Digraph {
         result - b
     }
 
-    /// Outgoing neighborhood of a set `B` (the paper's `N⁺_B`).
-    #[must_use]
-    pub fn out_neighbors_of_set(&self, b: NodeSet) -> NodeSet {
-        let mut result = NodeSet::EMPTY;
-        for v in b.iter() {
-            result |= self.out[v.index()];
-        }
-        result - b
-    }
-
     /// Total number of directed edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
@@ -362,7 +352,6 @@ mod tests {
         let g = Digraph::from_edges(4, &[(0, 1), (3, 1), (1, 2), (2, 0)]).unwrap();
         let b: NodeSet = [id(1), id(2)].into_iter().collect();
         assert_eq!(g.in_neighbors_of_set(b), [id(0), id(3)].into_iter().collect());
-        assert_eq!(g.out_neighbors_of_set(b), NodeSet::singleton(id(0)));
     }
 
     #[test]

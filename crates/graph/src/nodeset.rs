@@ -15,12 +15,10 @@
 //! * `huge-graphs` feature — 256 words, 16384 nodes, for the
 //!   tens-of-thousands iterative scaling runs.
 //!
-//! The original `u128` single-word implementation survives as the
-//! differential oracle in [`reference`] (compiled under `cfg(test)` and the
-//! `reference-nodeset` feature, in the same spirit as the
-//! `reference-messageset` / `reference-witness` backends): the in-module
-//! proptests and `tests/nodeset_differential.rs` drive both through the
-//! same operation sequences for `n ≤ 128` and require identical answers.
+//! The original `u128` single-word implementation survives as test code
+//! (`tests/oracles/nodeset.rs`): the proptests of
+//! `tests/nodeset_differential.rs` drive both through the same operation
+//! sequences for `n ≤ 128` and require identical answers.
 
 use crate::node::NodeId;
 use std::cmp::Ordering;
@@ -59,7 +57,7 @@ pub type Iter = WordIter<NODE_WORDS>;
 ///
 /// [`NodeSet`] is the workspace-wide instantiation; the width is generic so
 /// the differential harness can pin a 128-bit instance (`WordSet<2>`)
-/// against the [`reference`] `u128` oracle regardless of the build's
+/// against the retired `u128` oracle regardless of the build's
 /// [`NODE_WORDS`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct WordSet<const W: usize>([u64; W]);
@@ -402,133 +400,9 @@ impl<const W: usize> From<NodeId> for WordSet<W> {
     }
 }
 
-/// The retired `u128` single-word bitset, kept verbatim-in-spirit as the
-/// differential oracle for the multi-word [`WordSet`] (the PR 2/3
-/// reference-backend idiom). Capacity is fixed at 128 nodes; the harness
-/// therefore only compares behaviours for `n ≤ 128`.
-#[cfg(any(test, feature = "reference-nodeset"))]
-pub mod reference {
-    /// Reference bitset over node *indices* (plain `usize`, so the oracle
-    /// stays independent of [`NodeId`](crate::NodeId)'s own bounds).
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-    pub struct RefNodeSet(pub u128);
-
-    impl RefNodeSet {
-        /// The empty set.
-        pub const EMPTY: RefNodeSet = RefNodeSet(0);
-
-        /// The full universe `{0, …, n-1}` (`n ≤ 128`).
-        #[must_use]
-        pub fn universe(n: usize) -> Self {
-            assert!(n <= 128);
-            if n == 128 {
-                RefNodeSet(u128::MAX)
-            } else {
-                RefNodeSet((1u128 << n) - 1)
-            }
-        }
-
-        /// Inserts index `i`; returns `true` if it was absent.
-        pub fn insert(&mut self, i: usize) -> bool {
-            let bit = 1u128 << i;
-            let was_absent = self.0 & bit == 0;
-            self.0 |= bit;
-            was_absent
-        }
-
-        /// Removes index `i`; returns `true` if it was present.
-        pub fn remove(&mut self, i: usize) -> bool {
-            let bit = 1u128 << i;
-            let was_present = self.0 & bit != 0;
-            self.0 &= !bit;
-            was_present
-        }
-
-        /// Membership test.
-        #[must_use]
-        pub fn contains(self, i: usize) -> bool {
-            self.0 & (1u128 << i) != 0
-        }
-
-        /// Cardinality.
-        #[must_use]
-        pub fn len(self) -> usize {
-            self.0.count_ones() as usize
-        }
-
-        /// Emptiness test.
-        #[must_use]
-        pub fn is_empty(self) -> bool {
-            self.0 == 0
-        }
-
-        /// Set union.
-        #[must_use]
-        pub fn union(self, o: Self) -> Self {
-            RefNodeSet(self.0 | o.0)
-        }
-
-        /// Set intersection.
-        #[must_use]
-        pub fn intersection(self, o: Self) -> Self {
-            RefNodeSet(self.0 & o.0)
-        }
-
-        /// Set difference.
-        #[must_use]
-        pub fn difference(self, o: Self) -> Self {
-            RefNodeSet(self.0 & !o.0)
-        }
-
-        /// Complement within `{0, …, n-1}`.
-        #[must_use]
-        pub fn complement_in(self, n: usize) -> Self {
-            RefNodeSet(!self.0 & Self::universe(n).0)
-        }
-
-        /// Subset test.
-        #[must_use]
-        pub fn is_subset(self, o: Self) -> bool {
-            self.0 & !o.0 == 0
-        }
-
-        /// Disjointness test.
-        #[must_use]
-        pub fn is_disjoint(self, o: Self) -> bool {
-            self.0 & o.0 == 0
-        }
-
-        /// Smallest member, if any.
-        #[must_use]
-        pub fn first(self) -> Option<usize> {
-            (self.0 != 0).then(|| self.0.trailing_zeros() as usize)
-        }
-
-        /// Members with index strictly below `i`.
-        #[must_use]
-        pub fn rank_below(self, i: usize) -> usize {
-            (self.0 & ((1u128 << i) - 1)).count_ones() as usize
-        }
-
-        /// Ascending member indices.
-        #[must_use]
-        pub fn indices(self) -> Vec<usize> {
-            let mut out = Vec::with_capacity(self.len());
-            let mut bits = self.0;
-            while bits != 0 {
-                out.push(bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::reference::RefNodeSet;
     use super::*;
-    use proptest::prelude::*;
 
     fn ns(ids: &[usize]) -> NodeSet {
         ids.iter().map(|&i| NodeId::new(i)).collect()
@@ -681,75 +555,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(hash(&a), hash(&b));
         assert_ne!(hash(&ns(&[0])), hash(&ns(&[1])));
-    }
-
-    // -----------------------------------------------------------------
-    // Differential: WordSet vs the retired u128 oracle, n ≤ 128.
-    // -----------------------------------------------------------------
-
-    /// Builds both representations from one index list.
-    fn both(ids: &[usize]) -> (WordSet<2>, RefNodeSet) {
-        let mut w = WordSet::<2>::new();
-        let mut r = RefNodeSet::EMPTY;
-        for &i in ids {
-            w.insert(NodeId::new(i));
-            r.insert(i);
-        }
-        (w, r)
-    }
-
-    fn agree(w: WordSet<2>, r: RefNodeSet) {
-        assert_eq!(w.len(), r.len());
-        assert_eq!(w.is_empty(), r.is_empty());
-        assert_eq!(w.first().map(|v| v.index()), r.first());
-        let order: Vec<usize> = w.iter().map(NodeId::index).collect();
-        assert_eq!(order, r.indices(), "iteration order diverged");
-    }
-
-    proptest! {
-        #[test]
-        fn differential_vs_u128_reference(
-            a in proptest::collection::vec(0usize..128, 0..24),
-            b in proptest::collection::vec(0usize..128, 0..24),
-            probe in 0usize..128,
-            n in 0usize..=128,
-        ) {
-            let (wa, ra) = both(&a);
-            let (wb, rb) = both(&b);
-            agree(wa, ra);
-            agree(wb, rb);
-            agree(wa.union(wb), ra.union(rb));
-            agree(wa.intersection(wb), ra.intersection(rb));
-            agree(wa.difference(wb), ra.difference(rb));
-            prop_assert_eq!(wa.contains(NodeId::new(probe)), ra.contains(probe));
-            prop_assert_eq!(wa.is_subset(wb), ra.is_subset(rb));
-            prop_assert_eq!(wa.is_disjoint(wb), ra.is_disjoint(rb));
-            prop_assert_eq!(wa.rank_below(NodeId::new(probe)), ra.rank_below(probe));
-            let masked = wa.intersection(WordSet::<2>::universe(n));
-            agree(masked, ra.intersection(RefNodeSet::universe(n)));
-            agree(wa.complement_in(128).intersection(WordSet::<2>::universe(n)),
-                  ra.complement_in(128).intersection(RefNodeSet::universe(n)));
-            // Ord agrees with the u128 numeric order.
-            prop_assert_eq!(wa.cmp(&wb), ra.0.cmp(&rb.0));
-        }
-
-        #[test]
-        fn differential_insert_remove_sequences(
-            // Each op packs (kind, index): 0..128 inserts i, 128..256 removes
-            // i − 128 (the shim has no tuple strategies).
-            ops in proptest::collection::vec(0usize..256, 0..64),
-        ) {
-            let mut w = WordSet::<2>::new();
-            let mut r = RefNodeSet::EMPTY;
-            for op in ops {
-                let i = op % 128;
-                if op < 128 {
-                    prop_assert_eq!(w.insert(NodeId::new(i)), r.insert(i));
-                } else {
-                    prop_assert_eq!(w.remove(NodeId::new(i)), r.remove(i));
-                }
-                agree(w, r);
-            }
-        }
     }
 }

@@ -2,18 +2,17 @@
 //! retired u128 single-word implementation, exercised through the public API.
 //!
 //! The u128 backend was the production bitset through PR 8; it is kept as
-//! `nodeset::reference::RefNodeSet` behind the `reference-nodeset` feature so
-//! any future width or word-order change can be checked against the original
-//! semantics on the shared `n <= 128` domain. Run with:
-//!
-//! ```text
-//! cargo test -p dbac-graph --features reference-nodeset
-//! ```
-#![cfg(feature = "reference-nodeset")]
+//! the test-only oracle `tests/oracles/nodeset.rs` so any future width or
+//! word-order change is checked against the original semantics on the
+//! shared `n <= 128` domain, on every `cargo test`.
 
-use dbac_graph::nodeset::reference::RefNodeSet;
+#[path = "oracles/nodeset.rs"]
+mod reference;
+
+use dbac_graph::nodeset::WordSet;
 use dbac_graph::{NodeId, NodeSet};
-use proptest::proptest;
+use proptest::prelude::*;
+use reference::RefNodeSet;
 
 /// Builds the same set in both implementations from raw indices.
 fn both(indices: &[usize]) -> (NodeSet, RefNodeSet) {
@@ -40,6 +39,7 @@ proptest! {
     /// Set algebra (union / intersection / difference / complement) and the
     /// relational predicates must match the u128 oracle for every pair of
     /// subsets of the shared `n <= 128` domain.
+    #[test]
     fn algebra_matches_the_u128_oracle(
         a in proptest::collection::vec(0usize..128, 0..40),
         b in proptest::collection::vec(0usize..128, 0..40),
@@ -64,6 +64,7 @@ proptest! {
     /// with identical membership. Each op packs kind and index into one
     /// integer (the proptest shim has no tuple or bool strategies):
     /// `op < 128` inserts node `op`, otherwise removes node `op - 128`.
+    #[test]
     fn mutation_sequences_match_the_u128_oracle(
         ops in proptest::collection::vec(0usize..256, 0..96),
     ) {
@@ -89,5 +90,76 @@ proptest! {
 fn universes_match_the_u128_oracle() {
     for n in [0usize, 1, 5, 63, 64, 65, 100, 127, 128] {
         agree(NodeSet::universe(n), &RefNodeSet::universe(n));
+    }
+}
+
+// -----------------------------------------------------------------
+// A pinned 128-bit instance (`WordSet<2>`) against the oracle, so the
+// comparison covers the full shared domain whatever `NODE_WORDS` is.
+// -----------------------------------------------------------------
+
+/// Builds both representations from one index list.
+fn both128(ids: &[usize]) -> (WordSet<2>, RefNodeSet) {
+    let mut w = WordSet::<2>::new();
+    let mut r = RefNodeSet::EMPTY;
+    for &i in ids {
+        w.insert(NodeId::new(i));
+        r.insert(i);
+    }
+    (w, r)
+}
+
+fn agree128(w: WordSet<2>, r: RefNodeSet) {
+    assert_eq!(w.len(), r.len());
+    assert_eq!(w.is_empty(), r.is_empty());
+    assert_eq!(w.first().map(|v| v.index()), r.first());
+    let order: Vec<usize> = w.iter().map(NodeId::index).collect();
+    assert_eq!(order, r.indices(), "iteration order diverged");
+}
+
+proptest! {
+    #[test]
+    fn differential_vs_u128_reference(
+        a in proptest::collection::vec(0usize..128, 0..24),
+        b in proptest::collection::vec(0usize..128, 0..24),
+        probe in 0usize..128,
+        n in 0usize..=128,
+    ) {
+        let (wa, ra) = both128(&a);
+        let (wb, rb) = both128(&b);
+        agree128(wa, ra);
+        agree128(wb, rb);
+        agree128(wa.union(wb), ra.union(rb));
+        agree128(wa.intersection(wb), ra.intersection(rb));
+        agree128(wa.difference(wb), ra.difference(rb));
+        prop_assert_eq!(wa.contains(NodeId::new(probe)), ra.contains(probe));
+        prop_assert_eq!(wa.is_subset(wb), ra.is_subset(rb));
+        prop_assert_eq!(wa.is_disjoint(wb), ra.is_disjoint(rb));
+        prop_assert_eq!(wa.rank_below(NodeId::new(probe)), ra.rank_below(probe));
+        let masked = wa.intersection(WordSet::<2>::universe(n));
+        agree128(masked, ra.intersection(RefNodeSet::universe(n)));
+        agree128(wa.complement_in(128).intersection(WordSet::<2>::universe(n)),
+              ra.complement_in(128).intersection(RefNodeSet::universe(n)));
+        // Ord agrees with the u128 numeric order.
+        prop_assert_eq!(wa.cmp(&wb), ra.0.cmp(&rb.0));
+    }
+
+    #[test]
+    fn differential_insert_remove_sequences(
+        // Each op packs (kind, index): 0..128 inserts i, 128..256 removes
+        // i − 128 (the shim has no tuple strategies).
+        ops in proptest::collection::vec(0usize..256, 0..64),
+    ) {
+        let mut w = WordSet::<2>::new();
+        let mut r = RefNodeSet::EMPTY;
+        for op in ops {
+            let i = op % 128;
+            if op < 128 {
+                prop_assert_eq!(w.insert(NodeId::new(i)), r.insert(i));
+            } else {
+                prop_assert_eq!(w.remove(NodeId::new(i)), r.remove(i));
+            }
+            agree128(w, r);
+        }
     }
 }

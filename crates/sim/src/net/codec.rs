@@ -164,11 +164,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
-    }
-
     /// Reads an `f64` as its transparent bit pattern (NaN payloads and the
     /// `0.0`/`-0.0` distinction survive the wire bit-exactly).
     pub fn f64(&mut self) -> Result<f64, WireError> {

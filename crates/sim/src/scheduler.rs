@@ -97,13 +97,6 @@ impl EdgeDelay {
         self.overrides.insert((from, to), delay);
         self
     }
-
-    /// Applies [`EdgeDelay::delay_edge`] to every pair in `edges`.
-    pub fn delay_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId)>, delay: u64) {
-        for (u, v) in edges {
-            self.delay_edge(u, v, delay);
-        }
-    }
 }
 
 impl DeliveryPolicy for EdgeDelay {
@@ -147,8 +140,6 @@ mod tests {
         p.delay_edge(id(0), id(1), 1_000);
         assert_eq!(p.delivery_time(VirtualTime::ZERO, id(0), id(1)).ticks(), 1_000);
         assert_eq!(p.delivery_time(VirtualTime::ZERO, id(1), id(0)).ticks(), 1);
-        p.delay_edges([(id(1), id(0))], 77);
-        assert_eq!(p.delivery_time(VirtualTime::ZERO, id(1), id(0)).ticks(), 77);
     }
 
     #[test]

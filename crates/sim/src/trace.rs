@@ -56,17 +56,6 @@ impl<M> Trace<M> {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// The sub-trace of deliveries whose *receiver* satisfies `keep`,
-    /// preserving order — the restriction of an execution to one side of
-    /// the Appendix-B splice.
-    #[must_use]
-    pub fn restrict_receivers(&self, keep: impl Fn(NodeId) -> bool) -> Trace<M>
-    where
-        M: Clone,
-    {
-        Trace { events: self.events.iter().filter(|e| keep(e.to)).cloned().collect() }
-    }
 }
 
 impl<M> IntoIterator for Trace<M> {
@@ -95,18 +84,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.events()[0].msg, 10);
         assert_eq!(t.events()[1].to, id(2));
-    }
-
-    #[test]
-    fn restriction_preserves_order() {
-        let mut t: Trace<u32> = Trace::new();
-        t.record(VirtualTime::new(1), id(0), id(1), 1);
-        t.record(VirtualTime::new(2), id(0), id(2), 2);
-        t.record(VirtualTime::new(3), id(2), id(1), 3);
-        let r = t.restrict_receivers(|v| v == id(1));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.events()[0].msg, 1);
-        assert_eq!(r.events()[1].msg, 3);
     }
 
     #[test]
