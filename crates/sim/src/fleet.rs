@@ -6,9 +6,9 @@
 //! surviving copies. The crate docs give the architecture.
 //!
 //! The virtual-time driver ([`Simulation`](crate::sim::Simulation)) is a
-//! different algorithm — one global `(time, seq)` heap on one thread — and
-//! stays its own loop, but it activates actors and sends through the same
-//! `Actor` and `SendGate`.
+//! different algorithm — one global `(time, enqueue order)` calendar queue
+//! on one thread — and stays its own loop, but it activates actors and
+//! sends through the same `Actor` and `SendGate`.
 
 use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;

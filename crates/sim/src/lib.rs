@@ -24,12 +24,14 @@
 //!   registry shard — so the fate of the k-th message on an edge is
 //!   runtime-independent.
 //! * The **virtual-time driver**, [`sim::Simulation`], is a deterministic
-//!   discrete-event loop: one `(time, seq)` heap on one thread. Delivery
-//!   times come from a pluggable [`scheduler::DeliveryPolicy`] (fixed,
-//!   seeded-random, or adversarial per-edge delays — the latter is exactly
-//!   what the Appendix-B impossibility construction needs). Runs are
-//!   reproducible bit-for-bit from a seed, and can record a
-//!   [`trace::Trace`] for the indistinguishability replay experiment.
+//!   discrete-event loop on one thread, delivering in `(time, enqueue
+//!   order)` order out of a calendar queue (per-tick FIFO buckets, with a
+//!   heap only for far-future events; see [`sim`]). Delivery times come
+//!   from a pluggable [`scheduler::DeliveryPolicy`] (fixed, seeded-random,
+//!   or adversarial per-edge delays — the latter is exactly what the
+//!   Appendix-B impossibility construction needs). Runs are reproducible
+//!   bit-for-bit from a seed, and can record a [`trace::Trace`] for the
+//!   indistinguishability replay experiment.
 //! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
 //!   thread — a node holding its inbox and its outlet, looping until the
 //!   watchdog stops the network — demonstrating that the protocol really

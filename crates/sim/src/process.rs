@@ -70,7 +70,19 @@ impl<M> Context<M> {
     /// Runtimes construct one per activation.
     #[must_use]
     pub fn new(me: NodeId, out_neighbors: NodeSet) -> Self {
-        Context { me, out_neighbors, outbox: Vec::new() }
+        Context::with_outbox(me, out_neighbors, Vec::new())
+    }
+
+    /// [`new`](Context::new) over a buffer the caller got back, emptied,
+    /// from an earlier activation — so a driver allocates its send buffer
+    /// once per run, not once per sending activation.
+    pub(crate) fn with_outbox(
+        me: NodeId,
+        out_neighbors: NodeSet,
+        outbox: Vec<(NodeId, M)>,
+    ) -> Self {
+        debug_assert!(outbox.is_empty());
+        Context { me, out_neighbors, outbox }
     }
 
     /// The node this context belongs to.

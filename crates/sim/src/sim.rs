@@ -1,6 +1,38 @@
 //! The deterministic discrete-event simulator: the virtual-time driver of
 //! a [`Fleet`].
+//!
+//! # The event queue
+//!
+//! Deliveries happen in `(delivery tick, enqueue order)` order. Virtual
+//! ticks only *order* deliveries, and almost every send lands a few ticks
+//! ahead of the clock, so the queue is a calendar rather than a heap:
+//!
+//! * a ring of `W` per-tick FIFO buckets covers the window
+//!   `[now, now + W)`; a send inside it is appended to bucket `at mod W`,
+//!   and a `u64` occupancy bitmap, rotated to the clock, names the next
+//!   non-empty tick — push and pop are O(1) and never compare events;
+//! * bucket storage is fixed-size chunks drawn from one free pool shared
+//!   by all buckets, so memory follows the number of events queued, not
+//!   the sum of each bucket's own high-water mark;
+//! * a send at `now + W` or later (an adversarial [`EdgeDelay`], the
+//!   Appendix-B "delayed past the decision point") waits in an overflow
+//!   heap ordered by `(at, seq)`.
+//!
+//! **Drain on advance.** Every time the clock moves, and before the event
+//! that moved it is dispatched, every overflow event the window now covers
+//! is moved into its bucket. An event is in the overflow only if it was
+//! sent while its tick was still outside the window, that is, before any
+//! send that reached the same tick's bucket directly; so each bucket is
+//! always in enqueue order, a zero-delay send joins the tail of the bucket
+//! being drained, and the delivery sequence is exactly that of a single
+//! `(at, seq)` heap (the in-crate differential test holds the two
+//! together).
+//!
+//! [`EdgeDelay`]: crate::scheduler::EdgeDelay
 
+mod queue;
+
+use self::queue::CalendarQueue;
 use crate::chaos::LinkFaultPlan;
 use crate::error::SimError;
 use crate::fleet::{Actor, Fleet, SendGate};
@@ -10,8 +42,6 @@ use crate::stats::StatsRegistry;
 use crate::time::VirtualTime;
 use crate::trace::Trace;
 use dbac_graph::{Digraph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The transport totals of a finished (or aborted) run: the run's
@@ -58,9 +88,8 @@ pub struct SimStats {
 pub struct Simulation<P: Process> {
     fleet: Fleet<P>,
     policy: Box<dyn DeliveryPolicy + Send>,
-    queue: BinaryHeap<Reverse<QueuedEvent<P::Message>>>,
-    now: VirtualTime,
-    seq: u64,
+    /// Owns the clock: `now` is the tick of the last delivery.
+    queue: CalendarQueue<QueuedEvent<P::Message>>,
     delivered: u64,
     max_events: u64,
     horizon: VirtualTime,
@@ -68,28 +97,9 @@ pub struct Simulation<P: Process> {
 }
 
 struct QueuedEvent<M> {
-    at: VirtualTime,
-    seq: u64,
     from: NodeId,
     to: NodeId,
     msg: M,
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 impl<P: Process> Simulation<P> {
@@ -105,9 +115,7 @@ impl<P: Process> Simulation<P> {
         Simulation {
             fleet,
             policy,
-            queue: BinaryHeap::new(),
-            now: VirtualTime::ZERO,
-            seq: 0,
+            queue: CalendarQueue::new(),
             delivered: 0,
             max_events: 50_000_000,
             horizon: VirtualTime::FAR_FUTURE,
@@ -203,7 +211,7 @@ impl<P: Process> Simulation<P> {
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> VirtualTime {
-        self.now
+        VirtualTime::new(self.queue.now())
     }
 
     /// Runs `on_start` everywhere, then delivers events in order until
@@ -217,42 +225,54 @@ impl<P: Process> Simulation<P> {
         self.fleet.check_assigned()?;
         let mut gate = self.fleet.gate();
         let graph = Arc::clone(&self.fleet.graph);
+        // One send buffer serves every activation of the run.
+        let mut outbox = Vec::new();
         // Start phase.
         for v in graph.nodes() {
-            let mut ctx = Context::new(v, graph.out_neighbors(v));
+            let mut ctx = Context::with_outbox(v, graph.out_neighbors(v), outbox);
             self.actor(v).on_start(&mut ctx);
-            self.dispatch(&mut gate, v, &mut ctx);
+            outbox = self.dispatch(&mut gate, v, ctx);
         }
         // Delivery loop.
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > self.horizon {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+        let mut gauge = None;
+        while let Some(at) = self.queue.next_tick().filter(|&at| at <= self.horizon.ticks()) {
             if self.delivered >= self.max_events {
                 return Err(SimError::EventBudgetExhausted { delivered: self.delivered });
             }
-            self.now = ev.at;
+            // The clock gauge is written when the clock moves, not on
+            // every delivery.
+            if gauge != Some(at) {
+                self.fleet.registry.record_virtual_time(at);
+                gauge = Some(at);
+            }
+            let (_, ev) = self.queue.pop().expect("peeked");
             self.delivered += 1;
             gate.stats.record_delivered(P::classify(&ev.msg));
             gate.stats.record_consumed(ev.to.index());
-            self.fleet.registry.record_virtual_time(ev.at.ticks());
             if let Some(trace) = self.trace.as_mut() {
-                trace.record(ev.at, ev.from, ev.to, ev.msg.clone());
+                trace.record(VirtualTime::new(at), ev.from, ev.to, ev.msg.clone());
             }
-            let mut ctx = Context::new(ev.to, graph.out_neighbors(ev.to));
+            let mut ctx = Context::with_outbox(ev.to, graph.out_neighbors(ev.to), outbox);
             self.actor(ev.to).on_message(&mut ctx, ev.from, ev.msg);
-            self.dispatch(&mut gate, ev.to, &mut ctx);
+            outbox = self.dispatch(&mut gate, ev.to, ctx);
         }
-        Ok(self.fleet.ledger(self.now))
+        Ok(self.fleet.ledger(self.now()))
     }
 
     fn actor(&mut self, v: NodeId) -> &mut Actor<P> {
         self.fleet.actors[v.index()].as_mut().expect("assignment checked at run start")
     }
 
-    fn dispatch(&mut self, gate: &mut SendGate, from: NodeId, ctx: &mut Context<P::Message>) {
-        for (to, msg) in ctx.take_outbox() {
+    /// Sends what the activation queued in `ctx`; hands its buffer back,
+    /// emptied, for the next activation.
+    fn dispatch(
+        &mut self,
+        gate: &mut SendGate,
+        from: NodeId,
+        mut ctx: Context<P::Message>,
+    ) -> Vec<(NodeId, P::Message)> {
+        let mut outbox = ctx.take_outbox();
+        for (to, msg) in outbox.drain(..) {
             let decision = gate.admit(from, to, P::classify(&msg));
             if decision.copies == 0 {
                 // A destroyed message must not advance the delivery
@@ -263,29 +283,20 @@ impl<P: Process> Simulation<P> {
             // Duplicates draw their arrival before the original.
             for _ in 1..decision.copies {
                 let at = self.arrival(from, to, decision.extra_delay);
-                self.seq += 1;
-                self.queue.push(Reverse(QueuedEvent {
-                    at,
-                    seq: self.seq,
-                    from,
-                    to,
-                    msg: msg.clone(),
-                }));
+                self.queue.push(at, QueuedEvent { from, to, msg: msg.clone() });
             }
             let at = self.arrival(from, to, decision.extra_delay);
-            self.seq += 1;
-            self.queue.push(Reverse(QueuedEvent { at, seq: self.seq, from, to, msg }));
+            self.queue.push(at, QueuedEvent { from, to, msg });
         }
+        outbox
     }
 
     /// One delivery-policy draw for a surviving copy, clamped to `now` and
     /// shifted by the plan's reorder delay.
-    fn arrival(&mut self, from: NodeId, to: NodeId, extra: u64) -> VirtualTime {
-        let mut at = self.policy.delivery_time(self.now, from, to);
-        if at < self.now {
-            at = self.now;
-        }
-        VirtualTime::new(at.ticks().saturating_add(extra))
+    fn arrival(&mut self, from: NodeId, to: NodeId, extra: u64) -> u64 {
+        let now = self.now();
+        let at = self.policy.delivery_time(now, from, to).max(now);
+        at.ticks().saturating_add(extra)
     }
 }
 
@@ -293,7 +304,7 @@ impl<P: Process> std::fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("nodes", &self.fleet.graph.node_count())
-            .field("now", &self.now)
+            .field("now", &self.now())
             .field("queued", &self.queue.len())
             .field("delivered", &self.delivered)
             .finish()
@@ -414,7 +425,11 @@ mod tests {
         sim.set_honest(id(0), PingPong);
         sim.set_honest(id(1), PingPong);
         sim.set_max_events(100);
-        assert!(matches!(sim.run().unwrap_err(), SimError::EventBudgetExhausted { .. }));
+        assert_eq!(sim.run().unwrap_err(), SimError::EventBudgetExhausted { delivered: 100 });
+        // Each delivery answers with one send, so two are always in flight;
+        // the event that would have been the 101st is still queued.
+        assert_eq!(sim.queue.len(), 2);
+        assert!(format!("{sim:?}").contains("queued: 2"), "{sim:?}");
     }
 
     #[test]

@@ -742,13 +742,18 @@ mod tests {
             thread::spawn(move || {
                 let mut last = 0u64;
                 let mut polls = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                // Poll once more after seeing `stop`: the writers may all
+                // finish before this thread is first scheduled.
+                loop {
+                    let stopping = stop.load(Ordering::Acquire);
                     let now = reg.snapshot().messages_sent();
                     assert!(now >= last, "live totals regressed: {last} -> {now}");
                     last = now;
                     polls += 1;
+                    if stopping {
+                        break polls;
+                    }
                 }
-                polls
             })
         };
         for w in writers {
