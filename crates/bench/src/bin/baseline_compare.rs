@@ -14,8 +14,8 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin baseline_compare`
 //! (`-- --json <path>` additionally writes the E9 sweep's *reduced*
-//! seed-aggregated report as `bench_trend`-compatible JSON, uploaded as a
-//! CI artifact).
+//! seed-aggregated report in the sweep report schema, uploaded as the
+//! `sweep.json` CI artifact).
 
 use dbac_baselines::{Aad04, IterativeTrimmedMean};
 use dbac_bench::plan::{json_path, last_node as last, run_plan};

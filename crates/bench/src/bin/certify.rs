@@ -1,4 +1,4 @@
-//! Experiment **E13 — topology certification**: sweep the generator
+//! Experiment **E15 — topology certification**: sweep the generator
 //! families against an `(r, s)` grid and report, for each combination,
 //! which polynomial sufficient rule certifies robustness (if any), the
 //! issuing time, and the O(V+E) re-verification time. The headline row is
@@ -138,7 +138,7 @@ fn main() {
         );
     } else {
         println!(
-            "E13 — robustness certification sweep (rule or UNCERTIFIED per family × (r, s))\n"
+            "E15 — robustness certification sweep (rule or UNCERTIFIED per family × (r, s))\n"
         );
         let mut t = Table::new(vec!["family", "n", "(r, s)", "rule", "issue (ms)", "verify (ms)"]);
         for row in &rows {

@@ -9,8 +9,8 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin chaos`
 //! (`-- --json <path>` additionally writes the *reduced* seed-aggregated
-//! report as `bench_trend`-compatible JSON, uploaded as a CI artifact next
-//! to `sweep.json`).
+//! report in the sweep report schema, uploaded as a CI artifact next to
+//! `sweep.json`).
 
 use dbac_bench::plan::{json_path, run_plan};
 use dbac_bench::table::Table;

@@ -11,8 +11,8 @@
 //!   three runtimes, polling each daemon's RPC live until the run
 //!   finishes, and verifies that the final registry snapshot equals
 //!   `Outcome::sim_stats` bit-for-bit. With `--json`, writes the Sim
-//!   arm's final snapshot in the registry-report schema (the input of
-//!   `bench_trend --registry`).
+//!   arm's final snapshot in the registry-report schema, after reading
+//!   it back through `trend::parse_registry_report`.
 //! * `--serve` (operators): starts the smoke scenario on the threaded
 //!   runtime with jitter, prints the RPC address, and serves until a
 //!   client sends `shutdown` (the run itself always completes).

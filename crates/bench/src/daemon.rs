@@ -14,9 +14,12 @@
 //! ```
 //!
 //! The `stats` payload is exactly the registry-snapshot schema that
-//! [`crate::trend::parse_registry_report`] reads and the bench-trend
-//! gate compares, so a `stats.json` captured from a live daemon can be
-//! diffed against a stored baseline with no translation step.
+//! [`crate::trend::parse_registry_report`] reads, so a `stats.json`
+//! captured from a live daemon parses with no translation step.
+//!
+//! A request line longer than 64 bytes is answered with
+//! `{"error":"request too long"}` and the connection is closed; a client
+//! that sends nothing is held open only until the listener stops.
 //!
 //! The daemon never interrupts the scenario: `shutdown` (or
 //! [`Daemon::join`]) tears down the listener while the run proceeds to
@@ -25,11 +28,20 @@
 
 use dbac_core::error::RunError;
 use dbac_core::scenario::{Outcome, Scenario, StatsRegistry, StatsSnapshot};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The longest request line (newline included) the RPC reads; the four
+/// commands are at most 8 bytes.
+const MAX_REQUEST: usize = 64;
+
+/// How long a read or write on a client socket may block before the
+/// listener re-checks its stop flag (reads) or drops the peer (writes).
+const CLIENT_POLL: Duration = Duration::from_millis(100);
 
 /// A running scenario plus the RPC listener observing it.
 pub struct Daemon {
@@ -106,8 +118,9 @@ impl Daemon {
         self.finished.load(Ordering::Acquire)
     }
 
-    /// Waits for the scenario to finish, tears down the RPC listener,
-    /// and returns the outcome.
+    /// Waits for the scenario to finish, tears down the RPC listener
+    /// (hanging up on a client that is still connected), and returns the
+    /// outcome.
     ///
     /// # Errors
     ///
@@ -131,30 +144,60 @@ impl Daemon {
 }
 
 fn serve_client(
-    stream: TcpStream,
+    mut stream: TcpStream,
     registry: &StatsRegistry,
     stop: &AtomicBool,
     finished: &AtomicBool,
 ) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        let reply = match line.trim() {
-            "" => continue,
-            "stats" => stats_json(&registry.snapshot()),
-            "nodes" => nodes_json(&registry.snapshot()),
-            "progress" => progress_json(registry, finished.load(Ordering::Acquire)),
-            "shutdown" => {
-                stop.store(true, Ordering::Release);
-                let _ = writer.write_all(b"{\"ok\":true}\n");
+    if stream.set_read_timeout(Some(CLIENT_POLL)).is_err()
+        || stream.set_write_timeout(Some(CLIENT_POLL)).is_err()
+    {
+        return;
+    }
+    // The request being read: kept across read timeouts, so an idle or
+    // slow session survives them and only `stop` or the peer ends it.
+    let mut line = Vec::new();
+    let mut chunk = [0u8; MAX_REQUEST];
+    while !stop.load(Ordering::Acquire) {
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => n,
+            Err(e) => match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted => continue,
+                _ => return,
+            },
+        };
+        for &byte in &chunk[..n] {
+            line.push(byte);
+            if byte != b'\n' {
+                if line.len() < MAX_REQUEST {
+                    continue;
+                }
+                let _ = stream.write_all(b"{\"error\":\"request too long\"}\n");
+                // Close with a FIN, not an RST that could overtake the
+                // reply: stop sending, then discard what the peer has
+                // already sent, for one poll interval at most.
+                let _ = stream.shutdown(Shutdown::Write);
+                let until = Instant::now() + CLIENT_POLL;
+                while Instant::now() < until && matches!(stream.read(&mut chunk), Ok(1..)) {}
                 return;
             }
-            other => format!("{{\"error\":\"unknown command '{}'\"}}", escape(other)),
-        };
-        if writer.write_all(reply.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-            return;
+            let request = std::mem::take(&mut line);
+            let reply = match String::from_utf8_lossy(&request).trim() {
+                "" => continue,
+                "stats" => stats_json(&registry.snapshot()),
+                "nodes" => nodes_json(&registry.snapshot()),
+                "progress" => progress_json(registry, finished.load(Ordering::Acquire)),
+                "shutdown" => {
+                    stop.store(true, Ordering::Release);
+                    let _ = stream.write_all(b"{\"ok\":true}\n");
+                    return;
+                }
+                other => format!("{{\"error\":\"unknown command '{}'\"}}", escape(other)),
+            };
+            if stream.write_all(reply.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
+                return;
+            }
         }
     }
 }
@@ -230,6 +273,8 @@ mod tests {
     use crate::trend::parse_registry_report;
     use dbac_core::scenario::ByzantineWitness;
     use dbac_graph::generators;
+    use std::io::{BufRead, BufReader};
+    use std::sync::mpsc;
 
     fn smoke_scenario() -> Scenario {
         Scenario::builder(generators::clique(4), 0)
@@ -243,8 +288,7 @@ mod tests {
 
     fn rpc(addr: SocketAddr, command: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream.write_all(command.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
+        stream.write_all(format!("{command}\n").as_bytes()).unwrap();
         let mut line = String::new();
         BufReader::new(stream).read_line(&mut line).expect("one reply line");
         line.trim_end().to_string()
@@ -292,5 +336,43 @@ mod tests {
         assert_eq!(rpc(addr, "shutdown"), "{\"ok\":true}");
         let out = daemon.join().expect("run still completes");
         assert!(out.converged());
+    }
+
+    #[test]
+    fn an_idle_client_does_not_wedge_join() {
+        let daemon = Daemon::spawn(smoke_scenario()).expect("daemon binds");
+        let addr = daemon.addr();
+        // Connected, mid-request, then silent — and still answered after
+        // sitting out several read timeouts.
+        let mut idle = TcpStream::connect(addr).expect("connect to daemon");
+        idle.write_all(b"prog").unwrap();
+        std::thread::sleep(3 * CLIENT_POLL);
+        idle.write_all(b"ress\n").unwrap();
+        let mut idle = BufReader::new(idle);
+        let mut reply = String::new();
+        idle.read_line(&mut reply).expect("partial request survives timeouts");
+        assert!(reply.starts_with("{\"running\":"), "progress replies: {reply}");
+
+        let (done, joined) = mpsc::channel();
+        std::thread::spawn(move || done.send(daemon.join().map(|out| out.converged())));
+        let converged = joined
+            .recv_timeout(Duration::from_secs(5))
+            .expect("join returns while the idle client is still connected");
+        assert_eq!(converged, Ok(true));
+        // The daemon hung up on the idle session instead of waiting it out.
+        reply.clear();
+        assert_eq!(idle.read_line(&mut reply).unwrap_or(0), 0);
+    }
+
+    #[test]
+    fn an_over_long_request_is_refused_and_the_daemon_keeps_serving() {
+        let daemon = Daemon::spawn(smoke_scenario()).expect("daemon binds");
+        let addr = daemon.addr();
+        let reply = rpc(addr, &"x".repeat(64 * MAX_REQUEST));
+        assert_eq!(reply, "{\"error\":\"request too long\"}");
+        // A request of exactly the cap is still read (and is unknown).
+        assert!(rpc(addr, &"y".repeat(MAX_REQUEST - 1)).contains("unknown command"));
+        parse_registry_report(&rpc(addr, "stats")).expect("next client is served");
+        assert!(daemon.join().expect("run still completes").converged());
     }
 }

@@ -1,6 +1,7 @@
-//! The `bench_trend` report schema: a minimal JSON reader and the
-//! machine-speed-normalized gate comparison, shared by the `bench_trend`
-//! CI binary and the sweep round-trip tests.
+//! The report reader: a minimal JSON parser for the two artifact schemas
+//! this workspace writes — the sweep report and the stats-registry
+//! snapshot — shared by the `dbacd` smoke run and the sweep round-trip
+//! tests.
 //!
 //! The workspace's serde shim has no JSON support (see shims/README.md),
 //! and the report format is fully under our control:
@@ -11,14 +12,16 @@
 //!
 //! [`parse_report`] handles exactly that shape — objects, string keys, and
 //! number values, with arbitrary whitespace; anything else is a hard
-//! error. Both the hot-path bench report and the scenario sweeps' raw and
-//! reduced reports (`SweepReport::to_bench_json`,
-//! `ReducedReport::to_bench_json` in `dbac_core::scenario::sweep`) emit
-//! this schema, so every artifact rides the same gate.
+//! error. The scenario sweeps' raw and reduced reports
+//! (`SweepReport::to_bench_json`, `ReducedReport::to_bench_json` in
+//! `dbac_core::scenario::sweep`) emit this schema, and
+//! [`parse_registry_report`] reads the daemon's `stats` payload the same
+//! way. Nothing here times or gates anything: `perf/` is the only place
+//! a nanosecond is recorded.
 
 use std::collections::BTreeMap;
 
-/// Mean nanoseconds per kernel, keyed by benchmark name.
+/// Mean nanoseconds per kernel (a sweep cell or seed group), keyed by name.
 pub type Report = BTreeMap<String, f64>;
 
 struct Json<'a> {
@@ -56,40 +59,41 @@ impl<'a> Json<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
+            // Copy the run up to the next quote or backslash whole: both
+            // delimiters are ASCII, so the run of a UTF-8 input is UTF-8
+            // and non-ASCII text passes through unchanged.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run]);
+            out.push_str(text.map_err(|e| e.to_string())?);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err("unterminated escape".into());
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex =
+                        self.bytes.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                        16,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
                 }
-                other => out.push(other as char),
+                other => return Err(format!("unsupported escape '\\{}'", other as char)),
             }
         }
     }
@@ -137,7 +141,7 @@ impl<'a> Json<'a> {
     }
 }
 
-/// Extracts `name → mean_ns` from a bench report.
+/// Extracts `name → mean_ns` from a sweep report.
 ///
 /// # Errors
 ///
@@ -178,8 +182,8 @@ pub type RegistryReport = BTreeMap<String, u64>;
 /// ```
 ///
 /// This is the `stats` RPC payload of the `dbacd` daemon and the
-/// `stats.json` CI artifact; parsing it here lets `bench_trend` gate on
-/// counter regressions next to the nanosecond kernels.
+/// `stats.json` CI artifact; `dbacd --smoke` round-trips the artifact
+/// through this parser before writing it.
 ///
 /// # Errors
 ///
@@ -204,116 +208,26 @@ pub fn parse_registry_report(text: &str) -> Result<RegistryReport, String> {
     Ok(report)
 }
 
-/// The registry-counter gate: message-ledger counters may not *grow*
-/// beyond `max_ratio` times the baseline (more traffic for the same
-/// scenario is the regression; less is an improvement), and no baseline
-/// counter may disappear. Timing-valued counters (`wall_nanos`) and
-/// in-flight gauges are skipped — they vary run to run by construction.
-/// Returns the list of failures (empty = gate passes).
-#[must_use]
-pub fn compare_registry(
-    baseline: &RegistryReport,
-    current: &RegistryReport,
-    max_ratio: f64,
-) -> Vec<String> {
-    const UNGATED: &[&str] = &["wall_nanos", "undelivered", "max_queue_depth", "virtual_time"];
-    let mut failures = Vec::new();
-    for (name, &base) in baseline {
-        if UNGATED.contains(&name.as_str()) {
-            continue;
-        }
-        let Some(&cur) = current.get(name) else {
-            failures.push(format!("{name}: present in baseline but missing from current run"));
-            continue;
-        };
-        if base == 0 {
-            continue; // a zero baseline cannot anchor a ratio
-        }
-        let ratio = cur as f64 / base as f64;
-        if ratio > max_ratio {
-            failures.push(format!("{name}: {base} → {cur} ({ratio:.2}x, limit {max_ratio}x)"));
-        }
-    }
-    failures
-}
-
-/// The median of a sample (mean of the middle pair for even sizes).
-///
-/// # Panics
-///
-/// Panics on an empty sample.
-#[must_use]
-pub fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(f64::total_cmp);
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
-}
-
-/// The gate comparison proper, separated from I/O for testability.
-/// Normalizes by the median `current / baseline` ratio across kernels (so
-/// a uniformly faster or slower machine does not trip the gate) and
-/// returns the list of failures (empty = gate passes).
-#[must_use]
-pub fn compare(baseline: &Report, current: &Report, max_ratio: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    let ratios: Vec<(String, f64)> = baseline
-        .iter()
-        .filter_map(|(name, &base)| current.get(name).map(|&cur| (name.clone(), cur / base)))
-        .collect();
-    if ratios.is_empty() {
-        return vec!["no kernels in common between baseline and current".into()];
-    }
-    let med = median(ratios.iter().map(|&(_, r)| r).collect()).max(f64::MIN_POSITIVE);
-    println!("median current/baseline ratio: {med:.3} (machine-speed normalizer)");
-    println!("{:<55} {:>12} {:>12} {:>8} {:>8}", "kernel", "baseline", "current", "ratio", "norm");
-    for (name, ratio) in &ratios {
-        let norm = ratio / med;
-        let verdict = if norm > max_ratio { "REGRESSED" } else { "ok" };
-        println!(
-            "{:<55} {:>10.1}ns {:>10.1}ns {:>8.3} {:>8.3}  {}",
-            name, baseline[name], current[name], ratio, norm, verdict
-        );
-        if norm > max_ratio {
-            failures.push(format!(
-                "{name}: {:.1}ns → {:.1}ns ({norm:.2}x the median trend, limit {max_ratio}x)",
-                baseline[name], current[name]
-            ));
-        }
-    }
-    for name in baseline.keys() {
-        if !current.contains_key(name) {
-            failures.push(format!("{name}: present in baseline but missing from current run"));
-        }
-    }
-    for name in current.keys() {
-        if !baseline.contains_key(name) {
-            println!("note: new kernel '{name}' has no baseline yet (not gated)");
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
       "kernels": {
-        "mc_scan/fig1b_small/batched": { "mean_ns": 100.0, "min_ns": 90.0, "max_ns": 120.0 },
-        "fra_scan/fig1b_small/batched": { "mean_ns": 50.5, "min_ns": 48.0, "max_ns": 52.0 }
+        "bw/K4/f0/none/eps1/fix1/sim": { "mean_ns": 100.0, "min_ns": 90.0, "max_ns": 120.0 },
+        "bw/K4/f0/none/eps0.5/rand/net": { "mean_ns": 50.5, "min_ns": 48.0, "max_ns": 52.0 },
+        "bw/K₄/ε=0.5 \"é\u00e9\"": { "mean_ns": 7.0 }
       }
     }"#;
 
     #[test]
     fn parses_the_report_schema() {
         let report = parse_report(SAMPLE).unwrap();
-        assert_eq!(report.len(), 2);
-        assert_eq!(report["mc_scan/fig1b_small/batched"], 100.0);
-        assert_eq!(report["fra_scan/fig1b_small/batched"], 50.5);
+        assert_eq!(report.len(), 3);
+        assert_eq!(report["bw/K4/f0/none/eps1/fix1/sim"], 100.0);
+        assert_eq!(report["bw/K4/f0/none/eps0.5/rand/net"], 50.5);
+        // Non-ASCII keys come back as written, raw or `\u`-escaped.
+        assert_eq!(report["bw/K₄/ε=0.5 \"éé\""], 7.0);
     }
 
     #[test]
@@ -322,43 +236,6 @@ mod tests {
         assert!(parse_report(r#"{"kernels": {"a": {"mean": 1}}}"#).is_err());
         assert!(parse_report(r#"{"other": {}}"#).is_err());
         assert!(parse_report(r#"{"kernels": {}}"#).unwrap().is_empty());
-    }
-
-    fn report(entries: &[(&str, f64)]) -> Report {
-        entries.iter().map(|&(k, v)| (k.to_string(), v)).collect()
-    }
-
-    #[test]
-    fn uniform_machine_speed_shift_passes() {
-        let base = report(&[("a", 100.0), ("b", 200.0), ("c", 300.0)]);
-        // A 3x slower machine across the board: no regression.
-        let cur = report(&[("a", 300.0), ("b", 600.0), ("c", 900.0)]);
-        assert!(compare(&base, &cur, 2.0).is_empty());
-    }
-
-    #[test]
-    fn single_kernel_regression_fails() {
-        let base = report(&[("a", 100.0), ("b", 200.0), ("c", 300.0)]);
-        // Same machine, but kernel c regressed 5x.
-        let cur = report(&[("a", 100.0), ("b", 200.0), ("c", 1500.0)]);
-        let failures = compare(&base, &cur, 2.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].starts_with("c:"));
-    }
-
-    #[test]
-    fn missing_kernel_fails_and_new_kernel_does_not() {
-        let base = report(&[("a", 100.0), ("b", 200.0)]);
-        let cur = report(&[("a", 100.0), ("new", 1.0)]);
-        let failures = compare(&base, &cur, 2.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("missing"));
-    }
-
-    #[test]
-    fn median_of_even_and_odd_sets() {
-        assert_eq!(median(vec![1.0, 3.0, 2.0]), 2.0);
-        assert_eq!(median(vec![1.0, 2.0, 3.0, 4.0]), 2.5);
     }
 
     #[test]
@@ -378,33 +255,5 @@ mod tests {
         assert!(parse_registry_report(r#"{"registry": {"sent": -1}}"#).is_err());
         assert!(parse_registry_report(r#"{"registry": {"sent": 1.5}}"#).is_err());
         assert!(parse_registry_report(r#"{"registry": {}}"#).unwrap().is_empty());
-    }
-
-    fn registry(entries: &[(&str, u64)]) -> RegistryReport {
-        entries.iter().map(|&(k, v)| (k.to_string(), v)).collect()
-    }
-
-    #[test]
-    fn registry_gate_flags_growth_and_missing_counters() {
-        let base = registry(&[("sent", 100), ("delivered", 98), ("wall_nanos", 5)]);
-        let ok = registry(&[("sent", 110), ("delivered", 98), ("wall_nanos", 900)]);
-        assert!(compare_registry(&base, &ok, 1.5).is_empty(), "10% growth under a 1.5x limit");
-
-        let grown = registry(&[("sent", 300), ("delivered", 98), ("wall_nanos", 5)]);
-        let failures = compare_registry(&base, &grown, 1.5);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].starts_with("sent:"));
-
-        let missing = registry(&[("sent", 100)]);
-        let failures = compare_registry(&base, &missing, 1.5);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("missing"));
-    }
-
-    #[test]
-    fn registry_gate_ignores_timing_counters_and_zero_baselines() {
-        let base = registry(&[("dropped", 0), ("wall_nanos", 10), ("undelivered", 1)]);
-        let cur = registry(&[("dropped", 50), ("wall_nanos", 10_000), ("undelivered", 40)]);
-        assert!(compare_registry(&base, &cur, 1.1).is_empty());
     }
 }

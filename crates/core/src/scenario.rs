@@ -25,8 +25,8 @@
 //! labelled axes over every knob here (protocols, graphs, fault bounds,
 //! placements, inputs, ε, scheduler families, runtimes, rounds), expanded
 //! into a cartesian cell product, run in parallel, and reduced over the
-//! seed batch into distributional statistics with `bench_trend`-compatible
-//! JSON reports.
+//! seed batch into distributional statistics with JSON reports in the
+//! sweep report schema.
 //!
 //! # Protocols and where they come from in the paper
 //!

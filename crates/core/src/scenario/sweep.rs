@@ -1,6 +1,6 @@
 //! Dimensional experiment plans: every [`Scenario`] knob as a sweep axis,
-//! with seed-batch statistical reduction and `bench_trend`-compatible
-//! JSON emission.
+//! with seed-batch statistical reduction and JSON emission in the sweep
+//! report schema.
 //!
 //! An [`ExperimentPlan`] is a pure *grid description*: each dimension is a
 //! typed [`Axis`] of labelled points — protocols (including per-protocol
@@ -25,9 +25,8 @@
 //! ([`Stats`]: mean/median/min/max/stddev) of spread, rounds-to-ε, message
 //! counts and wall time per group. Both the raw and the reduced reports
 //! render as the same `{"kernels": {<label>: {"mean_ns": …}}}` JSON shape
-//! the `bench_trend` CI gate consumes, so sweep statistics ride the
-//! existing bench artifact pipeline unchanged (CI uploads the *reduced*
-//! report).
+//! — the sweep report schema, read back by `dbac_bench::trend::parse_report`
+//! (CI uploads the *reduced* report).
 //!
 //! ```
 //! use dbac_core::scenario::sweep::ExperimentPlan;
@@ -863,7 +862,7 @@ impl CellRow {
     }
 }
 
-/// The raw per-cell results of a sweep, renderable as `bench_trend` JSON
+/// The raw per-cell results of a sweep, renderable as sweep-report JSON
 /// and reducible into seed-batch statistics.
 #[derive(Clone, Debug)]
 pub struct SweepReport {
@@ -896,7 +895,7 @@ fn jnum(v: f64) -> String {
     }
 }
 
-/// Renders the `bench_trend` report schema — `{"kernels": {<key>: {<fields>}}}`,
+/// Renders the sweep report schema — `{"kernels": {<key>: {<fields>}}}`,
 /// one kernel per line — from each kernel's key and pre-rendered fields.
 fn kernels_json<'a>(kernels: impl ExactSizeIterator<Item = (&'a str, String)>) -> String {
     let mut out = String::from("{\n  \"kernels\": {\n");
@@ -965,10 +964,10 @@ impl SweepReport {
         ReducedReport { cells }
     }
 
-    /// Renders the raw report in the `bench_trend` schema: each cell
+    /// Renders the raw report in the sweep report schema: each cell
     /// becomes a kernel keyed by its label, `mean_ns` carrying the wall
     /// time, the digest flattened into extra numeric fields (which the
-    /// gate's parser accepts and ignores), and rejected cells flagged with
+    /// schema's reader accepts and ignores), and rejected cells flagged with
     /// `"error": 1`.
     #[must_use]
     pub fn to_bench_json(&self) -> String {
@@ -1097,10 +1096,10 @@ impl ReducedReport {
         self.cells.iter().find(|c| c.group == group)
     }
 
-    /// Renders the reduced report in the `bench_trend` schema: each group
+    /// Renders the reduced report in the sweep report schema: each group
     /// becomes a kernel keyed by the group label, `mean_ns` carrying the
     /// mean wall time over the seed batch, with the distributional fields
-    /// flattened to extra numbers the gate's parser accepts and ignores.
+    /// flattened to extra numbers the schema's reader accepts and ignores.
     #[must_use]
     pub fn to_bench_json(&self) -> String {
         kernels_json(self.cells.iter().map(|c| {

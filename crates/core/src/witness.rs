@@ -231,7 +231,7 @@ impl NodePlan {
 
     /// Recomputes the Maximal-Consistency status of guess `guess_idx` over
     /// `mset` with word-at-a-time mask scans — no per-arrival state. This
-    /// is the batched `mc_scan` kernel measured in `benches/hot_path.rs`.
+    /// is the kernel the perf ledger times as `core.witness.mc_scan_ns`.
     ///
     /// `mset` must only hold paths ending at [`NodePlan::me`] (the round
     /// history invariant maintained by [`RoundCore`]).

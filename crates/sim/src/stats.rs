@@ -622,10 +622,9 @@ impl StatsSnapshot {
     }
 
     /// Flattens the snapshot into stable `(key, value)` pairs — the
-    /// shared schema for the daemon RPC, `stats.json`, and the
-    /// bench-trend registry gate. Unmeasured coverage markers are
-    /// omitted (never emitted as zeros); per-node gauges are summarized
-    /// by their maximum sampled depth.
+    /// shared schema for the daemon RPC and `stats.json`. Unmeasured
+    /// coverage markers are omitted (never emitted as zeros); per-node
+    /// gauges are summarized by their maximum sampled depth.
     #[must_use]
     pub fn to_kv(&self) -> Vec<(String, u64)> {
         let mut kv = Vec::new();

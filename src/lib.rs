@@ -77,7 +77,7 @@
 //! the statistical axis. `build()` expands the cartesian product,
 //! `run()` executes every cell in parallel, and `reduce()` aggregates each
 //! seed batch into distributional statistics (mean/median/min/max/stddev),
-//! renderable as `bench_trend`-compatible JSON:
+//! renderable as JSON in the sweep report schema:
 //!
 //! ```
 //! use dbac::graph::generators;

@@ -180,8 +180,8 @@ fn expansion_order_is_the_nested_loop_order_with_the_seed_innermost() {
 }
 
 /// A hand-built raw report (every field is public, so wall times can be
-/// fixed) and its reduction, against the exact JSON text `bench_trend`
-/// receives — and through that gate's parser.
+/// fixed) and its reduction, against the exact JSON text of the sweep
+/// report schema — and through its reader, `trend::parse_report`.
 #[test]
 fn report_json_is_byte_stable_and_parses_in_the_gate() {
     let summary = |converged: bool, spread: f64, sent: u64, honest: Option<u64>| CellSummary {
