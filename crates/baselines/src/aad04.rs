@@ -282,18 +282,6 @@ impl std::fmt::Debug for AadNode {
     }
 }
 
-/// Byzantine behaviours for the AAD04 comparison runs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AadAdversary {
-    /// Silent from the start.
-    Crash,
-    /// Participates correctly but broadcasts an extreme input value.
-    ConstantLiar {
-        /// The injected value.
-        value: f64,
-    },
-}
-
 /// A liar that follows the protocol with a planted extreme value — RBC
 /// prevents equivocation, so this is the strongest "value attack".
 pub(crate) struct LiarAdversary {
@@ -334,19 +322,13 @@ mod tests {
         f: usize,
         inputs: &[f64],
         epsilon: f64,
-        byzantine: &[(NodeId, AadAdversary)],
+        byzantine: &[(NodeId, FaultKind)],
         seed: u64,
     ) -> Result<Outcome, RunError> {
         Scenario::builder(generators::clique(n), f)
             .inputs(inputs.to_vec())
             .epsilon(epsilon)
-            .faults(byzantine.iter().map(|&(v, kind)| {
-                let fault = match kind {
-                    AadAdversary::Crash => FaultKind::Crash,
-                    AadAdversary::ConstantLiar { value } => FaultKind::ConstantLiar { value },
-                };
-                (v, fault)
-            }))
+            .faults(byzantine.iter().cloned())
             .scheduler(SchedulerSpec::legacy_random(seed))
             .protocol(crate::scenario::Aad04)
             .run()
@@ -363,7 +345,7 @@ mod tests {
     #[test]
     fn tolerates_crash() {
         let out =
-            run_aad(4, 1, &[0.0, 10.0, 4.0, 0.0], 0.5, &[(id(3), AadAdversary::Crash)], 9).unwrap();
+            run_aad(4, 1, &[0.0, 10.0, 4.0, 0.0], 0.5, &[(id(3), FaultKind::Crash)], 9).unwrap();
         assert!(out.converged(), "{:?}", out.outputs);
         assert!(out.valid());
     }
@@ -375,7 +357,7 @@ mod tests {
             1,
             &[2.0, 4.0, 6.0, 0.0],
             0.5,
-            &[(id(3), AadAdversary::ConstantLiar { value: 1e9 })],
+            &[(id(3), FaultKind::ConstantLiar { value: 1e9 })],
             5,
         )
         .unwrap();
@@ -391,7 +373,7 @@ mod tests {
             2,
             &inputs,
             0.5,
-            &[(id(5), AadAdversary::Crash), (id(6), AadAdversary::ConstantLiar { value: -1e6 })],
+            &[(id(5), FaultKind::Crash), (id(6), FaultKind::ConstantLiar { value: -1e6 })],
             11,
         )
         .unwrap();

@@ -27,9 +27,10 @@ use dbac_core::scenario::{ByzantineWitness, FaultKind, Scenario};
 use dbac_graph::{generators, NodeId};
 
 fn main() {
+    let json = json_path();
     let report = e9_aad_comparison();
     e10_iterative_contrast();
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         report.write_json(std::path::Path::new(&path)).expect("sweep JSON written");
         println!("reduced sweep report written to {path}");
     }

@@ -7,15 +7,16 @@
 //! under a second.
 //!
 //! ```text
-//! cargo run --release -p dbac-bench --features huge-graphs --bin certify [-- --json]
+//! cargo run --release -p dbac-bench --features huge-graphs --bin certify [-- --json <path>]
 //! ```
 //!
-//! With `--json` the output is `{"experiment": "certify",
+//! With `--json <path>` the file receives `{"experiment": "certify",
 //! "certificates": [...]}` where each entry embeds the full serialized
 //! [`RobustnessCertificate`](dbac_conditions::robustness::RobustnessCertificate)
 //! — the artifact CI uploads next to
 //! `net.json`/`stats.json`.
 
+use dbac_bench::plan::json_path;
 use dbac_bench::table::Table;
 use dbac_conditions::robustness::{certification, verify_certificate, CertificationStatus};
 use dbac_graph::{generators, Digraph};
@@ -65,7 +66,7 @@ fn sweep(family: &str, g: &Digraph, grid: &[(usize, usize)], rows: &mut Vec<Row>
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_path();
     let grid = [(1usize, 1usize), (2, 2), (3, 3)];
     let mut rows = Vec::new();
 
@@ -117,7 +118,23 @@ fn main() {
         assert!(headline.verify_ms < 1000.0, "verification must stay well under a second");
     }
 
-    if json {
+    println!("E15 — robustness certification sweep (rule or UNCERTIFIED per family × (r, s))\n");
+    let mut t = Table::new(vec!["family", "n", "(r, s)", "rule", "issue (ms)", "verify (ms)"]);
+    for row in &rows {
+        t.row(vec![
+            row.family.clone(),
+            row.n.to_string(),
+            format!("({}, {})", row.r, row.s),
+            row.rule.clone(),
+            format!("{:.3}", row.issue_ms),
+            format!("{:.3}", row.verify_ms),
+        ]);
+    }
+    println!("{}", t.render());
+    let certified = rows.iter().filter(|row| row.cert_json.is_some()).count();
+    println!("{certified}/{} combinations certified", rows.len());
+
+    if let Some(path) = json {
         let entries: Vec<String> = rows
             .iter()
             .map(|row| {
@@ -130,29 +147,13 @@ fn main() {
                 )
             })
             .collect();
-        println!(
+        let text = format!(
             "{{\n  \"experiment\": \"certify\",\n  \"max_nodes\": {},\n  \
-             \"certificates\": [\n{}\n  ]\n}}",
+             \"certificates\": [\n{}\n  ]\n}}\n",
             dbac_graph::MAX_NODES,
             entries.join(",\n")
         );
-    } else {
-        println!(
-            "E15 — robustness certification sweep (rule or UNCERTIFIED per family × (r, s))\n"
-        );
-        let mut t = Table::new(vec!["family", "n", "(r, s)", "rule", "issue (ms)", "verify (ms)"]);
-        for row in &rows {
-            t.row(vec![
-                row.family.clone(),
-                row.n.to_string(),
-                format!("({}, {})", row.r, row.s),
-                row.rule.clone(),
-                format!("{:.3}", row.issue_ms),
-                format!("{:.3}", row.verify_ms),
-            ]);
-        }
-        println!("{}", t.render());
-        let certified = rows.iter().filter(|row| row.cert_json.is_some()).count();
-        println!("{certified}/{} combinations certified", rows.len());
+        std::fs::write(&path, text).expect("certificate JSON written");
+        println!("certificates written to {path}");
     }
 }

@@ -19,6 +19,7 @@ use dbac_core::scenario::{ByzantineWitness, LinkFault, LinkFaultPlan};
 use dbac_graph::{generators, Digraph, NodeId};
 
 fn main() {
+    let json = json_path();
     println!("E13 — link-fault (chaos) smoke sweep: BW on K4, three-seed batches\n");
     let drop_all = |prob: f64| {
         move |g: &Digraph, seed: u64| {
@@ -83,7 +84,7 @@ fn main() {
          column), and each loss is accounted in the dropped counters.\n"
     );
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         reduced.write_json(std::path::Path::new(&path)).expect("chaos JSON written");
         println!("reduced chaos report written to {path}");
     }

@@ -79,7 +79,8 @@ fn random_batch() {
 }
 
 /// Appendix A: in a clique, k-reach ⇔ n > k·f (for k ≥ 2; 1-reach is
-/// unconditional in cliques — see DESIGN.md §3).
+/// unconditional in cliques: under the literal Definition 3 every
+/// survivor's reach set is all of `F̄`).
 fn clique_bounds() {
     println!("E7 — clique specialization: k-reach ⇔ n > k·f\n");
     let mut t = Table::new(vec!["n", "f", "k", "k-reach", "n > k·f", "match"]);

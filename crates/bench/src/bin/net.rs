@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn main() {
+    let json = json_path();
     println!("E14 — net runtime smoke differential: BW under sim vs net, three-seed batches\n");
     let sweep = ExperimentPlan::new()
         .protocol("BW", ByzantineWitness::default())
@@ -65,7 +66,7 @@ fn main() {
          the framed transport is protocol-transparent.\n"
     );
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         reduced.write_json(std::path::Path::new(&path)).expect("net JSON written");
         println!("reduced net report written to {path}");
     }

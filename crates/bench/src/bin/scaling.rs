@@ -77,7 +77,6 @@ fn end_to_end_scaling() {
             .inputs(inputs)
             .epsilon(1.0)
             .seed(6)
-            .max_events(100_000_000)
             .protocol(ByzantineWitness::default());
         if f > 0 {
             builder = builder.fault(NodeId::new(n - 1), FaultKind::ConstantLiar { value: 1e4 });

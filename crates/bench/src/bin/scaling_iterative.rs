@@ -16,10 +16,11 @@
 //! `--features huge-graphs` for the full sweep:
 //!
 //! ```text
-//! cargo run --release -p dbac-bench --features huge-graphs --bin scaling_iterative [-- --json]
+//! cargo run --release -p dbac-bench --features huge-graphs --bin scaling_iterative [-- --json <path>]
 //! ```
 
 use dbac_baselines::IterativeTrimmedMean;
+use dbac_bench::plan::json_path;
 use dbac_bench::table::Table;
 use dbac_conditions::robustness::{verify_certificate, CertificationStatus};
 use dbac_core::scenario::Scenario;
@@ -77,7 +78,7 @@ fn run_point(n: usize, rounds: u32, epsilon: f64) -> Point {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_path();
     let epsilon = 1e-6;
     let rounds = 120;
     let mut points = Vec::new();
@@ -90,7 +91,38 @@ fn main() {
         points.push(run_point(n, rounds, epsilon));
     }
 
-    if json {
+    println!("E12 — iterative W-MSR scaling (circulant-pow2, f = 0, ε = {epsilon:e})\n");
+    let mut t = Table::new(vec![
+        "n",
+        "rounds",
+        "spread",
+        "converged",
+        "messages",
+        "wall (ms)",
+        "cert",
+        "verify (ms)",
+    ]);
+    for p in &points {
+        t.row(vec![
+            p.n.to_string(),
+            p.rounds.to_string(),
+            format!("{:.2e}", p.spread),
+            p.converged.to_string(),
+            p.messages.to_string(),
+            format!("{:.1}", p.wall_ms),
+            p.cert.clone(),
+            format!("{:.3}", p.verify_ms),
+        ]);
+    }
+    println!("{}", t.render());
+    for n in &skipped {
+        println!(
+            "skipped n = {n}: exceeds MAX_NODES = {} (rebuild with --features huge-graphs)",
+            dbac_graph::MAX_NODES
+        );
+    }
+
+    if let Some(path) = json {
         let rows: Vec<String> = points
             .iter()
             .map(|p| {
@@ -109,44 +141,15 @@ fn main() {
                 )
             })
             .collect();
-        println!(
+        let text = format!(
             "{{\n  \"experiment\": \"scaling-iterative\",\n  \"max_nodes\": {},\n  \
-             \"epsilon\": {:e},\n  \"points\": [\n{}\n  ]\n}}",
+             \"epsilon\": {:e},\n  \"points\": [\n{}\n  ]\n}}\n",
             dbac_graph::MAX_NODES,
             epsilon,
             rows.join(",\n")
         );
-    } else {
-        println!("E12 — iterative W-MSR scaling (circulant-pow2, f = 0, ε = {epsilon:e})\n");
-        let mut t = Table::new(vec![
-            "n",
-            "rounds",
-            "spread",
-            "converged",
-            "messages",
-            "wall (ms)",
-            "cert",
-            "verify (ms)",
-        ]);
-        for p in &points {
-            t.row(vec![
-                p.n.to_string(),
-                p.rounds.to_string(),
-                format!("{:.2e}", p.spread),
-                p.converged.to_string(),
-                p.messages.to_string(),
-                format!("{:.1}", p.wall_ms),
-                p.cert.clone(),
-                format!("{:.3}", p.verify_ms),
-            ]);
-        }
-        println!("{}", t.render());
-        for n in &skipped {
-            println!(
-                "skipped n = {n}: exceeds MAX_NODES = {} (rebuild with --features huge-graphs)",
-                dbac_graph::MAX_NODES
-            );
-        }
+        std::fs::write(&path, text).expect("scaling JSON written");
+        println!("scale points written to {path}");
     }
 
     // The experiment's claim: every point that ran reached ε-agreement,

@@ -27,6 +27,7 @@
 //! registry snapshot.
 
 use dbac_core::error::RunError;
+use dbac_core::scenario::sweep::json_escape;
 use dbac_core::scenario::{Outcome, Scenario, StatsRegistry, StatsSnapshot};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -193,26 +194,13 @@ fn serve_client(
                     let _ = stream.write_all(b"{\"ok\":true}\n");
                     return;
                 }
-                other => format!("{{\"error\":\"unknown command '{}'\"}}", escape(other)),
+                other => format!("{{\"error\":\"unknown command '{}'\"}}", json_escape(other)),
             };
             if stream.write_all(reply.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
                 return;
             }
         }
     }
-}
-
-fn escape(raw: &str) -> String {
-    raw.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            '\t' => vec!['\\', 't'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// The `stats` RPC payload — also the `stats.json` artifact schema and
@@ -222,7 +210,7 @@ pub fn stats_json(snapshot: &StatsSnapshot) -> String {
     let body = snapshot
         .to_kv()
         .into_iter()
-        .map(|(k, v)| format!("\"{}\":{v}", escape(&k)))
+        .map(|(k, v)| format!("\"{}\":{v}", json_escape(&k)))
         .collect::<Vec<_>>()
         .join(",");
     format!("{{\"registry\":{{{body}}}}}")
@@ -270,7 +258,7 @@ fn progress_json(registry: &StatsRegistry, finished: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trend::parse_registry_report;
+    use crate::trend::{parse_registry_report, Json};
     use dbac_core::scenario::ByzantineWitness;
     use dbac_graph::generators;
     use std::io::{BufRead, BufReader};
@@ -327,6 +315,24 @@ mod tests {
         for (k, v) in expected {
             assert_eq!(final_report.get(&k), Some(&v), "counter {k}");
         }
+    }
+
+    #[test]
+    fn an_unknown_command_is_echoed_back_escaped() {
+        let daemon = Daemon::spawn(smoke_scenario()).expect("daemon binds");
+        // A control character is escaped, not blanked: the reply is valid
+        // JSON carrying exactly what the client sent.
+        let reply = rpc(daemon.addr(), "st\u{1}ats");
+        let mut error = None;
+        Json::new(&reply)
+            .object(&mut |json, key| {
+                assert_eq!(key, "error");
+                error = Some(json.string()?);
+                Ok(())
+            })
+            .expect("error reply is valid JSON");
+        assert_eq!(error.as_deref(), Some("unknown command 'st\u{1}ats'"));
+        assert!(daemon.join().expect("run still completes").converged());
     }
 
     #[test]

@@ -12,20 +12,32 @@ pub fn last_node(g: &Digraph) -> NodeId {
     NodeId::new(g.node_count() - 1)
 }
 
-/// The path following `--json` on the command line, if any.
-///
-/// # Panics
-///
-/// Panics if `--json` is the last argument.
+/// Parses an experiment binary's arguments: nothing, or exactly
+/// `--json <path>`. Anything else is an error naming the offender, so a
+/// mistyped flag cannot pass for "no artifact requested".
+fn parse_json_path(mut args: impl Iterator<Item = String>) -> Result<Option<String>, String> {
+    let path = match args.next() {
+        None => return Ok(None),
+        Some(flag) if flag == "--json" => args.next().ok_or("--json requires a path")?,
+        Some(other) => return Err(format!("unknown argument '{other}'")),
+    };
+    match args.next() {
+        None => Ok(Some(path)),
+        Some(extra) => Err(format!("unexpected argument '{extra}'")),
+    }
+}
+
+/// The path following `--json` on the command line, if any — the one
+/// argument convention of the experiment binaries: each prints its table
+/// and, given a path, also writes its JSON artifact there. On any other
+/// argument list, prints the usage line to stderr and exits with status 2.
 #[must_use]
 pub fn json_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            return Some(args.next().expect("--json requires a path"));
-        }
-    }
-    None
+    parse_json_path(std::env::args().skip(1)).unwrap_or_else(|reason| {
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!("{reason}\nusage: {bin} [--json <path>]");
+        std::process::exit(2);
+    })
 }
 
 /// Runs every cell of `sweep`, prints the `plan: N cells in M seed-batch
@@ -47,4 +59,22 @@ pub fn run_plan(sweep: &Sweep, claim: &str) -> SweepReport {
     let groups: HashSet<&str> = report.rows.iter().map(|row| row.group.as_str()).collect();
     println!("plan: {} cells in {} seed-batch groups\n", sweep.cell_count(), groups.len());
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_json_path;
+
+    fn parse(args: &[&str]) -> Result<Option<String>, String> {
+        parse_json_path(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn arguments_are_nothing_or_exactly_json_and_a_path() {
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--json", "p"]), Ok(Some("p".into())));
+        assert!(parse(&["--json"]).unwrap_err().contains("requires a path"));
+        assert!(parse(&["--jsno", "p"]).unwrap_err().contains("'--jsno'"));
+        assert!(parse(&["--json", "p", "q"]).unwrap_err().contains("'q'"));
+    }
 }

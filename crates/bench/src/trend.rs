@@ -24,13 +24,13 @@ use std::collections::BTreeMap;
 /// Mean nanoseconds per kernel (a sweep cell or seed group), keyed by name.
 pub type Report = BTreeMap<String, f64>;
 
-struct Json<'a> {
+pub(crate) struct Json<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Json<'a> {
-    fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Json { bytes: text.as_bytes(), pos: 0 }
     }
 
@@ -55,7 +55,7 @@ impl<'a> Json<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    pub(crate) fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -116,7 +116,7 @@ impl<'a> Json<'a> {
 
     /// Parses an object, calling `visit` per key (after which the cursor
     /// must stand past the key's value).
-    fn object(
+    pub(crate) fn object(
         &mut self,
         visit: &mut dyn FnMut(&mut Json<'a>, &str) -> Result<(), String>,
     ) -> Result<(), String> {

@@ -20,7 +20,8 @@ use dbac_graph::NodeSet;
 ///
 /// The `allowed` mask implements the two restrictions the paper's proofs
 /// impose on candidate covers: Algorithm 2 requires `H ⊆ V ∖ S_{F_u,F_w}`,
-/// and a node never counts itself as a suspect (see DESIGN.md §3.2).
+/// and a node never counts itself as a suspect (it knows its own value
+/// is genuine).
 ///
 /// * An empty `paths` slice is covered by the empty set.
 /// * A path disjoint from `allowed` can never be covered.

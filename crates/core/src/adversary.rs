@@ -277,46 +277,6 @@ impl Adversary<ProtocolMsg> for Chaotic {
     }
 }
 
-/// A Byzantine node that replays a scripted message sequence, used by the
-/// Appendix-B impossibility experiment: in execution `e3` the faulty set
-/// `F` behaves toward one side exactly as recorded in `e1` and toward the
-/// other exactly as in `e2`.
-pub struct Replayer {
-    script: Vec<(NodeId, ProtocolMsg)>,
-    cursor: usize,
-    per_trigger: usize,
-}
-
-impl Replayer {
-    /// Creates a replayer that emits `per_trigger` scripted sends per
-    /// activation (start or message receipt), preserving script order.
-    #[must_use]
-    pub fn new(script: Vec<(NodeId, ProtocolMsg)>, per_trigger: usize) -> Self {
-        Replayer { script, cursor: 0, per_trigger: per_trigger.max(1) }
-    }
-
-    fn emit(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        for _ in 0..self.per_trigger {
-            if self.cursor >= self.script.len() {
-                return;
-            }
-            let (to, msg) = self.script[self.cursor].clone();
-            self.cursor += 1;
-            ctx.send(to, msg);
-        }
-    }
-}
-
-impl Adversary<ProtocolMsg> for Replayer {
-    fn on_start(&mut self, ctx: &mut Context<ProtocolMsg>) {
-        self.emit(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<ProtocolMsg>, _from: NodeId, _msg: ProtocolMsg) {
-        self.emit(ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,34 +374,6 @@ mod tests {
             ProtocolMsg::Flood { path, .. } => t.index().init(*path) != NodeId::new(2),
             ProtocolMsg::Complete { .. } => false,
         }));
-    }
-
-    #[test]
-    fn replayer_emits_in_order() {
-        let t = topo(3);
-        let t0 = t.index().trivial(NodeId::new(0));
-        let t1 = t.index().trivial(NodeId::new(1));
-        let script = vec![
-            (NodeId::new(1), ProtocolMsg::Flood { round: 0, value: 1.0, path: t0 }),
-            (NodeId::new(2), ProtocolMsg::Flood { round: 0, value: 2.0, path: t0 }),
-        ];
-        let mut r = Replayer::new(script, 1);
-        let mut ctx = ctx_for(&t, NodeId::new(0));
-        r.on_start(&mut ctx);
-        assert_eq!(ctx.pending(), 1);
-        r.on_message(
-            &mut ctx,
-            NodeId::new(1),
-            ProtocolMsg::Flood { round: 0, value: 0.0, path: t1 },
-        );
-        assert_eq!(ctx.pending(), 2);
-        // Script exhausted: further triggers emit nothing.
-        r.on_message(
-            &mut ctx,
-            NodeId::new(1),
-            ProtocolMsg::Flood { round: 0, value: 0.0, path: t1 },
-        );
-        assert_eq!(ctx.pending(), 2);
     }
 
     #[test]

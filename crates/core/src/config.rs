@@ -29,8 +29,6 @@ pub struct ProtocolConfig {
     /// Number of asynchronous rounds to execute; derived from `range` and
     /// `epsilon` via [`num_rounds`] unless overridden.
     pub rounds: u32,
-    /// Value-flood path discipline.
-    pub flood_mode: FloodMode,
 }
 
 impl ProtocolConfig {
@@ -50,20 +48,13 @@ impl ProtocolConfig {
             "input range must be a finite non-empty interval"
         );
         let rounds = num_rounds(range.1 - range.0, epsilon);
-        ProtocolConfig { f, epsilon, range, rounds, flood_mode: FloodMode::Redundant }
+        ProtocolConfig { f, epsilon, range, rounds }
     }
 
     /// Overrides the round count (used by convergence-curve experiments).
     #[must_use]
     pub fn with_rounds(mut self, rounds: u32) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Selects the flood mode.
-    #[must_use]
-    pub fn with_flood_mode(mut self, mode: FloodMode) -> Self {
-        self.flood_mode = mode;
         self
     }
 }
@@ -110,10 +101,8 @@ mod tests {
     fn config_derives_rounds() {
         let c = ProtocolConfig::new(1, 0.5, (0.0, 10.0));
         assert_eq!(c.rounds, 5);
-        assert_eq!(c.flood_mode, FloodMode::Redundant);
-        let c = c.with_rounds(2).with_flood_mode(FloodMode::SimpleOnly);
+        let c = c.with_rounds(2);
         assert_eq!(c.rounds, 2);
-        assert_eq!(c.flood_mode, FloodMode::SimpleOnly);
     }
 
     #[test]

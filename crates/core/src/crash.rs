@@ -2,12 +2,12 @@
 //! 2-reach condition (the upper-left asynchronous cell of the paper's
 //! Table 2, due to Tseng & Vaidya 2012).
 //!
-//! Faithful-in-spirit reconstruction (DESIGN.md §2.5): with crash faults
-//! nobody lies, so redundant paths, witnesses and trimming are all
-//! unnecessary. Each round a node floods its value along **simple** paths;
-//! one thread per guess `F_v` waits for fullness over the paths avoiding
-//! `F_v`; the first full thread updates to the midpoint of *all* values
-//! received this round.
+//! A reconstruction (the paper cites this cell in Section 2 without
+//! restating its algorithm): with crash faults nobody lies, so redundant
+//! paths, witnesses and trimming are all unnecessary. Each round a node
+//! floods its value along **simple** paths; one thread per guess `F_v`
+//! waits for fullness over the paths avoiding `F_v`; the first full thread
+//! updates to the midpoint of *all* values received this round.
 //!
 //! Correctness sketch: every received value is a genuine round-`r` state
 //! value (validity); under 2-reach any two nodes' fired reach sets share an

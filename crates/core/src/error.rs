@@ -77,13 +77,6 @@ pub enum RunError {
         /// Display label of the rejected [`FaultKind`](crate::scenario::FaultKind).
         fault: &'static str,
     },
-    /// The selected protocol cannot execute on the requested runtime.
-    UnsupportedRuntime {
-        /// Protocol name.
-        protocol: &'static str,
-        /// Runtime name (see `Runtime::name`).
-        runtime: &'static str,
-    },
     /// The protocol's resilience bound rejects this `(n, f)` pair — `f`
     /// exceeds what the protocol tolerates on this network.
     ResilienceExceeded {
@@ -105,13 +98,6 @@ pub enum RunError {
     Graph(GraphError),
     /// The underlying runtime failed (event budget, timeout, …).
     Sim(SimError),
-    /// An honest node failed to produce an output although the runtime
-    /// quiesced — the graph most likely violates 3-reach, so the algorithm
-    /// (correctly) cannot guarantee progress.
-    NoOutput {
-        /// Index of the stuck node.
-        node: usize,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -145,9 +131,6 @@ impl fmt::Display for RunError {
             RunError::UnsupportedFault { protocol, fault } => {
                 write!(f, "protocol {protocol} cannot express the fault kind {fault}")
             }
-            RunError::UnsupportedRuntime { protocol, runtime } => {
-                write!(f, "protocol {protocol} cannot execute on the {runtime} runtime")
-            }
             RunError::ResilienceExceeded { protocol, n, f: bound, requires } => {
                 write!(
                     f,
@@ -159,9 +142,6 @@ impl fmt::Display for RunError {
             }
             RunError::Graph(e) => write!(f, "topology precomputation failed: {e}"),
             RunError::Sim(e) => write!(f, "runtime failure: {e}"),
-            RunError::NoOutput { node } => {
-                write!(f, "node {node} produced no output (does the graph satisfy 3-reach?)")
-            }
         }
     }
 }

@@ -8,10 +8,10 @@
 //! Note on the paper's line 5: the printed update rule is
 //! `(max − min)/2`, but the convergence proof (Lemma 15) manipulates
 //! `(z + µ)/2 ≤ x ≤ (z + U)/2`, the algebra of the **midpoint**
-//! `(max + min)/2`; we implement the midpoint (DESIGN.md §3.1).
+//! `(max + min)/2`; we implement the midpoint, the rule the proof needs.
 //!
-//! Cover candidates exclude the executing node itself — a node never
-//! suspects its own value (DESIGN.md §3.2) — which also guarantees the
+//! Cover candidates exclude the executing node itself — a node knows its
+//! own value is genuine and never suspects it — which also guarantees the
 //! trimmed vector is never empty: the trivial path `⟨v⟩` is uncoverable.
 
 use crate::message_set::MessageSet;

@@ -30,7 +30,6 @@ use std::collections::{HashMap, HashSet};
 pub struct Topology {
     graph: Digraph,
     f: usize,
-    flood_mode: FloodMode,
     /// The interned path population (the value-flood requirement pools).
     index: PathIndex,
     guesses: Vec<NodeSet>,
@@ -120,7 +119,7 @@ impl Topology {
             obligations.insert(fu, pairs);
         }
 
-        Ok(Topology { graph, f, flood_mode, index, guesses, reach, sources, obligations })
+        Ok(Topology { graph, f, index, guesses, reach, sources, obligations })
     }
 
     /// The network.
@@ -133,12 +132,6 @@ impl Topology {
     #[must_use]
     pub fn f(&self) -> usize {
         self.f
-    }
-
-    /// The value-flood path discipline.
-    #[must_use]
-    pub fn flood_mode(&self) -> FloodMode {
-        self.flood_mode
     }
 
     /// The interned path population.
@@ -249,7 +242,6 @@ mod tests {
     fn simple_mode_uses_simple_pool() {
         let g = generators::clique(4);
         let t = Topology::new(g, 1, FloodMode::SimpleOnly, PathBudget::default()).unwrap();
-        assert_eq!(t.flood_mode(), FloodMode::SimpleOnly);
         for v in t.graph().nodes() {
             assert_eq!(t.required_paths_to(v).len(), t.simple_paths_to(v).len());
             assert!(t.required_paths_to(v).iter().all(|&p| t.index().is_simple(p)));

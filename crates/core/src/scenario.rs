@@ -18,7 +18,7 @@
 //! A [`Scenario`] is a pure *data-level* description: the network, the
 //! inputs, the fault assignment, the adversarial delivery schedule and the
 //! runtime. A [`Protocol`] owns the protocol-specific knobs (flood mode,
-//! path budgets, iteration counts) and turns a scenario into the single
+//! iteration counts) and turns a scenario into the single
 //! [`Outcome`] type — honest outputs, spread/convergence/validity,
 //! per-round spread, runtime statistics, and an optional delivery-trace
 //! handle. The [`sweep`] submodule turns scenarios into *experiment plans*:
@@ -97,10 +97,9 @@
 //! fires the result is a typed `Uncertified` warning — the rules are
 //! sufficient, not necessary, and running unproven topologies is itself
 //! an experiment. `IterativeTrimmedMean` attaches the status to
-//! [`Outcome::certification`]; sweep plans label graph-axis points with
-//! it via [`sweep::ExperimentPlan::certify_graphs`]; the `certify` bin
-//! sweeps the generator families and emits the certificate JSON that CI
-//! archives next to `net.json`/`stats.json`.
+//! [`Outcome::certification`]; the `certify` bin sweeps the generator
+//! families and emits the certificate JSON that CI archives next to
+//! `net.json`/`stats.json`.
 //!
 //! # Inject link faults
 //!
@@ -403,7 +402,7 @@ impl Runtime {
         Runtime::Net { timeout }
     }
 
-    /// Short display name (also used in typed errors).
+    /// Short display name.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -508,9 +507,9 @@ impl FaultKind {
 
 /// An algorithm that can execute a [`Scenario`].
 ///
-/// Implementations own the protocol-specific knobs (flood discipline, path
-/// budgets, iteration counts) as struct fields; everything
-/// protocol-agnostic lives in the scenario. `check` rejects scenarios the
+/// Implementations own the protocol-specific knobs (flood discipline,
+/// iteration counts) as struct fields; everything protocol-agnostic lives
+/// in the scenario. `check` rejects scenarios the
 /// protocol cannot express with typed errors *before* any expensive
 /// precomputation; `execute` performs the run. Call sites should prefer
 /// [`Scenario::run`], which chains the two.
@@ -519,7 +518,7 @@ pub trait Protocol: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Validates protocol-specific requirements: fault-kind support,
-    /// runtime support, resilience bounds, network shape.
+    /// resilience bounds, network shape.
     ///
     /// # Errors
     ///
@@ -552,7 +551,6 @@ pub struct Scenario {
     scheduler: SchedulerSpec,
     runtime: Runtime,
     rounds_override: Option<u32>,
-    max_events: u64,
     record_trace: bool,
     stats: Option<Arc<StatsRegistry>>,
     protocol: Arc<dyn Protocol>,
@@ -594,7 +592,6 @@ impl Scenario {
                 scheduler: SchedulerSpec::Fixed(1),
                 runtime: Runtime::Sim,
                 rounds_override: None,
-                max_events: 50_000_000,
                 record_trace: false,
                 stats: None,
                 protocol: Arc::new(ByzantineWitness::default()),
@@ -676,12 +673,6 @@ impl Scenario {
     #[must_use]
     pub fn rounds_override(&self) -> Option<u32> {
         self.rounds_override
-    }
-
-    /// The simulator's event budget.
-    #[must_use]
-    pub fn max_events(&self) -> u64 {
-        self.max_events
     }
 
     /// Returns the scenario with `registry` attached, replacing any
@@ -865,13 +856,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn rounds_opt(mut self, rounds: Option<u32>) -> Self {
         self.scenario.rounds_override = rounds;
-        self
-    }
-
-    /// Caps the simulator's event budget.
-    #[must_use]
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.scenario.max_events = max_events;
         self
     }
 
@@ -1227,7 +1211,6 @@ where
     let (nodes, trace, incomplete) = match scenario.runtime {
         Runtime::Sim => {
             let mut sim = Simulation::over(fleet, scenario.scheduler.build());
-            sim.set_max_events(scenario.max_events);
             if scenario.record_trace {
                 sim.record_trace();
             }
@@ -1352,8 +1335,6 @@ pub struct ByzantineWitness {
     /// Value-flood path discipline (default: redundant, as in the paper;
     /// `SimpleOnly` is the E11b ablation).
     pub flood_mode: FloodMode,
-    /// Path-enumeration budget for the topology precomputation.
-    pub budget: PathBudget,
 }
 
 impl ByzantineWitness {
@@ -1361,13 +1342,6 @@ impl ByzantineWitness {
     #[must_use]
     pub fn with_flood_mode(mut self, mode: FloodMode) -> Self {
         self.flood_mode = mode;
-        self
-    }
-
-    /// Overrides the path-enumeration budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: PathBudget) -> Self {
-        self.budget = budget;
         self
     }
 }
@@ -1386,10 +1360,9 @@ impl Protocol for ByzantineWitness {
             scenario.graph().clone(),
             scenario.f(),
             self.flood_mode,
-            self.budget,
+            PathBudget::default(),
         )?);
-        let mut config = ProtocolConfig::new(scenario.f(), scenario.epsilon(), scenario.range())
-            .with_flood_mode(self.flood_mode);
+        let mut config = ProtocolConfig::new(scenario.f(), scenario.epsilon(), scenario.range());
         if let Some(r) = scenario.rounds_override() {
             config = config.with_rounds(r);
         }
@@ -1419,21 +1392,10 @@ impl Protocol for ByzantineWitness {
 /// other asynchronous cell, Tseng–Vaidya 2012): simple-path value floods,
 /// per-guess fullness threads, midpoint updates. Supports
 /// [`FaultKind::Crash`] and [`FaultKind::CrashAfter`] only — with crash
-/// faults nobody lies.
+/// faults nobody lies. It has no knobs; call sites write
+/// `CrashTwoReach::default()` like every other protocol.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CrashTwoReach {
-    /// Path-enumeration budget for the simple-path population.
-    pub budget: PathBudget,
-}
-
-impl CrashTwoReach {
-    /// Overrides the path-enumeration budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: PathBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-}
+pub struct CrashTwoReach {}
 
 impl Protocol for CrashTwoReach {
     fn name(&self) -> &'static str {
@@ -1447,8 +1409,11 @@ impl Protocol for CrashTwoReach {
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let topo =
-            Arc::new(CrashTopology::new(scenario.graph().clone(), scenario.f(), self.budget)?);
+        let topo = Arc::new(CrashTopology::new(
+            scenario.graph().clone(),
+            scenario.f(),
+            PathBudget::default(),
+        )?);
         let rounds = scenario.rounds();
         let make_node = |v: NodeId, input: f64| {
             CrashNode::new(Arc::clone(&topo), v, input, scenario.epsilon(), scenario.range())

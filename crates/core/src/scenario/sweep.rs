@@ -77,12 +77,6 @@ pub type GenRange = Arc<dyn Fn(&Digraph) -> (f64, f64) + Send + Sync>;
 /// the plan seed from the statistical axis.
 pub type GenLinkFaults = Arc<dyn Fn(&Digraph, u64) -> Option<LinkFaultPlan> + Send + Sync>;
 
-/// Derives an extra label tag from a graph-axis point (`None`: leave the
-/// label alone). Closure-backed; installed via
-/// [`ExperimentPlan::graph_tagger`], with
-/// [`ExperimentPlan::certify_graphs`] as the canonical instance.
-pub type GraphTag = Arc<dyn Fn(&Digraph) -> Option<String> + Send + Sync>;
-
 /// One labelled input assignment: a generator producing one input per node,
 /// plus an optional a-priori range closure (defaults to the honest-input
 /// hull, exactly as [`ScenarioBuilder::range`](super::ScenarioBuilder::range)).
@@ -179,15 +173,6 @@ impl SchedulerFamily {
     #[must_use]
     pub fn legacy_random() -> Self {
         SchedulerFamily::from_fn(SchedulerSpec::legacy_random)
-    }
-
-    /// Layers adversarial per-edge delay overrides over this family.
-    #[must_use]
-    pub fn edge_delays(self, overrides: Vec<(NodeId, NodeId, u64)>) -> Self {
-        SchedulerFamily::from_fn(move |seed| SchedulerSpec::EdgeDelays {
-            base: Box::new((self.0)(seed)),
-            overrides: overrides.clone(),
-        })
     }
 
     /// The concrete schedule this family assigns to `seed`.
@@ -314,7 +299,6 @@ impl AxisRow<'_> {
 pub struct ExperimentPlan {
     protocols: Axis<Arc<dyn Protocol>>,
     graphs: Axis<Arc<Digraph>>,
-    graph_tag: Option<GraphTag>,
     fault_bounds: Axis<usize>,
     placements: Axis<PlaceFaults>,
     inputs: Axis<InputSpec>,
@@ -324,8 +308,6 @@ pub struct ExperimentPlan {
     runtimes: Axis<Runtime>,
     rounds: Axis<Option<u32>>,
     seeds: Axis<u64>,
-    /// `None`: the plan default of 10⁸ events per cell.
-    max_events: Option<u64>,
 }
 
 /// Prints every axis's point labels, keyed by axis name.
@@ -362,9 +344,9 @@ impl ExperimentPlan {
         ]
     }
 
-    /// Adds a protocol axis point. Per-protocol knobs (flood mode, path
-    /// budget, W-MSR rounds) become axis points by adding distinctly
-    /// configured, distinctly labelled instances.
+    /// Adds a protocol axis point. Per-protocol knobs (flood mode, W-MSR
+    /// rounds) become axis points by adding distinctly configured,
+    /// distinctly labelled instances.
     #[must_use]
     pub fn protocol(mut self, label: impl Into<String>, protocol: impl Protocol + 'static) -> Self {
         self.protocols = self.protocols.point(label, Arc::new(protocol));
@@ -390,33 +372,6 @@ impl ExperimentPlan {
     pub fn graphs_axis(mut self, axis: Axis<Digraph>) -> Self {
         self.graphs = Axis::from_points(axis.points.into_iter().map(|(l, g)| (l, Arc::new(g))));
         self
-    }
-
-    /// Installs a graph-axis labelling hook: at [`ExperimentPlan::build`]
-    /// time, each graph point whose hook returns `Some(tag)` has its label
-    /// rewritten to `label[tag]`, so every expanded cell — and every
-    /// reduced row downstream — carries the tag in its `graph` coordinate.
-    /// The hook runs once per graph point, not once per cell.
-    #[must_use]
-    pub fn graph_tagger(
-        mut self,
-        tag: impl Fn(&Digraph) -> Option<String> + Send + Sync + 'static,
-    ) -> Self {
-        self.graph_tag = Some(Arc::new(tag) as GraphTag);
-        self
-    }
-
-    /// The canonical [`ExperimentPlan::graph_tagger`]: tags every graph
-    /// point with its `(r, s)`-robustness certification status, so reduced
-    /// rows read `graph[cert=circulant-prefix]` or `graph[cert=UNCERTIFIED]`
-    /// — certified and unproven topologies can no longer be confused in
-    /// sweep output. Polynomial per graph (the exact checker is never run).
-    #[must_use]
-    pub fn certify_graphs(self, r: usize, s: usize) -> Self {
-        self.graph_tagger(move |g| {
-            let status = dbac_conditions::robustness::certification(g, r, s);
-            Some(format!("cert={}", status.rule_label()))
-        })
     }
 
     /// Adds a fault-bound axis point (labelled `f<n>`; default `[1]`).
@@ -529,14 +484,6 @@ impl ExperimentPlan {
         seeds.into_iter().fold(self, ExperimentPlan::seed)
     }
 
-    /// Caps the simulator event budget for every cell (a budget, not an
-    /// axis).
-    #[must_use]
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = Some(max_events);
-        self
-    }
-
     /// Expands the cartesian product into a [`Sweep`] of labelled cells.
     ///
     /// Scenario-level validation failures do **not** fail the build: the
@@ -572,14 +519,6 @@ impl ExperimentPlan {
         self.runtimes.default_to("", Runtime::Sim);
         self.rounds.default_to("", None);
         self.seeds.default_to("s0", 0);
-        // The graph-axis labelling hook runs once per point, not per cell.
-        if let Some(tag) = &self.graph_tag {
-            for (label, graph) in &mut self.graphs.points {
-                if let Some(tag) = tag(graph) {
-                    *label = format!("{label}[{tag}]");
-                }
-            }
-        }
 
         // Duplicate labels within one axis would merge cells silently in
         // the reducer and the JSON kernel keys.
@@ -612,7 +551,6 @@ impl ExperimentPlan {
                 .link_faults_opt(self.link_faults.at(links)(graph, seed))
                 .runtime(*self.runtimes.at(rt))
                 .rounds_opt(*self.rounds.at(rounds))
-                .max_events(self.max_events.unwrap_or(100_000_000))
                 .protocol_arc(Arc::clone(self.protocols.at(proto)))
                 .build();
             cells.push(Cell {
@@ -870,7 +808,10 @@ pub struct SweepReport {
     pub rows: Vec<CellRow>,
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal (control
+/// characters as `\u00XX`).
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1192,23 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn certify_graphs_tags_the_graph_coordinate() {
-        let sweep = ExperimentPlan::new()
-            .protocol("bw", ByzantineWitness::default())
-            .graph("k5", generators::clique(5))
-            .graph("ring", generators::directed_cycle(5))
-            .certify_graphs(2, 2)
-            .build()
-            .unwrap();
-        assert_eq!(sweep.cell_count(), 2);
-        assert_eq!(sweep.cells()[0].coord("graph"), Some("k5[cert=min-in-degree]"));
-        assert_eq!(sweep.cells()[0].label(), "bw/k5[cert=min-in-degree]/f1/none/s0");
-        // A sparse ring is honestly unprovable at (2, 2): the marker is
-        // explicit, not silent.
-        assert_eq!(sweep.cells()[1].coord("graph"), Some("ring[cert=UNCERTIFIED]"));
-    }
-
-    #[test]
     fn sweep_runs_reduces_and_reports_bench_json() {
         let report = ExperimentPlan::new()
             .protocol("bw", ByzantineWitness::default())
@@ -1307,15 +1231,6 @@ mod tests {
             SchedulerSpec::Random { seed: 5, min: 1, max: 15 }
         );
         assert_eq!(SchedulerFamily::legacy_random().spec(4), SchedulerSpec::legacy_random(4));
-        let delayed =
-            SchedulerFamily::fixed(1).edge_delays(vec![(NodeId::new(0), NodeId::new(1), 1_000)]);
-        assert_eq!(
-            delayed.spec(0),
-            SchedulerSpec::EdgeDelays {
-                base: Box::new(SchedulerSpec::Fixed(1)),
-                overrides: vec![(NodeId::new(0), NodeId::new(1), 1_000)],
-            }
-        );
     }
 
     #[test]

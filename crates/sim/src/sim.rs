@@ -64,10 +64,8 @@ pub struct SimStats {
     /// receipt (counted separately from clean drops).
     pub messages_corrupted: u64,
     /// Frames that arrived over a real byte stream but failed to decode
-    /// and were discarded by the receiver ([`Runtime::Net`]-only — the
+    /// and were discarded by the receiver (`Runtime::Net`-only — the
     /// in-process runtimes never serialize, so this stays zero there).
-    ///
-    /// [`Runtime::Net`]: https://docs.rs/dbac/latest/dbac/scenario/enum.Runtime.html
     pub messages_rejected: u64,
     /// Virtual time of the last delivery (zero on wall-clock runs).
     pub final_time: VirtualTime,
@@ -117,7 +115,7 @@ impl<P: Process> Simulation<P> {
             policy,
             queue: CalendarQueue::new(),
             delivered: 0,
-            max_events: 50_000_000,
+            max_events: 100_000_000,
             horizon: VirtualTime::FAR_FUTURE,
             trace: None,
         }
@@ -140,7 +138,7 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Caps the number of deliveries before the run aborts with
-    /// [`SimError::EventBudgetExhausted`] (default: 5·10⁷).
+    /// [`SimError::EventBudgetExhausted`] (default: 10⁸).
     pub fn set_max_events(&mut self, max_events: u64) -> &mut Self {
         self.max_events = max_events;
         self

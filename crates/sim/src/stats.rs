@@ -237,8 +237,8 @@ impl StatsHandle {
         bump(&self.shard.proto[PROTO_ROUNDS], 1);
     }
 
-    /// Adds `by` round firings at once (synchronous protocols that know
-    /// their round count up front).
+    /// Adds `by` round firings at once (a protocol that reports its
+    /// round count at readout instead of per firing).
     #[inline]
     pub fn add_rounds_fired(&self, by: u64) {
         bump(&self.shard.proto[PROTO_ROUNDS], by);
@@ -553,14 +553,14 @@ impl NodeCounters {
 /// [`Coverage::NotObservable`] marker instead of a silent zero.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Transport counters by message class. `NotObservable` only for
-    /// synchronous protocols that never touch a transport.
+    /// Transport counters by message class. `NotObservable` only on a
+    /// registry no runtime was attached to.
     pub transport: Coverage<TransportSnapshot>,
     /// Protocol progress counters (always measured; zero when the
     /// protocol has no such notion).
     pub protocol: ProtocolCounters,
-    /// Per-node queue/done gauges. `NotObservable` for synchronous
-    /// protocols.
+    /// Per-node queue/done gauges. `NotObservable` only on a registry
+    /// no runtime was attached to.
     pub nodes: Coverage<Vec<NodeCounters>>,
     /// The simulator's virtual clock at the last delivery. Only the
     /// discrete-event runtime can observe this; `Threaded`/`Net` report

@@ -87,7 +87,7 @@ fn e11b_simple_only_rejects_non_simple_floods_before_m_v() {
     let run = |mode: FloodMode| {
         let topo =
             Arc::new(Topology::new(generators::clique(4), 1, mode, PathBudget::default()).unwrap());
-        let config = ProtocolConfig::new(1, 0.5, (0.0, 8.0)).with_flood_mode(mode);
+        let config = ProtocolConfig::new(1, 0.5, (0.0, 8.0));
         let mut node = HonestNode::new(Arc::clone(&topo), config, me, 1.0);
         let mut ctx = Context::new(me, topo.graph().out_neighbors(me));
         node.on_start(&mut ctx);
@@ -96,28 +96,24 @@ fn e11b_simple_only_rejects_non_simple_floods_before_m_v() {
         // path ⟨0,1⟩ (simple, interned in *both* populations) extends at
         // node 0 to the redundant, non-simple ⟨0,1,0⟩.
         let wire = topo.index().resolve(&Path::from_indices(&[0, 1]).unwrap()).unwrap();
-        let before = node.stats();
         node.on_message(
             &mut ctx,
             NodeId::new(1),
             ProtocolMsg::Flood { round: 0, value: 66.5, path: wire },
         );
         let relays = ctx.take_outbox().len();
-        (topo, node, before, relays)
+        (topo, node, relays)
     };
 
     // Paper mode: the extension is a legitimate redundant path — stored.
-    let (topo, node, before, relays) = run(FloodMode::Redundant);
+    let (topo, node, relays) = run(FloodMode::Redundant);
     let stored = topo.index().resolve(&Path::from_indices(&[0, 1, 0]).unwrap()).unwrap();
-    assert_eq!(node.stats().floods_accepted, before.floods_accepted + 1);
     let mset = node.round_message_set(0).expect("round 0 started");
     assert_eq!(mset.value_on_path(stored), Some(66.5), "redundant mode stores ⟨0,1,0⟩");
     assert!(relays > 0, "redundant mode relays the flood onward");
 
     // Ablation: rejected at validation; M_v never sees a non-simple path.
-    let (topo, node, before, relays) = run(FloodMode::SimpleOnly);
-    assert_eq!(node.stats().floods_rejected, before.floods_rejected + 1);
-    assert_eq!(node.stats().floods_accepted, before.floods_accepted, "nothing accepted");
+    let (topo, node, relays) = run(FloodMode::SimpleOnly);
     assert_eq!(relays, 0, "rejected floods must not be relayed");
     let mset = node.round_message_set(0).expect("round 0 started");
     assert_eq!(mset.len(), 1, "M_v holds only the node's own trivial path, not the injected flood");

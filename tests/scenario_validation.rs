@@ -156,9 +156,8 @@ fn complete_network_requirements_are_typed() {
 
 #[test]
 fn iterative_accepts_every_runtime() {
-    // PR 9 replaced the synchronous iterative loop with a message-passing
-    // engine: the historical `UnsupportedRuntime` rejection is gone and a
-    // threaded run completes like any other protocol.
+    // The iterative baseline is a message-passing protocol like the
+    // others: no runtime is rejected, and a threaded run completes.
     let out = Scenario::builder(generators::clique(4), 1)
         .inputs(vec![0.0, 1.0, 2.0, 50.0])
         .rounds(15)
