@@ -18,8 +18,9 @@
 //!   three runtimes (Sim, Threaded, Net) and built to scale past 10⁴
 //!   nodes.
 //! * [`scenario`] — [`Protocol`](dbac_core::scenario::Protocol)
-//!   implementations plugging all three baselines into the workspace's
-//!   unified **Scenario → Outcome** experiment surface.
+//!   implementations plugging AAD04 (over reliable broadcast) and W-MSR
+//!   into the workspace's unified **Scenario → Outcome** experiment
+//!   surface.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,4 +32,4 @@ pub mod reliable_broadcast;
 pub mod scenario;
 pub mod wire;
 
-pub use scenario::{Aad04, IterativeTrimmedMean, ReliableBroadcastProbe};
+pub use scenario::{Aad04, IterativeTrimmedMean};

@@ -7,7 +7,6 @@
 //! |------------|-------------------|
 //! | [`Aad04`] | Abraham–Amit–Dolev OPODIS 2004 (related work \[1\]): the complete-network algorithm BW generalizes |
 //! | [`IterativeTrimmedMean`] | W-MSR iterative consensus (related work \[13, 25\]; Vaidya–Tseng–Liang arXiv [1201.4183](https://arxiv.org/abs/1201.4183) / [1202.6094](https://arxiv.org/abs/1202.6094)): local filtering under `(f+1, f+1)`-robustness, engine in [`crate::iterengine`] |
-//! | [`ReliableBroadcastProbe`] | Bracha reliable broadcast, AAD04's substrate, as a one-shot trimmed-agreement probe |
 //!
 //! Each implementation maps the protocol-agnostic
 //! [`FaultKind`] assignments onto its own adversary
@@ -19,29 +18,11 @@
 use crate::aad04::{AadNode, LiarAdversary};
 use crate::iterative::IterStrategy;
 use crate::iterengine::{IterLiar, IterNode};
-use crate::reliable_broadcast::{RbcEngine, RbcMsg};
 use dbac_conditions::robustness::CertificationStatus;
 use dbac_core::error::RunError;
 use dbac_core::scenario::{run_fleet, FaultKind, Outcome, Protocol, Readout, Scenario};
 use dbac_graph::NodeId;
-use dbac_sim::process::{Adversary, Context, Process, Silent};
-use std::collections::HashSet;
-
-/// The shared precondition of the two reliable-broadcast protocols: a
-/// complete network with `n > 3f`, and only crash or constant-liar faults
-/// (RBC rules out equivocation, so a planted value is the strongest lie).
-fn check_rbc_setting(protocol: &'static str, scenario: &Scenario) -> Result<(), RunError> {
-    let (n, f) = (scenario.graph().node_count(), scenario.f());
-    if scenario.graph().edge_count() != n * n.saturating_sub(1) {
-        return Err(RunError::IncompleteGraph { protocol });
-    }
-    if n <= 3 * f {
-        return Err(RunError::ResilienceExceeded { protocol, n, f, requires: "n > 3f" });
-    }
-    scenario.check_faults(protocol, |kind| {
-        matches!(kind, FaultKind::Crash | FaultKind::ConstantLiar { .. })
-    })
-}
+use dbac_sim::process::Silent;
 
 // ---------------------------------------------------------------------------
 // AAD04
@@ -59,8 +40,20 @@ impl Protocol for Aad04 {
         "aad04"
     }
 
+    /// A complete network with `n > 3f`, and only crash or constant-liar
+    /// faults (reliable broadcast rules out equivocation, so a planted
+    /// value is the strongest lie).
     fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        check_rbc_setting(self.name(), scenario)
+        let (protocol, n, f) = (self.name(), scenario.graph().node_count(), scenario.f());
+        if scenario.graph().edge_count() != n * n.saturating_sub(1) {
+            return Err(RunError::IncompleteGraph { protocol });
+        }
+        if n <= 3 * f {
+            return Err(RunError::ResilienceExceeded { protocol, n, f, requires: "n > 3f" });
+        }
+        scenario.check_faults(protocol, |kind| {
+            matches!(kind, FaultKind::Crash | FaultKind::ConstantLiar { .. })
+        })
     }
 
     fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
@@ -201,154 +194,6 @@ impl Protocol for IterativeTrimmedMean {
         )?;
         outcome.certification = Some(Self::certification(scenario));
         Ok(outcome)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reliable-broadcast probe
-// ---------------------------------------------------------------------------
-
-/// A one-shot **Bracha reliable-broadcast** probe (`n > 3f`, complete
-/// networks): every node RBC-broadcasts its input; each honest node
-/// decides the `f`-trimmed midpoint of the first `n − f` values it
-/// delivers. One communication round — it exercises AAD04's transport
-/// substrate under the scenario's schedule and faults, so ε-convergence is
-/// *not* guaranteed (validity is, by trimming).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReliableBroadcastProbe;
-
-/// Wire message of the probe: RBC transport of `f64::to_bits` payloads.
-type ProbeMsg = RbcMsg<u64>;
-
-/// An honest probe node.
-pub(crate) struct ProbeNode {
-    n: usize,
-    f: usize,
-    rbc: RbcEngine<u64>,
-    input: f64,
-    delivered_from: HashSet<NodeId>,
-    values: Vec<f64>,
-    output: Option<f64>,
-    sent: u64,
-}
-
-impl ProbeNode {
-    fn new(me: NodeId, n: usize, f: usize, input: f64) -> Self {
-        ProbeNode {
-            n,
-            f,
-            rbc: RbcEngine::new(me, n, f),
-            input,
-            delivered_from: HashSet::new(),
-            values: Vec::new(),
-            output: None,
-            sent: 0,
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.output.is_some()
-    }
-
-    fn handle_rbc(&mut self, ctx: &mut Context<ProbeMsg>, from: NodeId, msg: ProbeMsg) {
-        let (outs, deliveries) = self.rbc.on_message(from, msg);
-        for m in outs {
-            for w in ctx.out_neighbors().iter() {
-                self.sent += 1;
-                ctx.send(w, m.clone());
-            }
-            // A node participates in its own broadcasts.
-            let me = ctx.me();
-            self.handle_rbc(ctx, me, m);
-        }
-        for d in deliveries {
-            if self.delivered_from.insert(d.origin) && self.output.is_none() {
-                self.values.push(f64::from_bits(d.payload));
-                if self.values.len() >= self.n - self.f {
-                    let mut vals = self.values.clone();
-                    vals.sort_by(f64::total_cmp);
-                    let kept = &vals[self.f..vals.len() - self.f];
-                    self.output = Some((kept[0] + kept[kept.len() - 1]) / 2.0);
-                }
-            }
-        }
-    }
-}
-
-impl Process for ProbeNode {
-    type Message = ProbeMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<ProbeMsg>) {
-        let (_, init) = self.rbc.broadcast(self.input.to_bits());
-        for w in ctx.out_neighbors().iter() {
-            self.sent += 1;
-            ctx.send(w, init.clone());
-        }
-        let me = ctx.me();
-        self.handle_rbc(ctx, me, init);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<ProbeMsg>, from: NodeId, msg: ProbeMsg) {
-        self.handle_rbc(ctx, from, msg);
-    }
-
-    fn classify(_msg: &ProbeMsg) -> dbac_sim::stats::MsgClass {
-        dbac_sim::stats::MsgClass::Rbc
-    }
-}
-
-impl std::fmt::Debug for ProbeNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProbeNode").field("output", &self.output).finish()
-    }
-}
-
-/// A probe liar: participates honestly but broadcasts a planted value (RBC
-/// prevents equivocation, so this is the strongest value attack).
-struct ProbeLiar {
-    inner: ProbeNode,
-}
-
-impl Adversary<ProbeMsg> for ProbeLiar {
-    fn on_start(&mut self, ctx: &mut Context<ProbeMsg>) {
-        self.inner.on_start(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Context<ProbeMsg>, from: NodeId, msg: ProbeMsg) {
-        self.inner.on_message(ctx, from, msg);
-    }
-}
-
-impl Protocol for ReliableBroadcastProbe {
-    fn name(&self) -> &'static str {
-        "reliable-broadcast-probe"
-    }
-
-    fn check(&self, scenario: &Scenario) -> Result<(), RunError> {
-        check_rbc_setting(self.name(), scenario)
-    }
-
-    fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let (n, f) = (scenario.graph().node_count(), scenario.f());
-        run_fleet(
-            scenario,
-            self.name(),
-            1, // the probe is one communication round, whatever the override
-            &scenario.resolve_stats(),
-            |v, input| ProbeNode::new(v, n, f, input),
-            |v, kind| match *kind {
-                FaultKind::Crash => Box::new(Silent),
-                FaultKind::ConstantLiar { value } => {
-                    Box::new(ProbeLiar { inner: ProbeNode::new(v, n, f, value) })
-                }
-                _ => unreachable!("checked"),
-            },
-            ProbeNode::is_done,
-            |node| Readout {
-                output: node.output,
-                history: std::iter::once(node.input).chain(node.output).collect(),
-                sent: Some(node.sent),
-            },
-        )
     }
 }
 
@@ -516,22 +361,6 @@ mod tests {
         assert!(out.valid());
     }
 
-    #[test]
-    fn rbc_probe_trims_a_liar() {
-        let out = Scenario::builder(generators::clique(4), 1)
-            .inputs(vec![2.0, 4.0, 6.0, 0.0])
-            .epsilon(10.0)
-            .fault(id(3), FaultKind::ConstantLiar { value: 1e9 })
-            .scheduler(SchedulerSpec::Random { seed: 2, min: 1, max: 9 })
-            .protocol(ReliableBroadcastProbe)
-            .run()
-            .unwrap();
-        assert_eq!(out.protocol, "reliable-broadcast-probe");
-        assert!(out.all_decided());
-        assert!(out.valid(), "trimming must keep outputs in [2, 6]: {:?}", out.outputs);
-        assert_eq!(out.rounds, 1);
-    }
-
     /// The W-MSR round count is a per-protocol knob: it rides the sweep's
     /// protocol axis as distinctly configured instances, and the rounds
     /// axis (the scenario override) reaches it through `rounds_opt`.
@@ -572,19 +401,18 @@ mod tests {
         assert_eq!(report.rows[0].summary.as_ref().unwrap().rounds, 7);
     }
 
-    /// A cross-baseline plan: AAD04 and the RBC probe sweep under one
-    /// schedule family; the probe is a one-round protocol, so only
-    /// validity (not ε-convergence) is asserted for it.
+    /// A cross-baseline plan: AAD04 and W-MSR sweep under one schedule
+    /// family, the same liar and the same inputs.
     #[test]
     fn baseline_protocols_sweep_under_one_plan() {
         use dbac_core::scenario::sweep::{ExperimentPlan, SchedulerFamily};
         let report = ExperimentPlan::new()
             .protocol("aad04", Aad04)
-            .protocol("rbc", ReliableBroadcastProbe)
+            .protocol("wmsr", IterativeTrimmedMean::default())
             .graph("K4", generators::clique(4))
             .fault_bound(1)
             .faults("liar", vec![(id(3), FaultKind::ConstantLiar { value: 1e9 })])
-            .inputs("probe", dbac_core::scenario::sweep::InputSpec::fixed(vec![2.0, 4.0, 6.0, 0.0]))
+            .inputs("fixed", dbac_core::scenario::sweep::InputSpec::fixed(vec![2.0, 4.0, 6.0, 0.0]))
             .epsilon(10.0)
             .scheduler("legacy", SchedulerFamily::legacy_random())
             .seeds([2, 5])
@@ -601,23 +429,6 @@ mod tests {
         for cell in &reduced.cells {
             assert_eq!(cell.runs, 2);
             assert_eq!(cell.valid, 2);
-        }
-    }
-
-    #[test]
-    fn rbc_probe_all_honest_agrees_with_full_delivery() {
-        // f = 0: every node waits for all n broadcasts, so the probe is
-        // schedule-independent and every output is the same midpoint.
-        let out = Scenario::builder(generators::clique(4), 0)
-            .inputs(vec![1.0, 9.0, 3.0, 5.0])
-            .epsilon(0.5)
-            .seed(3)
-            .protocol(ReliableBroadcastProbe)
-            .run()
-            .unwrap();
-        assert!(out.converged(), "{:?}", out.outputs);
-        for v in out.honest_outputs() {
-            assert_eq!(v, 5.0, "midpoint of [1, 9]");
         }
     }
 }

@@ -4,8 +4,8 @@
 //! `RbcMsg<T>` encodes for any payload that is itself a
 //! [`WireMessage`], with the payload encoded *last* so it may consume the
 //! remainder of the frame. [`AadPayload`] rides that impl for the AAD04
-//! baseline, and the probe's bare `u64` payload uses the codec layer's
-//! built-in impl.
+//! baseline; the tests also drive it with the codec layer's built-in
+//! `u64` impl.
 //!
 //! ```text
 //! RbcMsg<T>          := phase:u8 origin:u32 seq:u64 payload:T
@@ -154,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn rbc_u64_probe_messages_round_trip() {
+    fn rbc_u64_messages_round_trip() {
         let msg: RbcMsg<u64> = RbcMsg::Echo { origin: NodeId::new(5), seq: 3, payload: 42 };
         let bytes = msg.to_bytes();
         assert_eq!(RbcMsg::<u64>::from_bytes(&bytes).unwrap(), msg);

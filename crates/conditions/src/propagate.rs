@@ -7,7 +7,7 @@
 //! reaches the rest of the network (Theorem 5).
 
 use dbac_graph::maxflow::max_disjoint_paths_from_set;
-use dbac_graph::{Digraph, NodeId, NodeSet};
+use dbac_graph::{Digraph, NodeSet};
 
 /// Checks `A ⇝_C B` for fault bound `f` (Definition 10).
 ///
@@ -22,26 +22,10 @@ pub fn propagates(g: &Digraph, a: NodeSet, b: NodeSet, c: NodeSet, f: usize) -> 
     b.iter().all(|t| max_disjoint_paths_from_set(g, a, t, c) >= f + 1)
 }
 
-/// The witness variant: the first `b ∈ B` with fewer than `f + 1` disjoint
-/// `(A, b)`-paths, with its achieved path count.
-#[must_use]
-pub fn propagation_violation(
-    g: &Digraph,
-    a: NodeSet,
-    b: NodeSet,
-    c: NodeSet,
-    f: usize,
-) -> Option<(NodeId, usize)> {
-    b.iter().find_map(|t| {
-        let k = max_disjoint_paths_from_set(g, a, t, c);
-        (k < f + 1).then_some((t, k))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbac_graph::generators;
+    use dbac_graph::{generators, NodeId};
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -74,7 +58,6 @@ mod tests {
         let b = ns(&[2]);
         assert!(propagates(&g, a, b, g.vertex_set(), 0));
         assert!(!propagates(&g, a, b, g.vertex_set(), 1));
-        assert_eq!(propagation_violation(&g, a, b, g.vertex_set(), 1), Some((id(2), 1)));
     }
 
     #[test]

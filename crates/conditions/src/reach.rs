@@ -27,14 +27,29 @@ use std::collections::HashMap;
 /// ```
 #[must_use]
 pub fn reach_set(g: &Digraph, v: NodeId, removed: NodeSet) -> NodeSet {
-    if removed.contains(v) {
-        return NodeSet::EMPTY;
-    }
     let keep = removed.complement_in(g.node_count());
-    reaching_to(&g.induced(keep), v) & keep
+    reach_within(&g.induced(keep), keep, v)
 }
 
-/// Memoizing wrapper around [`reach_set`].
+/// `reach_v(removed)` for every node `v` at once, indexed by node (empty
+/// for the removed nodes): one induced subgraph serves them all.
+#[must_use]
+pub fn reach_sets(g: &Digraph, removed: NodeSet) -> Vec<NodeSet> {
+    let keep = removed.complement_in(g.node_count());
+    let sub = g.induced(keep);
+    g.nodes().map(|v| reach_within(&sub, keep, v)).collect()
+}
+
+/// `reach_v(V ∖ keep)`, given `sub = G[keep]`.
+fn reach_within(sub: &Digraph, keep: NodeSet, v: NodeId) -> NodeSet {
+    if keep.contains(v) {
+        reaching_to(sub, v) & keep
+    } else {
+        NodeSet::EMPTY
+    }
+}
+
+/// Memoizing wrapper around [`reach_sets`].
 ///
 /// The condition checkers evaluate `reach_v(X)` for the same removal set
 /// `X` across many nodes `v`; the cache stores, per removal set, the reach
@@ -55,21 +70,7 @@ impl ReachCache {
     /// Returns `reach_v(removed)`, computing and caching all nodes' reach
     /// sets for this removal set on first use.
     pub fn reach(&mut self, g: &Digraph, v: NodeId, removed: NodeSet) -> NodeSet {
-        let entry = self.by_removed.entry(removed).or_insert_with(|| {
-            let keep = removed.complement_in(g.node_count());
-            let sub = g.induced(keep);
-            (0..g.node_count())
-                .map(|i| {
-                    let u = NodeId::new(i);
-                    if removed.contains(u) {
-                        NodeSet::EMPTY
-                    } else {
-                        reaching_to(&sub, u) & keep
-                    }
-                })
-                .collect()
-        });
-        entry[v.index()]
+        self.by_removed.entry(removed).or_insert_with(|| reach_sets(g, removed))[v.index()]
     }
 
     /// Number of distinct removal sets cached so far.

@@ -8,8 +8,7 @@
 //! on their properties.
 
 use dbac_graph::paths::reachable_from;
-use dbac_graph::{Digraph, NodeId, NodeSet};
-use std::collections::HashMap;
+use dbac_graph::{Digraph, NodeSet};
 
 /// Computes the source component `S_{F1,F2}` of `g`: the nodes of the
 /// reduced graph `G_{F1,F2}` (Definition 5) that reach all nodes.
@@ -34,12 +33,7 @@ use std::collections::HashMap;
 /// ```
 #[must_use]
 pub fn source_component(g: &Digraph, f1: NodeSet, f2: NodeSet) -> NodeSet {
-    source_component_of_silenced(g, f1 | f2)
-}
-
-/// [`source_component`] keyed directly by the silenced set `F1 ∪ F2`.
-#[must_use]
-pub fn source_component_of_silenced(g: &Digraph, silenced: NodeSet) -> NodeSet {
+    let silenced = f1 | f2;
     let reduced = g.reduced(silenced, NodeSet::EMPTY);
     let all = g.vertex_set();
     let mut s = NodeSet::EMPTY;
@@ -51,60 +45,10 @@ pub fn source_component_of_silenced(g: &Digraph, silenced: NodeSet) -> NodeSet {
     s
 }
 
-/// Memoizing cache for source components, keyed by the silenced set.
-///
-/// The BW algorithm consults `S_{F_u,F_w}` for every pair of fault guesses;
-/// the number of distinct *unions* is far smaller than the number of pairs.
-#[derive(Debug, Default)]
-pub struct SourceComponentCache {
-    by_silenced: HashMap<NodeSet, NodeSet>,
-}
-
-impl SourceComponentCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns `S_{F1,F2}`, computing it on first use.
-    pub fn get(&mut self, g: &Digraph, f1: NodeSet, f2: NodeSet) -> NodeSet {
-        let silenced = f1 | f2;
-        *self
-            .by_silenced
-            .entry(silenced)
-            .or_insert_with(|| source_component_of_silenced(g, silenced))
-    }
-
-    /// Number of distinct silenced sets cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.by_silenced.len()
-    }
-
-    /// Returns `true` if nothing has been cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.by_silenced.is_empty()
-    }
-}
-
-/// Returns `true` if node `q` can reach all of `V` in the reduced graph —
-/// membership test without computing the whole component.
-#[must_use]
-pub fn is_in_source_component(g: &Digraph, f1: NodeSet, f2: NodeSet, q: NodeId) -> bool {
-    let silenced = f1 | f2;
-    if silenced.contains(q) {
-        return false;
-    }
-    let reduced = g.reduced(silenced, NodeSet::EMPTY);
-    reachable_from(&reduced, q) == g.vertex_set()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbac_graph::{generators, scc};
+    use dbac_graph::{generators, scc, NodeId};
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -134,7 +78,7 @@ mod tests {
         // Paper remark after Definition 6.
         let g = generators::figure_1b_small();
         for silenced in [ns(&[]), ns(&[0]), ns(&[1, 6]), ns(&[2, 3])] {
-            let s = source_component_of_silenced(&g, silenced);
+            let s = source_component(&g, silenced, NodeSet::EMPTY);
             assert!(
                 scc::is_strongly_connected_within(&g.reduced(silenced, NodeSet::EMPTY), s),
                 "S for silenced {silenced} not strongly connected"
@@ -153,32 +97,8 @@ mod tests {
     fn may_be_empty_without_connectivity() {
         // Directed path 0 -> 1 -> 2: silencing 0 leaves nobody reaching all.
         let g = generators::directed_path(3);
-        assert_eq!(source_component_of_silenced(&g, ns(&[0])), NodeSet::EMPTY);
+        assert_eq!(source_component(&g, ns(&[0]), NodeSet::EMPTY), NodeSet::EMPTY);
         // Even with nobody silenced only node 0 reaches everyone.
-        assert_eq!(source_component_of_silenced(&g, NodeSet::EMPTY), ns(&[0]));
-    }
-
-    #[test]
-    fn membership_test_agrees() {
-        let g = generators::figure_1b_small();
-        for silenced in [ns(&[]), ns(&[0]), ns(&[4, 7])] {
-            let s = source_component_of_silenced(&g, silenced);
-            for q in g.nodes() {
-                assert_eq!(is_in_source_component(&g, silenced, NodeSet::EMPTY, q), s.contains(q));
-            }
-        }
-    }
-
-    #[test]
-    fn cache_agrees_and_deduplicates_unions() {
-        let g = generators::clique(5);
-        let mut cache = SourceComponentCache::new();
-        let a = cache.get(&g, ns(&[0]), ns(&[1]));
-        let b = cache.get(&g, ns(&[1]), ns(&[0]));
-        let c = cache.get(&g, ns(&[0, 1]), NodeSet::EMPTY);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(cache.len(), 1, "one distinct union cached once");
-        assert_eq!(a, source_component(&g, ns(&[0]), ns(&[1])));
+        assert_eq!(source_component(&g, NodeSet::EMPTY, NodeSet::EMPTY), ns(&[0]));
     }
 }

@@ -93,8 +93,7 @@ impl CertificateRule {
 
 /// A machine-checkable claim that a graph is `(r, s)`-robust.
 ///
-/// Produced by [`crate::robustness::certify`] and the certified
-/// constructors in [`crate::robustness::certified`]; checked by
+/// Produced by [`crate::robustness::certify`]; checked by
 /// [`verify_certificate`] in O(V+E).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RobustnessCertificate {

@@ -22,9 +22,10 @@
 //!   search: certificates are trust-but-verify artifacts that ship next
 //!   to large-n experiment outputs.
 //!
-//! [`certified`] wraps the scalable generator families
-//! (`circulant`, `circulant_pow2`, `layered_expander`) into certified
-//! constructions.
+//! The scalable generator families of `dbac_graph::generators`
+//! (`circulant`, `circulant_pow2`, `layered_expander`) are certified by
+//! handing the built graph to [`certify`], whose circulant-prefix and
+//! layered-expander rules are written for them.
 //!
 //! # Example
 //!
@@ -46,7 +47,6 @@
 //! ```
 
 pub mod certificate;
-pub mod certified;
 pub mod exact;
 pub mod sufficient;
 
@@ -54,7 +54,6 @@ pub use certificate::{
     required_circulant_k, verify_certificate, CertificateError, CertificateRule,
     RobustnessCertificate,
 };
-pub use certified::CertifiedTopology;
 pub use exact::{
     exact_verdict, is_r_s_robust, r_reachable_subset, robustness_violation, RobustnessVerdict,
     RobustnessViolation,

@@ -224,7 +224,7 @@ pub fn strongly_connected_rule(g: &Digraph, r: usize, s: usize) -> Option<Robust
 }
 
 /// The layered-expander composition rule with *known* template
-/// parameters (the certified constructors call this directly).
+/// parameters ([`layered_expander_detect`] tries each factorization).
 #[must_use]
 pub fn layered_expander_rule(
     g: &Digraph,

@@ -13,15 +13,15 @@
 //! over sampled graphs.
 
 use crate::propagate::propagates;
-use crate::reduced::SourceComponentCache;
+use crate::reduced::source_component;
 use dbac_graph::subsets::SubsetsUpTo;
 use dbac_graph::{Digraph, NodeSet};
+use std::collections::HashMap;
 
 /// Checks the Theorem 5 conclusion for one pair `(F1, F2)`:
 /// `S_{F1,F2} ⇝ (in G_{F̄1}) to F̄1 ∖ S` and likewise within `G_{F̄2}`.
-#[must_use]
-pub fn theorem5_holds_for(g: &Digraph, f: usize, f1: NodeSet, f2: NodeSet) -> bool {
-    let s = crate::reduced::source_component(g, f1, f2);
+fn theorem5_holds_for(g: &Digraph, f: usize, f1: NodeSet, f2: NodeSet) -> bool {
+    let s = source_component(g, f1, f2);
     if s.is_empty() {
         return false;
     }
@@ -54,18 +54,19 @@ pub fn theorem5_sweep(g: &Digraph, f: usize) -> Option<(NodeSet, NodeSet)> {
 }
 
 /// Checks the Theorem 12 conclusion for one triple:
-/// `S_{F_v,F_u} ∩ S_{F_v,F_w} ≠ ∅`.
-#[must_use]
-pub fn theorem12_holds_for(
+/// `S_{F_v,F_u} ∩ S_{F_v,F_w} ≠ ∅`, with `sources` memoising the source
+/// component of each silenced union.
+fn theorem12_holds_for(
     g: &Digraph,
-    cache: &mut SourceComponentCache,
+    sources: &mut HashMap<NodeSet, NodeSet>,
     fv: NodeSet,
     fu: NodeSet,
     fw: NodeSet,
 ) -> bool {
-    let s1 = cache.get(g, fv, fu);
-    let s2 = cache.get(g, fv, fw);
-    !s1.is_disjoint(s2)
+    let mut s = |silenced: NodeSet| {
+        *sources.entry(silenced).or_insert_with(|| source_component(g, silenced, NodeSet::EMPTY))
+    };
+    !s(fv | fu).is_disjoint(s(fv | fw))
 }
 
 /// Sweeps Theorem 12 over all admissible triples (`F_v ⊂ V`,
@@ -74,25 +75,18 @@ pub fn theorem12_holds_for(
 #[must_use]
 pub fn theorem12_sweep(g: &Digraph, f: usize) -> Option<(NodeSet, NodeSet, NodeSet)> {
     let all = g.vertex_set();
-    let mut cache = SourceComponentCache::new();
+    let mut sources = HashMap::new();
     for fv in SubsetsUpTo::new(all, f) {
         let rest: Vec<NodeSet> = SubsetsUpTo::new(all - fv, f).collect();
         for &fu in &rest {
             for &fw in &rest {
-                if !theorem12_holds_for(g, &mut cache, fv, fu, fw) {
+                if !theorem12_holds_for(g, &mut sources, fv, fu, fw) {
                     return Some((fv, fu, fw));
                 }
             }
         }
     }
     None
-}
-
-/// The clique specialization of k-reach (Appendix A): in `K_n`, k-reach is
-/// equivalent to `n > k·f`.
-#[must_use]
-pub fn clique_equivalent_bound(n: usize, k: usize, f: usize) -> bool {
-    n > k * f
 }
 
 #[cfg(test)]
@@ -147,12 +141,5 @@ mod tests {
                 assert_eq!(theorem12_sweep(&g, 1), None, "Theorem 12 failed on {g:?}");
             }
         }
-    }
-
-    #[test]
-    fn clique_bound_helper() {
-        assert!(clique_equivalent_bound(4, 3, 1));
-        assert!(!clique_equivalent_bound(3, 3, 1));
-        assert!(clique_equivalent_bound(7, 3, 2));
     }
 }

@@ -18,9 +18,10 @@
 //! after construction and shared via `Arc`.
 
 use crate::config::FloodMode;
-use dbac_conditions::reduced::source_component_of_silenced;
+use dbac_conditions::reach::reach_sets;
+use dbac_conditions::reduced::source_component;
 use dbac_graph::par::par_map;
-use dbac_graph::paths::{reaching_to, redundant_paths_ending_at, simple_paths_ending_at};
+use dbac_graph::paths::{redundant_paths_ending_at, simple_paths_ending_at};
 use dbac_graph::subsets::SubsetsUpTo;
 use dbac_graph::{Digraph, GraphError, NodeId, NodeSet, Path, PathBudget, PathId, PathIndex};
 use std::collections::{HashMap, HashSet};
@@ -55,7 +56,6 @@ impl Topology {
         flood_mode: FloodMode,
         budget: PathBudget,
     ) -> Result<Self, GraphError> {
-        let n = graph.node_count();
         let all = graph.vertex_set();
         let guesses: Vec<NodeSet> = SubsetsUpTo::new(all, f).collect();
 
@@ -74,28 +74,12 @@ impl Topology {
         let index = PathIndex::build(&graph, &pools);
 
         // Per-guess reach sets, also in parallel.
-        let reach: HashMap<NodeSet, Vec<NodeSet>> = par_map(&guesses, |_, &guess| {
-            let keep = guess.complement_in(n);
-            let sub = graph.induced(keep);
-            let per_node: Vec<NodeSet> =
-                graph
-                    .nodes()
-                    .map(|v| {
-                        if guess.contains(v) {
-                            NodeSet::EMPTY
-                        } else {
-                            reaching_to(&sub, v) & keep
-                        }
-                    })
-                    .collect();
-            (guess, per_node)
-        })
-        .into_iter()
-        .collect();
+        let reach: HashMap<NodeSet, Vec<NodeSet>> =
+            par_map(&guesses, |_, &guess| (guess, reach_sets(&graph, guess))).into_iter().collect();
 
         let silenced_sets: Vec<NodeSet> = SubsetsUpTo::new(all, 2 * f).collect();
         let sources: HashMap<NodeSet, NodeSet> = par_map(&silenced_sets, |_, &silenced| {
-            (silenced, source_component_of_silenced(&graph, silenced))
+            (silenced, source_component(&graph, silenced, NodeSet::EMPTY))
         })
         .into_iter()
         .collect();

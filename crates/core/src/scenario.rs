@@ -36,7 +36,6 @@
 //! | [`CrashTwoReach`] | Table 2, asynchronous/crash cell: approximate consensus under 2-reach (Tseng–Vaidya 2012, per Section 2) |
 //! | `Aad04` (dbac-baselines) | Section 1 related work \[1\]: Abraham–Amit–Dolev OPODIS 2004, the complete-network algorithm BW generalizes |
 //! | `IterativeTrimmedMean` (dbac-baselines) | Related work \[13, 25\] — Vaidya–Tseng–Liang, arXiv [1201.4183](https://arxiv.org/abs/1201.4183) (synchronous) and [1202.6094](https://arxiv.org/abs/1202.6094) (asynchronous): W-MSR iterative consensus, correct under `(f+1, f+1)`-robustness rather than 3-reach; message-passing engine in `dbac-baselines::iterengine`, all three runtimes |
-//! | `ReliableBroadcastProbe` (dbac-baselines) | Bracha reliable broadcast, the substrate of AAD04 (one-shot trimmed-agreement probe) |
 //!
 //! The baseline implementations live in `dbac-baselines::scenario` (this
 //! crate sits below that one in the dependency order); the `dbac` facade

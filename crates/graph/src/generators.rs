@@ -182,10 +182,9 @@ pub fn figure_1b_small() -> Digraph {
 /// Offsets `{1, …, k}` with `k ≥ 2f + 1` give the classical
 /// `(f+1, f+1)`-robust family of the W-MSR literature.
 ///
-/// A *certified* construction — the graph bundled with a machine-checkable
-/// robustness certificate — is available as
-/// `dbac_conditions::robustness::certified::circulant` (that crate sits
-/// above this one, so the certificate types cannot live here).
+/// A machine-checkable robustness certificate for the built graph comes
+/// from `dbac_conditions::robustness::certify` (that crate sits above
+/// this one, so the certificate types cannot live here).
 ///
 /// # Panics
 ///
@@ -209,11 +208,10 @@ pub fn circulant(n: usize, offsets: &[usize]) -> Digraph {
 /// `⌈log₂ n⌉` offsets, so the degree (and the per-round message bill)
 /// grows logarithmically while the averaging iteration keeps an
 /// expander-grade spectral gap. The default topology of the 10⁴-node
-/// scaling story — and since the robustness subsystem landed, it ships
-/// with proof: `dbac_conditions::robustness::certified::circulant_pow2`
-/// returns the graph together with a certificate (the `{1, 2}` window
-/// satisfies the circulant-prefix rule at `(1, 1)`) that an O(V+E)
-/// verifier re-checks in milliseconds even at `n = 10⁴`.
+/// scaling story — and it ships with proof:
+/// `dbac_conditions::robustness::certify` issues a certificate for it
+/// (the `{1, 2}` window satisfies the circulant-prefix rule at `(1, 1)`)
+/// that an O(V+E) verifier re-checks in milliseconds even at `n = 10⁴`.
 ///
 /// # Panics
 ///
@@ -240,9 +238,8 @@ pub fn circulant_pow2(n: usize) -> Digraph {
 /// protocol paths that symmetric families never exercise.
 ///
 /// The family has its own robustness composition rule (`(1, s ≤ 4)` for
-/// any graph containing it as a spanning subgraph); the certified
-/// constructor is
-/// `dbac_conditions::robustness::certified::layered_expander`.
+/// any graph containing it as a spanning subgraph), which
+/// `dbac_conditions::robustness::certify` applies.
 ///
 /// # Panics
 ///

@@ -234,7 +234,11 @@ pub trait Wire<M>: Sized + 'static {
 
     /// Builds every node's outlet toward `inboxes` (indexed by node).
     /// Whatever still holds an inbox sender afterwards keeps that node
-    /// alive: a node whose senders are all gone is starved.
+    /// alive: a node whose senders are all gone is starved. Both wires
+    /// hand node `v`'s inbox only to its neighbours (either edge
+    /// direction) — as a channel sender in the peer's outlet on Threaded,
+    /// to the reader thread of the pair's connection on Net — so `v`
+    /// starves once every neighbour has exited.
     ///
     /// # Errors
     ///

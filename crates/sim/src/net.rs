@@ -240,7 +240,7 @@ mod tests {
     use super::*;
     use crate::chaos::{LinkFault, LinkFaultPlan};
     use crate::process::{Adversary, Context, Process, Silent};
-    use crate::threaded::{Incomplete, IncompleteReason};
+    use crate::threaded::{Incomplete, IncompleteReason, Threaded, ThreadedConfig};
     use codec::{write_frame, WireError, WireReader, MAX_FRAME};
     use crossbeam::channel::unbounded;
     use dbac_graph::generators;
@@ -434,15 +434,18 @@ mod tests {
         }
     }
 
+    /// Panics before it sends anything.
+    struct Grenade;
+
+    impl Adversary<u64> for Grenade {
+        fn on_start(&mut self, _ctx: &mut Context<u64>) {
+            panic!("boom");
+        }
+        fn on_message(&mut self, _ctx: &mut Context<u64>, _from: NodeId, _msg: u64) {}
+    }
+
     #[test]
     fn net_peer_panicking_in_on_start_starves_its_only_neighbour() {
-        struct Grenade;
-        impl Adversary<u64> for Grenade {
-            fn on_start(&mut self, _ctx: &mut Context<u64>) {
-                panic!("boom");
-            }
-            fn on_message(&mut self, _ctx: &mut Context<u64>, _from: NodeId, _msg: u64) {}
-        }
         for kind in [TransportKind::InProcess, TransportKind::Auto] {
             let mut net = Net::new(Arc::new(generators::clique(2)));
             net.set_byzantine(id(0), Box::new(Grenade));
@@ -454,6 +457,21 @@ mod tests {
                 "{kind:?}: the dead peer's connection closes, so node 1's inbox disconnects"
             );
         }
+    }
+
+    #[test]
+    fn threaded_peer_panicking_in_on_start_starves_its_only_neighbour() {
+        let mut threaded = Threaded::new(Arc::new(generators::clique(2)));
+        threaded.set_byzantine(id(0), Box::new(Grenade));
+        threaded.set_honest(id(1), Collect { expected: 1, input: 1, heard: Vec::new() });
+        let config =
+            ThreadedConfig { timeout: Duration::from_millis(500), jitter_micros: 0, seed: 0 };
+        let report = threaded.run(|p| p.heard.len() >= p.expected, config).unwrap();
+        assert_eq!(
+            report.incomplete,
+            vec![Incomplete { node: id(1), reason: IncompleteReason::Starved }],
+            "the dead peer held the only sender to node 1's inbox"
+        );
     }
 
     // -- the outlet writes exactly the retired per-frame byte stream -------

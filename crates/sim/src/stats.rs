@@ -46,8 +46,6 @@ pub enum MsgClass {
     Complete,
     /// Crash-consensus protocol traffic.
     Crash,
-    /// Reliable-broadcast probe traffic.
-    Rbc,
     /// AAD04 baseline traffic.
     Aad,
     /// Iterative W-MSR traffic (per-round trimmed-mean value exchange).
@@ -57,7 +55,7 @@ pub enum MsgClass {
 }
 
 /// Number of [`MsgClass`] variants (the per-shard array width).
-pub const MSG_CLASS_COUNT: usize = 7;
+pub const MSG_CLASS_COUNT: usize = 6;
 
 impl MsgClass {
     /// All classes, in array-index order.
@@ -65,7 +63,6 @@ impl MsgClass {
         MsgClass::Flood,
         MsgClass::Complete,
         MsgClass::Crash,
-        MsgClass::Rbc,
         MsgClass::Aad,
         MsgClass::Iter,
         MsgClass::Other,
@@ -78,10 +75,9 @@ impl MsgClass {
             MsgClass::Flood => 0,
             MsgClass::Complete => 1,
             MsgClass::Crash => 2,
-            MsgClass::Rbc => 3,
-            MsgClass::Aad => 4,
-            MsgClass::Iter => 5,
-            MsgClass::Other => 6,
+            MsgClass::Aad => 3,
+            MsgClass::Iter => 4,
+            MsgClass::Other => 5,
         }
     }
 
@@ -92,7 +88,6 @@ impl MsgClass {
             MsgClass::Flood => "flood",
             MsgClass::Complete => "complete",
             MsgClass::Crash => "crash",
-            MsgClass::Rbc => "rbc",
             MsgClass::Aad => "aad",
             MsgClass::Iter => "iter",
             MsgClass::Other => "other",

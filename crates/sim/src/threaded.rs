@@ -60,7 +60,11 @@ pub enum IncompleteReason {
     /// The node's thread panicked; its state is unrecoverable.
     Panicked,
     /// The node's inbox disconnected before the run was stopped, so it
-    /// could no longer make progress.
+    /// could no longer make progress. On both wall-clock runtimes a node
+    /// hears only its neighbours (either edge direction) — over one
+    /// channel sender each on [`Threaded`], one connection each on
+    /// [`Net`](crate::net::Net) — so this is a node whose neighbours have
+    /// all exited.
     Starved,
 }
 
@@ -106,10 +110,11 @@ pub struct ThreadedReport<P> {
 /// given a [`ThreadedConfig`]. Assign an actor to every node, then run.
 pub type Threaded<P> = Fleet<P>;
 
-/// One node's senders toward every inbox, with its seeded jitter.
+/// One node's senders, indexed by peer (`None` where the two nodes share
+/// no edge), with its seeded jitter.
 pub struct ChannelOutlet<M> {
     me: NodeId,
-    peers: Vec<Inbox<M>>,
+    peers: Vec<Option<Inbox<M>>>,
     jitter_micros: u64,
     rng: SmallRng,
 }
@@ -123,27 +128,34 @@ impl<M: Clone + Send + 'static> Wire<M> for ThreadedConfig {
 
     fn connect(
         self,
-        _graph: &Digraph,
+        graph: &Digraph,
         _registry: &StatsRegistry,
         inboxes: Vec<Inbox<M>>,
         _stop: &Arc<AtomicBool>,
     ) -> Result<Connected<Self::Outlet>, SimError> {
-        let outlet = |i: usize| ChannelOutlet {
-            me: NodeId::new(i),
-            peers: inboxes.clone(),
+        let outlet = |me: NodeId| ChannelOutlet {
+            me,
+            peers: graph
+                .nodes()
+                .map(|v| {
+                    (graph.has_edge(me, v) || graph.has_edge(v, me))
+                        .then(|| inboxes[v.index()].clone())
+                })
+                .collect(),
             jitter_micros: self.jitter_micros,
-            rng: SmallRng::seed_from_u64(self.seed ^ (i as u64).wrapping_mul(0x9E37)),
+            rng: SmallRng::seed_from_u64(self.seed ^ (me.index() as u64).wrapping_mul(0x9E37)),
         };
-        Ok(((0..inboxes.len()).map(outlet).collect(), Vec::new()))
+        Ok((graph.nodes().map(outlet).collect(), Vec::new()))
     }
 
     fn emit(outlet: &mut Self::Outlet, to: NodeId, msg: M, copies: u32) {
+        let peer = outlet.peers[to.index()].as_ref().expect("edge has a sender");
         let mut send = |msg: M| {
             if outlet.jitter_micros > 0 {
                 let jitter = outlet.rng.gen_range(0..outlet.jitter_micros);
                 std::thread::sleep(Duration::from_micros(jitter));
             }
-            let _ = outlet.peers[to.index()].send((outlet.me, msg));
+            let _ = peer.send((outlet.me, msg));
         };
         for _ in 1..copies {
             send(msg.clone());

@@ -23,7 +23,7 @@
 //!   witness algorithm for complete networks, and iterative trimmed-mean
 //!   consensus.
 //! * [`scenario`] — the unified **Scenario → Outcome** experiment surface
-//!   over all of the above: one builder, five protocols, three runtimes,
+//!   over all of the above: one builder, four protocols, three runtimes,
 //!   plus the dimensional [`scenario::sweep`] experiment plans with
 //!   seed-batch statistics and JSON reports.
 //!
@@ -102,7 +102,7 @@
 //! becomes a typed error row without poisoning its siblings; the
 //! experiment binaries (`convergence`, `ablation`, `figure1`, `table2`,
 //! `baseline_compare`) are exactly such plan descriptions plus table
-//! renderers. The five protocols map onto the paper as follows:
+//! renderers. The four protocols map onto the paper as follows:
 //!
 //! | `Protocol` | Paper section it reproduces |
 //! |------------|-----------------------------|
@@ -110,7 +110,6 @@
 //! | [`scenario::CrashTwoReach`] | Table 2, asynchronous/crash cell (2-reach; Tseng–Vaidya 2012 per Section 2) |
 //! | [`scenario::Aad04`] | Section 1 related work \[1\]: Abraham–Amit–Dolev OPODIS 2004 on complete networks |
 //! | [`scenario::IterativeTrimmedMean`] | Related work \[13, 25\]: W-MSR under `(f+1, f+1)`-robustness |
-//! | [`scenario::ReliableBroadcastProbe`] | Bracha reliable broadcast, AAD04's substrate |
 
 pub use dbac_baselines as baselines;
 pub use dbac_conditions as conditions;
@@ -122,7 +121,7 @@ pub use dbac_sim as sim;
 /// and protocols from [`dbac_core::scenario`] plus the baseline protocols
 /// from [`dbac_baselines::scenario`], in one namespace.
 pub mod scenario {
-    pub use dbac_baselines::scenario::{Aad04, IterativeTrimmedMean, ReliableBroadcastProbe};
+    pub use dbac_baselines::scenario::{Aad04, IterativeTrimmedMean};
     pub use dbac_core::scenario::{
         drive, sweep, ByzantineWitness, ClassCounters, Coverage, CrashTwoReach, Delivery,
         DriveReport, FaultKind, Incomplete, IncompleteReason, LinkFault, LinkFaultPlan, MsgClass,

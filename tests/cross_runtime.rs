@@ -22,8 +22,8 @@
 
 use dbac::graph::generators;
 use dbac::scenario::{
-    ByzantineWitness, CrashTwoReach, IterativeTrimmedMean, Outcome, ReliableBroadcastProbe,
-    Runtime, Scenario, ScenarioBuilder,
+    Aad04, ByzantineWitness, CrashTwoReach, IterativeTrimmedMean, Outcome, Runtime, Scenario,
+    ScenarioBuilder,
 };
 use std::time::Duration;
 
@@ -122,17 +122,22 @@ fn crash_protocol_decisions_are_runtime_independent() {
     assert_three_way(&sim, &threaded, &net);
 }
 
+/// AAD04 over Bracha reliable broadcast. At `f = 0` each round waits for
+/// all `n` broadcasts, so decisions, trajectories and the honest traffic
+/// tally are all schedule-independent.
 #[test]
-fn rbc_probe_decisions_are_runtime_independent() {
+fn aad04_decisions_are_runtime_independent() {
     let (sim, threaded, net) = run_all(|| {
         Scenario::builder(generators::clique(4), 0)
             .inputs(vec![1.0, 9.0, 3.0, 5.0])
             .epsilon(0.5)
             .seed(7)
-            .protocol(ReliableBroadcastProbe)
+            .protocol(Aad04)
     });
-    assert!(sim.converged(), "outputs {:?}", sim.outputs);
+    assert!(sim.converged() && sim.valid(), "outputs {:?}", sim.outputs);
     assert_three_way(&sim, &threaded, &net);
+    assert_eq!(threaded.honest_messages, sim.honest_messages);
+    assert_eq!(net.honest_messages, sim.honest_messages);
 }
 
 /// The iterative W-MSR engine, past the historical 128-node wall: a

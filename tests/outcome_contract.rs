@@ -2,13 +2,14 @@
 //! Sim scenario per protocol, one supported fault each. Whatever builds the
 //! outcome must keep the protocol name, the configured round count, which
 //! protocols count their own messages, which attach a certification, the
-//! `None`-exactly-at-fault-slots shape of `outputs`/`histories`, the probe's
-//! `[input, output]` history, and the attached registry as ground truth.
+//! `None`-exactly-at-fault-slots shape of `outputs`/`histories`, one history
+//! entry per round plus the input, and the attached registry as ground
+//! truth.
 
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
-    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Protocol,
-    ReliableBroadcastProbe, Scenario, StatsRegistry,
+    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Protocol, Scenario,
+    StatsRegistry,
 };
 use std::sync::Arc;
 
@@ -47,7 +48,7 @@ fn cases() -> Vec<Case> {
         Case {
             protocol: Arc::new(Aad04),
             name: "aad04",
-            fault: liar.clone(),
+            fault: liar,
             rounds_override: Some(6),
             rounds: 6,
             counts_own_messages: true,
@@ -61,15 +62,6 @@ fn cases() -> Vec<Case> {
             rounds: 12, // the protocol's own knob, no override
             counts_own_messages: true,
             certifies: true,
-        },
-        Case {
-            protocol: Arc::new(ReliableBroadcastProbe),
-            name: "reliable-broadcast-probe",
-            fault: liar,
-            rounds_override: Some(9), // ignored: the probe is one round
-            rounds: 1,
-            counts_own_messages: true,
-            certifies: false,
         },
     ]
 }
@@ -118,11 +110,7 @@ fn every_protocol_fills_the_outcome_the_same_way() {
         for v in out.honest.iter() {
             let history = out.histories[v.index()].as_ref().unwrap();
             assert_eq!(history[0], inputs[v.index()], "{name}: history starts at the input");
-            if name == "reliable-broadcast-probe" {
-                assert_eq!(history, &vec![inputs[v.index()], out.outputs[v.index()].unwrap()]);
-            } else {
-                assert_eq!(history.len(), case.rounds as usize + 1, "{name}: one entry per round");
-            }
+            assert_eq!(history.len(), case.rounds as usize + 1, "{name}: one entry per round");
         }
         assert!(out.all_decided() && out.valid(), "{name}: {:?}", out.outputs);
 
