@@ -19,15 +19,16 @@
 //! identical* to `e1` — the splice executor checks this delivery-by-
 //! delivery against the live nodes' actual sends — so `v` outputs 0 while
 //! `u` outputs `K`: convergence is violated by the full input range.
+//!
+//! `e1` and `e2` are ordinary [`Scenario`] runs that record their delivery
+//! [`Trace`]; `e3` feeds the recorded frames to live nodes by hand.
 
 use dbac_conditions::kreach::{three_reach, ConditionOutcome, ReachViolation};
 use dbac_conditions::reach::reach_set;
 use dbac_core::crash::{CrashMsg, CrashNode, CrashTopology};
+use dbac_core::scenario::{CrashTwoReach, FaultKind, Scenario, SchedulerSpec, Trace, WireMessage};
 use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget};
-use dbac_sim::process::{Context, Process, Silent};
-use dbac_sim::scheduler::FixedDelay;
-use dbac_sim::sim::Simulation;
-use dbac_sim::trace::Trace;
+use dbac_sim::process::{Context, Process};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -93,16 +94,12 @@ pub fn run_construction(
     let range = (0.0, k);
     // e1: all inputs 0, F_v crashed.
     let (trace1, out1) = reference_execution(graph, f, fv, 0.0, epsilon, range)?;
-    let v_ref = out1
-        .get(&violation.v)
-        .copied()
-        .ok_or_else(|| format!("{} did not decide in e1", violation.v))?;
+    let v_ref =
+        out1[violation.v.index()].ok_or_else(|| format!("{} did not decide in e1", violation.v))?;
     // e2: all inputs k, F_u crashed.
     let (trace2, out2) = reference_execution(graph, f, fu, k, epsilon, range)?;
-    let u_ref = out2
-        .get(&violation.u)
-        .copied()
-        .ok_or_else(|| format!("{} did not decide in e2", violation.u))?;
+    let u_ref =
+        out2[violation.u.index()].ok_or_else(|| format!("{} did not decide in e2", violation.u))?;
 
     // e3: splice the two restricted traces over live nodes.
     let topo = Arc::new(
@@ -117,13 +114,13 @@ pub fn run_construction(
     }
 
     // Pending send pool: every message a live node has emitted but the
-    // script has not yet consumed.
-    let mut pending: Vec<(NodeId, NodeId, CrashMsg)> = Vec::new();
+    // script has not yet consumed, as its wire encoding.
+    let mut pending: Vec<(NodeId, NodeId, Vec<u8>)> = Vec::new();
     let drain = |node: NodeId,
                  ctx: &mut Context<CrashMsg>,
-                 pending: &mut Vec<(NodeId, NodeId, CrashMsg)>| {
+                 pending: &mut Vec<(NodeId, NodeId, Vec<u8>)>| {
         for (to, msg) in ctx.take_outbox() {
-            pending.push((node, to, msg));
+            pending.push((node, to, msg.to_bytes()));
         }
     };
     let mut order: Vec<NodeId> = live.keys().copied().collect();
@@ -137,22 +134,20 @@ pub fn run_construction(
     let mut live_matches = 0usize;
     let mut synthesized = 0usize;
     let script = trace1
-        .events()
+        .deliveries
         .iter()
-        .filter(|e| side_v.contains(e.to))
-        .chain(trace2.events().iter().filter(|e| side_u.contains(e.to)));
-    for event in script {
-        if live.contains_key(&event.from) {
+        .filter(|d| side_v.contains(d.to))
+        .chain(trace2.deliveries.iter().filter(|d| side_u.contains(d.to)));
+    for d in script {
+        let msg = CrashMsg::from_bytes(&d.frame).map_err(|e| format!("recorded frame: {e}"))?;
+        if live.contains_key(&d.from) {
             // A within-side message: the live node must actually have sent
-            // it — this is the indistinguishability check.
+            // these bytes — this is the indistinguishability check.
             let pos = pending
                 .iter()
-                .position(|(f_, t, m)| *f_ == event.from && *t == event.to && *m == event.msg)
+                .position(|(from, to, frame)| *from == d.from && *to == d.to && *frame == d.frame)
                 .ok_or_else(|| {
-                    format!(
-                        "splice inconsistency: {}→{} {:?} was never sent live",
-                        event.from, event.to, event.msg
-                    )
+                    format!("splice inconsistency: {}→{} {msg:?} was never sent live", d.from, d.to)
                 })?;
             pending.swap_remove(pos);
             live_matches += 1;
@@ -161,14 +156,9 @@ pub fn run_construction(
             // node): synthesized from the recorded execution.
             synthesized += 1;
         }
-        let mut ctx = Context::new(event.to, graph.out_neighbors(event.to));
-        live.get_mut(&event.to).expect("receiver is live").on_message(
-            &mut ctx,
-            event.from,
-            event.msg.clone(),
-        );
-        let to = event.to;
-        drain(to, &mut ctx, &mut pending);
+        let mut ctx = Context::new(d.to, graph.out_neighbors(d.to));
+        live.get_mut(&d.to).expect("receiver is live").on_message(&mut ctx, d.from, msg);
+        drain(d.to, &mut ctx, &mut pending);
     }
 
     let v_out = live[&violation.v]
@@ -192,9 +182,10 @@ pub fn run_construction(
     })
 }
 
-/// Runs one reference execution (`e1`/`e2`): `silenced` crashed from the
-/// start, every node's input `input`; returns the trace and the honest
-/// outputs.
+/// Runs one reference execution (`e1`/`e2`) of the crash protocol:
+/// `silenced` crashed from the start, every node's input `input`, every
+/// message delayed by one tick. Returns the recorded trace and the
+/// per-node outputs.
 fn reference_execution(
     graph: &Digraph,
     f: usize,
@@ -202,31 +193,18 @@ fn reference_execution(
     input: f64,
     epsilon: f64,
     range: (f64, f64),
-) -> Result<(Trace<CrashMsg>, HashMap<NodeId, f64>), String> {
-    let topo = Arc::new(
-        CrashTopology::new(graph.clone(), f, PathBudget::default()).map_err(|e| e.to_string())?,
-    );
-    let mut sim: Simulation<CrashNode> =
-        Simulation::new(Arc::new(graph.clone()), Box::new(FixedDelay::new(1)));
-    sim.record_trace();
-    for w in graph.nodes() {
-        if silenced.contains(w) {
-            sim.set_byzantine(w, Box::new(Silent));
-        } else {
-            sim.set_honest(w, CrashNode::new(Arc::clone(&topo), w, input, epsilon, range));
-        }
-    }
-    sim.run().map_err(|e| e.to_string())?;
-    let mut outputs = HashMap::new();
-    for w in graph.nodes() {
-        if let Some(node) = sim.honest(w) {
-            if let Some(out) = node.output() {
-                outputs.insert(w, out);
-            }
-        }
-    }
-    let trace = sim.trace().expect("recording enabled").clone();
-    Ok((trace, outputs))
+) -> Result<(Trace, Vec<Option<f64>>), String> {
+    let out = Scenario::builder(graph.clone(), f)
+        .inputs(vec![input; graph.node_count()])
+        .range(range)
+        .epsilon(epsilon)
+        .scheduler(SchedulerSpec::Fixed(1))
+        .faults(silenced.iter().map(|w| (w, FaultKind::Crash)))
+        .record_trace(true)
+        .protocol(CrashTwoReach::default())
+        .run()
+        .map_err(|e| e.to_string())?;
+    Ok((out.trace.expect("recording requested"), out.outputs))
 }
 
 #[cfg(test)]
@@ -256,17 +234,17 @@ mod tests {
 
     #[test]
     fn works_on_a_directed_violation() {
-        // K5 plus a pendant receiver: reach sets can be separated… use a
-        // 2-reach-but-not-3-reach directed graph: two K3s with single
-        // bridges each way.
-        let g = generators::two_cliques_bridged(3, &[(0, 0)], &[(2, 2)]);
-        if two_reach(&g, 1).holds() && !three_reach(&g, 1).holds() {
-            let report = run_construction(&g, 1, 8.0, 0.5).expect("construction runs");
-            assert!(report.convergence_violated());
-        } else {
-            // The instance does not separate the conditions; K3 already
-            // covers the theorem, so just assert the checker ran.
-            assert!(three_reach(&g, 1).holds() || !two_reach(&g, 1).holds());
-        }
+        // K3 plus a pendant receiver 3 fed by 0 and 1 (no edges out of 3):
+        // 2-reach holds at f = 1, 3-reach does not.
+        let g = Digraph::from_edges(
+            4,
+            &[(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (0, 3), (1, 3)],
+        )
+        .unwrap();
+        assert!(two_reach(&g, 1).holds());
+        assert!(!three_reach(&g, 1).holds());
+        let report = run_construction(&g, 1, 8.0, 0.5).expect("construction runs");
+        assert!(report.convergence_violated());
+        assert_eq!(report.disagreement(), 8.0, "split by the full range");
     }
 }

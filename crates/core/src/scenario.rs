@@ -20,8 +20,8 @@
 //! runtime. A [`Protocol`] owns the protocol-specific knobs (flood mode,
 //! iteration counts) and turns a scenario into the single
 //! [`Outcome`] type — honest outputs, spread/convergence/validity,
-//! per-round spread, runtime statistics, and an optional delivery-trace
-//! handle. The [`sweep`] submodule turns scenarios into *experiment plans*:
+//! per-round spread, runtime statistics, and an optional delivery
+//! [`Trace`]. The [`sweep`] submodule turns scenarios into *experiment plans*:
 //! labelled axes over every knob here (protocols, graphs, fault bounds,
 //! placements, inputs, ε, scheduler families, runtimes, rounds), expanded
 //! into a cartesian cell product, run in parallel, and reduced over the
@@ -240,9 +240,7 @@
 //!   [`Protocol::execute`] is therefore its precomputation followed by one
 //!   `run_fleet` call naming an honest-node constructor, an adversary
 //!   constructor, a `done` predicate and a readout — a new algorithm adds
-//!   those four and nothing else. (The one sanctioned fleet built outside
-//!   `drive` is the Appendix-B splice executor in `dbac-bench`, which
-//!   replays message-level traces below the scenario abstraction.)
+//!   those four and nothing else.
 //! * **Faults are protocol-agnostic data.** [`FaultKind`] is the union of
 //!   every behaviour the workspace knows; each protocol maps the subset it
 //!   can express and rejects the rest through [`Scenario::check_faults`].
@@ -263,7 +261,7 @@ use dbac_sim::process::{Adversary, Process};
 use dbac_sim::scheduler::{EdgeDelay, FixedDelay, RandomDelay};
 use dbac_sim::sim::Simulation;
 use dbac_sim::threaded::ThreadedConfig;
-use dbac_sim::{DeliveryPolicy, Fleet, VirtualTime};
+use dbac_sim::{DeliveryPolicy, Fleet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -275,6 +273,7 @@ pub use dbac_sim::stats::{
     StatsSnapshot, TransportSnapshot,
 };
 pub use dbac_sim::threaded::{Incomplete, IncompleteReason};
+pub use dbac_sim::trace::{Delivery, Trace};
 
 // ---------------------------------------------------------------------------
 // Schedule, runtime and fault descriptions
@@ -991,27 +990,6 @@ impl ScenarioBuilder {
 // Outcome
 // ---------------------------------------------------------------------------
 
-/// One delivered message: when and along which edge (the payload stays
-/// protocol-internal).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Delivery {
-    /// Virtual delivery time.
-    pub at: VirtualTime,
-    /// Authenticated sender.
-    pub from: NodeId,
-    /// Receiver.
-    pub to: NodeId,
-}
-
-/// A protocol-agnostic delivery trace: the global delivery order with
-/// payloads erased, recorded when [`ScenarioBuilder::record_trace`] is set
-/// and the runtime is [`Runtime::Sim`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Every delivery, in execution order.
-    pub deliveries: Vec<Delivery>,
-}
-
 /// The unified result of any scenario run.
 #[derive(Clone, Debug)]
 pub struct Outcome {
@@ -1050,8 +1028,10 @@ pub struct Outcome {
     /// the protocol counts them itself (AAD04's E9 metric); `None`
     /// otherwise.
     pub honest_messages: Option<u64>,
-    /// The recorded delivery trace, if requested.
-    pub trace: Option<TraceSummary>,
+    /// The recorded delivery trace, when [`ScenarioBuilder::record_trace`]
+    /// is set and the runtime is [`Runtime::Sim`]: every delivery in
+    /// execution order, with the message's wire encoding.
+    pub trace: Option<Trace>,
     /// Whether the topology's correctness condition was *certified* by a
     /// polynomial sufficient rule
     /// ([`dbac_conditions::robustness::certification`]). Populated by
@@ -1145,7 +1125,7 @@ pub struct DriveReport {
     /// The final merged snapshot of the run's [`StatsRegistry`].
     pub stats: StatsSnapshot,
     /// Recorded delivery trace ([`Runtime::Sim`] only, when requested).
-    pub trace: Option<TraceSummary>,
+    pub trace: Option<Trace>,
     /// Honest nodes that failed to complete, with typed reasons
     /// ([`Runtime::Threaded`] and [`Runtime::Net`] — the simulator runs to
     /// quiescence and reports non-deciders through the outcome instead).
@@ -1214,13 +1194,7 @@ where
                 sim.record_trace();
             }
             sim.run()?;
-            let trace = sim.trace().map(|t| TraceSummary {
-                deliveries: t
-                    .events()
-                    .iter()
-                    .map(|e| Delivery { at: e.at, from: e.from, to: e.to })
-                    .collect(),
-            });
+            let trace = sim.take_trace();
             (sim.into_nodes(done), trace, Vec::new())
         }
         Runtime::Threaded { timeout, jitter_micros } => {
@@ -1446,6 +1420,7 @@ impl Protocol for CrashTwoReach {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::ProtocolMsg;
     use dbac_graph::generators;
 
     fn id(i: usize) -> NodeId {
@@ -1645,6 +1620,11 @@ mod tests {
             .unwrap();
         let trace = out.trace.expect("requested");
         assert_eq!(trace.deliveries.len() as u64, out.sim_stats.messages_delivered());
+        // Every frame is a canonical encoding of the delivered message.
+        for d in &trace.deliveries {
+            let msg = ProtocolMsg::from_bytes(&d.frame).expect("frame decodes");
+            assert_eq!(msg.to_bytes(), d.frame);
+        }
     }
 
     #[test]

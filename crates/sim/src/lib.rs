@@ -30,8 +30,9 @@
 //!   from a pluggable [`scheduler::DeliveryPolicy`] (fixed, seeded-random,
 //!   or adversarial per-edge delays — the latter is exactly what the
 //!   Appendix-B impossibility construction needs). Runs are reproducible
-//!   bit-for-bit from a seed, and can record a [`trace::Trace`] for the
-//!   indistinguishability replay experiment.
+//!   bit-for-bit from a seed, and can record a [`trace::Trace`]: every
+//!   delivery in order, each carrying the message's wire encoding, which
+//!   the indistinguishability replay experiment decodes and splices.
 //! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
 //!   thread — a node holding its inbox and its outlet, looping until the
 //!   watchdog stops the network — demonstrating that the protocol really

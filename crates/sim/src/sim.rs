@@ -36,11 +36,12 @@ use self::queue::CalendarQueue;
 use crate::chaos::LinkFaultPlan;
 use crate::error::SimError;
 use crate::fleet::{Actor, Fleet, SendGate};
-use crate::process::{Adversary, Context, Process};
+use crate::net::codec::WireMessage;
+use crate::process::{Context, Process};
 use crate::scheduler::DeliveryPolicy;
 use crate::stats::StatsRegistry;
 use crate::time::VirtualTime;
-use crate::trace::Trace;
+use crate::trace::{Delivery, Trace};
 use dbac_graph::{Digraph, NodeId};
 use std::sync::Arc;
 
@@ -54,7 +55,8 @@ pub struct SimStats {
     /// Messages delivered to a recipient's handler.
     pub messages_delivered: u64,
     /// Copies still queued or in flight when the run stopped (on the
-    /// simulator: held past the horizon by adversarial far-future delays).
+    /// simulator: delayed past [`VirtualTime::FAR_FUTURE`] by an
+    /// adversarial schedule).
     pub messages_undelivered: u64,
     /// Messages destroyed by a link-fault plan (drop, partition, omit).
     pub messages_dropped: u64,
@@ -74,10 +76,10 @@ pub struct SimStats {
 /// A deterministic event-driven run of one protocol instance over a fixed
 /// directed network.
 ///
-/// Construction: [`Simulation::new`], then assign an actor to **every**
-/// node with [`set_honest`](Simulation::set_honest) /
-/// [`set_byzantine`](Simulation::set_byzantine), then [`run`](Simulation::run)
-/// — or assemble a [`Fleet`] first and put it under [`Simulation::over`].
+/// Construction: [`Simulation::new`], then assign a process to **every**
+/// node with [`set_honest`](Simulation::set_honest), then
+/// [`run`](Simulation::run) — or assemble a [`Fleet`] (which also takes
+/// Byzantine actors) and put it under [`Simulation::over`].
 ///
 /// Determinism: events are ordered by `(delivery time, enqueue sequence)`;
 /// with a deterministic [`DeliveryPolicy`] the entire execution — including
@@ -89,10 +91,15 @@ pub struct Simulation<P: Process> {
     /// Owns the clock: `now` is the tick of the last delivery.
     queue: CalendarQueue<QueuedEvent<P::Message>>,
     delivered: u64,
+    /// Deliveries before the run aborts with
+    /// [`SimError::EventBudgetExhausted`] (10⁸).
     max_events: u64,
-    horizon: VirtualTime,
-    trace: Option<Trace<P::Message>>,
+    /// The trace being recorded and the encoder that fills its frames.
+    trace: Option<(Trace, Encoder<P::Message>)>,
 }
+
+/// A message type's [`WireMessage::encode`].
+type Encoder<M> = fn(&M, &mut Vec<u8>);
 
 struct QueuedEvent<M> {
     from: NodeId,
@@ -116,7 +123,6 @@ impl<P: Process> Simulation<P> {
             queue: CalendarQueue::new(),
             delivered: 0,
             max_events: 100_000_000,
-            horizon: VirtualTime::FAR_FUTURE,
             trace: None,
         }
     }
@@ -124,31 +130,6 @@ impl<P: Process> Simulation<P> {
     /// Assigns an honest process to `v`.
     pub fn set_honest(&mut self, v: NodeId, process: P) -> &mut Self {
         self.fleet.set_honest(v, process);
-        self
-    }
-
-    /// Assigns a Byzantine adversary to `v`.
-    pub fn set_byzantine(
-        &mut self,
-        v: NodeId,
-        adversary: Box<dyn Adversary<P::Message> + Send>,
-    ) -> &mut Self {
-        self.fleet.set_byzantine(v, adversary);
-        self
-    }
-
-    /// Caps the number of deliveries before the run aborts with
-    /// [`SimError::EventBudgetExhausted`] (default: 10⁸).
-    pub fn set_max_events(&mut self, max_events: u64) -> &mut Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Stops delivering events scheduled after `horizon`; remaining events
-    /// are counted in [`SimStats::messages_undelivered`]. Models "delayed
-    /// past the decision point" (Appendix B).
-    pub fn set_horizon(&mut self, horizon: VirtualTime) -> &mut Self {
-        self.horizon = horizon;
         self
     }
 
@@ -168,17 +149,20 @@ impl<P: Process> Simulation<P> {
         self
     }
 
-    /// Enables trace recording of every delivery.
-    pub fn record_trace(&mut self) -> &mut Self {
-        self.trace = Some(Trace::new());
+    /// Records every delivery, with the message's wire encoding, into a
+    /// [`Trace`].
+    pub fn record_trace(&mut self) -> &mut Self
+    where
+        P::Message: WireMessage,
+    {
+        self.trace = Some((Trace::default(), <P::Message as WireMessage>::encode));
         self
     }
 
-    /// The recorded trace, if [`record_trace`](Simulation::record_trace)
-    /// was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace<P::Message>> {
-        self.trace.as_ref()
+    /// Hands over the recorded trace, if
+    /// [`record_trace`](Simulation::record_trace) was enabled.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        self.trace.take().map(|(trace, _)| trace)
     }
 
     /// Immutable access to the honest process at `v` (e.g. to read its
@@ -213,7 +197,9 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Runs `on_start` everywhere, then delivers events in order until
-    /// quiescence (or the horizon / event budget).
+    /// quiescence. Events due after [`VirtualTime::FAR_FUTURE`] — delayed
+    /// past every decision, Appendix B's bound `T` — stay queued and are
+    /// counted in [`SimStats::messages_undelivered`].
     ///
     /// # Errors
     ///
@@ -233,7 +219,8 @@ impl<P: Process> Simulation<P> {
         }
         // Delivery loop.
         let mut gauge = None;
-        while let Some(at) = self.queue.next_tick().filter(|&at| at <= self.horizon.ticks()) {
+        let horizon = VirtualTime::FAR_FUTURE.ticks();
+        while let Some(at) = self.queue.next_tick().filter(|&at| at <= horizon) {
             if self.delivered >= self.max_events {
                 return Err(SimError::EventBudgetExhausted { delivered: self.delivered });
             }
@@ -247,8 +234,11 @@ impl<P: Process> Simulation<P> {
             self.delivered += 1;
             gate.stats.record_delivered(P::classify(&ev.msg));
             gate.stats.record_consumed(ev.to.index());
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(VirtualTime::new(at), ev.from, ev.to, ev.msg.clone());
+            if let Some((trace, encode)) = self.trace.as_mut() {
+                let mut frame = Vec::new();
+                encode(&ev.msg, &mut frame);
+                let at = VirtualTime::new(at);
+                trace.deliveries.push(Delivery { at, from: ev.from, to: ev.to, frame });
             }
             let mut ctx = Context::with_outbox(ev.to, graph.out_neighbors(ev.to), outbox);
             self.actor(ev.to).on_message(&mut ctx, ev.from, ev.msg);
@@ -372,7 +362,7 @@ mod tests {
             let mut sim = gossip_sim(5, Box::new(RandomDelay::new(seed, 1, 9)));
             sim.record_trace();
             sim.run().unwrap();
-            sim.trace().unwrap().clone()
+            sim.take_trace().unwrap()
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4), "different seeds give different schedules");
@@ -382,11 +372,11 @@ mod tests {
     fn horizon_holds_back_far_future_messages() {
         let g = Arc::new(generators::clique(2));
         let mut policy = EdgeDelay::new(Box::new(FixedDelay::new(1)));
-        policy.delay_edge(id(0), id(1), VirtualTime::FAR_FUTURE.ticks());
+        // `after` saturates, so this delivery lands past `FAR_FUTURE`.
+        policy.delay_edge(id(0), id(1), u64::MAX);
         let mut sim = Simulation::new(g, Box::new(policy));
         sim.set_honest(id(0), Gossip { input: 1, heard: Vec::new() });
         sim.set_honest(id(1), Gossip { input: 2, heard: Vec::new() });
-        sim.set_horizon(VirtualTime::new(1_000));
         let stats = sim.run().unwrap();
         assert_eq!(stats.messages_delivered, 1, "only 1 -> 0 arrives");
         assert_eq!(stats.messages_undelivered, 1);
@@ -395,11 +385,11 @@ mod tests {
 
     #[test]
     fn byzantine_silent_node_sends_nothing() {
-        let g = Arc::new(generators::clique(3));
-        let mut sim: Simulation<Gossip> = Simulation::new(g, Box::new(FixedDelay::new(1)));
-        sim.set_honest(id(0), Gossip { input: 0, heard: Vec::new() });
-        sim.set_honest(id(1), Gossip { input: 1, heard: Vec::new() });
-        sim.set_byzantine(id(2), Box::new(Silent));
+        let mut fleet = Fleet::new(Arc::new(generators::clique(3)));
+        fleet.set_honest(id(0), Gossip { input: 0, heard: Vec::new() });
+        fleet.set_honest(id(1), Gossip { input: 1, heard: Vec::new() });
+        fleet.set_byzantine(id(2), Box::new(Silent));
+        let mut sim = Simulation::over(fleet, Box::new(FixedDelay::new(1)));
         let stats = sim.run().unwrap();
         assert_eq!(stats.messages_sent, 4, "two honest broadcasts of two messages");
         assert_eq!(sim.honest(id(0)).unwrap().heard.len(), 1);
@@ -422,7 +412,7 @@ mod tests {
         let mut sim = Simulation::new(g, Box::new(FixedDelay::new(1)));
         sim.set_honest(id(0), PingPong);
         sim.set_honest(id(1), PingPong);
-        sim.set_max_events(100);
+        sim.max_events = 100;
         assert_eq!(sim.run().unwrap_err(), SimError::EventBudgetExhausted { delivered: 100 });
         // Each delivery answers with one send, so two are always in flight;
         // the event that would have been the 101st is still queued.
@@ -435,12 +425,16 @@ mod tests {
         let mut sim = gossip_sim(3, Box::new(FixedDelay::new(2)));
         sim.record_trace();
         sim.run().unwrap();
-        let trace = sim.trace().unwrap();
-        assert_eq!(trace.len(), 6);
-        let times: Vec<u64> = trace.events().iter().map(|e| e.at.ticks()).collect();
+        let trace = sim.take_trace().unwrap();
+        assert_eq!(trace.deliveries.len(), 6);
+        let times: Vec<u64> = trace.deliveries.iter().map(|d| d.at.ticks()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted);
+        // Each frame is the delivered value's wire encoding.
+        for d in &trace.deliveries {
+            assert_eq!(u64::from_bytes(&d.frame), Ok(d.from.index() as u64 * 10));
+        }
     }
 
     #[test]
@@ -505,7 +499,7 @@ mod tests {
             }
             sim.record_trace();
             let stats = sim.run().unwrap();
-            (stats, sim.trace().unwrap().clone())
+            (stats, sim.take_trace().unwrap())
         };
         let zero = LinkFaultPlan::new(99)
             .fault(id(0), id(1), LinkFault::Drop { prob: 0.0 })
@@ -529,11 +523,11 @@ mod tests {
         sim.record_trace();
         sim.run().unwrap();
         let late = sim
-            .trace()
+            .take_trace()
             .unwrap()
-            .events()
+            .deliveries
             .iter()
-            .any(|e| e.from == id(0) && e.to == id(1) && e.at > VirtualTime::new(1));
+            .any(|d| d.from == id(0) && d.to == id(1) && d.at > VirtualTime::new(1));
         assert!(late, "a 40-tick window should displace the 0 -> 1 delivery");
     }
 }

@@ -1,4 +1,11 @@
-//! Execution traces.
+//! Delivery traces.
+//!
+//! A [`Trace`] is the global delivery order of one simulator run: every
+//! delivered message with its time, its edge and its canonical wire bytes
+//! ([`WireMessage::encode`](crate::WireMessage::encode) — the same body the
+//! network runtime would frame). Keeping the bytes rather than a typed
+//! payload leaves the trace protocol-agnostic while still letting a reader
+//! recover each message with `from_bytes`.
 //!
 //! The impossibility experiment (Appendix B) splices two recorded
 //! executions into a third: node `v`'s neighbourhood replays execution `e1`
@@ -8,89 +15,22 @@
 use crate::time::VirtualTime;
 use dbac_graph::NodeId;
 
-/// One delivered message: who sent it, who received it, when, and what.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceEvent<M> {
+/// One delivered message: when, along which edge, and its encoded bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Delivery {
     /// Virtual delivery time.
     pub at: VirtualTime,
     /// Authenticated sender.
     pub from: NodeId,
     /// Receiver.
     pub to: NodeId,
-    /// The payload.
-    pub msg: M,
+    /// The message's `WireMessage::encode` bytes.
+    pub frame: Vec<u8>,
 }
 
-/// An ordered record of every delivery in a run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Trace<M> {
-    events: Vec<TraceEvent<M>>,
-}
-
-impl<M> Trace<M> {
-    /// Creates an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Trace { events: Vec::new() }
-    }
-
-    /// Appends a delivery (runtime-internal).
-    pub fn record(&mut self, at: VirtualTime, from: NodeId, to: NodeId, msg: M) {
-        self.events.push(TraceEvent { at, from, to, msg });
-    }
-
-    /// All recorded deliveries in order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent<M>] {
-        &self.events
-    }
-
-    /// Number of recorded deliveries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl<M> IntoIterator for Trace<M> {
-    type Item = TraceEvent<M>;
-    type IntoIter = std::vec::IntoIter<TraceEvent<M>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.into_iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn id(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-
-    #[test]
-    fn record_and_read_back() {
-        let mut t: Trace<u32> = Trace::new();
-        assert!(t.is_empty());
-        t.record(VirtualTime::new(1), id(0), id(1), 10);
-        t.record(VirtualTime::new(2), id(1), id(2), 20);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].msg, 10);
-        assert_eq!(t.events()[1].to, id(2));
-    }
-
-    #[test]
-    fn into_iterator() {
-        let mut t: Trace<u32> = Trace::new();
-        t.record(VirtualTime::ZERO, id(0), id(1), 5);
-        let collected: Vec<u32> = t.into_iter().map(|e| e.msg).collect();
-        assert_eq!(collected, vec![5]);
-    }
+/// Every delivery of a run, in execution order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Trace {
+    /// The deliveries, in the order the simulator dispatched them.
+    pub deliveries: Vec<Delivery>,
 }

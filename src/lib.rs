@@ -126,7 +126,7 @@ pub mod scenario {
         drive, sweep, ByzantineWitness, ClassCounters, Coverage, CrashTwoReach, Delivery,
         DriveReport, FaultKind, Incomplete, IncompleteReason, LinkFault, LinkFaultPlan, MsgClass,
         NodeCounters, Outcome, Protocol, ProtocolCounters, Runtime, Scenario, ScenarioBuilder,
-        SchedulerSpec, StatsHandle, StatsRegistry, StatsSnapshot, TraceSummary, TransportKind,
+        SchedulerSpec, StatsHandle, StatsRegistry, StatsSnapshot, Trace, TransportKind,
         TransportSnapshot, WireError, WireMessage,
     };
 }
