@@ -258,7 +258,7 @@ use crate::precompute::Topology;
 use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget};
 use dbac_sim::net::NetConfig;
 use dbac_sim::process::{Adversary, Process};
-use dbac_sim::scheduler::{EdgeDelay, FixedDelay, RandomDelay};
+use dbac_sim::scheduler::{FixedDelay, RandomDelay};
 use dbac_sim::sim::Simulation;
 use dbac_sim::threaded::ThreadedConfig;
 use dbac_sim::{DeliveryPolicy, Fleet};
@@ -279,8 +279,10 @@ pub use dbac_sim::trace::{Delivery, Trace};
 // Schedule, runtime and fault descriptions
 // ---------------------------------------------------------------------------
 
-/// Message-delivery schedule for a run — the adversary's *timing* half
-/// (its *content* half is the fault assignment).
+/// Message-delivery schedule for a run on the simulator — the adversary's
+/// *timing* half (its *content* half is the fault assignment). A
+/// [`LinkFault::Reorder`] window holds single edges back on top of it, on
+/// every runtime.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedulerSpec {
     /// Constant per-message delay.
@@ -294,16 +296,6 @@ pub enum SchedulerSpec {
         /// Maximum delay.
         max: u64,
     },
-    /// Adversarial per-edge delays layered over a base schedule: selected
-    /// edges get a fixed (possibly enormous) delay, exactly the paper's
-    /// Appendix-B device ("the delivery delay of the latter messages is
-    /// lower bounded by an arbitrary number `T`").
-    EdgeDelays {
-        /// Schedule for every edge without an override.
-        base: Box<SchedulerSpec>,
-        /// `(from, to, delay)` overrides.
-        overrides: Vec<(NodeId, NodeId, u64)>,
-    },
 }
 
 impl SchedulerSpec {
@@ -314,13 +306,6 @@ impl SchedulerSpec {
             SchedulerSpec::Fixed(d) => Box::new(FixedDelay::new(*d)),
             SchedulerSpec::Random { seed, min, max } => {
                 Box::new(RandomDelay::new(*seed, *min, *max))
-            }
-            SchedulerSpec::EdgeDelays { base, overrides } => {
-                let mut policy = EdgeDelay::new(base.build());
-                for &(u, v, d) in overrides {
-                    policy.delay_edge(u, v, d);
-                }
-                Box::new(policy)
             }
         }
     }
@@ -334,14 +319,14 @@ impl SchedulerSpec {
         SchedulerSpec::Random { seed, min: 1, max: 15 }
     }
 
-    /// The seed driving this schedule (0 for purely deterministic specs);
-    /// also seeds the threaded runtime's jitter.
+    /// The seed of a [`Random`](SchedulerSpec::Random) schedule, 0 for
+    /// [`Fixed`](SchedulerSpec::Fixed); also seeds the threaded runtime's
+    /// jitter.
     #[must_use]
     pub fn seed(&self) -> u64 {
         match self {
             SchedulerSpec::Fixed(_) => 0,
             SchedulerSpec::Random { seed, .. } => *seed,
-            SchedulerSpec::EdgeDelays { base, .. } => base.seed(),
         }
     }
 }
@@ -869,7 +854,8 @@ impl ScenarioBuilder {
     /// poll [`StatsRegistry::snapshot`] while the run is in flight (see
     /// the module-level ["Observe a live run"](self#observe-a-live-run)
     /// section). The registry must cover at least as many nodes as the
-    /// graph; after the run, its snapshot equals [`Outcome::sim_stats`].
+    /// graph — a smaller one fails the run with [`RunError::Sim`] — and
+    /// after the run, its snapshot equals [`Outcome::sim_stats`].
     #[must_use]
     pub fn stats(mut self, registry: Arc<StatsRegistry>) -> Self {
         self.scenario.stats = Some(registry);
@@ -1162,8 +1148,8 @@ pub struct DriveReport {
 ///
 /// # Errors
 ///
-/// [`RunError::Sim`] on unassigned nodes, event-budget exhaustion, or
-/// network-transport setup failure.
+/// [`RunError::Sim`] on unassigned nodes, a registry smaller than the
+/// graph, event-budget exhaustion, or network-transport setup failure.
 pub fn drive<P>(
     scenario: &Scenario,
     registry: &Arc<StatsRegistry>,
@@ -1582,34 +1568,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_delay_scheduler_reaches_the_policy() {
-        // A huge delay on every edge into node 2 stalls its deliveries;
-        // with Fixed(1) elsewhere the run still quiesces and the trace
-        // shows nothing arriving at node 2 before the override delay.
-        let g = generators::clique(3);
-        let overrides =
-            vec![(id(0), id(2), 1_000_000), (id(1), id(2), 1_000_000), (id(2), id(0), 7)];
-        let out = Scenario::builder(g, 0)
-            .inputs(vec![1.0, 2.0, 3.0])
-            .epsilon(0.5)
-            .scheduler(SchedulerSpec::EdgeDelays {
-                base: Box::new(SchedulerSpec::Fixed(1)),
-                overrides,
-            })
-            .record_trace(true)
-            .protocol(CrashTwoReach::default())
-            .run()
-            .unwrap();
-        let trace = out.trace.expect("trace recorded");
-        assert!(!trace.deliveries.is_empty());
-        for d in &trace.deliveries {
-            if d.to == id(2) {
-                assert!(d.at.ticks() >= 1_000_000, "delayed edge delivered early at {:?}", d.at);
-            }
-        }
-    }
-
-    #[test]
     fn trace_recording_round_trips() {
         let out = Scenario::builder(generators::clique(3), 0)
             .inputs(vec![0.0, 4.0, 2.0])
@@ -1631,11 +1589,6 @@ mod tests {
     fn scheduler_seed_extraction() {
         assert_eq!(SchedulerSpec::Fixed(3).seed(), 0);
         assert_eq!(SchedulerSpec::Random { seed: 9, min: 1, max: 2 }.seed(), 9);
-        let nested = SchedulerSpec::EdgeDelays {
-            base: Box::new(SchedulerSpec::Random { seed: 5, min: 1, max: 4 }),
-            overrides: vec![],
-        };
-        assert_eq!(nested.seed(), 5);
     }
 
     #[test]

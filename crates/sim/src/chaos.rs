@@ -35,8 +35,9 @@ pub enum LinkFault {
         prob: f64,
     },
     /// Each message on the edge is held back by a pseudo-random extra delay
-    /// drawn uniformly from `0..=window` (virtual ticks under the
-    /// simulator, microseconds under the threaded runtime).
+    /// drawn uniformly from `0..=window` (`0..u64::MAX` for the largest
+    /// window; virtual ticks under the simulator, microseconds under the
+    /// wall-clock runtimes).
     Reorder {
         /// Maximum extra delay; 0 disables the fault.
         window: u64,
@@ -206,7 +207,7 @@ impl LinkFaultPlan {
                 LinkFault::Reorder { window } => {
                     if *window > 0 {
                         let draw = edge_word(self.seed, from, to, k, salt(SALT_REORDER));
-                        extra_delay = extra_delay.saturating_add(draw % (window + 1));
+                        extra_delay = extra_delay.saturating_add(draw % window.saturating_add(1));
                     }
                 }
             }
@@ -351,6 +352,15 @@ mod tests {
         let delays: Vec<u64> = (0..256).map(|k| plan.decide(id(0), id(1), k).extra_delay).collect();
         assert!(delays.iter().all(|&d| d <= 5));
         assert!(delays.iter().any(|&d| d > 0), "a 256-draw run should hit the window");
+    }
+
+    #[test]
+    fn widest_reorder_window_does_not_overflow() {
+        let plan =
+            LinkFaultPlan::new(9).fault(id(0), id(1), LinkFault::Reorder { window: u64::MAX });
+        let delays: Vec<u64> = (0..256).map(|k| plan.decide(id(0), id(1), k).extra_delay).collect();
+        assert!(delays.iter().all(|&d| d < u64::MAX));
+        assert!(delays.iter().any(|&d| d > u64::MAX / 2), "draws span the whole range");
     }
 
     #[test]

@@ -12,6 +12,14 @@ pub enum SimError {
         /// The node missing an actor.
         node: usize,
     },
+    /// The run's stats registry has fewer per-node gauges than the graph
+    /// has nodes, so some nodes' queue and done counts would be lost.
+    RegistryTooSmall {
+        /// Nodes in the graph.
+        nodes: usize,
+        /// Nodes the registry covers.
+        registry: usize,
+    },
     /// The event budget was exhausted before quiescence — either the
     /// protocol livelocked or the budget was too small for the instance.
     EventBudgetExhausted {
@@ -33,6 +41,9 @@ impl fmt::Display for SimError {
             SimError::UnassignedNode { node } => {
                 write!(f, "node {node} has no process or adversary assigned")
             }
+            SimError::RegistryTooSmall { nodes, registry } => {
+                write!(f, "stats registry covers {registry} nodes but the graph has {nodes}")
+            }
             SimError::EventBudgetExhausted { delivered } => {
                 write!(f, "event budget exhausted after {delivered} deliveries")
             }
@@ -53,6 +64,8 @@ mod tests {
     fn display() {
         assert!(SimError::UnassignedNode { node: 3 }.to_string().contains('3'));
         assert!(SimError::EventBudgetExhausted { delivered: 9 }.to_string().contains('9'));
+        let small = SimError::RegistryTooSmall { nodes: 4, registry: 3 }.to_string();
+        assert!(small.contains("covers 3") && small.contains("has 4"), "{small}");
         let transport = SimError::Transport { detail: "0<->1: refused".into() };
         assert!(transport.to_string().contains("0<->1"));
     }

@@ -1,14 +1,16 @@
 //! Everything the runtimes share, stated once: the [`Actor`] occupying a
-//! node slot, the [`Fleet`] under construction, the [`SendGate`] every
-//! message of every driver passes (the crate's one call to
-//! [`LinkFaultPlan::decide`]), and the wall-clock driver [`Fleet::run`] —
-//! a thread-per-node loop monomorphised over the [`Wire`] that carries
-//! surviving copies. The crate docs give the architecture.
+//! node slot and its one receive event, [`Actor::activate`]; the [`Fleet`]
+//! under construction; the [`SendGate`] every message of every driver
+//! passes (the crate's one call to [`LinkFaultPlan::decide`]); and the
+//! wall-clock driver [`Fleet::run`] — a thread-per-node loop
+//! monomorphised over the [`Wire`] that carries surviving copies. The
+//! crate docs give the architecture.
 //!
 //! The virtual-time driver ([`Simulation`](crate::sim::Simulation)) is a
 //! different algorithm — one global `(time, enqueue order)` calendar queue
-//! on one thread — and stays its own loop, but it activates actors and
-//! sends through the same `Actor` and `SendGate`.
+//! on one thread — and stays its own loop, but every activation of either
+//! driver is one `Actor::activate`; the drivers differ only in what they
+//! do with a surviving copy.
 
 use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
@@ -31,24 +33,42 @@ pub(crate) enum Actor<P: Process> {
 }
 
 impl<P: Process> Actor<P> {
+    /// The model's receive event, for every driver: books `arrival` (if
+    /// any) as delivered and consumed, runs `on_message` on it — or
+    /// `on_start` when there is none — over a [`Context`] on `outbox`, then
+    /// admits each queued send through `gate` and hands every survivor to
+    /// `carry`. `outbox` is the driver's reused send buffer, empty before
+    /// and after.
     #[inline]
-    pub(crate) fn on_start(&mut self, ctx: &mut Context<P::Message>) {
-        match self {
-            Actor::Honest(p) => p.on_start(ctx),
-            Actor::Byzantine(a) => a.on_start(ctx),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_message(
+    pub(crate) fn activate(
         &mut self,
-        ctx: &mut Context<P::Message>,
-        from: NodeId,
-        msg: P::Message,
+        gate: &mut SendGate,
+        me: NodeId,
+        out: NodeSet,
+        outbox: &mut Vec<(NodeId, P::Message)>,
+        arrival: Option<(NodeId, P::Message)>,
+        mut carry: impl FnMut(NodeId, P::Message, LinkDecision),
     ) {
-        match self {
-            Actor::Honest(p) => p.on_message(ctx, from, msg),
-            Actor::Byzantine(a) => a.on_message(ctx, from, msg),
+        if let Some((_, msg)) = &arrival {
+            gate.stats.record_delivered(P::classify(msg));
+            gate.stats.record_consumed(me.index());
+        }
+        let mut ctx = Context::with_outbox(me, out, std::mem::take(outbox));
+        match (self, arrival) {
+            (Actor::Honest(p), None) => p.on_start(&mut ctx),
+            (Actor::Byzantine(a), None) => a.on_start(&mut ctx),
+            (Actor::Honest(p), Some((from, msg))) => p.on_message(&mut ctx, from, msg),
+            (Actor::Byzantine(a), Some((from, msg))) => a.on_message(&mut ctx, from, msg),
+        }
+        *outbox = ctx.take_outbox();
+        for (to, msg) in outbox.drain(..) {
+            let decision = gate.admit(me, to, P::classify(&msg));
+            // A destroyed send goes nowhere: on the simulator it draws no
+            // arrival, which keeps clean edges bit-identical whether or not
+            // a plan is attached.
+            if decision.copies > 0 {
+                carry(to, msg, decision);
+            }
         }
     }
 
@@ -126,18 +146,24 @@ impl<P: Process> Fleet<P> {
     /// and books transport counters per message class (via
     /// [`Process::classify`]) plus the per-node queue and done gauges.
     /// Snapshots taken from other threads while the run is live are safe
-    /// and monotone.
+    /// and monotone. The registry must cover every node of the graph, or
+    /// the run fails with [`SimError::RegistryTooSmall`].
     pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
         self.registry = observed(registry);
         self
     }
 
-    /// The unassigned-node check every driver starts with.
-    pub(crate) fn check_assigned(&self) -> Result<(), SimError> {
-        match self.actors.iter().position(Option::is_none) {
-            Some(node) => Err(SimError::UnassignedNode { node }),
-            None => Ok(()),
+    /// The check every driver starts with: every node has an actor, and
+    /// the registry has a gauge for every node.
+    pub(crate) fn check_runnable(&self) -> Result<(), SimError> {
+        if let Some(node) = self.actors.iter().position(Option::is_none) {
+            return Err(SimError::UnassignedNode { node });
         }
+        let (nodes, registry) = (self.actors.len(), self.registry.node_count());
+        if registry < nodes {
+            return Err(SimError::RegistryTooSmall { nodes, registry });
+        }
+        Ok(())
     }
 
     /// A send gate writing a fresh shard of the run's registry: one per
@@ -180,7 +206,7 @@ pub(crate) struct SendGate {
     edges: EdgeCounters,
     /// The owning thread's registry shard; deliveries and the done gauge
     /// are booked here too.
-    pub(crate) stats: StatsHandle,
+    stats: StatsHandle,
 }
 
 impl SendGate {
@@ -268,6 +294,19 @@ pub trait Wire<M>: Sized + 'static {
 /// holds the node's frames back by at most this many activations.
 const BATCH: usize = 64;
 
+/// The longest a node sleeps at once while it sleeps out a link's extra
+/// delay: it checks the stop flag between slices, so a run stops within
+/// about this long of its deadline however long the delay.
+const SLEEP_SLICE: Duration = Duration::from_millis(1);
+
+/// Sleeps for `delay`, or until `stop` is set, whichever comes first.
+fn sleep_unless_stopped(delay: Duration, stop: &AtomicBool) {
+    let until = Instant::now() + delay;
+    while !stop.load(Ordering::SeqCst) && Instant::now() < until {
+        std::thread::sleep(until.saturating_duration_since(Instant::now()).min(SLEEP_SLICE));
+    }
+}
+
 /// What every node thread of one run shares with the watchdog.
 struct Shared<F> {
     stop: Arc<AtomicBool>,
@@ -296,19 +335,17 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
     /// they are done, so slower nodes are never starved. Returns the
     /// honest state and whether the inbox disconnected before the stop.
     fn run<F: Fn(&P) -> bool>(mut self, shared: &Shared<F>) -> (Option<P>, bool) {
-        let mut ctx = self.context();
-        self.actor.on_start(&mut ctx);
-        self.after_activation(ctx, shared);
+        self.activate(None, shared);
         W::flush(&mut self.outlet);
 
         let mut starved = false;
         while !shared.stop.load(Ordering::SeqCst) {
             match self.inbox.recv_timeout(Duration::from_millis(1)) {
                 Ok(first) => {
-                    self.deliver(first, shared);
+                    self.activate(Some(first), shared);
                     for _ in 0..BATCH {
                         let Ok(next) = self.inbox.try_recv() else { break };
-                        self.deliver(next, shared);
+                        self.activate(Some(next), shared);
                     }
                     W::flush(&mut self.outlet);
                 }
@@ -322,44 +359,23 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
         (self.actor.into_honest(), starved)
     }
 
-    /// A context over the thread's send buffer.
-    fn context(&mut self) -> Context<P::Message> {
-        Context::with_outbox(self.me, self.out, std::mem::take(&mut self.outbox))
-    }
-
-    /// Books one arrival and activates the actor on it.
-    fn deliver<F: Fn(&P) -> bool>(
+    /// Runs one [`Actor::activate`] whose survivors go to the outlet — a
+    /// link's extra delay is slept out first, after a flush so no earlier
+    /// frame waits on it — then reports completion once.
+    fn activate<F: Fn(&P) -> bool>(
         &mut self,
-        (from, msg): (NodeId, P::Message),
+        arrival: Option<(NodeId, P::Message)>,
         shared: &Shared<F>,
     ) {
-        self.gate.stats.record_delivered(P::classify(&msg));
-        self.gate.stats.record_consumed(self.me.index());
-        let mut ctx = self.context();
-        self.actor.on_message(&mut ctx, from, msg);
-        self.after_activation(ctx, shared);
-    }
-
-    /// Hands what the activation queued to the outlet and takes the send
-    /// buffer back, emptied; then reports completion once.
-    fn after_activation<F: Fn(&P) -> bool>(
-        &mut self,
-        mut ctx: Context<P::Message>,
-        shared: &Shared<F>,
-    ) {
-        let mut outbox = ctx.take_outbox();
-        for (to, msg) in outbox.drain(..) {
-            let decision = self.gate.admit(self.me, to, P::classify(&msg));
-            if decision.copies == 0 {
-                continue;
-            }
+        let outlet = &mut self.outlet;
+        let carry = |to, msg, decision: LinkDecision| {
             if decision.extra_delay > 0 {
-                W::flush(&mut self.outlet);
-                std::thread::sleep(Duration::from_micros(decision.extra_delay));
+                W::flush(outlet);
+                sleep_unless_stopped(Duration::from_micros(decision.extra_delay), &shared.stop);
             }
-            W::emit(&mut self.outlet, to, msg, decision.copies);
-        }
-        self.outbox = outbox;
+            W::emit(outlet, to, msg, decision.copies);
+        };
+        self.actor.activate(&mut self.gate, self.me, self.out, &mut self.outbox, arrival, carry);
         if !self.reported_done && self.actor.honest().is_some_and(&shared.done) {
             self.reported_done = true;
             shared.done_count.fetch_add(1, Ordering::SeqCst);
@@ -384,13 +400,15 @@ where
     /// # Errors
     ///
     /// [`SimError::UnassignedNode`] if a node has no actor;
-    /// [`SimError::Transport`] if the wire cannot be connected.
+    /// [`SimError::RegistryTooSmall`] if the stats registry has fewer
+    /// nodes than the graph; [`SimError::Transport`] if the wire cannot be
+    /// connected.
     pub fn run<W: Wire<P::Message>>(
         mut self,
         done: impl Fn(&P) -> bool + Send + Sync + 'static,
         config: W,
     ) -> Result<ThreadedReport<P>, SimError> {
-        self.check_assigned()?;
+        self.check_runnable()?;
         let n = self.graph.node_count();
         let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let shared = Arc::new(Shared {
@@ -423,10 +441,14 @@ where
             handles.push((honest, std::thread::spawn(move || node.run(&shared))));
         }
 
-        // Watchdog: wait for completion or the deadline, then stop the
-        // network — stragglers become per-node reports, never a run error.
+        // Watchdog: wait for completion, the deadline, or every node thread
+        // to exit, then stop the network — stragglers become per-node
+        // reports, never a run error.
         let deadline = Instant::now() + timeout;
-        while shared.done_count.load(Ordering::SeqCst) < honest_total && Instant::now() < deadline {
+        while shared.done_count.load(Ordering::SeqCst) < honest_total
+            && Instant::now() < deadline
+            && !handles.iter().all(|(_, handle)| handle.is_finished())
+        {
             std::thread::sleep(Duration::from_millis(1));
         }
         shared.stop.store(true, Ordering::SeqCst);

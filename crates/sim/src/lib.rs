@@ -6,8 +6,8 @@
 //! but finite message delays, event-driven nodes, up to `f` Byzantine
 //! nodes. The model has one send primitive — a node, honest or Byzantine,
 //! transmits over its own outgoing authenticated edge — and one receive
-//! event, and the crate states each of them once: **one fleet, one send
-//! gate, two drivers, two outlets.**
+//! event, and the crate states each of them once: **one fleet, one
+//! activation, one send gate, two drivers, two outlets.**
 //!
 //! * The [`Fleet`] is a run under construction: the network, one actor per
 //!   node (a [`process::Process`] state machine, or a
@@ -16,6 +16,12 @@
 //!   cannot impersonate another sender), an optional
 //!   [`chaos::LinkFaultPlan`] and the run's [`stats::StatsRegistry`], the
 //!   only ledger a run keeps.
+//! * The **activation** is the receive event. Both drivers run every
+//!   node's start and every arrival through it: it books the arrival,
+//!   runs the actor's handler, and passes each queued send through the
+//!   send gate. A driver only says what happens to a surviving copy: the
+//!   simulator queues it at a drawn arrival time, and the wall-clock node
+//!   hands it to its outlet.
 //! * The **send gate** is the send primitive. Every message of every
 //!   driver passes it: it classifies and counts the message, asks the
 //!   seeded per-edge fault schedule (drop / duplicate / reorder / corrupt /
@@ -27,12 +33,12 @@
 //!   discrete-event loop on one thread, delivering in `(time, enqueue
 //!   order)` order out of a calendar queue (per-tick FIFO buckets, with a
 //!   heap only for far-future events; see [`sim`]). Delivery times come
-//!   from a pluggable [`scheduler::DeliveryPolicy`] (fixed, seeded-random,
-//!   or adversarial per-edge delays — the latter is exactly what the
-//!   Appendix-B impossibility construction needs). Runs are reproducible
-//!   bit-for-bit from a seed, and can record a [`trace::Trace`]: every
-//!   delivery in order, each carrying the message's wire encoding, which
-//!   the indistinguishability replay experiment decodes and splices.
+//!   from a pluggable [`scheduler::DeliveryPolicy`] (fixed or
+//!   seeded-random), shifted per edge by a plan's reorder window. Runs are
+//!   reproducible bit-for-bit from a seed, and can record a
+//!   [`trace::Trace`]: every delivery in order, each carrying the
+//!   message's wire encoding, which the indistinguishability replay
+//!   experiment decodes and splices.
 //! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
 //!   thread — a node holding its inbox and its outlet, looping until the
 //!   watchdog stops the network — demonstrating that the protocol really

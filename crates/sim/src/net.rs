@@ -244,6 +244,7 @@ mod tests {
     use codec::{write_frame, WireError, WireReader, MAX_FRAME};
     use crossbeam::channel::unbounded;
     use dbac_graph::generators;
+    use std::time::Instant;
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -450,11 +451,16 @@ mod tests {
             let mut net = Net::new(Arc::new(generators::clique(2)));
             net.set_byzantine(id(0), Box::new(Grenade));
             net.set_honest(id(1), Collect { expected: 1, input: 1, heard: Vec::new() });
-            let report = net.run(|p| p.heard.len() >= p.expected, config(kind, 500)).unwrap();
+            let started = Instant::now();
+            let report = net.run(|p| p.heard.len() >= p.expected, config(kind, 30_000)).unwrap();
             assert_eq!(
                 report.incomplete,
                 vec![Incomplete { node: id(1), reason: IncompleteReason::Starved }],
                 "{kind:?}: the dead peer's connection closes, so node 1's inbox disconnects"
+            );
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{kind:?}: the watchdog ends once every node thread has exited"
             );
         }
     }
@@ -464,13 +470,17 @@ mod tests {
         let mut threaded = Threaded::new(Arc::new(generators::clique(2)));
         threaded.set_byzantine(id(0), Box::new(Grenade));
         threaded.set_honest(id(1), Collect { expected: 1, input: 1, heard: Vec::new() });
-        let config =
-            ThreadedConfig { timeout: Duration::from_millis(500), jitter_micros: 0, seed: 0 };
+        let config = ThreadedConfig { timeout: Duration::from_secs(30), jitter_micros: 0, seed: 0 };
+        let started = Instant::now();
         let report = threaded.run(|p| p.heard.len() >= p.expected, config).unwrap();
         assert_eq!(
             report.incomplete,
             vec![Incomplete { node: id(1), reason: IncompleteReason::Starved }],
             "the dead peer held the only sender to node 1's inbox"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the watchdog ends once every node thread has exited"
         );
     }
 

@@ -9,7 +9,6 @@ use crate::time::VirtualTime;
 use dbac_graph::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Assigns a delivery time to each sent message.
 pub trait DeliveryPolicy {
@@ -69,45 +68,6 @@ impl DeliveryPolicy for RandomDelay {
     }
 }
 
-/// Adversarial per-edge delays on top of a base policy: selected edges get
-/// a fixed (possibly enormous) extra delay. This is exactly the Appendix-B
-/// construction: "the delivery delay of the latter messages is lower
-/// bounded by an arbitrary number `T`".
-pub struct EdgeDelay {
-    base: Box<dyn DeliveryPolicy + Send>,
-    overrides: HashMap<(NodeId, NodeId), u64>,
-}
-
-impl std::fmt::Debug for EdgeDelay {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EdgeDelay").field("overrides", &self.overrides.len()).finish()
-    }
-}
-
-impl EdgeDelay {
-    /// Wraps `base`, with no overrides yet.
-    #[must_use]
-    pub fn new(base: Box<dyn DeliveryPolicy + Send>) -> Self {
-        EdgeDelay { base, overrides: HashMap::new() }
-    }
-
-    /// Delays every message on edge `(from, to)` by at least `delay` ticks
-    /// (replacing the base policy's choice for that edge).
-    pub fn delay_edge(&mut self, from: NodeId, to: NodeId, delay: u64) -> &mut Self {
-        self.overrides.insert((from, to), delay);
-        self
-    }
-}
-
-impl DeliveryPolicy for EdgeDelay {
-    fn delivery_time(&mut self, now: VirtualTime, from: NodeId, to: NodeId) -> VirtualTime {
-        match self.overrides.get(&(from, to)) {
-            Some(&d) => now.after(d),
-            None => self.base.delivery_time(now, from, to),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,14 +92,6 @@ mod tests {
             assert_eq!(ta, tb, "same seed, same schedule");
             assert!((1..=4).contains(&ta.ticks()));
         }
-    }
-
-    #[test]
-    fn edge_delay_overrides_selected_edges() {
-        let mut p = EdgeDelay::new(Box::new(FixedDelay::new(1)));
-        p.delay_edge(id(0), id(1), 1_000);
-        assert_eq!(p.delivery_time(VirtualTime::ZERO, id(0), id(1)).ticks(), 1_000);
-        assert_eq!(p.delivery_time(VirtualTime::ZERO, id(1), id(0)).ticks(), 1);
     }
 
     #[test]

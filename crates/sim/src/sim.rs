@@ -14,9 +14,10 @@
 //! * bucket storage is fixed-size chunks drawn from one free pool shared
 //!   by all buckets, so memory follows the number of events queued, not
 //!   the sum of each bucket's own high-water mark;
-//! * a send at `now + W` or later (an adversarial [`EdgeDelay`], the
-//!   Appendix-B "delayed past the decision point") waits in an overflow
-//!   heap ordered by `(at, seq)`.
+//! * a send at `now + W` or later (held back by a link's
+//!   [`Reorder`](crate::chaos::LinkFault::Reorder) window, or drawn far
+//!   ahead by a custom [`DeliveryPolicy`]) waits in an overflow heap
+//!   ordered by `(at, seq)`.
 //!
 //! **Drain on advance.** Every time the clock moves, and before the event
 //! that moved it is dispatched, every overflow event the window now covers
@@ -27,17 +28,15 @@
 //! being drained, and the delivery sequence is exactly that of a single
 //! `(at, seq)` heap (the in-crate differential test holds the two
 //! together).
-//!
-//! [`EdgeDelay`]: crate::scheduler::EdgeDelay
 
 mod queue;
 
 use self::queue::CalendarQueue;
-use crate::chaos::LinkFaultPlan;
+use crate::chaos::{LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
-use crate::fleet::{Actor, Fleet, SendGate};
+use crate::fleet::{Actor, Fleet};
 use crate::net::codec::WireMessage;
-use crate::process::{Context, Process};
+use crate::process::Process;
 use crate::scheduler::DeliveryPolicy;
 use crate::stats::StatsRegistry;
 use crate::time::VirtualTime;
@@ -204,88 +203,75 @@ impl<P: Process> Simulation<P> {
     /// # Errors
     ///
     /// [`SimError::UnassignedNode`] if a node has no actor;
-    /// [`SimError::EventBudgetExhausted`] if the budget runs out.
+    /// [`SimError::RegistryTooSmall`] if the stats registry has fewer
+    /// nodes than the graph; [`SimError::EventBudgetExhausted`] if the
+    /// budget runs out.
     pub fn run(&mut self) -> Result<SimStats, SimError> {
-        self.fleet.check_assigned()?;
+        self.fleet.check_runnable()?;
         let mut gate = self.fleet.gate();
         let graph = Arc::clone(&self.fleet.graph);
+        let Simulation { fleet, policy, queue, delivered, max_events, trace } = self;
         // One send buffer serves every activation of the run.
         let mut outbox = Vec::new();
-        // Start phase.
+        // Start phase, in node order.
         for v in graph.nodes() {
-            let mut ctx = Context::with_outbox(v, graph.out_neighbors(v), outbox);
-            self.actor(v).on_start(&mut ctx);
-            outbox = self.dispatch(&mut gate, v, ctx);
+            let actor = fleet.actors[v.index()].as_mut().expect("assignment checked above");
+            let out = graph.out_neighbors(v);
+            actor.activate(&mut gate, v, out, &mut outbox, None, |to, msg, decision| {
+                carry(queue, policy.as_mut(), v, to, msg, decision);
+            });
         }
         // Delivery loop.
         let mut gauge = None;
         let horizon = VirtualTime::FAR_FUTURE.ticks();
-        while let Some(at) = self.queue.next_tick().filter(|&at| at <= horizon) {
-            if self.delivered >= self.max_events {
-                return Err(SimError::EventBudgetExhausted { delivered: self.delivered });
+        while let Some(at) = queue.next_tick().filter(|&at| at <= horizon) {
+            if *delivered >= *max_events {
+                return Err(SimError::EventBudgetExhausted { delivered: *delivered });
             }
             // The clock gauge is written when the clock moves, not on
             // every delivery.
             if gauge != Some(at) {
-                self.fleet.registry.record_virtual_time(at);
+                fleet.registry.record_virtual_time(at);
                 gauge = Some(at);
             }
-            let (_, ev) = self.queue.pop().expect("peeked");
-            self.delivered += 1;
-            gate.stats.record_delivered(P::classify(&ev.msg));
-            gate.stats.record_consumed(ev.to.index());
-            if let Some((trace, encode)) = self.trace.as_mut() {
+            let (_, QueuedEvent { from, to: v, msg }) = queue.pop().expect("peeked");
+            *delivered += 1;
+            if let Some((trace, encode)) = trace.as_mut() {
                 let mut frame = Vec::new();
-                encode(&ev.msg, &mut frame);
+                encode(&msg, &mut frame);
                 let at = VirtualTime::new(at);
-                trace.deliveries.push(Delivery { at, from: ev.from, to: ev.to, frame });
+                trace.deliveries.push(Delivery { at, from, to: v, frame });
             }
-            let mut ctx = Context::with_outbox(ev.to, graph.out_neighbors(ev.to), outbox);
-            self.actor(ev.to).on_message(&mut ctx, ev.from, ev.msg);
-            outbox = self.dispatch(&mut gate, ev.to, ctx);
+            let actor = fleet.actors[v.index()].as_mut().expect("assignment checked above");
+            let (out, arrival) = (graph.out_neighbors(v), Some((from, msg)));
+            actor.activate(&mut gate, v, out, &mut outbox, arrival, |to, msg, decision| {
+                carry(queue, policy.as_mut(), v, to, msg, decision);
+            });
         }
         Ok(self.fleet.ledger(self.now()))
     }
+}
 
-    fn actor(&mut self, v: NodeId) -> &mut Actor<P> {
-        self.fleet.actors[v.index()].as_mut().expect("assignment checked at run start")
+/// Queues the `decision.copies` copies of a surviving send, each at its
+/// own delivery-policy draw, clamped to the clock and shifted by the
+/// plan's reorder delay. Duplicates draw their arrival before the
+/// original.
+fn carry<M: Clone>(
+    queue: &mut CalendarQueue<QueuedEvent<M>>,
+    policy: &mut dyn DeliveryPolicy,
+    from: NodeId,
+    to: NodeId,
+    msg: M,
+    decision: LinkDecision,
+) {
+    let now = VirtualTime::new(queue.now());
+    let mut arrival = || {
+        policy.delivery_time(now, from, to).max(now).ticks().saturating_add(decision.extra_delay)
+    };
+    for _ in 1..decision.copies {
+        queue.push(arrival(), QueuedEvent { from, to, msg: msg.clone() });
     }
-
-    /// Sends what the activation queued in `ctx`; hands its buffer back,
-    /// emptied, for the next activation.
-    fn dispatch(
-        &mut self,
-        gate: &mut SendGate,
-        from: NodeId,
-        mut ctx: Context<P::Message>,
-    ) -> Vec<(NodeId, P::Message)> {
-        let mut outbox = ctx.take_outbox();
-        for (to, msg) in outbox.drain(..) {
-            let decision = gate.admit(from, to, P::classify(&msg));
-            if decision.copies == 0 {
-                // A destroyed message must not advance the delivery
-                // policy's RNG stream — that keeps clean edges bit-identical
-                // whether or not a plan is attached.
-                continue;
-            }
-            // Duplicates draw their arrival before the original.
-            for _ in 1..decision.copies {
-                let at = self.arrival(from, to, decision.extra_delay);
-                self.queue.push(at, QueuedEvent { from, to, msg: msg.clone() });
-            }
-            let at = self.arrival(from, to, decision.extra_delay);
-            self.queue.push(at, QueuedEvent { from, to, msg });
-        }
-        outbox
-    }
-
-    /// One delivery-policy draw for a surviving copy, clamped to `now` and
-    /// shifted by the plan's reorder delay.
-    fn arrival(&mut self, from: NodeId, to: NodeId, extra: u64) -> u64 {
-        let now = self.now();
-        let at = self.policy.delivery_time(now, from, to).max(now);
-        at.ticks().saturating_add(extra)
-    }
+    queue.push(arrival(), QueuedEvent { from, to, msg });
 }
 
 impl<P: Process> std::fmt::Debug for Simulation<P> {
@@ -302,8 +288,8 @@ impl<P: Process> std::fmt::Debug for Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::Silent;
-    use crate::scheduler::{EdgeDelay, FixedDelay, RandomDelay};
+    use crate::process::{Context, Silent};
+    use crate::scheduler::{FixedDelay, RandomDelay};
     use dbac_graph::generators;
 
     fn id(i: usize) -> NodeId {
@@ -371,15 +357,14 @@ mod tests {
     #[test]
     fn horizon_holds_back_far_future_messages() {
         let g = Arc::new(generators::clique(2));
-        let mut policy = EdgeDelay::new(Box::new(FixedDelay::new(1)));
-        // `after` saturates, so this delivery lands past `FAR_FUTURE`.
-        policy.delay_edge(id(0), id(1), u64::MAX);
-        let mut sim = Simulation::new(g, Box::new(policy));
+        // `after` saturates, so both deliveries land past `FAR_FUTURE`.
+        let mut sim = Simulation::new(g, Box::new(FixedDelay::new(u64::MAX)));
         sim.set_honest(id(0), Gossip { input: 1, heard: Vec::new() });
         sim.set_honest(id(1), Gossip { input: 2, heard: Vec::new() });
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_delivered, 1, "only 1 -> 0 arrives");
-        assert_eq!(stats.messages_undelivered, 1);
+        assert_eq!(stats.messages_delivered, 0);
+        assert_eq!(stats.messages_undelivered, 2);
+        assert!(sim.honest(id(0)).unwrap().heard.is_empty());
         assert!(sim.honest(id(1)).unwrap().heard.is_empty());
     }
 

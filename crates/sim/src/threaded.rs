@@ -173,6 +173,7 @@ mod tests {
     use crate::chaos::{LinkFault, LinkFaultPlan};
     use crate::process::{Context, Process, Silent};
     use dbac_graph::generators;
+    use std::time::Instant;
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -316,6 +317,29 @@ mod tests {
         assert_eq!(report.stats.messages_sent, 6);
         let starved = report.nodes[1].as_ref().unwrap();
         assert_eq!(starved.heard.len(), 1, "node 2's message still arrives");
+    }
+
+    #[test]
+    fn threaded_reorder_sleep_yields_to_the_deadline() {
+        // The first 0 -> 1 message is held back by 3.44 s, far past the
+        // 200 ms deadline; node 0 must stop sleeping when the run stops.
+        let g = Arc::new(generators::clique(4));
+        let mut t = Threaded::new(g);
+        for i in 0..4 {
+            t.set_honest(id(i), Collect { expected: 3, input: i as u64, heard: Vec::new() });
+        }
+        t.set_link_faults(LinkFaultPlan::new(3).fault(
+            id(0),
+            id(1),
+            LinkFault::Reorder { window: 4_000_000 },
+        ));
+        let config =
+            ThreadedConfig { timeout: Duration::from_millis(200), jitter_micros: 0, seed: 0 };
+        let started = Instant::now();
+        let report = t.run(|p| p.heard.len() >= p.expected, config).unwrap();
+        assert!(started.elapsed() < Duration::from_millis(1_500), "{:?}", started.elapsed());
+        assert_eq!(report.stats.messages_sent, 12, "node 0 still admits every send");
+        assert!(report.incomplete.iter().all(|inc| inc.reason == IncompleteReason::Timeout));
     }
 
     #[test]

@@ -1,0 +1,77 @@
+//! Pins the simulator's delivery order: two seeded, chaos-injected Sim
+//! runs whose recorded traces must hash to fixed digests.
+//!
+//! Each trace is folded through FNV-1a 64 (offset `0xcbf29ce484222325`,
+//! prime `0x100000001b3`), one delivery at a time: `at` as a `u64` LE,
+//! `from` and `to` as `u32` LE, the frame length as `u32` LE, then the
+//! frame bytes. The digest covers every arrival time, every edge and every
+//! wire byte, so any change to the calendar queue's `(at, seq)` order, to
+//! the delivery policy's draw sequence, to the link-fault decisions or to
+//! the activation order of the start phase moves it.
+
+use dbac::graph::{generators, NodeId};
+use dbac::scenario::{
+    ByzantineWitness, CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Scenario,
+    ScenarioBuilder, Trace,
+};
+
+fn id(i: usize) -> NodeId {
+    NodeId::new(i)
+}
+
+/// `(deliveries, FNV-1a 64 digest)` of a trace.
+fn digest(trace: &Trace) -> (usize, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for d in &trace.deliveries {
+        feed(&d.at.ticks().to_le_bytes());
+        feed(&(d.from.index() as u32).to_le_bytes());
+        feed(&(d.to.index() as u32).to_le_bytes());
+        feed(&(d.frame.len() as u32).to_le_bytes());
+        feed(&d.frame);
+    }
+    (trace.deliveries.len(), hash)
+}
+
+/// Duplicates on 0→1, reorders on 1→2, drops on 2→0.
+fn chaos() -> LinkFaultPlan {
+    LinkFaultPlan::new(17)
+        .fault(id(0), id(1), LinkFault::Duplicate { prob: 0.4 })
+        .fault(id(1), id(2), LinkFault::Reorder { window: 30 })
+        .fault(id(2), id(0), LinkFault::Drop { prob: 0.2 })
+}
+
+fn traced(builder: ScenarioBuilder) -> (usize, u64) {
+    let out = builder.link_faults(chaos()).seed(6).record_trace(true).run().expect("runs");
+    digest(&out.trace.expect("trace recorded"))
+}
+
+#[test]
+fn bw_k5_equivocator_delivery_order_is_pinned() {
+    let pin = traced(
+        Scenario::builder(generators::clique(5), 1)
+            .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
+            .epsilon(0.5)
+            .fault(id(4), FaultKind::Equivocator { low: -100.0, high: 100.0 })
+            .protocol(ByzantineWitness::default()),
+    );
+    assert_eq!(pin, (27_910, 3_997_744_743_573_078_574));
+}
+
+#[test]
+fn crash_k4_delivery_order_is_pinned() {
+    let pin = traced(
+        Scenario::builder(generators::clique(4), 1)
+            .inputs(vec![0.0, 8.0, 4.0, 2.0])
+            .epsilon(0.5)
+            .range((0.0, 8.0))
+            .fault(id(3), FaultKind::CrashAfter { sends: 5 })
+            .protocol(CrashTwoReach::default()),
+    );
+    assert_eq!(pin, (158, 16_637_992_831_282_363_527));
+}

@@ -1,12 +1,14 @@
 //! Error-path coverage for [`Scenario`] validation: every misuse must
 //! return a *precise typed* [`RunError`] variant — property-tested over
 //! the misuse space via the proptest shim, plus pinned protocol-level
-//! checks (resilience bounds, network shape, runtime support).
+//! checks (resilience bounds, network shape, runtime support), and one
+//! accepted extreme (the widest reorder window) that must still run.
 
 use dbac::core::RunError;
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
-    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Runtime, Scenario,
+    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, LinkFault,
+    LinkFaultPlan, Runtime, Scenario,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -152,6 +154,27 @@ fn complete_network_requirements_are_typed() {
         .run()
         .unwrap_err();
     assert_eq!(err, RunError::IncompleteGraph { protocol: "aad04" });
+}
+
+#[test]
+fn widest_reorder_window_runs_to_a_typed_outcome() {
+    // The build accepts any window; the largest one holds copies back past
+    // the simulator's horizon, where they are counted, not delivered.
+    let out = Scenario::builder(generators::clique(3), 0)
+        .inputs(vec![0.0, 4.0, 2.0])
+        .epsilon(0.5)
+        .link_faults(LinkFaultPlan::new(2).fault(
+            NodeId::new(0),
+            NodeId::new(1),
+            LinkFault::Reorder { window: u64::MAX },
+        ))
+        .protocol(CrashTwoReach::default())
+        .run()
+        .expect("a typed outcome, not a panic");
+    let stats = &out.sim_stats;
+    assert!(stats.messages_undelivered() > 0, "{stats:?}");
+    assert_eq!(stats.messages_sent(), stats.messages_delivered() + stats.messages_undelivered());
+    assert!(out.valid(), "{:?}", out.outputs);
 }
 
 #[test]

@@ -13,15 +13,19 @@
 //!    Additionally, on every runtime, an attached registry's snapshot is
 //!    bit-for-bit equal to `Outcome::sim_stats` — the registry *is* the
 //!    outcome's ground truth, not a parallel bookkeeping path.
+//!    A registry with fewer per-node gauges than the graph has nodes is
+//!    rejected as a typed error before the run starts.
 //! 2. **Liveness** — polling a shared registry *during* a Threaded run
 //!    never panics, and every observed total is monotone non-decreasing:
 //!    single-writer shards merged on read can tear across cells but never
 //!    within one, so each counter only grows.
 
+use dbac::core::RunError;
 use dbac::graph::generators;
 use dbac::scenario::{
     ByzantineWitness, MsgClass, Outcome, Runtime, Scenario, ScenarioBuilder, StatsRegistry,
 };
+use dbac::sim::SimError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,6 +63,21 @@ fn registry_is_ground_truth_on_all_three_runtimes() {
         );
         assert!(out.converged() && out.valid(), "{label}");
     }
+}
+
+#[test]
+fn undersized_registry_is_a_typed_error() {
+    for runtime in [Runtime::Sim, Runtime::threaded(Duration::from_secs(120))] {
+        let err = differential()
+            .runtime(runtime)
+            .stats(StatsRegistry::new(3))
+            .run()
+            .expect_err("a 3-node registry cannot hold K4's gauges");
+        assert_eq!(err, RunError::Sim(SimError::RegistryTooSmall { nodes: 4, registry: 3 }));
+    }
+    // A larger registry is fine: the spare gauges stay zero.
+    let out = differential().stats(StatsRegistry::new(6)).run().expect("runs");
+    assert!(out.converged() && out.valid());
 }
 
 #[test]
