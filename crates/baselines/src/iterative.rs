@@ -127,14 +127,13 @@ pub fn iterate(
         for v in honest.iter() {
             let mut received = Vec::new();
             for u in g.in_neighbors(v).iter() {
-                match strategies[u.index()] {
-                    None => received.push(values[u.index()]),
-                    Some(s) => {
-                        if let Some(bad) = s.value(round) {
-                            received.push(bad);
-                        }
-                    }
-                }
+                let sent = match strategies[u.index()] {
+                    None => Some(values[u.index()]),
+                    Some(s) => s.value(round),
+                };
+                // The engine drops non-finite values at receipt; so does
+                // the reference.
+                received.extend(sent.filter(|x| x.is_finite()));
             }
             next[v.index()] = wmsr_step(values[v.index()], received, f);
         }

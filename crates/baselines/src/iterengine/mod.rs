@@ -56,7 +56,8 @@ pub struct IterMsg {
 
 /// Wire layout: `round: u32 LE` then `value: f64 bits LE` — 12 bytes,
 /// total (every 12-byte frame decodes; bounds are enforced at the
-/// protocol layer, where the round is checked against the run length).
+/// protocol layer, where the round is checked against the run length and
+/// non-finite values are dropped).
 impl WireMessage for IterMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.round.to_le_bytes());
@@ -196,8 +197,8 @@ impl Process for IterNode {
     }
 
     fn on_message(&mut self, ctx: &mut Context<IterMsg>, from: NodeId, msg: IterMsg) {
-        if msg.round >= self.rounds {
-            return; // out-of-range round: undecodable intent, drop
+        if msg.round >= self.rounds || !msg.value.is_finite() {
+            return; // out-of-range round or a value off the real line: drop
         }
         let Ok(slot) = self.in_ids.binary_search(&from) else {
             return; // not an in-neighbor (runtime misdelivery guard)

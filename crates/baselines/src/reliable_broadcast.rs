@@ -61,7 +61,6 @@ pub struct RbcDelivery<T> {
 #[derive(Debug)]
 pub struct RbcEngine<T> {
     me: NodeId,
-    n: usize,
     f: usize,
     /// Instances where we already echoed (one echo per (origin, seq)).
     echoed: HashSet<(NodeId, u64)>,
@@ -88,7 +87,6 @@ impl<T: Clone + Eq + Hash> RbcEngine<T> {
         assert!(n > 3 * f, "reliable broadcast requires n > 3f");
         RbcEngine {
             me,
-            n,
             f,
             echoed: HashSet::new(),
             readied: HashSet::new(),
@@ -150,12 +148,6 @@ impl<T: Clone + Eq + Hash> RbcEngine<T> {
     #[must_use]
     pub fn is_delivered(&self, origin: NodeId, seq: u64) -> bool {
         self.delivered.contains(&(origin, seq))
-    }
-
-    /// Network size.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
     }
 }
 

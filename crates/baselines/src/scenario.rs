@@ -361,6 +361,34 @@ mod tests {
         assert!(out.valid());
     }
 
+    /// W-MSR trims over the reals: a NaN (of either sign) sorts to one end
+    /// but compares false against `own`, so neither trim count removes it
+    /// and it would poison the average. Both the engine and the reference loop
+    /// drop non-finite values instead.
+    #[test]
+    fn iterative_drops_non_finite_liar_values() {
+        for value in [f64::NAN, -f64::NAN] {
+            let out = Scenario::builder(generators::clique(5), 1)
+                .inputs(vec![0.0, 1.0, 2.0, 3.0, 0.0])
+                .epsilon(1e-3)
+                .fault(id(4), FaultKind::ConstantLiar { value })
+                .protocol(IterativeTrimmedMean::default())
+                .run()
+                .unwrap();
+            assert!(out.outputs.iter().flatten().all(|x| x.is_finite()), "{:?}", out.outputs);
+            assert!(out.converged() && out.valid(), "{:?}", out.outputs);
+
+            let reference = crate::iterative::iterate(
+                &generators::clique(5),
+                1,
+                &[0.0, 1.0, 2.0, 3.0, 0.0],
+                &[(id(4), IterStrategy::Constant(value))],
+                60,
+            );
+            assert!(reference.final_spread() < 1e-3 && reference.valid());
+        }
+    }
+
     /// The W-MSR round count is a per-protocol knob: it rides the sweep's
     /// protocol axis as distinctly configured instances, and the rounds
     /// axis (the scenario override) reaches it through `rounds_opt`.

@@ -13,8 +13,9 @@
 //!   **FIFO flood/receive** (Appendix F) subroutines.
 //! * [`node`] — the honest node tying it all together across rounds, with
 //!   the paper's termination rule (`R > log₂(K/ε)`, Section 4.6).
-//! * [`adversary`] — a library of Byzantine behaviours (crash, constant
-//!   lying, equivocation, relay tampering, path fabrication, chaos).
+//! * [`adversary`] — the Byzantine adversary of Algorithm BW: one actor
+//!   driven by the fault kind (crash, constant lying, equivocation, relay
+//!   tampering, path fabrication, chaos).
 //! * [`crash`] — the asynchronous crash-tolerant 2-reach protocol
 //!   (Table 2's other asynchronous cell).
 //! * [`scenario`] — the unified **Scenario → Outcome** experiment surface:

@@ -409,28 +409,32 @@ pub enum FaultKind {
         /// Number of honest sends before dying.
         sends: usize,
     },
-    /// Floods a fixed extreme value but otherwise participates honestly (a
-    /// validity attack).
+    /// Reports `value` as its input (a validity attack). Under BW it floods
+    /// `value` in every round, all up front at start, and otherwise relays
+    /// honestly.
     ConstantLiar {
         /// The injected value.
         value: f64,
     },
-    /// Tells half of its out-neighbors `low` and the rest `high` (a
-    /// split-brain / agreement attack).
+    /// Tells the first half of its out-neighbors `low` and the rest `high`
+    /// in every round, all up front at start, and relays every flood with
+    /// its value replaced by `low` (a split-brain / agreement attack).
     Equivocator {
         /// Value for the first half.
         low: f64,
         /// Value for the second half.
         high: f64,
     },
-    /// Relays others' messages with the values replaced by `spoof` (an
-    /// integrity attack on indirect paths).
+    /// Injects nothing and relays every flood with its value replaced by
+    /// `spoof` (an integrity attack on indirect paths).
     RelayTamperer {
         /// The value written into every relayed flood.
         spoof: f64,
     },
-    /// Fabricates floods with forged (well-formed) propagation paths
-    /// claiming honest initiators reported `forged_value`.
+    /// At start, forwards a round-0 flood of `forged_value` along every
+    /// non-trivial simple path ending at itself — forged (well-formed)
+    /// paths claiming the honest initiators reported it — then relays
+    /// honestly. Later rounds are not forged.
     PathFabricator {
         /// The forged value attributed to other initiators.
         forged_value: f64,
@@ -443,7 +447,11 @@ pub enum FaultKind {
         /// Per-round drift.
         slope: f64,
     },
-    /// Seeded random mixture of lying, tampering and dropping.
+    /// Seeded random mixture of lying, dropping and tampering: at start it
+    /// floods one value drawn from `[-1000, 1000)` in round 0 to each
+    /// out-neighbor with probability 0.8; then it drops each arrival with
+    /// probability 0.2 and otherwise, with probability 0.3, relays it with
+    /// the flood value replaced by a fresh draw.
     Chaotic {
         /// RNG seed (keeps runs reproducible).
         seed: u64,
@@ -470,16 +478,9 @@ impl FaultKind {
     /// it.
     #[must_use]
     pub fn adversary_kind(&self) -> Option<AdversaryKind> {
-        match *self {
-            FaultKind::Crash => Some(AdversaryKind::Crash),
-            FaultKind::ConstantLiar { value } => Some(AdversaryKind::ConstantLiar { value }),
-            FaultKind::Equivocator { low, high } => Some(AdversaryKind::Equivocator { low, high }),
-            FaultKind::RelayTamperer { spoof } => Some(AdversaryKind::RelayTamperer { spoof }),
-            FaultKind::PathFabricator { forged_value } => {
-                Some(AdversaryKind::PathFabricator { forged_value })
-            }
-            FaultKind::Chaotic { seed } => Some(AdversaryKind::Chaotic { seed }),
+        match self {
             FaultKind::CrashAfter { .. } | FaultKind::Ramp { .. } => None,
+            kind => Some(AdversaryKind(kind.clone())),
         }
     }
 }

@@ -932,15 +932,6 @@ impl SweepReport {
             (row.label.as_str(), fields)
         }))
     }
-
-    /// Writes [`SweepReport::to_bench_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures creating or writing the file.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bench_json())
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ check table1 -p dbac-bench --bin table1
 check table2 -p dbac-bench --bin table2
 check equivalences -p dbac-bench --bin equivalences
 check impossibility -p dbac-bench --bin impossibility
+check convergence -p dbac-bench --bin convergence
+check ablation -p dbac-bench --bin ablation
 check condition_explorer_figure1b-small_8_1 --example condition_explorer -- figure1b-small 8 1
 
 exit "$status"

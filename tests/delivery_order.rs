@@ -1,13 +1,15 @@
-//! Pins the simulator's delivery order: two seeded, chaos-injected Sim
-//! runs whose recorded traces must hash to fixed digests.
+//! Pins the simulator's delivery order: seeded, chaos-injected Sim runs
+//! (one per BW fault kind, plus a crash-protocol run) whose recorded
+//! traces must hash to fixed digests.
 //!
 //! Each trace is folded through FNV-1a 64 (offset `0xcbf29ce484222325`,
 //! prime `0x100000001b3`), one delivery at a time: `at` as a `u64` LE,
 //! `from` and `to` as `u32` LE, the frame length as `u32` LE, then the
 //! frame bytes. The digest covers every arrival time, every edge and every
 //! wire byte, so any change to the calendar queue's `(at, seq)` order, to
-//! the delivery policy's draw sequence, to the link-fault decisions or to
-//! the activation order of the start phase moves it.
+//! the delivery policy's draw sequence, to the link-fault decisions, to
+//! the activation order of the start phase or to what an adversary sends
+//! moves it.
 
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
@@ -51,16 +53,28 @@ fn traced(builder: ScenarioBuilder) -> (usize, u64) {
     digest(&out.trace.expect("trace recorded"))
 }
 
+/// One row per BW fault: each strategy's injections and relays reach the
+/// wire, so the pin covers what it sends as well as the delivery order.
 #[test]
-fn bw_k5_equivocator_delivery_order_is_pinned() {
-    let pin = traced(
-        Scenario::builder(generators::clique(5), 1)
-            .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
-            .epsilon(0.5)
-            .fault(id(4), FaultKind::Equivocator { low: -100.0, high: 100.0 })
-            .protocol(ByzantineWitness::default()),
-    );
-    assert_eq!(pin, (27_910, 3_997_744_743_573_078_574));
+fn bw_k5_catalog_delivery_order_is_pinned() {
+    let catalog = [
+        (FaultKind::Equivocator { low: -100.0, high: 100.0 }, (27_910, 3_997_744_743_573_078_574)),
+        (FaultKind::ConstantLiar { value: 1e4 }, (28_361, 674_650_541_147_204_866)),
+        (FaultKind::RelayTamperer { spoof: -1e5 }, (12_735, 11_713_140_352_731_595_508)),
+        (FaultKind::PathFabricator { forged_value: -77.0 }, (13_006, 1_305_477_971_010_630_245)),
+        (FaultKind::Chaotic { seed: 5 }, (12_826, 7_687_901_582_498_231_270)),
+    ];
+    for (fault, expected) in catalog {
+        let label = fault.label();
+        let pin = traced(
+            Scenario::builder(generators::clique(5), 1)
+                .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
+                .epsilon(0.5)
+                .fault(id(4), fault)
+                .protocol(ByzantineWitness::default()),
+        );
+        assert_eq!(pin, expected, "{label}");
+    }
 }
 
 #[test]
