@@ -35,7 +35,10 @@
 //! [`PathIndex::contains_id`] for id-carrying wires, [`PathIndex::resolve`]
 //! for explicit node sequences (adversary forging, serde ingress, debug
 //! tooling) — and drop anything unknown, exactly as the paper's model lets
-//! a receiver drop provably forged messages. Every id accepted past
+//! a receiver drop provably forged messages. `resolve` keeps no map of its
+//! own: it rejects nodes outside the graph, then walks the forwarding
+//! table hop by hop from the sequence's first node, so a forged sequence
+//! falls out at its first non-edge or inadmissible hop. Every id accepted past
 //! validation refers to a path that was enumerated from the real graph, so
 //! downstream code may use the precomputed metadata without re-checking
 //! path validity.
@@ -99,10 +102,12 @@ impl fmt::Display for PathId {
     }
 }
 
-/// Sentinel for "no interned extension" in the flat forwarding table.
+/// Sentinel for "no interned extension" in the flat forwarding table, and
+/// for the end of a hash chain while it is filled.
 const NO_EXT: u32 = u32::MAX;
 
-/// Content hash of a node sequence, for the hash-keyed resolution map.
+/// Content hash of a node sequence, for finding prefixes while the
+/// forwarding table is filled.
 fn seq_hash(nodes: &[NodeId]) -> u64 {
     let mut h = FastHasher::default();
     for &v in nodes {
@@ -110,10 +115,6 @@ fn seq_hash(nodes: &[NodeId]) -> u64 {
     }
     h.write_usize(nodes.len());
     h.finish()
-}
-
-fn path_hash(path: &Path) -> u64 {
-    seq_hash(path.nodes())
 }
 
 /// An immutable intern table over a graph's enumerated path population.
@@ -139,11 +140,6 @@ pub struct PathIndex {
     by_terminal: Vec<Vec<PathId>>,
     /// terminal → ids of the *simple* interned paths ending there.
     simple_by_terminal: Vec<Vec<PathId>>,
-    /// Resolution map for explicit node sequences (validation boundary):
-    /// content hash → candidate ids, verified against `paths` on lookup.
-    /// Keying by hash instead of by owned `Path` halves the index's
-    /// dominant allocation (the population is stored once, in `paths`).
-    ids: FastHashMap<u64, Vec<PathId>>,
     /// id → offset into `ext_entries`.
     ext_offsets: Vec<u32>,
     /// Flat forwarding table: for each id, one entry per out-neighbor of
@@ -163,55 +159,43 @@ pub struct PathIndex {
 impl PathIndex {
     /// Interns the given per-terminal path population over `graph`.
     ///
-    /// `pools[v]` must list paths ending at node `v` that are valid in
-    /// `graph`; duplicates are tolerated (first occurrence wins). The
-    /// trivial path `⟨v⟩` is interned for every node even if a pool omits
-    /// it.
+    /// `pools[v]` must list distinct paths ending at node `v` that are
+    /// valid in `graph`. Ids follow pool order, each pool behind the
+    /// trivial path `⟨v⟩`, which is interned for every node; a pool may
+    /// list `⟨v⟩` itself or omit it.
     ///
     /// # Panics
     ///
     /// Panics if a pooled path does not end at its pool's terminal, is
-    /// invalid in `graph`, or if the population exceeds `u32::MAX` paths.
+    /// invalid in `graph`, is listed twice (other than `⟨v⟩`), or has a
+    /// one-step prefix outside the population, or if the population
+    /// exceeds `u32::MAX` paths.
     #[must_use]
     pub fn build(graph: &Digraph, pools: &[Vec<Path>]) -> Self {
         let n = graph.node_count();
         assert_eq!(pools.len(), n, "one pool per node required");
 
-        let mut ids: FastHashMap<u64, Vec<PathId>> = FastHashMap::default();
-        let mut paths: Vec<Path> = Vec::new();
-        let mut by_terminal: Vec<Vec<PathId>> = vec![Vec::new(); n];
+        // Intern in pool order with no lookup: the one repeat a pool may
+        // hold is `⟨v⟩`, and any other duplicate trips the forwarding-table
+        // fill below, where both copies claim the same slot.
+        let mut paths: Vec<Path> =
+            Vec::with_capacity(n + pools.iter().map(Vec::len).sum::<usize>());
+        let mut by_terminal: Vec<Vec<PathId>> = Vec::with_capacity(n);
         let mut trivial = Vec::with_capacity(n);
-
-        let mut intern = |path: Path, paths: &mut Vec<Path>| -> PathId {
-            let bucket = ids.entry(path_hash(&path)).or_default();
-            if let Some(&id) = bucket.iter().find(|&&id| paths[id.index()] == path) {
-                return id;
-            }
-            let raw = u32::try_from(paths.len()).expect("path population exceeds u32 ids");
-            assert_ne!(raw, NO_EXT, "path population exceeds u32 ids");
-            let id = PathId(raw);
-            bucket.push(id);
-            paths.push(path);
-            id
-        };
-
         for (v, pool) in pools.iter().enumerate() {
             let v = NodeId::new(v);
-            let before = paths.len();
-            let tid = intern(Path::single(v), &mut paths);
-            if paths.len() > before {
-                by_terminal[v.index()].push(tid);
-            }
-            trivial.push(tid);
+            let first = paths.len();
+            paths.push(Path::single(v));
             for path in pool {
                 assert_eq!(path.ter(), v, "pooled path must end at its terminal");
                 assert!(path.is_valid_in(graph), "pooled path invalid in graph");
-                let before = paths.len();
-                let id = intern(path.clone(), &mut paths);
-                if paths.len() > before {
-                    by_terminal[v.index()].push(id);
+                if !path.is_empty() {
+                    paths.push(path.clone());
                 }
             }
+            assert!(paths.len() <= NO_EXT as usize, "path population exceeds u32 ids");
+            trivial.push(PathId(first as u32));
+            by_terminal.push((first..paths.len()).map(|id| PathId(id as u32)).collect());
         }
 
         let node_sets: Vec<NodeSet> = paths.iter().map(Path::node_set).collect();
@@ -234,8 +218,18 @@ impl PathIndex {
         // Fill by prefix registration: every non-trivial interned path is
         // the extension of its one-step prefix, and path classes are
         // prefix-closed (dropping the last node keeps a path simple resp.
-        // redundant), so the prefix is always interned. One slice hash per
-        // path — no temporary extended paths, no per-neighbor misses.
+        // redundant), so the prefix is always interned. Prefixes are found
+        // through a transient content-hash map to the last id with that
+        // hash, chained through `earlier` to the other ids sharing it; both
+        // are dropped when `build` returns.
+        let mut heads: FastHashMap<u64, u32> =
+            FastHashMap::with_capacity_and_hasher(paths.len(), Default::default());
+        let mut earlier = vec![NO_EXT; paths.len()];
+        for (id, path) in paths.iter().enumerate() {
+            if let Some(prev) = heads.insert(seq_hash(path.nodes()), id as u32) {
+                earlier[id] = prev;
+            }
+        }
         let mut ext_entries = vec![NO_EXT; total];
         for (id, path) in paths.iter().enumerate() {
             let nodes = path.nodes();
@@ -243,16 +237,16 @@ impl PathIndex {
             if prefix.is_empty() {
                 continue; // trivial paths extend others, nothing precedes them
             }
-            let pid = ids
-                .get(&seq_hash(prefix))
-                .and_then(|bucket| {
-                    bucket.iter().copied().find(|&c| paths[c.index()].nodes() == prefix)
-                })
-                .expect("one-step prefix of an interned path is interned");
+            let mut pid = heads.get(&seq_hash(prefix)).copied().unwrap_or(NO_EXT);
+            while pid != NO_EXT && paths[pid as usize].nodes() != prefix {
+                pid = earlier[pid as usize];
+            }
+            assert_ne!(pid, NO_EXT, "one-step prefix of an interned path is interned");
             let neighbors = out[prefix.last().expect("non-empty prefix").index()];
             debug_assert!(neighbors.contains(last), "pooled path uses a non-edge");
-            let rank = neighbors.rank_below(last);
-            ext_entries[ext_offsets[pid.index()] as usize + rank] = id as u32;
+            let slot = ext_offsets[pid as usize] as usize + neighbors.rank_below(last);
+            assert_eq!(ext_entries[slot], NO_EXT, "duplicate pooled path {path}");
+            ext_entries[slot] = id as u32;
         }
 
         // Transposed per-node masks over the id space, for columnar scans.
@@ -280,7 +274,6 @@ impl PathIndex {
             trivial,
             by_terminal,
             simple_by_terminal,
-            ids,
             ext_offsets,
             ext_entries,
             word_count,
@@ -312,9 +305,19 @@ impl PathIndex {
 
     /// Resolves an explicit node sequence to its id, or `None` for paths
     /// outside the population (forged, malformed, or simply inadmissible).
+    ///
+    /// Walks the forwarding table from the trivial path of the first node,
+    /// one [`PathIndex::extend`] per further node. The population is
+    /// prefix-closed, so every interned path is reached this way; a
+    /// sequence naming a node outside the graph is rejected before the
+    /// walk.
     #[must_use]
     pub fn resolve(&self, path: &Path) -> Option<PathId> {
-        self.ids.get(&path_hash(path))?.iter().copied().find(|&id| &self.paths[id.index()] == path)
+        let nodes = path.nodes();
+        if nodes.iter().any(|v| v.index() >= self.trivial.len()) {
+            return None;
+        }
+        nodes[1..].iter().try_fold(self.trivial(nodes[0]), |id, &w| self.extend(id, w))
     }
 
     /// The interned path (for wire egress, debugging, DOT output).
@@ -596,6 +599,60 @@ mod tests {
         let non_redundant = Path::from_indices(&[0, 1, 0, 1, 0, 1]).unwrap();
         assert!(non_redundant.is_valid_in(&graph) && !non_redundant.is_redundant());
         assert_eq!(index.resolve(&non_redundant), None);
+    }
+
+    #[test]
+    fn out_of_graph_nodes_resolve_to_none() {
+        let index = build(&generators::clique(4));
+        for seq in [&[0, 99][..], &[99], &[99, 0], &[0, 1, 99]] {
+            assert_eq!(index.resolve(&Path::from_indices(seq).unwrap()), None, "{seq:?}");
+        }
+    }
+
+    #[test]
+    fn simple_population_round_trips_through_resolve() {
+        // The crash protocol's index: simple paths only.
+        let graph = small_bridged();
+        let pools: Vec<Vec<Path>> = graph
+            .nodes()
+            .map(|v| {
+                simple_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap()
+            })
+            .collect();
+        let index = PathIndex::build(&graph, &pools);
+        for raw in 0..index.len() as u32 {
+            let id = PathId::from_raw(raw);
+            assert_eq!(index.resolve(index.path(id)), Some(id));
+        }
+        // A redundant but non-simple sequence is outside this population.
+        assert_eq!(index.resolve(&Path::from_indices(&[0, 1, 0]).unwrap()), None);
+    }
+
+    #[test]
+    fn trivial_path_listed_in_its_own_pool_is_interned_once() {
+        let graph = generators::clique(3);
+        let pools: Vec<Vec<Path>> = graph
+            .nodes()
+            .map(|v| {
+                simple_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap()
+            })
+            .collect();
+        assert!(graph.nodes().all(|v| pools[v.index()].contains(&Path::single(v))));
+        let index = PathIndex::build(&graph, &pools);
+        assert_eq!(index.len(), pools.iter().map(Vec::len).sum::<usize>());
+        for v in graph.nodes() {
+            assert_eq!(index.paths_ending_at(v).len(), pools[v.index()].len());
+            assert_eq!(index.paths_ending_at(v)[0], index.trivial(v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate pooled path")]
+    fn duplicated_pooled_path_panics() {
+        let graph = generators::clique(3);
+        let mut pools: Vec<Vec<Path>> = graph.nodes().map(|v| vec![Path::single(v)]).collect();
+        pools[1] = vec![Path::from_indices(&[0, 1]).unwrap(), Path::from_indices(&[0, 1]).unwrap()];
+        let _ = PathIndex::build(&graph, &pools);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::nodeset::NodeSet;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A directed path `⟨v1, …, vk⟩` (non-empty list of nodes).
@@ -174,7 +173,8 @@ impl Path {
                 ),
             });
         }
-        let mut nodes = self.0.clone();
+        let mut nodes = Vec::with_capacity(self.0.len() + other.0.len() - 1);
+        nodes.extend_from_slice(&self.0);
         nodes.extend_from_slice(&other.0[1..]);
         Ok(Path(nodes))
     }
@@ -401,9 +401,22 @@ fn dfs_backward(
 /// (Definition 9). Includes every simple path ending at `to` and the
 /// trivial `⟨to⟩`.
 ///
+/// Each path is a product `p1 ‖ p2` of a simple path `p1` ending at a glue
+/// node `m` and a simple `(m, to)`-path `p2`. Products are tried for `m`
+/// ascending, then `p2`, then `p1`, each in enumeration order. A path that
+/// splits at several nodes is listed once, at its **canonical glue**: the
+/// smallest node of its *glue interval*, which runs from the start of its
+/// longest simple suffix to the end of its longest simple prefix. Every
+/// split point lies in that interval and its nodes are distinct, so
+/// exactly one product passes, and it is the first one the loops reach.
+///
 /// # Errors
 ///
-/// Returns [`GraphError::BudgetExceeded`] if the budget is exhausted.
+/// Returns [`GraphError::BudgetExceeded`] if more than `budget.max_paths`
+/// redundant paths end at `to`, and only then. A glue node's halves are
+/// enumerated only once it is known to reach `to`; fixing either half then
+/// gives one distinct result per path of the other, so neither half can
+/// exceed the budget unless the result does.
 pub fn redundant_paths_ending_at(
     g: &Digraph,
     to: NodeId,
@@ -413,34 +426,50 @@ pub fn redundant_paths_ending_at(
     if forbidden.contains(to) {
         return Ok(Vec::new());
     }
-    // p = p1 || p2 with ter(p1) = init(p2) = m, ter(p2) = to. Enumerate all
-    // glue nodes m; `seen` deduplicates (a path may arise from many splits).
-    let mut seen: HashSet<Path> = HashSet::new();
     let mut out: Vec<Path> = Vec::new();
     let allowed = forbidden.complement_in(g.node_count());
     for m in allowed.iter() {
-        let firsts = simple_paths_ending_at(g, m, forbidden, budget)?;
         let seconds = simple_paths(g, m, to, forbidden, budget)?;
+        if seconds.is_empty() {
+            continue;
+        }
+        let firsts = simple_paths_ending_at(g, m, forbidden, budget)?;
+        let first_sets: Vec<NodeSet> = firsts.iter().map(Path::node_set).collect();
         for p2 in &seconds {
-            for p1 in &firsts {
+            let second_set = p2.node_set();
+            for (p1, &first_set) in firsts.iter().zip(&first_sets) {
+                if !is_canonical_glue(p1, first_set, p2, second_set) {
+                    continue;
+                }
+                if out.len() >= budget.max_paths {
+                    return Err(GraphError::BudgetExceeded { limit: budget.max_paths });
+                }
                 let glued = p1.concat(p2).expect("ter(p1) = m = init(p2)");
                 debug_assert!(glued.is_redundant());
-                if seen.insert(glued.clone()) {
-                    if out.len() >= budget.max_paths {
-                        return Err(GraphError::BudgetExceeded { limit: budget.max_paths });
-                    }
-                    out.push(glued);
-                }
+                out.push(glued);
             }
         }
     }
     Ok(out)
 }
 
+/// Returns `true` if the glue node `m = ter(p1) = init(p2)` is the smallest
+/// node of the glue interval of `p1 ‖ p2`. From `m`, the interval reaches
+/// back along `p1` while the nodes stay off `p2` (the suffix stays simple)
+/// and forward along `p2` while they stay off `p1` (the prefix stays
+/// simple).
+fn is_canonical_glue(p1: &Path, first_set: NodeSet, p2: &Path, second_set: NodeSet) -> bool {
+    let m = p2.init();
+    let back = p1.0.iter().rev().skip(1).take_while(|&&v| !second_set.contains(v));
+    let forward = p2.0[1..].iter().take_while(|&&v| !first_set.contains(v));
+    back.chain(forward).all(|&v| v > m)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use std::collections::HashSet;
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -602,6 +631,21 @@ mod tests {
         assert_eq!(err.unwrap_err(), GraphError::BudgetExceeded { limit: 10 });
         let err = redundant_paths_ending_at(&g, id(0), NodeSet::EMPTY, PathBudget::new(10));
         assert!(matches!(err.unwrap_err(), GraphError::BudgetExceeded { .. }));
+    }
+
+    #[test]
+    fn budget_counts_only_the_result() {
+        // Source 0 feeds a K6 on 1..=6 through its one edge 0 -> 1, so the
+        // only redundant path ending at 0 is ⟨0⟩. The K6 nodes cannot reach
+        // 0, and their many simple paths must not spend the budget.
+        let mut edges = vec![(0, 1)];
+        edges.extend((1..=6).flat_map(|u| (1..=6).filter(move |&v| v != u).map(move |v| (u, v))));
+        let g = Digraph::from_edges(7, &edges).unwrap();
+        for max_paths in [1, 10, 100, 10_000] {
+            let rs =
+                redundant_paths_ending_at(&g, id(0), NodeSet::EMPTY, PathBudget::new(max_paths));
+            assert_eq!(rs, Ok(vec![Path::single(id(0))]), "budget {max_paths}");
+        }
     }
 
     #[test]
