@@ -14,10 +14,12 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin baseline_compare`
 //! (`-- --json <path>` additionally writes the E9 sweep's *reduced*
-//! seed-aggregated report in the sweep report schema, uploaded as the
-//! `sweep.json` CI artifact).
+//! seed-aggregated report, one object per seed-batch group
+//! ([`dbac_bench::json::reduced`]), uploaded as the `sweep.json` CI
+//! artifact).
 
 use dbac_baselines::{Aad04, IterativeTrimmedMean};
+use dbac_bench::json;
 use dbac_bench::plan::{json_path, last_node as last, run_plan};
 use dbac_bench::table::{num, yes_no, Table};
 use dbac_conditions::kreach::three_reach;
@@ -27,12 +29,11 @@ use dbac_core::scenario::{ByzantineWitness, FaultKind, Scenario};
 use dbac_graph::{generators, NodeId};
 
 fn main() {
-    let json = json_path();
+    let out = json_path();
     let report = e9_aad_comparison();
     e10_iterative_contrast();
-    if let Some(path) = json {
-        report.write_json(std::path::Path::new(&path)).expect("sweep JSON written");
-        println!("reduced sweep report written to {path}");
+    if let Some(path) = out {
+        json::write(&path, "reduced sweep report", &json::reduced(&report));
     }
 }
 

@@ -10,15 +10,17 @@
 //! cargo run --release -p dbac-bench --features huge-graphs --bin certify [-- --json <path>]
 //! ```
 //!
-//! With `--json <path>` the file receives `{"experiment": "certify",
-//! "certificates": [...]}` where each entry embeds the full serialized
-//! [`RobustnessCertificate`](dbac_conditions::robustness::RobustnessCertificate)
-//! — the artifact CI uploads next to
-//! `net.json`/`stats.json`.
+//! With `--json <path>` the file receives `{"experiment":"certify",
+//! "max_nodes":…,"certificates":[…]}` where each entry embeds the full
+//! [`RobustnessCertificate`] as [`dbac_bench::json::certificate`] renders
+//! it — the artifact CI uploads next to `net.json`/`stats.json`.
 
+use dbac_bench::json::{self, Json};
 use dbac_bench::plan::json_path;
 use dbac_bench::table::Table;
-use dbac_conditions::robustness::{certification, verify_certificate, CertificationStatus};
+use dbac_conditions::robustness::{
+    certification, verify_certificate, CertificationStatus, RobustnessCertificate,
+};
 use dbac_graph::{generators, Digraph};
 use std::time::Instant;
 
@@ -29,8 +31,8 @@ struct Row {
     s: usize,
     /// Rule name or "UNCERTIFIED".
     rule: String,
-    /// Certificate JSON, when one was issued.
-    cert_json: Option<String>,
+    /// The certificate, when one was issued.
+    cert: Option<RobustnessCertificate>,
     issue_ms: f64,
     verify_ms: f64,
 }
@@ -40,15 +42,11 @@ fn sweep(family: &str, g: &Digraph, grid: &[(usize, usize)], rows: &mut Vec<Row>
         let t = Instant::now();
         let status = certification(g, r, s);
         let issue_ms = t.elapsed().as_secs_f64() * 1e3;
-        let (rule, cert_json, verify_ms) = match &status {
+        let (rule, cert, verify_ms) = match &status {
             CertificationStatus::Certified(cert) => {
                 let t = Instant::now();
                 verify_certificate(g, cert).expect("issued certificate must verify");
-                (
-                    cert.rule.name().to_string(),
-                    Some(cert.to_json()),
-                    t.elapsed().as_secs_f64() * 1e3,
-                )
+                (cert.rule.name().to_string(), Some(cert.clone()), t.elapsed().as_secs_f64() * 1e3)
             }
             CertificationStatus::Uncertified { .. } => (status.rule_label().to_string(), None, 0.0),
         };
@@ -58,7 +56,7 @@ fn sweep(family: &str, g: &Digraph, grid: &[(usize, usize)], rows: &mut Vec<Row>
             r,
             s,
             rule,
-            cert_json,
+            cert,
             issue_ms,
             verify_ms,
         });
@@ -66,7 +64,7 @@ fn sweep(family: &str, g: &Digraph, grid: &[(usize, usize)], rows: &mut Vec<Row>
 }
 
 fn main() {
-    let json = json_path();
+    let out = json_path();
     let grid = [(1usize, 1usize), (2, 2), (3, 3)];
     let mut rows = Vec::new();
 
@@ -114,7 +112,7 @@ fn main() {
                 row.n == n && row.r == 1 && row.s == 1 && row.family.starts_with("circulant_pow2")
             })
             .expect("grid contains (1, 1)");
-        assert!(headline.cert_json.is_some(), "scaling topology must certify at (1, 1)");
+        assert!(headline.cert.is_some(), "scaling topology must certify at (1, 1)");
         assert!(headline.verify_ms < 1000.0, "verification must stay well under a second");
     }
 
@@ -131,29 +129,24 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    let certified = rows.iter().filter(|row| row.cert_json.is_some()).count();
+    let certified = rows.iter().filter(|row| row.cert.is_some()).count();
     println!("{certified}/{} combinations certified", rows.len());
 
-    if let Some(path) = json {
-        let entries: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                let cert = row.cert_json.as_deref().unwrap_or("null");
-                format!(
-                    "    {{\"family\": \"{}\", \"n\": {}, \"r\": {}, \"s\": {}, \
-                     \"rule\": \"{}\", \"issue_ms\": {:.3}, \"verify_ms\": {:.3}, \
-                     \"certificate\": {}}}",
-                    row.family, row.n, row.r, row.s, row.rule, row.issue_ms, row.verify_ms, cert
-                )
-            })
-            .collect();
-        let text = format!(
-            "{{\n  \"experiment\": \"certify\",\n  \"max_nodes\": {},\n  \
-             \"certificates\": [\n{}\n  ]\n}}\n",
-            dbac_graph::MAX_NODES,
-            entries.join(",\n")
-        );
-        std::fs::write(&path, text).expect("certificate JSON written");
-        println!("certificates written to {path}");
+    if let Some(path) = out {
+        let entries = rows.iter().map(|row| {
+            Json::object([
+                ("family", row.family.as_str().into()),
+                ("n", row.n.into()),
+                ("r", row.r.into()),
+                ("s", row.s.into()),
+                ("rule", row.rule.as_str().into()),
+                ("issue_ms", row.issue_ms.into()),
+                ("verify_ms", row.verify_ms.into()),
+                ("certificate", row.cert.as_ref().map_or(Json::Null, json::certificate)),
+            ])
+        });
+        let artifact =
+            json::experiment("certify", [("certificates", Json::Array(entries.collect()))]);
+        json::write(&path, "certificates", &artifact);
     }
 }

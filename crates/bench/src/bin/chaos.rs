@@ -9,9 +9,11 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin chaos`
 //! (`-- --json <path>` additionally writes the *reduced* seed-aggregated
-//! report in the sweep report schema, uploaded as a CI artifact next to
+//! report, one object per seed-batch group
+//! ([`dbac_bench::json::reduced`]), uploaded as a CI artifact next to
 //! `sweep.json`).
 
+use dbac_bench::json;
 use dbac_bench::plan::{json_path, run_plan};
 use dbac_bench::table::Table;
 use dbac_core::scenario::sweep::ExperimentPlan;
@@ -19,7 +21,7 @@ use dbac_core::scenario::{ByzantineWitness, LinkFault, LinkFaultPlan};
 use dbac_graph::{generators, Digraph, NodeId};
 
 fn main() {
-    let json = json_path();
+    let out = json_path();
     println!("E13 — link-fault (chaos) smoke sweep: BW on K4, three-seed batches\n");
     let drop_all = |prob: f64| {
         move |g: &Digraph, seed: u64| {
@@ -84,8 +86,7 @@ fn main() {
          column), and each loss is accounted in the dropped counters.\n"
     );
 
-    if let Some(path) = json {
-        reduced.write_json(std::path::Path::new(&path)).expect("chaos JSON written");
-        println!("reduced chaos report written to {path}");
+    if let Some(path) = out {
+        json::write(&path, "reduced chaos report", &json::reduced(&reduced));
     }
 }

@@ -11,16 +11,20 @@
 //!   three runtimes, polling each daemon's RPC live until the run
 //!   finishes, and verifies that the final registry snapshot equals
 //!   `Outcome::sim_stats` bit-for-bit. With `--json`, writes the Sim
-//!   arm's final snapshot in the registry-report schema, after reading
-//!   it back through `trend::parse_registry_report`.
+//!   arm's final snapshot as the `stats` reply renders it
+//!   ([`dbac_bench::json::registry`]), checked to parse back first.
 //! * `--serve` (operators): starts the smoke scenario on the threaded
 //!   runtime with jitter, prints the RPC address, and serves until a
 //!   client sends `shutdown` (the run itself always completes).
 //!
+//! No arguments means `--smoke`. An unknown or repeated flag, both
+//! modes at once, `--json` without a path, or `--json` with `--serve`
+//! prints the usage line and exits with status 2.
+//!
 //! Run: `cargo run --release -p dbac-bench --bin dbacd -- --smoke`
 
-use dbac_bench::daemon::{stats_json, Daemon};
-use dbac_bench::trend::parse_registry_report;
+use dbac_bench::daemon::Daemon;
+use dbac_bench::json::{self, Json};
 use dbac_core::scenario::{ByzantineWitness, Runtime, Scenario};
 use dbac_graph::generators;
 use std::io::{BufRead, BufReader, Write};
@@ -53,7 +57,7 @@ fn smoke(json_path: Option<&str>) {
         ("threaded", Runtime::Threaded { timeout: Duration::from_secs(120), jitter_micros: 50 }),
         ("net", Runtime::net(Duration::from_secs(120))),
     ];
-    let mut sim_stats_json = None;
+    let mut sim_stats = None;
     for (label, runtime) in runtimes {
         let daemon = Daemon::spawn(smoke_scenario(runtime)).expect("daemon binds");
         let addr = daemon.addr();
@@ -63,9 +67,8 @@ fn smoke(json_path: Option<&str>) {
         let mut polls = 0u64;
         let mut last_sent = 0u64;
         loop {
-            let stats = rpc(addr, "stats");
-            let report = parse_registry_report(&stats).expect("stats line parses");
-            let sent = report.get("sent").copied().unwrap_or(0);
+            let stats = Json::parse(&rpc(addr, "stats")).expect("stats line parses");
+            let sent = stats.get("registry").and_then(|r| r.get("sent")?.as_u64()).unwrap_or(0);
             assert!(sent >= last_sent, "{label}: sent regressed {last_sent} -> {sent}");
             last_sent = sent;
             polls += 1;
@@ -91,14 +94,11 @@ fn smoke(json_path: Option<&str>) {
             out.sim_stats.protocol.rounds_fired,
         );
         if label == "sim" {
-            sim_stats_json = Some(stats_json(&out.sim_stats));
+            sim_stats = Some(json::registry(&out.sim_stats));
         }
     }
     if let Some(path) = json_path {
-        let payload = sim_stats_json.expect("sim arm ran");
-        parse_registry_report(&payload).expect("artifact round-trips through the schema");
-        std::fs::write(path, payload + "\n").expect("write stats artifact");
-        println!("wrote registry snapshot to {path}");
+        json::write(path, "registry snapshot", &sim_stats.expect("sim arm ran"));
     }
     println!("dbacd smoke: all three runtimes served live stats and settled to their outcomes");
 }
@@ -119,27 +119,70 @@ fn serve() {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_path = None;
-    let mut mode = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--smoke" => mode = Some("smoke"),
-            "--serve" => mode = Some("serve"),
-            "--json" => {
-                json_path = Some(iter.next().expect("--json requires a path").to_string());
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!("usage: dbacd --smoke [--json <path>] | dbacd --serve");
-                std::process::exit(2);
-            }
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// Poll all three runtimes; write the Sim snapshot to the path, if any.
+    Smoke(Option<String>),
+    /// Serve one threaded run to operators.
+    Serve,
+}
+
+/// Parses `dbacd`'s arguments: `[--smoke] [--json <path>]` or `--serve`,
+/// each flag at most once. Anything else is an error naming the reason.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Mode, String> {
+    let (mut serve, mut smoke, mut json_path) = (false, false, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let repeated = match arg.as_str() {
+            "--smoke" => std::mem::replace(&mut smoke, true),
+            "--serve" => std::mem::replace(&mut serve, true),
+            "--json" => json_path.replace(args.next().ok_or("--json requires a path")?).is_some(),
+            other => return Err(format!("unknown argument '{other}'")),
+        };
+        if repeated {
+            return Err(format!("'{arg}' given twice"));
         }
     }
-    match mode {
-        Some("serve") => serve(),
-        _ => smoke(json_path.as_deref()),
+    match (serve, smoke, json_path) {
+        (false, _, path) => Ok(Mode::Smoke(path)),
+        (true, false, None) => Ok(Mode::Serve),
+        (true, true, _) => Err("--serve and --smoke are exclusive".into()),
+        (true, false, Some(_)) => Err("--serve writes no artifact; --json needs --smoke".into()),
+    }
+}
+
+fn main() {
+    match parse_args(std::env::args().skip(1)) {
+        Ok(Mode::Smoke(json_path)) => smoke(json_path.as_deref()),
+        Ok(Mode::Serve) => serve(),
+        Err(reason) => {
+            eprintln!("{reason}\nusage: dbacd [--smoke] [--json <path>] | dbacd --serve");
+            std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, Mode};
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn arguments_select_one_mode_or_fail() {
+        assert_eq!(parse(&[]), Ok(Mode::Smoke(None)));
+        assert_eq!(parse(&["--smoke"]), Ok(Mode::Smoke(None)));
+        assert_eq!(parse(&["--smoke", "--json", "p"]), Ok(Mode::Smoke(Some("p".into()))));
+        assert_eq!(parse(&["--json", "p", "--smoke"]), Ok(Mode::Smoke(Some("p".into()))));
+        assert_eq!(parse(&["--serve"]), Ok(Mode::Serve));
+        assert!(parse(&["--json"]).unwrap_err().contains("requires a path"));
+        assert!(parse(&["--serve", "--json", "p"]).unwrap_err().contains("--json needs --smoke"));
+        assert!(parse(&["--serve", "--smoke"]).unwrap_err().contains("exclusive"));
+        assert!(parse(&["--smoke", "--smoke"]).unwrap_err().contains("twice"));
+        assert!(parse(&["--json", "p", "--json", "q"]).unwrap_err().contains("twice"));
+        assert!(parse(&["--sever"]).unwrap_err().contains("'--sever'"));
     }
 }

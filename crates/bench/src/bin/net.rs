@@ -10,9 +10,11 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin net`
 //! (`-- --json <path>` additionally writes the *reduced* seed-aggregated
-//! report in the sweep report schema, uploaded as a CI artifact next to
+//! report, one object per seed-batch group
+//! ([`dbac_bench::json::reduced`]), uploaded as a CI artifact next to
 //! `sweep.json` and `chaos.json`.)
 
+use dbac_bench::json;
 use dbac_bench::plan::{json_path, run_plan};
 use dbac_bench::table::Table;
 use dbac_core::scenario::sweep::ExperimentPlan;
@@ -22,7 +24,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn main() {
-    let json = json_path();
+    let out = json_path();
     println!("E14 — net runtime smoke differential: BW under sim vs net, three-seed batches\n");
     let sweep = ExperimentPlan::new()
         .protocol("BW", ByzantineWitness::default())
@@ -66,8 +68,7 @@ fn main() {
          the framed transport is protocol-transparent.\n"
     );
 
-    if let Some(path) = json {
-        reduced.write_json(std::path::Path::new(&path)).expect("net JSON written");
-        println!("reduced net report written to {path}");
+    if let Some(path) = out {
+        json::write(&path, "reduced net report", &json::reduced(&reduced));
     }
 }

@@ -20,6 +20,7 @@
 //! ```
 
 use dbac_baselines::IterativeTrimmedMean;
+use dbac_bench::json::{self, Json};
 use dbac_bench::plan::json_path;
 use dbac_bench::table::Table;
 use dbac_conditions::robustness::{verify_certificate, CertificationStatus};
@@ -78,7 +79,7 @@ fn run_point(n: usize, rounds: u32, epsilon: f64) -> Point {
 }
 
 fn main() {
-    let json = json_path();
+    let out = json_path();
     let epsilon = 1e-6;
     let rounds = 120;
     let mut points = Vec::new();
@@ -122,34 +123,24 @@ fn main() {
         );
     }
 
-    if let Some(path) = json {
-        let rows: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"n\": {}, \"rounds\": {}, \"spread\": {:e}, \"converged\": {}, \
-                     \"messages\": {}, \"wall_ms\": {:.1}, \"cert\": \"{}\", \
-                     \"verify_ms\": {:.3}}}",
-                    p.n,
-                    p.rounds,
-                    p.spread,
-                    p.converged,
-                    p.messages,
-                    p.wall_ms,
-                    p.cert,
-                    p.verify_ms
-                )
-            })
-            .collect();
-        let text = format!(
-            "{{\n  \"experiment\": \"scaling-iterative\",\n  \"max_nodes\": {},\n  \
-             \"epsilon\": {:e},\n  \"points\": [\n{}\n  ]\n}}\n",
-            dbac_graph::MAX_NODES,
-            epsilon,
-            rows.join(",\n")
+    if let Some(path) = out {
+        let rows = points.iter().map(|p| {
+            Json::object([
+                ("n", p.n.into()),
+                ("rounds", p.rounds.into()),
+                ("spread", p.spread.into()),
+                ("converged", p.converged.into()),
+                ("messages", p.messages.into()),
+                ("wall_ms", p.wall_ms.into()),
+                ("cert", p.cert.as_str().into()),
+                ("verify_ms", p.verify_ms.into()),
+            ])
+        });
+        let artifact = json::experiment(
+            "scaling-iterative",
+            [("epsilon", epsilon.into()), ("points", Json::Array(rows.collect()))],
         );
-        std::fs::write(&path, text).expect("scaling JSON written");
-        println!("scale points written to {path}");
+        json::write(&path, "scale points", &artifact);
     }
 
     // The experiment's claim: every point that ran reached ε-agreement,

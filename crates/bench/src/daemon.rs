@@ -13,9 +13,10 @@
 //! shutdown → {"ok":true}          (stops the RPC listener, not the run)
 //! ```
 //!
-//! The `stats` payload is exactly the registry-snapshot schema that
-//! [`crate::trend::parse_registry_report`] reads, so a `stats.json`
-//! captured from a live daemon parses with no translation step.
+//! Every reply is rendered by [`crate::json`]; the `stats` payload is
+//! [`json::registry`], the same schema as the `stats.json` artifact, so a
+//! snapshot captured from a live daemon reads back with [`Json::parse`]
+//! and no translation step.
 //!
 //! A request line longer than 64 bytes is answered with
 //! `{"error":"request too long"}` and the connection is closed; a client
@@ -26,9 +27,9 @@
 //! its natural outcome, whose `sim_stats` is bit-for-bit the final
 //! registry snapshot.
 
+use crate::json::{self, Json};
 use dbac_core::error::RunError;
-use dbac_core::scenario::sweep::json_escape;
-use dbac_core::scenario::{Outcome, Scenario, StatsRegistry, StatsSnapshot};
+use dbac_core::scenario::{Outcome, Scenario, StatsRegistry};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -174,7 +175,7 @@ fn serve_client(
                 if line.len() < MAX_REQUEST {
                     continue;
                 }
-                let _ = stream.write_all(b"{\"error\":\"request too long\"}\n");
+                let _ = send(&mut stream, &json::error("request too long"));
                 // Close with a FIN, not an RST that could overtake the
                 // reply: stop sending, then discard what the peer has
                 // already sent, for one poll interval at most.
@@ -186,79 +187,31 @@ fn serve_client(
             let request = std::mem::take(&mut line);
             let reply = match String::from_utf8_lossy(&request).trim() {
                 "" => continue,
-                "stats" => stats_json(&registry.snapshot()),
-                "nodes" => nodes_json(&registry.snapshot()),
-                "progress" => progress_json(registry, finished.load(Ordering::Acquire)),
+                "stats" => json::registry(&registry.snapshot()),
+                "nodes" => json::nodes(&registry.snapshot()),
+                "progress" => json::progress(registry, finished.load(Ordering::Acquire)),
                 "shutdown" => {
                     stop.store(true, Ordering::Release);
-                    let _ = stream.write_all(b"{\"ok\":true}\n");
+                    let _ = send(&mut stream, &Json::object([("ok", true.into())]));
                     return;
                 }
-                other => format!("{{\"error\":\"unknown command '{}'\"}}", json_escape(other)),
+                other => json::error(&format!("unknown command '{other}'")),
             };
-            if stream.write_all(reply.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
+            if send(&mut stream, &reply).is_err() {
                 return;
             }
         }
     }
 }
 
-/// The `stats` RPC payload — also the `stats.json` artifact schema and
-/// the input to [`crate::trend::parse_registry_report`].
-#[must_use]
-pub fn stats_json(snapshot: &StatsSnapshot) -> String {
-    let body = snapshot
-        .to_kv()
-        .into_iter()
-        .map(|(k, v)| format!("\"{}\":{v}", json_escape(&k)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"registry\":{{{body}}}}}")
-}
-
-fn nodes_json(snapshot: &StatsSnapshot) -> String {
-    match snapshot.nodes.measured() {
-        None => "{\"nodes\":null}".to_string(),
-        Some(nodes) => {
-            let rows = nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    format!(
-                        "{{\"node\":{i},\"enqueued\":{},\"consumed\":{},\
-                         \"queue_depth\":{},\"done\":{}}}",
-                        n.enqueued,
-                        n.consumed,
-                        n.queue_depth(),
-                        n.done
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{{\"nodes\":[{rows}]}}")
-        }
-    }
-}
-
-fn progress_json(registry: &StatsRegistry, finished: bool) -> String {
-    let snap = registry.snapshot();
-    let nodes_done =
-        snap.nodes.measured().map_or(0, |nodes| nodes.iter().filter(|n| n.done).count());
-    format!(
-        "{{\"running\":{},\"node_count\":{},\"nodes_done\":{nodes_done},\
-         \"rounds_fired\":{},\"sent\":{},\"delivered\":{}}}",
-        !finished,
-        registry.node_count(),
-        snap.protocol.rounds_fired,
-        snap.messages_sent(),
-        snap.messages_delivered(),
-    )
+/// Writes one reply line with a single `write_all`.
+fn send(stream: &mut TcpStream, reply: &Json) -> std::io::Result<()> {
+    stream.write_all(format!("{reply}\n").as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trend::{parse_registry_report, Json};
     use dbac_core::scenario::ByzantineWitness;
     use dbac_graph::generators;
     use std::io::{BufRead, BufReader};
@@ -288,10 +241,11 @@ mod tests {
         let addr = daemon.addr();
 
         let stats = rpc(addr, "stats");
-        let report = parse_registry_report(&stats).expect("stats line is valid registry JSON");
+        let report = Json::parse(&stats).expect("stats line is valid JSON");
         // The run may or may not have finished by now; either way the
         // totals are well-formed and the schema round-trips.
-        assert!(report.contains_key("rounds_fired"), "schema carries protocol counters");
+        let counter = |report: &Json, key: &str| report.get("registry")?.get(key)?.as_u64();
+        assert!(counter(&report, "rounds_fired").is_some(), "schema carries protocol counters");
 
         let progress = rpc(addr, "progress");
         assert!(progress.starts_with("{\"running\":"), "progress replies: {progress}");
@@ -307,14 +261,15 @@ mod tests {
         assert!(out.converged() && out.valid());
         assert_eq!(registry.snapshot(), out.sim_stats, "registry is the outcome's ground truth");
 
-        // The final stats payload parses into exactly the outcome's kv.
-        let final_report =
-            parse_registry_report(&stats_json(&out.sim_stats)).expect("final schema");
-        let expected: Vec<(String, u64)> = out.sim_stats.to_kv();
-        assert_eq!(final_report.len(), expected.len());
-        for (k, v) in expected {
-            assert_eq!(final_report.get(&k), Some(&v), "counter {k}");
-        }
+        // The final stats payload parses back into exactly what was
+        // rendered, and its counters are the outcome's.
+        let rendered = json::registry(&out.sim_stats);
+        let final_report = Json::parse(&rendered.to_string()).expect("final schema");
+        assert_eq!(final_report, rendered);
+        let stats = &out.sim_stats;
+        assert_eq!(counter(&final_report, "sent"), Some(stats.messages_sent()));
+        assert_eq!(counter(&final_report, "delivered"), Some(stats.messages_delivered()));
+        assert_eq!(counter(&final_report, "rounds_fired"), Some(stats.protocol.rounds_fired));
     }
 
     #[test]
@@ -323,15 +278,9 @@ mod tests {
         // A control character is escaped, not blanked: the reply is valid
         // JSON carrying exactly what the client sent.
         let reply = rpc(daemon.addr(), "st\u{1}ats");
-        let mut error = None;
-        Json::new(&reply)
-            .object(&mut |json, key| {
-                assert_eq!(key, "error");
-                error = Some(json.string()?);
-                Ok(())
-            })
-            .expect("error reply is valid JSON");
-        assert_eq!(error.as_deref(), Some("unknown command 'st\u{1}ats'"));
+        assert_eq!(reply, r#"{"error":"unknown command 'st\u0001ats'"}"#);
+        let error = Json::parse(&reply).expect("error reply is valid JSON");
+        assert_eq!(error.get("error").and_then(Json::as_str), Some("unknown command 'st\u{1}ats'"));
         assert!(daemon.join().expect("run still completes").converged());
     }
 
@@ -378,7 +327,7 @@ mod tests {
         assert_eq!(reply, "{\"error\":\"request too long\"}");
         // A request of exactly the cap is still read (and is unknown).
         assert!(rpc(addr, &"y".repeat(MAX_REQUEST - 1)).contains("unknown command"));
-        parse_registry_report(&rpc(addr, "stats")).expect("next client is served");
+        Json::parse(&rpc(addr, "stats")).expect("next client is served");
         assert!(daemon.join().expect("run still completes").converged());
     }
 }

@@ -4,8 +4,9 @@
 //! (the binaries in `src/bin`, experiments E1–E15), plus shared utilities:
 //! text tables, graph catalogs, the [`plan`] plumbing of the
 //! `ExperimentPlan`-driven binaries, the Appendix-B indistinguishability
-//! splice, and the [`daemon`] module backing the `dbacd` live-stats
-//! operator binary.
+//! splice, the [`daemon`] module backing the `dbacd` live-stats operator
+//! binary, and [`json`], which renders and parses every JSON artifact and
+//! RPC reply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +14,6 @@
 pub mod catalog;
 pub mod daemon;
 pub mod impossibility;
+pub mod json;
 pub mod plan;
 pub mod table;
-pub mod trend;

@@ -14,23 +14,9 @@
 //! rule's arithmetic against the claimed `(r, s)`.
 
 use dbac_graph::connectivity::is_strongly_connected;
-use dbac_graph::{generators, Digraph, NodeId, NodeSet};
+use dbac_graph::{generators, Digraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Renders a [`NodeSet`] as a JSON array of node indices.
-#[must_use]
-pub fn set_to_json(s: NodeSet) -> String {
-    let mut out = String::from("[");
-    for (i, v) in s.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&v.index().to_string());
-    }
-    out.push(']');
-    out
-}
 
 /// The sufficient-condition rule a certificate rests on, with its
 /// parameters. See [`crate::robustness::sufficient`] for each rule's
@@ -65,7 +51,7 @@ pub enum CertificateRule {
 }
 
 impl CertificateRule {
-    /// The rule's stable name (used in labels, tables and JSON).
+    /// The rule's stable name (used in labels, tables and JSON artifacts).
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -74,19 +60,6 @@ impl CertificateRule {
             CertificateRule::CirculantPrefix { .. } => "circulant-prefix",
             CertificateRule::StronglyConnected => "strongly-connected",
             CertificateRule::LayeredExpander { .. } => "layered-expander",
-        }
-    }
-
-    fn params_json(&self) -> String {
-        match *self {
-            CertificateRule::Trivial | CertificateRule::StronglyConnected => "{}".into(),
-            CertificateRule::MinInDegree { min_in_degree } => {
-                format!("{{\"min_in_degree\": {min_in_degree}}}")
-            }
-            CertificateRule::CirculantPrefix { k } => format!("{{\"k\": {k}}}"),
-            CertificateRule::LayeredExpander { layers, width } => {
-                format!("{{\"layers\": {layers}, \"width\": {width}}}")
-            }
         }
     }
 }
@@ -110,24 +83,6 @@ pub struct RobustnessCertificate {
     /// `circulant-prefix`, empty for the global rules) and the verifier
     /// recomputes it entry by entry, so a forged entry is rejected.
     pub evidence: Vec<u32>,
-}
-
-impl RobustnessCertificate {
-    /// The certificate as a self-contained JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let ev: Vec<String> = self.evidence.iter().map(ToString::to_string).collect();
-        format!(
-            "{{\"n\": {}, \"r\": {}, \"s\": {}, \"rule\": \"{}\", \"params\": {}, \
-             \"evidence\": [{}]}}",
-            self.n,
-            self.r,
-            self.s,
-            self.rule.name(),
-            self.rule.params_json(),
-            ev.join(", ")
-        )
-    }
 }
 
 impl fmt::Display for RobustnessCertificate {

@@ -24,7 +24,6 @@
 //! `2^n` is the wrong tool: use the polynomial certificates in
 //! [`crate::robustness::sufficient`] instead.
 
-use super::certificate::set_to_json;
 use dbac_graph::{Digraph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -54,20 +53,6 @@ pub struct RobustnessViolation {
 impl fmt::Display for RobustnessViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "S1 = {} with X1 = {}, S2 = {} with X2 = {}", self.s1, self.x1, self.s2, self.x2)
-    }
-}
-
-impl RobustnessViolation {
-    /// The violation as a JSON object (for certificate-adjacent reports).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"s1\": {}, \"s2\": {}, \"x1\": {}, \"x2\": {}}}",
-            set_to_json(self.s1),
-            set_to_json(self.s2),
-            set_to_json(self.x1),
-            set_to_json(self.x2)
-        )
     }
 }
 

@@ -25,8 +25,8 @@
 //! labelled axes over every knob here (protocols, graphs, fault bounds,
 //! placements, inputs, ε, scheduler families, runtimes, rounds), expanded
 //! into a cartesian cell product, run in parallel, and reduced over the
-//! seed batch into distributional statistics with JSON reports in the
-//! sweep report schema.
+//! seed batch into distributional statistics (which `dbac_bench::json`
+//! renders as the reduced report).
 //!
 //! # Protocols and where they come from in the paper
 //!

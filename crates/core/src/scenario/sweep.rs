@@ -1,6 +1,5 @@
 //! Dimensional experiment plans: every [`Scenario`] knob as a sweep axis,
-//! with seed-batch statistical reduction and JSON emission in the sweep
-//! report schema.
+//! with seed-batch statistical reduction.
 //!
 //! An [`ExperimentPlan`] is a pure *grid description*: each dimension is a
 //! typed [`Axis`] of labelled points — protocols (including per-protocol
@@ -23,10 +22,10 @@
 //! On top of the raw per-cell report, [`SweepReport::reduce`] groups cells
 //! by *all axes except the seed* and emits distributional statistics
 //! ([`Stats`]: mean/median/min/max/stddev) of spread, rounds-to-ε, message
-//! counts and wall time per group. Both the raw and the reduced reports
-//! render as the same `{"kernels": {<label>: {"mean_ns": …}}}` JSON shape
-//! — the sweep report schema, read back by `dbac_bench::trend::parse_report`
-//! (CI uploads the *reduced* report).
+//! counts and wall time per group. This module formats nothing: the
+//! experiment binaries render a [`ReducedReport`] as JSON through
+//! `dbac_bench::json::reduced` (`{"groups":[…]}`, one object per group),
+//! which is what CI uploads.
 //!
 //! ```
 //! use dbac_core::scenario::sweep::ExperimentPlan;
@@ -496,8 +495,7 @@ impl ExperimentPlan {
     /// neutral default for either), or one whose labels collide — a
     /// duplicate point label within an axis (duplicate values, for the
     /// numeric axes), or two expanded cells sharing a full label — since
-    /// colliding cells would silently merge in the reducer and in the JSON
-    /// kernel keys.
+    /// colliding cells would silently merge in the reducer.
     pub fn build(mut self) -> Result<Sweep, String> {
         if self.protocols.is_empty() {
             return Err("experiment plan needs at least one protocol".into());
@@ -521,7 +519,7 @@ impl ExperimentPlan {
         self.seeds.default_to("s0", 0);
 
         // Duplicate labels within one axis would merge cells silently in
-        // the reducer and the JSON kernel keys.
+        // the reducer.
         let axes = self.axes();
         for row in &axes {
             let mut seen = std::collections::HashSet::new();
@@ -624,8 +622,7 @@ pub struct Cell {
 
 impl Cell {
     /// The full cell label: every non-empty axis fragment joined with `/`,
-    /// e.g. `bw/K4/f1/liar/eps0.5/s7`. The JSON kernel key of the raw
-    /// report.
+    /// e.g. `bw/K4/f1/liar/eps0.5/s7`.
     #[must_use]
     pub fn label(&self) -> &str {
         &self.label
@@ -800,53 +797,12 @@ impl CellRow {
     }
 }
 
-/// The raw per-cell results of a sweep, renderable as sweep-report JSON
-/// and reducible into seed-batch statistics.
+/// The raw per-cell results of a sweep, reducible into seed-batch
+/// statistics.
 #[derive(Clone, Debug)]
 pub struct SweepReport {
     /// Rows in cell order.
     pub rows: Vec<CellRow>,
-}
-
-/// Escapes `s` for the inside of a JSON string literal (control
-/// characters as `\u00XX`).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A finite numeric JSON literal (exponent form; non-finite values render
-/// as 0 so the report always parses).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "0".into()
-    }
-}
-
-/// Renders the sweep report schema — `{"kernels": {<key>: {<fields>}}}`,
-/// one kernel per line — from each kernel's key and pre-rendered fields.
-fn kernels_json<'a>(kernels: impl ExactSizeIterator<Item = (&'a str, String)>) -> String {
-    let mut out = String::from("{\n  \"kernels\": {\n");
-    let last = kernels.len().saturating_sub(1);
-    for (i, (key, fields)) in kernels.enumerate() {
-        let sep = if i == last { "" } else { "," };
-        out.push_str(&format!("    \"{}\": {{ {fields} }}{sep}\n", json_escape(key)));
-    }
-    out.push_str("  }\n}\n");
-    out
 }
 
 impl SweepReport {
@@ -904,34 +860,6 @@ impl SweepReport {
             .collect();
         ReducedReport { cells }
     }
-
-    /// Renders the raw report in the sweep report schema: each cell
-    /// becomes a kernel keyed by its label, `mean_ns` carrying the wall
-    /// time, the digest flattened into extra numeric fields (which the
-    /// schema's reader accepts and ignores), and rejected cells flagged with
-    /// `"error": 1`.
-    #[must_use]
-    pub fn to_bench_json(&self) -> String {
-        let flag = |b: bool| u8::from(b);
-        kernels_json(self.rows.iter().map(|row| {
-            let fields = match &row.summary {
-                Ok(s) => format!(
-                    "\"mean_ns\": {:.1}, \"converged\": {}, \"valid\": {}, \"decided\": {}, \
-                     \"spread\": {}, \"messages\": {}, \"dropped\": {}, \"rounds\": {}",
-                    row.wall_ns,
-                    flag(s.converged),
-                    flag(s.valid),
-                    flag(s.all_decided),
-                    jnum(s.spread),
-                    s.messages(),
-                    s.messages_dropped,
-                    s.rounds,
-                ),
-                Err(_) => format!("\"mean_ns\": {:.1}, \"error\": 1", row.wall_ns),
-            };
-            (row.label.as_str(), fields)
-        }))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -939,7 +867,9 @@ impl SweepReport {
 // ---------------------------------------------------------------------------
 
 /// Distributional statistics of one metric over a seed batch. An empty
-/// batch reduces to all-zero statistics (with `n = 0`).
+/// batch reduces to all-zero statistics with `n = 0`; a reader must take
+/// `n = 0` as "nothing measured", not as a measured zero (the JSON
+/// renderer writes its other fields as `null`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Stats {
     /// Number of finite samples.
@@ -1027,49 +957,6 @@ impl ReducedReport {
     pub fn get(&self, group: &str) -> Option<&ReducedCell> {
         self.cells.iter().find(|c| c.group == group)
     }
-
-    /// Renders the reduced report in the sweep report schema: each group
-    /// becomes a kernel keyed by the group label, `mean_ns` carrying the
-    /// mean wall time over the seed batch, with the distributional fields
-    /// flattened to extra numbers the schema's reader accepts and ignores.
-    #[must_use]
-    pub fn to_bench_json(&self) -> String {
-        kernels_json(self.cells.iter().map(|c| {
-            let fields = format!(
-                "\"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
-                 \"stddev_ns\": {:.1}, \"runs\": {}, \"errors\": {}, \"converged\": {}, \
-                 \"valid\": {}, \"decided\": {}, \"spread_mean\": {}, \"spread_median\": {}, \
-                 \"spread_max\": {}, \"rounds_to_eps_mean\": {}, \"messages_mean\": {:.1}, \
-                 \"messages_max\": {:.1}, \"dropped_mean\": {:.1}",
-                c.wall_ns.mean,
-                c.wall_ns.min,
-                c.wall_ns.max,
-                c.wall_ns.stddev,
-                c.runs,
-                c.errors,
-                c.converged,
-                c.valid,
-                c.all_decided,
-                jnum(c.spread.mean),
-                jnum(c.spread.median),
-                jnum(c.spread.max),
-                jnum(c.rounds_to_epsilon.mean),
-                c.messages.mean,
-                c.messages.max,
-                c.dropped.mean,
-            );
-            (c.group.as_str(), fields)
-        }))
-    }
-
-    /// Writes [`ReducedReport::to_bench_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures creating or writing the file.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bench_json())
-    }
 }
 
 #[cfg(test)]
@@ -1124,7 +1011,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_runs_reduces_and_reports_bench_json() {
+    fn sweep_runs_and_reduces_over_the_seed_batch() {
         let report = ExperimentPlan::new()
             .protocol("bw", ByzantineWitness::default())
             .graph("k4", generators::clique(4))
@@ -1143,11 +1030,7 @@ mod tests {
         assert!(summary.converged && summary.valid, "{summary:?}");
         assert!(summary.rounds_to_epsilon.is_some());
         assert!(row.wall_ns > 0.0);
-
-        let raw = report.to_bench_json();
-        assert!(raw.contains("\"bw/k4/f1/liar/s7\""));
-        assert!(raw.contains("\"bw/k4/f1/liar/s8\""));
-        assert!(raw.contains("\"converged\": 1"));
+        assert!(report.get("bw/k4/f1/liar/s8").is_some());
 
         let reduced = report.reduce();
         assert_eq!(reduced.cells.len(), 1);
@@ -1158,12 +1041,6 @@ mod tests {
         assert_eq!(cell.wall_ns.n, 2);
         assert!(cell.wall_ns.mean > 0.0);
         assert!(cell.spread.max < 0.5);
-        let json = reduced.to_bench_json();
-        assert!(json.contains("\"kernels\""));
-        assert!(json.contains("\"bw/k4/f1/liar\""));
-        assert!(json.contains("\"mean_ns\""));
-        assert!(json.contains("\"stddev_ns\""));
-        assert!(json.contains("\"runs\": 2"));
     }
 
     #[test]
@@ -1193,8 +1070,7 @@ mod tests {
         let ok = report.get("bw/k4/f1/oob/s0").unwrap();
         assert!(ok.summary.as_ref().unwrap().converged);
 
-        // The raw JSON flags the error row; the reduced report counts it.
-        assert!(report.to_bench_json().contains("\"error\": 1"));
+        // The reduced report counts the error row.
         let reduced = report.reduce();
         assert_eq!(reduced.cells.len(), 2);
         let bad = reduced.get("bw/k3/f1/oob").unwrap();
@@ -1288,14 +1164,12 @@ mod tests {
         let lossy = report.get("bw/k4/f0/none/lossy/s3").expect("lossy cell labelled");
         assert!(lossy.summary.as_ref().unwrap().messages_dropped > 0);
 
-        // The drop counts ride both JSON schemas and the reducer.
-        assert!(report.to_bench_json().contains("\"dropped\":"));
+        // The drop counts ride the reducer.
         let reduced = report.reduce();
         let group = reduced.get("bw/k4/f0/none/lossy").expect("group drops the seed");
         assert_eq!(group.dropped.n, 2);
         assert!(group.dropped.mean > 0.0);
         assert_eq!(reduced.get("bw/k4/f0/none/clean").unwrap().dropped.max, 0.0);
-        assert!(reduced.to_bench_json().contains("\"dropped_mean\":"));
     }
 
     #[test]
@@ -1311,13 +1185,6 @@ mod tests {
         let empty = Stats::of([f64::NAN, f64::INFINITY]);
         assert_eq!(empty.n, 0);
         assert_eq!(empty.mean, 0.0);
-    }
-
-    #[test]
-    fn json_escaping_and_literals() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(jnum(f64::NAN), "0");
-        assert_eq!(jnum(0.5), "5e-1");
     }
 
     #[test]

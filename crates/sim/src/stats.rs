@@ -615,54 +615,6 @@ impl StatsSnapshot {
     pub fn messages_undelivered(&self) -> u64 {
         self.total().undelivered()
     }
-
-    /// Flattens the snapshot into stable `(key, value)` pairs — the
-    /// shared schema for the daemon RPC and `stats.json`. Unmeasured
-    /// coverage markers are omitted (never emitted as zeros); per-node
-    /// gauges are summarized by their maximum sampled depth.
-    #[must_use]
-    pub fn to_kv(&self) -> Vec<(String, u64)> {
-        let mut kv = Vec::new();
-        if let Some(t) = self.transport.measured() {
-            let total = t.total();
-            kv.push(("sent".to_string(), total.sent));
-            kv.push(("delivered".to_string(), total.delivered));
-            kv.push(("dropped".to_string(), total.dropped));
-            kv.push(("duplicated".to_string(), total.duplicated));
-            kv.push(("corrupted".to_string(), total.corrupted));
-            kv.push(("rejected".to_string(), total.rejected));
-            kv.push(("undelivered".to_string(), total.undelivered()));
-            for class in MsgClass::ALL {
-                let c = t.class(class);
-                if c == &ClassCounters::default() {
-                    continue;
-                }
-                kv.push((format!("{}_sent", class.label()), c.sent));
-                kv.push((format!("{}_delivered", class.label()), c.delivered));
-                kv.push((format!("{}_dropped", class.label()), c.dropped));
-                kv.push((format!("{}_duplicated", class.label()), c.duplicated));
-                kv.push((format!("{}_corrupted", class.label()), c.corrupted));
-                kv.push((format!("{}_rejected", class.label()), c.rejected));
-            }
-        }
-        kv.push(("rounds_fired".to_string(), self.protocol.rounds_fired));
-        kv.push(("witness_completions".to_string(), self.protocol.witness_completions));
-        kv.push(("mc_firings".to_string(), self.protocol.mc_firings));
-        kv.push(("fra_marks".to_string(), self.protocol.fra_marks));
-        if let Some(nodes) = self.nodes.measured() {
-            let done = nodes.iter().filter(|n| n.done).count() as u64;
-            let max_depth = nodes.iter().map(NodeCounters::queue_depth).max().unwrap_or(0);
-            kv.push(("nodes_done".to_string(), done));
-            kv.push(("max_queue_depth".to_string(), max_depth));
-        }
-        if let Some(&vt) = self.virtual_time.measured() {
-            kv.push(("virtual_time".to_string(), vt));
-        }
-        if let Some(&w) = self.wall_nanos.measured() {
-            kv.push(("wall_nanos".to_string(), w));
-        }
-        kv
-    }
 }
 
 #[cfg(test)]
@@ -766,26 +718,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let b = *reg.snapshot().wall_nanos.measured().expect("measured");
         assert_eq!(a, b, "first finalize wins");
-    }
-
-    #[test]
-    fn kv_schema_is_stable_and_skips_unmeasured() {
-        let reg = StatsRegistry::new(2);
-        let bare: Vec<String> = reg.snapshot().to_kv().into_iter().map(|(k, _)| k).collect();
-        assert!(bare.contains(&"rounds_fired".to_string()));
-        assert!(!bare.contains(&"sent".to_string()), "unmeasured transport omitted");
-        assert!(!bare.contains(&"virtual_time".to_string()));
-        reg.note_transport_observed();
-        reg.note_nodes_observed();
-        reg.record_virtual_time(7);
-        let h = reg.register();
-        h.record_sent(MsgClass::Flood);
-        let keys: Vec<String> = reg.snapshot().to_kv().into_iter().map(|(k, _)| k).collect();
-        for want in
-            ["sent", "undelivered", "flood_sent", "nodes_done", "max_queue_depth", "virtual_time"]
-        {
-            assert!(keys.contains(&want.to_string()), "missing {want}");
-        }
-        assert!(!keys.contains(&"crash_sent".to_string()), "all-zero class omitted");
     }
 }

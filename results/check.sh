@@ -29,6 +29,7 @@ check() {
     fi
 }
 
+check figure1 -p dbac-bench --bin figure1
 check table1 -p dbac-bench --bin table1
 check table2 -p dbac-bench --bin table2
 check equivalences -p dbac-bench --bin equivalences

@@ -76,8 +76,8 @@
 //! while the seeds form
 //! the statistical axis. `build()` expands the cartesian product,
 //! `run()` executes every cell in parallel, and `reduce()` aggregates each
-//! seed batch into distributional statistics (mean/median/min/max/stddev),
-//! renderable as JSON in the sweep report schema:
+//! seed batch into distributional statistics (mean/median/min/max/stddev);
+//! `dbac_bench::json::reduced` renders them as the JSON report CI uploads:
 //!
 //! ```
 //! use dbac::graph::generators;

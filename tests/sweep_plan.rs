@@ -1,6 +1,7 @@
 //! Sweep-plan behaviour at the facade level: failure isolation (an invalid
-//! cell must not poison its siblings) and the expansion-size property
-//! (cell count = product of axis lengths, with unique labels).
+//! cell must not poison its siblings), the expansion-size property
+//! (cell count = product of axis lengths, with unique labels), and the
+//! byte-stable JSON of a reduced report.
 
 use dbac::core::error::RunError;
 use dbac::graph::{generators, NodeId};
@@ -8,6 +9,7 @@ use dbac::scenario::sweep::{
     CellRow, CellSummary, ExperimentPlan, InputSpec, SchedulerFamily, SweepReport,
 };
 use dbac::scenario::{Aad04, ByzantineWitness, CrashTwoReach, FaultKind, LinkFaultPlan, Runtime};
+use dbac_bench::json::{self, Json};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -180,8 +182,10 @@ fn expansion_order_is_the_nested_loop_order_with_the_seed_innermost() {
 }
 
 /// A hand-built raw report (every field is public, so wall times can be
-/// fixed) and its reduction, against the exact JSON text of the sweep
-/// report schema — and through its reader, `trend::parse_report`.
+/// fixed) reduced and rendered through `dbac_bench::json::reduced`,
+/// against the exact JSON text, and parsed back with `Json::parse`. The
+/// all-error group `aad/K3` measured nothing: its statistics read `"n":0`
+/// and `null`, never a zero.
 #[test]
 fn report_json_is_byte_stable_and_parses_in_the_gate() {
     let summary = |converged: bool, spread: f64, sent: u64, honest: Option<u64>| CellSummary {
@@ -211,35 +215,35 @@ fn report_json_is_byte_stable_and_parses_in_the_gate() {
             row("aad/K3/s1", 1, 10.0, Err(RunError::FaultOutsideGraph { node: 3, nodes: 3 })),
         ],
     };
-    let raw = report.to_bench_json();
-    assert_eq!(raw, RAW_JSON);
-    let reduced = report.reduce().to_bench_json();
-    assert_eq!(reduced, REDUCED_JSON);
+    let rendered = json::reduced(&report.reduce());
+    let text = rendered.to_string();
+    assert_eq!(text, REDUCED_JSON);
 
-    let parsed = dbac_bench::trend::parse_report(&raw).expect("raw report parses");
-    assert_eq!(parsed.len(), 3);
-    assert_eq!(parsed["bw \"q\"/K4/s2"], 2500.5);
-    let parsed = dbac_bench::trend::parse_report(&reduced).expect("reduced report parses");
-    assert_eq!(parsed.len(), 2);
-    assert_eq!(parsed["bw \"q\"/K4"], 2000.5);
+    let parsed = Json::parse(&text).expect("reduced report parses");
+    assert_eq!(parsed, rendered);
+    let Some(Json::Array(groups)) = parsed.get("groups") else { panic!("{parsed}") };
+    assert_eq!(groups.len(), 2);
+    assert_eq!(groups[0].get("group").and_then(Json::as_str), Some("bw \"q\"/K4"));
+    assert_eq!(groups[0].get("wall_ns").and_then(|s| s.get("mean")), Some(&Json::F64(2000.5)));
+    assert_eq!(groups[1].get("errors").and_then(Json::as_u64), Some(1));
+    let eps = groups[1].get("rounds_to_epsilon").unwrap();
+    assert_eq!((eps.get("n"), eps.get("mean")), (Some(&Json::U64(0)), Some(&Json::Null)));
 }
 
-const RAW_JSON: &str = r#"{
-  "kernels": {
-    "bw \"q\"/K4/s1": { "mean_ns": 1500.5, "converged": 1, "valid": 1, "decided": 1, "spread": 1.25e-1, "messages": 100, "dropped": 3, "rounds": 4 },
-    "bw \"q\"/K4/s2": { "mean_ns": 2500.5, "converged": 0, "valid": 1, "decided": 1, "spread": 2e0, "messages": 40, "dropped": 3, "rounds": 4 },
-    "aad/K3/s1": { "mean_ns": 10.0, "error": 1 }
-  }
-}
-"#;
-
-const REDUCED_JSON: &str = r#"{
-  "kernels": {
-    "bw \"q\"/K4": { "mean_ns": 2000.5, "min_ns": 1500.5, "max_ns": 2500.5, "stddev_ns": 500.0, "runs": 2, "errors": 0, "converged": 1, "valid": 2, "decided": 2, "spread_mean": 1.0625e0, "spread_median": 1.0625e0, "spread_max": 2e0, "rounds_to_eps_mean": 1e0, "messages_mean": 70.0, "messages_max": 100.0, "dropped_mean": 3.0 },
-    "aad/K3": { "mean_ns": 0.0, "min_ns": 0.0, "max_ns": 0.0, "stddev_ns": 0.0, "runs": 1, "errors": 1, "converged": 0, "valid": 0, "decided": 0, "spread_mean": 0e0, "spread_median": 0e0, "spread_max": 0e0, "rounds_to_eps_mean": 0e0, "messages_mean": 0.0, "messages_max": 0.0, "dropped_mean": 0.0 }
-  }
-}
-"#;
+const REDUCED_JSON: &str = concat!(
+    r#"{"groups":[{"group":"bw \"q\"/K4","runs":2,"errors":0,"converged":1,"valid":2,"decided":2,"#,
+    r#""spread":{"n":2,"mean":1.0625,"median":1.0625,"min":0.125,"max":2.0,"stddev":0.9375},"#,
+    r#""rounds_to_epsilon":{"n":1,"mean":1.0,"median":1.0,"min":1.0,"max":1.0,"stddev":0.0},"#,
+    r#""messages":{"n":2,"mean":70.0,"median":70.0,"min":40.0,"max":100.0,"stddev":30.0},"#,
+    r#""dropped":{"n":2,"mean":3.0,"median":3.0,"min":3.0,"max":3.0,"stddev":0.0},"#,
+    r#""wall_ns":{"n":2,"mean":2000.5,"median":2000.5,"min":1500.5,"max":2500.5,"stddev":500.0}},"#,
+    r#"{"group":"aad/K3","runs":1,"errors":1,"converged":0,"valid":0,"decided":0,"#,
+    r#""spread":{"n":0,"mean":null,"median":null,"min":null,"max":null,"stddev":null},"#,
+    r#""rounds_to_epsilon":{"n":0,"mean":null,"median":null,"min":null,"max":null,"stddev":null},"#,
+    r#""messages":{"n":0,"mean":null,"median":null,"min":null,"max":null,"stddev":null},"#,
+    r#""dropped":{"n":0,"mean":null,"median":null,"min":null,"max":null,"stddev":null},"#,
+    r#""wall_ns":{"n":0,"mean":null,"median":null,"min":null,"max":null,"stddev":null}}]}"#,
+);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
