@@ -29,12 +29,16 @@
 //! per 64 paths — branch-light scans the compiler can vectorize.
 //!
 //! Ids are only meaningful relative to the topology whose index interned
-//! them, and the columns assume the ids they hold are *dense*: memory is
-//! proportional to the highest inserted id, which for validated protocol
-//! traffic is bounded by the population size (and in practice by the local
-//! terminal's contiguous id range, since ids are assigned terminal-major).
-//! Never insert unvalidated wire ids — resolve them through the index
-//! first, exactly as the validation boundary already does.
+//! them, and the columns assume the ids they hold are *dense*. A set built
+//! by [`MessageSet::new`] grows its columns from id 0 up to the highest
+//! inserted id. The round history a node keeps holds only paths ending at
+//! the node, and ids are assigned terminal-major, so those paths form one
+//! contiguous id block ([`PathIndex::terminal_word_range`]): the round set
+//! is built over that block alone, sized once, and its memory is the
+//! block's, not the highest id's. It rejects an id outside the block
+//! instead of growing. Never insert unvalidated wire ids — resolve them
+//! through the index first, exactly as the validation boundary already
+//! does.
 //!
 //! # Wire form
 //!
@@ -67,13 +71,22 @@ use std::sync::OnceLock;
 /// deterministic and identical at every node.
 ///
 /// Storage is columnar (see the module docs): a dense value column plus a
-/// presence bitmap, both indexed by [`PathId`]. Columns grow on demand to
-/// the highest inserted id; [`MessageSet::with_capacity`] pre-sizes them.
+/// presence bitmap, both indexed by [`PathId`] relative to the set's first
+/// id word. Columns grow on demand to the highest inserted id;
+/// [`MessageSet::with_capacity`] pre-sizes them. A round's history is
+/// instead pinned to the node's own id block (see the module docs).
 #[derive(Clone, Default, Serialize, Deserialize)]
 #[serde(from = "Vec<(PathId, f64)>", into = "Vec<(PathId, f64)>")]
 pub struct MessageSet {
-    /// Value column: `values[id]` is meaningful iff presence bit `id` is
-    /// set. Slots never inserted hold 0.0 but are never read.
+    /// First id word the columns cover: `values[i]` holds id
+    /// `64·base + i` and `present[w]` holds id word `base + w`. 0 unless
+    /// the set is pinned to a block.
+    base: usize,
+    /// Whether the columns are pinned to one id block: such a set never
+    /// grows and rejects ids outside the block.
+    pinned: bool,
+    /// Value column: a slot is meaningful iff its presence bit is set.
+    /// Slots never inserted hold 0.0 but are never read.
     values: Vec<f64>,
     /// Presence bitmap, one bit per id, in `u64` words.
     present: Vec<u64>,
@@ -95,32 +108,50 @@ impl MessageSet {
         MessageSet {
             values: Vec::with_capacity(capacity),
             present: Vec::with_capacity(capacity.div_ceil(64)),
+            ..MessageSet::default()
+        }
+    }
+
+    /// Creates an empty set pinned to the id words `words` — the round
+    /// history of the node whose terminal block they are. The columns are
+    /// sized once, here, and never grow: [`MessageSet::insert`] rejects an
+    /// id outside the block.
+    #[must_use]
+    pub(crate) fn for_block(words: std::ops::Range<usize>) -> Self {
+        MessageSet {
+            base: words.start,
+            pinned: true,
+            values: vec![0.0; words.len() * 64],
+            present: vec![0; words.len()],
             len: 0,
         }
     }
 
-    /// Grows the columns to cover `id`.
-    fn grow_to(&mut self, id: usize) {
-        if id >= self.values.len() {
-            self.values.resize(id + 1, 0.0);
-        }
-        let word = id / 64;
-        if word >= self.present.len() {
-            self.present.resize(word + 1, 0);
-        }
+    /// The column slot of `id`, if the set's block starts at or below it.
+    fn slot(&self, id: usize) -> Option<usize> {
+        id.checked_sub(self.base * 64)
     }
 
     /// Inserts `(value, path)`; returns `false` (and keeps the original) if
-    /// the path already reported.
+    /// the path already reported, or if the set is pinned to a block that
+    /// does not hold the path's id.
     pub fn insert(&mut self, path: PathId, value: f64) -> bool {
-        let id = path.index();
-        self.grow_to(id);
-        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        let Some(slot) = self.slot(path.index()) else {
+            return false;
+        };
+        if slot >= self.values.len() {
+            if self.pinned {
+                return false;
+            }
+            self.values.resize(slot + 1, 0.0);
+            self.present.resize(slot / 64 + 1, 0);
+        }
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         if self.present[word] & bit != 0 {
             return false;
         }
         self.present[word] |= bit;
-        self.values[id] = value;
+        self.values[slot] = value;
         self.len += 1;
         true
     }
@@ -140,26 +171,26 @@ impl MessageSet {
     /// Returns `true` if `path` has reported.
     #[must_use]
     pub fn contains_path(&self, path: PathId) -> bool {
-        let id = path.index();
-        self.present.get(id / 64).is_some_and(|w| w & (1u64 << (id % 64)) != 0)
+        self.slot(path.index())
+            .is_some_and(|s| self.present.get(s / 64).is_some_and(|w| w & (1u64 << (s % 64)) != 0))
     }
 
     /// The value reported along `path`, if any.
     #[must_use]
     pub fn value_on_path(&self, path: PathId) -> Option<f64> {
-        self.contains_path(path).then(|| self.values[path.index()])
+        self.contains_path(path).then(|| self.value_at(path.index()))
     }
 
     /// Iterates over `(path, value)` in deterministic (id) order.
     pub fn iter(&self) -> impl Iterator<Item = (PathId, f64)> + '_ {
-        self.paths().map(|p| (p, self.values[p.index()]))
+        self.paths().map(|p| (p, self.value_at(p.index())))
     }
 
     /// The paper's `P(M)`: the set of propagation paths, in id order.
     pub fn paths(&self) -> impl Iterator<Item = PathId> + '_ {
         self.present.iter().enumerate().flat_map(|(w, &word)| {
-            let base = w * 64;
-            BitIter(word).map(move |b| PathId::from_raw((base + b) as u32))
+            let first = (self.base + w) * 64;
+            BitIter(word).map(move |b| PathId::from_raw((first + b) as u32))
         })
     }
 
@@ -176,7 +207,7 @@ impl MessageSet {
         }
         let mut len = 0usize;
         for (w, word) in out.present.iter_mut().enumerate() {
-            *word &= !index.excluded_word(a, w);
+            *word &= !index.excluded_word(a, self.base + w);
             len += word.count_ones() as usize;
         }
         out.len = len;
@@ -198,10 +229,9 @@ impl MessageSet {
     pub fn value_of(&self, q: NodeId, index: &PathIndex) -> Option<f64> {
         let init = index.init_words(q);
         for (w, &word) in self.present.iter().enumerate() {
-            let hit = word & init.get(w).copied().unwrap_or(0);
+            let hit = word & init.get(self.base + w).copied().unwrap_or(0);
             if hit != 0 {
-                let id = w * 64 + hit.trailing_zeros() as usize;
-                return Some(self.values[id]);
+                return Some(self.values[w * 64 + hit.trailing_zeros() as usize]);
             }
         }
         None
@@ -222,7 +252,7 @@ impl MessageSet {
         let terminal = index.terminal_words(v);
         (0..index.word_count()).all(|w| {
             let required = terminal[w] & !index.excluded_word(a, w);
-            required & !self.present.get(w).copied().unwrap_or(0) == 0
+            required & !self.present_word(w) == 0
         })
     }
 
@@ -232,21 +262,21 @@ impl MessageSet {
         self.paths().map(|p| index.init(p)).collect()
     }
 
-    /// The presence-bitmap word at `w` (0 for words the columns never grew
-    /// to). The raw column the witness-thread mask scans AND against —
-    /// crate-internal so the columnar layout stays an implementation
-    /// detail.
+    /// The presence-bitmap word at id word `w` (0 for words the columns
+    /// do not cover). The raw column the witness-thread mask scans AND
+    /// against — crate-internal so the columnar layout stays an
+    /// implementation detail.
     #[must_use]
     pub(crate) fn present_word(&self, w: usize) -> u64 {
-        self.present.get(w).copied().unwrap_or(0)
+        w.checked_sub(self.base).and_then(|w| self.present.get(w)).copied().unwrap_or(0)
     }
 
     /// The value-column slot for `id`, without a presence check. Only
     /// meaningful for ids whose presence bit is set — masked gathers read
     /// this after ANDing the presence word, which also guarantees the
-    /// columns grew past `id`.
+    /// columns cover `id`.
     pub(crate) fn value_at(&self, id: usize) -> f64 {
-        self.values[id]
+        self.values[id - self.base * 64]
     }
 }
 
@@ -278,12 +308,13 @@ impl FromIterator<(PathId, f64)> for MessageSet {
 /// first value, as everywhere else).
 ///
 /// Trust boundary: this impl cannot see a [`PathIndex`], so it cannot
-/// validate ids — and the columns are dense, so memory is proportional to
-/// the *highest* id in the list, not the entry count. Deserialized bytes
-/// from an untrusted peer must be id-validated (`PathIndex::contains_id`)
-/// *before* a set is materialized from them, exactly as the protocol's
-/// validation boundary already does for every wire path; a set built from
-/// unvalidated ids can also panic later inside the index-based operations.
+/// validate ids — and the set it builds grows from id 0, so memory is
+/// proportional to the *highest* id in the list, not the entry count.
+/// Deserialized bytes from an untrusted peer must be id-validated
+/// (`PathIndex::contains_id`) *before* a set is materialized from them,
+/// exactly as the protocol's validation boundary already does for every
+/// wire path; a set built from unvalidated ids can also panic later inside
+/// the index-based operations.
 impl From<Vec<(PathId, f64)>> for MessageSet {
     fn from(entries: Vec<(PathId, f64)>) -> Self {
         entries.into_iter().collect()

@@ -51,17 +51,25 @@
 //!   hash map).
 //!
 //! The Completeness path sets of Algorithm 2 (`M'`, consumed by
-//! `has_cover`) are likewise kept off the hash path: an array indexed by
-//! initiator holding small per-value buckets — one index plus a one-entry
-//! linear probe per arrival, hashing of the Byzantine-influenced value
-//! bits happens only in the rare waiter-wakeup path.
+//! `has_cover`) are likewise kept off the seeded-hash path: an array
+//! indexed by initiator holding small per-value buckets — one index plus a
+//! one-entry linear probe per arrival, hashing of the Byzantine-influenced
+//! value bits happens only in the rare waiter-wakeup path. Whether `M'`
+//! admits an `f`-cover depends only on its *distinct* node sets, so each
+//! bucket keeps each node set once (`DistinctSets`): tens of sets where
+//! one per arrival would be thousands.
 //!
-//! Per-round state is therefore plain counters, bitmaps and buckets:
-//! [`RoundCore::new`] allocates nothing, thread state materializes lazily
-//! behind the first flood/start, and the FRA bitmaps are drawn from a
-//! [`WitnessScratch`] column pool owned by the node (allocated once in
-//! `HonestNode`, recycled as witnesses complete) instead of re-allocating
-//! hash maps in every round.
+//! Per-round state is therefore plain counters, bitmaps and buckets, sized
+//! to what the round still reads. [`RoundCore::new`] allocates nothing;
+//! the first flood/start materializes the thread state and the history
+//! `M_v`, whose columns cover only the node's own terminal id block. The
+//! FRA bitmaps are drawn from a [`WitnessScratch`] column pool owned by
+//! the node (allocated once in `HonestNode`, recycled as witnesses
+//! complete) instead of re-allocating hash maps in every round. Once the
+//! round fires, `nextround` means Completeness is never consulted again:
+//! the buckets, trackers and waiters are released, and only what
+//! Maximal-Consistency detection still reads (the history and the census)
+//! stays.
 //!
 //! The pre-mask, counter-based implementation survives as test code
 //! (`tests/oracles/witness.rs`), driven through identical flood/COMPLETE
@@ -77,7 +85,7 @@ use crate::filter::{filter_and_average, FilterOutcome};
 use crate::message_set::{CompletePayload, MessageSet};
 use crate::precompute::Topology;
 use dbac_conditions::cover::has_cover;
-use dbac_graph::{NodeId, NodeSet, PathId};
+use dbac_graph::{FastHashSet, NodeId, NodeSet, PathId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -488,6 +496,33 @@ impl<V> SpillSlots<V> {
     }
 }
 
+/// One Completeness bucket of `M'`: the distinct node sets of the paths
+/// that carried one `(initiator, value)` pair, in first-arrival order.
+/// The node sets come from validated [`PathId`]s, so the topology bounds
+/// the keys and the fast hasher is safe for the dedup.
+#[derive(Default)]
+struct DistinctSets {
+    sets: Vec<NodeSet>,
+    seen: FastHashSet<NodeSet>,
+}
+
+impl DistinctSets {
+    /// Records `set` unless the bucket already holds it; returns whether
+    /// it was new (a repeat cannot change any `has_cover` verdict).
+    fn insert(&mut self, set: NodeSet) -> bool {
+        let new = self.seen.insert(set);
+        if new {
+            self.sets.push(set);
+        }
+        new
+    }
+
+    /// The distinct node sets, as `has_cover` reads them.
+    fn as_slice(&self) -> &[NodeSet] {
+        &self.sets
+    }
+}
+
 struct Obligation {
     component: NodeSet,
     q: NodeId,
@@ -526,12 +561,13 @@ pub struct RoundCore {
     dirty: NodeSet,
     /// Completeness path sets, indexed by initiator then bucketed by
     /// value bits (almost always one bucket — more only under Byzantine
-    /// equivocation): the `M'` sets Algorithm 2's `has_cover` checks read.
-    /// An array index plus a spill-guarded probe per arrival — honest
-    /// traffic never hashes its Byzantine-influenced value bits, and a
-    /// distinct-value flood degrades to the seeded hash map, not to a
-    /// linear scan.
-    per_init_paths: Vec<SpillSlots<Vec<NodeSet>>>,
+    /// equivocation): the distinct node sets of the `M'` sets Algorithm
+    /// 2's `has_cover` checks read. An array index plus a spill-guarded
+    /// probe per arrival — honest traffic never hashes its
+    /// Byzantine-influenced value bits, and a distinct-value flood
+    /// degrades to the seeded hash map, not to a linear scan. Released
+    /// when the round fires.
+    per_init_paths: Vec<SpillSlots<DistinctSets>>,
     /// Witness threads; empty until the first flood/start materializes
     /// them (rounds that only ever see late COMPLETE witnesses after
     /// firing never pay for construction).
@@ -575,6 +611,7 @@ impl RoundCore {
             return;
         }
         self.threads_ready = true;
+        self.mset = MessageSet::for_block(plan.word_base..plan.word_base + plan.mask_words);
         self.value_by_init = vec![None; plan.node_count()];
         self.per_init_paths = (0..plan.node_count()).map(|_| SpillSlots::new()).collect();
         self.threads = plan
@@ -627,7 +664,8 @@ impl RoundCore {
         debug_assert!(!self.started, "round started twice");
         self.started = true;
         let mut actions = Vec::new();
-        self.ingest(topo.index().trivial(self.me), value, topo, plan, &mut actions);
+        let fresh = self.ingest(topo.index().trivial(self.me), value, topo, plan, &mut actions);
+        debug_assert!(fresh, "the trivial path opens the round");
         self.check_progress(topo, plan, scratch, &mut actions);
         actions
     }
@@ -643,15 +681,19 @@ impl RoundCore {
         plan: &NodePlan,
         scratch: &mut WitnessScratch,
     ) -> (bool, Vec<RoundAction>) {
-        if self.mset.contains_path(stored) {
-            return (false, Vec::new());
-        }
         let mut actions = Vec::new();
-        self.ingest(stored, value, topo, plan, &mut actions);
+        if !self.ingest(stored, value, topo, plan, &mut actions) {
+            return (false, actions);
+        }
         self.check_progress(topo, plan, scratch, &mut actions);
         (true, actions)
     }
 
+    /// Records `(value, stored)` in the history and updates every census
+    /// it feeds. Returns `false`, changing nothing, if the path already
+    /// reported — or, for a path not ending at `me` (which the validation
+    /// boundary never lets through), if it lies outside the history's id
+    /// block.
     fn ingest(
         &mut self,
         stored: PathId,
@@ -659,13 +701,15 @@ impl RoundCore {
         topo: &Topology,
         plan: &NodePlan,
         actions: &mut Vec<RoundAction>,
-    ) {
+    ) -> bool {
         self.ensure_threads(plan);
+        if !self.mset.insert(stored, value) {
+            debug_assert!(self.mset.contains_path(stored), "stored paths end at me");
+            return false;
+        }
         let index = topo.index();
         let init = index.init(stored);
         let bits = value.to_bits();
-        let inserted = self.mset.insert(stored, value);
-        debug_assert!(inserted, "caller checked freshness");
 
         // Round-global consistency census: one array slot per arrival.
         match self.value_by_init[init.index()] {
@@ -681,14 +725,18 @@ impl RoundCore {
             // index and a spill-guarded value-bucket probe — honest floods
             // never hash their Byzantine-influenced value bits.
             let node_set = index.node_set(stored);
-            self.per_init_paths[init.index()].entry_or_insert_with(bits, Vec::new).push(node_set);
+            let new_set = self.per_init_paths[init.index()]
+                .entry_or_insert_with(bits, DistinctSets::default)
+                .insert(node_set);
             // Wake obligations waiting on (init, bits); an arrival pays the
-            // waiter-map hash only while an obligation is actually pending.
-            if !self.waiters.is_empty() {
+            // waiter-map hash only while an obligation is actually pending,
+            // and only when it added a node set the bucket lacked.
+            if new_set && !self.waiters.is_empty() {
                 if let Some(waiting) = self.waiters.get(&(init, bits)) {
                     let waiting = waiting.clone();
-                    let paths =
-                        self.per_init_paths[init.index()].get(bits).map_or(&[][..], |b| &b[..]);
+                    let paths = self.per_init_paths[init.index()]
+                        .get(bits)
+                        .map_or(&[][..], DistinctSets::as_slice);
                     for (t_idx, o_idx) in waiting {
                         let tracker = &mut self.trackers[t_idx];
                         let ob = &mut tracker.obligations[o_idx];
@@ -741,6 +789,7 @@ impl RoundCore {
                 thread.mc_dead = true;
             }
         }
+        true
     }
 
     /// Records a FIFO-received `COMPLETE` (including the node's own, via
@@ -847,7 +896,7 @@ impl RoundCore {
                     .per_init_paths
                     .get(q.index())
                     .and_then(|buckets| buckets.get(xq_bits))
-                    .map_or(&[][..], |b| &b[..]);
+                    .map_or(&[][..], DistinctSets::as_slice);
                 let already = !has_cover(paths, self.f, allowed);
                 let o_idx = tracker.obligations.len();
                 tracker.obligations.push(Obligation { component, q, xq_bits, satisfied: already });
@@ -885,17 +934,23 @@ impl RoundCore {
             let outcome = filter_and_average(&self.mset, self.f, self.me, self.n, topo.index())
                 .expect("own trivial path keeps the trimmed vector non-empty");
             self.fired = true;
-            // FIFO-Receive-All bookkeeping is dead once the round fired
-            // (deliveries return early): every in-flight fingerprint
-            // column goes back to the node's pool, not just the ones
-            // whose witness completed.
+            // FIFO-Receive-All and Completeness bookkeeping is dead once
+            // the round fired (deliveries return early, and floods no
+            // longer feed `M'`): every in-flight fingerprint column goes
+            // back to the node's pool, not just the ones whose witness
+            // completed, and the buckets, trackers and waiters are freed.
             for thread in &mut self.threads {
                 for state in &mut thread.fra {
                     for (_, fp) in state.by_fp.take_entries() {
                         scratch.recycle(fp.seen);
                     }
                 }
+                thread.relevant_trackers = Vec::new();
             }
+            self.per_init_paths = Vec::new();
+            self.trackers = Vec::new();
+            self.tracker_index = HashMap::new();
+            self.waiters = HashMap::new();
             actions.push(RoundAction::Advance { guess: plan.guesses[winner].guess, outcome });
             return;
         }
@@ -1315,7 +1370,7 @@ mod tests {
         assert!(buckets.index.is_some(), "value buckets spilled to the hash index");
         for v in 1..=k {
             let paths = buckets.get(f64::from(v).to_bits()).expect("bucket per distinct value");
-            assert_eq!(paths.len(), 1);
+            assert_eq!(paths.as_slice().len(), 1);
         }
         assert!(core.dirty.contains(id(1)), "distinct values flag the initiator dirty");
 
@@ -1348,6 +1403,169 @@ mod tests {
         assert!(!state.done, "one path per fingerprint cannot complete the witness");
         assert!(state.by_fp.index.is_some(), "fingerprint slots spilled to the hash index");
         assert!(state.by_fp.get(0).is_none(), "only seen fingerprints have slots");
+    }
+
+    #[test]
+    fn dedup_keeps_the_completeness_verdict() {
+        // `has_cover` over one node set per arrival ≡ `has_cover` over the
+        // bucket's distinct sets, for f ∈ {0, 1, 2}: duplicates never
+        // change whether an f-cover exists.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let subset = |rng: &mut SmallRng, n: usize| -> NodeSet {
+            (0..n).filter(|_| rng.gen_bool(0.4)).map(NodeId::new).collect()
+        };
+        for seed in 0..2_000u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(2usize..10);
+            // A small pool drawn with replacement: arrivals repeat sets,
+            // as flood arrivals over one (initiator, value) pair do.
+            let pool: Vec<NodeSet> =
+                (0..rng.gen_range(1usize..7)).map(|_| subset(&mut rng, n)).collect();
+            let raw: Vec<NodeSet> = (0..rng.gen_range(0usize..40))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let mut bucket = DistinctSets::default();
+            for &set in &raw {
+                bucket.insert(set);
+            }
+            let mut expected: Vec<NodeSet> = Vec::new();
+            for &set in &raw {
+                if !expected.contains(&set) {
+                    expected.push(set);
+                }
+            }
+            assert_eq!(bucket.as_slice(), &expected[..], "seed {seed}: first-arrival order");
+            let allowed = subset(&mut rng, n);
+            for f in 0..=2 {
+                assert_eq!(
+                    has_cover(&raw, f, allowed),
+                    has_cover(bucket.as_slice(), f, allowed),
+                    "seed {seed}, f = {f}"
+                );
+            }
+        }
+    }
+
+    /// Pushes every `FloodComplete` payload in `actions` back in as the
+    /// node's own FIFO delivery over its trivial path; returns whether any
+    /// action was an `Advance`.
+    fn self_deliver(
+        core: &mut RoundCore,
+        actions: Vec<RoundAction>,
+        topo: &Topology,
+        plan: &NodePlan,
+        scratch: &mut WitnessScratch,
+    ) -> bool {
+        let mut advanced = false;
+        for action in actions {
+            match action {
+                RoundAction::FloodComplete { guess, payload } => {
+                    let acts = core.add_fifo_delivery(
+                        id(0),
+                        topo.index().trivial(id(0)),
+                        guess,
+                        &payload,
+                        payload.fingerprint(),
+                        topo,
+                        plan,
+                        scratch,
+                    );
+                    advanced |= self_deliver(core, acts, topo, plan, scratch);
+                }
+                RoundAction::Advance { .. } => advanced = true,
+            }
+        }
+        advanced
+    }
+
+    #[test]
+    fn fired_round_holds_no_completeness_state() {
+        // K4, f = 1, node 0: every flood but ⟨3, 0⟩ arrives, so only the
+        // guess {3} completes its pool; peers 1 and 2 then send their
+        // COMPLETE({3}) over every simple path avoiding 3, which advances
+        // the round.
+        let (topo, plan) = setup(4, 1);
+        let index = topo.index();
+        let mut core = RoundCore::new(&topo, &plan);
+        let mut scratch = WitnessScratch::new();
+        let values = [1.0, 2.0, 3.0, 4.0];
+        let held_back = pid(&topo, &[3, 0]);
+        let suspects = NodeSet::singleton(id(3));
+        let acts = core.start(values[0], &topo, &plan, &mut scratch);
+        let mut advanced = self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+        for &path in topo.required_paths_to(id(0)) {
+            if index.is_trivial(path) || path == held_back {
+                continue;
+            }
+            let (fresh, acts) =
+                core.add_flood(path, values[index.init(path).index()], &topo, &plan, &mut scratch);
+            assert!(fresh);
+            advanced |= self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+        }
+        assert!(!advanced, "no peer COMPLETE yet");
+        assert!(core.per_init_paths.iter().any(|b| !b.entries.is_empty()), "buckets were fed");
+        assert!(!core.trackers.is_empty(), "the own COMPLETE opened a tracker");
+        for c in [id(1), id(2)] {
+            let m: MessageSet = topo
+                .required_paths_to(c)
+                .iter()
+                .filter(|&&p| !index.intersects(p, suspects))
+                .map(|&p| (p, values[index.init(p).index()]))
+                .collect();
+            let payload = Arc::new(CompletePayload::from_message_set(&m));
+            for &p in topo.simple_paths_to(id(0)) {
+                if index.init(p) != c || index.intersects(p, suspects) {
+                    continue;
+                }
+                let acts = core.add_fifo_delivery(
+                    c,
+                    p,
+                    suspects,
+                    &payload,
+                    payload.fingerprint(),
+                    &topo,
+                    &plan,
+                    &mut scratch,
+                );
+                advanced |= self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+            }
+        }
+        assert!(advanced && core.fired(), "the round advanced");
+
+        let assert_released = |core: &RoundCore, ctx: &str| {
+            assert!(core.per_init_paths.is_empty(), "{ctx}: buckets");
+            assert!(core.trackers.is_empty(), "{ctx}: trackers");
+            assert!(core.tracker_index.is_empty(), "{ctx}: tracker index");
+            assert!(core.waiters.is_empty(), "{ctx}: waiters");
+            assert!(
+                core.threads.iter().all(|t| t.relevant_trackers.is_empty()),
+                "{ctx}: relevant trackers"
+            );
+        };
+        assert_released(&core, "after Advance");
+
+        // A late flood still relays and may still complete a pool (the ∅
+        // guess's), but feeds no bucket.
+        let (fresh, acts) = core.add_flood(held_back, values[3], &topo, &plan, &mut scratch);
+        assert!(fresh, "a late flood still relays");
+        assert!(acts.iter().all(|a| matches!(a, RoundAction::FloodComplete { .. })));
+        assert_released(&core, "after a late flood");
+
+        // A late COMPLETE opens no tracker.
+        let payload = Arc::new(CompletePayload::from_message_set(core.message_set()));
+        let acts = core.add_fifo_delivery(
+            id(3),
+            held_back,
+            NodeSet::EMPTY,
+            &payload,
+            payload.fingerprint(),
+            &topo,
+            &plan,
+            &mut scratch,
+        );
+        assert!(acts.is_empty());
+        assert_released(&core, "after a late COMPLETE");
     }
 
     #[test]

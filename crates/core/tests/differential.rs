@@ -8,9 +8,15 @@
 //! exact order). Sequences are drawn from a deterministic splitmix64
 //! stream, so failures reproduce by seed.
 //!
-//! ≥ 1,000 sequences run per topology class; the classes cover the
-//! population shapes the protocol actually meets (complete, directed
-//! non-complete, bridged, simple-only ablation).
+//! ≥ 1,000 sequences run per topology class and column layout; the
+//! classes cover the population shapes the protocol actually meets
+//! (complete, directed non-complete, bridged, simple-only ablation).
+//!
+//! Every sequence and every property case runs on each column layout: a
+//! set built by `MessageSet::new()` (columns from id 0) and, per terminal,
+//! a round history, whose columns are pinned to that terminal's id block.
+//! A pinned set must reject an id outside its block — without a panic —
+//! and otherwise agree with the model on every observable.
 
 #[path = "oracles/message_set.rs"]
 mod reference;
@@ -18,7 +24,68 @@ mod reference;
 use dbac_core::config::FloodMode;
 use dbac_core::message_set::{CompletePayload, MessageSet};
 use dbac_core::precompute::Topology;
-use dbac_graph::{generators, NodeSet, PathBudget, PathId};
+use dbac_core::witness::{NodePlan, RoundCore, WitnessScratch};
+use dbac_graph::{generators, NodeId, NodeSet, PathBudget, PathId};
+use std::ops::Range;
+
+/// The column layout a harness set starts from.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// `MessageSet::new()`: columns grow from id 0.
+    Base0,
+    /// A round history: columns pinned to terminal `v`'s id block.
+    Block(NodeId),
+}
+
+impl Layout {
+    /// Every layout of a topology: base 0, then one block per terminal.
+    fn all(t: &Topology) -> Vec<Layout> {
+        std::iter::once(Layout::Base0).chain(t.graph().nodes().map(Layout::Block)).collect()
+    }
+
+    /// An empty set in this layout. The crate pins a set to a block only
+    /// for a round's history, so a block set is taken from a started
+    /// round and emptied by excluding its terminal (every path ending at
+    /// `v` contains `v`); exclusion keeps the columns.
+    fn empty(self, t: &Topology) -> MessageSet {
+        match self {
+            Layout::Base0 => MessageSet::new(),
+            Layout::Block(v) => {
+                let plan = NodePlan::new(t, v);
+                let mut core = RoundCore::new(t, &plan);
+                core.start(0.0, t, &plan, &mut WitnessScratch::new());
+                let empty = core.message_set().exclusion(NodeSet::singleton(v), t.index());
+                assert!(empty.is_empty(), "{self:?}: emptied");
+                empty
+            }
+        }
+    }
+
+    /// The raw ids a set in this layout holds (capped at the population).
+    fn span(self, t: &Topology) -> Range<u32> {
+        let population = t.index().len();
+        let ids = match self {
+            Layout::Base0 => 0..population,
+            Layout::Block(v) => {
+                let words = t.index().terminal_word_range(v);
+                words.start * 64..(words.end * 64).min(population)
+            }
+        };
+        ids.start as u32..ids.end as u32
+    }
+
+    /// Draws an id from one random word: for a block set one draw in
+    /// eight comes from the whole population, so out-of-block ids are
+    /// tried too; the rest fall inside the block.
+    fn draw(self, t: &Topology, word: u64) -> PathId {
+        let span = self.span(t);
+        let (lo, width) = match self {
+            Layout::Block(_) if word >> 61 != 0 => (span.start, span.end - span.start),
+            _ => (0, t.index().len() as u32),
+        };
+        PathId::from_raw(lo + (word % u64::from(width)) as u32)
+    }
+}
 
 /// Deterministic stream: splitmix64.
 struct Rng(u64);
@@ -80,23 +147,37 @@ fn random_subset(mask: u64, n: usize) -> NodeSet {
     NodeSet::universe(n).iter().filter(|v| mask >> v.index() & 1 == 1).collect()
 }
 
-fn run_sequence(t: &Topology, seed: u64) {
+/// Inserts into both backends, feeding the model only ids the layout
+/// holds; a pinned set must refuse the rest.
+fn insert_both(
+    t: &Topology,
+    layout: Layout,
+    col: &mut MessageSet,
+    model: &mut reference::MessageSet,
+    (p, v): (PathId, f64),
+    ctx: &str,
+) {
+    let held = layout.span(t).contains(&p.raw());
+    let expected = held && model.insert(p, v);
+    assert_eq!(col.insert(p, v), expected, "{ctx}: insert({p}, {v})");
+}
+
+fn run_sequence(t: &Topology, layout: Layout, empty: &MessageSet, seed: u64) {
     let index = t.index();
-    let population = index.len() as u64;
     let n = t.graph().node_count();
     let mut rng = Rng(seed);
-    let mut col = MessageSet::new();
+    let mut col = empty.clone();
     let mut model = reference::MessageSet::new();
     let ops = 8 + rng.below(40);
     for op in 0..ops {
-        let ctx = format!("seed {seed} op {op}");
+        let ctx = format!("{layout:?} seed {seed} op {op}");
         match rng.below(10) {
             // Insert dominates: it is the only mutation and every other
             // observable is only interesting on a populated set.
             0..=5 => {
-                let p = PathId::from_raw(rng.below(population) as u32);
+                let p = layout.draw(t, rng.next());
                 let v = VALUES[rng.below(VALUES.len() as u64) as usize];
-                assert_eq!(col.insert(p, v), model.insert(p, v), "{ctx}: insert({p}, {v})");
+                insert_both(t, layout, &mut col, &mut model, (p, v), &ctx);
                 assert_eq!(col.contains_path(p), model.contains_path(p), "{ctx}: contains");
                 assert_eq!(
                     col.value_on_path(p).map(f64::to_bits),
@@ -160,22 +241,71 @@ fn run_sequence(t: &Topology, seed: u64) {
 const SEQUENCES: u64 = 1200;
 
 fn run_class(name: &str, t: &Topology, salt: u64) {
+    let layouts = Layout::all(t);
+    let empties: Vec<MessageSet> = layouts.iter().map(|l| l.empty(t)).collect();
+    // Every seed runs on every layout, so each layout gets the full
+    // `SEQUENCES` budget.
     for i in 0..SEQUENCES {
-        run_sequence(t, salt.wrapping_mul(0xD131_0BA6) ^ i);
-    }
-    // A final deterministic deep sequence: fill the whole population.
-    let mut col = MessageSet::new();
-    let mut model = reference::MessageSet::new();
-    for raw in 0..t.index().len() as u32 {
-        let p = PathId::from_raw(raw);
-        let v = VALUES[(raw as usize) % VALUES.len()];
-        assert_eq!(col.insert(p, v), model.insert(p, v));
-    }
-    assert_observables(t, &col, &model, &format!("{name}: full population"));
-    for &guess in t.guesses() {
-        for v in t.graph().nodes() {
-            assert!(col.is_full_avoiding(guess, v, t.index()), "{name}: full set must be full");
+        let seed = salt.wrapping_mul(0xD131_0BA6) ^ i;
+        for (&layout, empty) in layouts.iter().zip(&empties) {
+            run_sequence(t, layout, empty, seed);
         }
+    }
+    // A final deterministic deep sequence per layout: offer the whole
+    // population; a block set takes exactly its block.
+    for (&layout, empty) in layouts.iter().zip(&empties) {
+        let ctx = format!("{name} {layout:?}: full population");
+        let mut col = empty.clone();
+        let mut model = reference::MessageSet::new();
+        for raw in 0..t.index().len() as u32 {
+            let v = VALUES[(raw as usize) % VALUES.len()];
+            insert_both(t, layout, &mut col, &mut model, (PathId::from_raw(raw), v), &ctx);
+        }
+        assert_eq!(col.len(), layout.span(t).len(), "{ctx}: the layout's ids all held");
+        assert_observables(t, &col, &model, &ctx);
+        for &guess in t.guesses() {
+            for v in t.graph().nodes() {
+                assert_eq!(
+                    col.is_full_avoiding(guess, v, t.index()),
+                    model.is_full_avoiding(guess, v, t.index()),
+                    "{ctx}: fullness({guess:?}, {v})"
+                );
+                let holds_pool = match layout {
+                    Layout::Base0 => true,
+                    Layout::Block(b) => b == v,
+                };
+                if holds_pool {
+                    assert!(col.is_full_avoiding(guess, v, t.index()), "{ctx}: full at {v}");
+                }
+            }
+        }
+    }
+}
+
+/// A block set refuses every id outside its block's words — below them,
+/// just past them, and far past the population — without a panic and
+/// without changing, and still takes ids inside them.
+fn assert_out_of_block_rejected(t: &Topology) {
+    for v in t.graph().nodes() {
+        let layout = Layout::Block(v);
+        let span = layout.span(t);
+        let past_block = (t.index().terminal_word_range(v).end * 64) as u32;
+        let mut set = layout.empty(t);
+        let mut outside = vec![past_block, u32::MAX];
+        if span.start > 0 {
+            outside.extend([0, span.start - 1]);
+        }
+        for raw in outside {
+            let p = PathId::from_raw(raw);
+            assert!(!set.insert(p, 1.0), "{layout:?}: id {raw} refused");
+            assert!(!set.contains_path(p) && set.value_on_path(p).is_none(), "{layout:?}: {raw}");
+            assert!(set.is_empty(), "{layout:?}: a refused id leaves the set empty");
+        }
+        let inside = PathId::from_raw(span.start);
+        assert!(set.insert(inside, 2.0), "{layout:?}: in-block id taken");
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![(inside, 2.0)]);
+        let wire: Vec<(PathId, f64)> = set.clone().into();
+        assert_eq!(MessageSet::from(wire), set, "{layout:?}: wire form");
     }
 }
 
@@ -186,6 +316,13 @@ fn topo(g: dbac_graph::Digraph, f: usize, mode: FloodMode) -> Topology {
 #[test]
 fn clique_redundant() {
     run_class("K4/redundant", &topo(generators::clique(4), 1, FloodMode::Redundant), 1);
+}
+
+#[test]
+fn block_sets_reject_out_of_block_ids() {
+    assert_out_of_block_rejected(&topo(generators::clique(4), 1, FloodMode::Redundant));
+    assert_out_of_block_rejected(&topo(generators::clique(5), 1, FloodMode::SimpleOnly));
+    assert_out_of_block_rejected(&topo(generators::figure_1a(), 1, FloodMode::Redundant));
 }
 
 #[test]
@@ -206,10 +343,10 @@ fn figure_1a_redundant() {
 
 /// Property tests: the columnar set and the BTreeMap reference model
 /// agree on every observable under random operation interleavings over
-/// arbitrary small topologies (proptest shrinks what the generated
-/// sequences above only reproduce by seed).
+/// arbitrary small topologies, in either column layout (proptest shrinks
+/// what the generated sequences above only reproduce by seed).
 mod equivalence {
-    use super::{reference, topo as topo_of};
+    use super::{reference, topo as topo_of, Layout};
     use dbac_core::config::FloodMode;
     use dbac_core::message_set::MessageSet;
     use dbac_core::precompute::Topology;
@@ -217,11 +354,17 @@ mod equivalence {
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
+    /// One topology class, with an empty set in each of its layouts.
+    struct Class {
+        topo: Topology,
+        layouts: Vec<(Layout, MessageSet)>,
+    }
+
     /// The topology classes the properties quantify over.
-    fn catalog() -> &'static Vec<Topology> {
-        static CATALOG: OnceLock<Vec<Topology>> = OnceLock::new();
+    fn catalog() -> &'static Vec<Class> {
+        static CATALOG: OnceLock<Vec<Class>> = OnceLock::new();
         CATALOG.get_or_init(|| {
-            vec![
+            [
                 topo_of(generators::clique(4), 1, FloodMode::Redundant),
                 topo_of(generators::clique(5), 1, FloodMode::SimpleOnly),
                 topo_of(
@@ -231,17 +374,46 @@ mod equivalence {
                 ),
                 topo_of(generators::figure_1a(), 1, FloodMode::Redundant),
             ]
+            .into_iter()
+            .map(|topo| {
+                let layouts = Layout::all(&topo).into_iter().map(|l| (l, l.empty(&topo))).collect();
+                Class { topo, layouts }
+            })
+            .collect()
         })
     }
 
-    /// Decodes one op word into an insertion over the population.
-    fn decode(word: u64, population: usize) -> (PathId, f64) {
-        let path = PathId::from_raw((word % population as u64) as u32);
+    /// The class `topo_sel` selects and an empty set in each of its
+    /// layouts; every property runs each case on all of them.
+    fn pick(topo_sel: usize) -> (&'static Topology, &'static [(Layout, MessageSet)]) {
+        let class = &catalog()[topo_sel];
+        (&class.topo, &class.layouts)
+    }
+
+    /// Decodes one op word into an insertion over the layout's ids (and,
+    /// for a block set, sometimes past them).
+    fn decode(word: u64, t: &Topology, layout: Layout) -> (PathId, f64) {
+        let path = layout.draw(t, word);
         // A tiny value alphabet maximizes collisions (consistency and
         // first-value-wins are only interesting under collisions);
         // include the 0.0 / -0.0 bit distinction.
         let value = [0.0, -0.0, 1.0, -1.5, 7.25][(word >> 32) as usize % 5];
         (path, value)
+    }
+
+    /// Fills both backends from the op words; a pinned set refuses the
+    /// ids outside its block, and the model never sees them.
+    fn fill(
+        t: &Topology,
+        layout: Layout,
+        col: &mut MessageSet,
+        words: &[u64],
+    ) -> reference::MessageSet {
+        let mut model = reference::MessageSet::new();
+        for &w in words {
+            super::insert_both(t, layout, col, &mut model, decode(w, t, layout), "fill");
+        }
+        model
     }
 
     /// Asserts every observable of the two backends is identical.
@@ -275,20 +447,21 @@ mod equivalence {
             topo_sel in 0usize..4,
             words in prop::collection::vec(0u64..u64::MAX, 1..48),
         ) {
-            let t = &catalog()[topo_sel];
-            let population = t.index().len();
-            let mut col = MessageSet::new();
-            let mut model = reference::MessageSet::new();
-            for &w in &words {
-                let (p, v) = decode(w, population);
-                prop_assert_eq!(col.insert(p, v), model.insert(p, v));
-                prop_assert_eq!(col.contains_path(p), model.contains_path(p));
-                prop_assert_eq!(
-                    col.value_on_path(p).map(f64::to_bits),
-                    model.value_on_path(p).map(f64::to_bits)
-                );
+            let (t, layouts) = pick(topo_sel);
+            for (layout, empty) in layouts {
+                let (layout, mut col) = (*layout, empty.clone());
+                let mut model = reference::MessageSet::new();
+                for &w in &words {
+                    let (p, v) = decode(w, t, layout);
+                    super::insert_both(t, layout, &mut col, &mut model, (p, v), "insert");
+                    prop_assert_eq!(col.contains_path(p), model.contains_path(p));
+                    prop_assert_eq!(
+                        col.value_on_path(p).map(f64::to_bits),
+                        model.value_on_path(p).map(f64::to_bits)
+                    );
+                }
+                assert_equivalent(t, &col, &model);
             }
-            assert_equivalent(t, &col, &model);
         }
 
         /// Exclusion agrees for every guess-sized fault set, and the
@@ -298,22 +471,18 @@ mod equivalence {
             topo_sel in 0usize..4,
             words in prop::collection::vec(0u64..u64::MAX, 0..32),
         ) {
-            let t = &catalog()[topo_sel];
-            let population = t.index().len();
-            let mut col = MessageSet::new();
-            let mut model = reference::MessageSet::new();
-            for &w in &words {
-                let (p, v) = decode(w, population);
-                col.insert(p, v);
-                model.insert(p, v);
-            }
-            for &guess in t.guesses() {
-                assert_equivalent(t, &col.exclusion(guess, t.index()), &model.exclusion(guess, t.index()));
-            }
-            // Arbitrary (non-guess) sets too, including the universe.
-            let n = t.graph().node_count();
-            for set in [NodeSet::universe(n), NodeSet::universe(n.min(2))] {
-                assert_equivalent(t, &col.exclusion(set, t.index()), &model.exclusion(set, t.index()));
+            let (t, layouts) = pick(topo_sel);
+            for (layout, empty) in layouts {
+                let mut col = empty.clone();
+                let model = fill(t, *layout, &mut col, &words);
+                for &guess in t.guesses() {
+                    assert_equivalent(t, &col.exclusion(guess, t.index()), &model.exclusion(guess, t.index()));
+                }
+                // Arbitrary (non-guess) sets too, including the universe.
+                let n = t.graph().node_count();
+                for set in [NodeSet::universe(n), NodeSet::universe(n.min(2))] {
+                    assert_equivalent(t, &col.exclusion(set, t.index()), &model.exclusion(set, t.index()));
+                }
             }
         }
 
@@ -324,29 +493,26 @@ mod equivalence {
             topo_sel in 0usize..4,
             words in prop::collection::vec(0u64..u64::MAX, 0..64),
         ) {
-            let t = &catalog()[topo_sel];
+            let (t, layouts) = pick(topo_sel);
             let index = t.index();
-            let mut col = MessageSet::new();
-            let mut model = reference::MessageSet::new();
-            for &w in &words {
-                let (p, v) = decode(w, index.len());
-                col.insert(p, v);
-                model.insert(p, v);
-            }
-            for &guess in t.guesses() {
-                for v in t.graph().nodes() {
-                    prop_assert_eq!(
-                        col.is_full_avoiding(guess, v, index),
-                        model.is_full_avoiding(guess, v, index),
-                        "fullness({:?}, {}) differs", guess, v
-                    );
-                    let required: Vec<PathId> = index
-                        .paths_ending_at(v)
-                        .iter()
-                        .copied()
-                        .filter(|&p| !index.intersects(p, guess))
-                        .collect();
-                    prop_assert_eq!(col.is_full_for(&required), model.is_full_for(&required));
+            for (layout, empty) in layouts {
+                let mut col = empty.clone();
+                let model = fill(t, *layout, &mut col, &words);
+                for &guess in t.guesses() {
+                    for v in t.graph().nodes() {
+                        prop_assert_eq!(
+                            col.is_full_avoiding(guess, v, index),
+                            model.is_full_avoiding(guess, v, index),
+                            "{:?}: fullness({:?}, {}) differs", layout, guess, v
+                        );
+                        let required: Vec<PathId> = index
+                            .paths_ending_at(v)
+                            .iter()
+                            .copied()
+                            .filter(|&p| !index.intersects(p, guess))
+                            .collect();
+                        prop_assert_eq!(col.is_full_for(&required), model.is_full_for(&required));
+                    }
                 }
             }
         }
@@ -357,21 +523,18 @@ mod equivalence {
             topo_sel in 0usize..4,
             words in prop::collection::vec(0u64..u64::MAX, 0..32),
         ) {
-            let t = &catalog()[topo_sel];
-            let mut col = MessageSet::new();
-            let mut model = reference::MessageSet::new();
-            for &w in &words {
-                let (p, v) = decode(w, t.index().len());
-                col.insert(p, v);
-                model.insert(p, v);
+            let (t, layouts) = pick(topo_sel);
+            for (layout, empty) in layouts {
+                let mut col = empty.clone();
+                let model = fill(t, *layout, &mut col, &words);
+                let wire: Vec<(PathId, f64)> = col.clone().into();
+                let model_wire: Vec<(PathId, f64)> = model.iter().collect();
+                prop_assert_eq!(
+                    wire.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>(),
+                    model_wire.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(&MessageSet::from(wire), &col);
             }
-            let wire: Vec<(PathId, f64)> = col.clone().into();
-            let model_wire: Vec<(PathId, f64)> = model.iter().collect();
-            prop_assert_eq!(
-                wire.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>(),
-                model_wire.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(&MessageSet::from(wire), &col);
         }
     }
 }
