@@ -56,7 +56,7 @@ mod tests {
     use super::*;
     use crate::config::FloodMode;
     use crate::test_support::{pid, topo_of};
-    use dbac_graph::generators;
+    use dbac_graph::{generators, Path};
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
@@ -105,8 +105,8 @@ mod tests {
         let t = topo(3, FloodMode::Redundant);
         // ⟨2,0,1,2,0⟩ is redundant (⟨2,0,1⟩‖⟨1,2,0⟩, both simple), but
         // extending by 1 gives ⟨2,0,1,2,0,1⟩ which has no simple split.
+        assert!(Path::from_indices(&[2, 0, 1, 2, 0]).unwrap().is_redundant());
         let stored = pid(&t, &[2, 0, 1, 2, 0]);
-        assert!(t.index().path(stored).is_redundant());
         let fw = flood_forwards(&t, id(0), 0, 1.0, stored);
         let targets: Vec<usize> = fw.iter().map(|(w, _)| w.index()).collect();
         assert!(!targets.contains(&1), "⟨2,0,1,2,0,1⟩ is not redundant");

@@ -201,7 +201,16 @@ mod tests {
         for v in t.graph().nodes() {
             let req = t.required_paths_to(v);
             assert!(req.contains(&t.index().trivial(v)));
-            assert!(req.iter().all(|&p| t.index().ter(p) == v && t.index().path(p).is_redundant()));
+            // Every required id is the id of a redundant path.
+            let pool =
+                redundant_paths_ending_at(t.graph(), v, NodeSet::EMPTY, PathBudget::default())
+                    .unwrap();
+            let redundant: HashSet<PathId> = pool
+                .iter()
+                .filter(|p| p.is_redundant())
+                .filter_map(|p| t.index().resolve(p))
+                .collect();
+            assert!(req.iter().all(|&p| t.index().ter(p) == v && redundant.contains(&p)));
         }
     }
 
@@ -212,13 +221,14 @@ mod tests {
             let direct =
                 redundant_paths_ending_at(t.graph(), v, NodeSet::EMPTY, PathBudget::default())
                     .unwrap();
-            let interned: std::collections::HashSet<&Path> =
-                t.required_paths_to(v).iter().map(|&p| t.index().path(p)).collect();
-            assert_eq!(interned.len(), t.required_paths_to(v).len(), "no duplicate ids");
-            for p in &direct {
-                assert!(interned.contains(p), "missing {p}");
-            }
-            assert_eq!(direct.len(), interned.len());
+            let req = t.required_paths_to(v);
+            let interned: HashSet<PathId> = direct
+                .iter()
+                .map(|p| t.index().resolve(p).unwrap_or_else(|| panic!("missing {p}")))
+                .collect();
+            assert_eq!(interned.len(), direct.len(), "distinct paths keep distinct ids");
+            assert!(interned.iter().all(|p| req.contains(p)));
+            assert_eq!(direct.len(), req.len(), "no duplicate ids");
         }
     }
 

@@ -8,7 +8,7 @@
 //! population is enumerated **once** per topology at startup — yet a naïve
 //! implementation keeps cloning and hashing owned `Path(Vec<NodeId>)`
 //! values per message, per hop. Interning replaces every hot-path `Path` by
-//! a `u32` [`PathId`] into a [`PathIndex`] that precomputes, per path:
+//! a `u32` [`PathId`] into a [`PathIndex`] that keeps, per path id:
 //!
 //! * its [`NodeSet`] bitmask — `intersects` / `is_within` become a handful
 //!   of word-wise ANDs;
@@ -25,6 +25,9 @@
 //! set algebra — exclusion `M|_Ā`, fullness for `(A, v)` — into
 //! word-at-a-time AND/ANDNOT/popcount scans over these masks.
 //!
+//! The index keeps no path sequences: [`PathIndex::resolve`] maps a node
+//! sequence to its id, and there is no way back.
+//!
 //! # Trust boundary: Byzantine-supplied paths
 //!
 //! Interning is an *optimization*, not an assumption. Honest nodes only
@@ -33,8 +36,8 @@
 //! so wire messages may carry ids that intern nothing. Receivers therefore
 //! **resolve** incoming references at the validation boundary —
 //! [`PathIndex::contains_id`] for id-carrying wires, [`PathIndex::resolve`]
-//! for explicit node sequences (adversary forging, serde ingress, debug
-//! tooling) — and drop anything unknown, exactly as the paper's model lets
+//! for explicit node sequences (such as the paths an adversary forges) —
+//! and drop anything unknown, exactly as the paper's model lets
 //! a receiver drop provably forged messages. `resolve` keeps no map of its
 //! own: it rejects nodes outside the graph, then walks the forwarding
 //! table hop by hop from the sequence's first node, so a forged sequence
@@ -117,13 +120,12 @@ fn seq_hash(nodes: &[NodeId]) -> u64 {
     h.finish()
 }
 
-/// An immutable intern table over a graph's enumerated path population.
+/// An immutable intern table over a graph's enumerated path population:
+/// per-id columns and the forwarding table, but no path sequences.
 #[derive(Debug)]
 pub struct PathIndex {
     /// Out-neighborhoods of the graph, for extension-rank computation.
     out: Vec<NodeSet>,
-    /// id → owned path (wire egress, debug, DOT output).
-    paths: Vec<Path>,
     /// id → the path's node-set bitmask.
     node_sets: Vec<NodeSet>,
     /// id → `init(p)`.
@@ -162,7 +164,7 @@ impl PathIndex {
     /// `pools[v]` must list distinct paths ending at node `v` that are
     /// valid in `graph`. Ids follow pool order, each pool behind the
     /// trivial path `⟨v⟩`, which is interned for every node; a pool may
-    /// list `⟨v⟩` itself or omit it.
+    /// list `⟨v⟩` itself or omit it. The pools are read in place, not copied.
     ///
     /// # Panics
     ///
@@ -177,20 +179,22 @@ impl PathIndex {
 
         // Intern in pool order with no lookup: the one repeat a pool may
         // hold is `⟨v⟩`, and any other duplicate trips the forwarding-table
-        // fill below, where both copies claim the same slot.
-        let mut paths: Vec<Path> =
+        // fill below, where both copies claim the same slot. `paths` borrows
+        // each id's path from the pools, or `⟨v⟩` from `singles`.
+        let singles: Vec<Path> = graph.nodes().map(Path::single).collect();
+        let mut paths: Vec<&Path> =
             Vec::with_capacity(n + pools.iter().map(Vec::len).sum::<usize>());
         let mut by_terminal: Vec<Vec<PathId>> = Vec::with_capacity(n);
         let mut trivial = Vec::with_capacity(n);
-        for (v, pool) in pools.iter().enumerate() {
+        for ((v, pool), single) in pools.iter().enumerate().zip(&singles) {
             let v = NodeId::new(v);
             let first = paths.len();
-            paths.push(Path::single(v));
+            paths.push(single);
             for path in pool {
                 assert_eq!(path.ter(), v, "pooled path must end at its terminal");
                 assert!(path.is_valid_in(graph), "pooled path invalid in graph");
                 if !path.is_empty() {
-                    paths.push(path.clone());
+                    paths.push(path);
                 }
             }
             assert!(paths.len() <= NO_EXT as usize, "path population exceeds u32 ids");
@@ -198,11 +202,11 @@ impl PathIndex {
             by_terminal.push((first..paths.len()).map(|id| PathId(id as u32)).collect());
         }
 
-        let node_sets: Vec<NodeSet> = paths.iter().map(Path::node_set).collect();
-        let inits: Vec<NodeId> = paths.iter().map(Path::init).collect();
-        let ters: Vec<NodeId> = paths.iter().map(Path::ter).collect();
+        let node_sets: Vec<NodeSet> = paths.iter().map(|p| p.node_set()).collect();
+        let inits: Vec<NodeId> = paths.iter().map(|p| p.init()).collect();
+        let ters: Vec<NodeId> = paths.iter().map(|p| p.ter()).collect();
         let lens: Vec<u32> = paths.iter().map(|p| p.node_count() as u32).collect();
-        let simple: Vec<bool> = paths.iter().map(Path::is_simple).collect();
+        let simple: Vec<bool> = paths.iter().map(|p| p.is_simple()).collect();
         let simple_by_terminal: Vec<Vec<PathId>> = by_terminal
             .iter()
             .map(|pool| pool.iter().copied().filter(|id| simple[id.index()]).collect())
@@ -265,7 +269,6 @@ impl PathIndex {
 
         PathIndex {
             out,
-            paths,
             node_sets,
             inits,
             ters,
@@ -286,21 +289,21 @@ impl PathIndex {
     /// Number of interned paths.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.ters.len()
     }
 
     /// Returns `true` if nothing is interned (never happens for a built
     /// index: trivial paths are always present).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.ters.is_empty()
     }
 
     /// Returns `true` if `id` refers to an interned path. This is the
     /// validation gate for ids arriving on the wire.
     #[must_use]
     pub fn contains_id(&self, id: PathId) -> bool {
-        id.index() < self.paths.len()
+        id.index() < self.ters.len()
     }
 
     /// Resolves an explicit node sequence to its id, or `None` for paths
@@ -318,12 +321,6 @@ impl PathIndex {
             return None;
         }
         nodes[1..].iter().try_fold(self.trivial(nodes[0]), |id, &w| self.extend(id, w))
-    }
-
-    /// The interned path (for wire egress, debugging, DOT output).
-    #[must_use]
-    pub fn path(&self, id: PathId) -> &Path {
-        &self.paths[id.index()]
     }
 
     /// The path's node-set bitmask.
@@ -505,6 +502,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::paths::{redundant_paths_ending_at, simple_paths_ending_at, PathBudget};
+    use crate::GraphError;
 
     /// Two bridged K3s: directed, non-complete, population small enough
     /// to check exhaustively in debug builds (the full figure-1b(small)
@@ -513,28 +511,55 @@ mod tests {
         generators::two_cliques_bridged(3, &[(0, 0)], &[(2, 2)])
     }
 
-    fn build(graph: &Digraph) -> PathIndex {
-        let pools: Vec<Vec<Path>> = graph
+    type Enumerate = fn(&Digraph, NodeId, NodeSet, PathBudget) -> Result<Vec<Path>, GraphError>;
+
+    /// One pool per terminal of `graph`, from `enumerate`.
+    fn pools_of(graph: &Digraph, enumerate: Enumerate) -> Vec<Vec<Path>> {
+        graph
             .nodes()
-            .map(|v| {
-                redundant_paths_ending_at(graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap()
+            .map(|v| enumerate(graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap())
+            .collect()
+    }
+
+    fn build(graph: &Digraph) -> PathIndex {
+        PathIndex::build(graph, &pools_of(graph, redundant_paths_ending_at))
+    }
+
+    /// The paths `PathIndex::build` interns from `pools`, in id order: per
+    /// terminal `v`, first `⟨v⟩`, then the pool's non-trivial paths in pool
+    /// order.
+    fn in_id_order(pools: &[Vec<Path>]) -> Vec<Path> {
+        pools
+            .iter()
+            .enumerate()
+            .flat_map(|(v, pool)| {
+                std::iter::once(Path::single(NodeId::new(v)))
+                    .chain(pool.iter().filter(|p| !p.is_empty()).cloned())
             })
-            .collect();
+            .collect()
+    }
+
+    /// Builds over trivial-only pools, except `pools[v] = pool`.
+    fn build_with(graph: &Digraph, v: usize, pool: &[&[usize]]) -> PathIndex {
+        let mut pools: Vec<Vec<Path>> = graph.nodes().map(|v| vec![Path::single(v)]).collect();
+        pools[v] = pool.iter().map(|seq| Path::from_indices(seq).unwrap()).collect();
         PathIndex::build(graph, &pools)
     }
 
     #[test]
     fn round_trip_over_full_population() {
         for graph in [generators::clique(4), small_bridged()] {
-            let index = build(&graph);
+            let pools = pools_of(&graph, redundant_paths_ending_at);
+            let index = PathIndex::build(&graph, &pools);
+            let paths = in_id_order(&pools);
             assert!(!index.is_empty());
-            // Path -> id -> Path is the identity over everything interned,
-            // and the metadata matches the owned path's own answers.
-            for raw in 0..index.len() as u32 {
-                let id = PathId::from_raw(raw);
+            assert_eq!(index.len(), paths.len());
+            // Every interned path resolves to its own id, and the metadata
+            // matches the owned path's own answers.
+            for (raw, path) in paths.iter().enumerate() {
+                let id = PathId::from_raw(raw as u32);
                 assert!(index.contains_id(id));
-                let path = index.path(id).clone();
-                assert_eq!(index.resolve(&path), Some(id), "{path}");
+                assert_eq!(index.resolve(path), Some(id), "{path}");
                 assert_eq!(index.node_set(id), path.node_set());
                 assert_eq!(index.init(id), path.init());
                 assert_eq!(index.ter(id), path.ter());
@@ -544,19 +569,15 @@ mod tests {
                 assert!(path.is_valid_in(&graph));
             }
             // Every enumerated path is present, with no duplicates.
+            let simple = pools_of(&graph, simple_paths_ending_at);
             for v in graph.nodes() {
-                let direct =
-                    redundant_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default())
-                        .unwrap();
+                let direct = &pools[v.index()];
                 assert_eq!(direct.len(), index.paths_ending_at(v).len());
-                for p in &direct {
+                for p in direct {
                     let id = index.resolve(p).expect("enumerated path interned");
                     assert!(index.paths_ending_at(v).contains(&id));
                 }
-                let simple =
-                    simple_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default())
-                        .unwrap();
-                assert_eq!(simple.len(), index.simple_paths_ending_at(v).len());
+                assert_eq!(simple[v.index()].len(), index.simple_paths_ending_at(v).len());
             }
         }
     }
@@ -564,20 +585,21 @@ mod tests {
     #[test]
     fn extend_table_agrees_with_owned_path_extension() {
         for graph in [generators::clique(4), small_bridged()] {
-            let index = build(&graph);
-            for raw in 0..index.len() as u32 {
-                let id = PathId::from_raw(raw);
-                let path = index.path(id).clone();
+            let pools = pools_of(&graph, redundant_paths_ending_at);
+            let index = PathIndex::build(&graph, &pools);
+            let paths = in_id_order(&pools);
+            for (raw, path) in paths.iter().enumerate() {
+                let id = PathId::from_raw(raw as u32);
                 for w in graph.nodes() {
                     let expected = if graph.has_edge(path.ter(), w) {
                         path.extended(w).ok().filter(|e| e.is_redundant())
                     } else {
                         None
                     };
-                    let got = index.extend(id, w).map(|e| index.path(e).clone());
+                    let got = index.extend(id, w).map(|e| paths[e.index()].clone());
                     assert_eq!(got, expected, "extend({path}, {w})");
                     // extend_simple additionally demands simplicity.
-                    let got_simple = index.extend_simple(id, w).map(|e| index.path(e).clone());
+                    let got_simple = index.extend_simple(id, w).map(|e| paths[e.index()].clone());
                     assert_eq!(got_simple, expected.filter(Path::is_simple));
                 }
             }
@@ -613,16 +635,12 @@ mod tests {
     fn simple_population_round_trips_through_resolve() {
         // The crash protocol's index: simple paths only.
         let graph = small_bridged();
-        let pools: Vec<Vec<Path>> = graph
-            .nodes()
-            .map(|v| {
-                simple_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap()
-            })
-            .collect();
+        let pools = pools_of(&graph, simple_paths_ending_at);
         let index = PathIndex::build(&graph, &pools);
-        for raw in 0..index.len() as u32 {
-            let id = PathId::from_raw(raw);
-            assert_eq!(index.resolve(index.path(id)), Some(id));
+        let paths = in_id_order(&pools);
+        assert_eq!(index.len(), paths.len());
+        for (raw, path) in paths.iter().enumerate() {
+            assert_eq!(index.resolve(path), Some(PathId::from_raw(raw as u32)), "{path}");
         }
         // A redundant but non-simple sequence is outside this population.
         assert_eq!(index.resolve(&Path::from_indices(&[0, 1, 0]).unwrap()), None);
@@ -631,12 +649,7 @@ mod tests {
     #[test]
     fn trivial_path_listed_in_its_own_pool_is_interned_once() {
         let graph = generators::clique(3);
-        let pools: Vec<Vec<Path>> = graph
-            .nodes()
-            .map(|v| {
-                simple_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap()
-            })
-            .collect();
+        let pools = pools_of(&graph, simple_paths_ending_at);
         assert!(graph.nodes().all(|v| pools[v.index()].contains(&Path::single(v))));
         let index = PathIndex::build(&graph, &pools);
         assert_eq!(index.len(), pools.iter().map(Vec::len).sum::<usize>());
@@ -649,22 +662,38 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate pooled path")]
     fn duplicated_pooled_path_panics() {
-        let graph = generators::clique(3);
-        let mut pools: Vec<Vec<Path>> = graph.nodes().map(|v| vec![Path::single(v)]).collect();
-        pools[1] = vec![Path::from_indices(&[0, 1]).unwrap(), Path::from_indices(&[0, 1]).unwrap()];
-        let _ = PathIndex::build(&graph, &pools);
+        build_with(&generators::clique(3), 1, &[&[0, 1], &[0, 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pooled path must end at its terminal")]
+    fn pooled_path_at_another_terminal_panics() {
+        build_with(&generators::clique(3), 1, &[&[1], &[0, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pooled path invalid in graph")]
+    fn pooled_path_over_a_non_edge_panics() {
+        build_with(&generators::directed_path(3), 0, &[&[0], &[1, 0]]); // only 0 → 1 → 2
+    }
+
+    #[test]
+    #[should_panic(expected = "pooled path invalid in graph")]
+    fn pooled_path_through_a_node_outside_the_graph_panics() {
+        build_with(&generators::clique(3), 1, &[&[1], &[7, 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one-step prefix of an interned path is interned")]
+    fn pooled_path_without_its_prefix_panics() {
+        // ⟨0,1,2⟩ is pooled at 2, but its prefix ⟨0,1⟩ is not pooled at 1.
+        build_with(&generators::clique(3), 2, &[&[2], &[1, 2], &[0, 1, 2]]);
     }
 
     #[test]
     fn trivial_paths_always_interned() {
         let graph = generators::directed_path(4); // sparse: tiny pools
-        let pools: Vec<Vec<Path>> = graph
-            .nodes()
-            .map(|v| {
-                simple_paths_ending_at(&graph, v, NodeSet::EMPTY, PathBudget::default()).unwrap()
-            })
-            .collect();
-        let index = PathIndex::build(&graph, &pools);
+        let index = PathIndex::build(&graph, &pools_of(&graph, simple_paths_ending_at));
         for v in graph.nodes() {
             let t = index.trivial(v);
             assert!(index.is_trivial(t));
@@ -794,11 +823,11 @@ mod tests {
     #[test]
     fn bitmask_operations_match_path_semantics() {
         let graph = generators::clique(4);
-        let index = build(&graph);
+        let pools = pools_of(&graph, redundant_paths_ending_at);
+        let index = PathIndex::build(&graph, &pools);
         let set: NodeSet = [NodeId::new(1), NodeId::new(3)].into_iter().collect();
-        for raw in 0..index.len() as u32 {
-            let id = PathId::from_raw(raw);
-            let path = index.path(id);
+        for (raw, path) in in_id_order(&pools).iter().enumerate() {
+            let id = PathId::from_raw(raw as u32);
             assert_eq!(index.intersects(id, set), path.intersects(set));
             assert_eq!(index.is_within(id, set), path.is_within(set));
         }

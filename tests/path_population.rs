@@ -2,6 +2,12 @@
 //! path class, the number of interned paths and an FNV-1a 64 digest over
 //! every id in order.
 //!
+//! The index keeps no path sequences, so the test rebuilds them from its
+//! own pools in id order: per terminal `v`, first `⟨v⟩`, then the pool's
+//! non-trivial paths in pool order. Each of them must `resolve` to exactly
+//! its position, and `len()` must equal their count, so the digest pins
+//! the ids the index actually assigned.
+//!
 //! The digest starts at `0xcbf29ce484222325` and, for each id, folds in the
 //! path's node count and then each node index, every value as a `u64` in
 //! little-endian bytes, with prime `0x100000001b3`. It covers the id
@@ -28,15 +34,22 @@ fn population(g: &Digraph, enumerate: Enumerate) -> (usize, u64) {
         .map(|v| enumerate(g, v, NodeSet::EMPTY, PathBudget::default()).expect("in budget"))
         .collect();
     let index = PathIndex::build(g, &pools);
+    let trivial: Vec<Path> = g.nodes().map(Path::single).collect();
+    let in_id_order = pools.iter().zip(&trivial).flat_map(|(pool, single)| {
+        std::iter::once(single).chain(pool.iter().filter(|p| !p.is_empty()))
+    });
     let mut hash = 0xCBF2_9CE4_8422_2325_u64;
-    for raw in 0..index.len() as u32 {
-        let path = index.path(PathId::from_raw(raw));
+    let mut count = 0;
+    for (raw, path) in in_id_order.enumerate() {
+        assert_eq!(index.resolve(path), Some(PathId::from_raw(raw as u32)), "{path}");
         fnv(&mut hash, path.node_count() as u64);
         for v in path.nodes() {
             fnv(&mut hash, v.index() as u64);
         }
+        count += 1;
     }
-    (index.len(), hash)
+    assert_eq!(index.len(), count, "every interned id is accounted for");
+    (count, hash)
 }
 
 fn assert_pinned(g: &Digraph, redundant: (usize, u64), simple: (usize, u64)) {
