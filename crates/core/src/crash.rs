@@ -163,40 +163,27 @@ impl CrashNode {
         self.output.is_some()
     }
 
-    fn new_round(&self) -> CrashRound {
-        // Per-guess requirement counts: the node-lifetime census computed
-        // once in `new` — a round allocates one cloned counter vector.
-        CrashRound {
-            started: false,
-            fired: false,
-            values: MessageSet::new(),
-            remaining: self.census.clone(),
-        }
-    }
-
     fn begin_round(&mut self, round: u32, ctx: &mut Context<CrashMsg>) {
         let value = self.x[round as usize];
         let path = self.topo.index.trivial(self.me);
         for w in ctx.out_neighbors().iter() {
             ctx.send(w, CrashMsg { round, value, path });
         }
-        // Do not clobber state created by early-arriving buffered messages.
-        if !self.rounds.contains_key(&round) {
-            let r = self.new_round();
-            self.rounds.insert(round, r);
-        }
         self.record(round, path, value, ctx);
     }
 
     fn record(&mut self, round: u32, stored: PathId, value: f64, ctx: &mut Context<CrashMsg>) {
         let index = &self.topo.index;
-        let core = match self.rounds.get_mut(&round) {
-            Some(c) => c,
-            None => {
-                let fresh = self.new_round();
-                self.rounds.entry(round).or_insert(fresh)
-            }
-        };
+        // The round opens at its first recorded path (the node's own, or
+        // an early arrival). Every stored path ends at `me`, so the history
+        // covers `me`'s id block only; the per-guess requirement counts are
+        // the node-lifetime census, cloned.
+        let core = self.rounds.entry(round).or_insert_with(|| CrashRound {
+            started: false,
+            fired: false,
+            values: MessageSet::for_block(index.terminal_word_range(self.me)),
+            remaining: self.census.clone(),
+        });
         if !core.values.insert(stored, value) {
             return;
         }
@@ -504,6 +491,25 @@ mod tests {
 
         assert_eq!(ctx.pending(), 0, "forgeries must not relay");
         assert_eq!(node.rounds.get(&0).unwrap().values.len(), before);
+    }
+
+    #[test]
+    fn round_history_stays_in_the_nodes_block() {
+        // K5: 65 simple paths per terminal, so node 0's block and node 4's
+        // block lie in different id words.
+        let g = generators::clique(5);
+        let topo = Arc::new(CrashTopology::new(g.clone(), 1, PathBudget::default()).unwrap());
+        let index = topo.index();
+        let block = index.terminal_word_range(id(0));
+        let foreign = index.trivial(id(4));
+        assert!(!block.contains(&(foreign.index() / 64)), "node 4's ids lie past node 0's words");
+
+        let mut node = CrashNode::new(Arc::clone(&topo), id(0), 5.0, 0.5, (0.0, 8.0));
+        let mut ctx = Context::new(id(0), g.out_neighbors(id(0)));
+        node.on_start(&mut ctx);
+        let round0 = node.rounds.get_mut(&0).unwrap();
+        assert!(!round0.values.insert(foreign, 1.0), "an id from node 4's block is refused");
+        assert_eq!(round0.values.len(), 1, "only ⟨0⟩ is recorded");
     }
 
     #[test]

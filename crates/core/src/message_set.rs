@@ -42,12 +42,13 @@
 //!
 //! # Wire form
 //!
-//! The columnar layout is an in-memory representation only. On the wire
-//! (serde) a message set travels as the sparse `(PathId, f64)` entry list
-//! in id order — the same canonical form [`CompletePayload`] uses — so the
-//! representation can change without breaking wire compatibility. The
-//! container-level `from`/`into` attributes route (de)serialization
-//! through the sparse form.
+//! The columnar layout is an in-memory representation only, and a node
+//! never sends a message set. The bytes a node sends come from
+//! [`crate::wire`]'s hand-rolled codec: a `COMPLETE` carries its
+//! [`CompletePayload`] as the sparse `(PathId, f64)` entry list in id
+//! order. The serde derives name the same sparse form through their
+//! container-level `from`/`into` attributes, but the workspace's serde
+//! shim is marker-only and produces no bytes.
 //!
 //! # Reference implementation
 //!
@@ -304,24 +305,25 @@ impl FromIterator<(PathId, f64)> for MessageSet {
     }
 }
 
-/// Wire ingress: the sparse entry-list form (duplicate paths keep the
-/// first value, as everywhere else).
+/// Builds a set from the sparse entry-list form the serde attributes name
+/// (duplicate paths keep the first value, as everywhere else). No runtime
+/// path feeds it peer bytes: [`crate::wire`] decodes payloads, not sets.
 ///
 /// Trust boundary: this impl cannot see a [`PathIndex`], so it cannot
 /// validate ids — and the set it builds grows from id 0, so memory is
 /// proportional to the *highest* id in the list, not the entry count.
-/// Deserialized bytes from an untrusted peer must be id-validated
-/// (`PathIndex::contains_id`) *before* a set is materialized from them,
-/// exactly as the protocol's validation boundary already does for every
-/// wire path; a set built from unvalidated ids can also panic later inside
-/// the index-based operations.
+/// Entries from an untrusted source must be id-validated
+/// (`PathIndex::contains_id`) *before* a set is built from them, exactly
+/// as the protocol's validation boundary already does for every wire path;
+/// a set built from unvalidated ids can also panic later inside the
+/// index-based operations.
 impl From<Vec<(PathId, f64)>> for MessageSet {
     fn from(entries: Vec<(PathId, f64)>) -> Self {
         entries.into_iter().collect()
     }
 }
 
-/// Wire egress: the sparse entry list in canonical id order.
+/// The sparse entry-list form, in canonical id order.
 impl From<MessageSet> for Vec<(PathId, f64)> {
     fn from(m: MessageSet) -> Self {
         m.iter().collect()

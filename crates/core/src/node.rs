@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// after its own output is fixed — peers' liveness depends on it.
 pub struct HonestNode {
     topo: Arc<Topology>,
-    plan: Arc<NodePlan>,
+    plan: NodePlan,
     config: ProtocolConfig,
     me: NodeId,
     x: Vec<f64>,
@@ -30,9 +30,8 @@ pub struct HonestNode {
     /// Keyed partly by the payload fingerprint (Byzantine-influenced), so
     /// this uses the seeded default hasher, not `FastHashSet`.
     seen_completes: HashSet<(PathId, u64, u64)>,
-    /// The node's reusable witness scratch columns, shared by every
-    /// round's FIFO-Receive-All bitmaps (allocated once, recycled as
-    /// witnesses complete).
+    /// The node's witness-progress tally (FRA marks, witness
+    /// completions), drained into `live` after every activation.
     scratch: WitnessScratch,
     output: Option<f64>,
     /// Live-registry handle: protocol progress (rounds, MC firings,
@@ -44,7 +43,7 @@ impl HonestNode {
     /// Creates a node with the given input value.
     #[must_use]
     pub fn new(topo: Arc<Topology>, config: ProtocolConfig, me: NodeId, input: f64) -> Self {
-        let plan = Arc::new(NodePlan::new(&topo, me));
+        let plan = NodePlan::new(&topo, me);
         HonestNode {
             topo,
             plan,
@@ -120,10 +119,9 @@ impl HonestNode {
         for (to, msg) in flood::initial_flood(&self.topo, self.me, round, value) {
             ctx.send(to, msg);
         }
-        let topo = Arc::clone(&self.topo);
-        let plan = Arc::clone(&self.plan);
-        let core = self.rounds.entry(round).or_insert_with(|| RoundCore::new(&topo, &plan));
-        core.start(value, &topo, &plan, &mut self.scratch)
+        let (topo, plan) = (&self.topo, &self.plan);
+        let core = self.rounds.entry(round).or_insert_with(|| RoundCore::new(topo, plan));
+        core.start(value, topo, plan, &mut self.scratch)
     }
 
     fn execute(&mut self, ctx: &mut Context<ProtocolMsg>, round: Round, initial: Vec<RoundAction>) {
@@ -145,17 +143,15 @@ impl HonestNode {
                     // Self-delivery over the trivial path (the node is its
                     // own witness: reach_v(F̄) always contains v).
                     let fp = payload.fingerprint();
-                    let topo = Arc::clone(&self.topo);
-                    let plan = Arc::clone(&self.plan);
                     let core = self.rounds.get_mut(&r).expect("round exists when MC fires");
                     let acts = core.add_fifo_delivery(
                         self.me,
-                        topo.index().trivial(self.me),
+                        self.topo.index().trivial(self.me),
                         guess,
                         &payload,
                         fp,
-                        &topo,
-                        &plan,
+                        &self.topo,
+                        &self.plan,
                         &mut self.scratch,
                     );
                     queue.extend(acts.into_iter().map(|a| (r, a)));
@@ -192,10 +188,9 @@ impl HonestNode {
         let Some(stored) = validate_flood(&self.topo, self.me, from, path) else {
             return;
         };
-        let topo = Arc::clone(&self.topo);
-        let plan = Arc::clone(&self.plan);
-        let core = self.rounds.entry(round).or_insert_with(|| RoundCore::new(&topo, &plan));
-        let (fresh, actions) = core.add_flood(stored, value, &topo, &plan, &mut self.scratch);
+        let (topo, plan) = (&self.topo, &self.plan);
+        let core = self.rounds.entry(round).or_insert_with(|| RoundCore::new(topo, plan));
+        let (fresh, actions) = core.add_flood(stored, value, topo, plan, &mut self.scratch);
         if !fresh {
             return;
         }
@@ -244,17 +239,16 @@ impl HonestNode {
             if d.round >= self.config.rounds {
                 continue;
             }
-            let topo = Arc::clone(&self.topo);
-            let plan = Arc::clone(&self.plan);
-            let core = self.rounds.entry(d.round).or_insert_with(|| RoundCore::new(&topo, &plan));
+            let (topo, plan) = (&self.topo, &self.plan);
+            let core = self.rounds.entry(d.round).or_insert_with(|| RoundCore::new(topo, plan));
             let actions = core.add_fifo_delivery(
                 d.initiator,
                 d.path,
                 d.suspects,
                 &d.payload,
                 d.fingerprint,
-                &topo,
-                &plan,
+                topo,
+                plan,
                 &mut self.scratch,
             );
             self.execute(ctx, d.round, actions);

@@ -9,9 +9,10 @@
 //!   simple paths in the ablation — interned into a [`PathIndex`], so the
 //!   protocol stack speaks dense [`PathId`]s instead of owned paths;
 //! * reach sets `reach_v(F)` for every guess;
-//! * source components `S_{F1,F2}` for every silenced union `|·| ≤ 2f`;
 //! * per guess `F_u`, the deduplicated Completeness obligations
-//!   `(S_{F_u,F_w}, q)` of Algorithm 2.
+//!   `(S_{F_u,F_w}, q)` of Algorithm 2, from the source components of
+//!   every silenced union `|·| ≤ 2f` (computed during construction, not
+//!   kept).
 //!
 //! The enumeration and reach passes are embarrassingly parallel and run
 //! across all cores ([`dbac_graph::par::par_map`]). Everything is immutable
@@ -36,8 +37,6 @@ pub struct Topology {
     guesses: Vec<NodeSet>,
     /// Guess → per-node reach sets.
     reach: HashMap<NodeSet, Vec<NodeSet>>,
-    /// Silenced set (size ≤ 2f) → source component.
-    sources: HashMap<NodeSet, NodeSet>,
     /// Guess (the `F_u`) → deduplicated `(S_{F_u,F_w}, q)` pairs.
     obligations: HashMap<NodeSet, Vec<(NodeSet, NodeId)>>,
 }
@@ -103,7 +102,7 @@ impl Topology {
             obligations.insert(fu, pairs);
         }
 
-        Ok(Topology { graph, f, index, guesses, reach, sources, obligations })
+        Ok(Topology { graph, f, index, guesses, reach, obligations })
     }
 
     /// The network.
@@ -153,16 +152,6 @@ impl Topology {
         self.reach.get(&guess).expect("guess was enumerated")[v.index()]
     }
 
-    /// `S_{F1,F2}` — precomputed for every silenced union of size ≤ 2f.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `|F1 ∪ F2| > 2f`.
-    #[must_use]
-    pub fn source_component(&self, f1: NodeSet, f2: NodeSet) -> NodeSet {
-        *self.sources.get(&(f1 | f2)).expect("silenced union within 2f")
-    }
-
     /// Algorithm 2's obligation list for suspect set `F_u`: the
     /// deduplicated `(S_{F_u,F_w}, q ∈ S)` pairs over all `F_w ≠ F_u`.
     ///
@@ -179,10 +168,6 @@ impl Topology {
 mod tests {
     use super::*;
     use dbac_graph::generators;
-
-    fn id(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
 
     fn topo(g: Digraph, f: usize) -> Topology {
         crate::test_support::topo_of(g, f, FloodMode::Redundant)
@@ -257,13 +242,28 @@ mod tests {
 
     #[test]
     fn source_components_match_direct_computation() {
-        let t = topo(generators::clique(5), 1);
-        let f1 = NodeSet::singleton(id(0));
-        let f2 = NodeSet::singleton(id(2));
-        assert_eq!(
-            t.source_component(f1, f2),
-            dbac_conditions::reduced::source_component(t.graph(), f1, f2)
-        );
+        // The obligations of `F_u` cover exactly the non-empty components
+        // `S_{F_u,F_w}`, `F_w ≠ F_u`, each with all of its nodes.
+        for g in [generators::clique(5), generators::figure_1a()] {
+            let t = topo(g, 1);
+            for &fu in t.guesses() {
+                let direct: HashSet<NodeSet> = t
+                    .guesses()
+                    .iter()
+                    .filter(|&&fw| fw != fu)
+                    .map(|&fw| dbac_conditions::reduced::source_component(t.graph(), fu, fw))
+                    .filter(|s| !s.is_empty())
+                    .collect();
+                let obs = t.completeness_obligations(fu);
+                let listed: HashSet<NodeSet> = obs.iter().map(|&(s, _)| s).collect();
+                assert_eq!(listed, direct, "F_u = {fu:?}");
+                for &s in &listed {
+                    let qs: NodeSet =
+                        obs.iter().filter(|&&(c, _)| c == s).map(|&(_, q)| q).collect();
+                    assert_eq!(qs, s, "F_u = {fu:?}: one obligation per node of {s:?}");
+                }
+            }
+        }
     }
 
     #[test]

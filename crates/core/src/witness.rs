@@ -60,16 +60,14 @@
 //! one per arrival would be thousands.
 //!
 //! Per-round state is therefore plain counters, bitmaps and buckets, sized
-//! to what the round still reads. [`RoundCore::new`] allocates nothing;
-//! the first flood/start materializes the thread state and the history
-//! `M_v`, whose columns cover only the node's own terminal id block. The
-//! FRA bitmaps are drawn from a [`WitnessScratch`] column pool owned by
-//! the node (allocated once in `HonestNode`, recycled as witnesses
-//! complete) instead of re-allocating hash maps in every round. Once the
-//! round fires, `nextround` means Completeness is never consulted again:
-//! the buckets, trackers and waiters are released, and only what
-//! Maximal-Consistency detection still reads (the history and the census)
-//! stays.
+//! to what the round still reads. [`RoundCore::new`] builds all of it when
+//! the round opens: one thread per guess, and the history `M_v`, whose
+//! columns cover only the node's own terminal id block. An FRA bitmap is
+//! allocated when a fingerprint first arrives for a witness, and dropped
+//! when the witness completes. Once the round fires, `nextround` means
+//! Completeness is never consulted again: the in-flight bitmaps, buckets,
+//! trackers and waiters are released, and only what Maximal-Consistency
+//! detection still reads (the history and the census) stays.
 //!
 //! The pre-mask, counter-based implementation survives as test code
 //! (`tests/oracles/witness.rs`), driven through identical flood/COMPLETE
@@ -343,14 +341,11 @@ pub enum RoundAction {
     },
 }
 
-/// The reusable scratch column set of one node: a pool of FRA slot
-/// columns shared by every round's witness threads. Allocated once (in
-/// `HonestNode`), handed to [`RoundCore::add_fifo_delivery`], and refilled
-/// as witnesses complete — per-round state machines allocate no hash maps
-/// and no per-round column storage of their own.
+/// The node's witness-progress tally: counters that every round's
+/// [`RoundCore::add_fifo_delivery`] bumps, and that the node drains into
+/// its stats handle after each activation.
 #[derive(Debug, Default)]
 pub struct WitnessScratch {
-    columns: Vec<Vec<u64>>,
     /// Fresh FRA `(path, fingerprint)` marks recorded since the owner
     /// last drained this counter into its stats handle.
     pub fra_marks: u64,
@@ -360,49 +355,17 @@ pub struct WitnessScratch {
 }
 
 impl WitnessScratch {
-    /// Creates an empty pool.
+    /// Creates a zeroed tally.
     #[must_use]
     pub fn new() -> Self {
         WitnessScratch::default()
     }
-
-    /// Takes a zeroed column of `words` words from the pool (allocating
-    /// only when the pool is dry).
-    fn take_column(&mut self, words: usize) -> Vec<u64> {
-        match self.columns.pop() {
-            Some(mut col) => {
-                col.clear();
-                col.resize(words, 0);
-                col
-            }
-            None => vec![0u64; words],
-        }
-    }
-
-    /// Pool size cap: safely above the honest high-water mark (in-flight
-    /// columns ≈ active rounds × guesses × witnesses), so a Byzantine
-    /// distinct-fingerprint burst cannot pin its peak allocation in the
-    /// pool for the node's lifetime.
-    const MAX_POOLED: usize = 256;
-
-    /// Returns a column to the pool (dropped once the pool is full).
-    fn recycle(&mut self, col: Vec<u64>) {
-        if self.columns.len() < Self::MAX_POOLED {
-            self.columns.push(col);
-        }
-    }
-
-    /// Number of pooled columns (observability for tests).
-    #[must_use]
-    pub fn pooled(&self) -> usize {
-        self.columns.len()
-    }
 }
 
 /// Per-guess witness-thread state: plain counters — every requirement is a
-/// countdown of a precomputed mask popcount.
+/// countdown of a precomputed mask popcount. Thread `i` runs guess `i` of
+/// the [`NodePlan`].
 struct ThreadState {
-    plan_idx: usize,
     /// Avoiding-pool paths not yet reported; MC can fire when this hits 0.
     flood_remaining: usize,
     mc_fired: bool,
@@ -425,8 +388,7 @@ struct FraState {
 
 struct FpProgress {
     remaining: usize,
-    /// Slot bitmap of the delivery paths seen under this fingerprint —
-    /// a column borrowed from the node's [`WitnessScratch`].
+    /// Slot bitmap of the delivery paths seen under this fingerprint.
     seen: Vec<u64>,
 }
 
@@ -481,12 +443,6 @@ impl<V> SpillSlots<V> {
             }
         };
         &mut self.entries[i].1
-    }
-
-    /// Takes every slot, leaving the container empty (index dropped).
-    fn take_entries(&mut self) -> Vec<(u64, V)> {
-        self.index = None;
-        std::mem::take(&mut self.entries)
     }
 
     /// Test observability: whether any slot is live.
@@ -568,11 +524,8 @@ pub struct RoundCore {
     /// degrades to the seeded hash map, not to a linear scan. Released
     /// when the round fires.
     per_init_paths: Vec<SpillSlots<DistinctSets>>,
-    /// Witness threads; empty until the first flood/start materializes
-    /// them (rounds that only ever see late COMPLETE witnesses after
-    /// firing never pay for construction).
+    /// Witness threads, parallel to the plan's guesses.
     threads: Vec<ThreadState>,
-    threads_ready: bool,
     trackers: Vec<CompletenessTracker>,
     // The maps below key on value bits or payload fingerprints — bytes a
     // Byzantine sender chooses — so they use the seeded default hasher.
@@ -582,44 +535,16 @@ pub struct RoundCore {
 }
 
 impl RoundCore {
-    /// Creates the round state for node `me`. O(1): thread state is
-    /// constructed lazily on first use, and even then holds only counters
-    /// (the plan owns every mask).
+    /// Opens the round for node `me`: one thread of counters per guess
+    /// (the plan owns every mask), and a history pinned to the node's own
+    /// terminal id block.
     #[must_use]
     pub fn new(topo: &Topology, plan: &NodePlan) -> Self {
-        RoundCore {
-            me: plan.me,
-            n: topo.graph().node_count(),
-            f: topo.f(),
-            started: false,
-            fired: false,
-            mset: MessageSet::new(),
-            value_by_init: Vec::new(),
-            dirty: NodeSet::EMPTY,
-            per_init_paths: Vec::new(),
-            threads: Vec::new(),
-            threads_ready: false,
-            trackers: Vec::new(),
-            tracker_index: HashMap::new(),
-            waiters: HashMap::new(),
-        }
-    }
-
-    /// Materializes the witness threads (idempotent).
-    fn ensure_threads(&mut self, plan: &NodePlan) {
-        if self.threads_ready {
-            return;
-        }
-        self.threads_ready = true;
-        self.mset = MessageSet::for_block(plan.word_base..plan.word_base + plan.mask_words);
-        self.value_by_init = vec![None; plan.node_count()];
-        self.per_init_paths = (0..plan.node_count()).map(|_| SpillSlots::new()).collect();
-        self.threads = plan
+        let n = plan.node_count();
+        let threads = plan
             .guesses
             .iter()
-            .enumerate()
-            .map(|(i, g)| ThreadState {
-                plan_idx: i,
+            .map(|g| ThreadState {
                 flood_remaining: g.flood_required,
                 mc_fired: false,
                 mc_dead: false,
@@ -632,6 +557,21 @@ impl RoundCore {
                 relevant_trackers: Vec::new(),
             })
             .collect();
+        RoundCore {
+            me: plan.me,
+            n,
+            f: topo.f(),
+            started: false,
+            fired: false,
+            mset: MessageSet::for_block(plan.word_base..plan.word_base + plan.mask_words),
+            value_by_init: vec![None; n],
+            dirty: NodeSet::EMPTY,
+            per_init_paths: (0..n).map(|_| SpillSlots::new()).collect(),
+            threads,
+            trackers: Vec::new(),
+            tracker_index: HashMap::new(),
+            waiters: HashMap::new(),
+        }
     }
 
     /// Whether the node has begun this round (own value recorded).
@@ -659,14 +599,14 @@ impl RoundCore {
         value: f64,
         topo: &Topology,
         plan: &NodePlan,
-        scratch: &mut WitnessScratch,
+        _scratch: &mut WitnessScratch,
     ) -> Vec<RoundAction> {
         debug_assert!(!self.started, "round started twice");
         self.started = true;
         let mut actions = Vec::new();
         let fresh = self.ingest(topo.index().trivial(self.me), value, topo, plan, &mut actions);
         debug_assert!(fresh, "the trivial path opens the round");
-        self.check_progress(topo, plan, scratch, &mut actions);
+        self.check_progress(topo, plan, &mut actions);
         actions
     }
 
@@ -679,13 +619,13 @@ impl RoundCore {
         value: f64,
         topo: &Topology,
         plan: &NodePlan,
-        scratch: &mut WitnessScratch,
+        _scratch: &mut WitnessScratch,
     ) -> (bool, Vec<RoundAction>) {
         let mut actions = Vec::new();
         if !self.ingest(stored, value, topo, plan, &mut actions) {
             return (false, actions);
         }
-        self.check_progress(topo, plan, scratch, &mut actions);
+        self.check_progress(topo, plan, &mut actions);
         (true, actions)
     }
 
@@ -702,7 +642,6 @@ impl RoundCore {
         plan: &NodePlan,
         actions: &mut Vec<RoundAction>,
     ) -> bool {
-        self.ensure_threads(plan);
         if !self.mset.insert(stored, value) {
             debug_assert!(self.mset.contains_path(stored), "stored paths end at me");
             return false;
@@ -761,11 +700,10 @@ impl RoundCore {
         // arrival that completes a pool, and only over the initiators the
         // global census flagged as equivocating.
         let (word, bit) = plan.mask_bit_of(stored);
-        for thread in &mut self.threads {
+        for (g, (thread, gp)) in self.threads.iter_mut().zip(&plan.guesses).enumerate() {
             if thread.mc_fired || thread.mc_dead {
                 continue;
             }
-            let gp = &plan.guesses[thread.plan_idx];
             if gp.avoid_words[word] & bit == 0 {
                 continue;
             }
@@ -775,15 +713,11 @@ impl RoundCore {
             }
             // Pool complete: scan the dirty initiators' slices (clean
             // initiators cannot break consistency of a sub-history).
-            let consistent = self
-                .dirty
-                .iter()
-                .all(|q| plan.initiator_consistent(thread.plan_idx, q, &self.mset));
+            let consistent = self.dirty.iter().all(|q| plan.initiator_consistent(g, q, &self.mset));
             if consistent {
                 thread.mc_fired = true;
-                let payload = Arc::new(CompletePayload::from_entries(
-                    plan.gather_avoiding(thread.plan_idx, &self.mset),
-                ));
+                let payload =
+                    Arc::new(CompletePayload::from_entries(plan.gather_avoiding(g, &self.mset)));
                 actions.push(RoundAction::FloodComplete { guess: gp.guess, payload });
             } else {
                 thread.mc_dead = true;
@@ -812,14 +746,12 @@ impl RoundCore {
         if self.fired {
             return actions;
         }
-        self.ensure_threads(plan);
         let tracker_idx = self.obtain_tracker(suspects, payload, fingerprint, topo);
         let path_nodes = topo.index().node_set(delivery_path);
         let slot = plan.fra_slot_of(delivery_path);
         debug_assert!(slot.is_some(), "delivery paths are simple paths ending at me");
 
-        for thread in &mut self.threads {
-            let gp = &plan.guesses[thread.plan_idx];
+        for (thread, gp) in self.threads.iter_mut().zip(&plan.guesses) {
             if !path_nodes.is_subset(gp.reach) {
                 continue;
             }
@@ -842,7 +774,7 @@ impl RoundCore {
             }
             let progress = state.by_fp.entry_or_insert_with(fingerprint, || FpProgress {
                 remaining: gp.fra_witnesses[w_idx].required,
-                seen: scratch.take_column(plan.fra_slot_words),
+                seen: vec![0; plan.fra_slot_words],
             });
             let (w, bit) = (slot / 64, 1u64 << (slot % 64));
             if progress.seen[w] & bit != 0 {
@@ -856,13 +788,11 @@ impl RoundCore {
                     state.done = true;
                     thread.fra_remaining -= 1;
                     scratch.witness_completions += 1;
-                    for (_, fp) in state.by_fp.take_entries() {
-                        scratch.recycle(fp.seen);
-                    }
+                    state.by_fp = SpillSlots::new();
                 }
             }
         }
-        self.check_progress(topo, plan, scratch, &mut actions);
+        self.check_progress(topo, plan, &mut actions);
         actions
     }
 
@@ -892,10 +822,8 @@ impl RoundCore {
                 };
                 let xq_bits = xq.to_bits();
                 let allowed = NodeSet::universe(self.n) - component - NodeSet::singleton(self.me);
-                let paths = self
-                    .per_init_paths
-                    .get(q.index())
-                    .and_then(|buckets| buckets.get(xq_bits))
+                let paths = self.per_init_paths[q.index()]
+                    .get(xq_bits)
                     .map_or(&[][..], DistinctSets::as_slice);
                 let already = !has_cover(paths, self.f, allowed);
                 let o_idx = tracker.obligations.len();
@@ -911,39 +839,30 @@ impl RoundCore {
         idx
     }
 
-    fn check_progress(
-        &mut self,
-        topo: &Topology,
-        plan: &NodePlan,
-        scratch: &mut WitnessScratch,
-        actions: &mut Vec<RoundAction>,
-    ) {
+    fn check_progress(&mut self, topo: &Topology, plan: &NodePlan, actions: &mut Vec<RoundAction>) {
         if self.fired || !self.started {
             return;
         }
-        for t in 0..self.threads.len() {
-            let thread = &self.threads[t];
+        for winner in 0..self.threads.len() {
+            let thread = &self.threads[winner];
             if thread.fra_remaining != 0 {
                 continue;
             }
             if thread.relevant_trackers.iter().any(|&t| self.trackers[t].blocking()) {
                 continue;
             }
-            let winner = thread.plan_idx;
             // Verify passed: Filter-and-Average, once per round.
             let outcome = filter_and_average(&self.mset, self.f, self.me, self.n, topo.index())
                 .expect("own trivial path keeps the trimmed vector non-empty");
             self.fired = true;
             // FIFO-Receive-All and Completeness bookkeeping is dead once
             // the round fired (deliveries return early, and floods no
-            // longer feed `M'`): every in-flight fingerprint column goes
-            // back to the node's pool, not just the ones whose witness
-            // completed, and the buckets, trackers and waiters are freed.
+            // longer feed `M'`): every in-flight fingerprint bitmap is
+            // dropped, not just the ones whose witness completed, and the
+            // buckets, trackers and waiters are freed.
             for thread in &mut self.threads {
                 for state in &mut thread.fra {
-                    for (_, fp) in state.by_fp.take_entries() {
-                        scratch.recycle(fp.seen);
-                    }
+                    state.by_fp = SpillSlots::new();
                 }
                 thread.relevant_trackers = Vec::new();
             }
@@ -1066,30 +985,24 @@ mod tests {
     }
 
     #[test]
-    fn thread_state_is_lazy_until_first_use() {
+    fn new_core_holds_one_thread_per_guess_and_a_pinned_history() {
         let (topo, plan) = setup(4, 1);
         let mut core = RoundCore::new(&topo, &plan);
-        assert!(core.threads.is_empty(), "construction allocates no thread state");
-        // A fired round receiving a late COMPLETE never materializes.
-        core.fired = true;
-        let payload = Arc::new(CompletePayload::from_message_set(&MessageSet::new()));
-        let fp = payload.fingerprint();
-        let mut scratch = WitnessScratch::new();
-        core.add_fifo_delivery(
-            id(0),
-            topo.index().trivial(id(0)),
-            NodeSet::EMPTY,
-            &payload,
-            fp,
-            &topo,
-            &plan,
-            &mut scratch,
-        );
-        assert!(core.threads.is_empty(), "late COMPLETEs skip thread construction");
-        // The first flood materializes.
-        core.fired = false;
-        core.start(1.0, &topo, &plan, &mut scratch);
         assert_eq!(core.threads.len(), plan.guesses().len());
+        for (thread, gp) in core.threads.iter().zip(plan.guesses()) {
+            assert_eq!(thread.flood_remaining, gp.flood_required, "guess {:?}", gp.guess);
+            assert_eq!(thread.fra.len(), gp.fra_witnesses().len(), "guess {:?}", gp.guess);
+            assert_eq!(thread.fra_remaining, gp.fra_witnesses().len());
+        }
+        // The history covers node 0's id block only.
+        let block = topo.index().terminal_word_range(id(0));
+        let outside = topo
+            .required_paths_to(id(3))
+            .iter()
+            .copied()
+            .find(|p| !block.contains(&(p.index() / 64)))
+            .expect("node 3's block reaches past node 0's words");
+        assert!(!core.mset.insert(outside, 1.0), "an out-of-block id is refused");
     }
 
     #[test]
@@ -1231,12 +1144,11 @@ mod tests {
         assert!(core.fired());
         // f = 0: no trimming; midpoint of 1 and 3.
         assert_eq!(outcome.value, 2.0);
-        // Completed witnesses returned their fingerprint columns, and
-        // firing drained every in-flight column back to the pool.
-        assert!(scratch.pooled() > 0, "done witnesses recycle their columns");
+        // Completed witnesses dropped their fingerprint bitmaps, and firing
+        // dropped every in-flight one.
         assert!(
             core.threads.iter().all(|t| t.fra.iter().all(|s| s.by_fp.is_empty())),
-            "firing returns every in-flight FRA column to the pool"
+            "firing frees every in-flight FRA bitmap"
         );
     }
 
@@ -1392,13 +1304,9 @@ mod tests {
                 &mut scratch,
             );
         }
-        let empty_thread =
-            core.threads.iter().find(|t| plan.guesses()[t.plan_idx].guess.is_empty()).unwrap();
-        let w1 = plan.guesses()[empty_thread.plan_idx]
-            .fra_witnesses()
-            .iter()
-            .position(|w| w.c == id(1))
-            .unwrap();
+        let g = plan.guesses().iter().position(|g| g.guess.is_empty()).unwrap();
+        let empty_thread = &core.threads[g];
+        let w1 = plan.guesses()[g].fra_witnesses().iter().position(|w| w.c == id(1)).unwrap();
         let state = &empty_thread.fra[w1];
         assert!(!state.done, "one path per fingerprint cannot complete the witness");
         assert!(state.by_fp.index.is_some(), "fingerprint slots spilled to the hash index");
