@@ -40,8 +40,9 @@ pub fn initial_complete(
 }
 
 /// Forwards for a freshly received `COMPLETE` whose stored path ends at
-/// `me`: relayed to each `w` keeping the path simple — one forwarding-table
-/// lookup per out-neighbor, no clone, no simplicity re-scan.
+/// `me`: relayed to each `w` keeping the path simple. `p‖w` is simple iff
+/// `p` is simple and `w ∉ p`, so the forwarding table is only asked which
+/// slots are filled — no clone, no simplicity re-scan.
 #[must_use]
 pub fn complete_forwards(
     topo: &Topology,
@@ -54,22 +55,18 @@ pub fn complete_forwards(
 ) -> Vec<(NodeId, ProtocolMsg)> {
     let index = topo.index();
     debug_assert_eq!(index.ter(stored), me);
-    let mut out = Vec::new();
-    for w in topo.graph().out_neighbors(me).iter() {
-        if index.extend_simple(stored, w).is_some() {
-            out.push((
-                w,
-                ProtocolMsg::Complete {
-                    round,
-                    suspects,
-                    payload: Arc::clone(payload),
-                    path: stored,
-                    seq,
-                },
-            ));
-        }
+    if !index.is_simple(stored) {
+        return Vec::new();
     }
-    out
+    let visited = index.node_set(stored);
+    index
+        .extension_targets(stored)
+        .filter(|&w| !visited.contains(w))
+        .map(|w| {
+            let payload = Arc::clone(payload);
+            (w, ProtocolMsg::Complete { round, suspects, payload, path: stored, seq })
+        })
+        .collect()
 }
 
 /// A message that became FIFO-received and is ready for the witness logic.
@@ -277,5 +274,26 @@ mod tests {
             assert!(d.iter().all(|x| x.initiator == t.index().init(want)));
         }
         assert_eq!(rx.channel_count(), paths.len(), "drained channels stay open");
+    }
+
+    #[test]
+    fn complete_forwards_are_the_simple_extensions() {
+        // Every interned path of a directed, non-complete graph, simple or
+        // not: the relay targets are exactly the `w` with a simple `p‖w`.
+        let graph = dbac_graph::generators::two_cliques_bridged(3, &[(0, 0)], &[(2, 2)]);
+        let t = crate::test_support::topo_of(graph, 1, crate::config::FloodMode::Redundant);
+        let index = t.index();
+        let pay = payload(&t, 1.0);
+        for raw in 0..index.len() as u32 {
+            let p = PathId::from_raw(raw);
+            let me = index.ter(p);
+            let sent: Vec<NodeId> = complete_forwards(&t, me, 0, NodeSet::EMPTY, &pay, p, 1)
+                .into_iter()
+                .map(|(w, _)| w)
+                .collect();
+            let simple: Vec<NodeId> =
+                t.graph().nodes().filter(|&w| index.extend_simple(p, w).is_some()).collect();
+            assert_eq!(sent, simple, "{p}");
+        }
     }
 }

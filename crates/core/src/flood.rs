@@ -31,24 +31,21 @@ pub fn initial_flood(
 
 /// Forwards for a freshly stored flood path (which ends at `me`): sends
 /// `(value, stored)` to each `w` with `stored‖w` admissible under the
-/// flood mode — i.e. present in the forwarding table.
-#[must_use]
+/// flood mode — i.e. present in the forwarding table. Yields the sends
+/// rather than collecting them; the table is only asked which slots are
+/// filled.
 pub fn flood_forwards(
     topo: &Topology,
     me: NodeId,
     round: Round,
     value: f64,
     stored: PathId,
-) -> Vec<(NodeId, ProtocolMsg)> {
+) -> impl Iterator<Item = (NodeId, ProtocolMsg)> + '_ {
     let index = topo.index();
     debug_assert_eq!(index.ter(stored), me);
-    let mut out = Vec::new();
-    for w in topo.graph().out_neighbors(me).iter() {
-        if index.extend(stored, w).is_some() {
-            out.push((w, ProtocolMsg::Flood { round, value, path: stored }));
-        }
-    }
-    out
+    index
+        .extension_targets(stored)
+        .map(move |w| (w, ProtocolMsg::Flood { round, value, path: stored }))
 }
 
 #[cfg(test)]
@@ -89,7 +86,7 @@ mod tests {
         // (redundant); forwarding to 1 gives ⟨1,2,0,1⟩ (also redundant —
         // splits as ⟨1,2,0⟩‖⟨0,1⟩).
         let stored = pid(&t, &[1, 2, 0]);
-        let fw = flood_forwards(&t, id(0), 2, 7.0, stored);
+        let fw: Vec<_> = flood_forwards(&t, id(0), 2, 7.0, stored).collect();
         let targets: Vec<usize> = fw.iter().map(|(w, _)| w.index()).collect();
         assert!(targets.contains(&3));
         assert!(targets.contains(&1));
@@ -107,7 +104,7 @@ mod tests {
         // extending by 1 gives ⟨2,0,1,2,0,1⟩ which has no simple split.
         assert!(Path::from_indices(&[2, 0, 1, 2, 0]).unwrap().is_redundant());
         let stored = pid(&t, &[2, 0, 1, 2, 0]);
-        let fw = flood_forwards(&t, id(0), 0, 1.0, stored);
+        let fw: Vec<_> = flood_forwards(&t, id(0), 0, 1.0, stored).collect();
         let targets: Vec<usize> = fw.iter().map(|(w, _)| w.index()).collect();
         assert!(!targets.contains(&1), "⟨2,0,1,2,0,1⟩ is not redundant");
     }
@@ -116,7 +113,7 @@ mod tests {
     fn simple_mode_blocks_cycles() {
         let t = topo(4, FloodMode::SimpleOnly);
         let stored = pid(&t, &[1, 2, 0]);
-        let fw = flood_forwards(&t, id(0), 0, 1.0, stored);
+        let fw: Vec<_> = flood_forwards(&t, id(0), 0, 1.0, stored).collect();
         let targets: Vec<usize> = fw.iter().map(|(w, _)| w.index()).collect();
         assert_eq!(targets, vec![3], "only the cycle-free extension survives");
     }

@@ -60,7 +60,6 @@
 use dbac_graph::{NodeId, NodeSet, PathId, PathIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
-use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
@@ -369,17 +368,14 @@ fn fingerprint_entries(entries: &[(PathId, f64)]) -> u64 {
 }
 
 fn values_consistent(entries: impl Iterator<Item = (PathId, f64)>, index: &PathIndex) -> bool {
-    let mut seen: BTreeMap<NodeId, u64> = BTreeMap::new();
+    // The first value bits per initiator, in an array indexed by node.
+    let mut seen: Vec<Option<u64>> = vec![None; index.graph_node_count()];
     for (p, v) in entries {
-        match seen.entry(index.init(p)) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(v.to_bits());
-            }
-            std::collections::btree_map::Entry::Occupied(e) => {
-                if *e.get() != v.to_bits() {
-                    return false;
-                }
-            }
+        let bits = v.to_bits();
+        match &mut seen[index.init(p).index()] {
+            slot @ None => *slot = Some(bits),
+            Some(first) if *first != bits => return false,
+            Some(_) => {}
         }
     }
     true

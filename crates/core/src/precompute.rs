@@ -26,6 +26,7 @@ use dbac_graph::paths::{redundant_paths_ending_at, simple_paths_ending_at};
 use dbac_graph::subsets::SubsetsUpTo;
 use dbac_graph::{Digraph, GraphError, NodeId, NodeSet, Path, PathBudget, PathId, PathIndex};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Immutable, shared protocol-relevant knowledge about one network.
 #[derive(Debug)]
@@ -39,6 +40,10 @@ pub struct Topology {
     reach: HashMap<NodeSet, Vec<NodeSet>>,
     /// Guess (the `F_u`) → deduplicated `(S_{F_u,F_w}, q)` pairs.
     obligations: HashMap<NodeSet, Vec<(NodeSet, NodeId)>>,
+    /// terminal → its pool's ids as a slice, listed on the first
+    /// [`Topology::required_paths_to`] call. The protocol reads the id
+    /// ranges of the index instead, so a run never builds it.
+    required: OnceLock<Vec<Vec<PathId>>>,
 }
 
 impl Topology {
@@ -102,7 +107,7 @@ impl Topology {
             obligations.insert(fu, pairs);
         }
 
-        Ok(Topology { graph, f, index, guesses, reach, obligations })
+        Ok(Topology { graph, f, index, guesses, reach, obligations, required: OnceLock::new() })
     }
 
     /// The network.
@@ -130,10 +135,14 @@ impl Topology {
     }
 
     /// The value-flood requirement pool ending at `v` (fullness is checked
-    /// against the subset of these avoiding the guess).
+    /// against the subset of these avoiding the guess): the ids of
+    /// [`PathIndex::paths_ending_at`], as a slice.
     #[must_use]
     pub fn required_paths_to(&self, v: NodeId) -> &[PathId] {
-        self.index.paths_ending_at(v)
+        let required = self.required.get_or_init(|| {
+            self.graph.nodes().map(|u| self.index.paths_ending_at(u).collect()).collect()
+        });
+        &required[v.index()]
     }
 
     /// All simple paths ending at `v`.

@@ -57,7 +57,9 @@
 //! value bits happens only in the rare waiter-wakeup path. Whether `M'`
 //! admits an `f`-cover depends only on its *distinct* node sets, so each
 //! bucket keeps each node set once (`DistinctSets`): tens of sets where
-//! one per arrival would be thousands.
+//! one per arrival would be thousands. A bucket's initiator is fixed, so
+//! the path's `(init, node set)` class id decides the dedup — a bit test,
+//! with no node set loaded or hashed for a repeat.
 //!
 //! Per-round state is therefore plain counters, bitmaps and buckets, sized
 //! to what the round still reads. [`RoundCore::new`] builds all of it when
@@ -83,7 +85,7 @@ use crate::filter::{filter_and_average, FilterOutcome};
 use crate::message_set::{CompletePayload, MessageSet};
 use crate::precompute::Topology;
 use dbac_conditions::cover::has_cover;
-use dbac_graph::{FastHashSet, NodeId, NodeSet, PathId};
+use dbac_graph::{NodeId, NodeSet, PathId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -454,21 +456,30 @@ impl<V> SpillSlots<V> {
 
 /// One Completeness bucket of `M'`: the distinct node sets of the paths
 /// that carried one `(initiator, value)` pair, in first-arrival order.
-/// The node sets come from validated [`PathId`]s, so the topology bounds
-/// the keys and the fast hasher is safe for the dedup.
+/// Within a bucket the initiator is fixed, so a path's class
+/// ([`PathIndex::class`](dbac_graph::PathIndex::class)) names its node
+/// set: the dedup is one bit per class, grown on demand, and nothing is
+/// hashed.
 #[derive(Default)]
 struct DistinctSets {
     sets: Vec<NodeSet>,
-    seen: FastHashSet<NodeSet>,
+    /// Bit `c`: a path of class `c` already contributed its node set.
+    seen: Vec<u64>,
 }
 
 impl DistinctSets {
-    /// Records `set` unless the bucket already holds it; returns whether
-    /// it was new (a repeat cannot change any `has_cover` verdict).
-    fn insert(&mut self, set: NodeSet) -> bool {
-        let new = self.seen.insert(set);
+    /// Records the node set of `class` unless the bucket already holds it;
+    /// returns whether it was new (a repeat cannot change any `has_cover`
+    /// verdict).
+    fn insert(&mut self, class: usize, node_set: impl FnOnce() -> NodeSet) -> bool {
+        let (word, bit) = (class / 64, 1u64 << (class % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        let new = self.seen[word] & bit == 0;
         if new {
-            self.sets.push(set);
+            self.seen[word] |= bit;
+            self.sets.push(node_set());
         }
         new
     }
@@ -663,10 +674,9 @@ impl RoundCore {
             // Feed the Completeness path set `M'` (Algorithm 2): one array
             // index and a spill-guarded value-bucket probe — honest floods
             // never hash their Byzantine-influenced value bits.
-            let node_set = index.node_set(stored);
             let new_set = self.per_init_paths[init.index()]
                 .entry_or_insert_with(bits, DistinctSets::default)
-                .insert(node_set);
+                .insert(index.class(stored), || index.node_set(stored));
             // Wake obligations waiting on (init, bits); an arrival pays the
             // waiter-map hash only while an obligation is actually pending,
             // and only when it added a node set the bucket lacked.
@@ -1326,17 +1336,22 @@ mod tests {
         for seed in 0..2_000u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let n = rng.gen_range(2usize..10);
-            // A small pool drawn with replacement: arrivals repeat sets,
-            // as flood arrivals over one (initiator, value) pair do.
-            let pool: Vec<NodeSet> =
+            // A small pool of distinct sets drawn with replacement:
+            // arrivals repeat sets, as flood arrivals over one (initiator,
+            // value) pair do. Within a bucket a class names one set; the
+            // pool position, spread over several bitmap words, stands in
+            // for it.
+            let mut pool: Vec<NodeSet> =
                 (0..rng.gen_range(1usize..7)).map(|_| subset(&mut rng, n)).collect();
-            let raw: Vec<NodeSet> = (0..rng.gen_range(0usize..40))
-                .map(|_| pool[rng.gen_range(0..pool.len())])
-                .collect();
+            pool.sort_unstable();
+            pool.dedup();
+            let raw: Vec<usize> =
+                (0..rng.gen_range(0usize..40)).map(|_| rng.gen_range(0..pool.len())).collect();
             let mut bucket = DistinctSets::default();
-            for &set in &raw {
-                bucket.insert(set);
+            for &i in &raw {
+                bucket.insert(37 * i, || pool[i]);
             }
+            let raw: Vec<NodeSet> = raw.into_iter().map(|i| pool[i]).collect();
             let mut expected: Vec<NodeSet> = Vec::new();
             for &set in &raw {
                 if !expected.contains(&set) {

@@ -207,12 +207,8 @@ fn run_sequence(t: &Topology, layout: Layout, empty: &MessageSet, seed: u64) {
                     model.is_full_avoiding(set, v, index),
                     "{ctx}: is_full_avoiding({set:?}, {v})"
                 );
-                let required: Vec<PathId> = index
-                    .paths_ending_at(v)
-                    .iter()
-                    .copied()
-                    .filter(|&p| !index.intersects(p, set))
-                    .collect();
+                let required: Vec<PathId> =
+                    index.paths_ending_at(v).filter(|&p| !index.intersects(p, set)).collect();
                 assert_eq!(
                     col.is_full_for(&required),
                     model.is_full_for(&required),
@@ -507,8 +503,6 @@ mod equivalence {
                         );
                         let required: Vec<PathId> = index
                             .paths_ending_at(v)
-                            .iter()
-                            .copied()
                             .filter(|&p| !index.intersects(p, guess))
                             .collect();
                         prop_assert_eq!(col.is_full_for(&required), model.is_full_for(&required));

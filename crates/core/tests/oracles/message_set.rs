@@ -123,9 +123,8 @@ impl MessageSet {
     pub fn is_full_avoiding(&self, a: NodeSet, v: NodeId, index: &PathIndex) -> bool {
         index
             .paths_ending_at(v)
-            .iter()
-            .filter(|&&p| !index.intersects(p, a))
-            .all(|&p| self.entries.contains_key(&p))
+            .filter(|&p| !index.intersects(p, a))
+            .all(|p| self.entries.contains_key(&p))
     }
 
     /// The set of initiators appearing in the set.

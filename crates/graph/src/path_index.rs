@@ -8,14 +8,36 @@
 //! population is enumerated **once** per topology at startup — yet a naïve
 //! implementation keeps cloning and hashing owned `Path(Vec<NodeId>)`
 //! values per message, per hop. Interning replaces every hot-path `Path` by
-//! a `u32` [`PathId`] into a [`PathIndex`] that keeps, per path id:
+//! a `u32` [`PathId`] into a [`PathIndex`] that answers, per path id:
 //!
-//! * its [`NodeSet`] bitmask — `intersects` / `is_within` become a handful
-//!   of word-wise ANDs;
+//! * its node set as a [`NodeSet`] bitmask, read from its class (below) —
+//!   `intersects` / `is_within` become a handful of word-wise ANDs;
 //! * `init` / `ter` endpoints and simple/trivial classification;
 //! * a forwarding table `extend: PathId × NodeId → Option<PathId>`, so
-//!   "does `p‖w` stay admissible, and which path is it?" is one array
-//!   lookup instead of clone + `extended()` + `is_simple()` re-scan.
+//!   "does `p‖w` stay admissible, and which path is it?" is a rank
+//!   computation and at most two loads instead of clone + `extended()` +
+//!   `is_simple()` re-scan.
+//!
+//! # Layout: what is stored per id
+//!
+//! Every message reads this index, so it is kept to a few bytes per id.
+//! Only two `u32` columns are per id: the node count, and the path's
+//! *class*. A class is an `(init, node set)` pair; paths sharing both share
+//! the class, and a small class table holds each pair once (686 classes
+//! for the 378,762 ids of `figure_1b_small`, 80 on K5). `init`,
+//! `node_set` and simplicity (node count = class size) read the table.
+//!
+//! The rest follows from the id layout. Ids are terminal-major: the paths
+//! ending at `v` are the contiguous block `starts[v] .. starts[v + 1]`,
+//! headed by the trivial path `⟨v⟩`. So `ter(id)` is a binary search over
+//! the `n + 1` block starts, and the forwarding row of an id — one slot per
+//! out-neighbor of its terminal, ascending — starts at its block's row
+//! base plus `(id − start) · degree`. Most slots are empty, because most
+//! extensions leave the population (1,361,560 slots hold 378,754 children
+//! on `figure_1b_small`). The table therefore keeps a bitmap of the filled
+//! slots, with the number of filled slots before each bitmap word, and the
+//! children packed in slot order: a lookup tests the slot's bit and ranks
+//! it into the packed list.
 //!
 //! The index also exposes the *transposed* view: per node `v`, `u64`
 //! bitmaps over the whole id space marking the paths that contain `v`
@@ -38,13 +60,14 @@
 //! [`PathIndex::contains_id`] for id-carrying wires, [`PathIndex::resolve`]
 //! for explicit node sequences (such as the paths an adversary forges) —
 //! and drop anything unknown, exactly as the paper's model lets
-//! a receiver drop provably forged messages. `resolve` keeps no map of its
-//! own: it rejects nodes outside the graph, then walks the forwarding
-//! table hop by hop from the sequence's first node, so a forged sequence
-//! falls out at its first non-edge or inadmissible hop. Every id accepted past
-//! validation refers to a path that was enumerated from the real graph, so
-//! downstream code may use the precomputed metadata without re-checking
-//! path validity.
+//! a receiver drop provably forged messages. A lookup on an id outside the
+//! population panics instead of answering from a neighbouring block.
+//! `resolve` keeps no map of its own: it rejects nodes outside the graph,
+//! then walks the forwarding table hop by hop from the sequence's first
+//! node, so a forged sequence falls out at its first non-edge or
+//! inadmissible hop. Every id accepted past validation refers to a path
+//! that was enumerated from the real graph, so downstream code may use the
+//! precomputed metadata without re-checking path validity.
 //!
 //! # Population and closure
 //!
@@ -56,13 +79,13 @@
 //! thus collapse into table membership.
 
 use crate::digraph::Digraph;
-use crate::fasthash::{FastHashMap, FastHasher};
+use crate::fasthash::FastHashMap;
 use crate::node::NodeId;
 use crate::nodeset::NodeSet;
 use crate::paths::Path;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::hash::Hasher;
+use std::ops::Range;
 
 /// Dense identifier of an interned path.
 ///
@@ -105,49 +128,176 @@ impl fmt::Display for PathId {
     }
 }
 
-/// Sentinel for "no interned extension" in the flat forwarding table, and
-/// for the end of a hash chain while it is filled.
-const NO_EXT: u32 = u32::MAX;
+/// Sentinel for an empty slot while `build` fills the dense forwarding
+/// table and the class-step memo.
+const NONE: u32 = u32::MAX;
 
-/// Content hash of a node sequence, for finding prefixes while the
-/// forwarding table is filled.
-fn seq_hash(nodes: &[NodeId]) -> u64 {
-    let mut h = FastHasher::default();
-    for &v in nodes {
-        h.write_u32(v.index() as u32);
+/// The `(init, node set)` pair shared by the paths of one class.
+#[derive(Debug)]
+struct PathClass {
+    init: NodeId,
+    node_set: NodeSet,
+    /// `|node_set|`: a path of the class is simple iff it has this many
+    /// node occurrences.
+    size: u32,
+}
+
+/// The forwarding rows of one terminal's id block.
+#[derive(Debug)]
+struct TerminalRows {
+    /// Out-neighbors of the terminal: each row has one slot per member,
+    /// ascending.
+    out: NodeSet,
+    /// `|out|`, the row width.
+    degree: usize,
+    /// Slot of the block's first row.
+    base: usize,
+}
+
+impl TerminalRows {
+    /// The first slot of the row of the path at `offset` in the block.
+    fn row(&self, offset: u32) -> usize {
+        self.base + offset as usize * self.degree
     }
-    h.write_usize(nodes.len());
-    h.finish()
+
+    /// The slot of `p‖w`, for `p` at `offset` in the block and `w ∈ out`.
+    fn slot(&self, offset: u32, w: NodeId) -> usize {
+        self.row(offset) + self.out.rank_below(w)
+    }
+}
+
+/// One bitmap word of the forwarding table: which of its 64 slots are
+/// filled, and how many filled slots precede it.
+#[derive(Clone, Copy, Debug)]
+struct SlotWord {
+    filled: u64,
+    before: u32,
+}
+
+/// The forwarding table without its empty slots.
+#[derive(Debug)]
+struct Forwarding {
+    words: Vec<SlotWord>,
+    /// The children of the filled slots, in slot order.
+    children: Vec<PathId>,
+}
+
+impl Forwarding {
+    /// Packs a dense table (`NONE` marks an empty slot) holding `filled`
+    /// children.
+    fn pack(dense: &[u32], filled: usize) -> Self {
+        let mut words = Vec::with_capacity(dense.len().div_ceil(64));
+        let mut children = Vec::with_capacity(filled);
+        for chunk in dense.chunks(64) {
+            let before = children.len() as u32;
+            let mut bits = 0u64;
+            for (b, &child) in chunk.iter().enumerate() {
+                if child != NONE {
+                    bits |= 1 << b;
+                    children.push(PathId(child));
+                }
+            }
+            words.push(SlotWord { filled: bits, before });
+        }
+        debug_assert_eq!(children.len(), filled, "one child per non-trivial id");
+        Forwarding { words, children }
+    }
+
+    fn is_filled(&self, slot: usize) -> bool {
+        self.words[slot / 64].filled & (1 << (slot % 64)) != 0
+    }
+
+    fn get(&self, slot: usize) -> Option<PathId> {
+        let word = self.words[slot / 64];
+        let bit = 1u64 << (slot % 64);
+        (word.filled & bit != 0).then(|| {
+            self.children[word.before as usize + (word.filled & (bit - 1)).count_ones() as usize]
+        })
+    }
+}
+
+/// Assigns classes while `build` extends paths one node at a time: the
+/// class of `p‖w` is the class of `p` stepped by `w`, memoised per
+/// `(class, w)`, so the `(init, node set)` map is only hashed on a memo
+/// miss — at most once per class and node.
+struct ClassInterner {
+    n: usize,
+    classes: Vec<PathClass>,
+    /// `class · n + w` → the class of a path of `class` extended by `w`,
+    /// or `NONE` before the first such step.
+    steps: Vec<u32>,
+    by_pair: FastHashMap<(NodeId, NodeSet), u32>,
+}
+
+impl ClassInterner {
+    fn new(n: usize) -> Self {
+        ClassInterner { n, classes: Vec::new(), steps: Vec::new(), by_pair: FastHashMap::default() }
+    }
+
+    fn intern(&mut self, init: NodeId, node_set: NodeSet) -> u32 {
+        if let Some(&class) = self.by_pair.get(&(init, node_set)) {
+            return class;
+        }
+        let class = self.classes.len() as u32;
+        self.classes.push(PathClass { init, node_set, size: node_set.len() as u32 });
+        self.steps.resize(self.steps.len() + self.n, NONE);
+        self.by_pair.insert((init, node_set), class);
+        class
+    }
+
+    fn step(&mut self, class: u32, w: NodeId) -> u32 {
+        let memo = class as usize * self.n + w.index();
+        if self.steps[memo] == NONE {
+            let PathClass { init, node_set, .. } = self.classes[class as usize];
+            self.steps[memo] = if node_set.contains(w) {
+                class
+            } else {
+                self.intern(init, node_set | NodeSet::singleton(w))
+            };
+        }
+        self.steps[memo]
+    }
+}
+
+/// The ids ordered by node count, shortest first (a counting sort).
+fn shortest_first(lens: &[u32]) -> Vec<u32> {
+    let longest = lens.iter().copied().max().unwrap_or(0) as usize;
+    let mut next = vec![0usize; longest + 2];
+    for &len in lens {
+        next[len as usize + 1] += 1;
+    }
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+    let mut order = vec![0u32; lens.len()];
+    for (id, &len) in lens.iter().enumerate() {
+        order[next[len as usize]] = id as u32;
+        next[len as usize] += 1;
+    }
+    order
 }
 
 /// An immutable intern table over a graph's enumerated path population:
-/// per-id columns and the forwarding table, but no path sequences.
+/// per-id classes and node counts, per-terminal id blocks, and the
+/// forwarding table, but no path sequences.
 #[derive(Debug)]
 pub struct PathIndex {
-    /// Out-neighborhoods of the graph, for extension-rank computation.
-    out: Vec<NodeSet>,
-    /// id → the path's node-set bitmask.
-    node_sets: Vec<NodeSet>,
-    /// id → `init(p)`.
-    inits: Vec<NodeId>,
-    /// id → `ter(p)`.
-    ters: Vec<NodeId>,
+    /// `starts[v] .. starts[v + 1]` are the ids of the paths ending at
+    /// `v`, the first being `⟨v⟩`; `starts[n]` is the population size.
+    starts: Vec<u32>,
+    /// terminal → its out-neighborhood and forwarding-row base.
+    rows: Vec<TerminalRows>,
+    /// id → index of its class in `class_table`.
+    classes: Vec<u32>,
+    /// class → its `(init, node set)` pair.
+    class_table: Vec<PathClass>,
     /// id → number of node occurrences (trivial paths have 1).
     lens: Vec<u32>,
-    /// id → whether the path is simple.
-    simple: Vec<bool>,
-    /// node → id of the trivial path `⟨v⟩`.
-    trivial: Vec<PathId>,
-    /// terminal → ids of all interned paths ending there.
-    by_terminal: Vec<Vec<PathId>>,
     /// terminal → ids of the *simple* interned paths ending there.
     simple_by_terminal: Vec<Vec<PathId>>,
-    /// id → offset into `ext_entries`.
-    ext_offsets: Vec<u32>,
-    /// Flat forwarding table: for each id, one entry per out-neighbor of
-    /// its terminal (ascending node order); `NO_EXT` if `p‖w` is not
-    /// interned.
-    ext_entries: Vec<u32>,
+    /// `extend`'s table: slot `rows[t].slot(id − starts[t], w)` holds the
+    /// id of `p‖w`, or is empty if `p‖w` is not interned.
+    forwarding: Forwarding,
     /// Number of `u64` words covering the id space (`ceil(len / 64)`).
     word_count: usize,
     /// node → bitmap over ids: paths whose node set contains the node.
@@ -184,11 +334,10 @@ impl PathIndex {
         let singles: Vec<Path> = graph.nodes().map(Path::single).collect();
         let mut paths: Vec<&Path> =
             Vec::with_capacity(n + pools.iter().map(Vec::len).sum::<usize>());
-        let mut by_terminal: Vec<Vec<PathId>> = Vec::with_capacity(n);
-        let mut trivial = Vec::with_capacity(n);
+        let mut starts = Vec::with_capacity(n + 1);
         for ((v, pool), single) in pools.iter().enumerate().zip(&singles) {
             let v = NodeId::new(v);
-            let first = paths.len();
+            starts.push(paths.len() as u32);
             paths.push(single);
             for path in pool {
                 assert_eq!(path.ter(), v, "pooled path must end at its terminal");
@@ -197,88 +346,86 @@ impl PathIndex {
                     paths.push(path);
                 }
             }
-            assert!(paths.len() <= NO_EXT as usize, "path population exceeds u32 ids");
-            trivial.push(PathId(first as u32));
-            by_terminal.push((first..paths.len()).map(|id| PathId(id as u32)).collect());
+            assert!(paths.len() <= NONE as usize, "path population exceeds u32 ids");
         }
-
-        let node_sets: Vec<NodeSet> = paths.iter().map(|p| p.node_set()).collect();
-        let inits: Vec<NodeId> = paths.iter().map(|p| p.init()).collect();
-        let ters: Vec<NodeId> = paths.iter().map(|p| p.ter()).collect();
+        starts.push(paths.len() as u32);
         let lens: Vec<u32> = paths.iter().map(|p| p.node_count() as u32).collect();
-        let simple: Vec<bool> = paths.iter().map(|p| p.is_simple()).collect();
-        let simple_by_terminal: Vec<Vec<PathId>> = by_terminal
-            .iter()
-            .map(|pool| pool.iter().copied().filter(|id| simple[id.index()]).collect())
+
+        let mut slots = 0;
+        let rows: Vec<TerminalRows> = graph
+            .nodes()
+            .map(|v| {
+                let out = graph.out_neighbors(v);
+                let rows = TerminalRows { out, degree: out.len(), base: slots };
+                slots += (starts[v.index() + 1] - starts[v.index()]) as usize * out.len();
+                rows
+            })
             .collect();
 
-        let out: Vec<NodeSet> = (0..n).map(|v| graph.out_neighbors(NodeId::new(v))).collect();
-        let mut ext_offsets = Vec::with_capacity(paths.len());
-        let mut total = 0usize;
-        for &t in &ters {
-            ext_offsets.push(u32::try_from(total).expect("extension table overflow"));
-            total += out[t.index()].len();
-        }
-        // Fill by prefix registration: every non-trivial interned path is
-        // the extension of its one-step prefix, and path classes are
+        // Fill shortest paths first. Every non-trivial interned path is the
+        // extension of its one-step prefix, and path classes are
         // prefix-closed (dropping the last node keeps a path simple resp.
-        // redundant), so the prefix is always interned. Prefixes are found
-        // through a transient content-hash map to the last id with that
-        // hash, chained through `earlier` to the other ids sharing it; both
-        // are dropped when `build` returns.
-        let mut heads: FastHashMap<u64, u32> =
-            FastHashMap::with_capacity_and_hasher(paths.len(), Default::default());
-        let mut earlier = vec![NO_EXT; paths.len()];
-        for (id, path) in paths.iter().enumerate() {
-            if let Some(prev) = heads.insert(seq_hash(path.nodes()), id as u32) {
-                earlier[id] = prev;
-            }
-        }
-        let mut ext_entries = vec![NO_EXT; total];
-        for (id, path) in paths.iter().enumerate() {
-            let nodes = path.nodes();
+        // redundant), so the prefix is interned, one node shorter, and
+        // already in the table: walking the table from `⟨init⟩` finds its
+        // id without any map over the population. The path's class is the
+        // prefix's class stepped by the last node.
+        let mut dense = vec![NONE; slots];
+        let mut interner = ClassInterner::new(n);
+        let mut classes = vec![NONE; paths.len()];
+        for id in shortest_first(&lens) {
+            let nodes = paths[id as usize].nodes();
             let Some((&last, prefix)) = nodes.split_last() else { unreachable!("non-empty") };
-            if prefix.is_empty() {
-                continue; // trivial paths extend others, nothing precedes them
+            let Some(&first) = prefix.first() else {
+                classes[id as usize] = interner.intern(last, NodeSet::singleton(last));
+                continue;
+            };
+            let slot_of = |parent: u32, t: NodeId, w: NodeId| {
+                rows[t.index()].slot(parent - starts[t.index()], w)
+            };
+            let mut parent = starts[first.index()];
+            for hop in prefix.windows(2) {
+                parent = dense[slot_of(parent, hop[0], hop[1])];
+                assert_ne!(parent, NONE, "one-step prefix of an interned path is interned");
             }
-            let mut pid = heads.get(&seq_hash(prefix)).copied().unwrap_or(NO_EXT);
-            while pid != NO_EXT && paths[pid as usize].nodes() != prefix {
-                pid = earlier[pid as usize];
-            }
-            assert_ne!(pid, NO_EXT, "one-step prefix of an interned path is interned");
-            let neighbors = out[prefix.last().expect("non-empty prefix").index()];
-            debug_assert!(neighbors.contains(last), "pooled path uses a non-edge");
-            let slot = ext_offsets[pid as usize] as usize + neighbors.rank_below(last);
-            assert_eq!(ext_entries[slot], NO_EXT, "duplicate pooled path {path}");
-            ext_entries[slot] = id as u32;
+            let slot = slot_of(parent, prefix[prefix.len() - 1], last);
+            assert_eq!(dense[slot], NONE, "duplicate pooled path {}", paths[id as usize]);
+            dense[slot] = id;
+            classes[id as usize] = interner.step(classes[parent as usize], last);
         }
+        let forwarding = Forwarding::pack(&dense, paths.len() - n);
+        drop(dense);
+        let class_table = interner.classes;
 
-        // Transposed per-node masks over the id space, for columnar scans.
+        // Transposed per-node masks over the id space, for columnar scans,
+        // and the simple paths per terminal.
         let word_count = paths.len().div_ceil(64);
         let mut member_words = vec![vec![0u64; word_count]; n];
         let mut init_words = vec![vec![0u64; word_count]; n];
         let mut terminal_words = vec![vec![0u64; word_count]; n];
-        for id in 0..paths.len() {
-            let (word, bit) = (id / 64, 1u64 << (id % 64));
-            for v in node_sets[id].iter() {
-                member_words[v.index()][word] |= bit;
+        let mut simple_by_terminal = vec![Vec::new(); n];
+        for v in 0..n {
+            for id in starts[v]..starts[v + 1] {
+                let class = &class_table[classes[id as usize] as usize];
+                let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                for u in class.node_set.iter() {
+                    member_words[u.index()][word] |= bit;
+                }
+                init_words[class.init.index()][word] |= bit;
+                terminal_words[v][word] |= bit;
+                if lens[id as usize] == class.size {
+                    simple_by_terminal[v].push(PathId(id));
+                }
             }
-            init_words[inits[id].index()][word] |= bit;
-            terminal_words[ters[id].index()][word] |= bit;
         }
 
         PathIndex {
-            out,
-            node_sets,
-            inits,
-            ters,
+            starts,
+            rows,
+            classes,
+            class_table,
             lens,
-            simple,
-            trivial,
-            by_terminal,
             simple_by_terminal,
-            ext_offsets,
-            ext_entries,
+            forwarding,
             word_count,
             member_words,
             init_words,
@@ -289,21 +436,27 @@ impl PathIndex {
     /// Number of interned paths.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ters.len()
+        self.classes.len()
     }
 
     /// Returns `true` if nothing is interned (never happens for a built
     /// index: trivial paths are always present).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ters.is_empty()
+        self.classes.is_empty()
+    }
+
+    /// Number of nodes of the graph: one terminal id block per node.
+    #[must_use]
+    pub fn graph_node_count(&self) -> usize {
+        self.rows.len()
     }
 
     /// Returns `true` if `id` refers to an interned path. This is the
     /// validation gate for ids arriving on the wire.
     #[must_use]
     pub fn contains_id(&self, id: PathId) -> bool {
-        id.index() < self.ters.len()
+        id.index() < self.classes.len()
     }
 
     /// Resolves an explicit node sequence to its id, or `None` for paths
@@ -317,28 +470,54 @@ impl PathIndex {
     #[must_use]
     pub fn resolve(&self, path: &Path) -> Option<PathId> {
         let nodes = path.nodes();
-        if nodes.iter().any(|v| v.index() >= self.trivial.len()) {
+        if nodes.iter().any(|v| v.index() >= self.rows.len()) {
             return None;
         }
         nodes[1..].iter().try_fold(self.trivial(nodes[0]), |id, &w| self.extend(id, w))
     }
 
+    /// The id block of terminal `v`.
+    fn block(&self, v: usize) -> Range<u32> {
+        self.starts[v]..self.starts[v + 1]
+    }
+
+    /// The terminal whose block holds `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not interned.
+    fn terminal_of(&self, id: PathId) -> usize {
+        assert!(self.contains_id(id), "{id} is not interned");
+        self.starts.partition_point(|&start| start <= id.0) - 1
+    }
+
+    fn class_of(&self, id: PathId) -> &PathClass {
+        &self.class_table[self.classes[id.index()] as usize]
+    }
+
     /// The path's node-set bitmask.
     #[must_use]
     pub fn node_set(&self, id: PathId) -> NodeSet {
-        self.node_sets[id.index()]
+        self.class_of(id).node_set
     }
 
     /// `init(p)` — the path's first node.
     #[must_use]
     pub fn init(&self, id: PathId) -> NodeId {
-        self.inits[id.index()]
+        self.class_of(id).init
     }
 
     /// `ter(p)` — the path's last node.
     #[must_use]
     pub fn ter(&self, id: PathId) -> NodeId {
-        self.ters[id.index()]
+        NodeId::new(self.terminal_of(id))
+    }
+
+    /// The path's class, a dense index: two ids share a class iff their
+    /// paths share both `init` and node set.
+    #[must_use]
+    pub fn class(&self, id: PathId) -> usize {
+        self.classes[id.index()] as usize
     }
 
     /// Number of node occurrences (with repetition).
@@ -350,7 +529,7 @@ impl PathIndex {
     /// Returns `true` for a simple path.
     #[must_use]
     pub fn is_simple(&self, id: PathId) -> bool {
-        self.simple[id.index()]
+        self.lens[id.index()] == self.class_of(id).size
     }
 
     /// Returns `true` for a trivial single-node path `⟨v⟩`.
@@ -362,27 +541,27 @@ impl PathIndex {
     /// The id of the trivial path `⟨v⟩`.
     #[must_use]
     pub fn trivial(&self, v: NodeId) -> PathId {
-        self.trivial[v.index()]
+        PathId(self.block(v.index()).start)
     }
 
     /// Returns `true` if the path shares a node with `set` — `C ∩ p ≠ ∅`
     /// as one AND.
     #[must_use]
     pub fn intersects(&self, id: PathId, set: NodeSet) -> bool {
-        !self.node_sets[id.index()].is_disjoint(set)
+        !self.node_set(id).is_disjoint(set)
     }
 
     /// Returns `true` if the path lies entirely inside `allowed` — `p ⊆ C`
     /// as one AND.
     #[must_use]
     pub fn is_within(&self, id: PathId, allowed: NodeSet) -> bool {
-        self.node_sets[id.index()].is_subset(allowed)
+        self.node_set(id).is_subset(allowed)
     }
 
-    /// All interned paths ending at `v`, in id order.
-    #[must_use]
-    pub fn paths_ending_at(&self, v: NodeId) -> &[PathId] {
-        &self.by_terminal[v.index()]
+    /// All interned paths ending at `v`, in id order: one contiguous id
+    /// range, starting with `⟨v⟩`.
+    pub fn paths_ending_at(&self, v: NodeId) -> impl ExactSizeIterator<Item = PathId> + Clone {
+        self.block(v.index()).map(PathId)
     }
 
     /// The simple interned paths ending at `v`, in id order.
@@ -393,24 +572,37 @@ impl PathIndex {
 
     /// The forwarding table: the id of `p‖w`, or `None` when the extension
     /// leaves the population (inadmissible) or `(ter(p), w)` is not an
-    /// edge. One rank computation and one array load.
+    /// edge. A rank computation, one bitmap-word load, and one load from
+    /// the packed children when the slot is filled.
     #[must_use]
     pub fn extend(&self, id: PathId, w: NodeId) -> Option<PathId> {
-        let t = self.ters[id.index()];
-        let neighbors = self.out[t.index()];
-        if !neighbors.contains(w) {
+        let t = self.terminal_of(id);
+        let rows = &self.rows[t];
+        if !rows.out.contains(w) {
             return None;
         }
-        let rank = neighbors.rank_below(w);
-        let entry = self.ext_entries[self.ext_offsets[id.index()] as usize + rank];
-        (entry != NO_EXT).then_some(PathId(entry))
+        self.forwarding.get(rows.slot(id.0 - self.starts[t], w))
+    }
+
+    /// The out-neighbors `w` of `ter(p)` for which `p‖w` is interned, in
+    /// ascending order — the `w` where [`PathIndex::extend`] is `Some`,
+    /// read from the slot bitmap alone.
+    pub fn extension_targets(&self, id: PathId) -> impl Iterator<Item = NodeId> + '_ {
+        let t = self.terminal_of(id);
+        let rows = &self.rows[t];
+        let row = rows.row(id.0 - self.starts[t]);
+        rows.out
+            .iter()
+            .enumerate()
+            .filter(move |&(r, _)| self.forwarding.is_filled(row + r))
+            .map(|(_, w)| w)
     }
 
     /// Like [`PathIndex::extend`], additionally requiring the extension to
     /// be simple (the FIFO-flood discipline for `COMPLETE` messages).
     #[must_use]
     pub fn extend_simple(&self, id: PathId, w: NodeId) -> Option<PathId> {
-        self.extend(id, w).filter(|&ext| self.simple[ext.index()])
+        self.extend(id, w).filter(|&ext| self.is_simple(ext))
     }
 
     /// Number of `u64` words covering the id space (`ceil(len / 64)`).
@@ -467,15 +659,9 @@ impl PathIndex {
     /// presence column only need to walk these words, not the whole id
     /// space. Never empty: the trivial path `⟨v⟩` is always interned.
     #[must_use]
-    pub fn terminal_word_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        let pool = &self.by_terminal[v.index()];
-        let first = pool.first().expect("trivial path always interned").index();
-        let last = pool.last().expect("trivial path always interned").index();
-        debug_assert!(
-            pool.len() == last - first + 1,
-            "terminal-major id assignment keeps a pool contiguous"
-        );
-        (first / 64)..(last / 64 + 1)
+    pub fn terminal_word_range(&self, v: NodeId) -> Range<usize> {
+        let block = self.block(v.index());
+        (block.start as usize / 64)..((block.end as usize - 1) / 64 + 1)
     }
 
     /// Materializes the per-guess avoiding mask for `(set, v)` over a word
@@ -486,12 +672,7 @@ impl PathIndex {
     /// Maximal-Consistency census; `popcount` of the result equals
     /// [`PathIndex::required_count`].
     #[must_use]
-    pub fn avoiding_words(
-        &self,
-        set: NodeSet,
-        v: NodeId,
-        words: std::ops::Range<usize>,
-    ) -> Vec<u64> {
+    pub fn avoiding_words(&self, set: NodeSet, v: NodeId, words: Range<usize>) -> Vec<u64> {
         let terminal = &self.terminal_words[v.index()];
         words.map(|w| terminal[w] & !self.excluded_word(set, w)).collect()
     }
@@ -546,62 +727,109 @@ mod tests {
         PathIndex::build(graph, &pools)
     }
 
+    /// Populations to check every id of: the full redundant populations
+    /// of two graphs (`true`: closed under redundant extension), plus
+    /// hand-made pools whose terminal blocks meet the 64-id words at their
+    /// edges. On K64 the pool at 0 is `⟨0⟩` and the 63 paths `⟨i, 0⟩`, so
+    /// block 0 ends exactly at id 64, and the 63 trivial-only blocks after
+    /// it share the word of ids 64..128. The simple population of a
+    /// directed path puts all four blocks in one word.
+    fn populations() -> Vec<(Digraph, Vec<Vec<Path>>, bool)> {
+        let mut cases: Vec<(Digraph, Vec<Vec<Path>>, bool)> =
+            [generators::clique(4), small_bridged()]
+                .into_iter()
+                .map(|graph| {
+                    let pools = pools_of(&graph, redundant_paths_ending_at);
+                    (graph, pools, true)
+                })
+                .collect();
+        let k64 = generators::clique(64);
+        let mut pools: Vec<Vec<Path>> = k64.nodes().map(|v| vec![Path::single(v)]).collect();
+        pools[0].extend((1..64).map(|i| Path::from_indices(&[i, 0]).unwrap()));
+        cases.push((k64, pools, false));
+        let line = generators::directed_path(4);
+        let pools = pools_of(&line, simple_paths_ending_at);
+        cases.push((line, pools, false));
+        cases
+    }
+
     #[test]
     fn round_trip_over_full_population() {
-        for graph in [generators::clique(4), small_bridged()] {
-            let pools = pools_of(&graph, redundant_paths_ending_at);
+        for (graph, pools, _) in populations() {
             let index = PathIndex::build(&graph, &pools);
             let paths = in_id_order(&pools);
             assert!(!index.is_empty());
             assert_eq!(index.len(), paths.len());
             // Every interned path resolves to its own id, and the metadata
-            // matches the owned path's own answers.
+            // — derived from the id's block, class and node count — matches
+            // the owned path's own answers.
             for (raw, path) in paths.iter().enumerate() {
                 let id = PathId::from_raw(raw as u32);
                 assert!(index.contains_id(id));
                 assert_eq!(index.resolve(path), Some(id), "{path}");
-                assert_eq!(index.node_set(id), path.node_set());
-                assert_eq!(index.init(id), path.init());
-                assert_eq!(index.ter(id), path.ter());
+                assert_eq!(index.node_set(id), path.node_set(), "{path}");
+                assert_eq!(index.init(id), path.init(), "{path}");
+                assert_eq!(index.ter(id), path.ter(), "{path}");
                 assert_eq!(index.node_count(id), path.node_count());
                 assert_eq!(index.is_simple(id), path.is_simple());
                 assert_eq!(index.is_trivial(id), path.is_empty());
                 assert!(path.is_valid_in(&graph));
             }
-            // Every enumerated path is present, with no duplicates.
-            let simple = pools_of(&graph, simple_paths_ending_at);
+            // Ids share a class iff they share (init, node set).
+            let mut pair_of = std::collections::HashMap::new();
+            let mut class_of = std::collections::HashMap::new();
+            for (raw, path) in paths.iter().enumerate() {
+                let class = index.class(PathId::from_raw(raw as u32));
+                let pair = (path.init(), path.node_set());
+                assert_eq!(*pair_of.entry(class).or_insert(pair), pair, "{path}");
+                assert_eq!(*class_of.entry(pair).or_insert(class), class, "{path}");
+            }
+            // Each terminal's block is exactly its pool, behind ⟨v⟩.
             for v in graph.nodes() {
-                let direct = &pools[v.index()];
-                assert_eq!(direct.len(), index.paths_ending_at(v).len());
-                for p in direct {
-                    let id = index.resolve(p).expect("enumerated path interned");
-                    assert!(index.paths_ending_at(v).contains(&id));
+                let block: Vec<PathId> = index.paths_ending_at(v).collect();
+                let pooled: Vec<&Path> = paths.iter().filter(|p| p.ter() == v).collect();
+                assert_eq!(block.len(), pooled.len());
+                assert_eq!(block[0], index.trivial(v));
+                for (&id, p) in block.iter().zip(&pooled) {
+                    assert_eq!(index.resolve(p), Some(id));
                 }
-                assert_eq!(simple[v.index()].len(), index.simple_paths_ending_at(v).len());
+                let simple: Vec<PathId> =
+                    block.iter().copied().filter(|&id| paths[id.index()].is_simple()).collect();
+                assert_eq!(index.simple_paths_ending_at(v), &simple[..]);
             }
         }
     }
 
     #[test]
     fn extend_table_agrees_with_owned_path_extension() {
-        for graph in [generators::clique(4), small_bridged()] {
-            let pools = pools_of(&graph, redundant_paths_ending_at);
+        for (graph, pools, closed) in populations() {
             let index = PathIndex::build(&graph, &pools);
             let paths = in_id_order(&pools);
+            let interned: std::collections::HashSet<&Path> = paths.iter().collect();
             for (raw, path) in paths.iter().enumerate() {
                 let id = PathId::from_raw(raw as u32);
                 for w in graph.nodes() {
+                    // `None` for every non-edge and every empty slot.
                     let expected = if graph.has_edge(path.ter(), w) {
-                        path.extended(w).ok().filter(|e| e.is_redundant())
+                        path.extended(w).ok().filter(|e| interned.contains(e))
                     } else {
                         None
                     };
+                    if closed && graph.has_edge(path.ter(), w) {
+                        let e = path.extended(w).unwrap();
+                        assert_eq!(expected.is_some(), e.is_redundant(), "closure at {e}");
+                    }
                     let got = index.extend(id, w).map(|e| paths[e.index()].clone());
                     assert_eq!(got, expected, "extend({path}, {w})");
                     // extend_simple additionally demands simplicity.
                     let got_simple = index.extend_simple(id, w).map(|e| paths[e.index()].clone());
                     assert_eq!(got_simple, expected.filter(Path::is_simple));
                 }
+                // extension_targets lists exactly the `w` with an extension.
+                let targets: Vec<NodeId> = index.extension_targets(id).collect();
+                let expected: Vec<NodeId> =
+                    graph.nodes().filter(|&w| index.extend(id, w).is_some()).collect();
+                assert_eq!(targets, expected, "extension_targets({path})");
             }
         }
     }
@@ -655,7 +883,7 @@ mod tests {
         assert_eq!(index.len(), pools.iter().map(Vec::len).sum::<usize>());
         for v in graph.nodes() {
             assert_eq!(index.paths_ending_at(v).len(), pools[v.index()].len());
-            assert_eq!(index.paths_ending_at(v)[0], index.trivial(v));
+            assert_eq!(index.paths_ending_at(v).next(), Some(index.trivial(v)));
         }
     }
 
@@ -745,11 +973,8 @@ mod tests {
             ];
             for v in graph.nodes() {
                 for &a in &sets {
-                    let direct = index
-                        .paths_ending_at(v)
-                        .iter()
-                        .filter(|&&p| !index.intersects(p, a))
-                        .count();
+                    let direct =
+                        index.paths_ending_at(v).filter(|&p| !index.intersects(p, a)).count();
                     assert_eq!(index.required_count(a, v), direct, "census({a:?}, {v})");
                 }
             }
@@ -758,8 +983,8 @@ mod tests {
 
     #[test]
     fn terminal_word_range_covers_exactly_the_pool() {
-        for graph in [generators::clique(4), small_bridged()] {
-            let index = build(&graph);
+        for (graph, pools, _) in populations() {
+            let index = PathIndex::build(&graph, &pools);
             for v in graph.nodes() {
                 let words = index.terminal_word_range(v);
                 assert!(!words.is_empty());
