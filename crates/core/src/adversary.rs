@@ -52,15 +52,13 @@ impl AdversaryKind {
             me,
             rounds,
             rng: SmallRng::seed_from_u64(seed),
-            floods: HashSet::new(),
+            floods: vec![Vec::new(); rounds as usize],
             completes: HashSet::new(),
         })
     }
 }
 
-/// Every BW fault but [`FaultKind::Crash`]. Both relay sets key on
-/// wire-supplied bytes (unbounded rounds, payload fingerprints), so they
-/// use the seeded default hasher, not the fixed-key fast one.
+/// Every BW fault but [`FaultKind::Crash`].
 struct Byzantine {
     kind: FaultKind,
     topo: Arc<Topology>,
@@ -68,7 +66,12 @@ struct Byzantine {
     rounds: u32,
     /// Draws of [`FaultKind::Chaotic`]; unused by the other kinds.
     rng: SmallRng,
-    floods: HashSet<(u32, PathId)>,
+    /// Per round, a presence bitmap over the actor's own terminal id block
+    /// (every validated flood path ends at the actor): the floods already
+    /// relayed. Allocated on a round's first flood.
+    floods: Vec<Vec<u64>>,
+    /// The `COMPLETE`s already relayed. The key holds wire-supplied bytes
+    /// (a payload fingerprint), so the set uses the seeded default hasher.
     completes: HashSet<(PathId, u64, u64)>,
 }
 
@@ -134,12 +137,23 @@ impl Adversary<ProtocolMsg> for Byzantine {
         let (topo, me) = (&*self.topo, self.me);
         match msg {
             ProtocolMsg::Flood { round, value, path } => {
+                // Rounds past the run are dropped, as honest nodes drop them.
+                let Some(seen) = self.floods.get_mut(round as usize) else {
+                    return;
+                };
                 let Some(stored) = crate::message::validate_flood(topo, me, from, path) else {
                     return;
                 };
-                if !self.floods.insert((round, stored)) {
+                let words = topo.index().terminal_word_range(me);
+                if seen.is_empty() {
+                    *seen = vec![0; words.len()];
+                }
+                let slot = stored.index() - words.start * 64;
+                let (word, bit) = (&mut seen[slot / 64], 1u64 << (slot % 64));
+                if *word & bit != 0 {
                     return;
                 }
+                *word |= bit;
                 let value = spoof.unwrap_or(value);
                 for (to, m) in flood::flood_forwards(topo, me, round, value, stored) {
                     ctx.send(to, m);
@@ -245,6 +259,26 @@ mod tests {
         let first = ctx.take_outbox().len();
         a.on_message(&mut ctx, NodeId::new(0), wire);
         assert_eq!(ctx.pending(), 0, "duplicate relays suppressed (first: {first})");
+    }
+
+    #[test]
+    fn relay_dedupes_per_round_and_drops_rounds_past_the_run() {
+        let t = topo(4);
+        let mut a = build(FaultKind::RelayTamperer { spoof: 1.0 }, &t, 1, 2);
+        let mut ctx = ctx_for(&t, NodeId::new(1));
+        let path = t.index().trivial(NodeId::new(0));
+        let relays = |a: &mut Box<dyn Adversary<ProtocolMsg> + Send>,
+                      ctx: &mut Context<ProtocolMsg>,
+                      round| {
+            a.on_message(ctx, NodeId::new(0), ProtocolMsg::Flood { round, value: 7.0, path });
+            ctx.take_outbox().len()
+        };
+        // The same path is fresh once per round of the run …
+        assert!(relays(&mut a, &mut ctx, 0) > 0);
+        assert!(relays(&mut a, &mut ctx, 1) > 0);
+        assert_eq!(relays(&mut a, &mut ctx, 1), 0);
+        // … and a round past the run is never relayed.
+        assert_eq!(relays(&mut a, &mut ctx, 2), 0);
     }
 
     #[test]

@@ -13,6 +13,32 @@
 //! Cover candidates exclude the executing node itself — a node knows its
 //! own value is genuine and never suspects it — which also guarantees the
 //! trimmed vector is never empty: the trivial path `⟨v⟩` is uncoverable.
+//!
+//! # Trimming per path class
+//!
+//! Line 1's order is by value under [`f64::total_cmp`], ties broken by
+//! path id (ids are canonical across nodes, so every node sorts alike).
+//! Whether a set of messages admits an `f`-cover depends only on the
+//! *distinct* node sets of their paths (Definition 4), and a path's node
+//! set is fixed by its class ([`PathIndex::class`], the interned
+//! `(init, node set)` pair). So a prefix of the sorted order is coverable
+//! iff the classes it has *entered* are — and a class enters the prefix at
+//! its first message in that order. The longest coverable prefix therefore
+//! ends just before the **breaker**: the first message of the first class
+//! (ordered by first message) whose node set makes the classes so far
+//! uncoverable. The suffix is the mirror image, over each class's last
+//! message.
+//!
+//! The implementation never sorts the messages. One pass over `M_v`
+//! records each class's first and last message in line 1's order; the
+//! classes (tens to hundreds, against thousands of messages) are sorted by
+//! those; the binary search for the breaker runs `has_cover` over class
+//! node sets; and one counting pass turns the two breakers into the trim
+//! lengths. The breakers are the surviving extremes, so their values give
+//! the midpoint. The outcome is exactly that of sorting every message —
+//! the reference sort-and-search implementation is kept as a test oracle
+//! (`tests/oracles/filter.rs`), and `tests/differential_filter.rs` checks
+//! the two agree bit for bit.
 
 use crate::message_set::MessageSet;
 use dbac_conditions::cover::has_cover;
@@ -32,6 +58,31 @@ pub struct FilterOutcome {
     pub kept: usize,
 }
 
+/// A message's position in line 1's order: its value as the integer whose
+/// order is [`f64::total_cmp`]'s, then its path id.
+type Key = (i64, u32);
+
+fn key(path: PathId, value: f64) -> Key {
+    let bits = value.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, path.raw())
+}
+
+/// The value a [`key`] was made from (the map flips no sign bit, so it is
+/// its own inverse).
+fn value_of_key(key: Key) -> f64 {
+    let bits = key.0 ^ (((key.0 >> 63) as u64) >> 1) as i64;
+    f64::from_bits(bits as u64)
+}
+
+/// Marks a class with no message yet in `filter_and_average`'s slot table.
+const NO_SPAN: u32 = u32::MAX;
+
+/// A class's first and last message in line 1's order.
+struct Span {
+    first: Key,
+    last: Key,
+}
+
 /// Runs Filter-and-Average over the accumulated round history `mset` at
 /// node `me` in an `n`-node network with fault bound `f`.
 ///
@@ -46,50 +97,75 @@ pub fn filter_and_average(
     n: usize,
     index: &PathIndex,
 ) -> Option<FilterOutcome> {
-    // Line 1: sort by value; ties broken by path id for determinism (ids
-    // are canonical across nodes).
-    let mut entries: Vec<(PathId, f64)> = mset.iter().collect();
-    entries.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    let sets: Vec<NodeSet> = entries.iter().map(|&(p, _)| index.node_set(p)).collect();
-    let len = entries.len();
-    if len == 0 {
+    // One pass, in id order: a class's first message is replaced only by a
+    // strictly smaller value (an equal one has the larger id), its last by
+    // any value at least as large.
+    let mut slot_of = vec![NO_SPAN; index.class_count()];
+    let mut spans: Vec<Span> = Vec::new();
+    for (p, v) in mset.iter() {
+        let k = key(p, v);
+        let slot = &mut slot_of[index.class(p)];
+        if *slot == NO_SPAN {
+            *slot = spans.len() as u32;
+            spans.push(Span { first: k, last: k });
+            continue;
+        }
+        let span = &mut spans[*slot as usize];
+        if k.0 < span.first.0 {
+            span.first = k;
+        }
+        if k.0 >= span.last.0 {
+            span.last = k;
+        }
+    }
+    if spans.is_empty() {
         return None;
     }
-
     let allowed = NodeSet::universe(n) - NodeSet::singleton(me);
 
-    // Lines 2–3: longest coverable prefix / suffix. Coverable prefixes are
-    // downward closed (a cover of a superset covers the subset), so the
-    // maximal length is found by binary search.
-    let lo = longest_coverable(|k| &sets[..k], len, f, allowed);
-    let hi = longest_coverable(|k| &sets[len - k..], len, f, allowed);
+    // Lines 2–3: the breakers of the longest coverable prefix and suffix.
+    let mut by_first: Vec<Key> = spans.iter().map(|s| s.first).collect();
+    by_first.sort_unstable();
+    let mut by_last: Vec<Key> = spans.iter().map(|s| s.last).collect();
+    by_last.sort_unstable_by(|a, b| b.cmp(a));
+    let low = breaker(&by_first, f, allowed, index)?;
+    let high = breaker(&by_last, f, allowed, index)?;
 
-    if lo + hi >= len {
+    // Line 4: everything before the low breaker and after the high one
+    // goes.
+    let (mut trimmed_low, mut trimmed_high) = (0, 0);
+    for (p, v) in mset.iter() {
+        let k = key(p, v);
+        trimmed_low += usize::from(k < low);
+        trimmed_high += usize::from(k > high);
+    }
+    let len = mset.len();
+    if trimmed_low + trimmed_high >= len {
         return None;
     }
-    // Line 4: remove both trims; line 5: midpoint of the extremes.
-    let kept = &entries[lo..len - hi];
-    let value = (kept[0].1 + kept[kept.len() - 1].1) / 2.0;
-    Some(FilterOutcome { value, trimmed_low: lo, trimmed_high: hi, kept: kept.len() })
+    // Line 5: midpoint of the extremes, which are the breakers.
+    let value = (value_of_key(low) + value_of_key(high)) / 2.0;
+    Some(FilterOutcome { value, trimmed_low, trimmed_high, kept: len - trimmed_low - trimmed_high })
 }
 
-fn longest_coverable<'a>(
-    slice: impl Fn(usize) -> &'a [NodeSet],
-    len: usize,
-    f: usize,
-    allowed: NodeSet,
-) -> usize {
-    // Largest k in [0, len] with a cover; k = 0 always qualifies.
-    let (mut lo, mut hi) = (0usize, len);
+/// The message, among the class `ends` in trimming order, whose class first
+/// makes the node sets so far uncoverable; `None` if all of them are
+/// coverable (the whole history could be trimmed).
+fn breaker(ends: &[Key], f: usize, allowed: NodeSet, index: &PathIndex) -> Option<Key> {
+    let sets: Vec<NodeSet> = ends.iter().map(|k| index.node_set(PathId::from_raw(k.1))).collect();
+    // Largest k in [0, len] with a cover; k = 0 always qualifies, and
+    // coverable sets are downward closed (a cover of a superset covers the
+    // subset), so binary search finds it.
+    let (mut lo, mut hi) = (0usize, sets.len());
     while lo < hi {
         let mid = lo + (hi - lo).div_ceil(2);
-        if has_cover(slice(mid), f, allowed) {
+        if has_cover(&sets[..mid], f, allowed) {
             lo = mid;
         } else {
             hi = mid - 1;
         }
     }
-    lo
+    ends.get(lo).copied()
 }
 
 #[cfg(test)]

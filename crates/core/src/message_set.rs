@@ -59,6 +59,7 @@
 
 use dbac_graph::{NodeId, NodeSet, PathId, PathIndex};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
@@ -217,7 +218,7 @@ impl MessageSet {
     /// Consistency (Definition 8): every initiator reports a unique value.
     #[must_use]
     pub fn is_consistent(&self, index: &PathIndex) -> bool {
-        values_consistent(self.iter(), index)
+        PayloadSummary::of(self.iter(), index).is_consistent()
     }
 
     /// The paper's `value_q(M)`: the value reported by initiator `q`.
@@ -367,20 +368,6 @@ fn fingerprint_entries(entries: &[(PathId, f64)]) -> u64 {
     h.finish()
 }
 
-fn values_consistent(entries: impl Iterator<Item = (PathId, f64)>, index: &PathIndex) -> bool {
-    // The first value bits per initiator, in an array indexed by node.
-    let mut seen: Vec<Option<u64>> = vec![None; index.graph_node_count()];
-    for (p, v) in entries {
-        let bits = v.to_bits();
-        match &mut seen[index.init(p).index()] {
-            slot @ None => *slot = Some(bits),
-            Some(first) if *first != bits => return false,
-            Some(_) => {}
-        }
-    }
-    true
-}
-
 /// The immutable payload of a `COMPLETE` message: a snapshot of the
 /// initiator's `M_c|_F̄` at the moment its Maximal-Consistency condition
 /// fired (Algorithm 1, line 11). Entries are kept sorted by id — ids are
@@ -401,6 +388,74 @@ pub struct CompletePayload {
     /// is forced through [`CompletePayload::from_entries`], which recomputes
     /// the hash, so wire ingress cannot supply its own.
     fingerprint: u64,
+    /// The [`PayloadSummary`] against the first index that asked for one,
+    /// keyed by that index's [`PathIndex::identity`]. Like the fingerprint
+    /// it is derived locally and never taken from the wire: it starts
+    /// empty in every payload [`CompletePayload::from_entries`] builds, and
+    /// is filled by the first receiver that reads it. A payload shared by
+    /// `Arc` between the nodes of one process is thus checked once, not
+    /// once per receiver.
+    summary: OnceLock<(u64, PayloadSummary)>,
+}
+
+/// What a receiver reads off a `COMPLETE` payload against its own
+/// [`PathIndex`], in one pass over the entries: whether every id is
+/// interned, the first value per initiator (`value_q`), and consistency
+/// (Definition 8).
+///
+/// A payload naming an id outside the index cannot come from an honest
+/// node. It counts as inconsistent, so Verify skips it (Algorithm 1 line
+/// 24) without any lookup on the unknown id.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PayloadSummary {
+    interned: bool,
+    consistent: bool,
+    /// Per initiator, the value bits of its first interned entry in id
+    /// order.
+    first_by_init: Vec<Option<u64>>,
+}
+
+impl PayloadSummary {
+    fn of(entries: impl IntoIterator<Item = (PathId, f64)>, index: &PathIndex) -> Self {
+        let mut summary = PayloadSummary {
+            interned: true,
+            consistent: true,
+            first_by_init: vec![None; index.graph_node_count()],
+        };
+        for (p, v) in entries {
+            if !index.contains_id(p) {
+                summary.interned = false;
+                continue;
+            }
+            let bits = v.to_bits();
+            match &mut summary.first_by_init[index.init(p).index()] {
+                slot @ None => *slot = Some(bits),
+                Some(first) if *first != bits => summary.consistent = false,
+                Some(_) => {}
+            }
+        }
+        summary.consistent &= summary.interned;
+        summary
+    }
+
+    /// Whether every entry's id is interned in the index.
+    #[must_use]
+    pub fn is_interned(&self) -> bool {
+        self.interned
+    }
+
+    /// Consistency of the payload (Definition 8), and every id interned.
+    #[must_use]
+    pub fn is_consistent(&self) -> bool {
+        self.consistent
+    }
+
+    /// `value_q` of the payload: the value of initiator `q`'s first
+    /// interned entry, in id order.
+    #[must_use]
+    pub fn value_of(&self, q: NodeId) -> Option<f64> {
+        self.first_by_init.get(q.index()).copied().flatten().map(f64::from_bits)
+    }
 }
 
 impl From<Vec<(PathId, f64)>> for CompletePayload {
@@ -437,7 +492,7 @@ impl CompletePayload {
     pub fn from_entries(mut entries: Vec<(PathId, f64)>) -> Self {
         entries.sort_unstable_by_key(|&(p, _)| p);
         let fingerprint = fingerprint_entries(&entries);
-        CompletePayload { entries, fingerprint }
+        CompletePayload { entries, fingerprint, summary: OnceLock::new() }
     }
 
     /// The `(path, value)` entries in canonical (id) order.
@@ -458,16 +513,18 @@ impl CompletePayload {
         self.entries.is_empty()
     }
 
-    /// Consistency of the payload (Definition 8).
+    /// The payload's [`PayloadSummary`] against `index`: computed by the
+    /// first call and cached, then read back by every call with the same
+    /// index. Another index gets a summary of its own, not the cached one.
     #[must_use]
-    pub fn is_consistent(&self, index: &PathIndex) -> bool {
-        values_consistent(self.entries.iter().copied(), index)
-    }
-
-    /// `value_q` of the payload: the (first) value reported by initiator `q`.
-    #[must_use]
-    pub fn value_of(&self, q: NodeId, index: &PathIndex) -> Option<f64> {
-        self.entries.iter().find(|&&(p, _)| index.init(p) == q).map(|&(_, v)| v)
+    pub fn summary(&self, index: &PathIndex) -> Cow<'_, PayloadSummary> {
+        let of = || PayloadSummary::of(self.entries.iter().copied(), index);
+        let (identity, cached) = self.summary.get_or_init(|| (index.identity(), of()));
+        if *identity == index.identity() {
+            Cow::Borrowed(cached)
+        } else {
+            Cow::Owned(of())
+        }
     }
 
     /// A content fingerprint used to compare payloads received over
@@ -597,8 +654,9 @@ mod tests {
             [(pid(&t, &[0, 2]), 1.5), (pid(&t, &[1, 2]), 2.5)].into_iter().collect();
         let pay = CompletePayload::from_message_set(&m);
         assert_eq!(pay.len(), 2);
-        assert!(pay.is_consistent(t.index()));
-        assert_eq!(pay.value_of(NodeId::new(1), t.index()), Some(2.5));
+        let summary = pay.summary(t.index());
+        assert!(summary.is_interned() && summary.is_consistent());
+        assert_eq!(summary.value_of(NodeId::new(1)), Some(2.5));
         assert_eq!(pay.to_message_set(), m);
 
         let same = CompletePayload::from_message_set(&m.clone());
@@ -612,7 +670,32 @@ mod tests {
         let t = topo();
         let m: MessageSet =
             [(pid(&t, &[0, 2]), 1.0), (pid(&t, &[0, 1, 2]), 2.0)].into_iter().collect();
-        assert!(!CompletePayload::from_message_set(&m).is_consistent(t.index()));
+        assert!(!CompletePayload::from_message_set(&m).summary(t.index()).is_consistent());
+    }
+
+    #[test]
+    fn payload_summary_is_cached_per_index() {
+        let t = topo();
+        let pay = CompletePayload::from_entries(vec![(pid(&t, &[0, 2]), 1.5)]);
+        assert!(matches!(pay.summary(t.index()), Cow::Borrowed(_)));
+        // The first index's summary stays cached; another index, even one
+        // over the same graph, computes its own.
+        let other = topo();
+        assert!(matches!(pay.summary(other.index()), Cow::Owned(_)));
+        assert_eq!(*pay.summary(other.index()), *pay.summary(t.index()));
+        assert!(matches!(pay.summary(t.index()), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn payload_with_an_uninterned_id_is_inconsistent() {
+        let t = topo();
+        let forged = PathId::from_raw(u32::MAX - 1);
+        let pay = CompletePayload::from_entries(vec![(forged, 0.25), (pid(&t, &[1, 2]), 2.5)]);
+        let summary = pay.summary(t.index());
+        assert!(!summary.is_interned());
+        assert!(!summary.is_consistent());
+        // The interned entries still name their initiators' values.
+        assert_eq!(summary.value_of(NodeId::new(1)), Some(2.5));
     }
 
     #[test]

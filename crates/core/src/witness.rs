@@ -59,7 +59,10 @@
 //! bucket keeps each node set once (`DistinctSets`): tens of sets where
 //! one per arrival would be thousands. A bucket's initiator is fixed, so
 //! the path's `(init, node set)` class id decides the dedup — a bit test,
-//! with no node set loaded or hashed for a repeat.
+//! with no node set loaded or hashed for a repeat. What a tracker reads off
+//! a `COMPLETE` payload — its consistency and each `value_q` — comes from
+//! the payload's cached [`CompletePayload::summary`]: one pass per payload
+//! and process, not one per receiver and obligation.
 //!
 //! Per-round state is therefore plain counters, bitmaps and buckets, sized
 //! to what the round still reads. [`RoundCore::new`] builds all of it when
@@ -816,7 +819,11 @@ impl RoundCore {
         if let Some(&idx) = self.tracker_index.get(&(suspects, fingerprint)) {
             return idx;
         }
-        let consistent = payload.is_consistent(topo.index());
+        // One cached pass over the payload per process: ids interned,
+        // consistency, and `value_q` per initiator. An uninterned id reads
+        // as inconsistent, so Verify skips the payload.
+        let summary = payload.summary(topo.index());
+        let consistent = summary.is_consistent();
         let mut tracker = CompletenessTracker {
             consistent,
             impossible: false,
@@ -826,7 +833,7 @@ impl RoundCore {
         let idx = self.trackers.len();
         if consistent {
             for &(component, q) in topo.completeness_obligations(suspects) {
-                let Some(xq) = payload.value_of(q, topo.index()) else {
+                let Some(xq) = summary.value_of(q) else {
                     tracker.impossible = true;
                     continue;
                 };
@@ -1052,7 +1059,7 @@ mod tests {
             RoundAction::FloodComplete { guess, payload } => {
                 assert!(guess.is_empty());
                 assert_eq!(payload.len(), topo.required_paths_to(id(0)).len());
-                assert!(payload.is_consistent(topo.index()));
+                assert!(payload.summary(topo.index()).is_consistent());
             }
             RoundAction::Advance { .. } => unreachable!(),
         }
@@ -1165,29 +1172,36 @@ mod tests {
     #[test]
     fn inconsistent_complete_payloads_never_block_verify() {
         // Algorithm 1 line 24: only *consistent* M_c impose Completeness
-        // conjuncts; a tampered, self-contradicting payload is ignored.
+        // conjuncts; a tampered, self-contradicting payload is ignored. So
+        // is one naming an id outside the population, which no honest node
+        // sends — with no lookup on the unknown id.
         let (topo, plan) = setup(4, 1);
-        let mut core = RoundCore::new(&topo, &plan);
-        let mut scratch = WitnessScratch::new();
-        core.start(1.0, &topo, &plan, &mut scratch);
         let mut m = MessageSet::new();
         m.insert(pid(&topo, &[1, 0]), 3.0);
         m.insert(pid(&topo, &[1, 2, 0]), 9.0); // equivocation
-        let payload = Arc::new(CompletePayload::from_message_set(&m));
-        assert!(!payload.is_consistent(topo.index()));
-        let fp = payload.fingerprint();
-        core.add_fifo_delivery(
-            id(1),
-            pid(&topo, &[1, 0]),
-            NodeSet::singleton(id(2)),
-            &payload,
-            fp,
-            &topo,
-            &plan,
-            &mut scratch,
-        );
-        assert_eq!(core.trackers.len(), 1);
-        assert!(!core.trackers[0].blocking(), "inconsistent payloads are skipped");
+        let forged = vec![(PathId::from_raw(u32::MAX - 1), 0.25)];
+        for payload in
+            [CompletePayload::from_message_set(&m), CompletePayload::from_entries(forged)]
+        {
+            let mut core = RoundCore::new(&topo, &plan);
+            let mut scratch = WitnessScratch::new();
+            core.start(1.0, &topo, &plan, &mut scratch);
+            let payload = Arc::new(payload);
+            assert!(!payload.summary(topo.index()).is_consistent());
+            let fp = payload.fingerprint();
+            core.add_fifo_delivery(
+                id(1),
+                pid(&topo, &[1, 0]),
+                NodeSet::singleton(id(2)),
+                &payload,
+                fp,
+                &topo,
+                &plan,
+                &mut scratch,
+            );
+            assert_eq!(core.trackers.len(), 1);
+            assert!(!core.trackers[0].blocking(), "inconsistent payloads are skipped");
+        }
     }
 
     #[test]

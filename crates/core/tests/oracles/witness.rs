@@ -368,7 +368,15 @@ impl RoundCore {
         if let Some(&idx) = self.tracker_index.get(&(suspects, fingerprint)) {
             return idx;
         }
-        let consistent = payload.is_consistent(topo.index());
+        let index = topo.index();
+        let entries = payload.entries();
+        // Definition 8 by a scan of the entries; a payload naming an id
+        // outside the population is skipped like an inconsistent one.
+        let mut first: FastHashMap<NodeId, u64> = FastHashMap::default();
+        let consistent = entries.iter().all(|&(p, v)| {
+            index.contains_id(p)
+                && *first.entry(index.init(p)).or_insert(v.to_bits()) == v.to_bits()
+        });
         let mut tracker = CompletenessTracker {
             consistent,
             impossible: false,
@@ -378,7 +386,8 @@ impl RoundCore {
         let idx = self.trackers.len();
         if consistent {
             for &(component, q) in topo.completeness_obligations(suspects) {
-                let Some(xq) = payload.value_of(q, topo.index()) else {
+                // `value_q`: the first entry of `q`, in id order.
+                let Some(&(_, xq)) = entries.iter().find(|&&(p, _)| index.init(p) == q) else {
                     tracker.impossible = true;
                     continue;
                 };

@@ -3,9 +3,9 @@
 //! paper's Theorem 4 promises exactly that on 3-reach graphs.
 
 use dbac::core::config::{FloodMode, ProtocolConfig};
-use dbac::core::{HonestNode, ProtocolMsg, Topology};
+use dbac::core::{CompletePayload, HonestNode, ProtocolMsg, Topology};
 use dbac::graph::generators;
-use dbac::graph::{NodeId, Path, PathBudget};
+use dbac::graph::{NodeId, NodeSet, Path, PathBudget, PathId};
 use dbac::scenario::{ByzantineWitness, FaultKind, Scenario};
 use dbac::sim::process::{Context, Process};
 use std::sync::Arc;
@@ -121,6 +121,43 @@ fn e11b_simple_only_rejects_non_simple_floods_before_m_v() {
         mset.paths().all(|p| topo.index().is_simple(p)),
         "no non-simple path can enter M_v under SimpleOnly"
     );
+}
+
+/// A Byzantine neighbor FIFO-floods a `COMPLETE` whose payload names a
+/// path id outside the population. Validation checks the propagation path
+/// only, so the payload reaches Verify's tracker. There it must count as
+/// inconsistent, to be skipped (Algorithm 1 line 24), rather than send an
+/// id lookup out of bounds.
+#[test]
+fn forged_complete_payload_id_is_skipped_without_a_panic() {
+    let me = NodeId::new(0);
+    let topo = Arc::new(
+        Topology::new(generators::clique(4), 1, FloodMode::Redundant, PathBudget::default())
+            .unwrap(),
+    );
+    let config = ProtocolConfig::new(1, 0.5, (0.0, 8.0));
+    let mut node = HonestNode::new(Arc::clone(&topo), config, me, 1.0);
+    let mut ctx = Context::new(me, topo.graph().out_neighbors(me));
+    node.on_start(&mut ctx);
+    let _ = ctx.take_outbox();
+
+    let forged = PathId::from_raw(u32::MAX - 1);
+    assert!(!topo.index().contains_id(forged));
+    let payload = Arc::new(CompletePayload::from_entries(vec![(forged, 0.25)]));
+    let from = NodeId::new(1);
+    let complete = ProtocolMsg::Complete {
+        round: 0,
+        suspects: NodeSet::EMPTY,
+        payload,
+        path: topo.index().trivial(from),
+        seq: 1,
+    };
+    node.on_message(&mut ctx, from, complete);
+
+    // The FIFO flood is still relayed: its propagation path is genuine.
+    assert!(ctx.take_outbox().iter().any(|(_, m)| matches!(m, ProtocolMsg::Complete { .. })));
+    assert_eq!(node.round_message_set(0).expect("round 0 started").len(), 1);
+    assert!(!node.is_done());
 }
 
 /// E11b end-to-end: the ablation still converges against the path
