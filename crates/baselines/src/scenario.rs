@@ -20,7 +20,7 @@ use crate::iterative::IterStrategy;
 use crate::iterengine::{IterLiar, IterNode};
 use dbac_conditions::robustness::CertificationStatus;
 use dbac_core::error::RunError;
-use dbac_core::scenario::{run_fleet, FaultKind, Outcome, Protocol, Readout, Scenario};
+use dbac_core::scenario::{run_fleet, FaultKind, Outcome, Precompute, Protocol, Readout, Scenario};
 use dbac_graph::NodeId;
 use dbac_sim::process::Silent;
 
@@ -56,7 +56,7 @@ impl Protocol for Aad04 {
         })
     }
 
-    fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
+    fn execute(&self, scenario: &Scenario, _: &Precompute) -> Result<Outcome, RunError> {
         let (n, f) = (scenario.graph().node_count(), scenario.f());
         let rounds = scenario.rounds();
         let make_node = |v: NodeId, input: f64| {
@@ -158,7 +158,7 @@ impl Protocol for IterativeTrimmedMean {
         })
     }
 
-    fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
+    fn execute(&self, scenario: &Scenario, _: &Precompute) -> Result<Outcome, RunError> {
         let (g, f) = (scenario.graph(), scenario.f());
         let rounds = scenario.rounds_override().unwrap_or(self.rounds as u32);
         let registry = scenario.resolve_stats();

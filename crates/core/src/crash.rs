@@ -24,11 +24,11 @@
 use crate::config::num_rounds;
 use crate::error::RunError;
 use crate::message_set::MessageSet;
+use crate::node::round_slot;
 use dbac_graph::paths::simple_paths_ending_at;
 use dbac_graph::subsets::SubsetsUpTo;
 use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget, PathId, PathIndex};
 use dbac_sim::process::{Adversary, Context, Process};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Wire message of the crash-tolerant protocol: a value flooded along a
@@ -102,7 +102,8 @@ pub struct CrashNode {
     me: NodeId,
     rounds_total: u32,
     x: Vec<f64>,
-    rounds: HashMap<u32, CrashRound>,
+    /// Per-round state, indexed by round (see [`round_slot`]).
+    rounds: Vec<Option<CrashRound>>,
     my_guesses: Vec<NodeSet>,
     /// Per-guess requirement census, computed once from the index masks
     /// and cloned (one memcpy) into every round instead of re-running the
@@ -130,7 +131,7 @@ impl CrashNode {
             me,
             rounds_total: num_rounds(range.1 - range.0, epsilon),
             x: vec![input],
-            rounds: HashMap::new(),
+            rounds: Vec::new(),
             my_guesses,
             census,
             output: None,
@@ -178,7 +179,7 @@ impl CrashNode {
         // an early arrival). Every stored path ends at `me`, so the history
         // covers `me`'s id block only; the per-guess requirement counts are
         // the node-lifetime census, cloned.
-        let core = self.rounds.entry(round).or_insert_with(|| CrashRound {
+        let core = round_slot(&mut self.rounds, round).get_or_insert_with(|| CrashRound {
             started: false,
             fired: false,
             values: MessageSet::for_block(index.terminal_word_range(self.me)),
@@ -245,7 +246,11 @@ impl Process for CrashNode {
         let Some(stored) = index.extend(msg.path, self.me) else {
             return;
         };
-        let already = self.rounds.get(&msg.round).is_some_and(|c| c.values.contains_path(stored));
+        let already = self
+            .rounds
+            .get(msg.round as usize)
+            .and_then(Option::as_ref)
+            .is_some_and(|c| c.values.contains_path(stored));
         if already {
             return;
         }
@@ -415,7 +420,7 @@ mod tests {
         node.on_start(&mut ctx);
         let _ = ctx.take_outbox();
         {
-            let round0 = node.rounds.get(&0).unwrap();
+            let round0 = node.rounds[0].as_ref().unwrap();
             assert!(round0.started);
             // ⟨0⟩ recorded; each guess still awaits its avoiding pool.
             for (i, guess) in node.my_guesses.iter().enumerate() {
@@ -431,12 +436,12 @@ mod tests {
         let stored_120 = index.resolve(&Path::from_indices(&[1, 2, 0]).unwrap()).unwrap();
         node.on_message(&mut ctx, id(2), CrashMsg { round: 0, value: 3.0, path: wire_12 });
         assert_eq!(ctx.pending(), 0, "⟨1,2,0⟩ has no simple extension in K3");
-        assert!(!node.rounds.get(&0).unwrap().fired);
+        assert!(!node.rounds[0].as_ref().unwrap().fired);
 
         // Exact duplicate: no relay, no re-record, first value wins.
         node.on_message(&mut ctx, id(2), CrashMsg { round: 0, value: 9.0, path: wire_12 });
         assert_eq!(ctx.pending(), 0, "duplicates must not relay");
-        let round0 = node.rounds.get(&0).unwrap();
+        let round0 = node.rounds[0].as_ref().unwrap();
         assert_eq!(round0.values.value_on_path(stored_120), Some(3.0), "first value wins");
         assert_eq!(round0.values.len(), 2);
 
@@ -452,13 +457,13 @@ mod tests {
             "relay carries the stored id"
         );
         assert!(sends.iter().all(|(_, m)| m.round == 0 || m.path == index.trivial(me)));
-        let round0 = node.rounds.get(&0).unwrap();
+        let round0 = node.rounds[0].as_ref().unwrap();
         assert!(round0.fired);
         assert_eq!(node.x_history()[1], (1.0 + 5.0) / 2.0, "midpoint of all round values");
 
         // Every recorded id is the id of a path in the owned-path pool.
         let pool_ids: Vec<PathId> = pool.iter().map(|q| index.resolve(q).unwrap()).collect();
-        for (p, _) in node.rounds.get(&0).unwrap().values.iter() {
+        for (p, _) in node.rounds[0].as_ref().unwrap().values.iter() {
             assert!(pool_ids.contains(&p), "{p} outside the simple pool");
         }
     }
@@ -474,7 +479,7 @@ mod tests {
         let mut ctx = Context::new(id(0), g.out_neighbors(id(0)));
         node.on_start(&mut ctx);
         let _ = ctx.take_outbox();
-        let before = node.rounds.get(&0).unwrap().values.len();
+        let before = node.rounds[0].as_ref().unwrap().values.len();
 
         // Unknown id.
         node.on_message(
@@ -490,7 +495,7 @@ mod tests {
         node.on_message(&mut ctx, id(1), CrashMsg { round: 0, value: 1.0, path: wire_01 });
 
         assert_eq!(ctx.pending(), 0, "forgeries must not relay");
-        assert_eq!(node.rounds.get(&0).unwrap().values.len(), before);
+        assert_eq!(node.rounds[0].as_ref().unwrap().values.len(), before);
     }
 
     #[test]
@@ -507,7 +512,7 @@ mod tests {
         let mut node = CrashNode::new(Arc::clone(&topo), id(0), 5.0, 0.5, (0.0, 8.0));
         let mut ctx = Context::new(id(0), g.out_neighbors(id(0)));
         node.on_start(&mut ctx);
-        let round0 = node.rounds.get_mut(&0).unwrap();
+        let round0 = node.rounds[0].as_mut().unwrap();
         assert!(!round0.values.insert(foreign, 1.0), "an id from node 4's block is refused");
         assert_eq!(round0.values.len(), 1, "only ⟨0⟩ is recorded");
     }

@@ -10,7 +10,7 @@ use crate::witness::{NodePlan, RoundAction, RoundCore, WitnessScratch};
 use dbac_graph::{NodeId, NodeSet, PathId};
 use dbac_sim::process::{Context, Process};
 use dbac_sim::stats::{MsgClass, StatsHandle};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// An honest node executing Algorithm BW + Filter-and-Average for
@@ -24,7 +24,8 @@ pub struct HonestNode {
     config: ProtocolConfig,
     me: NodeId,
     x: Vec<f64>,
-    rounds: HashMap<Round, RoundCore>,
+    /// Per-round state, indexed by round (see [`round_slot`]).
+    rounds: Vec<Option<RoundCore>>,
     fifo_counter: u64,
     fifo_rx: FifoReceiver,
     /// Keyed partly by the payload fingerprint (Byzantine-influenced), so
@@ -50,7 +51,7 @@ impl HonestNode {
             config,
             me,
             x: vec![input],
-            rounds: HashMap::new(),
+            rounds: Vec::new(),
             fifo_counter: 0,
             fifo_rx: FifoReceiver::new(),
             seen_completes: HashSet::new(),
@@ -111,7 +112,7 @@ impl HonestNode {
     /// regression tests pin message-set outcomes against.
     #[must_use]
     pub fn round_message_set(&self, round: Round) -> Option<&crate::message_set::MessageSet> {
-        self.rounds.get(&round).map(RoundCore::message_set)
+        self.rounds.get(round as usize)?.as_ref().map(RoundCore::message_set)
     }
 
     fn begin_round(&mut self, round: Round, ctx: &mut Context<ProtocolMsg>) -> Vec<RoundAction> {
@@ -120,7 +121,8 @@ impl HonestNode {
             ctx.send(to, msg);
         }
         let (topo, plan) = (&self.topo, &self.plan);
-        let core = self.rounds.entry(round).or_insert_with(|| RoundCore::new(topo, plan));
+        let core =
+            round_slot(&mut self.rounds, round).get_or_insert_with(|| RoundCore::new(topo, plan));
         core.start(value, topo, plan, &mut self.scratch)
     }
 
@@ -143,7 +145,8 @@ impl HonestNode {
                     // Self-delivery over the trivial path (the node is its
                     // own witness: reach_v(F̄) always contains v).
                     let fp = payload.fingerprint();
-                    let core = self.rounds.get_mut(&r).expect("round exists when MC fires");
+                    let core =
+                        self.rounds[r as usize].as_mut().expect("round exists when MC fires");
                     let acts = core.add_fifo_delivery(
                         self.me,
                         self.topo.index().trivial(self.me),
@@ -189,7 +192,8 @@ impl HonestNode {
             return;
         };
         let (topo, plan) = (&self.topo, &self.plan);
-        let core = self.rounds.entry(round).or_insert_with(|| RoundCore::new(topo, plan));
+        let core =
+            round_slot(&mut self.rounds, round).get_or_insert_with(|| RoundCore::new(topo, plan));
         let (fresh, actions) = core.add_flood(stored, value, topo, plan, &mut self.scratch);
         if !fresh {
             return;
@@ -240,7 +244,8 @@ impl HonestNode {
                 continue;
             }
             let (topo, plan) = (&self.topo, &self.plan);
-            let core = self.rounds.entry(d.round).or_insert_with(|| RoundCore::new(topo, plan));
+            let core = round_slot(&mut self.rounds, d.round)
+                .get_or_insert_with(|| RoundCore::new(topo, plan));
             let actions = core.add_fifo_delivery(
                 d.initiator,
                 d.path,
@@ -254,6 +259,17 @@ impl HonestNode {
             self.execute(ctx, d.round, actions);
         }
     }
+}
+
+/// The state slot of `round` in a node's round-indexed state, growing the
+/// table on demand. Callers drop messages with `round ≥ rounds` first, so
+/// the table never outgrows the configured round count.
+pub(crate) fn round_slot<T>(rounds: &mut Vec<Option<T>>, round: Round) -> &mut Option<T> {
+    let i = round as usize;
+    if i >= rounds.len() {
+        rounds.resize_with(i + 1, || None);
+    }
+    &mut rounds[i]
 }
 
 impl Process for HonestNode {

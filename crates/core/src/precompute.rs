@@ -15,8 +15,11 @@
 //!   kept).
 //!
 //! The enumeration and reach passes are embarrassingly parallel and run
-//! across all cores ([`dbac_graph::par::par_map`]). Everything is immutable
-//! after construction and shared via `Arc`.
+//! across all cores ([`dbac_graph::par::par_map`]; inline when the build
+//! itself runs on a sweep worker). Everything is immutable after
+//! construction and shared via `Arc`: by a run's nodes, and by the cells of
+//! a sweep run that share the graph (the `Precompute` memo of
+//! [`crate::scenario::sweep`]).
 
 use crate::config::FloodMode;
 use dbac_conditions::reach::reach_sets;

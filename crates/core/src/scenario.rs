@@ -247,15 +247,15 @@
 
 #![deny(missing_docs)]
 
+mod memo;
 pub mod sweep;
 
 use crate::adversary::AdversaryKind;
 use crate::config::{num_rounds, FloodMode, ProtocolConfig};
-use crate::crash::{CrashAfter, CrashNode, CrashTopology};
+use crate::crash::{CrashAfter, CrashNode};
 use crate::error::RunError;
 use crate::node::HonestNode;
-use crate::precompute::Topology;
-use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget};
+use dbac_graph::{Digraph, NodeId, NodeSet};
 use dbac_sim::net::NetConfig;
 use dbac_sim::process::{Adversary, Process};
 use dbac_sim::scheduler::{FixedDelay, RandomDelay};
@@ -274,6 +274,7 @@ pub use dbac_sim::stats::{
 };
 pub use dbac_sim::threaded::{Incomplete, IncompleteReason};
 pub use dbac_sim::trace::{Delivery, Trace};
+pub use memo::Precompute;
 
 // ---------------------------------------------------------------------------
 // Schedule, runtime and fault descriptions
@@ -511,10 +512,20 @@ pub trait Protocol: Send + Sync {
 
     /// Executes the scenario (assumes `check` passed).
     ///
+    /// `precompute` is the memo of the run this scenario belongs to: one
+    /// per [`Sweep::run`](sweep::Sweep::run), shared by all of its cells,
+    /// and a fresh one per [`Scenario::run`]. A protocol whose setup
+    /// depends only on the graph and the fault bound (Algorithm BW's
+    /// [`Topology`](crate::precompute::Topology), the crash protocol's
+    /// [`CrashTopology`](crate::crash::CrashTopology)) builds it
+    /// through the memo, so cells that share a graph share one build;
+    /// protocols without such a setup ignore the parameter.
+    ///
     /// # Errors
     ///
-    /// Topology precomputation or runtime failures.
-    fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError>;
+    /// Topology precomputation or runtime failures. A failed build is
+    /// memoised too: every cell that shares its key gets the same error.
+    fn execute(&self, scenario: &Scenario, precompute: &Precompute) -> Result<Outcome, RunError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -594,9 +605,15 @@ impl Scenario {
     /// [`Outcome::all_decided`], because on graphs violating the
     /// protocol's condition that is the expected observable behaviour.
     pub fn run(&self) -> Result<Outcome, RunError> {
+        self.run_with(&Precompute::new())
+    }
+
+    /// [`Scenario::run`] against a run's shared memo: the one execution
+    /// path of single runs and sweep cells alike.
+    pub(crate) fn run_with(&self, precompute: &Precompute) -> Result<Outcome, RunError> {
         let protocol = Arc::clone(&self.protocol);
         protocol.check(self)?;
-        protocol.execute(self)
+        protocol.execute(self, precompute)
     }
 
     /// The network.
@@ -1315,13 +1332,8 @@ impl Protocol for ByzantineWitness {
         scenario.check_faults(self.name(), |kind| kind.adversary_kind().is_some())
     }
 
-    fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let topo = Arc::new(Topology::new(
-            scenario.graph().clone(),
-            scenario.f(),
-            self.flood_mode,
-            PathBudget::default(),
-        )?);
+    fn execute(&self, scenario: &Scenario, precompute: &Precompute) -> Result<Outcome, RunError> {
+        let topo = precompute.topology(scenario, self.flood_mode)?;
         let mut config = ProtocolConfig::new(scenario.f(), scenario.epsilon(), scenario.range());
         if let Some(r) = scenario.rounds_override() {
             config = config.with_rounds(r);
@@ -1368,12 +1380,8 @@ impl Protocol for CrashTwoReach {
         })
     }
 
-    fn execute(&self, scenario: &Scenario) -> Result<Outcome, RunError> {
-        let topo = Arc::new(CrashTopology::new(
-            scenario.graph().clone(),
-            scenario.f(),
-            PathBudget::default(),
-        )?);
+    fn execute(&self, scenario: &Scenario, precompute: &Precompute) -> Result<Outcome, RunError> {
+        let topo = precompute.crash_topology(scenario)?;
         let rounds = scenario.rounds();
         let make_node = |v: NodeId, input: f64| {
             CrashNode::new(Arc::clone(&topo), v, input, scenario.epsilon(), scenario.range())

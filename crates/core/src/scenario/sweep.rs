@@ -14,6 +14,19 @@
 //! available cores via the workspace's scoped-thread
 //! [`par_map`].
 //!
+//! One [`Sweep::run`] builds each per-graph precomputation once. Its cells
+//! share a [`Precompute`] memo that holds Algorithm BW's
+//! [`Topology`](crate::precompute::Topology) and the crash protocol's
+//! [`CrashTopology`](crate::crash::CrashTopology) (path pools,
+//! `PathIndex`, fault guesses and reach sets), keyed by graph identity
+//! (the plan's shared `Arc<Digraph>`: expansion never clones a graph), the
+//! fault bound, the protocol and BW's flood mode. The first cell of a key
+//! builds it while later ones wait, and a failed build is the same error
+//! row for every cell of its key. The memo lives for one `run` only: a
+//! second `run` builds again, and [`Scenario::run`] is a one-cell sweep
+//! with a fresh memo. A plan of 2 protocols × 3 graphs × 2 ε × 8 seeds
+//! thus builds 6 precomputes, not 96.
+//!
 //! Cell-level validation failures do **not** poison sibling cells: a cell
 //! whose scenario is rejected (at build or at run) becomes a typed error
 //! row, surfaced through [`SweepReport::failures`], while every other cell
@@ -45,7 +58,9 @@
 //! assert!(stats.cells.iter().all(|c| c.converged == 2));
 //! ```
 
-use super::{FaultKind, LinkFaultPlan, Outcome, Protocol, Runtime, Scenario, SchedulerSpec};
+use super::{
+    FaultKind, LinkFaultPlan, Outcome, Precompute, Protocol, Runtime, Scenario, SchedulerSpec,
+};
 use crate::error::RunError;
 use dbac_graph::par::par_map;
 use dbac_graph::{Digraph, NodeId};
@@ -685,12 +700,20 @@ impl Sweep {
     /// collects the per-cell report (rows stay in cell order). Cells that
     /// failed to build, or whose run is rejected by the protocol, become
     /// typed error rows.
+    ///
+    /// The run's cells share one [`Precompute`] memo (see the
+    /// [module docs](self)), dropped when `run` returns.
     #[must_use]
     pub fn run(&self) -> SweepReport {
+        self.run_with(&Precompute::new())
+    }
+
+    /// [`Sweep::run`] against a given memo.
+    pub(crate) fn run_with(&self, precompute: &Precompute) -> SweepReport {
         let rows = par_map(&self.cells, |_, cell| {
             let start = Instant::now();
             let summary = match &cell.scenario {
-                Ok(scenario) => scenario.run().map(|out| CellSummary::digest(&out)),
+                Ok(scenario) => scenario.run_with(precompute).map(|out| CellSummary::digest(&out)),
                 Err(e) => Err(e.clone()),
             };
             CellRow {

@@ -6,15 +6,34 @@
 //! this module provides the one primitive the workspace needs — an indexed
 //! parallel map with work stealing via a shared atomic cursor — on plain
 //! `std::thread::scope`. Results come back in input order.
+//!
+//! Calls do not nest thread pools: a `par_map` issued from inside another
+//! `par_map`'s worker (a sweep cell building its `Topology`) runs inline on
+//! that worker, since the outer fan-out already occupies every core.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+thread_local! {
+    /// Set on the threads [`par_map`] spawns, for the worker's lifetime.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The core count, read once per process: `available_parallelism` reads
+/// cgroup files on every call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()))
+}
 
 /// Applies `f` to every element of `items` across the available cores and
 /// returns the results in input order. `f` receives `(index, &item)`.
 ///
-/// Falls back to a sequential loop for tiny inputs or single-core hosts;
-/// the closure therefore must not rely on running on a particular thread.
+/// Falls back to a sequential loop on the calling thread for tiny inputs,
+/// single-core hosts and calls made from inside another `par_map`'s
+/// worker; the closure therefore must not rely on running on a particular
+/// thread.
 ///
 /// # Panics
 ///
@@ -27,8 +46,8 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    let workers = std::thread::available_parallelism().map_or(1, |t| t.get()).min(n);
-    if workers <= 1 {
+    let workers = cores().min(n);
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
@@ -36,13 +55,16 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                IN_WORKER.with(|w| w.set(true));
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = f(i, &items[i]);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
                 }
-                let result = f(i, &items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -73,6 +95,37 @@ mod tests {
         let out: Vec<u32> = par_map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(par_map(&[5u32], |_, &x| x + 1), vec![6]);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_worker_in_input_order() {
+        let outer: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..100).collect();
+        let out = par_map(&outer, |_, &x| {
+            let caller = std::thread::current().id();
+            let nested = par_map(&inner, |i, &y| {
+                assert_eq!(i as u64, y);
+                (std::thread::current().id(), x * 1000 + y)
+            });
+            assert!(nested.iter().all(|&(id, _)| id == caller), "nested call left its caller");
+            nested.into_iter().map(|(_, v)| v).collect::<Vec<_>>()
+        });
+        for (x, row) in out.iter().enumerate() {
+            assert_eq!(*row, inner.iter().map(|y| x as u64 * 1000 + y).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn top_level_calls_still_fan_out() {
+        // The caller is not a worker, so the flag must not leak to it from
+        // an earlier call.
+        par_map(&[1u8, 2], |_, _| ());
+        assert!(!IN_WORKER.with(Cell::get));
+        if cores() > 1 {
+            let caller = std::thread::current().id();
+            let ids = par_map(&[0u8; 4], |_, _| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id != caller));
+        }
     }
 
     #[test]

@@ -125,8 +125,8 @@ pub mod scenario {
     pub use dbac_core::scenario::{
         drive, sweep, ByzantineWitness, ClassCounters, Coverage, CrashTwoReach, Delivery,
         DriveReport, FaultKind, Incomplete, IncompleteReason, LinkFault, LinkFaultPlan, MsgClass,
-        NodeCounters, Outcome, Protocol, ProtocolCounters, Runtime, Scenario, ScenarioBuilder,
-        SchedulerSpec, StatsHandle, StatsRegistry, StatsSnapshot, Trace, TransportKind,
-        TransportSnapshot, WireError, WireMessage,
+        NodeCounters, Outcome, Precompute, Protocol, ProtocolCounters, Runtime, Scenario,
+        ScenarioBuilder, SchedulerSpec, StatsHandle, StatsRegistry, StatsSnapshot, Trace,
+        TransportKind, TransportSnapshot, WireError, WireMessage,
     };
 }

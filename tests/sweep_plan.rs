@@ -1,9 +1,12 @@
 //! Sweep-plan behaviour at the facade level: failure isolation (an invalid
 //! cell must not poison its siblings), the expansion-size property
-//! (cell count = product of axis lengths, with unique labels), and the
-//! byte-stable JSON of a reduced report.
+//! (cell count = product of axis lengths, with unique labels), the
+//! byte-stable JSON of a reduced report, and the sweep-memo differential
+//! (cells sharing a memoised precompute report exactly what a standalone
+//! run of each cell reports).
 
 use dbac::core::error::RunError;
+use dbac::core::FloodMode;
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::sweep::{
     CellRow, CellSummary, ExperimentPlan, InputSpec, SchedulerFamily, SweepReport,
@@ -179,6 +182,77 @@ fn expansion_order_is_the_nested_loop_order_with_the_seed_innermost() {
     assert_eq!(scn.scheduler().seed(), 9);
     assert!(scn.link_faults().is_some());
     assert_eq!(scn.runtime(), Runtime::threaded(Duration::from_secs(30)));
+}
+
+/// Asserts two digests equal field for field, floats by bit pattern.
+fn assert_same_summary(a: &CellSummary, b: &CellSummary, label: &str) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        (a.converged, a.valid, a.all_decided, a.rounds_to_epsilon, a.rounds),
+        (b.converged, b.valid, b.all_decided, b.rounds_to_epsilon, b.rounds),
+        "{label}"
+    );
+    assert_eq!(a.spread.to_bits(), b.spread.to_bits(), "{label}: spread");
+    assert_eq!(a.epsilon.to_bits(), b.epsilon.to_bits(), "{label}: epsilon");
+    assert_eq!(bits(&a.spread_by_round), bits(&b.spread_by_round), "{label}: spread_by_round");
+    assert_eq!(
+        (a.messages_sent, a.messages_delivered, a.messages_dropped, a.honest_messages),
+        (b.messages_sent, b.messages_delivered, b.messages_dropped, b.honest_messages),
+        "{label}: message counts"
+    );
+}
+
+/// Asserts two cell results equal: digests as above, errors by value.
+fn assert_same_result(
+    a: &Result<CellSummary, RunError>,
+    b: &Result<CellSummary, RunError>,
+    label: &str,
+) {
+    match (a, b) {
+        (Ok(x), Ok(y)) => assert_same_summary(x, y, label),
+        (x, y) => assert_eq!(x, y, "{label}"),
+    }
+}
+
+/// `Sweep::run` shares one precompute per (graph, f, protocol, flood mode)
+/// among its cells. Over BW in both flood modes and the crash protocol on
+/// two graphs, several ε values and seeds, every row must equal the digest
+/// of a standalone `Scenario::run` of its cell, bit for bit; the crash
+/// cells with a lying node are error rows on both paths. A second `run` of
+/// the same sweep (a fresh memo) repeats every row.
+#[test]
+fn memoised_sweep_rows_equal_standalone_runs() {
+    let sweep = ExperimentPlan::new()
+        .protocol("bw", ByzantineWitness::default())
+        .protocol("bw-simple", ByzantineWitness::default().with_flood_mode(FloodMode::SimpleOnly))
+        .protocol("crash", CrashTwoReach::default())
+        .graph("K4", generators::clique(4))
+        .graph("K5", generators::clique(5))
+        .fault_bound(1)
+        .faults("crash@0", vec![(NodeId::new(0), FaultKind::Crash)])
+        .faults("liar@0", vec![(NodeId::new(0), FaultKind::ConstantLiar { value: 1e6 })])
+        .epsilons([1.0, 0.25])
+        .seeds([1, 2])
+        .build()
+        .expect("plan expands");
+    assert_eq!(sweep.cell_count(), 48);
+
+    let report = sweep.run();
+    assert_eq!(report.rows.len(), sweep.cell_count());
+    assert_eq!(report.failures().len(), 8, "the crash × liar cells are rejected");
+    for (cell, row) in sweep.cells().iter().zip(&report.rows) {
+        assert_eq!(row.label, cell.label());
+        let scenario = cell.scenario().expect("every cell builds");
+        let standalone = scenario.run().map(|out| CellSummary::digest(&out));
+        assert_same_result(&row.summary, &standalone, &row.label);
+    }
+
+    let again = sweep.run();
+    assert_eq!(again.rows.len(), report.rows.len());
+    for (a, b) in report.rows.iter().zip(&again.rows) {
+        assert_eq!(a.label, b.label);
+        assert_same_result(&a.summary, &b.summary, &a.label);
+    }
 }
 
 /// A hand-built raw report (every field is public, so wall times can be
