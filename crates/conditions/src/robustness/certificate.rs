@@ -1,20 +1,29 @@
-//! Serializable robustness certificates and their O(V+E) verifier.
+//! Serializable robustness certificates and their verifier.
 //!
 //! A [`RobustnessCertificate`] is a *trust-but-verify* artifact: it names
-//! the sufficient-condition rule that was applied, the rule's parameters,
-//! and per-node evidence, and [`verify_certificate`] re-checks all of it
-//! against the graph in O(V+E) — **without** re-running either the
-//! exponential exact search or the polynomial rule discovery. A tampered
-//! certificate (forged parameters, forged node evidence, wrong graph) is
-//! rejected with a typed [`CertificateError`].
+//! the sufficient-condition rule that issued it, the rule's parameters
+//! and per-node evidence. [`verify_certificate`] states no premise of its
+//! own. It re-runs the one rule the certificate names, at the
+//! certificate's `(r, s)` (and, for the layered expander, at its
+//! `layers` × `width`), and accepts iff the rule issues the same
+//! certificate again. Every rule is O(V+E) for fixed parameters, so
+//! verifying never re-runs rule discovery ([`certify`]'s walk over the
+//! rules and the expander's factorizations) nor the exponential exact
+//! search.
 //!
-//! Every rule's soundness argument lives with its issuer in
-//! [`crate::robustness::sufficient`]; the verifier only needs to re-check
-//! the *premises* (degrees, edges, connectivity, structure) and the
-//! rule's arithmetic against the claimed `(r, s)`.
+//! The verifier therefore accepts exactly what the named rule issues on
+//! the graph: a tampered certificate (forged parameters, forged or padded
+//! evidence, wrong graph) is rejected with a typed [`CertificateError`].
+//! Each rule's premises and soundness argument are stated once, with the
+//! rule, in [`crate::robustness::sufficient`].
+//!
+//! [`certify`]: crate::robustness::certify
 
-use dbac_graph::connectivity::is_strongly_connected;
-use dbac_graph::{generators, Digraph, NodeId};
+use super::sufficient::{
+    circulant_prefix_rule, layered_expander_rule, min_in_degree_rule, strongly_connected_rule,
+    trivial_rule,
+};
+use dbac_graph::{Digraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -32,10 +41,10 @@ pub enum CertificateRule {
         min_in_degree: usize,
     },
     /// Every node `v` has the `k` consecutive circulant in-neighbors
-    /// `v−1, …, v−k (mod n)` with `k ≥ max(2r−1, 2r−2+⌈s/2⌉)` — the
+    /// `v−1, …, v−k (mod n)` with `k = max(2r−1, 2r−2+⌈s/2⌉)` — the
     /// k-circulant / in-degree criterion.
     CirculantPrefix {
-        /// The consecutive-offset window bound used by the rule.
+        /// The consecutive-offset window the rule needs for `(r, s)`.
         k: usize,
     },
     /// The graph is strongly connected, which certifies `r ≤ 1, s ≤ 2`.
@@ -67,7 +76,7 @@ impl CertificateRule {
 /// A machine-checkable claim that a graph is `(r, s)`-robust.
 ///
 /// Produced by [`crate::robustness::certify`]; checked by
-/// [`verify_certificate`] in O(V+E).
+/// [`verify_certificate`], which re-runs the rule it names.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RobustnessCertificate {
     /// Node count of the graph the certificate was issued for.
@@ -80,8 +89,8 @@ pub struct RobustnessCertificate {
     pub rule: CertificateRule,
     /// Per-node evidence; its meaning is rule-specific (in-degrees for
     /// `min-in-degree`, consecutive-prefix lengths for
-    /// `circulant-prefix`, empty for the global rules) and the verifier
-    /// recomputes it entry by entry, so a forged entry is rejected.
+    /// `circulant-prefix`, empty for the global rules). The verifier's
+    /// re-derivation recomputes every entry, so a forged one is rejected.
     pub evidence: Vec<u32>,
 }
 
@@ -101,25 +110,18 @@ pub enum CertificateError {
         /// Node count of the graph being verified against.
         actual: usize,
     },
-    /// The claimed `(r, s)` is outside what the rule can certify.
-    ParamsOutOfScope {
-        /// The rule's name.
-        rule: &'static str,
+    /// The named rule issues no certificate on this graph at the claimed
+    /// `(r, s)` (and, for the layered expander, the claimed shape).
+    RuleDoesNotApply {
+        /// The rule the certificate names.
+        rule: CertificateRule,
         /// The claimed `r`.
         r: usize,
         /// The claimed `s`.
         s: usize,
     },
-    /// The evidence vector has the wrong length for the rule.
-    EvidenceLength {
-        /// The rule's name.
-        rule: &'static str,
-        /// The length the rule requires.
-        expected: usize,
-        /// The length found.
-        got: usize,
-    },
-    /// A per-node evidence entry does not match the graph.
+    /// The first per-node evidence entry that differs from the rule's
+    /// re-derivation.
     EvidenceMismatch {
         /// The node whose entry is wrong.
         node: NodeId,
@@ -128,30 +130,17 @@ pub enum CertificateError {
         /// The value recomputed from the graph.
         actual: u32,
     },
-    /// The rule's arithmetic bound fails for the claimed `(r, s)`.
-    BoundNotMet {
-        /// The rule's name.
-        rule: &'static str,
-        /// The bound the rule needs.
-        needed: usize,
-        /// The quantity the graph provides.
-        got: usize,
-    },
-    /// A structural edge the rule relies on is absent.
-    MissingEdge {
-        /// Tail of the missing edge.
-        from: NodeId,
-        /// Head of the missing edge.
-        to: NodeId,
-    },
-    /// The strongly-connected rule was claimed on a disconnected graph.
-    NotStronglyConnected,
-    /// The rule's structural parameters do not describe this graph.
-    BadShape {
-        /// The rule's name.
-        rule: &'static str,
-        /// What went wrong.
-        detail: &'static str,
+    /// The rule's re-derivation differs elsewhere: in a rule parameter
+    /// or in the length of the evidence.
+    ParameterMismatch {
+        /// The rule and parameters the certificate claims.
+        claimed: CertificateRule,
+        /// The rule and parameters the re-derivation issues.
+        derived: CertificateRule,
+        /// The certificate's evidence length.
+        claimed_evidence: usize,
+        /// The re-derivation's evidence length.
+        derived_evidence: usize,
     },
 }
 
@@ -161,65 +150,36 @@ impl fmt::Display for CertificateError {
             CertificateError::NodeCountMismatch { claimed, actual } => {
                 write!(f, "certificate is for {claimed} nodes, graph has {actual}")
             }
-            CertificateError::ParamsOutOfScope { rule, r, s } => {
-                write!(f, "rule {rule} cannot certify (r, s) = ({r}, {s})")
-            }
-            CertificateError::EvidenceLength { rule, expected, got } => {
-                write!(f, "rule {rule} needs {expected} evidence entries, found {got}")
+            CertificateError::RuleDoesNotApply { rule, r, s } => {
+                write!(f, "rule {} does not certify (r, s) = ({r}, {s}) here", rule.name())
             }
             CertificateError::EvidenceMismatch { node, claimed, actual } => {
                 write!(f, "evidence for node {node} claims {claimed}, graph says {actual}")
             }
-            CertificateError::BoundNotMet { rule, needed, got } => {
-                write!(f, "rule {rule} needs {needed}, graph provides {got}")
-            }
-            CertificateError::MissingEdge { from, to } => {
-                write!(f, "required edge {from} -> {to} is absent")
-            }
-            CertificateError::NotStronglyConnected => {
-                write!(f, "graph is not strongly connected")
-            }
-            CertificateError::BadShape { rule, detail } => {
-                write!(f, "rule {rule}: {detail}")
-            }
+            CertificateError::ParameterMismatch {
+                claimed,
+                derived,
+                claimed_evidence,
+                derived_evidence,
+            } => write!(
+                f,
+                "certificate claims {claimed:?} with {claimed_evidence} evidence entries, \
+                 the rule derives {derived:?} with {derived_evidence}"
+            ),
         }
     }
 }
 
 impl std::error::Error for CertificateError {}
 
-/// The circulant window the [`CertificateRule::CirculantPrefix`] rule
-/// needs for `(r, s)`: `max(2r − 1, 2r − 2 + ⌈s/2⌉)`. The commonly quoted
-/// `2(r + s) − 1` criterion implies this bound, so any graph passing the
-/// quoted form also passes here. Meaningful for `r, s ≥ 1`.
-#[must_use]
-pub fn required_circulant_k(r: usize, s: usize) -> usize {
-    (2 * r).saturating_sub(1).max((2 * r).saturating_sub(2) + s.div_ceil(2))
-}
-
-/// The longest consecutive circulant prefix at `v`: the largest `p` such
-/// that every `v−1, …, v−p (mod n)` is an in-neighbor of `v`.
-#[must_use]
-pub fn circulant_prefix_len(g: &Digraph, v: NodeId, n: usize) -> u32 {
-    let mut p = 0u32;
-    for i in 1..n {
-        let u = NodeId::new((v.index() + n - i) % n);
-        if !g.has_edge(u, v) {
-            break;
-        }
-        p += 1;
-    }
-    p
-}
-
-/// Re-checks `cert` against `g` in O(V+E), without re-running the search
-/// that issued it.
+/// Re-checks `cert` against `g` by re-running the rule it names, in
+/// O(V+E) for fixed parameters.
 ///
 /// # Errors
 ///
-/// A typed [`CertificateError`] naming the first premise that failed:
-/// wrong graph, parameters outside the rule's scope, forged per-node
-/// evidence, or a missing structural edge.
+/// A typed [`CertificateError`]: the wrong node count, a rule that does
+/// not apply at the claimed parameters, the first forged evidence entry,
+/// or any other difference from the rule's re-derivation.
 pub fn verify_certificate(
     g: &Digraph,
     cert: &RobustnessCertificate,
@@ -228,155 +188,37 @@ pub fn verify_certificate(
     if cert.n != n {
         return Err(CertificateError::NodeCountMismatch { claimed: cert.n, actual: n });
     }
-    let expect_evidence = |expected: usize, rule: &'static str| {
-        if cert.evidence.len() == expected {
-            Ok(())
-        } else {
-            Err(CertificateError::EvidenceLength { rule, expected, got: cert.evidence.len() })
-        }
-    };
-    match cert.rule {
-        CertificateRule::Trivial => {
-            expect_evidence(0, "trivial")?;
-            if cert.r == 0 || cert.s == 0 || n <= 1 {
-                Ok(())
-            } else {
-                Err(CertificateError::ParamsOutOfScope { rule: "trivial", r: cert.r, s: cert.s })
-            }
-        }
-        CertificateRule::MinInDegree { min_in_degree } => {
-            expect_evidence(n, "min-in-degree")?;
-            let mut min = usize::MAX;
-            for (i, v) in g.nodes().enumerate() {
-                let actual = g.in_neighbors(v).len() as u32;
-                if cert.evidence[i] != actual {
-                    return Err(CertificateError::EvidenceMismatch {
-                        node: v,
-                        claimed: cert.evidence[i],
-                        actual,
-                    });
-                }
-                min = min.min(actual as usize);
-            }
-            if min_in_degree != min {
-                return Err(CertificateError::BoundNotMet {
-                    rule: "min-in-degree",
-                    needed: min_in_degree,
-                    got: min,
-                });
-            }
-            // δ_in ≥ ⌊n/2⌋ + r − 1 certifies (r, s) for every s.
-            let needed = n / 2 + cert.r.saturating_sub(1);
-            if cert.r >= 1 && min >= needed {
-                Ok(())
-            } else {
-                Err(CertificateError::BoundNotMet { rule: "min-in-degree", needed, got: min })
-            }
-        }
-        CertificateRule::CirculantPrefix { k } => {
-            expect_evidence(n, "circulant-prefix")?;
-            if cert.r < 1 || cert.s < 1 {
-                return Err(CertificateError::ParamsOutOfScope {
-                    rule: "circulant-prefix",
-                    r: cert.r,
-                    s: cert.s,
-                });
-            }
-            let needed = required_circulant_k(cert.r, cert.s);
-            if k < needed || k > n.saturating_sub(1) {
-                return Err(CertificateError::BoundNotMet {
-                    rule: "circulant-prefix",
-                    needed,
-                    got: k,
-                });
-            }
-            // Each prefix probe stops at the first absent edge, so the
-            // whole pass is O(V+E) even on dense graphs.
-            for (i, v) in g.nodes().enumerate() {
-                let actual = circulant_prefix_len(g, v, n);
-                if cert.evidence[i] != actual {
-                    return Err(CertificateError::EvidenceMismatch {
-                        node: v,
-                        claimed: cert.evidence[i],
-                        actual,
-                    });
-                }
-                if (actual as usize) < k {
-                    return Err(CertificateError::MissingEdge {
-                        from: NodeId::new((v.index() + n - (actual as usize + 1)) % n),
-                        to: v,
-                    });
-                }
-            }
-            Ok(())
-        }
-        CertificateRule::StronglyConnected => {
-            expect_evidence(0, "strongly-connected")?;
-            if cert.r > 1 || cert.s > 2 || cert.r < 1 || cert.s < 1 {
-                return Err(CertificateError::ParamsOutOfScope {
-                    rule: "strongly-connected",
-                    r: cert.r,
-                    s: cert.s,
-                });
-            }
-            if n < 2 {
-                return Err(CertificateError::BadShape {
-                    rule: "strongly-connected",
-                    detail: "needs at least 2 nodes (use the trivial rule below that)",
-                });
-            }
-            if is_strongly_connected(g) {
-                Ok(())
-            } else {
-                Err(CertificateError::NotStronglyConnected)
-            }
-        }
+    let (r, s) = (cert.r, cert.s);
+    let derived = match cert.rule {
+        CertificateRule::Trivial => trivial_rule(g, r, s),
+        CertificateRule::MinInDegree { .. } => min_in_degree_rule(g, r, s),
+        CertificateRule::CirculantPrefix { .. } => circulant_prefix_rule(g, r, s),
+        CertificateRule::StronglyConnected => strongly_connected_rule(g, r, s),
         CertificateRule::LayeredExpander { layers, width } => {
-            expect_evidence(0, "layered-expander")?;
-            if cert.r != 1 || cert.s < 1 || cert.s > 4 {
-                return Err(CertificateError::ParamsOutOfScope {
-                    rule: "layered-expander",
-                    r: cert.r,
-                    s: cert.s,
-                });
-            }
-            if layers < 2 || width < 3 || layers * width != n {
-                return Err(CertificateError::BadShape {
-                    rule: "layered-expander",
-                    detail: "layers/width do not tile the node count (layers ≥ 2, width ≥ 3)",
-                });
-            }
-            // The template must be a spanning subgraph: extra edges only
-            // strengthen robustness (X_S^r grows monotonically with
-            // in-neighborhoods), so containment is what the rule needs.
-            let template = generators::layered_expander(layers, width);
-            for (u, v) in template.edges() {
-                if !g.has_edge(u, v) {
-                    return Err(CertificateError::MissingEdge { from: u, to: v });
-                }
-            }
-            Ok(())
+            layered_expander_rule(g, layers, width, r, s)
         }
     }
+    .ok_or(CertificateError::RuleDoesNotApply { rule: cert.rule, r, s })?;
+    let entries = cert.evidence.iter().zip(&derived.evidence);
+    if let Some((i, (&claimed, &actual))) = entries.enumerate().find(|(_, (c, a))| c != a) {
+        return Err(CertificateError::EvidenceMismatch { node: NodeId::new(i), claimed, actual });
+    }
+    if *cert != derived {
+        return Err(CertificateError::ParameterMismatch {
+            claimed: cert.rule,
+            derived: derived.rule,
+            claimed_evidence: cert.evidence.len(),
+            derived_evidence: derived.evidence.len(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robustness::certify;
     use dbac_graph::generators;
-
-    #[test]
-    fn required_k_matches_the_quoted_criterion() {
-        // k ≥ 2(r+s)−1 (the commonly quoted form) always implies our
-        // sharper bound, so the quoted criterion is honored.
-        for r in 1..=5 {
-            for s in 1..=5 {
-                assert!(required_circulant_k(r, s) < 2 * (r + s), "r={r} s={s}");
-            }
-        }
-        assert_eq!(required_circulant_k(1, 1), 1);
-        assert_eq!(required_circulant_k(2, 2), 3);
-    }
 
     #[test]
     fn wrong_graph_is_rejected() {
@@ -395,14 +237,40 @@ mod tests {
     }
 
     #[test]
-    fn prefix_len_probes_stop_at_the_gap() {
-        let g = generators::circulant(8, &[1, 2, 4]);
-        for v in g.nodes() {
-            assert_eq!(circulant_prefix_len(&g, v, 8), 2, "offsets 1,2 form the prefix");
-        }
-        let full = generators::clique(4);
-        for v in full.nodes() {
-            assert_eq!(circulant_prefix_len(&full, v, 4), 3);
-        }
+    fn only_what_the_rule_issues_is_accepted() {
+        // circulant(12, {1,2,3,4}) has a 4-window, but (2, 2) needs only
+        // k = 3: the rule issues k = 3, and a claimed k = 4 is rejected.
+        let g = generators::circulant(12, &[1, 2, 3, 4]);
+        let cert = certify(&g, 2, 2).expect("circulant window rule");
+        assert_eq!(cert.rule, CertificateRule::CirculantPrefix { k: 3 });
+        let mut wide = cert.clone();
+        wide.rule = CertificateRule::CirculantPrefix { k: 4 };
+        assert_eq!(
+            verify_certificate(&g, &wide),
+            Err(CertificateError::ParameterMismatch {
+                claimed: wide.rule,
+                derived: cert.rule,
+                claimed_evidence: 12,
+                derived_evidence: 12,
+            })
+        );
+
+        // s = 0 is the trivial rule's: min-in-degree does not issue it.
+        let k5 = generators::clique(5);
+        let cert = certify(&k5, 2, 2).expect("min-in-degree rule");
+        let mut vacuous = cert.clone();
+        vacuous.s = 0;
+        assert_eq!(
+            verify_certificate(&k5, &vacuous),
+            Err(CertificateError::RuleDoesNotApply { rule: cert.rule, r: 2, s: 0 })
+        );
+
+        // The first forged entry is named with both values.
+        let mut forged = cert;
+        forged.evidence[3] = 7;
+        assert_eq!(
+            verify_certificate(&k5, &forged),
+            Err(CertificateError::EvidenceMismatch { node: NodeId::new(3), claimed: 7, actual: 4 })
+        );
     }
 }

@@ -104,12 +104,6 @@ pub fn is_r_s_robust(g: &Digraph, r: usize, s: usize) -> bool {
     exact_verdict(g, r, s).holds()
 }
 
-/// The witness variant of [`is_r_s_robust`]: a violating pair, if any.
-#[must_use]
-pub fn robustness_violation(g: &Digraph, r: usize, s: usize) -> Option<(NodeSet, NodeSet)> {
-    exact_verdict(g, r, s).violation().map(|w| (w.s1, w.s2))
-}
-
 /// The exact decision procedure, with a typed verdict.
 ///
 /// # Panics
@@ -222,8 +216,8 @@ mod tests {
         let g = generators::bidirectional_cycle(6);
         assert!(is_r_s_robust(&g, 1, 1));
         assert!(!is_r_s_robust(&g, 2, 2));
-        let (s1, s2) = robustness_violation(&g, 2, 2).unwrap();
-        assert!(!s1.is_empty() && !s2.is_empty() && s1.is_disjoint(s2));
+        let w = exact_verdict(&g, 2, 2).violation().cloned().unwrap();
+        assert!(!w.s1.is_empty() && !w.s2.is_empty() && w.s1.is_disjoint(w.s2));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! (`tests/robustness_differential.rs`) replays every issued certificate
 //! against the exact exponential checker on all corpus graphs ≤ 12 nodes.
 //!
+//! Each rule is also its own verifier: [`verify_certificate`] re-runs the
+//! rule a certificate names and compares, so a rule's premises are stated
+//! here and nowhere else.
+//!
+//! [`verify_certificate`]: crate::robustness::verify_certificate
+//!
 //! # The rules and why they are sound
 //!
 //! Throughout, `S1, S2` is a disjoint non-empty pair and
@@ -60,11 +66,9 @@
 //! a violating pair therefore contribute 2, and `|X1| + |X2| ≥ 4 ≥ s`.
 //! Extra edges again only help.
 
-use super::certificate::{
-    circulant_prefix_len, required_circulant_k, CertificateRule, RobustnessCertificate,
-};
+use super::certificate::{CertificateRule, RobustnessCertificate};
 use dbac_graph::connectivity::is_strongly_connected;
-use dbac_graph::{generators, Digraph};
+use dbac_graph::{generators, Digraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -87,12 +91,6 @@ pub enum CertificationStatus {
 }
 
 impl CertificationStatus {
-    /// `true` when a certificate was issued.
-    #[must_use]
-    pub fn is_certified(&self) -> bool {
-        matches!(self, CertificationStatus::Certified(_))
-    }
-
     /// The certificate, if one was issued.
     #[must_use]
     pub fn certificate(&self) -> Option<&RobustnessCertificate> {
@@ -182,10 +180,34 @@ pub fn min_in_degree_rule(g: &Digraph, r: usize, s: usize) -> Option<RobustnessC
     })
 }
 
+/// The circulant window the [`CertificateRule::CirculantPrefix`] rule
+/// needs for `(r, s)`: `max(2r − 1, 2r − 2 + ⌈s/2⌉)`. The commonly quoted
+/// `2(r + s) − 1` criterion implies this bound, so any graph passing the
+/// quoted form also passes here. Meaningful for `r, s ≥ 1`.
+#[must_use]
+pub fn required_circulant_k(r: usize, s: usize) -> usize {
+    (2 * r).saturating_sub(1).max((2 * r).saturating_sub(2) + s.div_ceil(2))
+}
+
+/// The longest consecutive circulant prefix at `v`: the largest `p` such
+/// that every `v−1, …, v−p (mod n)` is an in-neighbor of `v`. Each probe
+/// stops at the first absent edge, so a pass over all nodes is O(V+E).
+fn circulant_prefix_len(g: &Digraph, v: NodeId, n: usize) -> u32 {
+    let mut p = 0u32;
+    for i in 1..n {
+        let u = NodeId::new((v.index() + n - i) % n);
+        if !g.has_edge(u, v) {
+            break;
+        }
+        p += 1;
+    }
+    p
+}
+
 /// The k-circulant criterion: every node has the consecutive circulant
-/// in-neighbors `v−1, …, v−k` with `k ≥ max(2r−1, 2r−2+⌈s/2⌉)` (implied
-/// by the commonly quoted `k ≥ 2(r+s)−1`). Evidence: each node's actual
-/// consecutive-prefix length.
+/// in-neighbors `v−1, …, v−k` with `k =` [`required_circulant_k`]`(r, s)`
+/// (implied by the commonly quoted `k ≥ 2(r+s)−1`). Evidence: each
+/// node's actual consecutive-prefix length.
 #[must_use]
 pub fn circulant_prefix_rule(g: &Digraph, r: usize, s: usize) -> Option<RobustnessCertificate> {
     let n = g.node_count();
@@ -277,6 +299,31 @@ mod tests {
     use dbac_graph::generators;
 
     #[test]
+    fn required_k_matches_the_quoted_criterion() {
+        // k ≥ 2(r+s)−1 (the commonly quoted form) always implies our
+        // sharper bound, so the quoted criterion is honored.
+        for r in 1..=5 {
+            for s in 1..=5 {
+                assert!(required_circulant_k(r, s) < 2 * (r + s), "r={r} s={s}");
+            }
+        }
+        assert_eq!(required_circulant_k(1, 1), 1);
+        assert_eq!(required_circulant_k(2, 2), 3);
+    }
+
+    #[test]
+    fn prefix_len_probes_stop_at_the_gap() {
+        let g = generators::circulant(8, &[1, 2, 4]);
+        for v in g.nodes() {
+            assert_eq!(circulant_prefix_len(&g, v, 8), 2, "offsets 1,2 form the prefix");
+        }
+        let full = generators::clique(4);
+        for v in full.nodes() {
+            assert_eq!(circulant_prefix_len(&full, v, 4), 3);
+        }
+    }
+
+    #[test]
     fn clique_certified_by_min_in_degree() {
         let g = generators::clique(5);
         let cert = certify(&g, 2, 2).expect("K5 is (2,2)-robust by δ_in = 4 ≥ 3");
@@ -315,7 +362,7 @@ mod tests {
     #[test]
     fn uncertified_is_a_typed_warning() {
         let status = certification(&generators::bidirectional_cycle(6), 2, 2);
-        assert!(!status.is_certified());
+        assert!(status.certificate().is_none());
         assert_eq!(status.rule_label(), "UNCERTIFIED");
         assert_eq!(status.to_string(), "UNCERTIFIED for (2, 2)-robustness");
     }

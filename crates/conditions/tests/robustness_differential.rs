@@ -8,12 +8,13 @@
 //!    2^n-mask search must agree with a verbatim copy of the retired
 //!    base-3 enumeration from `dbac-baselines` on every corpus graph.
 //! 3. **Verifier tamper-rejection (proptest)** — the verifier accepts
-//!    every issued certificate and rejects mutated ones: inflated rule
-//!    params, forged per-node evidence, padded evidence vectors, wrong
-//!    node counts.
+//!    every issued certificate and rejects mutated ones: inflated `r`,
+//!    forged rule parameters, forged per-node evidence, padded evidence
+//!    vectors, wrong node counts.
 
 use dbac_conditions::robustness::{
-    certify, exact_verdict, is_r_s_robust, verify_certificate, RobustnessVerdict,
+    certify, exact_verdict, is_r_s_robust, verify_certificate, CertificateRule,
+    RobustnessCertificate, RobustnessVerdict,
 };
 use dbac_graph::{generators, Digraph, NodeId, NodeSet};
 use proptest::proptest;
@@ -199,7 +200,9 @@ proptest! {
 
     /// Tampering with the claimed parameters is rejected: inflating `r` to
     /// the node count breaks every rule's premise (for non-trivial certs),
-    /// and shifting the node count is rejected outright.
+    /// shifting the node count is rejected outright, and so is any change
+    /// to the rule's own parameters (`min_in_degree ± 1`, `k + 1`,
+    /// `layers` and `width` swapped).
     #[test]
     fn tampered_params_are_rejected(
         seed in 0u64..64,
@@ -216,9 +219,30 @@ proptest! {
                 "rule {} accepted a forged r = n = {n}",
                 cert.rule.name()
             );
-            let mut shifted = cert;
+            let mut shifted = cert.clone();
             shifted.n += 1;
             assert!(verify_certificate(&g, &shifted).is_err(), "wrong node count accepted");
+            let forged_rules = match cert.rule {
+                CertificateRule::MinInDegree { min_in_degree } => vec![
+                    CertificateRule::MinInDegree { min_in_degree: min_in_degree + 1 },
+                    CertificateRule::MinInDegree { min_in_degree: min_in_degree - 1 },
+                ],
+                CertificateRule::CirculantPrefix { k } => {
+                    vec![CertificateRule::CirculantPrefix { k: k + 1 }]
+                }
+                CertificateRule::LayeredExpander { layers, width } if layers != width => {
+                    vec![CertificateRule::LayeredExpander { layers: width, width: layers }]
+                }
+                _ => vec![],
+            };
+            for rule in forged_rules {
+                let forged = RobustnessCertificate { rule, ..cert.clone() };
+                assert!(
+                    verify_certificate(&g, &forged).is_err(),
+                    "accepted {rule:?} in place of the issued {:?}",
+                    cert.rule
+                );
+            }
         }
     }
 

@@ -536,12 +536,6 @@ impl CompletePayload {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// Rebuilds a [`MessageSet`] view of the payload.
-    #[must_use]
-    pub fn to_message_set(&self) -> MessageSet {
-        self.entries.iter().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -657,7 +651,6 @@ mod tests {
         let summary = pay.summary(t.index());
         assert!(summary.is_interned() && summary.is_consistent());
         assert_eq!(summary.value_of(NodeId::new(1)), Some(2.5));
-        assert_eq!(pay.to_message_set(), m);
 
         let same = CompletePayload::from_message_set(&m.clone());
         assert_eq!(pay.fingerprint(), same.fingerprint());

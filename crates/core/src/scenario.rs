@@ -74,9 +74,10 @@
 //! **certificates**: polynomial sufficient rules
 //! (`dbac_conditions::robustness::certify`) issue a serializable
 //! `RobustnessCertificate` naming the rule, its parameters and per-node
-//! evidence, and an O(V+E) verifier
+//! evidence, and the verifier
 //! (`dbac_conditions::robustness::verify_certificate`) re-checks any
-//! certificate without re-running the search. When each rule applies:
+//! certificate by re-running the one rule it names, in O(V+E), without
+//! re-running the search. When each rule applies:
 //!
 //! * `min-in-degree` — dense graphs: every in-degree ≥ `⌊n/2⌋ + r − 1`
 //!   (cliques, near-complete graphs; certifies every `s`).
@@ -288,7 +289,8 @@ pub use memo::Precompute;
 pub enum SchedulerSpec {
     /// Constant per-message delay.
     Fixed(u64),
-    /// Seeded uniform-random delays in `[min, max]`.
+    /// Seeded uniform-random delays in `[min, max]` (`min > max` is
+    /// rejected at [`ScenarioBuilder::build`]).
     Random {
         /// RNG seed.
         seed: u64,
@@ -907,7 +909,8 @@ impl ScenarioBuilder {
     ///   [`RunError::InvalidLinkFault`] /
     ///   [`RunError::LinkFaultBudgetExceeded`] — malformed link-fault plan;
     /// * [`RunError::InvalidConfig`] — non-finite inputs, empty or
-    ///   violated a-priori range, no honest nodes.
+    ///   violated a-priori range, no honest nodes, an empty random-delay
+    ///   range (`min > max`).
     pub fn build(self) -> Result<Scenario, RunError> {
         let ScenarioBuilder { scenario, range } = self;
         let n = scenario.graph.node_count();
@@ -919,6 +922,11 @@ impl ScenarioBuilder {
         }
         if !(scenario.epsilon > 0.0 && scenario.epsilon.is_finite()) {
             return Err(RunError::NonPositiveEpsilon { epsilon: scenario.epsilon });
+        }
+        if let SchedulerSpec::Random { min, max, .. } = scenario.scheduler {
+            if min > max {
+                return Err(RunError::InvalidConfig { reason: "empty random-delay range".into() });
+            }
         }
         let mut faulty = NodeSet::EMPTY;
         for &(v, _) in &scenario.faults {

@@ -8,7 +8,6 @@
 
 use crate::digraph::Digraph;
 use crate::maxflow::max_vertex_disjoint_paths;
-use crate::nodeset::NodeSet;
 use crate::paths::reachable_from;
 
 /// Returns `true` if `g` is strongly connected.
@@ -60,33 +59,10 @@ pub fn vertex_connectivity(g: &Digraph) -> usize {
     }
 }
 
-/// Returns `true` if removing `cut` disconnects `g` (some ordered pair of
-/// remaining nodes loses all directed paths), or leaves fewer than two
-/// nodes. Used to double-check κ results in tests and experiments.
-#[must_use]
-pub fn is_vertex_cut(g: &Digraph, cut: NodeSet) -> bool {
-    let remaining = g.vertex_set() - cut;
-    if remaining.len() <= 1 {
-        return true;
-    }
-    let sub = g.induced(remaining);
-    for s in remaining.iter() {
-        if reachable_from(&sub, s) & remaining != remaining {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::node::NodeId;
-
-    fn id(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
 
     #[test]
     fn clique_connectivity_is_n_minus_1() {
@@ -118,21 +94,6 @@ mod tests {
         assert!(is_strongly_connected(&generators::directed_cycle(4)));
         let g = Digraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         assert!(!is_strongly_connected(&g));
-    }
-
-    #[test]
-    fn vertex_cut_detection() {
-        // 0 - 1 - 2 path (bidirectional): {1} is a cut.
-        let g = Digraph::from_undirected_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        assert!(is_vertex_cut(&g, NodeSet::singleton(id(1))));
-        assert!(!is_vertex_cut(&g, NodeSet::singleton(id(0))));
-    }
-
-    #[test]
-    fn cut_with_too_few_remaining_counts_as_cut() {
-        let g = generators::clique(3);
-        let cut: NodeSet = [id(0), id(1)].into_iter().collect();
-        assert!(is_vertex_cut(&g, cut));
     }
 
     #[test]

@@ -46,15 +46,6 @@ pub fn strongly_connected_components(g: &Digraph, within: NodeSet) -> Vec<NodeSe
     state.components
 }
 
-/// The strongly connected component containing `v` (within `within`).
-#[must_use]
-pub fn component_of(g: &Digraph, within: NodeSet, v: NodeId) -> NodeSet {
-    strongly_connected_components(g, within)
-        .into_iter()
-        .find(|c| c.contains(v))
-        .unwrap_or_else(|| NodeSet::singleton(v))
-}
-
 /// Returns `true` if every node of `set` can reach every other node of
 /// `set` inside the subgraph induced by `set`.
 #[must_use]
@@ -152,12 +143,6 @@ mod tests {
         let comps = strongly_connected_components(&g, within);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0], within);
-    }
-
-    #[test]
-    fn component_of_isolated_restriction() {
-        let g = Digraph::from_edges(3, &[(0, 1)]).unwrap();
-        assert_eq!(component_of(&g, g.vertex_set(), id(2)), NodeSet::singleton(id(2)));
     }
 
     #[test]

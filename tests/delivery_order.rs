@@ -10,6 +10,11 @@
 //! the delivery policy's draw sequence, to the link-fault decisions, to
 //! the activation order of the start phase or to what an adversary sends
 //! moves it.
+//!
+//! Next to each byte digest sits an order-only digest: the same FNV-1a
+//! fold over `at`, `from` and `to` alone. A change that reshapes frames
+//! without moving any delivery (a smaller wire encoding, say) moves the
+//! byte digest and leaves the order digest where it is.
 
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
@@ -21,8 +26,9 @@ fn id(i: usize) -> NodeId {
     NodeId::new(i)
 }
 
-/// `(deliveries, FNV-1a 64 digest)` of a trace.
-fn digest(trace: &Trace) -> (usize, u64) {
+/// FNV-1a 64 over every delivery of `trace`; `frames` adds each frame's
+/// length and bytes after its `(at, from, to)`.
+fn fnv1a(trace: &Trace, frames: bool) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     let mut feed = |bytes: &[u8]| {
         for &b in bytes {
@@ -34,10 +40,22 @@ fn digest(trace: &Trace) -> (usize, u64) {
         feed(&d.at.ticks().to_le_bytes());
         feed(&(d.from.index() as u32).to_le_bytes());
         feed(&(d.to.index() as u32).to_le_bytes());
-        feed(&(d.frame.len() as u32).to_le_bytes());
-        feed(&d.frame);
+        if frames {
+            feed(&(d.frame.len() as u32).to_le_bytes());
+            feed(&d.frame);
+        }
     }
-    (trace.deliveries.len(), hash)
+    hash
+}
+
+/// `(deliveries, FNV-1a 64 digest)` of a trace.
+fn digest(trace: &Trace) -> (usize, u64) {
+    (trace.deliveries.len(), fnv1a(trace, true))
+}
+
+/// The order-only digest: FNV-1a 64 over `(at, from, to)` per delivery.
+fn order_digest(trace: &Trace) -> u64 {
+    fnv1a(trace, false)
 }
 
 /// Duplicates on 0→1, reorders on 1→2, drops on 2→0.
@@ -48,9 +66,9 @@ fn chaos() -> LinkFaultPlan {
         .fault(id(2), id(0), LinkFault::Drop { prob: 0.2 })
 }
 
-fn traced(builder: ScenarioBuilder) -> (usize, u64) {
+fn traced(builder: ScenarioBuilder) -> Trace {
     let out = builder.link_faults(chaos()).seed(6).record_trace(true).run().expect("runs");
-    digest(&out.trace.expect("trace recorded"))
+    out.trace.expect("trace recorded")
 }
 
 /// One row per BW fault: each strategy's injections and relays reach the
@@ -64,22 +82,32 @@ fn bw_k5_catalog_delivery_order_is_pinned() {
         (FaultKind::PathFabricator { forged_value: -77.0 }, (13_006, 1_305_477_971_010_630_245)),
         (FaultKind::Chaotic { seed: 5 }, (12_826, 7_687_901_582_498_231_270)),
     ];
-    for (fault, expected) in catalog {
+    // Order-only digests, in catalog order.
+    let orders = [
+        10_146_722_805_633_412_924,
+        5_941_265_024_486_710_229,
+        16_586_592_800_799_308_278,
+        6_543_104_930_214_523_711,
+        6_260_853_792_866_912_076,
+    ];
+    for ((fault, expected), order) in catalog.into_iter().zip(orders) {
         let label = fault.label();
-        let pin = traced(
+        let trace = traced(
             Scenario::builder(generators::clique(5), 1)
                 .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
                 .epsilon(0.5)
                 .fault(id(4), fault)
                 .protocol(ByzantineWitness::default()),
         );
+        let pin = digest(&trace);
         assert_eq!(pin, expected, "{label}");
+        assert_eq!(order_digest(&trace), order, "{label}: order");
     }
 }
 
 #[test]
 fn crash_k4_delivery_order_is_pinned() {
-    let pin = traced(
+    let trace = traced(
         Scenario::builder(generators::clique(4), 1)
             .inputs(vec![0.0, 8.0, 4.0, 2.0])
             .epsilon(0.5)
@@ -87,5 +115,7 @@ fn crash_k4_delivery_order_is_pinned() {
             .fault(id(3), FaultKind::CrashAfter { sends: 5 })
             .protocol(CrashTwoReach::default()),
     );
+    let pin = digest(&trace);
     assert_eq!(pin, (158, 16_637_992_831_282_363_527));
+    assert_eq!(order_digest(&trace), 18_352_707_118_752_469_903, "order");
 }

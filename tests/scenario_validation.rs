@@ -8,7 +8,7 @@ use dbac::core::RunError;
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
     Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, LinkFault,
-    LinkFaultPlan, Runtime, Scenario,
+    LinkFaultPlan, Runtime, Scenario, SchedulerSpec,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -154,6 +154,22 @@ fn complete_network_requirements_are_typed() {
         .run()
         .unwrap_err();
     assert_eq!(err, RunError::IncompleteGraph { protocol: "aad04" });
+}
+
+/// A random-delay range with `min > max` is empty: it is rejected at
+/// build, before a run can reach the delay policy, while a one-point
+/// range still runs.
+#[test]
+fn empty_random_delay_range_is_typed() {
+    let builder = |min, max| {
+        Scenario::builder(generators::clique(4), 1)
+            .inputs(vec![0.0, 1.0, 2.0, 3.0])
+            .protocol(CrashTwoReach::default())
+            .scheduler(SchedulerSpec::Random { seed: 3, min, max })
+    };
+    let err = builder(9, 3).build().unwrap_err();
+    assert!(matches!(err, RunError::InvalidConfig { .. }), "{err:?}");
+    assert!(builder(3, 3).run().expect("one-point range runs").valid());
 }
 
 #[test]

@@ -73,6 +73,34 @@ fn build_time_rejection_surfaces_without_poisoning_siblings() {
     assert!(ok.summary.as_ref().unwrap().converged);
 }
 
+/// A scheduler point with an empty random-delay range (`min > max`) fails
+/// validation in each of its cells, which become error rows, while the
+/// cells of the valid scheduler point run.
+#[test]
+fn empty_delay_range_cells_become_error_rows() {
+    let sweep = ExperimentPlan::new()
+        .protocol("crash", CrashTwoReach::default())
+        .graph("K4", generators::clique(4))
+        .fault_bound(1)
+        .scheduler("ok", SchedulerFamily::random(1, 9))
+        .scheduler("empty", SchedulerFamily::random(9, 1))
+        .seeds([7, 8])
+        .build()
+        .expect("plan expands despite the invalid cells");
+    assert_eq!(sweep.cell_count(), 4);
+    let report = sweep.run();
+    assert_eq!(report.rows.len(), 4);
+    for row in &report.rows {
+        match row.coord("scheduler") {
+            Some("empty") => {
+                let err = row.summary.as_ref().unwrap_err();
+                assert!(matches!(err, RunError::InvalidConfig { .. }), "{err:?}");
+            }
+            _ => assert!(row.summary.as_ref().unwrap().converged, "{}", row.label),
+        }
+    }
+}
+
 /// Every label and group of a plan with all eleven axes populated (and
 /// differing radices), against the cartesian product written out as the
 /// nested loops it stands for: protocol outermost, seed innermost.
