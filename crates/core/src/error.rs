@@ -62,14 +62,6 @@ pub enum RunError {
         /// What is wrong with the fault.
         reason: &'static str,
     },
-    /// A link-fault plan touches more distinct edges than its declared
-    /// budget allows.
-    LinkFaultBudgetExceeded {
-        /// Distinct edges the plan touches.
-        edges: usize,
-        /// The declared budget.
-        budget: usize,
-    },
     /// The selected protocol cannot express the requested fault behaviour.
     UnsupportedFault {
         /// Protocol name (see `Protocol::name`).
@@ -124,9 +116,6 @@ impl fmt::Display for RunError {
             }
             RunError::InvalidLinkFault { from, to, reason } => {
                 write!(f, "invalid link fault on edge {from} -> {to}: {reason}")
-            }
-            RunError::LinkFaultBudgetExceeded { edges, budget } => {
-                write!(f, "link-fault plan touches {edges} edges, exceeding its budget {budget}")
             }
             RunError::UnsupportedFault { protocol, fault } => {
                 write!(f, "protocol {protocol} cannot express the fault kind {fault}")
@@ -189,7 +178,5 @@ mod tests {
         let e =
             RunError::InvalidLinkFault { from: 0, to: 1, reason: "probability 2 not in [0, 1]" };
         assert!(e.to_string().contains("probability"));
-        let e = RunError::LinkFaultBudgetExceeded { edges: 4, budget: 2 };
-        assert!(e.to_string().contains("budget 2"));
     }
 }

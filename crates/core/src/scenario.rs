@@ -906,8 +906,7 @@ impl ScenarioBuilder {
     ///   malformed fault assignment;
     /// * [`RunError::TooManyFaults`] — more faults than the bound `f`;
     /// * [`RunError::LinkFaultOutsideGraph`] /
-    ///   [`RunError::InvalidLinkFault`] /
-    ///   [`RunError::LinkFaultBudgetExceeded`] — malformed link-fault plan;
+    ///   [`RunError::InvalidLinkFault`] — malformed link-fault plan;
     /// * [`RunError::InvalidConfig`] — non-finite inputs, empty or
     ///   violated a-priori range, no honest nodes, an empty random-delay
     ///   range (`min > max`).
@@ -966,12 +965,6 @@ impl ScenarioBuilder {
                         }
                     }
                     LinkFault::Reorder { .. } | LinkFault::Omit => {}
-                }
-            }
-            if let Some(budget) = plan.budget() {
-                let edges = plan.distinct_edges();
-                if edges > budget {
-                    return Err(RunError::LinkFaultBudgetExceeded { edges, budget });
                 }
             }
         }
@@ -1651,29 +1644,6 @@ mod tests {
                 .unwrap_err(),
             RunError::InvalidLinkFault { from: 0, to: 1, reason: "partition window is inverted" }
         );
-        // Budget counts distinct edges.
-        assert_eq!(
-            base()
-                .link_faults(
-                    LinkFaultPlan::new(0)
-                        .with_budget(1)
-                        .fault(id(0), id(1), LinkFault::Omit)
-                        .fault(id(1), id(2), LinkFault::Omit)
-                )
-                .build()
-                .unwrap_err(),
-            RunError::LinkFaultBudgetExceeded { edges: 2, budget: 1 }
-        );
-        // Two faults on one edge fit a budget of one edge.
-        assert!(base()
-            .link_faults(
-                LinkFaultPlan::new(0)
-                    .with_budget(1)
-                    .fault(id(0), id(1), LinkFault::Drop { prob: 0.5 })
-                    .fault(id(0), id(1), LinkFault::Reorder { window: 4 })
-            )
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -53,16 +53,27 @@
 //! The Completeness path sets of Algorithm 2 (`M'`, consumed by
 //! `has_cover`) are likewise kept off the seeded-hash path: an array
 //! indexed by initiator holding small per-value buckets — one index plus a
-//! one-entry linear probe per arrival, hashing of the Byzantine-influenced
-//! value bits happens only in the rare waiter-wakeup path. Whether `M'`
-//! admits an `f`-cover depends only on its *distinct* node sets, so each
-//! bucket keeps each node set once (`DistinctSets`): tens of sets where
-//! one per arrival would be thousands. A bucket's initiator is fixed, so
-//! the path's `(init, node set)` class id decides the dedup — a bit test,
-//! with no node set loaded or hashed for a repeat. What a tracker reads off
-//! a `COMPLETE` payload — its consistency and each `value_q` — comes from
-//! the payload's cached [`CompletePayload::summary`]: one pass per payload
-//! and process, not one per receiver and obligation.
+//! one-entry linear probe per arrival, and a distinct-value flood spills to
+//! the seeded hash map rather than a linear scan. Whether `M'` admits an
+//! `f`-cover depends only on its *distinct* node sets, so each bucket keeps
+//! each node set once (`DistinctSets`): tens of sets where one per arrival
+//! would be thousands. A bucket's initiator is fixed, so the path's
+//! `(init, node set)` class id decides the dedup — a bit test, with no node
+//! set loaded or hashed for a repeat.
+//!
+//! A `COMPLETE(F_u)` with a consistent payload `M_c` opens one obligation
+//! per source-component node `q` of each `S_{F_u,F_w}`: the `M'` bucket of
+//! `(q, value_q(M_c))` must admit no `f`-cover avoiding the component.
+//! That bucket is the only one whose growth can discharge the obligation,
+//! so a pending obligation waits *in* it, as a `(component, tracker)`
+//! entry, and leaves it at the first arrival after which no such cover
+//! remains. A tracker is then just a count of its pending
+//! obligations plus an `impossible` flag (a source value missing from the
+//! payload); an inconsistent payload (Algorithm 1 line 24) opens none and
+//! never blocks. What a tracker reads off a payload — its consistency and
+//! each `value_q` — comes from the payload's cached
+//! [`CompletePayload::summary`]: one pass per payload and process, not one
+//! per receiver and obligation.
 //!
 //! Per-round state is therefore plain counters, bitmaps and buckets, sized
 //! to what the round still reads. [`RoundCore::new`] builds all of it when
@@ -70,9 +81,10 @@
 //! columns cover only the node's own terminal id block. An FRA bitmap is
 //! allocated when a fingerprint first arrives for a witness, and dropped
 //! when the witness completes. Once the round fires, `nextround` means
-//! Completeness is never consulted again: the in-flight bitmaps, buckets,
-//! trackers and waiters are released, and only what Maximal-Consistency
-//! detection still reads (the history and the census) stays.
+//! Completeness is never consulted again: the in-flight bitmaps, the
+//! buckets with the obligations waiting in them, and the trackers are
+//! released, and only what Maximal-Consistency detection still reads (the
+//! history and the census) stays.
 //!
 //! The pre-mask, counter-based implementation survives as test code
 //! (`tests/oracles/witness.rs`), driven through identical flood/COMPLETE
@@ -423,10 +435,6 @@ impl<V> SpillSlots<V> {
         }
     }
 
-    fn get(&self, key: u64) -> Option<&V> {
-        self.position(key).map(|i| &self.entries[i].1)
-    }
-
     /// The slot for `key`, inserted via `default` if absent.
     fn entry_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> &mut V {
         let i = match self.position(key) {
@@ -450,6 +458,12 @@ impl<V> SpillSlots<V> {
         &mut self.entries[i].1
     }
 
+    /// Test observability: the slot for `key`, if any.
+    #[cfg(test)]
+    fn get(&self, key: u64) -> Option<&V> {
+        self.position(key).map(|i| &self.entries[i].1)
+    }
+
     /// Test observability: whether any slot is live.
     #[cfg(test)]
     fn is_empty(&self) -> bool {
@@ -458,8 +472,9 @@ impl<V> SpillSlots<V> {
 }
 
 /// One Completeness bucket of `M'`: the distinct node sets of the paths
-/// that carried one `(initiator, value)` pair, in first-arrival order.
-/// Within a bucket the initiator is fixed, so a path's class
+/// that carried one `(initiator, value)` pair, in first-arrival order,
+/// and the obligations still waiting on them. Within a bucket the
+/// initiator is fixed, so a path's class
 /// ([`PathIndex::class`](dbac_graph::PathIndex::class)) names its node
 /// set: the dedup is one bit per class, grown on demand, and nothing is
 /// hashed.
@@ -468,6 +483,10 @@ struct DistinctSets {
     sets: Vec<NodeSet>,
     /// Bit `c`: a path of class `c` already contributed its node set.
     seen: Vec<u64>,
+    /// Pending Completeness obligations on this `(q, x_q)` pair, as
+    /// `(component, tracker)`: `sets` still admits an `f`-cover avoiding
+    /// `component`. Only this bucket's growth can satisfy them.
+    waiting: Vec<(NodeSet, usize)>,
 }
 
 impl DistinctSets {
@@ -493,25 +512,22 @@ impl DistinctSets {
     }
 }
 
-struct Obligation {
-    component: NodeSet,
-    q: NodeId,
-    xq_bits: u64,
-    satisfied: bool,
-}
-
+/// Completeness progress of one `(F_u, payload)`: its obligations wait in
+/// their `M'` buckets, and only their count is kept here. An inconsistent
+/// payload (skipped per Algorithm 1 line 24) gets a tracker with no
+/// obligations, which never blocks.
 struct CompletenessTracker {
-    consistent: bool,
+    /// Some source-component value is missing from the payload: `M'` for
+    /// it stays empty, and the empty `f`-cover always exists.
     impossible: bool,
+    /// Obligations still waiting in a bucket.
     pending: usize,
-    obligations: Vec<Obligation>,
 }
 
 impl CompletenessTracker {
-    /// A tracker blocks Verify iff its payload is consistent (inconsistent
-    /// ones are skipped per Algorithm 1 line 24) but Completeness fails.
+    /// Whether Completeness still fails for this payload, blocking Verify.
     fn blocking(&self) -> bool {
-        self.consistent && (self.impossible || self.pending > 0)
+        self.impossible || self.pending > 0
     }
 }
 
@@ -532,11 +548,11 @@ pub struct RoundCore {
     /// Completeness path sets, indexed by initiator then bucketed by
     /// value bits (almost always one bucket — more only under Byzantine
     /// equivocation): the distinct node sets of the `M'` sets Algorithm
-    /// 2's `has_cover` checks read. An array index plus a spill-guarded
-    /// probe per arrival — honest traffic never hashes its
-    /// Byzantine-influenced value bits, and a distinct-value flood
-    /// degrades to the seeded hash map, not to a linear scan. Released
-    /// when the round fires.
+    /// 2's `has_cover` checks read, each with the obligations pending on
+    /// it. An array index plus a spill-guarded probe per arrival — honest
+    /// traffic never hashes its Byzantine-influenced value bits, and a
+    /// distinct-value flood degrades to the seeded hash map, not to a
+    /// linear scan. Released when the round fires.
     per_init_paths: Vec<SpillSlots<DistinctSets>>,
     /// Witness threads, parallel to the plan's guesses.
     threads: Vec<ThreadState>,
@@ -544,8 +560,6 @@ pub struct RoundCore {
     // The maps below key on value bits or payload fingerprints — bytes a
     // Byzantine sender chooses — so they use the seeded default hasher.
     tracker_index: HashMap<(NodeSet, u64), usize>,
-    /// (q, value-bits) → obligations waiting on new paths carrying it.
-    waiters: HashMap<(NodeId, u64), Vec<(usize, usize)>>,
 }
 
 impl RoundCore {
@@ -584,7 +598,6 @@ impl RoundCore {
             threads,
             trackers: Vec::new(),
             tracker_index: HashMap::new(),
-            waiters: HashMap::new(),
         }
     }
 
@@ -676,34 +689,24 @@ impl RoundCore {
         if !self.fired {
             // Feed the Completeness path set `M'` (Algorithm 2): one array
             // index and a spill-guarded value-bucket probe — honest floods
-            // never hash their Byzantine-influenced value bits.
-            let new_set = self.per_init_paths[init.index()]
-                .entry_or_insert_with(bits, DistinctSets::default)
-                .insert(index.class(stored), || index.node_set(stored));
-            // Wake obligations waiting on (init, bits); an arrival pays the
-            // waiter-map hash only while an obligation is actually pending,
-            // and only when it added a node set the bucket lacked.
-            if new_set && !self.waiters.is_empty() {
-                if let Some(waiting) = self.waiters.get(&(init, bits)) {
-                    let waiting = waiting.clone();
-                    let paths = self.per_init_paths[init.index()]
-                        .get(bits)
-                        .map_or(&[][..], DistinctSets::as_slice);
-                    for (t_idx, o_idx) in waiting {
-                        let tracker = &mut self.trackers[t_idx];
-                        let ob = &mut tracker.obligations[o_idx];
-                        debug_assert_eq!((ob.q, ob.xq_bits), (init, bits), "waiter key mismatch");
-                        if ob.satisfied {
-                            continue;
-                        }
-                        let allowed =
-                            NodeSet::universe(self.n) - ob.component - NodeSet::singleton(self.me);
-                        if !has_cover(paths, self.f, allowed) {
-                            ob.satisfied = true;
-                            tracker.pending -= 1;
-                        }
+            // never hash their Byzantine-influenced value bits. A node set
+            // the bucket lacked may release the obligations waiting in it;
+            // each one leaves the bucket the first time no `f`-cover
+            // avoiding its component remains.
+            let bucket =
+                self.per_init_paths[init.index()].entry_or_insert_with(bits, DistinctSets::default);
+            if bucket.insert(index.class(stored), || index.node_set(stored))
+                && !bucket.waiting.is_empty()
+            {
+                let others = NodeSet::universe(self.n) - NodeSet::singleton(self.me);
+                let (f, trackers) = (self.f, &mut self.trackers);
+                bucket.waiting.retain(|&(component, t)| {
+                    let covered = has_cover(&bucket.sets, f, others - component);
+                    if !covered {
+                        trackers[t].pending -= 1;
                     }
-                }
+                    covered
+                });
             }
         }
 
@@ -823,31 +826,20 @@ impl RoundCore {
         // consistency, and `value_q` per initiator. An uninterned id reads
         // as inconsistent, so Verify skips the payload.
         let summary = payload.summary(topo.index());
-        let consistent = summary.is_consistent();
-        let mut tracker = CompletenessTracker {
-            consistent,
-            impossible: false,
-            pending: 0,
-            obligations: Vec::new(),
-        };
+        let mut tracker = CompletenessTracker { impossible: false, pending: 0 };
         let idx = self.trackers.len();
-        if consistent {
+        if summary.is_consistent() {
+            let others = NodeSet::universe(self.n) - NodeSet::singleton(self.me);
             for &(component, q) in topo.completeness_obligations(suspects) {
                 let Some(xq) = summary.value_of(q) else {
                     tracker.impossible = true;
                     continue;
                 };
-                let xq_bits = xq.to_bits();
-                let allowed = NodeSet::universe(self.n) - component - NodeSet::singleton(self.me);
-                let paths = self.per_init_paths[q.index()]
-                    .get(xq_bits)
-                    .map_or(&[][..], DistinctSets::as_slice);
-                let already = !has_cover(paths, self.f, allowed);
-                let o_idx = tracker.obligations.len();
-                tracker.obligations.push(Obligation { component, q, xq_bits, satisfied: already });
-                if !already {
+                let bucket = self.per_init_paths[q.index()]
+                    .entry_or_insert_with(xq.to_bits(), DistinctSets::default);
+                if has_cover(bucket.as_slice(), self.f, others - component) {
                     tracker.pending += 1;
-                    self.waiters.entry((q, xq_bits)).or_default().push((idx, o_idx));
+                    bucket.waiting.push((component, idx));
                 }
             }
         }
@@ -876,7 +868,8 @@ impl RoundCore {
             // the round fired (deliveries return early, and floods no
             // longer feed `M'`): every in-flight fingerprint bitmap is
             // dropped, not just the ones whose witness completed, and the
-            // buckets, trackers and waiters are freed.
+            // buckets (with the obligations waiting in them) and trackers
+            // are freed.
             for thread in &mut self.threads {
                 for state in &mut thread.fra {
                     state.by_fp = SpillSlots::new();
@@ -886,7 +879,6 @@ impl RoundCore {
             self.per_init_paths = Vec::new();
             self.trackers = Vec::new();
             self.tracker_index = HashMap::new();
-            self.waiters = HashMap::new();
             actions.push(RoundAction::Advance { guess: plan.guesses[winner].guess, outcome });
             return;
         }
@@ -1201,6 +1193,7 @@ mod tests {
             );
             assert_eq!(core.trackers.len(), 1);
             assert!(!core.trackers[0].blocking(), "inconsistent payloads are skipped");
+            assert_eq!(waiting_on(&core, 0), 0, "and leave no obligation waiting");
         }
     }
 
@@ -1232,6 +1225,7 @@ mod tests {
         assert_eq!(core.trackers.len(), 1);
         assert!(core.trackers[0].impossible);
         assert!(core.trackers[0].blocking());
+        assert_eq!(waiting_on(&core, 0), core.trackers[0].pending);
         // Feeding matching floods does not unblock an impossible tracker.
         for &path in topo.required_paths_to(id(0)) {
             if topo.index().is_trivial(path) {
@@ -1474,7 +1468,6 @@ mod tests {
             assert!(core.per_init_paths.is_empty(), "{ctx}: buckets");
             assert!(core.trackers.is_empty(), "{ctx}: trackers");
             assert!(core.tracker_index.is_empty(), "{ctx}: tracker index");
-            assert!(core.waiters.is_empty(), "{ctx}: waiters");
             assert!(
                 core.threads.iter().all(|t| t.relevant_trackers.is_empty()),
                 "{ctx}: relevant trackers"
@@ -1503,6 +1496,113 @@ mod tests {
         );
         assert!(acts.is_empty());
         assert_released(&core, "after a late COMPLETE");
+    }
+
+    /// The obligations of tracker `t` waiting in any bucket.
+    fn waiting_on(core: &RoundCore, t: usize) -> usize {
+        let buckets = core.per_init_paths.iter().flat_map(|b| &b.entries);
+        buckets.map(|(_, d)| d.waiting.iter().filter(|&&(_, w)| w == t).count()).sum()
+    }
+
+    #[test]
+    fn one_escaping_flood_releases_every_obligation_in_its_bucket() {
+        // K4, f = 1, node 0: every flood from nodes 0–2 arrives, none from
+        // 3, so only the guess {3} completes its pool. Two consistent
+        // COMPLETEs under the suspect sets {1} and {2} carry node 3's value
+        // and wait on the one bucket (3, 4.0); peers 1 and 2 then complete
+        // FIFO-Receive-All for {3}. Only a flood of 3's value 4.0 over a
+        // path no f-cover can avoid — the direct ⟨3, 0⟩ — releases both,
+        // and the round advances at that arrival.
+        let (topo, plan) = setup(4, 1);
+        let index = topo.index();
+        let mut core = RoundCore::new(&topo, &plan);
+        let mut scratch = WitnessScratch::new();
+        let values = [1.0, 2.0, 3.0, 4.0];
+        let acts = core.start(values[0], &topo, &plan, &mut scratch);
+        let mut advanced = self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+        for &path in topo.required_paths_to(id(0)) {
+            if index.is_trivial(path) || index.init(path) == id(3) {
+                continue;
+            }
+            let (_, acts) =
+                core.add_flood(path, values[index.init(path).index()], &topo, &plan, &mut scratch);
+            advanced |= self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+        }
+        let avoiding = |c: NodeId, suspects: NodeSet| -> Arc<CompletePayload> {
+            let m: MessageSet = topo
+                .required_paths_to(c)
+                .iter()
+                .filter(|&&p| !index.intersects(p, suspects))
+                .map(|&p| (p, values[index.init(p).index()]))
+                .collect();
+            Arc::new(CompletePayload::from_message_set(&m))
+        };
+        let mut blockers = Vec::new();
+        for (c, suspect) in [(id(2), id(1)), (id(1), id(2))] {
+            let suspects = NodeSet::singleton(suspect);
+            let payload = avoiding(c, suspects);
+            let acts = core.add_fifo_delivery(
+                c,
+                pid(&topo, &[c.index(), 0]),
+                suspects,
+                &payload,
+                payload.fingerprint(),
+                &topo,
+                &plan,
+                &mut scratch,
+            );
+            advanced |= self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+            blockers.push(core.tracker_index[&(suspects, payload.fingerprint())]);
+        }
+        let bucket = |core: &RoundCore, bits: u64| {
+            core.per_init_paths[3].get(bits).map_or(0, |b| b.waiting.len())
+        };
+        for &t in &blockers {
+            assert!(core.trackers[t].pending > 0, "tracker {t} waits on node 3's value");
+            assert_eq!(waiting_on(&core, t), core.trackers[t].pending, "pending lives in buckets");
+        }
+        let both = core.per_init_paths[3].get(4f64.to_bits()).expect("the bucket was opened");
+        assert!(blockers.iter().all(|&t| both.waiting.iter().any(|&(_, w)| w == t)));
+        assert!(both.as_slice().is_empty(), "no flood from node 3 yet");
+
+        let suspects = NodeSet::singleton(id(3));
+        for c in [id(1), id(2)] {
+            let payload = avoiding(c, suspects);
+            for &p in topo.simple_paths_to(id(0)) {
+                if index.init(p) != c || index.intersects(p, suspects) {
+                    continue;
+                }
+                let acts = core.add_fifo_delivery(
+                    c,
+                    p,
+                    suspects,
+                    &payload,
+                    payload.fingerprint(),
+                    &topo,
+                    &plan,
+                    &mut scratch,
+                );
+                advanced |= self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
+            }
+        }
+        let g = plan.guesses().iter().position(|g| g.guess == suspects).unwrap();
+        assert_eq!(core.threads[g].fra_remaining, 0, "FIFO-Receive-All passed for {{3}}");
+        assert!(!advanced, "Completeness still blocks Verify");
+
+        // Another value of node 3 feeds another bucket and releases nothing.
+        let waiting = bucket(&core, 4f64.to_bits());
+        let (_, acts) = core.add_flood(pid(&topo, &[3, 1, 0]), 5.0, &topo, &plan, &mut scratch);
+        assert!(!self_deliver(&mut core, acts, &topo, &plan, &mut scratch));
+        assert_eq!(bucket(&core, 4f64.to_bits()), waiting);
+
+        let (fresh, acts) = core.add_flood(pid(&topo, &[3, 0]), 4.0, &topo, &plan, &mut scratch);
+        assert!(fresh);
+        assert!(
+            acts.iter()
+                .any(|a| matches!(a, RoundAction::Advance { guess, .. } if *guess == suspects)),
+            "the escaping flood releases both trackers and the round advances"
+        );
+        assert!(core.fired());
     }
 
     #[test]

@@ -107,7 +107,6 @@ impl LinkDecision {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinkFaultPlan {
     seed: u64,
-    budget: Option<usize>,
     faults: Vec<(NodeId, NodeId, LinkFault)>,
 }
 
@@ -115,7 +114,7 @@ impl LinkFaultPlan {
     /// Creates an empty plan whose decisions derive from `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        LinkFaultPlan { seed, budget: None, faults: Vec::new() }
+        LinkFaultPlan { seed, faults: Vec::new() }
     }
 
     /// Adds `fault` on the directed edge `from -> to` (chainable).
@@ -125,24 +124,10 @@ impl LinkFaultPlan {
         self
     }
 
-    /// Caps the number of *distinct edges* the plan may touch; validation
-    /// layers reject plans exceeding it (chainable).
-    #[must_use]
-    pub fn with_budget(mut self, edges: usize) -> Self {
-        self.budget = Some(edges);
-        self
-    }
-
     /// The decision seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The declared edge budget, if any.
-    #[must_use]
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
     }
 
     /// The declared faults, in declaration order.
@@ -155,16 +140,6 @@ impl LinkFaultPlan {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// Number of distinct edges named by the plan.
-    #[must_use]
-    pub fn distinct_edges(&self) -> usize {
-        let mut edges: Vec<(usize, usize)> =
-            self.faults.iter().map(|(u, v, _)| (u.index(), v.index())).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        edges.len()
     }
 
     /// Judges the `k`-th message on edge `from -> to`.
@@ -370,15 +345,6 @@ mod tests {
             (0..10_000).filter(|&k| plan.decide(id(0), id(1), k).copies == 0).count() as f64;
         let rate = dropped / 10_000.0;
         assert!((rate - 0.3).abs() < 0.03, "empirical drop rate {rate} far from 0.3");
-    }
-
-    #[test]
-    fn distinct_edges_deduplicates() {
-        let plan = LinkFaultPlan::new(1)
-            .fault(id(0), id(1), LinkFault::Omit)
-            .fault(id(0), id(1), LinkFault::Drop { prob: 0.5 })
-            .fault(id(1), id(2), LinkFault::Omit);
-        assert_eq!(plan.distinct_edges(), 2);
     }
 
     #[test]

@@ -16,18 +16,21 @@
 //!   the sum of each bucket's own high-water mark;
 //! * a send at `now + W` or later (held back by a link's
 //!   [`Reorder`](crate::chaos::LinkFault::Reorder) window, or drawn far
-//!   ahead by a custom [`DeliveryPolicy`]) waits in an overflow heap
-//!   ordered by `(at, seq)`.
+//!   ahead by a custom [`DeliveryPolicy`]) is appended to its tick's FIFO
+//!   in an ordered overflow map from tick to FIFO.
+//!
+//! No event carries a sequence number: within a tick, order is position
+//! in the tick's FIFO alone.
 //!
 //! **Drain on advance.** Every time the clock moves, and before the event
-//! that moved it is dispatched, every overflow event the window now covers
-//! is moved into its bucket. An event is in the overflow only if it was
-//! sent while its tick was still outside the window, that is, before any
-//! send that reached the same tick's bucket directly; so each bucket is
-//! always in enqueue order, a zero-delay send joins the tail of the bucket
-//! being drained, and the delivery sequence is exactly that of a single
-//! `(at, seq)` heap (the in-crate differential test holds the two
-//! together).
+//! that moved it is dispatched, every overflow tick the window now covers
+//! is moved into its bucket, its FIFO whole and in order. An event is in
+//! the overflow only if it was sent while its tick was still outside the
+//! window, that is, before any send that reached the same tick's bucket
+//! directly; so each bucket is always in enqueue order, a zero-delay send
+//! joins the tail of the bucket being drained, and the delivery sequence
+//! is exactly that of a single `(at, seq)` heap (the in-crate differential
+//! test holds the two together).
 
 mod queue;
 

@@ -1,9 +1,8 @@
 //! The simulator's event queue: a calendar of per-tick FIFO buckets with a
-//! far-future overflow heap. See the [module docs](super) for the order
-//! it keeps and why.
+//! far-future overflow of per-tick FIFOs. See the [module docs](super) for
+//! the order it keeps and why.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Ring size `W`: one bucket per tick of the window `[now, now + W)`, one
 /// occupancy bit per bucket in a single `u64`.
@@ -28,30 +27,6 @@ struct Bucket {
     tail: u32,
 }
 
-/// An event too far ahead for the ring, ordered by `(at, seq)`.
-struct Far<T> {
-    at: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Far<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Far<T> {}
-impl<T> PartialOrd for Far<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Far<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// A priority queue over `(tick, enqueue order)` whose clock is the tick
 /// of the last pop. Pushes must not be earlier than the clock.
 pub(super) struct CalendarQueue<T> {
@@ -65,11 +40,10 @@ pub(super) struct CalendarQueue<T> {
     /// bucket's own peak.
     chunks: Vec<Chunk<T>>,
     free: u32,
-    /// Events at `now + W` or later. Invariant: nothing in here is inside
-    /// the window — [`advance`](Self::advance) restores it on every clock
-    /// move, before the caller can push again.
-    overflow: BinaryHeap<Reverse<Far<T>>>,
-    far_seq: u64,
+    /// Events at `now + W` or later, one FIFO per tick. Invariant:
+    /// nothing in here is inside the window — [`advance`](Self::advance)
+    /// restores it on every clock move, before the caller can push again.
+    overflow: BTreeMap<u64, Vec<T>>,
 }
 
 impl<T> CalendarQueue<T> {
@@ -81,8 +55,7 @@ impl<T> CalendarQueue<T> {
             buckets: [Bucket { head: NIL, tail: NIL }; WINDOW as usize],
             chunks: Vec::new(),
             free: NIL,
-            overflow: BinaryHeap::new(),
-            far_seq: 0,
+            overflow: BTreeMap::new(),
         }
     }
 
@@ -106,8 +79,7 @@ impl<T> CalendarQueue<T> {
         if at - self.now < WINDOW {
             self.push_ring(at, item);
         } else {
-            self.far_seq += 1;
-            self.overflow.push(Reverse(Far { at, seq: self.far_seq, item }));
+            self.overflow.entry(at).or_default().push(item);
         }
     }
 
@@ -119,7 +91,7 @@ impl<T> CalendarQueue<T> {
             let ahead = self.occupied.rotate_right((self.now % WINDOW) as u32).trailing_zeros();
             Some(self.now + u64::from(ahead))
         } else {
-            self.overflow.peek().map(|Reverse(far)| far.at)
+            self.overflow.first_key_value().map(|(&at, _)| at)
         }
     }
 
@@ -148,16 +120,21 @@ impl<T> CalendarQueue<T> {
         Some((at, item))
     }
 
-    /// Moves the clock to `to` and pulls every overflow event the window
-    /// now covers into the ring. Those were all enqueued while their tick
-    /// was still outside the window, hence before anything pushed to that
-    /// tick directly; the heap hands them over in `(at, seq)` order, so
+    /// Moves the clock to `to` and pulls every overflow tick the window
+    /// now covers into the ring, each tick's FIFO whole and in order.
+    /// Those events were all enqueued while their tick was still outside
+    /// the window, hence before anything pushed to that tick directly, so
     /// each bucket stays in enqueue order.
     fn advance(&mut self, to: u64) {
         self.now = to;
-        while self.overflow.peek().is_some_and(|Reverse(far)| far.at - to < WINDOW) {
-            let Reverse(far) = self.overflow.pop().expect("peeked");
-            self.push_ring(far.at, far.item);
+        while let Some(entry) = self.overflow.first_entry() {
+            let at = *entry.key();
+            if at - to >= WINDOW {
+                break;
+            }
+            for item in entry.remove() {
+                self.push_ring(at, item);
+            }
         }
     }
 
@@ -198,6 +175,8 @@ mod tests {
     use crate::time::VirtualTime;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Drives the calendar and the retired design — one `(at, seq)` heap —
     /// with the same seeded script of pushes (delay classes: the tick
