@@ -166,17 +166,14 @@ impl FifoReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message_set::MessageSet;
     use crate::test_support::{clique_topo, pid};
 
     fn topo() -> Topology {
         clique_topo(3, 1)
     }
 
-    fn payload(t: &Topology, tag: f64) -> Arc<CompletePayload> {
-        let mut m = MessageSet::new();
-        m.insert(pid(t, &[1, 0]), tag);
-        Arc::new(CompletePayload::from_message_set(&m))
+    fn payload(tag: f64) -> Arc<CompletePayload> {
+        Arc::new([(NodeId::new(1), tag)].into_iter().collect())
     }
 
     fn accept(
@@ -195,10 +192,10 @@ mod tests {
     fn in_order_messages_deliver_immediately() {
         let t = topo();
         let mut rx = FifoReceiver::new();
-        let d1 = accept(&mut rx, &t, &[1, 0], 1, 0, payload(&t, 1.0));
+        let d1 = accept(&mut rx, &t, &[1, 0], 1, 0, payload(1.0));
         assert_eq!(d1.len(), 1);
         assert_eq!(d1[0].initiator, NodeId::new(1));
-        let d2 = accept(&mut rx, &t, &[1, 0], 2, 0, payload(&t, 2.0));
+        let d2 = accept(&mut rx, &t, &[1, 0], 2, 0, payload(2.0));
         assert_eq!(d2.len(), 1);
     }
 
@@ -206,11 +203,11 @@ mod tests {
     fn gaps_hold_messages_back() {
         let t = topo();
         let mut rx = FifoReceiver::new();
-        let d = accept(&mut rx, &t, &[1, 0], 2, 0, payload(&t, 2.0));
+        let d = accept(&mut rx, &t, &[1, 0], 2, 0, payload(2.0));
         assert!(d.is_empty(), "seq 1 missing");
-        let d = accept(&mut rx, &t, &[1, 0], 3, 1, payload(&t, 3.0));
+        let d = accept(&mut rx, &t, &[1, 0], 3, 1, payload(3.0));
         assert!(d.is_empty());
-        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(&t, 1.0));
+        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(1.0));
         assert_eq!(d.len(), 3, "gap closes, everything drains in order");
         let rounds: Vec<u32> = d.iter().map(|x| x.round).collect();
         assert_eq!(rounds, vec![0, 0, 1]);
@@ -220,10 +217,10 @@ mod tests {
     fn channels_are_per_path() {
         let t = topo();
         let mut rx = FifoReceiver::new();
-        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(&t, 1.0));
+        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(1.0));
         assert_eq!(d.len(), 1);
         // Same initiator, different path: independent channel, needs seq 1.
-        let d = accept(&mut rx, &t, &[1, 2, 0], 2, 0, payload(&t, 2.0));
+        let d = accept(&mut rx, &t, &[1, 2, 0], 2, 0, payload(2.0));
         assert!(d.is_empty());
         assert_eq!(rx.channel_count(), 2);
     }
@@ -232,10 +229,10 @@ mod tests {
     fn exact_duplicates_are_dropped_but_conflicts_kept() {
         let t = topo();
         let mut rx = FifoReceiver::new();
-        accept(&mut rx, &t, &[1, 0], 2, 0, payload(&t, 9.0));
-        accept(&mut rx, &t, &[1, 0], 2, 0, payload(&t, 9.0)); // replay
-        accept(&mut rx, &t, &[1, 0], 2, 0, payload(&t, 8.0)); // conflict
-        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(&t, 1.0));
+        accept(&mut rx, &t, &[1, 0], 2, 0, payload(9.0));
+        accept(&mut rx, &t, &[1, 0], 2, 0, payload(9.0)); // replay
+        accept(&mut rx, &t, &[1, 0], 2, 0, payload(8.0)); // conflict
+        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(1.0));
         // seq 1 + the two *distinct* seq-2 contents.
         assert_eq!(d.len(), 3);
     }
@@ -244,8 +241,8 @@ mod tests {
     fn stale_seq_is_ignored() {
         let t = topo();
         let mut rx = FifoReceiver::new();
-        accept(&mut rx, &t, &[1, 0], 1, 0, payload(&t, 1.0));
-        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(&t, 7.0));
+        accept(&mut rx, &t, &[1, 0], 1, 0, payload(1.0));
+        let d = accept(&mut rx, &t, &[1, 0], 1, 0, payload(7.0));
         assert!(d.is_empty(), "counter 1 already drained");
     }
 
@@ -260,12 +257,12 @@ mod tests {
         let paths: Vec<&[usize]> = vec![&[1, 0], &[2, 0], &[1, 2, 0], &[2, 1, 0]];
         for (i, p) in paths.iter().enumerate() {
             // Arrive out of order: seq 2 first, then seq 1.
-            let d = accept(&mut rx, &t, p, 2, 1, payload(&t, i as f64));
+            let d = accept(&mut rx, &t, p, 2, 1, payload(i as f64));
             assert!(d.is_empty());
         }
         assert_eq!(rx.channel_count(), paths.len(), "one channel per path");
         for p in &paths {
-            let d = accept(&mut rx, &t, p, 1, 0, payload(&t, -1.0));
+            let d = accept(&mut rx, &t, p, 1, 0, payload(-1.0));
             // Gap closes: seq 1 then seq 2, rounds 0 then 1.
             assert_eq!(d.len(), 2);
             assert_eq!((d[0].round, d[1].round), (0, 1), "drain order per channel");
@@ -283,7 +280,7 @@ mod tests {
         let graph = dbac_graph::generators::two_cliques_bridged(3, &[(0, 0)], &[(2, 2)]);
         let t = crate::test_support::topo_of(graph, 1, crate::config::FloodMode::Redundant);
         let index = t.index();
-        let pay = payload(&t, 1.0);
+        let pay = payload(1.0);
         for raw in 0..index.len() as u32 {
             let p = PathId::from_raw(raw);
             let me = index.ter(p);

@@ -35,7 +35,8 @@ pub enum ProtocolMsg {
         round: Round,
         /// The suspect set `F` in `COMPLETE(F)`.
         suspects: NodeSet,
-        /// Snapshot of the initiator's `M_c|_F̄`.
+        /// The initiator's `M_c|_F̄` as receivers read it: the initiators
+        /// it holds messages from and one value each ([`CompletePayload`]).
         payload: Arc<CompletePayload>,
         /// Propagation path so far (simple; ends at the sender).
         path: PathId,
@@ -113,7 +114,6 @@ pub fn validate_complete(
 mod tests {
     use super::*;
     use crate::config::FloodMode;
-    use crate::message_set::MessageSet;
     use crate::test_support::{pid, topo_of};
     use dbac_graph::{generators, Digraph, Path};
 
@@ -175,7 +175,7 @@ mod tests {
         let t = topo(generators::clique(4));
         let m = ProtocolMsg::Flood { round: 3, value: 1.0, path: t.index().trivial(id(0)) };
         assert_eq!(m.round(), 3);
-        let payload = Arc::new(CompletePayload::from_message_set(&MessageSet::new()));
+        let payload = Arc::new(CompletePayload::from_iter([]));
         let c = ProtocolMsg::Complete {
             round: 7,
             suspects: NodeSet::EMPTY,

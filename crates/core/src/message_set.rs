@@ -44,11 +44,34 @@
 //!
 //! The columnar layout is an in-memory representation only, and a node
 //! never sends a message set. The bytes a node sends come from
-//! [`crate::wire`]'s hand-rolled codec: a `COMPLETE` carries its
-//! [`CompletePayload`] as the sparse `(PathId, f64)` entry list in id
-//! order. The serde derives name the same sparse form through their
-//! container-level `from`/`into` attributes, but the workspace's serde
-//! shim is marker-only and produces no bytes.
+//! [`crate::wire`]'s hand-rolled codec. A `COMPLETE` carries its
+//! [`CompletePayload`]: the bitmap of initiators with a message in the
+//! snapshot `M_c|_F̄` and one value per set bit, in node order — not the
+//! snapshot's `(PathId, f64)` entries. The receiver recomputes the
+//! fingerprint from those two fields; it is never read from the wire.
+//! `MessageSet`'s serde derives name its sparse entry-list form through
+//! their container-level `from`/`into` attributes, but the workspace's
+//! serde shim is marker-only and produces no bytes.
+//!
+//! Why one value per initiator is enough. Maximal-Consistency fires only
+//! when `M_c|_F̄` is full and consistent (Algorithm 1 line 10), so an
+//! honest snapshot is the sender's whole pool avoiding `F`, each path
+//! carrying its initiator's one value: `(sender, F, value per initiator)`
+//! determines it exactly. And the vector changes nothing a receiver does:
+//!
+//! * **The entries are never read.** A receiver reads a payload's
+//!   consistency and `value_q` (Algorithm 2) and its identity
+//!   (FIFO-Receive-All, Algorithm 1 line 12). Two payloads with equal
+//!   vectors were already treated the same by Completeness.
+//! * **Identity coarsens only between payloads a receiver acts on
+//!   identically.** Two payloads now share a fingerprint when they share a
+//!   vector. Honest snapshots of one sender under one `F` with one vector
+//!   are the same snapshot; across senders, a Completeness tracker depends
+//!   on `F` and the values alone, and FIFO-Receive-All counts per sender.
+//! * **An inconsistent payload is unrepresentable.** Verify skipped such
+//!   payloads (Algorithm 1 line 24), so a Byzantine sender loses only a
+//!   message that had no effect. A payload naming a node outside the graph
+//!   is skipped the same way.
 //!
 //! # Reference implementation
 //!
@@ -59,7 +82,6 @@
 
 use dbac_graph::{NodeId, NodeSet, PathId, PathIndex};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
@@ -218,7 +240,11 @@ impl MessageSet {
     /// Consistency (Definition 8): every initiator reports a unique value.
     #[must_use]
     pub fn is_consistent(&self, index: &PathIndex) -> bool {
-        PayloadSummary::of(self.iter(), index).is_consistent()
+        let mut first = vec![None; index.graph_node_count()];
+        self.iter().all(|(p, v)| {
+            let bits = v.to_bits();
+            index.contains_id(p) && *first[index.init(p).index()].get_or_insert(bits) == bits
+        })
     }
 
     /// The paper's `value_q(M)`: the value reported by initiator `q`.
@@ -346,7 +372,7 @@ impl Iterator for BitIter {
     }
 }
 
-/// Process-wide random fingerprint seed. Payload entries are
+/// Process-wide random fingerprint seed. Payload values are
 /// Byzantine-influenced bytes, so the fingerprint hash must not be
 /// predictable across processes (hash-flood resistance, same story as the
 /// seeded maps in `witness.rs`). One seed per process keeps fingerprints
@@ -358,183 +384,103 @@ fn fingerprint_seed() -> &'static RandomState {
     SEED.get_or_init(RandomState::new)
 }
 
-fn fingerprint_entries(entries: &[(PathId, f64)]) -> u64 {
-    let mut h = fingerprint_seed().build_hasher();
-    for &(p, v) in entries {
-        p.raw().hash(&mut h);
-        v.to_bits().hash(&mut h);
-    }
-    entries.len().hash(&mut h);
-    h.finish()
-}
-
-/// The immutable payload of a `COMPLETE` message: a snapshot of the
-/// initiator's `M_c|_F̄` at the moment its Maximal-Consistency condition
-/// fired (Algorithm 1, line 11). Entries are kept sorted by id — ids are
-/// canonical across nodes — so two payloads are equal iff their contents
-/// are.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(from = "Vec<(PathId, f64)>", into = "Vec<(PathId, f64)>")]
+/// The immutable payload of a `COMPLETE` message: what a receiver reads of
+/// the initiator's `M_c|_F̄` at the moment its Maximal-Consistency
+/// condition fired (Algorithm 1, line 11) — the set of initiators with a
+/// message in it, and one value per initiator (`value_q`). See the module
+/// docs for why this determines an honest payload exactly.
+#[derive(Clone, Debug)]
 pub struct CompletePayload {
-    entries: Vec<(PathId, f64)>,
-    /// Content hash, computed once at construction — fingerprinting happens
-    /// on every arrival, so it must not rehash the entries each time.
+    initiators: NodeSet,
+    /// One value per member of `initiators`, in ascending node order.
+    values: Vec<f64>,
+    /// Content hash over `initiators` and the value bits, computed once at
+    /// construction — fingerprinting happens on every arrival.
     ///
-    /// Trust boundary: the fingerprint is *derived* state and must never be
-    /// accepted from the wire — the witness logic counts "same message" by
+    /// Trust boundary: the fingerprint is *derived* state and is never
+    /// read from the wire — the witness logic counts "same message" by
     /// fingerprint equality, so a forgeable hash would let a Byzantine
-    /// sender alias distinct payloads. The container-level `from`/`into`
-    /// attributes make the wire format the bare entry list: deserialization
-    /// is forced through [`CompletePayload::from_entries`], which recomputes
-    /// the hash, so wire ingress cannot supply its own.
+    /// sender alias distinct payloads. Every constructor, the wire decoder
+    /// included, goes through [`CompletePayload::from_vector`].
     fingerprint: u64,
-    /// The [`PayloadSummary`] against the first index that asked for one,
-    /// keyed by that index's [`PathIndex::identity`]. Like the fingerprint
-    /// it is derived locally and never taken from the wire: it starts
-    /// empty in every payload [`CompletePayload::from_entries`] builds, and
-    /// is filled by the first receiver that reads it. A payload shared by
-    /// `Arc` between the nodes of one process is thus checked once, not
-    /// once per receiver.
-    summary: OnceLock<(u64, PayloadSummary)>,
-}
-
-/// What a receiver reads off a `COMPLETE` payload against its own
-/// [`PathIndex`], in one pass over the entries: whether every id is
-/// interned, the first value per initiator (`value_q`), and consistency
-/// (Definition 8).
-///
-/// A payload naming an id outside the index cannot come from an honest
-/// node. It counts as inconsistent, so Verify skips it (Algorithm 1 line
-/// 24) without any lookup on the unknown id.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PayloadSummary {
-    interned: bool,
-    consistent: bool,
-    /// Per initiator, the value bits of its first interned entry in id
-    /// order.
-    first_by_init: Vec<Option<u64>>,
-}
-
-impl PayloadSummary {
-    fn of(entries: impl IntoIterator<Item = (PathId, f64)>, index: &PathIndex) -> Self {
-        let mut summary = PayloadSummary {
-            interned: true,
-            consistent: true,
-            first_by_init: vec![None; index.graph_node_count()],
-        };
-        for (p, v) in entries {
-            if !index.contains_id(p) {
-                summary.interned = false;
-                continue;
-            }
-            let bits = v.to_bits();
-            match &mut summary.first_by_init[index.init(p).index()] {
-                slot @ None => *slot = Some(bits),
-                Some(first) if *first != bits => summary.consistent = false,
-                Some(_) => {}
-            }
-        }
-        summary.consistent &= summary.interned;
-        summary
-    }
-
-    /// Whether every entry's id is interned in the index.
-    #[must_use]
-    pub fn is_interned(&self) -> bool {
-        self.interned
-    }
-
-    /// Consistency of the payload (Definition 8), and every id interned.
-    #[must_use]
-    pub fn is_consistent(&self) -> bool {
-        self.consistent
-    }
-
-    /// `value_q` of the payload: the value of initiator `q`'s first
-    /// interned entry, in id order.
-    #[must_use]
-    pub fn value_of(&self, q: NodeId) -> Option<f64> {
-        self.first_by_init.get(q.index()).copied().flatten().map(f64::from_bits)
-    }
-}
-
-impl From<Vec<(PathId, f64)>> for CompletePayload {
-    fn from(entries: Vec<(PathId, f64)>) -> Self {
-        CompletePayload::from_entries(entries)
-    }
-}
-
-impl From<CompletePayload> for Vec<(PathId, f64)> {
-    fn from(payload: CompletePayload) -> Self {
-        payload.entries
-    }
-}
-
-/// Equality is by entries alone: the fingerprint is derived state and is
-/// not serialized, so it must not participate in comparisons.
-impl PartialEq for CompletePayload {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
 }
 
 impl CompletePayload {
-    /// Snapshots a message set into a canonical payload.
+    /// The payload naming `initiators`, with `values[i]` the value of the
+    /// `i`-th member in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold exactly one value per initiator
+    /// (the wire decoder reads exactly the popcount).
     #[must_use]
-    pub fn from_message_set(m: &MessageSet) -> Self {
-        CompletePayload::from_entries(m.iter().collect())
-    }
-
-    /// Builds a payload from raw `(path, value)` entries — the only way to
-    /// construct one, so the cached fingerprint always matches the entries
-    /// (wire ingress cannot supply its own).
-    #[must_use]
-    pub fn from_entries(mut entries: Vec<(PathId, f64)>) -> Self {
-        entries.sort_unstable_by_key(|&(p, _)| p);
-        let fingerprint = fingerprint_entries(&entries);
-        CompletePayload { entries, fingerprint, summary: OnceLock::new() }
-    }
-
-    /// The `(path, value)` entries in canonical (id) order.
-    #[must_use]
-    pub fn entries(&self) -> &[(PathId, f64)] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if the payload carries no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The payload's [`PayloadSummary`] against `index`: computed by the
-    /// first call and cached, then read back by every call with the same
-    /// index. Another index gets a summary of its own, not the cached one.
-    #[must_use]
-    pub fn summary(&self, index: &PathIndex) -> Cow<'_, PayloadSummary> {
-        let of = || PayloadSummary::of(self.entries.iter().copied(), index);
-        let (identity, cached) = self.summary.get_or_init(|| (index.identity(), of()));
-        if *identity == index.identity() {
-            Cow::Borrowed(cached)
-        } else {
-            Cow::Owned(of())
+    pub(crate) fn from_vector(initiators: NodeSet, values: Vec<f64>) -> Self {
+        assert_eq!(initiators.len(), values.len(), "one value per initiator");
+        let mut h = fingerprint_seed().build_hasher();
+        initiators.words().hash(&mut h);
+        for v in &values {
+            v.to_bits().hash(&mut h);
         }
+        CompletePayload { initiators, values, fingerprint: h.finish() }
+    }
+
+    /// Snapshots a message set. Its ids name initiators only through the
+    /// [`PathIndex`] that interned them, which the set does not carry, so
+    /// the snapshot names no initiator; payloads with values are built by
+    /// collecting `(initiator, value)` pairs. Kept because the benchmark
+    /// package (`perf/`) calls it.
+    #[must_use]
+    pub fn from_message_set(_m: &MessageSet) -> Self {
+        CompletePayload::from_vector(NodeSet::EMPTY, Vec::new())
+    }
+
+    /// The initiators the payload carries a value for.
+    #[must_use]
+    pub fn initiators(&self) -> NodeSet {
+        self.initiators
+    }
+
+    /// The values, one per initiator in ascending node order.
+    #[must_use]
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// `value_q` of the payload (Algorithm 2): the value initiator `q`
+    /// reported, if the payload names `q`.
+    #[must_use]
+    pub(crate) fn value_of(&self, q: NodeId) -> Option<f64> {
+        self.initiators.contains(q).then(|| self.values[self.initiators.rank_below(q)])
     }
 
     /// A content fingerprint used to compare payloads received over
-    /// different paths ("the same message", Algorithm 1 line 12). Ids are
-    /// canonical per topology, so recomputing the fingerprint at any node
-    /// of this process yields the same value. O(1): the hash is
+    /// different paths ("the same message", Algorithm 1 line 12): equal
+    /// for equal contents within one process. O(1): the hash is
     /// precomputed at construction.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+}
+
+/// Builds a payload from `(initiator, value)` pairs in any order; an
+/// initiator listed twice keeps its first value.
+impl FromIterator<(NodeId, f64)> for CompletePayload {
+    fn from_iter<I: IntoIterator<Item = (NodeId, f64)>>(iter: I) -> Self {
+        let mut pairs: Vec<(NodeId, f64)> = iter.into_iter().collect();
+        pairs.sort_by_key(|&(q, _)| q);
+        pairs.dedup_by_key(|&mut (q, _)| q);
+        let initiators = pairs.iter().map(|&(q, _)| q).collect();
+        CompletePayload::from_vector(initiators, pairs.into_iter().map(|(_, v)| v).collect())
+    }
+}
+
+/// Equality is by contents — initiators and value bits, the fingerprint's
+/// inputs — so NaN values compare equal to themselves.
+impl PartialEq for CompletePayload {
+    fn eq(&self, other: &Self) -> bool {
+        self.initiators == other.initiators
+            && self.values.iter().map(|v| v.to_bits()).eq(other.values.iter().map(|v| v.to_bits()))
     }
 }
 
@@ -642,53 +588,51 @@ mod tests {
     }
 
     #[test]
-    fn payload_round_trip_and_fingerprint() {
-        let t = topo();
-        let m: MessageSet =
-            [(pid(&t, &[0, 2]), 1.5), (pid(&t, &[1, 2]), 2.5)].into_iter().collect();
-        let pay = CompletePayload::from_message_set(&m);
-        assert_eq!(pay.len(), 2);
-        let summary = pay.summary(t.index());
-        assert!(summary.is_interned() && summary.is_consistent());
-        assert_eq!(summary.value_of(NodeId::new(1)), Some(2.5));
+    fn payload_values_and_fingerprint() {
+        let pay: CompletePayload =
+            [(NodeId::new(2), 1.5), (NodeId::new(0), 2.5)].into_iter().collect();
+        assert_eq!(pay.initiators(), ns(&[0, 2]));
+        assert_eq!(pay.values(), &[2.5, 1.5]);
+        assert_eq!(pay.value_of(NodeId::new(2)), Some(1.5));
+        assert_eq!(pay.value_of(NodeId::new(1)), None);
 
-        let same = CompletePayload::from_message_set(&m.clone());
+        // Equal contents, equal fingerprints, whatever the pair order.
+        let same: CompletePayload =
+            [(NodeId::new(0), 2.5), (NodeId::new(2), 1.5)].into_iter().collect();
+        assert_eq!(pay, same);
         assert_eq!(pay.fingerprint(), same.fingerprint());
-        let different: MessageSet = [(pid(&t, &[0, 2]), 1.5)].into_iter().collect();
-        assert_ne!(pay.fingerprint(), CompletePayload::from_message_set(&different).fingerprint());
+        // A value's bits, or the initiator set, tell payloads apart.
+        for other in [
+            [(NodeId::new(0), 2.5), (NodeId::new(2), -1.5)],
+            [(NodeId::new(0), 2.5), (NodeId::new(3), 1.5)],
+        ] {
+            let other: CompletePayload = other.into_iter().collect();
+            assert_ne!(pay, other);
+            assert_ne!(pay.fingerprint(), other.fingerprint());
+        }
+        let zero: CompletePayload = [(NodeId::new(0), 0.0)].into_iter().collect();
+        let negative_zero: CompletePayload = [(NodeId::new(0), -0.0)].into_iter().collect();
+        assert_ne!(zero, negative_zero);
     }
 
     #[test]
-    fn payload_inconsistency_detected() {
-        let t = topo();
-        let m: MessageSet =
-            [(pid(&t, &[0, 2]), 1.0), (pid(&t, &[0, 1, 2]), 2.0)].into_iter().collect();
-        assert!(!CompletePayload::from_message_set(&m).summary(t.index()).is_consistent());
+    fn payload_keeps_the_first_value_per_initiator() {
+        let pay: CompletePayload =
+            [(NodeId::new(1), 3.0), (NodeId::new(1), 9.0), (NodeId::new(0), f64::NAN)]
+                .into_iter()
+                .collect();
+        assert_eq!(pay.value_of(NodeId::new(1)), Some(3.0));
+        assert!(pay.value_of(NodeId::new(0)).is_some_and(f64::is_nan));
+        assert_eq!(pay, pay.clone(), "NaN values compare by bits");
     }
 
     #[test]
-    fn payload_summary_is_cached_per_index() {
+    fn a_message_set_snapshot_names_no_initiator() {
         let t = topo();
-        let pay = CompletePayload::from_entries(vec![(pid(&t, &[0, 2]), 1.5)]);
-        assert!(matches!(pay.summary(t.index()), Cow::Borrowed(_)));
-        // The first index's summary stays cached; another index, even one
-        // over the same graph, computes its own.
-        let other = topo();
-        assert!(matches!(pay.summary(other.index()), Cow::Owned(_)));
-        assert_eq!(*pay.summary(other.index()), *pay.summary(t.index()));
-        assert!(matches!(pay.summary(t.index()), Cow::Borrowed(_)));
-    }
-
-    #[test]
-    fn payload_with_an_uninterned_id_is_inconsistent() {
-        let t = topo();
-        let forged = PathId::from_raw(u32::MAX - 1);
-        let pay = CompletePayload::from_entries(vec![(forged, 0.25), (pid(&t, &[1, 2]), 2.5)]);
-        let summary = pay.summary(t.index());
-        assert!(!summary.is_interned());
-        assert!(!summary.is_consistent());
-        // The interned entries still name their initiators' values.
-        assert_eq!(summary.value_of(NodeId::new(1)), Some(2.5));
+        let m: MessageSet = [(pid(&t, &[0, 2]), 1.5)].into_iter().collect();
+        let pay = CompletePayload::from_message_set(&m);
+        assert!(pay.initiators().is_empty() && pay.values().is_empty());
+        assert_eq!(pay, CompletePayload::from_message_set(&MessageSet::new()));
     }
 
     #[test]

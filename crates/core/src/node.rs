@@ -440,9 +440,7 @@ mod tests {
         }
 
         // Forged COMPLETE: suspect set larger than f.
-        let payload = Arc::new(crate::message_set::CompletePayload::from_message_set(
-            &crate::message_set::MessageSet::new(),
-        ));
+        let payload = Arc::new(crate::message_set::CompletePayload::from_iter([]));
         let big: NodeSet = [id(2), id(3)].into_iter().collect();
         node.on_message(
             &mut ctx,

@@ -2,18 +2,19 @@
 //!
 //! [`Runtime::Net`](crate::scenario::Runtime::Net) serializes every
 //! message through the workspace's hand-rolled little-endian codec (the
-//! serde shim is marker-only and never produces bytes). The encodings
-//! reuse the canonical sparse wire form the in-memory types already
-//! document: a [`CompletePayload`] travels as its `(PathId, f64)` entry
-//! list in id order, path ids as raw `u32`s, suspect sets as their
+//! serde shim is marker-only and never produces bytes). Path ids travel as
+//! raw `u32`s, node sets (suspects, a payload's initiators) as their
 //! `NODE_WORDS` little-endian backing words (width-honest: 32 bytes by
 //! default, wider under `huge-graphs` — both endpoints share the binary,
-//! so they always agree), and values as `f64` bit patterns.
+//! so they always agree), and values as `f64` bit patterns. A
+//! [`CompletePayload`] is its initiator bitmap followed by one value per
+//! set bit, in node order, so a `COMPLETE`'s length depends only on
+//! `NODE_WORDS` and its initiator count.
 //!
 //! ```text
 //! ProtocolMsg::Flood    := 0x00 round:u32 value:f64bits path:u32
 //! ProtocolMsg::Complete := 0x01 round:u32 suspects:[u64; NODE_WORDS] path:u32 seq:u64
-//!                          count:u32 (path:u32 valuebits:u64)^count
+//!                          initiators:[u64; NODE_WORDS] value:f64bits^popcount(initiators)
 //! CrashMsg              := round:u32 value:f64bits path:u32
 //! ```
 //!
@@ -23,12 +24,12 @@
 //!   identity on bytes for every message — including NaN payloads, where
 //!   structural equality cannot express the property.
 //! * **Trust boundary.** The decoder is total and *structural only*: any
-//!   `u32` decodes into a path-id-shaped field, and forged ids are
-//!   rejected later by `validate_flood`/`validate_complete`, exactly as
-//!   for in-process adversaries. The one semantic rule the decoder does
-//!   enforce is that a [`CompletePayload`] is rebuilt through
-//!   [`CompletePayload::from_entries`], so a wire peer can never supply
-//!   its own fingerprint.
+//!   `u32` decodes into a path-id-shaped field and any bitmap into an
+//!   initiator set, and forged ids are rejected later by
+//!   `validate_flood`/`validate_complete`, exactly as for in-process
+//!   adversaries. The one semantic rule the decoder does enforce is that a
+//!   [`CompletePayload`] is rebuilt through its constructor, so a wire
+//!   peer can never supply its own fingerprint.
 
 use crate::crash::CrashMsg;
 use crate::message::ProtocolMsg;
@@ -40,31 +41,17 @@ use std::sync::Arc;
 const TAG_FLOOD: u8 = 0;
 const TAG_COMPLETE: u8 = 1;
 
-/// Bytes per `(PathId, f64)` payload entry on the wire.
-const ENTRY_BYTES: usize = 4 + 8;
-
 fn encode_payload(payload: &CompletePayload, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    for &(path, value) in payload.entries() {
-        out.extend_from_slice(&path.raw().to_le_bytes());
+    encode_node_set(payload.initiators(), out);
+    for value in payload.values() {
         out.extend_from_slice(&value.to_bits().to_le_bytes());
     }
 }
 
 fn decode_payload(r: &mut WireReader<'_>) -> Result<CompletePayload, WireError> {
-    let count = r.u32()? as usize;
-    // Bound the allocation by the bytes actually present, so a forged
-    // count cannot balloon memory before the reads fail.
-    if r.remaining() / ENTRY_BYTES < count {
-        return Err(WireError::Truncated { needed: count * ENTRY_BYTES, available: r.remaining() });
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let path = PathId::from_raw(r.u32()?);
-        let value = r.f64()?;
-        entries.push((path, value));
-    }
-    Ok(CompletePayload::from_entries(entries))
+    let initiators = r.node_set()?;
+    let values = (0..initiators.len()).map(|_| r.f64()).collect::<Result<_, _>>()?;
+    Ok(CompletePayload::from_vector(initiators, values))
 }
 
 impl WireMessage for ProtocolMsg {
@@ -124,7 +111,9 @@ mod tests {
     use super::*;
     use crate::config::FloodMode;
     use crate::message::validate_flood;
+    use crate::precompute::Topology;
     use crate::test_support::topo_of;
+    use crate::witness::{NodePlan, RoundAction, RoundCore, WitnessScratch};
     use dbac_graph::{generators, NodeId, NodeSet};
     use dbac_sim::net::codec::MAX_FRAME;
     use dbac_sim::net::codec::NODE_SET_BYTES;
@@ -168,13 +157,13 @@ mod tests {
                 path: PathId::from_raw(mix(state) as u32),
             }
         } else {
-            // Dense (contiguous ids from 0) or sparse (random ids) sets.
-            let dense = mix(state) % 2 == 0;
+            // Small (the first few nodes) or scattered initiator sets.
+            let small = mix(state) % 2 == 0;
             let count = (mix(state) % 40) as usize;
-            let entries = (0..count)
+            let payload: CompletePayload = (0..count)
                 .map(|i| {
-                    let id = if dense { i as u32 } else { mix(state) as u32 };
-                    (PathId::from_raw(id), draw_value(state))
+                    let q = if small { i } else { (mix(state) as usize) % dbac_graph::MAX_NODES };
+                    (NodeId::new(q), draw_value(state))
                 })
                 .collect();
             ProtocolMsg::Complete {
@@ -186,7 +175,7 @@ mod tests {
                     }
                     NodeSet::from_words(words)
                 },
-                payload: Arc::new(CompletePayload::from_entries(entries)),
+                payload: Arc::new(payload),
                 path: PathId::from_raw(mix(state) as u32),
                 seq: mix(state),
             }
@@ -238,7 +227,7 @@ mod tests {
             let has_nan = match &msg {
                 ProtocolMsg::Flood { value, .. } => value.is_nan(),
                 ProtocolMsg::Complete { payload, .. } => {
-                    payload.entries().iter().any(|(_, v)| v.is_nan())
+                    payload.values().iter().any(|v| v.is_nan())
                 }
             };
             if has_nan {
@@ -249,24 +238,72 @@ mod tests {
         }
     }
 
+    /// The `COMPLETE` frame length the wire grammar gives for `initiators`.
+    fn complete_len(initiators: usize) -> usize {
+        1 + 4 + NODE_SET_BYTES + 4 + 8 + NODE_SET_BYTES + 8 * initiators
+    }
+
     #[test]
-    fn max_length_frame_round_trips() {
-        // The largest Complete that still fits the 1 MiB frame cap.
-        let header = 1 + 4 + NODE_SET_BYTES + 4 + 8 + 4;
-        let count = (MAX_FRAME - header) / ENTRY_BYTES;
-        let entries: Vec<(PathId, f64)> =
-            (0..count).map(|i| (PathId::from_raw(i as u32), i as f64 * 0.5)).collect();
+    fn the_widest_complete_fits_the_frame_cap() {
+        // A value for every node the width admits.
+        let payload: CompletePayload =
+            (0..dbac_graph::MAX_NODES).map(|q| (NodeId::new(q), q as f64 * 0.5)).collect();
         let msg = ProtocolMsg::Complete {
             round: 9,
             suspects: NodeSet::universe(dbac_graph::MAX_NODES),
-            payload: Arc::new(CompletePayload::from_entries(entries)),
+            payload: Arc::new(payload),
             path: PathId::from_raw(3),
             seq: 77,
         };
         let bytes = msg.to_bytes();
+        assert_eq!(bytes.len(), complete_len(dbac_graph::MAX_NODES));
         assert!(bytes.len() <= MAX_FRAME, "{} bytes exceeds the frame cap", bytes.len());
-        assert!(bytes.len() > MAX_FRAME - ENTRY_BYTES, "test should sit at the cap");
         assert_bytes_round_trip(&msg);
+    }
+
+    /// Every `COMPLETE` node `me` fires while its history fills in id
+    /// order, each path carrying its initiator's index as the value.
+    fn firings(topo: &Topology, me: NodeId) -> Vec<(NodeSet, Arc<CompletePayload>)> {
+        let plan = NodePlan::new(topo, me);
+        let mut core = RoundCore::new(topo, &plan);
+        let mut scratch = WitnessScratch::new();
+        let mut actions = core.start(me.index() as f64, topo, &plan, &mut scratch);
+        for p in topo.index().paths_ending_at(me).filter(|&p| !topo.index().is_trivial(p)) {
+            let value = topo.index().init(p).index() as f64;
+            actions.extend(core.add_flood(p, value, topo, &plan, &mut scratch).1);
+        }
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                RoundAction::FloodComplete { guess, payload } => Some((guess, payload)),
+                RoundAction::Advance { .. } => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn complete_length_depends_only_on_the_initiator_count() {
+        // K5 at f = 1: every guess of every node fires; Figure 1(b)-small:
+        // node 0's ∅-guess firing, over a pool of ~50k paths.
+        let k5 = topo_of(generators::clique(5), 1, FloodMode::Redundant);
+        let fig = topo_of(generators::figure_1b_small(), 1, FloodMode::Redundant);
+        let mut cases: Vec<(NodeSet, Arc<CompletePayload>)> =
+            k5.graph().nodes().flat_map(|me| firings(&k5, me)).collect();
+        assert_eq!(cases.len(), 5 * 5, "∅ and four singletons per node");
+        let empty = firings(&fig, NodeId::new(0)).into_iter().find(|(g, _)| g.is_empty());
+        cases.push(empty.expect("the ∅ guess fires"));
+        for (guess, payload) in cases {
+            let msg = ProtocolMsg::Complete {
+                round: 0,
+                suspects: guess,
+                payload: Arc::clone(&payload),
+                path: PathId::from_raw(0),
+                seq: 1,
+            };
+            let initiators = payload.initiators().len();
+            assert!(initiators > 0 && payload.initiators().is_disjoint(guess), "{guess:?}");
+            assert_eq!(msg.to_bytes().len(), complete_len(initiators), "{guess:?}");
+        }
     }
 
     #[test]
@@ -293,17 +330,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forged_count_is_rejected_before_allocation() {
-        // A Complete header advertising u32::MAX entries with no bytes
-        // behind it must fail with Truncated, not try to allocate.
+    /// A `COMPLETE` header (round 1, no suspects, path 0, seq 1) followed
+    /// by `initiators` and the given value bytes.
+    fn complete_bytes(initiators: NodeSet, values: &[u8]) -> Vec<u8> {
         let mut buf = vec![TAG_COMPLETE];
         buf.extend_from_slice(&1u32.to_le_bytes()); // round
         buf.extend_from_slice(&[0u8; NODE_SET_BYTES]); // suspects
         buf.extend_from_slice(&0u32.to_le_bytes()); // path
         buf.extend_from_slice(&1u64.to_le_bytes()); // seq
-        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // entry count
+        encode_node_set(initiators, &mut buf);
+        buf.extend_from_slice(values);
+        buf
+    }
+
+    #[test]
+    fn a_short_value_vector_is_a_typed_error() {
+        // Three initiators, then two and a half values: the vector is cut
+        // inside its last value.
+        let three: NodeSet = [0, 1, 2].into_iter().map(NodeId::new).collect();
+        let buf = complete_bytes(three, &[0x11; 20]);
         assert!(matches!(ProtocolMsg::from_bytes(&buf).unwrap_err(), WireError::Truncated { .. }));
+        // The whole bitmap set, and no values behind it.
+        let all = NodeSet::universe(dbac_graph::MAX_NODES);
+        let buf = complete_bytes(all, &[]);
+        assert!(matches!(ProtocolMsg::from_bytes(&buf).unwrap_err(), WireError::Truncated { .. }));
+        // One value too many is trailing bytes, not a fourth value.
+        let buf = complete_bytes(three, &[0x11; 32]);
+        assert_eq!(ProtocolMsg::from_bytes(&buf).unwrap_err(), WireError::Trailing { extra: 8 });
+        assert!(ProtocolMsg::from_bytes(&complete_bytes(three, &[0x11; 24])).is_ok());
     }
 
     #[test]
@@ -333,11 +387,11 @@ mod tests {
 
     #[test]
     fn payload_fingerprint_is_recomputed_not_trusted() {
-        // Two payloads with the same entries must compare equal after a
-        // round trip — the fingerprint comes from from_entries, never
+        // Two payloads with the same vector must compare equal after a
+        // round trip — the fingerprint comes from the constructor, never
         // from the wire.
-        let entries = vec![(PathId::from_raw(4), 2.5), (PathId::from_raw(1), -3.0)];
-        let original = Arc::new(CompletePayload::from_entries(entries.clone()));
+        let original: Arc<CompletePayload> =
+            Arc::new([(NodeId::new(4), 2.5), (NodeId::new(1), -3.0)].into_iter().collect());
         let msg = ProtocolMsg::Complete {
             round: 1,
             suspects: NodeSet::EMPTY,

@@ -40,8 +40,10 @@
 //!   further by a round-global census (first value bits per initiator plus
 //!   a `dirty` set of equivocators, one array compare per arrival): at
 //!   pool completion only the *dirty* initiators' slices are walked — none
-//!   at all in an honest round. The `COMPLETE` payload is gathered by the
-//!   same masked walk — no intermediate excluded `MessageSet` clone.
+//!   at all in an honest round. The `COMPLETE` payload is one value per
+//!   pool initiator (precomputed per guess): a clean initiator's value is
+//!   the census's, a dirty one's comes from its slice scan — O(n) per
+//!   firing, with no walk of the pool.
 //! * **FRA slot masks** — the simple paths ending at `me` get a dense
 //!   *slot* renumbering; per `(guess, witness c)` the plan holds the slot
 //!   bitmap of the simple `(c, me)`-paths inside `reach_me(F̄v)`.
@@ -61,19 +63,19 @@
 //! `(init, node set)` class id decides the dedup — a bit test, with no node
 //! set loaded or hashed for a repeat.
 //!
-//! A `COMPLETE(F_u)` with a consistent payload `M_c` opens one obligation
-//! per source-component node `q` of each `S_{F_u,F_w}`: the `M'` bucket of
+//! A `COMPLETE(F_u)` with payload `M_c` opens one obligation per
+//! source-component node `q` of each `S_{F_u,F_w}`: the `M'` bucket of
 //! `(q, value_q(M_c))` must admit no `f`-cover avoiding the component.
 //! That bucket is the only one whose growth can discharge the obligation,
 //! so a pending obligation waits *in* it, as a `(component, tracker)`
 //! entry, and leaves it at the first arrival after which no such cover
 //! remains. A tracker is then just a count of its pending
 //! obligations plus an `impossible` flag (a source value missing from the
-//! payload); an inconsistent payload (Algorithm 1 line 24) opens none and
-//! never blocks. What a tracker reads off a payload — its consistency and
-//! each `value_q` — comes from the payload's cached
-//! [`CompletePayload::summary`]: one pass per payload and process, not one
-//! per receiver and obligation.
+//! payload, or not finite). A tracker reads `value_q` straight off the
+//! payload's vector, which is consistent by construction (see
+//! [`CompletePayload`]); a payload naming a node outside the graph is
+//! skipped as Algorithm 1 line 24 skips an inconsistent one: it opens no
+//! obligation and never blocks.
 //!
 //! Per-round state is therefore plain counters, bitmaps and buckets, sized
 //! to what the round still reads. [`RoundCore::new`] builds all of it when
@@ -142,6 +144,8 @@ pub struct GuessPlan {
     /// The avoiding mask: pool paths ending at `me` that avoid the guess,
     /// word-aligned to the plan's mask range.
     avoid_words: Vec<u64>,
+    /// The initiators of those paths: the nodes a firing's payload names.
+    initiators: NodeSet,
     /// FIFO-Receive-All witnesses, ascending by node id.
     fra_witnesses: Vec<FraWitness>,
 }
@@ -215,6 +219,10 @@ impl NodePlan {
             let reach = topo.reach_of(me, guess);
             let avoid_words = index.avoiding_words(guess, me, words.clone());
             let flood_required = avoid_words.iter().map(|w| w.count_ones() as usize).sum();
+            let initiators = (0..n)
+                .filter(|&q| avoid_words.iter().zip(&init_slices[q]).any(|(a, i)| a & i != 0))
+                .map(NodeId::new)
+                .collect();
             // Bucket the in-reach simple paths by initiator into slot masks.
             let mut masks: Vec<Option<Vec<u64>>> = vec![None; n];
             for (s, &p) in simple.iter().enumerate() {
@@ -235,7 +243,14 @@ impl NodePlan {
                     })
                 })
                 .collect();
-            guesses.push(GuessPlan { guess, reach, flood_required, avoid_words, fra_witnesses });
+            guesses.push(GuessPlan {
+                guess,
+                reach,
+                flood_required,
+                avoid_words,
+                initiators,
+                fra_witnesses,
+            });
         }
         NodePlan { me, word_base, mask_words, init_slices, fra_slot, fra_slot_words, guesses }
     }
@@ -264,19 +279,20 @@ impl NodePlan {
         let full =
             (0..self.mask_words).all(|w| avoid[w] & !mset.present_word(self.word_base + w) == 0);
         let consistent = (0..self.init_slices.len())
-            .all(|q| self.initiator_consistent(guess_idx, NodeId::new(q), mset));
+            .all(|q| self.initiator_value(guess_idx, NodeId::new(q), mset).is_some());
         McStatus { full, consistent }
     }
 
-    /// Consistency of initiator `q`'s slice of `M|_F̄v`: the masked scan
-    /// restricted to one init slice — the per-completion check for
-    /// initiators the round-global census flagged as equivocating.
-    pub(crate) fn initiator_consistent(
+    /// Initiator `q`'s slice of `M|_F̄v` by the masked scan restricted to
+    /// one init slice: `None` if it holds two values, else the value bits
+    /// it holds (`Some(None)` for an empty slice). The per-completion read
+    /// of initiators the round-global census flagged as equivocating.
+    pub(crate) fn initiator_value(
         &self,
         guess_idx: usize,
         q: NodeId,
         mset: &MessageSet,
-    ) -> bool {
+    ) -> Option<Option<u64>> {
         let avoid = &self.guesses[guess_idx].avoid_words;
         let slice = &self.init_slices[q.index()];
         let mut first: Option<u64> = None;
@@ -288,37 +304,17 @@ impl NodePlan {
                 let bits = mset.value_at(id).to_bits();
                 match first {
                     None => first = Some(bits),
-                    Some(b) if b != bits => return false,
+                    Some(b) if b != bits => return None,
                     Some(_) => {}
                 }
             }
         }
-        true
+        Some(first)
     }
 
     /// Number of nodes in the plan's network.
     pub(crate) fn node_count(&self) -> usize {
         self.init_slices.len()
-    }
-
-    /// Gathers the `COMPLETE` payload entries `M|_F̄v` by the same masked
-    /// walk, in canonical id order — no excluded-set clone.
-    pub(crate) fn gather_avoiding(
-        &self,
-        guess_idx: usize,
-        mset: &MessageSet,
-    ) -> Vec<(PathId, f64)> {
-        let gp = &self.guesses[guess_idx];
-        let mut out = Vec::with_capacity(gp.flood_required);
-        for w in 0..self.mask_words {
-            let mut hits = mset.present_word(self.word_base + w) & gp.avoid_words[w];
-            while hits != 0 {
-                let id = (self.word_base + w) * 64 + hits.trailing_zeros() as usize;
-                hits &= hits - 1;
-                out.push((PathId::from_raw(id as u32), mset.value_at(id)));
-            }
-        }
-        out
     }
 
     /// The (relative word, bit) of a stored path in the mask range.
@@ -513,12 +509,13 @@ impl DistinctSets {
 }
 
 /// Completeness progress of one `(F_u, payload)`: its obligations wait in
-/// their `M'` buckets, and only their count is kept here. An inconsistent
-/// payload (skipped per Algorithm 1 line 24) gets a tracker with no
+/// their `M'` buckets, and only their count is kept here. A skipped
+/// payload (one naming a node outside the graph) gets a tracker with no
 /// obligations, which never blocks.
 struct CompletenessTracker {
-    /// Some source-component value is missing from the payload: `M'` for
-    /// it stays empty, and the empty `f`-cover always exists.
+    /// Some source-component value is missing from the payload, or is not
+    /// finite: `M'` for it stays empty, and the empty `f`-cover always
+    /// exists.
     impossible: bool,
     /// Obligations still waiting in a bucket.
     pending: usize,
@@ -727,13 +724,24 @@ impl RoundCore {
             if thread.flood_remaining > 0 {
                 continue;
             }
-            // Pool complete: scan the dirty initiators' slices (clean
-            // initiators cannot break consistency of a sub-history).
-            let consistent = self.dirty.iter().all(|q| plan.initiator_consistent(g, q, &self.mset));
-            if consistent {
+            // Pool complete: every pool initiator has reported. A clean
+            // initiator's one value is the census's; only a dirty one's
+            // slice is scanned, for consistency and its value.
+            let values: Option<Vec<f64>> = gp
+                .initiators
+                .iter()
+                .map(|q| {
+                    let bits = if self.dirty.contains(q) {
+                        plan.initiator_value(g, q, &self.mset)?
+                    } else {
+                        self.value_by_init[q.index()]
+                    };
+                    Some(f64::from_bits(bits.expect("a complete pool holds every initiator")))
+                })
+                .collect();
+            if let Some(values) = values {
                 thread.mc_fired = true;
-                let payload =
-                    Arc::new(CompletePayload::from_entries(plan.gather_avoiding(g, &self.mset)));
+                let payload = Arc::new(CompletePayload::from_vector(gp.initiators, values));
                 actions.push(RoundAction::FloodComplete { guess: gp.guess, payload });
             } else {
                 thread.mc_dead = true;
@@ -822,16 +830,17 @@ impl RoundCore {
         if let Some(&idx) = self.tracker_index.get(&(suspects, fingerprint)) {
             return idx;
         }
-        // One cached pass over the payload per process: ids interned,
-        // consistency, and `value_q` per initiator. An uninterned id reads
-        // as inconsistent, so Verify skips the payload.
-        let summary = payload.summary(topo.index());
+        // A payload naming a node outside the graph comes from no honest
+        // node, and Verify skips it as it skips an inconsistent one. A
+        // non-finite `value_q` is never stored (the node drops such
+        // floods), so it can never be confirmed: the tracker is impossible.
         let mut tracker = CompletenessTracker { impossible: false, pending: 0 };
         let idx = self.trackers.len();
-        if summary.is_consistent() {
-            let others = NodeSet::universe(self.n) - NodeSet::singleton(self.me);
+        let universe = NodeSet::universe(self.n);
+        if payload.initiators().is_subset(universe) {
+            let others = universe - NodeSet::singleton(self.me);
             for &(component, q) in topo.completeness_obligations(suspects) {
-                let Some(xq) = summary.value_of(q) else {
+                let Some(xq) = payload.value_of(q).filter(|x| x.is_finite()) else {
                     tracker.impossible = true;
                     continue;
                 };
@@ -966,18 +975,20 @@ mod tests {
     }
 
     #[test]
-    fn gather_matches_exclusion_payload() {
-        let (topo, plan) = setup(4, 1);
+    fn pool_initiators_are_the_exclusions_initiators() {
+        let topo = crate::test_support::topo_of(
+            dbac_graph::generators::figure_1a(),
+            1,
+            crate::config::FloodMode::Redundant,
+        );
         let index = topo.index();
-        let mut m = MessageSet::new();
-        for &p in topo.required_paths_to(id(0)) {
-            m.insert(p, index.init(p).index() as f64);
-        }
-        for (i, gp) in plan.guesses().iter().enumerate() {
-            let gathered = CompletePayload::from_entries(plan.gather_avoiding(i, &m));
-            let excluded = CompletePayload::from_message_set(&m.exclusion(gp.guess, index));
-            assert_eq!(gathered, excluded, "guess {:?}", gp.guess);
-            assert_eq!(gathered.fingerprint(), excluded.fingerprint());
+        for me in topo.graph().nodes() {
+            let plan = NodePlan::new(&topo, me);
+            let full: MessageSet = topo.required_paths_to(me).iter().map(|&p| (p, 0.0)).collect();
+            for gp in plan.guesses() {
+                let excluded = full.exclusion(gp.guess, index).initiators(index);
+                assert_eq!(gp.initiators, excluded, "{me} guess {:?}", gp.guess);
+            }
         }
     }
 
@@ -1050,8 +1061,8 @@ mod tests {
         match completes[0] {
             RoundAction::FloodComplete { guess, payload } => {
                 assert!(guess.is_empty());
-                assert_eq!(payload.len(), topo.required_paths_to(id(0)).len());
-                assert!(payload.summary(topo.index()).is_consistent());
+                assert_eq!(payload.initiators(), NodeSet::universe(3));
+                assert_eq!(payload.values(), &values);
             }
             RoundAction::Advance { .. } => unreachable!(),
         }
@@ -1119,13 +1130,10 @@ mod tests {
         all_actions.append(&mut acts);
 
         // Peers 1 and 2 send the same COMPLETE (their view: same values on
-        // all their pool paths). Build each peer's payload from its pool.
+        // all their pool paths, which every node begins).
         for c in [id(1), id(2)] {
-            let mut m = MessageSet::new();
-            for &path in topo.required_paths_to(c) {
-                m.insert(path, values[topo.index().init(path).index()]);
-            }
-            let payload = Arc::new(CompletePayload::from_message_set(&m));
+            let payload: Arc<CompletePayload> =
+                Arc::new((0..3).map(|q| (id(q), values[q])).collect());
             let fp = payload.fingerprint();
             // Deliver over every simple (c, 0)-path.
             for &p in topo.simple_paths_to(id(0)) {
@@ -1162,24 +1170,20 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_complete_payloads_never_block_verify() {
-        // Algorithm 1 line 24: only *consistent* M_c impose Completeness
-        // conjuncts; a tampered, self-contradicting payload is ignored. So
-        // is one naming an id outside the population, which no honest node
-        // sends — with no lookup on the unknown id.
+    fn payloads_naming_nodes_outside_the_graph_never_block_verify() {
+        // No honest node names a node outside the graph, so such a payload
+        // is skipped as Algorithm 1 line 24 skips an inconsistent one —
+        // alone, or beside values for every node of the graph.
         let (topo, plan) = setup(4, 1);
-        let mut m = MessageSet::new();
-        m.insert(pid(&topo, &[1, 0]), 3.0);
-        m.insert(pid(&topo, &[1, 2, 0]), 9.0); // equivocation
-        let forged = vec![(PathId::from_raw(u32::MAX - 1), 0.25)];
-        for payload in
-            [CompletePayload::from_message_set(&m), CompletePayload::from_entries(forged)]
-        {
+        let every = (0..4).map(|q| (id(q), 3.0));
+        for payload in [
+            [(id(200), 0.25)].into_iter().collect(),
+            every.chain([(id(4), 0.25)]).collect::<CompletePayload>(),
+        ] {
             let mut core = RoundCore::new(&topo, &plan);
             let mut scratch = WitnessScratch::new();
             core.start(1.0, &topo, &plan, &mut scratch);
             let payload = Arc::new(payload);
-            assert!(!payload.summary(topo.index()).is_consistent());
             let fp = payload.fingerprint();
             core.add_fifo_delivery(
                 id(1),
@@ -1192,25 +1196,50 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(core.trackers.len(), 1);
-            assert!(!core.trackers[0].blocking(), "inconsistent payloads are skipped");
+            assert!(!core.trackers[0].blocking(), "the payload is skipped");
             assert_eq!(waiting_on(&core, 0), 0, "and leave no obligation waiting");
         }
     }
 
     #[test]
+    fn non_finite_source_value_is_impossible() {
+        // Floods of non-finite values never reach the history, so a
+        // payload whose source values are NaN or infinite can never pass
+        // Completeness: its tracker is impossible at once, with nothing
+        // left waiting in a bucket.
+        let (topo, plan) = setup(4, 1);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut core = RoundCore::new(&topo, &plan);
+            let mut scratch = WitnessScratch::new();
+            core.start(1.0, &topo, &plan, &mut scratch);
+            let payload: Arc<CompletePayload> = Arc::new((0..4).map(|q| (id(q), bad)).collect());
+            core.add_fifo_delivery(
+                id(1),
+                pid(&topo, &[1, 0]),
+                NodeSet::singleton(id(2)),
+                &payload,
+                payload.fingerprint(),
+                &topo,
+                &plan,
+                &mut scratch,
+            );
+            assert!(core.trackers[0].impossible && core.trackers[0].blocking(), "{bad}");
+            assert_eq!(waiting_on(&core, 0), 0, "{bad}");
+        }
+    }
+
+    #[test]
     fn missing_source_value_blocks_forever() {
-        // A consistent payload that lacks a source-component value can
-        // never pass Completeness: M' stays empty, the empty f-cover
-        // exists, output is false (Algorithm 2).
+        // A payload that lacks a source-component value can never pass
+        // Completeness: M' stays empty, the empty f-cover exists, output
+        // is false (Algorithm 2).
         let (topo, plan) = setup(4, 1);
         let mut core = RoundCore::new(&topo, &plan);
         let mut scratch = WitnessScratch::new();
         core.start(1.0, &topo, &plan, &mut scratch);
-        // Payload with a single entry from node 1 — nodes 2 and 3 are in
-        // source components of some (F_u, F_w) pair but absent here.
-        let mut m = MessageSet::new();
-        m.insert(pid(&topo, &[1, 0]), 3.0);
-        let payload = Arc::new(CompletePayload::from_message_set(&m));
+        // Payload with node 1's value only — nodes 2 and 3 are in source
+        // components of some (F_u, F_w) pair but absent here.
+        let payload: Arc<CompletePayload> = Arc::new([(id(1), 3.0)].into_iter().collect());
         let fp = payload.fingerprint();
         core.add_fifo_delivery(
             id(1),
@@ -1242,9 +1271,7 @@ mod tests {
         let mut core = RoundCore::new(&topo, &plan);
         let mut scratch = WitnessScratch::new();
         core.start(1.0, &topo, &plan, &mut scratch);
-        let mut m = MessageSet::new();
-        m.insert(pid(&topo, &[1, 0]), 3.0);
-        let payload = Arc::new(CompletePayload::from_message_set(&m));
+        let payload: Arc<CompletePayload> = Arc::new([(id(1), 3.0)].into_iter().collect());
         let fp = payload.fingerprint();
         for p in [pid(&topo, &[1, 0]), pid(&topo, &[1, 2, 0])] {
             core.add_fifo_delivery(
@@ -1308,9 +1335,8 @@ mod tests {
         // one delivery path (spills the fingerprint slots; none completes).
         let delivery = pid(&topo, &[1, 0]);
         for fp in 0..16u64 {
-            let mut m = MessageSet::new();
-            m.insert(delivery, fp as f64);
-            let payload = Arc::new(CompletePayload::from_message_set(&m));
+            let payload: Arc<CompletePayload> =
+                Arc::new([(id(1), fp as f64)].into_iter().collect());
             core.add_fifo_delivery(
                 id(1),
                 delivery,
@@ -1438,13 +1464,7 @@ mod tests {
         assert!(core.per_init_paths.iter().any(|b| !b.entries.is_empty()), "buckets were fed");
         assert!(!core.trackers.is_empty(), "the own COMPLETE opened a tracker");
         for c in [id(1), id(2)] {
-            let m: MessageSet = topo
-                .required_paths_to(c)
-                .iter()
-                .filter(|&&p| !index.intersects(p, suspects))
-                .map(|&p| (p, values[index.init(p).index()]))
-                .collect();
-            let payload = Arc::new(CompletePayload::from_message_set(&m));
+            let payload = avoiding(suspects, &values);
             for &p in topo.simple_paths_to(id(0)) {
                 if index.init(p) != c || index.intersects(p, suspects) {
                     continue;
@@ -1483,7 +1503,7 @@ mod tests {
         assert_released(&core, "after a late flood");
 
         // A late COMPLETE opens no tracker.
-        let payload = Arc::new(CompletePayload::from_message_set(core.message_set()));
+        let payload = avoiding(NodeSet::EMPTY, &values);
         let acts = core.add_fifo_delivery(
             id(3),
             held_back,
@@ -1496,6 +1516,14 @@ mod tests {
         );
         assert!(acts.is_empty());
         assert_released(&core, "after a late COMPLETE");
+    }
+
+    /// The payload a K4 peer sends under `suspects` when node `q` holds
+    /// `values[q]`: its pool avoiding `suspects` starts at every other node.
+    fn avoiding(suspects: NodeSet, values: &[f64; 4]) -> Arc<CompletePayload> {
+        Arc::new(
+            (0..4).filter(|&q| !suspects.contains(id(q))).map(|q| (id(q), values[q])).collect(),
+        )
     }
 
     /// The obligations of tracker `t` waiting in any bucket.
@@ -1528,19 +1556,10 @@ mod tests {
                 core.add_flood(path, values[index.init(path).index()], &topo, &plan, &mut scratch);
             advanced |= self_deliver(&mut core, acts, &topo, &plan, &mut scratch);
         }
-        let avoiding = |c: NodeId, suspects: NodeSet| -> Arc<CompletePayload> {
-            let m: MessageSet = topo
-                .required_paths_to(c)
-                .iter()
-                .filter(|&&p| !index.intersects(p, suspects))
-                .map(|&p| (p, values[index.init(p).index()]))
-                .collect();
-            Arc::new(CompletePayload::from_message_set(&m))
-        };
         let mut blockers = Vec::new();
         for (c, suspect) in [(id(2), id(1)), (id(1), id(2))] {
             let suspects = NodeSet::singleton(suspect);
-            let payload = avoiding(c, suspects);
+            let payload = avoiding(suspects, &values);
             let acts = core.add_fifo_delivery(
                 c,
                 pid(&topo, &[c.index(), 0]),
@@ -1567,7 +1586,7 @@ mod tests {
 
         let suspects = NodeSet::singleton(id(3));
         for c in [id(1), id(2)] {
-            let payload = avoiding(c, suspects);
+            let payload = avoiding(suspects, &values);
             for &p in topo.simple_paths_to(id(0)) {
                 if index.init(p) != c || index.intersects(p, suspects) {
                     continue;

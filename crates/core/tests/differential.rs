@@ -22,7 +22,7 @@
 mod reference;
 
 use dbac_core::config::FloodMode;
-use dbac_core::message_set::{CompletePayload, MessageSet};
+use dbac_core::message_set::MessageSet;
 use dbac_core::precompute::Topology;
 use dbac_core::witness::{NodePlan, RoundCore, WitnessScratch};
 use dbac_graph::{generators, NodeId, NodeSet, PathBudget, PathId};
@@ -190,13 +190,6 @@ fn run_sequence(t: &Topology, layout: Layout, empty: &MessageSet, seed: u64) {
                 let set = random_subset(rng.next(), n);
                 let (ec, em) = (col.exclusion(set, index), model.exclusion(set, index));
                 assert_observables(t, &ec, &em, &format!("{ctx}: exclusion({set:?})"));
-                // Exclusion is the protocol's snapshot op: its payload form
-                // must agree too.
-                assert_eq!(
-                    CompletePayload::from_message_set(&ec).entries(),
-                    em.iter().collect::<Vec<_>>().as_slice(),
-                    "{ctx}: payload of exclusion"
-                );
             }
             // Fullness for a random (guess, terminal) pair, both forms.
             7 => {

@@ -1,6 +1,5 @@
 //! Differential testing of the class-level Filter-and-Average against the
-//! per-message sort-and-search [`reference`] (`tests/oracles/filter.rs`),
-//! and of the cached `COMPLETE` payload summary against per-entry scans.
+//! per-message sort-and-search [`reference`] (`tests/oracles/filter.rs`).
 //!
 //! Histories are drawn from a deterministic splitmix64 stream over the K4,
 //! K5 and Figure 1(a) populations, and each is filtered at f = 0, 1 and 2.
@@ -10,19 +9,15 @@
 //! trims everything and returns `None`), and the empty history. Both
 //! implementations must return the same `Option<FilterOutcome>`, the value
 //! compared by its bits.
-//!
-//! The payload summary is checked on entry lists given out of order, with
-//! duplicate ids, and with ids outside the population — alone and against
-//! a second index, which must get a summary of its own.
 
 #[path = "oracles/filter.rs"]
 mod reference;
 
 use dbac_core::config::FloodMode;
 use dbac_core::filter::{filter_and_average, FilterOutcome};
-use dbac_core::message_set::{CompletePayload, MessageSet};
+use dbac_core::message_set::MessageSet;
 use dbac_core::precompute::Topology;
-use dbac_graph::{generators, Digraph, NodeId, PathBudget, PathId, PathIndex};
+use dbac_graph::{generators, Digraph, NodeId, PathBudget, PathId};
 
 /// Deterministic stream: splitmix64.
 struct Rng(u64);
@@ -159,82 +154,4 @@ fn class_level_filter_matches_the_sorting_oracle() {
         // The generator reaches both outcomes, not only the easy one.
         assert!(trimmed > 100 && none > 100, "{name}: {trimmed} trimmed, {none} None");
     }
-}
-
-/// The summary's observables from a scan of the payload's entries, in
-/// their stored (id) order: every id interned; Definition 8 over the
-/// interned entries; per node, the value bits of its first interned entry.
-fn scan(payload: &CompletePayload, index: &PathIndex) -> (bool, bool, Vec<Option<u64>>) {
-    let known: Vec<(NodeId, u64)> = payload
-        .entries()
-        .iter()
-        .filter(|&&(p, _)| index.contains_id(p))
-        .map(|&(p, v)| (index.init(p), v.to_bits()))
-        .collect();
-    let interned = known.len() == payload.len();
-    let consistent =
-        interned && known.iter().all(|&(q, b)| known.iter().all(|&(r, c)| q != r || b == c));
-    let first = (0..=index.graph_node_count())
-        .map(|q| known.iter().find(|&&(r, _)| r.index() == q).map(|&(_, b)| b))
-        .collect();
-    (interned, consistent, first)
-}
-
-fn assert_summary(payload: &CompletePayload, index: &PathIndex, ctx: &str) {
-    let summary = payload.summary(index);
-    let (interned, consistent, first) = scan(payload, index);
-    assert_eq!(summary.is_interned(), interned, "{ctx}: interned");
-    assert_eq!(summary.is_consistent(), consistent, "{ctx}: consistent");
-    for (q, want) in first.into_iter().enumerate() {
-        let got = summary.value_of(NodeId::new(q)).map(f64::to_bits);
-        assert_eq!(got, want, "{ctx}: value_of({q})");
-    }
-}
-
-#[test]
-fn payload_summary_matches_a_per_entry_scan() {
-    let fixtures = fixtures();
-    let mut rng = Rng(0x5A11_0000);
-    let mut seen = [0usize; 3]; // consistent, inconsistent, uninterned
-    for case in 0..600 {
-        let (name, t) = &fixtures[case % fixtures.len()];
-        let index = t.index();
-        let len = index.len() as u64;
-        let honest: Vec<f64> = (0..t.graph().node_count()).map(|_| rng.pick(&TIES)).collect();
-        let mut entries: Vec<(PathId, f64)> = Vec::new();
-        for _ in 0..rng.below(40) {
-            // A duplicate of an earlier entry's id, one time in eight.
-            let p = match rng.below(8) {
-                0 if !entries.is_empty() => rng.pick(&entries).0,
-                _ => PathId::from_raw(rng.below(len) as u32),
-            };
-            let v = if rng.below(8) != 0 { honest[index.init(p).index()] } else { rng.pick(&TIES) };
-            entries.push((p, v));
-        }
-        // One payload in four names ids outside the population: just past
-        // it, or far out.
-        if rng.below(4) == 0 {
-            entries.push((PathId::from_raw((len + rng.below(64)) as u32), rng.pick(&TIES)));
-            if rng.below(2) == 0 {
-                entries.push((PathId::from_raw(u32::MAX - 1), rng.pick(&TIES)));
-            }
-        }
-        // `from_entries` sorts: the list goes in shuffled.
-        for i in (1..entries.len()).rev() {
-            entries.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let payload = CompletePayload::from_entries(entries);
-        assert_summary(&payload, index, &format!("{name} case {case}"));
-        // Read back from the cache, then against another fixture's index.
-        assert_summary(&payload, index, &format!("{name} case {case} (cached)"));
-        let (other_name, other) = &fixtures[(case + 1) % fixtures.len()];
-        assert_summary(&payload, other.index(), &format!("{name} case {case} on {other_name}"));
-        let summary = payload.summary(index);
-        seen[match (summary.is_interned(), summary.is_consistent()) {
-            (false, _) => 2,
-            (true, true) => 0,
-            (true, false) => 1,
-        }] += 1;
-    }
-    assert!(seen.iter().all(|&k| k > 50), "consistent / inconsistent / uninterned: {seen:?}");
 }

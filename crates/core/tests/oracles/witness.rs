@@ -11,18 +11,39 @@
 //! what makes it a trustworthy model: the generated-sequence harness and
 //! the property tests in `tests/differential_witness.rs` drive both state
 //! machines through identical flood/COMPLETE sequences and require
-//! identical [`RoundAction`] streams.
+//! matching action streams. Its `COMPLETE` payloads are the per-path
+//! [`EntryPayload`]s the product's per-initiator vectors replaced.
 //!
 //! Test code only — the library carries no second implementation.
 
+use crate::payload::EntryPayload;
 use dbac_conditions::cover::has_cover;
-use dbac_core::filter::filter_and_average;
-use dbac_core::message_set::{CompletePayload, MessageSet};
+use dbac_core::filter::{filter_and_average, FilterOutcome};
+use dbac_core::message_set::MessageSet;
 use dbac_core::precompute::Topology;
-use dbac_core::witness::RoundAction;
 use dbac_graph::{FastHashMap, NodeId, NodeSet, PathId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// The oracle's counterpart of the product's `RoundAction`, carrying a
+/// per-path payload.
+#[derive(Clone, Debug)]
+pub enum RoundAction {
+    /// A thread passed Maximal-Consistency with snapshot `payload`.
+    FloodComplete {
+        /// The guess `F_v` of the thread that fired.
+        guess: NodeSet,
+        /// The snapshot `M_v|_F̄v`.
+        payload: Arc<EntryPayload>,
+    },
+    /// Verify passed in thread `guess`, with this Filter-and-Average outcome.
+    Advance {
+        /// The guess of the winning thread.
+        guess: NodeSet,
+        /// The Filter-and-Average outcome.
+        outcome: FilterOutcome,
+    },
+}
 
 /// Static per-node plan: one entry per fault-set guess excluding the node
 /// (the pre-mask design: requirement counts only, no word masks).
@@ -303,9 +324,8 @@ impl RoundCore {
             }
             if thread.consistent && thread.flood_remaining == 0 {
                 thread.mc_fired = true;
-                let payload = Arc::new(CompletePayload::from_message_set(
-                    &self.mset.exclusion(gp.guess, index),
-                ));
+                let payload =
+                    Arc::new(EntryPayload::from_message_set(&self.mset.exclusion(gp.guess, index)));
                 actions.push(RoundAction::FloodComplete { guess: gp.guess, payload });
             }
         }
@@ -319,7 +339,7 @@ impl RoundCore {
         initiator: NodeId,
         delivery_path: PathId,
         suspects: NodeSet,
-        payload: &Arc<CompletePayload>,
+        payload: &Arc<EntryPayload>,
         fingerprint: u64,
         topo: &Topology,
         plan: &NodePlan,
@@ -361,37 +381,33 @@ impl RoundCore {
     fn obtain_tracker(
         &mut self,
         suspects: NodeSet,
-        payload: &Arc<CompletePayload>,
+        payload: &Arc<EntryPayload>,
         fingerprint: u64,
         topo: &Topology,
     ) -> usize {
         if let Some(&idx) = self.tracker_index.get(&(suspects, fingerprint)) {
             return idx;
         }
-        let index = topo.index();
-        let entries = payload.entries();
         // Definition 8 by a scan of the entries; a payload naming an id
         // outside the population is skipped like an inconsistent one.
-        let mut first: FastHashMap<NodeId, u64> = FastHashMap::default();
-        let consistent = entries.iter().all(|&(p, v)| {
-            index.contains_id(p)
-                && *first.entry(index.init(p)).or_insert(v.to_bits()) == v.to_bits()
-        });
+        let summary = payload.summary(topo.index());
         let mut tracker = CompletenessTracker {
-            consistent,
+            consistent: summary.consistent,
             impossible: false,
             pending: 0,
             obligations: Vec::new(),
         };
         let idx = self.trackers.len();
-        if consistent {
+        if summary.consistent {
             for &(component, q) in topo.completeness_obligations(suspects) {
-                // `value_q`: the first entry of `q`, in id order.
-                let Some(&(_, xq)) = entries.iter().find(|&&(p, _)| index.init(p) == q) else {
+                // `value_q`: the first entry of `q`, in id order. No
+                // non-finite flood is ever stored, so such a value can
+                // never be confirmed, like a missing one.
+                let first = summary.first_by_init[q.index()];
+                let Some(xq_bits) = first.filter(|&b| f64::from_bits(b).is_finite()) else {
                     tracker.impossible = true;
                     continue;
                 };
-                let xq_bits = xq.to_bits();
                 let allowed = NodeSet::universe(self.n) - component - NodeSet::singleton(self.me);
                 let already = self
                     .paths_by_init_value

@@ -86,7 +86,6 @@ use crate::paths::Path;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dense identifier of an interned path.
 ///
@@ -283,8 +282,6 @@ fn shortest_first(lens: &[u32]) -> Vec<u32> {
 /// forwarding table, but no path sequences.
 #[derive(Debug)]
 pub struct PathIndex {
-    /// Process-unique, drawn at build time (see [`PathIndex::identity`]).
-    identity: u64,
     /// `starts[v] .. starts[v + 1]` are the ids of the paths ending at
     /// `v`, the first being `⟨v⟩`; `starts[n]` is the population size.
     starts: Vec<u32>,
@@ -421,9 +418,7 @@ impl PathIndex {
             }
         }
 
-        static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
         PathIndex {
-            identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
             starts,
             rows,
             classes,
@@ -449,15 +444,6 @@ impl PathIndex {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
-    }
-
-    /// A process-unique identity: no two indexes built in one process
-    /// share it, even when one is dropped and the next reuses its memory.
-    /// State derived from ids against one index (a `COMPLETE` payload's
-    /// cached summary) is keyed by it, so another index recomputes it.
-    #[must_use]
-    pub fn identity(&self) -> u64 {
-        self.identity
     }
 
     /// Number of path classes: [`PathIndex::class`] is below it.

@@ -5,8 +5,9 @@
 use dbac::core::config::{FloodMode, ProtocolConfig};
 use dbac::core::{CompletePayload, HonestNode, ProtocolMsg, Topology};
 use dbac::graph::generators;
-use dbac::graph::{NodeId, NodeSet, Path, PathBudget, PathId};
+use dbac::graph::{NodeId, NodeSet, Path, PathBudget};
 use dbac::scenario::{ByzantineWitness, FaultKind, Scenario};
+use dbac::sim::net::codec::{WireError, WireMessage};
 use dbac::sim::process::{Context, Process};
 use std::sync::Arc;
 
@@ -123,11 +124,13 @@ fn e11b_simple_only_rejects_non_simple_floods_before_m_v() {
     );
 }
 
-/// A Byzantine neighbor FIFO-floods a `COMPLETE` whose payload names a
-/// path id outside the population. Validation checks the propagation path
-/// only, so the payload reaches Verify's tracker. There it must count as
-/// inconsistent, to be skipped (Algorithm 1 line 24), rather than send an
-/// id lookup out of bounds.
+/// A Byzantine neighbor FIFO-floods `COMPLETE`s with forged value vectors,
+/// through the wire codec. Validation checks the propagation path only, so
+/// a payload naming a node outside the graph reaches Verify's tracker and
+/// is skipped there (Algorithm 1 line 24), and one of NaN values makes an
+/// impossible tracker (no non-finite flood is ever stored). A `COMPLETE`
+/// whose initiator suspects itself is dropped at validation. A vector cut
+/// short on the wire is a typed decode error. Nothing panics.
 #[test]
 fn forged_complete_payload_id_is_skipped_without_a_panic() {
     let me = NodeId::new(0);
@@ -141,23 +144,40 @@ fn forged_complete_payload_id_is_skipped_without_a_panic() {
     node.on_start(&mut ctx);
     let _ = ctx.take_outbox();
 
-    let forged = PathId::from_raw(u32::MAX - 1);
-    assert!(!topo.index().contains_id(forged));
-    let payload = Arc::new(CompletePayload::from_entries(vec![(forged, 0.25)]));
     let from = NodeId::new(1);
-    let complete = ProtocolMsg::Complete {
+    let complete = |suspects: NodeSet, payload: CompletePayload, seq: u64| ProtocolMsg::Complete {
         round: 0,
-        suspects: NodeSet::EMPTY,
-        payload,
+        suspects,
+        payload: Arc::new(payload),
         path: topo.index().trivial(from),
-        seq: 1,
+        seq,
     };
-    node.on_message(&mut ctx, from, complete);
-
-    // The FIFO flood is still relayed: its propagation path is genuine.
-    assert!(ctx.take_outbox().iter().any(|(_, m)| matches!(m, ProtocolMsg::Complete { .. })));
+    let outside = [(NodeId::new(200), 0.25)].into_iter().collect();
+    let nan = (0..4).map(|q| (NodeId::new(q), f64::NAN)).collect();
+    let own = [(from, 2.0)].into_iter().collect();
+    let forged = [
+        ("outside the graph", complete(NodeSet::EMPTY, outside, 1), true),
+        ("NaN values", complete(NodeSet::EMPTY, nan, 2), true),
+        ("self-suspecting", complete(NodeSet::singleton(from), own, 3), false),
+    ];
+    for (label, msg, relayed) in forged {
+        let msg = ProtocolMsg::from_bytes(&msg.to_bytes()).expect(label);
+        node.on_message(&mut ctx, from, msg);
+        let out = ctx.take_outbox();
+        // A genuine propagation path is relayed, whatever the payload.
+        assert_eq!(out.iter().any(|(_, m)| matches!(m, ProtocolMsg::Complete { .. })), relayed);
+    }
     assert_eq!(node.round_message_set(0).expect("round 0 started").len(), 1);
     assert!(!node.is_done());
+
+    // A vector cut inside its last value, and a bitmap counting one more
+    // value than the frame holds.
+    let three = (0..3).map(|q| (NodeId::new(q), 1.0)).collect();
+    let bytes = complete(NodeSet::EMPTY, three, 4).to_bytes();
+    for cut in [4, 8] {
+        let err = ProtocolMsg::from_bytes(&bytes[..bytes.len() - cut]).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. }), "cut {cut}: {err:?}");
+    }
 }
 
 /// E11b end-to-end: the ablation still converges against the path

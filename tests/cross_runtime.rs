@@ -15,10 +15,13 @@
 //!
 //! One sizing note: the full `figure_1b_small` BW flood moves ~1.1M
 //! messages, which is fine in-process but minutes of wall clock once every
-//! message crosses a real socket in a debug build. That fixture therefore
-//! stays a sim-vs-threaded pair, and the three-way gate exercises the same
-//! directed two-clique family at `k = 3` instead — same bridge structure,
-//! ~10k messages.
+//! message crosses a real socket in a debug build. The default run
+//! therefore keeps that fixture a sim-vs-threaded pair, and the three-way
+//! gate exercises the same directed two-clique family at `k = 3` instead —
+//! same bridge structure, ~10k messages. The fixture's three-way arm is an
+//! ignored test: with one value per initiator in a `COMPLETE` it takes
+//! ~16 s in release on a 2-vCPU host (Sim, Threaded and Net together), and
+//! CI's `net` job runs it with `-- --ignored`.
 
 use dbac::graph::generators;
 use dbac::scenario::{
@@ -79,18 +82,30 @@ fn bw_decisions_are_runtime_independent() {
     assert_three_way(&sim, &threaded, &net);
 }
 
+fn bw_on_figure_1b_small() -> ScenarioBuilder {
+    Scenario::builder(generators::figure_1b_small(), 0)
+        .inputs((0..8).map(f64::from).collect())
+        .epsilon(1.0)
+        .seed(11)
+        .protocol(ByzantineWitness::default())
+}
+
 #[test]
 fn bw_on_a_directed_network_is_runtime_independent() {
-    let inputs: Vec<f64> = (0..8).map(|i| i as f64).collect();
-    let (sim, threaded) = run_both(|| {
-        Scenario::builder(generators::figure_1b_small(), 0)
-            .inputs(inputs.clone())
-            .epsilon(1.0)
-            .seed(11)
-            .protocol(ByzantineWitness::default())
-    });
+    let (sim, threaded) = run_both(bw_on_figure_1b_small);
     assert!(sim.converged() && sim.valid(), "outputs {:?}", sim.outputs);
     assert_identical(&sim, &threaded, "threaded");
+}
+
+/// The same run with its Net arm, which the default test run leaves out
+/// (see the sizing note in the module docs); CI's `net` job runs it in
+/// release with `-- --ignored`.
+#[test]
+#[ignore = "minutes in a debug build; run in release with -- --ignored"]
+fn bw_on_a_directed_network_is_runtime_independent_over_net() {
+    let (sim, threaded, net) = run_all(bw_on_figure_1b_small);
+    assert!(sim.converged() && sim.valid(), "outputs {:?}", sim.outputs);
+    assert_three_way(&sim, &threaded, &net);
 }
 
 #[test]

@@ -77,10 +77,10 @@ fn traced(builder: ScenarioBuilder) -> Trace {
 fn bw_k5_catalog_delivery_order_is_pinned() {
     let catalog = [
         (FaultKind::Equivocator { low: -100.0, high: 100.0 }, (27_910, 3_997_744_743_573_078_574)),
-        (FaultKind::ConstantLiar { value: 1e4 }, (28_361, 674_650_541_147_204_866)),
-        (FaultKind::RelayTamperer { spoof: -1e5 }, (12_735, 11_713_140_352_731_595_508)),
-        (FaultKind::PathFabricator { forged_value: -77.0 }, (13_006, 1_305_477_971_010_630_245)),
-        (FaultKind::Chaotic { seed: 5 }, (12_826, 7_687_901_582_498_231_270)),
+        (FaultKind::ConstantLiar { value: 1e4 }, (28_361, 15_405_870_676_810_927_097)),
+        (FaultKind::RelayTamperer { spoof: -1e5 }, (12_735, 17_871_742_474_367_387_746)),
+        (FaultKind::PathFabricator { forged_value: -77.0 }, (13_006, 74_608_214_541_822_053)),
+        (FaultKind::Chaotic { seed: 5 }, (12_826, 3_352_059_989_923_008_033)),
     ];
     // Order-only digests, in catalog order.
     let orders = [
