@@ -391,7 +391,8 @@ mod tests {
 
     /// The W-MSR round count is a per-protocol knob: it rides the sweep's
     /// protocol axis as distinctly configured instances, and the rounds
-    /// axis (the scenario override) reaches it through `rounds_opt`.
+    /// axis (the scenario override) reaches it through
+    /// `Scenario::rounds_override`.
     #[test]
     fn iterative_rounds_knob_sweeps_as_a_protocol_axis() {
         use dbac_core::scenario::sweep::ExperimentPlan;

@@ -151,7 +151,7 @@
 //! | | [`Runtime::Sim`] | [`Runtime::Threaded`] | [`Runtime::Net`] |
 //! |---|---|---|---|
 //! | Concurrency | none (virtual time) | OS threads | OS threads |
-//! | Message transport | in-memory event queue | crossbeam channels | framed duplex connections (loopback TCP, or in-process byte pipes) |
+//! | Message transport | in-memory event queue | crossbeam channels | framed duplex connections over loopback TCP |
 //! | Serialization | none | none | length-prefixed binary codec ([`WireMessage`]) |
 //! | Determinism | bit-for-bit from the seed | schedule-dependent | schedule-dependent |
 //! | Non-completion | quiescence, [`Outcome::all_decided`] | watchdog → [`Outcome::incomplete`] | watchdog → [`Outcome::incomplete`] |
@@ -268,7 +268,6 @@ use std::time::Duration;
 
 pub use dbac_sim::chaos::{LinkFault, LinkFaultPlan};
 pub use dbac_sim::net::codec::{WireError, WireMessage};
-pub use dbac_sim::net::connection::TransportKind;
 pub use dbac_sim::stats::{
     ClassCounters, Coverage, MsgClass, NodeCounters, ProtocolCounters, StatsHandle, StatsRegistry,
     StatsSnapshot, TransportSnapshot,
@@ -358,9 +357,9 @@ pub enum Runtime {
     },
     /// The network runtime: one event loop per node, every message
     /// serialized through the length-prefixed binary wire codec and moved
-    /// over framed, handshaken duplex connections — loopback TCP when the
-    /// environment can bind a socket, byte-real in-process pipes
-    /// otherwise. Degradation semantics are shared with
+    /// over framed, handshaken loopback TCP connections; a host that cannot
+    /// bind a loopback socket fails the run with a typed transport error.
+    /// Degradation semantics are shared with
     /// [`Runtime::Threaded`]: stragglers land in [`Outcome::incomplete`],
     /// and decode-rejected frames are counted in the `rejected` transport
     /// bucket of [`Outcome::sim_stats`]. See the module-level
@@ -381,8 +380,7 @@ impl Runtime {
         Runtime::Threaded { timeout, jitter_micros: Runtime::DEFAULT_JITTER_MICROS }
     }
 
-    /// The network runtime (transport auto-detected: loopback TCP when
-    /// available, in-process framed pipes otherwise).
+    /// The network runtime over loopback TCP.
     #[must_use]
     pub fn net(timeout: Duration) -> Runtime {
         Runtime::Net { timeout }
@@ -787,14 +785,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets or clears the a-priori input range — the sweep layer's axis
-    /// application hook (`None` restores the derived honest-input hull).
-    #[must_use]
-    pub fn range_opt(mut self, range: Option<(f64, f64)>) -> Self {
-        self.range = range;
-        self
-    }
-
     /// Assigns a fault behaviour to `v`.
     #[must_use]
     pub fn fault(mut self, v: NodeId, kind: FaultKind) -> Self {
@@ -815,14 +805,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn link_faults(mut self, plan: LinkFaultPlan) -> Self {
         self.scenario.link_faults = Some(plan);
-        self
-    }
-
-    /// Sets or clears the link-fault plan — the sweep layer's axis
-    /// application hook.
-    #[must_use]
-    pub fn link_faults_opt(mut self, plan: Option<LinkFaultPlan>) -> Self {
-        self.scenario.link_faults = plan;
         self
     }
 
@@ -851,14 +833,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn rounds(mut self, rounds: u32) -> Self {
         self.scenario.rounds_override = Some(rounds);
-        self
-    }
-
-    /// Sets or clears the round override — the sweep layer's axis
-    /// application hook (`None` restores the derived termination bound).
-    #[must_use]
-    pub fn rounds_opt(mut self, rounds: Option<u32>) -> Self {
-        self.scenario.rounds_override = rounds;
         self
     }
 
@@ -1208,7 +1182,7 @@ where
             (report.nodes, None, report.incomplete)
         }
         Runtime::Net { timeout } => {
-            let report = fleet.run(done, NetConfig { timeout, transport: TransportKind::Auto })?;
+            let report = fleet.run(done, NetConfig { timeout })?;
             (report.nodes, None, report.incomplete)
         }
     };

@@ -555,17 +555,19 @@ impl ExperimentPlan {
             let [proto, graph, bound, place, input, eps, sched, links, rt, rounds, seed] = at;
             let (graph, f) = (self.graphs.at(graph), *self.fault_bounds.at(bound));
             let (input, seed) = (self.inputs.at(input), *self.seeds.at(seed));
-            let scenario = Scenario::builder(Arc::clone(graph), f)
+            let mut builder = Scenario::builder(Arc::clone(graph), f)
                 .inputs(input.values(graph))
                 .epsilon(*self.epsilons.at(eps))
-                .range_opt(input.range(graph))
                 .faults(self.placements.at(place)(graph, f))
                 .scheduler(self.schedulers.at(sched).spec(seed))
-                .link_faults_opt(self.link_faults.at(links)(graph, seed))
                 .runtime(*self.runtimes.at(rt))
-                .rounds_opt(*self.rounds.at(rounds))
-                .protocol_arc(Arc::clone(self.protocols.at(proto)))
-                .build();
+                .protocol_arc(Arc::clone(self.protocols.at(proto)));
+            // The optional axes set the builder's fields: `None` keeps the
+            // derived input hull, no link faults and the derived round count.
+            builder.range = input.range(graph);
+            builder.scenario.link_faults = self.link_faults.at(links)(graph, seed);
+            builder.scenario.rounds_override = *self.rounds.at(rounds);
+            let scenario = builder.build();
             cells.push(Cell {
                 label: join_fragments(&coords),
                 group: join_fragments(&coords[..AXES - 1]),

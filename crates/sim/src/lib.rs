@@ -31,12 +31,12 @@
 //!   runtime-independent.
 //! * The **virtual-time driver**, [`sim::Simulation`], is a deterministic
 //!   discrete-event loop on one thread, delivering in `(time, enqueue
-//!   order)` order out of a calendar queue (per-tick FIFO buckets, with a
-//!   heap only for far-future events; see [`sim`]). Delivery times come
-//!   from a pluggable [`scheduler::DeliveryPolicy`] (fixed or
-//!   seeded-random), shifted per edge by a plan's reorder window. Runs are
-//!   reproducible bit-for-bit from a seed, and can record a
-//!   [`trace::Trace`]: every delivery in order, each carrying the
+//!   order)` order out of a calendar queue (a ring of per-tick FIFOs, with
+//!   an ordered map from tick to FIFO for far-future events; see [`sim`]).
+//!   Delivery times come from a pluggable [`scheduler::DeliveryPolicy`]
+//!   (fixed or seeded-random), shifted per edge by a plan's reorder
+//!   window. Runs are reproducible bit-for-bit from a seed, and can
+//!   record a [`trace::Trace`]: every delivery in order, each carrying the
 //!   message's wire encoding, which the indistinguishability replay
 //!   experiment decodes and splices.
 //! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
@@ -48,9 +48,8 @@
 //!   ([`threaded::ThreadedConfig`], the [`threaded`] runtime), or every
 //!   message serialized through the length-prefixed binary codec
 //!   ([`net::codec`]) onto framed, handshaken duplex connections
-//!   ([`net::connection`]) — loopback TCP when the sandbox allows sockets,
-//!   byte-real in-process pipes otherwise ([`net::NetConfig`], the [`net`]
-//!   runtime).
+//!   ([`net::connection`]) over loopback TCP ([`net::NetConfig`], the
+//!   [`net`] runtime).
 //!
 //! # Example
 //!
@@ -102,7 +101,6 @@ pub use chaos::{EdgeCounters, LinkDecision, LinkFault, LinkFaultPlan};
 pub use error::SimError;
 pub use fleet::Fleet;
 pub use net::codec::{WireError, WireMessage};
-pub use net::connection::TransportKind;
 pub use net::{Net, NetConfig};
 pub use process::{Adversary, Context, Process};
 pub use scheduler::DeliveryPolicy;

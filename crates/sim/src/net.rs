@@ -5,11 +5,10 @@
 //! clones them across crossbeam channels, this runtime **serializes every
 //! message** through the length-prefixed binary codec
 //! ([`codec::WireMessage`]) and moves the bytes over per-peer duplex
-//! connections with a connect/accept handshake
-//! ([`connection::establish`]) — loopback TCP when the sandbox allows
-//! binding a socket, an in-process byte pipe otherwise. Either way the
-//! codec and connection layers are byte-real: frames, size caps, decode
-//! errors and handshake validation all actually run.
+//! loopback TCP connections with a connect/accept handshake
+//! ([`connection::establish`]). The codec and connection layers are
+//! byte-real: frames, size caps, decode errors and handshake validation
+//! all actually run.
 //!
 //! Architecture per run:
 //!
@@ -36,8 +35,7 @@
 //! to 65 arrivals, and before sleeping out a link's extra delay — or as
 //! soon as it reaches 16 KiB, so a burst of small messages costs one
 //! write, not one per frame; per-edge order is unchanged. Connection ends
-//! close on drop: when a node thread exits, its peers' readers see EOF
-//! on either transport.
+//! close on drop: when a node thread exits, its peers' readers see EOF.
 
 pub mod codec;
 pub mod connection;
@@ -46,7 +44,7 @@ use crate::error::SimError;
 use crate::fleet::{Connected, Fleet, Inbox, Wire};
 use crate::stats::{MsgClass, StatsHandle, StatsRegistry};
 use codec::{append_frame, FrameReader, WireMessage};
-use connection::{establish, Duplex, TransportKind};
+use connection::{establish, Duplex};
 use dbac_graph::{Digraph, NodeId};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,13 +57,11 @@ pub struct NetConfig {
     /// Wall-clock watchdog deadline: nodes still incomplete when it
     /// expires are reported per node, not errors.
     pub timeout: Duration,
-    /// Byte transport selection (default: probe TCP, fall back to pipes).
-    pub transport: TransportKind,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        NetConfig { timeout: Duration::from_secs(30), transport: TransportKind::Auto }
+        NetConfig { timeout: Duration::from_secs(30) }
     }
 }
 
@@ -140,7 +136,6 @@ impl<M: WireMessage + Send + 'static> Wire<M> for NetConfig {
         stop: &Arc<AtomicBool>,
     ) -> Result<Connected<FramedOutlet>, SimError> {
         let n = graph.node_count();
-        let kind = self.transport.resolve();
         let mut outlets: Vec<FramedOutlet> =
             (0..n).map(|_| FramedOutlet { peers: (0..n).map(|_| None).collect() }).collect();
         let mut readers: Vec<(NodeId, NodeId, Box<dyn Read + Send>)> = Vec::new();
@@ -150,7 +145,7 @@ impl<M: WireMessage + Send + 'static> Wire<M> for NetConfig {
                 if !graph.has_edge(u_id, v_id) && !graph.has_edge(v_id, u_id) {
                     continue;
                 }
-                let (u_end, v_end) = establish(kind, u_id, v_id)
+                let (u_end, v_end) = establish(u_id, v_id)
                     .map_err(|e| SimError::Transport { detail: format!("{u_id}<->{v_id}: {e}") })?;
                 let Duplex { reader: u_reader, writer: u_writer } = u_end;
                 let Duplex { reader: v_reader, writer: v_writer } = v_end;
@@ -244,14 +239,15 @@ mod tests {
     use codec::{write_frame, WireError, WireReader, MAX_FRAME};
     use crossbeam::channel::unbounded;
     use dbac_graph::generators;
+    use std::io::{Cursor, ErrorKind};
     use std::time::Instant;
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
     }
 
-    fn config(kind: TransportKind, timeout_ms: u64) -> NetConfig {
-        NetConfig { timeout: Duration::from_millis(timeout_ms), transport: kind }
+    fn config(timeout_ms: u64) -> NetConfig {
+        NetConfig { timeout: Duration::from_millis(timeout_ms) }
     }
 
     /// Collects one value from every in-neighbor, then is done.
@@ -272,13 +268,14 @@ mod tests {
         }
     }
 
-    fn gossip_on(kind: TransportKind) {
+    #[test]
+    fn net_clique_gossip_completes() {
         let g = Arc::new(generators::clique(4));
         let mut net = Net::new(g);
         for i in 0..4 {
             net.set_honest(id(i), Collect { expected: 3, input: i as u64, heard: Vec::new() });
         }
-        let report = net.run(|p| p.heard.len() >= p.expected, config(kind, 10_000)).unwrap();
+        let report = net.run(|p| p.heard.len() >= p.expected, config(10_000)).unwrap();
         assert!(report.incomplete.is_empty(), "{:?}", report.incomplete);
         assert_eq!(report.stats.messages_sent, 12);
         assert!(report.stats.messages_delivered >= 12);
@@ -286,16 +283,6 @@ mod tests {
         for p in report.nodes.iter().flatten() {
             assert!(p.heard.len() >= 3);
         }
-    }
-
-    #[test]
-    fn net_clique_gossip_completes_in_process() {
-        gossip_on(TransportKind::InProcess);
-    }
-
-    #[test]
-    fn net_clique_gossip_completes_auto() {
-        gossip_on(TransportKind::Auto);
     }
 
     #[test]
@@ -318,9 +305,7 @@ mod tests {
         for i in 0..2 {
             net.set_honest(id(i), Collect { expected: 99, input: 0, heard: Vec::new() });
         }
-        let report = net
-            .run(|p| p.heard.len() >= p.expected, config(TransportKind::InProcess, 300))
-            .unwrap();
+        let report = net.run(|p| p.heard.len() >= p.expected, config(300)).unwrap();
         assert_eq!(
             report.incomplete,
             vec![
@@ -351,9 +336,7 @@ mod tests {
             net.set_honest(id(i), Collect { expected: 2, input: i as u64, heard: Vec::new() });
         }
         net.set_link_faults(LinkFaultPlan::new(0).fault(id(0), id(1), LinkFault::Omit));
-        let report = net
-            .run(|p| p.heard.len() >= p.expected, config(TransportKind::InProcess, 700))
-            .unwrap();
+        let report = net.run(|p| p.heard.len() >= p.expected, config(700)).unwrap();
         assert_eq!(
             report.incomplete,
             vec![Incomplete { node: id(1), reason: IncompleteReason::Timeout }],
@@ -376,9 +359,7 @@ mod tests {
             id(1),
             LinkFault::Duplicate { prob: 1.0 },
         ));
-        let report = net
-            .run(|p| p.heard.len() >= p.expected, config(TransportKind::InProcess, 5_000))
-            .unwrap();
+        let report = net.run(|p| p.heard.len() >= p.expected, config(5_000)).unwrap();
         assert!(report.incomplete.is_empty());
         assert_eq!(report.stats.messages_duplicated, 1);
         assert_eq!(report.nodes[1].as_ref().unwrap().heard, vec![7, 7]);
@@ -414,23 +395,21 @@ mod tests {
         // four times the per-peer cap, and far more than one batch of
         // arrivals is queued at each receiver.
         const COUNT: u64 = 6_000;
-        for kind in [TransportKind::InProcess, TransportKind::Auto] {
-            let mut net = Net::new(Arc::new(generators::clique(3)));
-            for i in 0..3 {
-                net.set_honest(id(i), Echo { count: COUNT, heard: Vec::new() });
-            }
-            let quota = (2 * 2 * COUNT) as usize;
-            let report = net.run(move |p| p.heard.len() >= quota, config(kind, 30_000)).unwrap();
-            assert!(report.incomplete.is_empty(), "{kind:?}: {:?}", report.incomplete);
-            for (v, p) in report.nodes.iter().enumerate() {
-                let p = p.as_ref().expect("honest");
-                for u in (0..3).filter(|&u| u != v) {
-                    let edge = p.heard.iter().filter(|(from, _)| *from == id(u));
-                    assert!(
-                        edge.map(|&(_, m)| m).eq(0..2 * COUNT),
-                        "{kind:?}: {u}->{v} out of order or incomplete"
-                    );
-                }
+        let mut net = Net::new(Arc::new(generators::clique(3)));
+        for i in 0..3 {
+            net.set_honest(id(i), Echo { count: COUNT, heard: Vec::new() });
+        }
+        let quota = (2 * 2 * COUNT) as usize;
+        let report = net.run(move |p| p.heard.len() >= quota, config(30_000)).unwrap();
+        assert!(report.incomplete.is_empty(), "{:?}", report.incomplete);
+        for (v, p) in report.nodes.iter().enumerate() {
+            let p = p.as_ref().expect("honest");
+            for u in (0..3).filter(|&u| u != v) {
+                let edge = p.heard.iter().filter(|(from, _)| *from == id(u));
+                assert!(
+                    edge.map(|&(_, m)| m).eq(0..2 * COUNT),
+                    "{u}->{v} out of order or incomplete"
+                );
             }
         }
     }
@@ -447,22 +426,20 @@ mod tests {
 
     #[test]
     fn net_peer_panicking_in_on_start_starves_its_only_neighbour() {
-        for kind in [TransportKind::InProcess, TransportKind::Auto] {
-            let mut net = Net::new(Arc::new(generators::clique(2)));
-            net.set_byzantine(id(0), Box::new(Grenade));
-            net.set_honest(id(1), Collect { expected: 1, input: 1, heard: Vec::new() });
-            let started = Instant::now();
-            let report = net.run(|p| p.heard.len() >= p.expected, config(kind, 30_000)).unwrap();
-            assert_eq!(
-                report.incomplete,
-                vec![Incomplete { node: id(1), reason: IncompleteReason::Starved }],
-                "{kind:?}: the dead peer's connection closes, so node 1's inbox disconnects"
-            );
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "{kind:?}: the watchdog ends once every node thread has exited"
-            );
-        }
+        let mut net = Net::new(Arc::new(generators::clique(2)));
+        net.set_byzantine(id(0), Box::new(Grenade));
+        net.set_honest(id(1), Collect { expected: 1, input: 1, heard: Vec::new() });
+        let started = Instant::now();
+        let report = net.run(|p| p.heard.len() >= p.expected, config(30_000)).unwrap();
+        assert_eq!(
+            report.incomplete,
+            vec![Incomplete { node: id(1), reason: IncompleteReason::Starved }],
+            "the dead peer's connection closes, so node 1's inbox disconnects"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the watchdog ends once every node thread has exited"
+        );
     }
 
     #[test]
@@ -506,13 +483,13 @@ mod tests {
     fn outlet_bytes_equal_one_write_frame_per_copy() {
         const PEERS: usize = 3;
         let mut next = splitmix(0x0B1E7);
-        let (writers, readers): (Vec<_>, Vec<_>) = (0..PEERS).map(|_| connection::pipe()).unzip();
-        let mut outlet = FramedOutlet {
-            peers: writers
-                .into_iter()
-                .map(|w| Some(Peer::new(Box::new(w) as Box<dyn Write + Send>)))
-                .collect(),
-        };
+        let (ours, theirs): (Vec<_>, Vec<_>) =
+            (0..PEERS).map(|_| connection::duplex_pair().expect("loopback pair")).unzip();
+        let mut outlet =
+            FramedOutlet { peers: ours.into_iter().map(|d| Some(Peer::new(d.writer))).collect() };
+        // Drain every peer concurrently: a burst can outgrow a socket buffer.
+        let received: Vec<_> =
+            theirs.into_iter().map(|d| std::thread::spawn(move || drain(d.reader))).collect();
         // What the per-frame path wrote, and the bodies a reader must see.
         let mut expected = vec![Vec::new(); PEERS];
         let mut bodies: Vec<Vec<Vec<u8>>> = vec![Vec::new(); PEERS];
@@ -546,9 +523,8 @@ mod tests {
         assert!(early_writes > 0, "the script crosses the cap inside a batch");
         <NetConfig as Wire<Blob>>::flush(&mut outlet);
         drop(outlet);
-        for (to, mut reader) in readers.into_iter().enumerate() {
-            let mut got = Vec::new();
-            reader.read_to_end(&mut got).unwrap();
+        for (to, got) in received.into_iter().enumerate() {
+            let got = got.join().expect("drain");
             assert_eq!(got, expected[to], "peer {to}: bytes differ from per-frame writes");
             let mut frames = FrameReader::new(got.as_slice());
             let mut decoded = Vec::new();
@@ -570,15 +546,15 @@ mod tests {
 
     #[test]
     fn pump_skips_undecodable_frames_and_keeps_going() {
-        let (mut w, r) = connection::pipe();
-        write_frame(&mut w, &7u64.to_le_bytes()).unwrap();
-        write_frame(&mut w, b"garbage").unwrap(); // wrong length for u64
-        write_frame(&mut w, &9u64.to_le_bytes()).unwrap();
-        drop(w); // EOF ends the pump
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &7u64.to_le_bytes()).unwrap();
+        write_frame(&mut bytes, b"garbage").unwrap(); // wrong length for u64
+        write_frame(&mut bytes, &9u64.to_le_bytes()).unwrap();
         let (tx, rx) = unbounded();
         let stop = AtomicBool::new(false);
         let registry = ledger();
-        pump_frames::<u64>(Box::new(r), id(3), &tx, &stop, &registry.register());
+        // The end of the bytes is EOF, which ends the pump.
+        pump_frames::<u64>(Box::new(Cursor::new(bytes)), id(3), &tx, &stop, &registry.register());
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(3), 7), (id(3), 9)], "good frames flow past the bad one");
         assert_eq!(registry.snapshot().messages_rejected(), 1);
@@ -586,7 +562,8 @@ mod tests {
 
     #[test]
     fn pump_closes_connection_on_framing_error() {
-        let (mut w, r) = connection::pipe();
+        let (ours, theirs) = connection::duplex_pair().expect("loopback pair");
+        let mut w = ours.writer;
         write_frame(&mut w, &1u64.to_le_bytes()).unwrap();
         // A length prefix far beyond MAX_FRAME desynchronizes the stream.
         w.write_all(&(MAX_FRAME as u32 * 2).to_le_bytes()).unwrap();
@@ -596,11 +573,25 @@ mod tests {
         let registry = ledger();
         // The writer stays alive: the pump must exit via the framing
         // error, not EOF — that is exactly the no-wedge guarantee.
-        pump_frames::<u64>(Box::new(r), id(0), &tx, &stop, &registry.register());
+        pump_frames::<u64>(theirs.reader, id(0), &tx, &stop, &registry.register());
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(0), 1)], "frames before the error were delivered");
         assert_eq!(registry.snapshot().messages_rejected(), 1);
         drop(w);
+    }
+
+    /// Reads a TCP reader half to EOF, waiting out its read timeouts.
+    fn drain(mut reader: Box<dyn Read + Send>) -> Vec<u8> {
+        let mut got = Vec::new();
+        let mut buf = [0u8; 1 << 16];
+        loop {
+            match reader.read(&mut buf) {
+                Ok(0) => return got,
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
     }
 
     /// A seeded SplitMix64 stream.
@@ -621,22 +612,21 @@ mod tests {
         // panicking and accounts each discarded frame.
         let mut next = splitmix(0x5EED);
         for _ in 0..64 {
-            let (mut w, r) = connection::pipe();
+            let mut bytes = Vec::new();
             let frames = (next() % 6) as usize;
             for _ in 0..frames {
                 let len = (next() % 24) as usize;
                 let body: Vec<u8> = (0..len).map(|_| (next() & 0xFF) as u8).collect();
-                write_frame(&mut w, &body).unwrap();
+                write_frame(&mut bytes, &body).unwrap();
             }
             // Tail: a corrupt raw prefix fragment, not a whole frame.
             let tail = (next() % 4) as usize;
-            let junk: Vec<u8> = (0..tail).map(|_| (next() & 0xFF) as u8).collect();
-            w.write_all(&junk).unwrap();
-            drop(w);
+            bytes.extend((0..tail).map(|_| (next() & 0xFF) as u8));
             let (tx, rx) = unbounded();
             let stop = AtomicBool::new(false);
             let registry = ledger();
-            pump_frames::<u64>(Box::new(r), id(1), &tx, &stop, &registry.register());
+            let reader = Box::new(Cursor::new(bytes));
+            pump_frames::<u64>(reader, id(1), &tx, &stop, &registry.register());
             let delivered = rx.try_iter().count() as u64;
             let rejected = registry.snapshot().messages_rejected();
             assert!(

@@ -1,22 +1,14 @@
 //! Framed duplex connections with a connect/accept handshake.
 //!
-//! One duplex byte stream per *unordered* node pair carries both directed
-//! edges of that pair; each end is split into an owned writer half (held
-//! by the node's event loop) and an owned reader half (pumped by a
-//! dedicated reader thread). Two transports provide the bytes:
-//!
-//! * **loopback TCP** (`std::net`) — a fresh `127.0.0.1:0` listener per
-//!   connection, connect then accept, `TCP_NODELAY` on;
-//! * **in-process pipes** — a `Mutex<VecDeque<u8>>`/`Condvar` byte queue
-//!   per direction, for sandboxes where binding a socket is not allowed.
-//!
-//! Both transports are **byte-real**: the codec layer sees an opaque
-//! `Read`/`Write` stream either way, with the same short read timeout so
-//! reader loops can poll their stop flag, and the same close-on-drop
-//! contract — dropping a writer half (a TCP one half-closes its socket)
-//! makes the peer's reader see EOF while this end's reader stays open.
-//! [`TransportKind::Auto`] probes for a bindable loopback socket once per
-//! run and falls back to pipes.
+//! One loopback TCP connection (`std::net`) per *unordered* node pair
+//! carries both directed edges of that pair: a fresh `127.0.0.1:0`
+//! listener per connection, connect then accept, `TCP_NODELAY` on. Each
+//! end is split into an owned writer half (held by the node's event loop)
+//! and an owned reader half (pumped by a dedicated reader thread). The
+//! reader has a short read timeout so reader loops can poll their stop
+//! flag, and dropping a writer half-closes its socket, so the peer's
+//! reader sees EOF while this end's reader stays open. A host that cannot
+//! bind a loopback socket fails the run with a typed error.
 //!
 //! The handshake exchanges `magic(2) ‖ version(1) ‖ node-id(4, u32le)` in
 //! both directions before any frame flows, so a peer that speaks the wrong
@@ -25,10 +17,8 @@
 
 use super::codec::{WireError, WIRE_VERSION};
 use dbac_graph::NodeId;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Handshake magic bytes ("dbac").
@@ -40,45 +30,6 @@ const READ_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Wall-clock budget for a 7-byte handshake reply to arrive.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Which byte transport carries the frames.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Probe for loopback TCP once, fall back to in-process pipes.
-    #[default]
-    Auto,
-    /// Loopback TCP via `std::net`.
-    Tcp,
-    /// In-process byte pipes (no sockets required).
-    InProcess,
-}
-
-impl TransportKind {
-    /// Resolves `Auto` by probing whether a loopback socket can be bound.
-    #[must_use]
-    pub fn resolve(self) -> TransportKind {
-        match self {
-            TransportKind::Auto => {
-                if TcpListener::bind("127.0.0.1:0").is_ok() {
-                    TransportKind::Tcp
-                } else {
-                    TransportKind::InProcess
-                }
-            }
-            concrete => concrete,
-        }
-    }
-
-    /// Short display label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            TransportKind::Auto => "auto",
-            TransportKind::Tcp => "tcp",
-            TransportKind::InProcess => "in-process",
-        }
-    }
-}
 
 /// One end of an established duplex connection, split into owned halves.
 pub struct Duplex {
@@ -94,94 +45,9 @@ impl std::fmt::Debug for Duplex {
     }
 }
 
-// ---------------------------------------------------------------------------
-// In-process byte pipe
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct PipeState {
-    buf: VecDeque<u8>,
-    closed: bool,
-}
-
-#[derive(Default)]
-struct PipeShared {
-    state: Mutex<PipeState>,
-    cond: Condvar,
-}
-
-/// Read half of an in-process byte pipe. Blocks up to the shared read
-/// timeout, then reports `WouldBlock` so callers can poll a stop flag —
-/// the same contract a TCP stream with a read timeout provides.
-pub struct PipeReader(Arc<PipeShared>);
-
-/// Write half of an in-process byte pipe; dropping it closes the stream
-/// (readers see EOF once the buffer drains).
-pub struct PipeWriter(Arc<PipeShared>);
-
-/// Creates a one-way in-process byte pipe.
-#[must_use]
-pub fn pipe() -> (PipeWriter, PipeReader) {
-    let shared = Arc::new(PipeShared::default());
-    (PipeWriter(Arc::clone(&shared)), PipeReader(shared))
-}
-
-impl Read for PipeReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut state = self.0.state.lock().expect("pipe poisoned");
-        loop {
-            if !state.buf.is_empty() {
-                let n = buf.len().min(state.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = state.buf.pop_front().expect("len checked");
-                }
-                return Ok(n);
-            }
-            if state.closed {
-                return Ok(0);
-            }
-            let (guard, wait) =
-                self.0.cond.wait_timeout(state, READ_TIMEOUT).expect("pipe poisoned");
-            state = guard;
-            if wait.timed_out() && state.buf.is_empty() && !state.closed {
-                return Err(std::io::Error::from(ErrorKind::WouldBlock));
-            }
-        }
-    }
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut state = self.0.state.lock().expect("pipe poisoned");
-        state.buf.extend(buf.iter().copied());
-        self.0.cond.notify_all();
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        let mut state = self.0.state.lock().expect("pipe poisoned");
-        state.closed = true;
-        self.0.cond.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Connection establishment
-// ---------------------------------------------------------------------------
-
 /// Write half of a loopback TCP connection. Dropping it half-closes the
 /// socket, so the peer reads EOF at once although this end's reader (a
-/// clone of the same socket) stays open — the close-on-drop contract of
-/// [`PipeWriter`].
+/// clone of the same socket) stays open.
 struct TcpWriter(TcpStream);
 
 impl Write for TcpWriter {
@@ -201,7 +67,13 @@ impl Drop for TcpWriter {
     }
 }
 
-fn tcp_pair() -> Result<(Duplex, Duplex), WireError> {
+/// Creates a connected but not-yet-handshaken loopback TCP pair.
+///
+/// # Errors
+///
+/// [`WireError::Io`] if the socket layer fails, including when no
+/// loopback socket can be bound.
+pub fn duplex_pair() -> Result<(Duplex, Duplex), WireError> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     // Loopback connect completes through the kernel backlog without a
@@ -218,28 +90,6 @@ fn tcp_pair() -> Result<(Duplex, Duplex), WireError> {
     let acceptor = ends.pop().expect("two ends");
     let connector = ends.pop().expect("two ends");
     Ok((connector, acceptor))
-}
-
-fn pipe_pair() -> (Duplex, Duplex) {
-    let (w_ab, r_ab) = pipe();
-    let (w_ba, r_ba) = pipe();
-    let a = Duplex { reader: Box::new(r_ba), writer: Box::new(w_ab) };
-    let b = Duplex { reader: Box::new(r_ab), writer: Box::new(w_ba) };
-    (a, b)
-}
-
-/// Creates a connected but not-yet-handshaken duplex pair over the
-/// resolved transport.
-///
-/// # Errors
-///
-/// [`WireError::Io`] if the socket layer fails (TCP only).
-pub fn duplex_pair(kind: TransportKind) -> Result<(Duplex, Duplex), WireError> {
-    match kind.resolve() {
-        TransportKind::Tcp => tcp_pair(),
-        TransportKind::InProcess => Ok(pipe_pair()),
-        TransportKind::Auto => unreachable!("resolve() never returns Auto"),
-    }
 }
 
 /// Writes this end's 7-byte hello: magic, version, node id.
@@ -304,8 +154,8 @@ pub fn recv_hello(r: &mut dyn Read) -> Result<NodeId, WireError> {
 ///
 /// Any handshake [`WireError`], including [`WireError::PeerMismatch`] if
 /// an end identifies as a node the edge does not expect.
-pub fn establish(kind: TransportKind, u: NodeId, v: NodeId) -> Result<(Duplex, Duplex), WireError> {
-    let (mut u_end, mut v_end) = duplex_pair(kind)?;
+pub fn establish(u: NodeId, v: NodeId) -> Result<(Duplex, Duplex), WireError> {
+    let (mut u_end, mut v_end) = duplex_pair()?;
     send_hello(&mut *u_end.writer, u)?;
     let claimed = recv_hello(&mut *v_end.reader)?;
     if claimed != u {
@@ -334,44 +184,34 @@ mod tests {
     }
 
     #[test]
-    fn pipe_is_a_byte_stream_with_eof_on_writer_drop() {
-        let (mut w, mut r) = pipe();
-        w.write_all(b"abc").unwrap();
-        let mut buf = [0u8; 2];
-        r.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ab");
-        drop(w);
-        let mut rest = Vec::new();
-        // Remaining buffered byte, then EOF.
-        r.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, b"c");
-    }
-
-    #[test]
-    fn empty_pipe_read_times_out_as_would_block() {
-        let (_w, mut r) = pipe();
-        let err = r.read(&mut [0u8; 1]).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+    fn idle_tcp_reader_times_out_as_would_block() {
+        let (_a, mut b) = duplex_pair().expect("loopback pair");
+        let started = Instant::now();
+        let err = b.reader.read(&mut [0u8; 1]).expect_err("nothing was sent");
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "a read timeout, not {err:?}"
+        );
+        // READ_TIMEOUT is 10 ms; the bound leaves room for a loaded host.
+        assert!(started.elapsed() < Duration::from_secs(1), "the read does not block");
     }
 
     #[test]
     fn tcp_writer_drop_is_eof_for_the_peer_while_the_reader_lives() {
-        if TransportKind::Auto.resolve() != TransportKind::Tcp {
-            return; // no bindable loopback socket here
-        }
-        let (a, mut b) = duplex_pair(TransportKind::Tcp).expect("loopback pair");
-        let Duplex { reader: _a_reader, writer } = a;
+        let (a, mut b) = duplex_pair().expect("loopback pair");
+        let Duplex { reader: _a_reader, mut writer } = a;
+        writer.write_all(b"abc").unwrap();
         drop(writer);
+        let mut got = Vec::new();
         // A timeout would be `WouldBlock` after READ_TIMEOUT, not `Ok(0)`.
-        assert_eq!(b.reader.read(&mut [0u8; 1]).expect("EOF, not a read timeout"), 0);
+        b.reader.read_to_end(&mut got).expect("EOF, not a read timeout");
+        assert_eq!(got, b"abc", "buffered bytes, then EOF");
     }
 
     #[test]
-    fn handshake_succeeds_on_both_transports() {
-        for kind in [TransportKind::InProcess, TransportKind::Auto] {
-            let (u_end, v_end) = establish(kind, id(2), id(5)).expect("handshake");
-            drop((u_end, v_end));
-        }
+    fn handshake_succeeds_over_loopback_tcp() {
+        let (u_end, v_end) = establish(id(2), id(5)).expect("handshake");
+        drop((u_end, v_end));
     }
 
     #[test]

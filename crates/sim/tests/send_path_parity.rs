@@ -16,8 +16,8 @@ use dbac_sim::scheduler::RandomDelay;
 use dbac_sim::sim::{SimStats, Simulation};
 use dbac_sim::threaded::{Threaded, ThreadedConfig, ThreadedReport};
 use dbac_sim::{
-    ClassCounters, LinkFault, LinkFaultPlan, MsgClass, StatsRegistry, TransportKind,
-    TransportSnapshot, VirtualTime,
+    ClassCounters, LinkFault, LinkFaultPlan, MsgClass, StatsRegistry, TransportSnapshot,
+    VirtualTime,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -131,8 +131,7 @@ fn one_plan_one_ledger_three_runtimes() {
 
     let registry = StatsRegistry::new(N);
     let fleet: Net<Burst> = wall_clock_fleet(&registry);
-    let config = NetConfig { timeout, transport: TransportKind::InProcess };
-    let net = observed(&registry, fleet.run(done, config).expect("net runs"));
+    let net = observed(&registry, fleet.run(done, NetConfig::default()).expect("net runs"));
 
     // The plan must bite in every way it can, or the parity is vacuous.
     let total = sim.ledger.total();

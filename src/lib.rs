@@ -127,6 +127,6 @@ pub mod scenario {
         DriveReport, FaultKind, Incomplete, IncompleteReason, LinkFault, LinkFaultPlan, MsgClass,
         NodeCounters, Outcome, Precompute, Protocol, ProtocolCounters, Runtime, Scenario,
         ScenarioBuilder, SchedulerSpec, StatsHandle, StatsRegistry, StatsSnapshot, Trace,
-        TransportKind, TransportSnapshot, WireError, WireMessage,
+        TransportSnapshot, WireError, WireMessage,
     };
 }

@@ -341,15 +341,16 @@ fn net_partitioned_node_degrades_to_partial_outcome() {
 
 /// Runs one Sim scenario with full trace recording.
 fn sim_outcome(plan: Option<LinkFaultPlan>, seed: u64) -> Outcome {
-    Scenario::builder(generators::clique(4), 0)
+    let mut builder = Scenario::builder(generators::clique(4), 0)
         .inputs(vec![0.0, 10.0, 4.0, 6.0])
         .epsilon(0.25)
         .seed(seed)
         .record_trace(true)
-        .link_faults_opt(plan)
-        .protocol(ByzantineWitness::default())
-        .run()
-        .unwrap()
+        .protocol(ByzantineWitness::default());
+    if let Some(plan) = plan {
+        builder = builder.link_faults(plan);
+    }
+    builder.run().unwrap()
 }
 
 proptest! {

@@ -1,24 +1,31 @@
 //! Pins the simulator's delivery order: seeded, chaos-injected Sim runs
-//! (one per BW fault kind, plus a crash-protocol run) whose recorded
-//! traces must hash to fixed digests.
+//! (one per BW fault kind under a lossy and under a drop-free link plan,
+//! plus a crash-protocol run) whose recorded traces must hash to fixed
+//! digests.
 //!
 //! Each trace is folded through FNV-1a 64 (offset `0xcbf29ce484222325`,
 //! prime `0x100000001b3`), one delivery at a time: `at` as a `u64` LE,
 //! `from` and `to` as `u32` LE, the frame length as `u32` LE, then the
 //! frame bytes. The digest covers every arrival time, every edge and every
-//! wire byte, so any change to the calendar queue's `(at, seq)` order, to
-//! the delivery policy's draw sequence, to the link-fault decisions, to
-//! the activation order of the start phase or to what an adversary sends
-//! moves it.
+//! wire byte, so any change to the calendar queue's order (arrival time,
+//! then enqueue order within a tick), to the delivery policy's draw
+//! sequence, to the link-fault decisions, to the activation order of the
+//! start phase or to what an adversary sends moves it.
 //!
 //! Next to each byte digest sits an order-only digest: the same FNV-1a
 //! fold over `at`, `from` and `to` alone. A change that reshapes frames
 //! without moving any delivery (a smaller wire encoding, say) moves the
 //! byte digest and leaves the order digest where it is.
+//!
+//! BW assumes reliable links, so under the lossy plan every BW row stalls
+//! in round 0: those digests cover round-0 traffic only. The drop-free
+//! rows run the same faults to a decision in every round, so their
+//! digests also cover Maximal-Consistency, `COMPLETE` traffic and every
+//! round boundary.
 
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
-    ByzantineWitness, CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Scenario,
+    ByzantineWitness, CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Outcome, Scenario,
     ScenarioBuilder, Trace,
 };
 
@@ -58,64 +65,92 @@ fn order_digest(trace: &Trace) -> u64 {
     fnv1a(trace, false)
 }
 
-/// Duplicates on 0→1, reorders on 1→2, drops on 2→0.
+/// Duplicates on 0→1, reorders on 1→2.
+fn drop_free() -> LinkFaultPlan {
+    let plan = LinkFaultPlan::new(17).fault(id(0), id(1), LinkFault::Duplicate { prob: 0.4 });
+    plan.fault(id(1), id(2), LinkFault::Reorder { window: 30 })
+}
+
+/// The drop-free plan, plus drops on 2→0.
 fn chaos() -> LinkFaultPlan {
-    LinkFaultPlan::new(17)
-        .fault(id(0), id(1), LinkFault::Duplicate { prob: 0.4 })
-        .fault(id(1), id(2), LinkFault::Reorder { window: 30 })
-        .fault(id(2), id(0), LinkFault::Drop { prob: 0.2 })
+    drop_free().fault(id(2), id(0), LinkFault::Drop { prob: 0.2 })
 }
 
-fn traced(builder: ScenarioBuilder) -> Trace {
-    let out = builder.link_faults(chaos()).seed(6).record_trace(true).run().expect("runs");
-    out.trace.expect("trace recorded")
+/// Runs `builder` under `plan` at seed 6, recording its trace.
+fn traced(builder: ScenarioBuilder, plan: LinkFaultPlan) -> (Outcome, Trace) {
+    let mut out = builder.link_faults(plan).seed(6).record_trace(true).run().expect("runs");
+    let trace = out.trace.take().expect("trace recorded");
+    (out, trace)
 }
 
-/// One row per BW fault: each strategy's injections and relays reach the
-/// wire, so the pin covers what it sends as well as the delivery order.
+/// The BW scenario of one catalog row: K5, node 4 faulty.
+fn bw_k5(fault: FaultKind) -> ScenarioBuilder {
+    Scenario::builder(generators::clique(5), 1)
+        .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
+        .epsilon(0.5)
+        .fault(id(4), fault)
+        .protocol(ByzantineWitness::default())
+}
+
+/// One row per BW fault under each plan: each strategy's injections and
+/// relays reach the wire, so the pin covers what it sends as well as the
+/// delivery order.
 #[test]
 fn bw_k5_catalog_delivery_order_is_pinned() {
-    let catalog = [
-        (FaultKind::Equivocator { low: -100.0, high: 100.0 }, (27_910, 3_997_744_743_573_078_574)),
-        (FaultKind::ConstantLiar { value: 1e4 }, (28_361, 15_405_870_676_810_927_097)),
-        (FaultKind::RelayTamperer { spoof: -1e5 }, (12_735, 17_871_742_474_367_387_746)),
-        (FaultKind::PathFabricator { forged_value: -77.0 }, (13_006, 74_608_214_541_822_053)),
-        (FaultKind::Chaotic { seed: 5 }, (12_826, 3_352_059_989_923_008_033)),
+    let faults = [
+        FaultKind::Equivocator { low: -100.0, high: 100.0 },
+        FaultKind::ConstantLiar { value: 1e4 },
+        FaultKind::RelayTamperer { spoof: -1e5 },
+        FaultKind::PathFabricator { forged_value: -77.0 },
+        FaultKind::Chaotic { seed: 5 },
     ];
-    // Order-only digests, in catalog order.
-    let orders = [
-        10_146_722_805_633_412_924,
-        5_941_265_024_486_710_229,
-        16_586_592_800_799_308_278,
-        6_543_104_930_214_523_711,
-        6_260_853_792_866_912_076,
+    // (deliveries, byte digest, order-only digest), in `faults` order.
+    let lossy = [
+        (27_910, 3_997_744_743_573_078_574, 10_146_722_805_633_412_924),
+        (28_361, 15_405_870_676_810_927_097, 5_941_265_024_486_710_229),
+        (12_735, 17_871_742_474_367_387_746, 16_586_592_800_799_308_278),
+        (13_006, 74_608_214_541_822_053, 6_543_104_930_214_523_711),
+        (12_826, 3_352_059_989_923_008_033, 6_260_853_792_866_912_076),
     ];
-    for ((fault, expected), order) in catalog.into_iter().zip(orders) {
-        let label = fault.label();
-        let trace = traced(
-            Scenario::builder(generators::clique(5), 1)
-                .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
-                .epsilon(0.5)
-                .fault(id(4), fault)
-                .protocol(ByzantineWitness::default()),
-        );
-        let pin = digest(&trace);
-        assert_eq!(pin, expected, "{label}");
-        assert_eq!(order_digest(&trace), order, "{label}: order");
+    let no_drops = [
+        (82_960, 10_468_104_924_060_004_480, 12_002_787_297_574_510_830),
+        (88_166, 5_416_124_333_818_452_074, 5_389_138_063_969_162_549),
+        (66_642, 12_108_863_843_425_936_987, 16_575_140_501_101_545_841),
+        (66_898, 1_649_449_396_379_609_708, 2_233_922_162_279_819_627),
+        (52_700, 10_927_440_022_304_723_082, 6_732_852_428_410_973_532),
+    ];
+    for (plan, pins, decides) in [(chaos(), lossy, false), (drop_free(), no_drops, true)] {
+        for (fault, (deliveries, bytes, order)) in faults.iter().zip(pins) {
+            let label =
+                format!("{} ({})", fault.label(), if decides { "drop-free" } else { "lossy" });
+            let (out, trace) = traced(bw_k5(fault.clone()), plan.clone());
+            assert_eq!(digest(&trace), (deliveries, bytes), "{label}");
+            assert_eq!(order_digest(&trace), order, "{label}: order");
+            // A dropped message leaves a FIFO gap that never closes, so
+            // under the lossy plan no honest node fires round 0 (ROADMAP
+            // 7(b)); without drops all four honest nodes fire every round.
+            let fired = if decides { 4 * u64::from(out.rounds) } else { 0 };
+            assert_eq!(out.sim_stats.protocol.rounds_fired, fired, "{label}");
+            assert_eq!(out.all_decided(), decides, "{label}");
+            // A frame's first byte is its wire tag; 0x01 is `COMPLETE`.
+            let completes = trace.deliveries.iter().any(|d| d.frame[0] == 0x01);
+            assert!(completes || !decides, "{label}: a deciding run sends COMPLETE");
+        }
     }
 }
 
 #[test]
 fn crash_k4_delivery_order_is_pinned() {
-    let trace = traced(
+    let (out, trace) = traced(
         Scenario::builder(generators::clique(4), 1)
             .inputs(vec![0.0, 8.0, 4.0, 2.0])
             .epsilon(0.5)
             .range((0.0, 8.0))
             .fault(id(3), FaultKind::CrashAfter { sends: 5 })
             .protocol(CrashTwoReach::default()),
+        chaos(),
     );
-    let pin = digest(&trace);
-    assert_eq!(pin, (158, 16_637_992_831_282_363_527));
+    assert_eq!(digest(&trace), (158, 16_637_992_831_282_363_527));
     assert_eq!(order_digest(&trace), 18_352_707_118_752_469_903, "order");
+    assert!(out.all_decided(), "the crash protocol decides through the lossy plan");
 }
