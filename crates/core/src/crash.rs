@@ -15,7 +15,7 @@
 //! are within half the previous spread (convergence halves per round, as
 //! in Lemma 15).
 //!
-//! Paths are interned: the simple-path population is enumerated once into a
+//! Paths are interned: the simple-path population is generated once into a
 //! [`PathIndex`], wire messages carry dense [`PathId`]s, per-round value
 //! maps are the columnar [`MessageSet`], and the per-guess fullness
 //! requirements are popcounts over the index's terminal/member masks — the
@@ -25,7 +25,6 @@ use crate::config::num_rounds;
 use crate::error::RunError;
 use crate::message_set::MessageSet;
 use crate::node::round_slot;
-use dbac_graph::paths::simple_paths_ending_at;
 use dbac_graph::subsets::SubsetsUpTo;
 use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget, PathId, PathIndex};
 use dbac_sim::process::{Adversary, Context, Process};
@@ -58,13 +57,10 @@ impl CrashTopology {
     ///
     /// # Errors
     ///
-    /// Returns the path-budget error if enumeration explodes.
+    /// Returns the path-budget error if more than `budget.max_paths`
+    /// simple paths end at some node.
     pub fn new(graph: Digraph, f: usize, budget: PathBudget) -> Result<Self, RunError> {
-        let mut pools = Vec::with_capacity(graph.node_count());
-        for v in graph.nodes() {
-            pools.push(simple_paths_ending_at(&graph, v, NodeSet::EMPTY, budget)?);
-        }
-        let index = PathIndex::build(&graph, &pools);
+        let index = PathIndex::simple(&graph, budget)?;
         let guesses = SubsetsUpTo::new(graph.vertex_set(), f).collect();
         Ok(CrashTopology { graph, f, index, guesses })
     }
@@ -326,6 +322,7 @@ mod tests {
     use crate::scenario::{CrashTwoReach, FaultKind, Outcome, Scenario, SchedulerSpec};
     use dbac_conditions::kreach::two_reach;
     use dbac_graph::generators;
+    use dbac_graph::paths::simple_paths_ending_at;
     use dbac_graph::Path;
 
     fn id(i: usize) -> NodeId {

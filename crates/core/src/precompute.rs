@@ -6,28 +6,30 @@
 //!
 //! * the fault-set guesses `F ⊆ V`, `|F| ≤ f` (one BW thread each);
 //! * the full path population — redundant paths in the paper's mode,
-//!   simple paths in the ablation — interned into a [`PathIndex`], so the
-//!   protocol stack speaks dense [`PathId`]s instead of owned paths;
+//!   simple paths in the ablation — interned into a [`PathIndex`] as it is
+//!   generated, so the protocol stack speaks dense [`PathId`]s instead of
+//!   owned paths;
 //! * reach sets `reach_v(F)` for every guess;
 //! * per guess `F_u`, the deduplicated Completeness obligations
 //!   `(S_{F_u,F_w}, q)` of Algorithm 2, from the source components of
 //!   every silenced union `|·| ≤ 2f` (computed during construction, not
 //!   kept).
 //!
-//! The enumeration and reach passes are embarrassingly parallel and run
-//! across all cores ([`dbac_graph::par::par_map`]; inline when the build
-//! itself runs on a sweep worker). Everything is immutable after
-//! construction and shared via `Arc`: by a run's nodes, and by the cells of
-//! a sweep run that share the graph (the `Precompute` memo of
-//! [`crate::scenario::sweep`]).
+//! The path population is generated straight from the graph, one
+//! sequential depth-first search per initiator ([`PathIndex::redundant`],
+//! [`PathIndex::simple`]), with no per-path allocation. The reach and
+//! source passes are embarrassingly parallel and run across all cores
+//! ([`dbac_graph::par::par_map`]; inline when the build itself runs on a
+//! sweep worker). Everything is immutable after construction and shared
+//! via `Arc`: by a run's nodes, and by the cells of a sweep run that share
+//! the graph (the `Precompute` memo of [`crate::scenario::sweep`]).
 
 use crate::config::FloodMode;
 use dbac_conditions::reach::reach_sets;
 use dbac_conditions::reduced::source_component;
 use dbac_graph::par::par_map;
-use dbac_graph::paths::{redundant_paths_ending_at, simple_paths_ending_at};
 use dbac_graph::subsets::SubsetsUpTo;
-use dbac_graph::{Digraph, GraphError, NodeId, NodeSet, Path, PathBudget, PathId, PathIndex};
+use dbac_graph::{Digraph, GraphError, NodeId, NodeSet, PathBudget, PathId, PathIndex};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -54,9 +56,10 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::BudgetExceeded`] if the path enumeration
-    /// exceeds `budget` — the algorithm is intrinsically exponential, and
-    /// the budget keeps that explicit.
+    /// Returns [`GraphError::BudgetExceeded`] if more than
+    /// `budget.max_paths` paths of the population end at some node — the
+    /// algorithm is intrinsically exponential, and the budget keeps that
+    /// explicit.
     pub fn new(
         graph: Digraph,
         f: usize,
@@ -66,21 +69,17 @@ impl Topology {
         let all = graph.vertex_set();
         let guesses: Vec<NodeSet> = SubsetsUpTo::new(all, f).collect();
 
-        // Per-terminal path enumeration, fanned out across cores. The pool
-        // is the fullness requirement population; under the paper's mode it
-        // is closed under redundant extension, under the ablation under
-        // simple extension — either way the PathIndex forwarding table is
-        // exact for the active flood discipline.
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let pools: Vec<Vec<Path>> = par_map(&nodes, |_, &v| match flood_mode {
-            FloodMode::Redundant => redundant_paths_ending_at(&graph, v, NodeSet::EMPTY, budget),
-            FloodMode::SimpleOnly => simple_paths_ending_at(&graph, v, NodeSet::EMPTY, budget),
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        let index = PathIndex::build(&graph, &pools);
+        // The path population, interned as it is generated, with no owned
+        // path built. It is the fullness requirement population; under the
+        // paper's mode it is closed under redundant extension, under the
+        // ablation under simple extension — either way the PathIndex
+        // forwarding table is exact for the active flood discipline.
+        let index = match flood_mode {
+            FloodMode::Redundant => PathIndex::redundant(&graph, budget)?,
+            FloodMode::SimpleOnly => PathIndex::simple(&graph, budget)?,
+        };
 
-        // Per-guess reach sets, also in parallel.
+        // Per-guess reach sets, in parallel.
         let reach: HashMap<NodeSet, Vec<NodeSet>> =
             par_map(&guesses, |_, &guess| (guess, reach_sets(&graph, guess))).into_iter().collect();
 
@@ -180,6 +179,7 @@ impl Topology {
 mod tests {
     use super::*;
     use dbac_graph::generators;
+    use dbac_graph::paths::redundant_paths_ending_at;
 
     fn topo(g: Digraph, f: usize) -> Topology {
         crate::test_support::topo_of(g, f, FloodMode::Redundant)

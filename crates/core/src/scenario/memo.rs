@@ -2,8 +2,8 @@
 //! [`Protocol::execute`](super::Protocol::execute).
 //!
 //! Algorithm BW and the crash protocol start every run with a per-graph
-//! precomputation ([`Topology::new`], [`CrashTopology::new`]): the path
-//! pools, the [`PathIndex`](dbac_graph::PathIndex) over them, and the
+//! precomputation ([`Topology::new`], [`CrashTopology::new`]): the
+//! [`PathIndex`](dbac_graph::PathIndex) over the path population, and the
 //! fault guesses with their reach sets. None of it depends on the inputs,
 //! ε, faults, schedule, runtime or seed, so the cells of one
 //! [`Sweep::run`](super::sweep::Sweep::run) that share a graph share one

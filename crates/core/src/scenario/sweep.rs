@@ -17,8 +17,8 @@
 //! One [`Sweep::run`] builds each per-graph precomputation once. Its cells
 //! share a [`Precompute`] memo that holds Algorithm BW's
 //! [`Topology`](crate::precompute::Topology) and the crash protocol's
-//! [`CrashTopology`](crate::crash::CrashTopology) (path pools,
-//! `PathIndex`, fault guesses and reach sets), keyed by graph identity
+//! [`CrashTopology`](crate::crash::CrashTopology) (the `PathIndex`,
+//! fault guesses and reach sets), keyed by graph identity
 //! (the plan's shared `Arc<Digraph>`: expansion never clones a graph), the
 //! fault bound, the protocol and BW's flood mode. The first cell of a key
 //! builds it while later ones wait, and a failed build is the same error

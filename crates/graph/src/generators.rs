@@ -170,6 +170,23 @@ pub fn figure_1b_small() -> Digraph {
     two_cliques_bridged(4, &[(0, 0), (1, 1)], &[(1, 1), (2, 2), (3, 3)])
 }
 
+/// The `f = 2` fixture: `K_7` without the edges `0 ↔ 1`, `2 ↔ 3` and
+/// `4 ↔ 5`. Its 36 edges give every node in-degree `5 = 2f + 1`, except
+/// node 6 with 6. 3-reach holds at `f = 2`, and removing any one edge
+/// breaks it: greedy edge deletion from `clique(7)` in
+/// [`Digraph::edges`] order, while 3-reach holds, ends at exactly this
+/// graph. Its redundant-path population is 4,450,903 paths, at most
+/// 646,138 per terminal.
+#[must_use]
+pub fn k7_minus_matching() -> Digraph {
+    let mut g = clique(7);
+    for (u, v) in [(0, 1), (2, 3), (4, 5)] {
+        g.remove_edge(NodeId::new(u), NodeId::new(v));
+        g.remove_edge(NodeId::new(v), NodeId::new(u));
+    }
+    g
+}
+
 /// The **`k`-circulant** digraph: node `u` has an edge to
 /// `u + o (mod n)` for every offset `o` in `offsets`. Every node has
 /// in-degree and out-degree `|offsets|`, so the family scales to tens of

@@ -5,7 +5,7 @@
 //! Algorithm BW's cost is dominated by path-indexed work: RedundantFlood
 //! propagates a value along *every* redundant path, and FIFO reception
 //! tracks one ordered channel per `(initiator, simple path)` pair. The path
-//! population is enumerated **once** per topology at startup — yet a naïve
+//! population is generated **once** per topology at startup — yet a naïve
 //! implementation keeps cloning and hashing owned `Path(Vec<NodeId>)`
 //! values per message, per hop. Interning replaces every hot-path `Path` by
 //! a `u32` [`PathId`] into a [`PathIndex`] that answers, per path id:
@@ -66,32 +66,53 @@
 //! then walks the forwarding table hop by hop from the sequence's first
 //! node, so a forged sequence falls out at its first non-edge or
 //! inadmissible hop. Every id accepted past validation refers to a path
-//! that was enumerated from the real graph, so downstream code may use the
+//! that was generated from the real graph, so downstream code may use the
 //! precomputed metadata without re-checking path validity.
 //!
 //! # Population and closure
 //!
-//! The index is built from per-terminal enumerations (redundant paths in
-//! the paper's flood mode, simple paths in the ablation). Because the
-//! population contains *every* admissible path of its class, the class is
-//! closed under admissible extension: `extend` returns `Some` **iff** the
-//! extension is again in the population. Flood-mode admissibility checks
-//! thus collapse into table membership.
+//! [`PathIndex::redundant`] (the paper's flood mode) and
+//! [`PathIndex::simple`] (the ablation and the crash protocol) generate
+//! their population straight from the graph: one depth-first search per
+//! initiator, from `⟨v⟩`, taking only admissible extensions. Each path is
+//! interned as it is reached, linked to its one-step prefix, so no owned
+//! path is ever built and nothing is walked twice. Admissibility is a
+//! two-state automaton per path: while the path is simple, an extension
+//! must leave it simple or make its first repeat; after that, it must keep
+//! the suffix from the end of the longest simple prefix simple. That is
+//! exact, because a path is redundant iff that suffix is simple.
+//!
+//! Because the population contains *every* admissible path of its class,
+//! the class is closed under admissible extension: `extend` returns `Some`
+//! **iff** the extension is again in the population. Flood-mode
+//! admissibility checks thus collapse into table membership.
+//!
+//! [`PathIndex::build`] interns an explicit population instead, from
+//! per-terminal pools such as those of
+//! [`redundant_paths_ending_at`](crate::paths::redundant_paths_ending_at),
+//! and numbers it in pool order. It serves as the oracle the generated
+//! indexes are tested against.
 
 use crate::digraph::Digraph;
+use crate::error::GraphError;
 use crate::fasthash::FastHashMap;
 use crate::node::NodeId;
-use crate::nodeset::NodeSet;
-use crate::paths::Path;
+use crate::nodeset::{NodeSet, WordIter, NODE_WORDS};
+use crate::paths::{Path, PathBudget};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
 
 /// Dense identifier of an interned path.
 ///
-/// Ids are assigned in deterministic order (terminal-major, enumeration
-/// order within a terminal), so all nodes sharing a topology agree on the
-/// numbering and ids are valid on the wire.
+/// Ids are terminal-major: the trivial path `⟨v⟩` heads the block of the
+/// paths ending at `v`. In a generated index the rest of the block follows
+/// in generation order, by initiator ascending, then in depth-first
+/// preorder with successors ascending; [`PathIndex::build`] follows pool
+/// order. The numbering is a pure function of the graph (and the pools),
+/// so all nodes sharing a topology agree on it and ids are valid on the
+/// wire.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PathId(u32);
 
@@ -128,9 +149,12 @@ impl fmt::Display for PathId {
     }
 }
 
-/// Sentinel for an empty slot while `build` fills the dense forwarding
-/// table and the class-step memo.
+/// Sentinel for an unset class while an index is assembled, for an empty
+/// slot of `build`'s walk table, and for a memo miss of the class steps.
 const NONE: u32 = u32::MAX;
+
+/// `Assembly::slot_of`'s entry for a trivial path, which fills no slot.
+const NO_SLOT: usize = usize::MAX;
 
 /// The `(init, node set)` pair shared by the paths of one class.
 #[derive(Debug)]
@@ -183,41 +207,45 @@ struct Forwarding {
 }
 
 impl Forwarding {
-    /// Packs a dense table (`NONE` marks an empty slot) holding `filled`
-    /// children.
-    fn pack(dense: &[u32], filled: usize) -> Self {
-        let mut words = Vec::with_capacity(dense.len().div_ceil(64));
-        let mut children = Vec::with_capacity(filled);
-        for chunk in dense.chunks(64) {
-            let before = children.len() as u32;
-            let mut bits = 0u64;
-            for (b, &child) in chunk.iter().enumerate() {
-                if child != NONE {
-                    bits |= 1 << b;
-                    children.push(PathId(child));
-                }
+    /// Packs the children given the bitmap of the filled slots and, per
+    /// id, the slot holding it (`NO_SLOT` for a trivial path).
+    fn pack(filled: Vec<u64>, slot_of: &[usize]) -> Self {
+        let mut before = 0;
+        let words = filled
+            .into_iter()
+            .map(|bits| {
+                let word = SlotWord { filled: bits, before };
+                before += bits.count_ones();
+                word
+            })
+            .collect();
+        let mut forwarding = Forwarding { words, children: vec![PathId(0); before as usize] };
+        for (id, &slot) in slot_of.iter().enumerate() {
+            if slot != NO_SLOT {
+                let rank = forwarding.rank(slot);
+                forwarding.children[rank] = PathId(id as u32);
             }
-            words.push(SlotWord { filled: bits, before });
         }
-        debug_assert_eq!(children.len(), filled, "one child per non-trivial id");
-        Forwarding { words, children }
+        forwarding
     }
 
     fn is_filled(&self, slot: usize) -> bool {
         self.words[slot / 64].filled & (1 << (slot % 64)) != 0
     }
 
-    fn get(&self, slot: usize) -> Option<PathId> {
+    /// The position of a filled slot's child in `children`.
+    fn rank(&self, slot: usize) -> usize {
         let word = self.words[slot / 64];
-        let bit = 1u64 << (slot % 64);
-        (word.filled & bit != 0).then(|| {
-            self.children[word.before as usize + (word.filled & (bit - 1)).count_ones() as usize]
-        })
+        word.before as usize + (word.filled & ((1 << (slot % 64)) - 1)).count_ones() as usize
+    }
+
+    fn get(&self, slot: usize) -> Option<PathId> {
+        self.is_filled(slot).then(|| self.children[self.rank(slot)])
     }
 }
 
-/// Assigns classes while `build` extends paths one node at a time: the
-/// class of `p‖w` is the class of `p` stepped by `w`, memoised per
+/// Assigns classes while paths are linked one node at a time: the class
+/// of `p‖w` is the class of `p` stepped by `w`, memoised per
 /// `(class, w)`, so the `(init, node set)` map is only hashed on a memo
 /// miss — at most once per class and node.
 struct ClassInterner {
@@ -277,80 +305,28 @@ fn shortest_first(lens: &[u32]) -> Vec<u32> {
     order
 }
 
-/// An immutable intern table over a graph's enumerated path population:
-/// per-id classes and node counts, per-terminal id blocks, and the
-/// forwarding table, but no path sequences.
-#[derive(Debug)]
-pub struct PathIndex {
-    /// `starts[v] .. starts[v + 1]` are the ids of the paths ending at
-    /// `v`, the first being `⟨v⟩`; `starts[n]` is the population size.
+/// The tail every constructor shares. Once the ids are laid out in
+/// terminal blocks, each non-trivial path is linked to its one-step
+/// prefix, prefixes first; the classes, node counts and forwarding slots
+/// follow from those links, and [`Assembly::finish`] derives the rest.
+struct Assembly {
     starts: Vec<u32>,
-    /// terminal → its out-neighborhood and forwarding-row base.
     rows: Vec<TerminalRows>,
-    /// id → index of its class in `class_table`.
+    interner: ClassInterner,
     classes: Vec<u32>,
-    /// class → its `(init, node set)` pair.
-    class_table: Vec<PathClass>,
-    /// id → number of node occurrences (trivial paths have 1).
     lens: Vec<u32>,
-    /// terminal → ids of the *simple* interned paths ending there.
-    simple_by_terminal: Vec<Vec<PathId>>,
-    /// `extend`'s table: slot `rows[t].slot(id − starts[t], w)` holds the
-    /// id of `p‖w`, or is empty if `p‖w` is not interned.
-    forwarding: Forwarding,
-    /// Number of `u64` words covering the id space (`ceil(len / 64)`).
-    word_count: usize,
-    /// node → bitmap over ids: paths whose node set contains the node.
-    member_words: Vec<Vec<u64>>,
-    /// node → bitmap over ids: paths starting at the node.
-    init_words: Vec<Vec<u64>>,
-    /// node → bitmap over ids: paths ending at the node.
-    terminal_words: Vec<Vec<u64>>,
+    /// Bitmap of the filled forwarding slots.
+    filled: Vec<u64>,
+    /// id → the forwarding slot holding it (`NO_SLOT` for `⟨v⟩`).
+    slot_of: Vec<usize>,
 }
 
-impl PathIndex {
-    /// Interns the given per-terminal path population over `graph`.
-    ///
-    /// `pools[v]` must list distinct paths ending at node `v` that are
-    /// valid in `graph`. Ids follow pool order, each pool behind the
-    /// trivial path `⟨v⟩`, which is interned for every node; a pool may
-    /// list `⟨v⟩` itself or omit it. The pools are read in place, not copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pooled path does not end at its pool's terminal, is
-    /// invalid in `graph`, is listed twice (other than `⟨v⟩`), or has a
-    /// one-step prefix outside the population, or if the population
-    /// exceeds `u32::MAX` paths.
-    #[must_use]
-    pub fn build(graph: &Digraph, pools: &[Vec<Path>]) -> Self {
+impl Assembly {
+    /// Lays out the blocks `starts` (`starts[n]` is the population size)
+    /// and interns each trivial path `⟨v⟩` at the head of its block.
+    fn new(graph: &Digraph, starts: Vec<u32>) -> Self {
         let n = graph.node_count();
-        assert_eq!(pools.len(), n, "one pool per node required");
-
-        // Intern in pool order with no lookup: the one repeat a pool may
-        // hold is `⟨v⟩`, and any other duplicate trips the forwarding-table
-        // fill below, where both copies claim the same slot. `paths` borrows
-        // each id's path from the pools, or `⟨v⟩` from `singles`.
-        let singles: Vec<Path> = graph.nodes().map(Path::single).collect();
-        let mut paths: Vec<&Path> =
-            Vec::with_capacity(n + pools.iter().map(Vec::len).sum::<usize>());
-        let mut starts = Vec::with_capacity(n + 1);
-        for ((v, pool), single) in pools.iter().enumerate().zip(&singles) {
-            let v = NodeId::new(v);
-            starts.push(paths.len() as u32);
-            paths.push(single);
-            for path in pool {
-                assert_eq!(path.ter(), v, "pooled path must end at its terminal");
-                assert!(path.is_valid_in(graph), "pooled path invalid in graph");
-                if !path.is_empty() {
-                    paths.push(path);
-                }
-            }
-            assert!(paths.len() <= NONE as usize, "path population exceeds u32 ids");
-        }
-        starts.push(paths.len() as u32);
-        let lens: Vec<u32> = paths.iter().map(|p| p.node_count() as u32).collect();
-
+        let len = starts[n] as usize;
         let mut slots = 0;
         let rows: Vec<TerminalRows> = graph
             .nodes()
@@ -361,44 +337,51 @@ impl PathIndex {
                 rows
             })
             .collect();
-
-        // Fill shortest paths first. Every non-trivial interned path is the
-        // extension of its one-step prefix, and path classes are
-        // prefix-closed (dropping the last node keeps a path simple resp.
-        // redundant), so the prefix is interned, one node shorter, and
-        // already in the table: walking the table from `⟨init⟩` finds its
-        // id without any map over the population. The path's class is the
-        // prefix's class stepped by the last node.
-        let mut dense = vec![NONE; slots];
         let mut interner = ClassInterner::new(n);
-        let mut classes = vec![NONE; paths.len()];
-        for id in shortest_first(&lens) {
-            let nodes = paths[id as usize].nodes();
-            let Some((&last, prefix)) = nodes.split_last() else { unreachable!("non-empty") };
-            let Some(&first) = prefix.first() else {
-                classes[id as usize] = interner.intern(last, NodeSet::singleton(last));
-                continue;
-            };
-            let slot_of = |parent: u32, t: NodeId, w: NodeId| {
-                rows[t.index()].slot(parent - starts[t.index()], w)
-            };
-            let mut parent = starts[first.index()];
-            for hop in prefix.windows(2) {
-                parent = dense[slot_of(parent, hop[0], hop[1])];
-                assert_ne!(parent, NONE, "one-step prefix of an interned path is interned");
-            }
-            let slot = slot_of(parent, prefix[prefix.len() - 1], last);
-            assert_eq!(dense[slot], NONE, "duplicate pooled path {}", paths[id as usize]);
-            dense[slot] = id;
-            classes[id as usize] = interner.step(classes[parent as usize], last);
+        let mut classes = vec![NONE; len];
+        let mut lens = vec![0; len];
+        for v in graph.nodes() {
+            let id = starts[v.index()] as usize;
+            classes[id] = interner.intern(v, NodeSet::singleton(v));
+            lens[id] = 1;
         }
-        let forwarding = Forwarding::pack(&dense, paths.len() - n);
-        drop(dense);
+        Assembly {
+            starts,
+            rows,
+            interner,
+            classes,
+            lens,
+            filled: vec![0; slots.div_ceil(64)],
+            slot_of: vec![NO_SLOT; len],
+        }
+    }
+
+    /// The forwarding slot of `p‖w`, for the path `p` ending at `t`.
+    fn slot(&self, p: u32, t: NodeId, w: NodeId) -> usize {
+        self.rows[t.index()].slot(p - self.starts[t.index()], w)
+    }
+
+    /// Interns `id` as `p‖w`, for the already linked path `p` ending at `t`.
+    fn link(&mut self, p: u32, t: NodeId, id: u32, w: NodeId) {
+        let slot = self.slot(p, t, w);
+        self.filled[slot / 64] |= 1 << (slot % 64);
+        self.slot_of[id as usize] = slot;
+        self.classes[id as usize] = self.interner.step(self.classes[p as usize], w);
+        self.lens[id as usize] = self.lens[p as usize] + 1;
+    }
+
+    /// Packs the forwarding table and derives the per-node masks and the
+    /// simple paths per terminal.
+    fn finish(self) -> PathIndex {
+        let Assembly { starts, rows, interner, classes, lens, filled, slot_of } = self;
+        let n = rows.len();
+        let forwarding = Forwarding::pack(filled, &slot_of);
+        drop(slot_of);
         let class_table = interner.classes;
 
         // Transposed per-node masks over the id space, for columnar scans,
         // and the simple paths per terminal.
-        let word_count = paths.len().div_ceil(64);
+        let word_count = classes.len().div_ceil(64);
         let mut member_words = vec![vec![0u64; word_count]; n];
         let mut init_words = vec![vec![0u64; word_count]; n];
         let mut terminal_words = vec![vec![0u64; word_count]; n];
@@ -431,6 +414,254 @@ impl PathIndex {
             init_words,
             terminal_words,
         }
+    }
+}
+
+/// One node of the path a [`walk`] is on: the path's handle and
+/// terminal, whether it has repeated a node, and the successors of its
+/// terminal still to try.
+struct Frame {
+    handle: u32,
+    ter: NodeId,
+    cycled: bool,
+    successors: WordIter<NODE_WORDS>,
+}
+
+/// Visits every path of the redundant population (`redundant`) or of the
+/// simple one, by one depth-first search per initiator: initiators
+/// ascending, each search in preorder with successors ascending. `visit`
+/// sees each path once, after its one-step prefix, given the prefix's
+/// handle and terminal (`None` for `⟨v⟩`) and the path's own terminal,
+/// and returns the path's handle; an error stops the walk.
+///
+/// Admissibility is a two-state automaton, exact with no lookup. While a
+/// path `p` is simple, `prefix` holds its node set, and `p‖w` is simple
+/// iff `w ∉ p`. The first repeat `w ∈ p` switches the path to tracking its
+/// suffix `⟨ter(p), w⟩` in `suffix`; from then on `p‖w` is admissible iff
+/// `w` is not in that suffix. This is exact because a path is redundant
+/// iff its suffix from the end of its longest simple prefix is simple. The
+/// simple population never switches.
+fn walk<E>(
+    graph: &Digraph,
+    redundant: bool,
+    mut visit: impl FnMut(Option<(u32, NodeId)>, NodeId) -> Result<u32, E>,
+) -> Result<(), E> {
+    let frame = |handle, ter: NodeId, cycled| Frame {
+        handle,
+        ter,
+        cycled,
+        successors: graph.out_neighbors(ter).iter(),
+    };
+    let (mut prefix, mut suffix) = (NodeSet::EMPTY, NodeSet::EMPTY);
+    let mut stack = Vec::new();
+    for v in graph.nodes() {
+        prefix.insert(v);
+        stack.push(frame(visit(None, v)?, v, false));
+        while let Some(top) = stack.last_mut() {
+            let (handle, u, cycled) = (top.handle, top.ter, top.cycled);
+            let Some(w) = top.successors.next() else {
+                // Backtrack: `u` leaves the set it entered.
+                if cycled {
+                    suffix.remove(u);
+                } else {
+                    prefix.remove(u);
+                }
+                stack.pop();
+                continue;
+            };
+            let repeats = !cycled && prefix.contains(w);
+            if repeats {
+                if !redundant {
+                    continue;
+                }
+                suffix = NodeSet::singleton(u);
+            }
+            let cycled = cycled || repeats;
+            if !(if cycled { &mut suffix } else { &mut prefix }).insert(w) {
+                continue;
+            }
+            stack.push(frame(visit(Some((handle, u)), w)?, w, cycled));
+        }
+    }
+    Ok(())
+}
+
+/// An immutable intern table over a graph's path population: per-id
+/// classes and node counts, per-terminal id blocks, and the forwarding
+/// table, but no path sequences.
+#[derive(Debug)]
+pub struct PathIndex {
+    /// `starts[v] .. starts[v + 1]` are the ids of the paths ending at
+    /// `v`, the first being `⟨v⟩`; `starts[n]` is the population size.
+    starts: Vec<u32>,
+    /// terminal → its out-neighborhood and forwarding-row base.
+    rows: Vec<TerminalRows>,
+    /// id → index of its class in `class_table`.
+    classes: Vec<u32>,
+    /// class → its `(init, node set)` pair.
+    class_table: Vec<PathClass>,
+    /// id → number of node occurrences (trivial paths have 1).
+    lens: Vec<u32>,
+    /// terminal → ids of the *simple* interned paths ending there.
+    simple_by_terminal: Vec<Vec<PathId>>,
+    /// `extend`'s table: slot `rows[t].slot(id − starts[t], w)` holds the
+    /// id of `p‖w`, or is empty if `p‖w` is not interned.
+    forwarding: Forwarding,
+    /// Number of `u64` words covering the id space (`ceil(len / 64)`).
+    word_count: usize,
+    /// node → bitmap over ids: paths whose node set contains the node.
+    member_words: Vec<Vec<u64>>,
+    /// node → bitmap over ids: paths starting at the node.
+    init_words: Vec<Vec<u64>>,
+    /// node → bitmap over ids: paths ending at the node.
+    terminal_words: Vec<Vec<u64>>,
+}
+
+impl PathIndex {
+    /// Interns every redundant path of `graph` — the population of the
+    /// paper's flood mode — generated straight from the graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::BudgetExceeded`] iff more than
+    /// `budget.max_paths` redundant paths (`⟨v⟩` included) end at some
+    /// node `v`: the verdict of
+    /// [`redundant_paths_ending_at`](crate::paths::redundant_paths_ending_at)
+    /// on some terminal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population exceeds `u32::MAX` paths.
+    pub fn redundant(graph: &Digraph, budget: PathBudget) -> Result<Self, GraphError> {
+        Self::generate(graph, true, budget)
+    }
+
+    /// Interns every simple path of `graph` — the population of the
+    /// ablation's flood mode and of the crash protocol — generated straight
+    /// from the graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::BudgetExceeded`] iff more than
+    /// `budget.max_paths` simple paths (`⟨v⟩` included) end at some node
+    /// `v`: the verdict of
+    /// [`simple_paths_ending_at`](crate::paths::simple_paths_ending_at) on
+    /// some terminal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population exceeds `u32::MAX` paths.
+    pub fn simple(graph: &Digraph, budget: PathBudget) -> Result<Self, GraphError> {
+        Self::generate(graph, false, budget)
+    }
+
+    /// Two walks over the same paths in the same order: the first sizes
+    /// the terminal blocks and gives the budget verdict, stopping at the
+    /// first terminal that overflows; the second numbers each path behind
+    /// its block's `⟨v⟩` and links it to its prefix as it comes.
+    fn generate(graph: &Digraph, redundant: bool, budget: PathBudget) -> Result<Self, GraphError> {
+        let n = graph.node_count();
+        let mut sizes = vec![0usize; n];
+        walk(graph, redundant, |_, w| {
+            let size = &mut sizes[w.index()];
+            *size += 1;
+            if *size > budget.max_paths {
+                return Err(GraphError::BudgetExceeded { limit: budget.max_paths });
+            }
+            Ok(0)
+        })?;
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut total = 0;
+        for size in sizes {
+            starts.push(total as u32);
+            total += size;
+            assert!(total <= NONE as usize, "path population exceeds u32 ids");
+        }
+        starts.push(total as u32);
+
+        let mut assembly = Assembly::new(graph, starts);
+        let mut next: Vec<u32> = assembly.starts[..n].iter().map(|&start| start + 1).collect();
+        walk(graph, redundant, |prefix, w| {
+            let Some((p, t)) = prefix else { return Ok(assembly.starts[w.index()]) };
+            let id = next[w.index()];
+            next[w.index()] += 1;
+            assembly.link(p, t, id, w);
+            Ok::<_, Infallible>(id)
+        })
+        .unwrap_or_else(|never| match never {});
+        Ok(assembly.finish())
+    }
+
+    /// Interns an explicit per-terminal path population over `graph`.
+    ///
+    /// `pools[v]` must list distinct paths ending at node `v` that are
+    /// valid in `graph`. Ids follow pool order, each pool behind the
+    /// trivial path `⟨v⟩`, which is interned for every node; a pool may
+    /// list `⟨v⟩` itself or omit it. The pools are read in place, not
+    /// copied. [`PathIndex::redundant`] and [`PathIndex::simple`] intern
+    /// the full populations without pools, in their own id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pooled path does not end at its pool's terminal, is
+    /// invalid in `graph`, is listed twice (other than `⟨v⟩`), or has a
+    /// one-step prefix outside the population, or if the population
+    /// exceeds `u32::MAX` paths.
+    #[must_use]
+    pub fn build(graph: &Digraph, pools: &[Vec<Path>]) -> Self {
+        let n = graph.node_count();
+        assert_eq!(pools.len(), n, "one pool per node required");
+
+        // Intern in pool order with no lookup: the one repeat a pool may
+        // hold is `⟨v⟩`, and any other duplicate trips the walk below,
+        // where both copies claim the same slot. `paths` borrows each id's
+        // path from the pools, or `⟨v⟩` from `singles`.
+        let singles: Vec<Path> = graph.nodes().map(Path::single).collect();
+        let mut paths: Vec<&Path> =
+            Vec::with_capacity(n + pools.iter().map(Vec::len).sum::<usize>());
+        let mut starts = Vec::with_capacity(n + 1);
+        for ((v, pool), single) in pools.iter().enumerate().zip(&singles) {
+            let v = NodeId::new(v);
+            starts.push(paths.len() as u32);
+            paths.push(single);
+            for path in pool {
+                assert_eq!(path.ter(), v, "pooled path must end at its terminal");
+                assert!(path.is_valid_in(graph), "pooled path invalid in graph");
+                if !path.is_empty() {
+                    paths.push(path);
+                }
+            }
+            assert!(paths.len() <= NONE as usize, "path population exceeds u32 ids");
+        }
+        starts.push(paths.len() as u32);
+        let lens: Vec<u32> = paths.iter().map(|p| p.node_count() as u32).collect();
+        let mut assembly = Assembly::new(graph, starts);
+
+        // Link shortest paths first. Every non-trivial interned path is the
+        // extension of its one-step prefix, and path classes are
+        // prefix-closed (dropping the last node keeps a path simple resp.
+        // redundant), so the prefix is interned, one node shorter, and
+        // already in `table`, the children by forwarding slot: walking it
+        // from `⟨init⟩` finds the prefix's id without any map over the
+        // population.
+        let mut table = vec![NONE; assembly.filled.len() * 64];
+        for id in shortest_first(&lens) {
+            let nodes = paths[id as usize].nodes();
+            let Some((&last, prefix)) = nodes.split_last() else { unreachable!("non-empty") };
+            let Some(&first) = prefix.first() else { continue };
+            let mut parent = assembly.starts[first.index()];
+            for hop in prefix.windows(2) {
+                parent = table[assembly.slot(parent, hop[0], hop[1])];
+                assert_ne!(parent, NONE, "one-step prefix of an interned path is interned");
+            }
+            let ter = prefix[prefix.len() - 1];
+            let slot = assembly.slot(parent, ter, last);
+            assert_eq!(table[slot], NONE, "duplicate pooled path {}", paths[id as usize]);
+            table[slot] = id;
+            assembly.link(parent, ter, id, last);
+        }
+        drop(table);
+        assembly.finish()
     }
 
     /// Number of interned paths.

@@ -232,17 +232,22 @@ impl fmt::Display for Path {
 /// Budget guard for exhaustive path enumeration.
 ///
 /// The redundant-path count is exponential; every enumeration entry point
-/// takes a budget so callers opt into the cost explicitly. The default
-/// allows one million paths, comfortably covering the graph sizes on which
-/// the full BW protocol is tractable.
+/// takes a budget so callers opt into the cost explicitly. The limit
+/// applies per terminal: an enumeration of the paths ending at one node
+/// may return at most `max_paths` of them, and a generated
+/// [`PathIndex`](crate::PathIndex) may hold at most `max_paths` paths
+/// ending at each node, so a whole population may hold up to `n` times
+/// the limit. The default allows one million paths per terminal,
+/// comfortably covering the graph sizes on which the full BW protocol is
+/// tractable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathBudget {
-    /// Maximum number of paths an enumeration may return.
+    /// Maximum number of paths ending at any one node.
     pub max_paths: usize,
 }
 
 impl PathBudget {
-    /// Creates a budget admitting up to `max_paths` paths.
+    /// Creates a budget admitting up to `max_paths` paths per terminal.
     #[must_use]
     pub fn new(max_paths: usize) -> Self {
         PathBudget { max_paths }

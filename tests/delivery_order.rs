@@ -106,18 +106,18 @@ fn bw_k5_catalog_delivery_order_is_pinned() {
     ];
     // (deliveries, byte digest, order-only digest), in `faults` order.
     let lossy = [
-        (27_910, 3_997_744_743_573_078_574, 10_146_722_805_633_412_924),
-        (28_361, 15_405_870_676_810_927_097, 5_941_265_024_486_710_229),
-        (12_735, 17_871_742_474_367_387_746, 16_586_592_800_799_308_278),
-        (13_006, 74_608_214_541_822_053, 6_543_104_930_214_523_711),
-        (12_826, 3_352_059_989_923_008_033, 6_260_853_792_866_912_076),
+        (27_910, 11_943_639_418_892_040_270, 10_146_722_805_633_412_924),
+        (28_361, 2_005_456_766_599_807_581, 5_941_265_024_486_710_229),
+        (12_735, 16_164_100_034_604_034_849, 16_586_592_800_799_308_278),
+        (12_880, 17_329_551_202_384_602_412, 11_283_664_697_557_274_689),
+        (12_826, 8_642_122_276_633_989_141, 6_260_853_792_866_912_076),
     ];
     let no_drops = [
-        (82_960, 10_468_104_924_060_004_480, 12_002_787_297_574_510_830),
-        (88_166, 5_416_124_333_818_452_074, 5_389_138_063_969_162_549),
-        (66_642, 12_108_863_843_425_936_987, 16_575_140_501_101_545_841),
-        (66_898, 1_649_449_396_379_609_708, 2_233_922_162_279_819_627),
-        (52_700, 10_927_440_022_304_723_082, 6_732_852_428_410_973_532),
+        (82_960, 8_500_592_683_160_589_407, 12_002_787_297_574_510_830),
+        (88_166, 11_463_160_447_463_190_265, 5_389_138_063_969_162_549),
+        (66_642, 204_475_401_356_312_456, 16_575_140_501_101_545_841),
+        (66_898, 451_769_095_539_143_698, 2_686_701_127_040_652_168),
+        (52_700, 9_300_209_696_486_514_179, 6_732_852_428_410_973_532),
     ];
     for (plan, pins, decides) in [(chaos(), lossy, false), (drop_free(), no_drops, true)] {
         for (fault, (deliveries, bytes, order)) in faults.iter().zip(pins) {
@@ -150,7 +150,7 @@ fn crash_k4_delivery_order_is_pinned() {
             .protocol(CrashTwoReach::default()),
         chaos(),
     );
-    assert_eq!(digest(&trace), (158, 16_637_992_831_282_363_527));
+    assert_eq!(digest(&trace), (158, 1_973_190_968_338_975_551));
     assert_eq!(order_digest(&trace), 18_352_707_118_752_469_903, "order");
     assert!(out.all_decided(), "the crash protocol decides through the lossy plan");
 }
