@@ -16,20 +16,21 @@
 //!
 //! Because `reach_v(F∪F_v)` receives messages only from itself, `F`
 //! (replayed) and `F_v` (delayed), node `v`'s view in `e3` is *literally
-//! identical* to `e1` — the splice executor checks this delivery-by-
-//! delivery against the live nodes' actual sends — so `v` outputs 0 while
-//! `u` outputs `K`: convergence is violated by the full input range.
+//! identical* to `e1` — the replay checks this delivery-by-delivery
+//! against the live nodes' actual sends — so `v` outputs 0 while `u`
+//! outputs `K`: convergence is violated by the full input range.
 //!
 //! `e1` and `e2` are ordinary [`Scenario`] runs that record their delivery
-//! [`Trace`]; `e3` feeds the recorded frames to live nodes by hand.
+//! [`Trace`]; `e3` is a [`Fleet`] of [`CrashNode`]s on both sides and
+//! [`Silent`] elsewhere, [`Fleet::replay`]ing each trace into its side.
 
 use dbac_conditions::kreach::{three_reach, ConditionOutcome, ReachViolation};
 use dbac_conditions::reach::reach_set;
-use dbac_core::crash::{CrashMsg, CrashNode, CrashTopology};
-use dbac_core::scenario::{CrashTwoReach, FaultKind, Scenario, SchedulerSpec, Trace, WireMessage};
+use dbac_core::crash::{CrashNode, CrashTopology};
+use dbac_core::scenario::{CrashTwoReach, FaultKind, Scenario, SchedulerSpec, Trace};
 use dbac_graph::{Digraph, NodeId, NodeSet, PathBudget};
-use dbac_sim::process::{Context, Process};
-use std::collections::HashMap;
+use dbac_sim::process::Silent;
+use dbac_sim::Fleet;
 use std::sync::Arc;
 
 /// The result of the spliced execution `e3`.
@@ -101,72 +102,29 @@ pub fn run_construction(
     let u_ref =
         out2[violation.u.index()].ok_or_else(|| format!("{} did not decide in e2", violation.u))?;
 
-    // e3: splice the two restricted traces over live nodes.
+    // e3: a within-side delivery its honest sender never sent would
+    // falsify the indistinguishability argument.
     let topo = Arc::new(
         CrashTopology::new(graph.clone(), f, PathBudget::default()).map_err(|e| e.to_string())?,
     );
-    let mut live: HashMap<NodeId, CrashNode> = HashMap::new();
-    for w in side_v.iter() {
-        live.insert(w, CrashNode::new(Arc::clone(&topo), w, 0.0, epsilon, range));
+    let mut fleet = Fleet::new(Arc::new(graph.clone()));
+    for w in graph.nodes() {
+        fleet.set_byzantine(w, Box::new(Silent));
     }
-    for w in side_u.iter() {
-        live.insert(w, CrashNode::new(Arc::clone(&topo), w, k, epsilon, range));
-    }
-
-    // Pending send pool: every message a live node has emitted but the
-    // script has not yet consumed, as its wire encoding.
-    let mut pending: Vec<(NodeId, NodeId, Vec<u8>)> = Vec::new();
-    let drain = |node: NodeId,
-                 ctx: &mut Context<CrashMsg>,
-                 pending: &mut Vec<(NodeId, NodeId, Vec<u8>)>| {
-        for (to, msg) in ctx.take_outbox() {
-            pending.push((node, to, msg.to_bytes()));
+    for (side, input) in [(side_v, 0.0), (side_u, k)] {
+        for w in side.iter() {
+            fleet.set_honest(w, CrashNode::new(Arc::clone(&topo), w, input, epsilon, range));
         }
-    };
-    let mut order: Vec<NodeId> = live.keys().copied().collect();
-    order.sort_unstable();
-    for w in order {
-        let mut ctx = Context::new(w, graph.out_neighbors(w));
-        live.get_mut(&w).expect("live").on_start(&mut ctx);
-        drain(w, &mut ctx, &mut pending);
     }
-
-    let mut live_matches = 0usize;
-    let mut synthesized = 0usize;
     let script = trace1
         .deliveries
         .iter()
         .filter(|d| side_v.contains(d.to))
         .chain(trace2.deliveries.iter().filter(|d| side_u.contains(d.to)));
-    for d in script {
-        let msg = CrashMsg::from_bytes(&d.frame).map_err(|e| format!("recorded frame: {e}"))?;
-        if live.contains_key(&d.from) {
-            // A within-side message: the live node must actually have sent
-            // these bytes — this is the indistinguishability check.
-            let pos = pending
-                .iter()
-                .position(|(from, to, frame)| *from == d.from && *to == d.to && *frame == d.frame)
-                .ok_or_else(|| {
-                    format!("splice inconsistency: {}→{} {msg:?} was never sent live", d.from, d.to)
-                })?;
-            pending.swap_remove(pos);
-            live_matches += 1;
-        } else {
-            // A message from the two-faced F (or a not-yet-crashed F_v/F_u
-            // node): synthesized from the recorded execution.
-            synthesized += 1;
-        }
-        let mut ctx = Context::new(d.to, graph.out_neighbors(d.to));
-        live.get_mut(&d.to).expect("receiver is live").on_message(&mut ctx, d.from, msg);
-        drain(d.to, &mut ctx, &mut pending);
-    }
-
-    let v_out = live[&violation.v]
-        .output()
-        .ok_or_else(|| format!("{} did not decide in e3", violation.v))?;
-    let u_out = live[&violation.u]
-        .output()
-        .ok_or_else(|| format!("{} did not decide in e3", violation.u))?;
+    let replay = fleet.replay(script).map_err(|e| format!("splice inconsistency: {e}"))?;
+    let output = |w: NodeId| replay.nodes[w.index()].as_ref().and_then(CrashNode::output);
+    let decided = |w| output(w).ok_or_else(|| format!("{w} did not decide in e3"));
+    let (v_out, u_out) = (decided(violation.v)?, decided(violation.u)?);
     if (v_out - v_ref).abs() > 1e-12 || (u_out - u_ref).abs() > 1e-12 {
         return Err("e3 outputs differ from the reference executions".into());
     }
@@ -176,8 +134,8 @@ pub fn run_construction(
         side_u,
         v_output: v_out,
         u_output: u_out,
-        live_matches,
-        synthesized,
+        live_matches: replay.matched,
+        synthesized: replay.synthesized,
         epsilon,
     })
 }

@@ -33,6 +33,12 @@ pub enum SimError {
         /// Human-readable failure description, including the edge.
         detail: String,
     },
+    /// A [`Fleet::replay`](crate::Fleet::replay) script delivery that
+    /// does not decode, or that its honest sender never sent.
+    ReplayDiverged {
+        /// The delivery's position in the script.
+        index: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -50,6 +56,7 @@ impl fmt::Display for SimError {
             SimError::Transport { detail } => {
                 write!(f, "network transport setup failed: {detail}")
             }
+            SimError::ReplayDiverged { index } => write!(f, "replay diverged at delivery {index}"),
         }
     }
 }
@@ -68,6 +75,7 @@ mod tests {
         assert!(small.contains("covers 3") && small.contains("has 4"), "{small}");
         let transport = SimError::Transport { detail: "0<->1: refused".into() };
         assert!(transport.to_string().contains("0<->1"));
+        assert!(SimError::ReplayDiverged { index: 41 }.to_string().contains("41"));
     }
 
     #[test]

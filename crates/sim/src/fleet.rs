@@ -6,11 +6,11 @@
 //! monomorphised over the [`Wire`] that carries surviving copies. The
 //! crate docs give the architecture.
 //!
-//! The virtual-time driver ([`Simulation`](crate::sim::Simulation)) is a
-//! different algorithm — one global `(time, enqueue order)` calendar queue
-//! on one thread — and stays its own loop, but every activation of either
-//! driver is one `Actor::activate`; the drivers differ only in what they
-//! do with a surviving copy.
+//! The virtual-time [`Simulation`](crate::sim::Simulation) (one calendar
+//! queue on one thread) and the script replay [`Fleet::replay`] (an
+//! in-flight pool per edge, matched against a recorded trace) keep their
+//! own loops, but every activation of all three drivers is one
+//! `Actor::activate`; they differ only in what they do with a survivor.
 
 use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
@@ -204,9 +204,9 @@ fn observed(registry: Arc<StatsRegistry>) -> Arc<StatsRegistry> {
 pub(crate) struct SendGate {
     plan: Option<Arc<LinkFaultPlan>>,
     edges: EdgeCounters,
-    /// The owning thread's registry shard; deliveries and the done gauge
-    /// are booked here too.
-    stats: StatsHandle,
+    /// The owning thread's registry shard; deliveries, the done gauge and
+    /// a replay's synthesized sends are booked here too.
+    pub(crate) stats: StatsHandle,
 }
 
 impl SendGate {

@@ -7,7 +7,7 @@
 //! nodes. The model has one send primitive — a node, honest or Byzantine,
 //! transmits over its own outgoing authenticated edge — and one receive
 //! event, and the crate states each of them once: **one fleet, one
-//! activation, one send gate, two drivers, two outlets.**
+//! activation, one send gate, three drivers, two outlets.**
 //!
 //! * The [`Fleet`] is a run under construction: the network, one actor per
 //!   node (a [`process::Process`] state machine, or a
@@ -16,12 +16,12 @@
 //!   cannot impersonate another sender), an optional
 //!   [`chaos::LinkFaultPlan`] and the run's [`stats::StatsRegistry`], the
 //!   only ledger a run keeps.
-//! * The **activation** is the receive event. Both drivers run every
+//! * The **activation** is the receive event. Every driver runs every
 //!   node's start and every arrival through it: it books the arrival,
 //!   runs the actor's handler, and passes each queued send through the
 //!   send gate. A driver only says what happens to a surviving copy: the
-//!   simulator queues it at a drawn arrival time, and the wall-clock node
-//!   hands it to its outlet.
+//!   simulator queues it at a drawn arrival time, the wall-clock node
+//!   hands it to its outlet, and the replay pools its bytes per edge.
 //! * The **send gate** is the send primitive. Every message of every
 //!   driver passes it: it classifies and counts the message, asks the
 //!   seeded per-edge fault schedule (drop / duplicate / reorder / corrupt /
@@ -37,8 +37,8 @@
 //!   (fixed or seeded-random), shifted per edge by a plan's reorder
 //!   window. Runs are reproducible bit-for-bit from a seed, and can
 //!   record a [`trace::Trace`]: every delivery in order, each carrying the
-//!   message's wire encoding, which the indistinguishability replay
-//!   experiment decodes and splices.
+//!   message's wire encoding, which the third driver, [`Fleet::replay`],
+//!   replays on a fresh fleet (or, spliced, for Appendix B).
 //! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
 //!   thread — a node holding its inbox and its outlet, looping until the
 //!   watchdog stops the network — demonstrating that the protocol really

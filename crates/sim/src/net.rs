@@ -43,8 +43,8 @@ pub mod connection;
 use crate::error::SimError;
 use crate::fleet::{Connected, Fleet, Inbox, Wire};
 use crate::stats::{MsgClass, StatsHandle, StatsRegistry};
-use codec::{append_frame, FrameReader, WireMessage};
-use connection::{establish, Duplex};
+use codec::{append_frame, FrameReader, WireError, WireMessage};
+use connection::{establish, Duplex, TcpWriter};
 use dbac_graph::{Digraph, NodeId};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,13 +82,13 @@ pub struct FramedOutlet {
 }
 
 struct Peer {
-    writer: Box<dyn Write + Send>,
+    writer: TcpWriter,
     /// Whole frames, in send order.
     pending: Vec<u8>,
 }
 
 impl Peer {
-    fn new(writer: Box<dyn Write + Send>) -> Self {
+    fn new(writer: TcpWriter) -> Self {
         Peer { writer, pending: Vec::new() }
     }
 
@@ -138,7 +138,7 @@ impl<M: WireMessage + Send + 'static> Wire<M> for NetConfig {
         let n = graph.node_count();
         let mut outlets: Vec<FramedOutlet> =
             (0..n).map(|_| FramedOutlet { peers: (0..n).map(|_| None).collect() }).collect();
-        let mut readers: Vec<(NodeId, NodeId, Box<dyn Read + Send>)> = Vec::new();
+        let mut readers: Vec<(NodeId, NodeId, std::net::TcpStream)> = Vec::new();
         for u in 0..n {
             for v in (u + 1)..n {
                 let (u_id, v_id) = (NodeId::new(u), NodeId::new(v));
@@ -196,10 +196,11 @@ impl<M: WireMessage + Send + 'static> Wire<M> for NetConfig {
 /// booked as rejected (it has no classifiable payload, so it lands in the
 /// [`MsgClass::Other`] bucket) and **skipped** (the loop keeps pumping),
 /// while a framing-level error (oversize length prefix, mid-frame
-/// truncation) also counts once and closes this connection. A Byzantine
-/// byte stream can therefore never wedge the peer's event loop.
+/// truncation) also counts once and closes this connection; a socket
+/// error (a reset at teardown, say) closes it and books nothing. A
+/// Byzantine byte stream can therefore never wedge the peer's event loop.
 fn pump_frames<M: WireMessage>(
-    reader: Box<dyn Read + Send>,
+    reader: impl Read,
     from: NodeId,
     inbox: &Inbox<M>,
     stop: &AtomicBool,
@@ -221,7 +222,7 @@ fn pump_frames<M: WireMessage>(
                 }
                 Err(_) => stats.record_rejected(MsgClass::Other),
             },
-            Ok(false) => break,
+            Ok(false) | Err(WireError::Io(_)) => break,
             Err(_) => {
                 stats.record_rejected(MsgClass::Other);
                 break;
@@ -236,7 +237,7 @@ mod tests {
     use crate::chaos::{LinkFault, LinkFaultPlan};
     use crate::process::{Adversary, Context, Process, Silent};
     use crate::threaded::{Incomplete, IncompleteReason, Threaded, ThreadedConfig};
-    use codec::{write_frame, WireError, WireReader, MAX_FRAME};
+    use codec::{write_frame, WireReader, MAX_FRAME};
     use crossbeam::channel::unbounded;
     use dbac_graph::generators;
     use std::io::{Cursor, ErrorKind};
@@ -554,7 +555,7 @@ mod tests {
         let stop = AtomicBool::new(false);
         let registry = ledger();
         // The end of the bytes is EOF, which ends the pump.
-        pump_frames::<u64>(Box::new(Cursor::new(bytes)), id(3), &tx, &stop, &registry.register());
+        pump_frames::<u64>(Cursor::new(bytes), id(3), &tx, &stop, &registry.register());
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(3), 7), (id(3), 9)], "good frames flow past the bad one");
         assert_eq!(registry.snapshot().messages_rejected(), 1);
@@ -580,8 +581,36 @@ mod tests {
         drop(w);
     }
 
+    /// Yields its bytes, then fails every read as a reset socket does.
+    struct ResetAfter(Cursor<Vec<u8>>);
+
+    impl Read for ResetAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(ErrorKind::ConnectionReset.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn pump_ends_on_a_socket_error_without_booking_it() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &7u64.to_le_bytes()).unwrap();
+        let (tx, rx) = unbounded();
+        let stop = AtomicBool::new(false);
+        let registry = ledger();
+        let reader = ResetAfter(Cursor::new(bytes));
+        pump_frames::<u64>(reader, id(2), &tx, &stop, &registry.register());
+        let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
+        assert_eq!(got, vec![(id(2), 7)], "the frame before the reset is delivered");
+        let transport = registry.snapshot().transport;
+        let total = transport.measured().expect("observed").total();
+        assert_eq!(total, Default::default(), "a socket error books nothing");
+    }
+
     /// Reads a TCP reader half to EOF, waiting out its read timeouts.
-    fn drain(mut reader: Box<dyn Read + Send>) -> Vec<u8> {
+    fn drain(mut reader: std::net::TcpStream) -> Vec<u8> {
         let mut got = Vec::new();
         let mut buf = [0u8; 1 << 16];
         loop {
@@ -625,8 +654,7 @@ mod tests {
             let (tx, rx) = unbounded();
             let stop = AtomicBool::new(false);
             let registry = ledger();
-            let reader = Box::new(Cursor::new(bytes));
-            pump_frames::<u64>(reader, id(1), &tx, &stop, &registry.register());
+            pump_frames::<u64>(Cursor::new(bytes), id(1), &tx, &stop, &registry.register());
             let delivered = rx.try_iter().count() as u64;
             let rejected = registry.snapshot().messages_rejected();
             assert!(

@@ -32,23 +32,19 @@ const READ_TIMEOUT: Duration = Duration::from_millis(10);
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One end of an established duplex connection, split into owned halves.
+#[derive(Debug)]
 pub struct Duplex {
     /// The readable half (short read timeout pre-configured).
-    pub reader: Box<dyn Read + Send>,
+    pub reader: TcpStream,
     /// The writable half.
-    pub writer: Box<dyn Write + Send>,
-}
-
-impl std::fmt::Debug for Duplex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Duplex").finish_non_exhaustive()
-    }
+    pub writer: TcpWriter,
 }
 
 /// Write half of a loopback TCP connection. Dropping it half-closes the
 /// socket, so the peer reads EOF at once although this end's reader (a
 /// clone of the same socket) stays open.
-struct TcpWriter(TcpStream);
+#[derive(Debug)]
+pub struct TcpWriter(TcpStream);
 
 impl Write for TcpWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
@@ -85,7 +81,7 @@ pub fn duplex_pair() -> Result<(Duplex, Duplex), WireError> {
         stream.set_nodelay(true)?;
         let reader = stream.try_clone()?;
         reader.set_read_timeout(Some(READ_TIMEOUT))?;
-        ends.push(Duplex { reader: Box::new(reader), writer: Box::new(TcpWriter(stream)) });
+        ends.push(Duplex { reader, writer: TcpWriter(stream) });
     }
     let acceptor = ends.pop().expect("two ends");
     let connector = ends.pop().expect("two ends");
@@ -156,16 +152,16 @@ pub fn recv_hello(r: &mut dyn Read) -> Result<NodeId, WireError> {
 /// an end identifies as a node the edge does not expect.
 pub fn establish(u: NodeId, v: NodeId) -> Result<(Duplex, Duplex), WireError> {
     let (mut u_end, mut v_end) = duplex_pair()?;
-    send_hello(&mut *u_end.writer, u)?;
-    let claimed = recv_hello(&mut *v_end.reader)?;
+    send_hello(&mut u_end.writer, u)?;
+    let claimed = recv_hello(&mut v_end.reader)?;
     if claimed != u {
         return Err(WireError::PeerMismatch {
             got: claimed.index() as u32,
             want: u.index() as u32,
         });
     }
-    send_hello(&mut *v_end.writer, v)?;
-    let claimed = recv_hello(&mut *u_end.reader)?;
+    send_hello(&mut v_end.writer, v)?;
+    let claimed = recv_hello(&mut u_end.reader)?;
     if claimed != v {
         return Err(WireError::PeerMismatch {
             got: claimed.index() as u32,

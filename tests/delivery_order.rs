@@ -22,12 +22,23 @@
 //! rows run the same faults to a decision in every round, so their
 //! digests also cover Maximal-Consistency, `COMPLETE` traffic and every
 //! round boundary.
+//!
+//! Every row is also replayed: a fresh fleet of the row's scenario, under
+//! its plan, consumes the recorded trace through `Fleet::replay`. Every
+//! process is deterministic given what it consumed, so each delivery must
+//! match a copy its sender sent (none is synthesized), and the replay
+//! must end with the recorded outputs, histories and transport and
+//! protocol ledgers.
 
-use dbac::graph::{generators, NodeId};
+use dbac::core::crash::{CrashAfter, CrashNode, CrashTopology};
+use dbac::core::{FloodMode, HonestNode, ProtocolConfig, Topology};
+use dbac::graph::{generators, NodeId, PathBudget};
 use dbac::scenario::{
     ByzantineWitness, CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Outcome, Scenario,
-    ScenarioBuilder, Trace,
+    ScenarioBuilder, StatsRegistry, Trace, WireMessage,
 };
+use dbac::sim::{Fleet, Process};
+use std::sync::Arc;
 
 fn id(i: usize) -> NodeId {
     NodeId::new(i)
@@ -77,10 +88,56 @@ fn chaos() -> LinkFaultPlan {
 }
 
 /// Runs `builder` under `plan` at seed 6, recording its trace.
-fn traced(builder: ScenarioBuilder, plan: LinkFaultPlan) -> (Outcome, Trace) {
-    let mut out = builder.link_faults(plan).seed(6).record_trace(true).run().expect("runs");
+fn traced(builder: ScenarioBuilder, plan: LinkFaultPlan) -> (Scenario, Outcome, Trace) {
+    let scenario = builder.link_faults(plan).seed(6).record_trace(true).build().expect("valid");
+    let mut out = scenario.run().expect("runs");
     let trace = out.trace.take().expect("trace recorded");
-    (out, trace)
+    (scenario, out, trace)
+}
+
+/// Replays `trace` on `fleet`, a fresh fleet of `scenario` whose honest
+/// nodes book into `registry`, under the scenario's plan, and checks that
+/// it reproduces `out`.
+fn assert_replays<P: Process>(
+    mut fleet: Fleet<P>,
+    registry: &Arc<StatsRegistry>,
+    (scenario, out, trace): &(Scenario, Outcome, Trace),
+    readout: impl Fn(&P) -> (Option<f64>, Vec<f64>),
+    label: &str,
+) where
+    P::Message: WireMessage,
+{
+    fleet.set_stats(Arc::clone(registry));
+    fleet.set_link_faults(scenario.link_faults().expect("every row has a plan").clone());
+    let replay = fleet.replay(&trace.deliveries).expect(label);
+    assert_eq!((replay.matched, replay.synthesized), (trace.deliveries.len(), 0), "{label}");
+    for v in out.honest.iter() {
+        let (output, history) = readout(replay.nodes[v.index()].as_ref().expect("honest"));
+        assert_eq!(output, out.outputs[v.index()], "{label}: {v}'s output");
+        assert_eq!(Some(history), out.histories[v.index()], "{label}: {v}'s history");
+    }
+    let stats = registry.snapshot();
+    assert_eq!(stats.transport, out.sim_stats.transport, "{label}: transport ledger");
+    assert_eq!(stats.protocol, out.sim_stats.protocol, "{label}: protocol counters");
+}
+
+/// A fresh BW fleet of `scenario`, its honest nodes booking into
+/// `registry`.
+fn bw_fleet(scenario: &Scenario, registry: &StatsRegistry) -> Fleet<HonestNode> {
+    let (graph, f) = (scenario.graph().clone(), scenario.f());
+    let budget = PathBudget::default();
+    let topo = Arc::new(Topology::new(graph.clone(), f, FloodMode::Redundant, budget).unwrap());
+    let config = ProtocolConfig::new(f, scenario.epsilon(), scenario.range());
+    let mut fleet = Fleet::new(Arc::new(graph));
+    for v in scenario.honest_set().iter() {
+        let node = HonestNode::new(Arc::clone(&topo), config, v, scenario.inputs()[v.index()]);
+        fleet.set_honest(v, node.with_stats(registry.register()));
+    }
+    for (v, kind) in scenario.faults() {
+        let adversary = kind.adversary_kind().expect("a BW fault");
+        fleet.set_byzantine(*v, adversary.build(Arc::clone(&topo), *v, config.rounds));
+    }
+    fleet
 }
 
 /// The BW scenario of one catalog row: K5, node 4 faulty.
@@ -123,9 +180,10 @@ fn bw_k5_catalog_delivery_order_is_pinned() {
         for (fault, (deliveries, bytes, order)) in faults.iter().zip(pins) {
             let label =
                 format!("{} ({})", fault.label(), if decides { "drop-free" } else { "lossy" });
-            let (out, trace) = traced(bw_k5(fault.clone()), plan.clone());
-            assert_eq!(digest(&trace), (deliveries, bytes), "{label}");
-            assert_eq!(order_digest(&trace), order, "{label}: order");
+            let row = traced(bw_k5(fault.clone()), plan.clone());
+            let (scenario, out, trace) = &row;
+            assert_eq!(digest(trace), (deliveries, bytes), "{label}");
+            assert_eq!(order_digest(trace), order, "{label}: order");
             // A dropped message leaves a FIFO gap that never closes, so
             // under the lossy plan no honest node fires round 0 (ROADMAP
             // 7(b)); without drops all four honest nodes fire every round.
@@ -135,13 +193,17 @@ fn bw_k5_catalog_delivery_order_is_pinned() {
             // A frame's first byte is its wire tag; 0x01 is `COMPLETE`.
             let completes = trace.deliveries.iter().any(|d| d.frame[0] == 0x01);
             assert!(completes || !decides, "{label}: a deciding run sends COMPLETE");
+            let registry = StatsRegistry::new(5);
+            let fleet = bw_fleet(scenario, &registry);
+            let readout = |p: &HonestNode| (p.output(), p.x_history().to_vec());
+            assert_replays(fleet, &registry, &row, readout, &label);
         }
     }
 }
 
 #[test]
 fn crash_k4_delivery_order_is_pinned() {
-    let (out, trace) = traced(
+    let row = traced(
         Scenario::builder(generators::clique(4), 1)
             .inputs(vec![0.0, 8.0, 4.0, 2.0])
             .epsilon(0.5)
@@ -150,7 +212,23 @@ fn crash_k4_delivery_order_is_pinned() {
             .protocol(CrashTwoReach::default()),
         chaos(),
     );
-    assert_eq!(digest(&trace), (158, 1_973_190_968_338_975_551));
-    assert_eq!(order_digest(&trace), 18_352_707_118_752_469_903, "order");
+    let (scenario, out, trace) = &row;
+    assert_eq!(digest(trace), (158, 1_973_190_968_338_975_551));
+    assert_eq!(order_digest(trace), 18_352_707_118_752_469_903, "order");
     assert!(out.all_decided(), "the crash protocol decides through the lossy plan");
+
+    let (graph, f) = (scenario.graph().clone(), scenario.f());
+    let topo = Arc::new(CrashTopology::new(graph.clone(), f, PathBudget::default()).unwrap());
+    let node = |v: NodeId| {
+        let input = scenario.inputs()[v.index()];
+        CrashNode::new(Arc::clone(&topo), v, input, scenario.epsilon(), scenario.range())
+            .with_rounds(scenario.rounds())
+    };
+    let mut fleet = Fleet::new(Arc::new(graph));
+    for v in scenario.honest_set().iter() {
+        fleet.set_honest(v, node(v));
+    }
+    fleet.set_byzantine(id(3), Box::new(CrashAfter::new(node(id(3)), 5)));
+    let readout = |p: &CrashNode| (p.output(), p.x_history().to_vec());
+    assert_replays(fleet, &StatsRegistry::new(4), &row, readout, "crash K4");
 }
