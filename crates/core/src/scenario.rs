@@ -156,6 +156,12 @@
 //! | Determinism | bit-for-bit from the seed | schedule-dependent | schedule-dependent |
 //! | Non-completion | quiescence, [`Outcome::all_decided`] | watchdog → [`Outcome::incomplete`] | watchdog → [`Outcome::incomplete`] |
 //! | Stats coverage ([`Outcome::sim_stats`]) | transport + virtual time + wall clock | transport + wall clock | transport + wall clock + rejected frames |
+//! | Delivery trace ([`Outcome::trace`], its `at`) | virtual tick | arrival index | arrival index |
+//!
+//! On a wall-clock run a delivery's arrival index is drawn from one
+//! run-wide counter as its node takes it off the inbox, before the node
+//! acts on it, so the trace is in causal order: `Fleet::replay` re-runs
+//! any recorded run, on any runtime, from its trace.
 //!
 //! **Codec wire format.** Each frame is `len:u32le ‖ body` with `len`
 //! capped at 1 MiB; the body is one hand-rolled little-endian message
@@ -836,7 +842,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Records a delivery trace (Sim runtime only; see [`Outcome::trace`]).
+    /// Records a delivery trace on any runtime (see [`Outcome::trace`]).
     #[must_use]
     pub fn record_trace(mut self, record: bool) -> Self {
         self.scenario.record_trace = record;
@@ -1008,8 +1014,9 @@ pub struct Outcome {
     /// otherwise.
     pub honest_messages: Option<u64>,
     /// The recorded delivery trace, when [`ScenarioBuilder::record_trace`]
-    /// is set and the runtime is [`Runtime::Sim`]: every delivery in
-    /// execution order, with the message's wire encoding.
+    /// is set: every delivery of the run with the message's wire
+    /// encoding, in `at` order — the virtual tick on [`Runtime::Sim`], the
+    /// run-wide arrival index on [`Runtime::Threaded`] and [`Runtime::Net`].
     pub trace: Option<Trace>,
     /// Whether the topology's correctness condition was *certified* by a
     /// polynomial sufficient rule
@@ -1103,7 +1110,8 @@ pub type Adversaries<M> = Vec<(NodeId, Box<dyn Adversary<M> + Send>)>;
 pub struct DriveReport {
     /// The final merged snapshot of the run's [`StatsRegistry`].
     pub stats: StatsSnapshot,
-    /// Recorded delivery trace ([`Runtime::Sim`] only, when requested).
+    /// The recorded delivery trace, when requested, on every runtime (see
+    /// [`Outcome::trace`]).
     pub trace: Option<Trace>,
     /// Honest nodes that failed to complete, with typed reasons
     /// ([`Runtime::Threaded`] and [`Runtime::Net`] — the simulator runs to
@@ -1166,33 +1174,32 @@ where
     for (v, a) in byzantine {
         fleet.set_byzantine(v, a);
     }
-    let (nodes, trace, incomplete) = match scenario.runtime {
+    if scenario.record_trace {
+        fleet.record_trace();
+    }
+    let report = match scenario.runtime {
         Runtime::Sim => {
             let mut sim = Simulation::over(fleet, scenario.scheduler.build());
-            if scenario.record_trace {
-                sim.record_trace();
-            }
             sim.run()?;
-            let trace = sim.take_trace();
-            (sim.into_nodes(done), trace, Vec::new())
+            sim.into_report(done)
         }
         Runtime::Threaded { timeout, jitter_micros } => {
             let config = ThreadedConfig { timeout, jitter_micros, seed: scenario.scheduler.seed() };
-            let report = fleet.run(done, config)?;
-            (report.nodes, None, report.incomplete)
+            fleet.run(done, config)?
         }
-        Runtime::Net { timeout } => {
-            let report = fleet.run(done, NetConfig { timeout })?;
-            (report.nodes, None, report.incomplete)
-        }
+        Runtime::Net { timeout } => fleet.run(done, NetConfig { timeout })?,
     };
-    for (i, node) in nodes.iter().enumerate() {
+    for (i, node) in report.nodes.iter().enumerate() {
         if let Some(node) = node {
             extract(NodeId::new(i), node);
         }
     }
     registry.finalize_wall();
-    Ok(DriveReport { stats: registry.snapshot(), trace, incomplete })
+    Ok(DriveReport {
+        stats: registry.snapshot(),
+        trace: report.trace,
+        incomplete: report.incomplete,
+    })
 }
 
 /// What [`run_fleet`] reads off one surviving honest process.

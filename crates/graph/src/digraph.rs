@@ -151,10 +151,11 @@ impl Digraph {
         removed
     }
 
-    /// Returns `true` if the directed edge `(u, v)` exists.
+    /// Returns `true` if the directed edge `(u, v)` exists; `false` when
+    /// either endpoint is outside the graph.
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u.index() < self.n && self.out[u.index()].contains(v)
+        u.index() < self.n && v.index() < self.n && self.out[u.index()].contains(v)
     }
 
     /// Out-neighborhood `N⁺_v`.
@@ -287,6 +288,7 @@ mod tests {
         assert!(g.add_edge(id(0), id(1)).unwrap());
         assert!(!g.add_edge(id(0), id(1)).unwrap());
         assert!(g.has_edge(id(0), id(1)));
+        assert!(!g.has_edge(id(0), id(MAX_NODES - 1)) && !g.has_edge(id(MAX_NODES - 1), id(1)));
         assert!(g.in_neighbors(id(1)).contains(id(0)));
         assert!(g.remove_edge(id(0), id(1)));
         assert!(!g.remove_edge(id(0), id(1)));

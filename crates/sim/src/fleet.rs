@@ -1,7 +1,9 @@
 //! Everything the runtimes share, stated once: the [`Actor`] occupying a
-//! node slot and its one receive event, [`Actor::activate`]; the [`Fleet`]
-//! under construction; the [`SendGate`] every message of every driver
-//! passes (the crate's one call to [`LinkFaultPlan::decide`]); and the
+//! node slot and its one receive event, [`Actor::activate`] (the crate's
+//! one place that books an arrival: into the stats and, when the fleet
+//! records, into its [`Trace`](crate::trace::Trace)); the [`Fleet`] under
+//! construction; the [`SendGate`] every message of every driver passes
+//! (the crate's one call to [`LinkFaultPlan::decide`]); and the
 //! wall-clock driver [`Fleet::run`] — a thread-per-node loop
 //! monomorphised over the [`Wire`] that carries surviving copies. The
 //! crate docs give the architecture.
@@ -10,7 +12,8 @@
 //! queue on one thread) and the script replay [`Fleet::replay`] (an
 //! in-flight pool per edge, matched against a recorded trace) keep their
 //! own loops, but every activation of all three drivers is one
-//! `Actor::activate`; they differ only in what they do with a survivor.
+//! `Actor::activate`; they differ only in the clock they hand it and in
+//! what they do with a survivor.
 
 use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
@@ -19,9 +22,11 @@ use crate::sim::SimStats;
 use crate::stats::{MsgClass, StatsHandle, StatsRegistry};
 use crate::threaded::{Incomplete, IncompleteReason, ThreadedReport};
 use crate::time::VirtualTime;
+use crate::trace::Recorder;
+use crate::WireMessage;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbac_graph::{Digraph, NodeId, NodeSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -34,33 +39,36 @@ pub(crate) enum Actor<P: Process> {
 
 impl<P: Process> Actor<P> {
     /// The model's receive event, for every driver: books `arrival` (if
-    /// any) as delivered and consumed, runs `on_message` on it — or
-    /// `on_start` when there is none — over a [`Context`] on `outbox`, then
-    /// admits each queued send through `gate` and hands every survivor to
-    /// `carry`. `outbox` is the driver's reused send buffer, empty before
-    /// and after.
+    /// any) as delivered and consumed — and, when the gate records, as a
+    /// delivery at `now`, the driver's virtual clock — runs `on_message`
+    /// on it, or `on_start` when there is none, over a [`Context`] on the
+    /// gate's send buffer, then admits each queued send through `gate` and
+    /// hands every survivor to `carry`.
     #[inline]
     pub(crate) fn activate(
         &mut self,
-        gate: &mut SendGate,
+        gate: &mut SendGate<P::Message>,
         me: NodeId,
         out: NodeSet,
-        outbox: &mut Vec<(NodeId, P::Message)>,
+        now: VirtualTime,
         arrival: Option<(NodeId, P::Message)>,
         mut carry: impl FnMut(NodeId, P::Message, LinkDecision),
     ) {
-        if let Some((_, msg)) = &arrival {
+        if let Some((from, msg)) = &arrival {
             gate.stats.record_delivered(P::classify(msg));
             gate.stats.record_consumed(me.index());
+            if let Some(trace) = &mut gate.trace {
+                trace.book(now, *from, me, msg);
+            }
         }
-        let mut ctx = Context::with_outbox(me, out, std::mem::take(outbox));
+        let mut ctx = Context::with_outbox(me, out, std::mem::take(&mut gate.outbox));
         match (self, arrival) {
             (Actor::Honest(p), None) => p.on_start(&mut ctx),
             (Actor::Byzantine(a), None) => a.on_start(&mut ctx),
             (Actor::Honest(p), Some((from, msg))) => p.on_message(&mut ctx, from, msg),
             (Actor::Byzantine(a), Some((from, msg))) => a.on_message(&mut ctx, from, msg),
         }
-        *outbox = ctx.take_outbox();
+        let mut outbox = ctx.take_outbox();
         for (to, msg) in outbox.drain(..) {
             let decision = gate.admit(me, to, P::classify(&msg));
             // A destroyed send goes nowhere: on the simulator it draws no
@@ -70,6 +78,7 @@ impl<P: Process> Actor<P> {
                 carry(to, msg, decision);
             }
         }
+        gate.outbox = outbox;
     }
 
     pub(crate) fn honest(&self) -> Option<&P> {
@@ -100,6 +109,9 @@ pub struct Fleet<P: Process> {
     pub(crate) actors: Vec<Option<Actor<P>>>,
     link_faults: Option<Arc<LinkFaultPlan>>,
     pub(crate) registry: Arc<StatsRegistry>,
+    /// The run's trace, once [`record_trace`](Fleet::record_trace) asked
+    /// for one: each driver absorbs its writer threads' shards into it.
+    pub(crate) trace: Option<Recorder<P::Message>>,
 }
 
 impl<P: Process> Fleet<P> {
@@ -112,6 +124,7 @@ impl<P: Process> Fleet<P> {
             actors: (0..n).map(|_| None).collect(),
             link_faults: None,
             registry: observed(StatsRegistry::new(n)),
+            trace: None,
         }
     }
 
@@ -153,6 +166,21 @@ impl<P: Process> Fleet<P> {
         self
     }
 
+    /// Records every arrival of the run, with the message's wire encoding,
+    /// into a [`Trace`](crate::trace::Trace), on whichever driver runs the
+    /// fleet: [`Simulation::into_report`](crate::sim::Simulation::into_report),
+    /// [`Fleet::run`]'s report and [`Fleet::replay`]'s hand it back. Its
+    /// `at` is the virtual tick on the simulator and the run-wide arrival
+    /// index on a wall-clock run (see [`trace`](crate::trace)); a run that
+    /// records nothing pays nothing per arrival.
+    pub fn record_trace(&mut self) -> &mut Self
+    where
+        P::Message: WireMessage,
+    {
+        self.trace = Some(Recorder::new());
+        self
+    }
+
     /// The check every driver starts with: every node has an actor, and
     /// the registry has a gauge for every node.
     pub(crate) fn check_runnable(&self) -> Result<(), SimError> {
@@ -166,13 +194,23 @@ impl<P: Process> Fleet<P> {
         Ok(())
     }
 
-    /// A send gate writing a fresh shard of the run's registry: one per
-    /// writer thread.
-    pub(crate) fn gate(&self) -> SendGate {
+    /// A send gate writing a fresh shard of the run's registry — and, when
+    /// the fleet records, of its trace, drawing `at` from `arrivals` when
+    /// given: one per writer thread.
+    pub(crate) fn gate(&self, arrivals: Option<&Arc<AtomicU64>>) -> SendGate<P::Message> {
         SendGate {
             plan: self.link_faults.clone(),
             edges: EdgeCounters::new(),
             stats: self.registry.register(),
+            outbox: Vec::new(),
+            trace: self.trace.as_ref().map(|trace| trace.shard(arrivals)),
+        }
+    }
+
+    /// Adds a writer thread's trace shard to the run's trace.
+    pub(crate) fn absorb(&mut self, shard: Option<Recorder<P::Message>>) {
+        if let (Some(trace), Some(shard)) = (&mut self.trace, shard) {
+            trace.absorb(shard);
         }
     }
 
@@ -201,15 +239,21 @@ fn observed(registry: Arc<StatsRegistry>) -> Arc<StatsRegistry> {
 }
 
 /// The send primitive: judges one outgoing message and books its fate.
-pub(crate) struct SendGate {
+/// One per writer thread, which also books its arrivals here.
+pub(crate) struct SendGate<M> {
     plan: Option<Arc<LinkFaultPlan>>,
     edges: EdgeCounters,
     /// The owning thread's registry shard; deliveries, the done gauge and
     /// a replay's synthesized sends are booked here too.
     pub(crate) stats: StatsHandle,
+    /// The send buffer every activation of the thread reuses, empty
+    /// between activations.
+    outbox: Vec<(NodeId, M)>,
+    /// The thread's shard of the run's trace, when the fleet records.
+    pub(crate) trace: Option<Recorder<M>>,
 }
 
-impl SendGate {
+impl<M> SendGate<M> {
     /// Admits the next message on `from -> to`: records it as sent,
     /// consults the plan under the edge's message index, and records the
     /// verdict — dropped or corrupted when no copy survives, otherwise one
@@ -314,6 +358,10 @@ struct Shared<F> {
     done: F,
 }
 
+/// What a node thread hands back: its honest state, whether its inbox
+/// disconnected before the stop, and its shard of the run's trace.
+type NodeExit<P> = (Option<P>, bool, Option<Recorder<<P as Process>::Message>>);
+
 /// One node of a wall-clock run: its actor, its inbox, its outlet.
 struct Node<P: Process, W: Wire<P::Message>> {
     me: NodeId,
@@ -321,10 +369,7 @@ struct Node<P: Process, W: Wire<P::Message>> {
     actor: Actor<P>,
     inbox: Receiver<(NodeId, P::Message)>,
     outlet: W::Outlet,
-    gate: SendGate,
-    /// The send buffer every activation of this thread reuses, empty
-    /// between activations.
-    outbox: Vec<(NodeId, P::Message)>,
+    gate: SendGate<P::Message>,
     reported_done: bool,
 }
 
@@ -332,9 +377,8 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
     /// Starts the actor, then handles arrivals until the watchdog stops
     /// the network: the first arrival, up to [`BATCH`] more already
     /// waiting, then one flush of the outlet. Nodes keep relaying after
-    /// they are done, so slower nodes are never starved. Returns the
-    /// honest state and whether the inbox disconnected before the stop.
-    fn run<F: Fn(&P) -> bool>(mut self, shared: &Shared<F>) -> (Option<P>, bool) {
+    /// they are done, so slower nodes are never starved.
+    fn run<F: Fn(&P) -> bool>(mut self, shared: &Shared<F>) -> NodeExit<P> {
         self.activate(None, shared);
         W::flush(&mut self.outlet);
 
@@ -356,7 +400,7 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
                 }
             }
         }
-        (self.actor.into_honest(), starved)
+        (self.actor.into_honest(), starved, self.gate.trace)
     }
 
     /// Runs one [`Actor::activate`] whose survivors go to the outlet — a
@@ -375,7 +419,7 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
             }
             W::emit(outlet, to, msg, decision.copies);
         };
-        self.actor.activate(&mut self.gate, self.me, self.out, &mut self.outbox, arrival, carry);
+        self.actor.activate(&mut self.gate, self.me, self.out, VirtualTime::ZERO, arrival, carry);
         if !self.reported_done && self.actor.honest().is_some_and(&shared.done) {
             self.reported_done = true;
             shared.done_count.fetch_add(1, Ordering::SeqCst);
@@ -416,6 +460,7 @@ where
             done_count: AtomicUsize::new(0),
             done,
         });
+        let arrivals = Arc::new(AtomicU64::new(0));
         let timeout = config.timeout();
         let (outlets, pumps) =
             config.connect(&self.graph, &self.registry, inboxes, &shared.stop)?;
@@ -433,8 +478,7 @@ where
                 actor,
                 inbox,
                 outlet,
-                gate: self.gate(),
-                outbox: Vec::new(),
+                gate: self.gate(Some(&arrivals)),
                 reported_done: false,
             };
             let shared = Arc::clone(&shared);
@@ -459,8 +503,12 @@ where
         let mut incomplete = Vec::new();
         for (i, (honest, handle)) in handles.into_iter().enumerate() {
             let (state, reason) = match handle.join() {
-                Ok((state, true)) => (state, IncompleteReason::Starved),
-                Ok((state, false)) => (state, IncompleteReason::Timeout),
+                Ok((state, starved, shard)) => {
+                    self.absorb(shard);
+                    let reason =
+                        if starved { IncompleteReason::Starved } else { IncompleteReason::Timeout };
+                    (state, reason)
+                }
                 Err(_) => (None, IncompleteReason::Panicked),
             };
             if honest && !state.as_ref().is_some_and(&shared.done) {
@@ -473,6 +521,13 @@ where
         for pump in pumps {
             let _ = pump.join();
         }
-        Ok(ThreadedReport { nodes, incomplete, stats: self.ledger(VirtualTime::ZERO) })
+        // Each shard is in its thread's arrival order; the run-wide indices
+        // are unique, so one sort merges them.
+        let trace = self.trace.take().map(|recorder| {
+            let mut trace = recorder.into_trace();
+            trace.deliveries.sort_unstable_by_key(|d| d.at);
+            trace
+        });
+        Ok(ThreadedReport { nodes, incomplete, stats: self.ledger(VirtualTime::ZERO), trace })
     }
 }

@@ -17,7 +17,8 @@
 //!   [`chaos::LinkFaultPlan`] and the run's [`stats::StatsRegistry`], the
 //!   only ledger a run keeps.
 //! * The **activation** is the receive event. Every driver runs every
-//!   node's start and every arrival through it: it books the arrival,
+//!   node's start and every arrival through it: it books the arrival —
+//!   in the stats and, when the fleet records, as a [`trace::Delivery`] —
 //!   runs the actor's handler, and passes each queued send through the
 //!   send gate. A driver only says what happens to a surviving copy: the
 //!   simulator queues it at a drawn arrival time, the wall-clock node
@@ -35,10 +36,14 @@
 //!   an ordered map from tick to FIFO for far-future events; see [`sim`]).
 //!   Delivery times come from a pluggable [`scheduler::DeliveryPolicy`]
 //!   (fixed or seeded-random), shifted per edge by a plan's reorder
-//!   window. Runs are reproducible bit-for-bit from a seed, and can
-//!   record a [`trace::Trace`]: every delivery in order, each carrying the
-//!   message's wire encoding, which the third driver, [`Fleet::replay`],
-//!   replays on a fresh fleet (or, spliced, for Appendix B).
+//!   window. Runs are reproducible bit-for-bit from a seed.
+//! * The **script driver**, [`Fleet::replay`], re-runs a fresh fleet from
+//!   a recorded [`trace::Trace`] (or, spliced, for Appendix B). A fleet
+//!   records on every driver ([`Fleet::record_trace`]): every delivery in
+//!   order, each carrying the message's wire encoding, at its virtual
+//!   tick on the simulator and at a run-wide arrival index on the
+//!   wall-clock driver — an order that is causal, so a wall-clock run
+//!   replays from its trace too.
 //! * The **wall-clock driver**, [`Fleet::run`], puts every node on its own
 //!   thread — a node holding its inbox and its outlet, looping until the
 //!   watchdog stops the network — demonstrating that the protocol really

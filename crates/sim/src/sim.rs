@@ -38,12 +38,12 @@ use self::queue::CalendarQueue;
 use crate::chaos::{LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
 use crate::fleet::{Actor, Fleet};
-use crate::net::codec::WireMessage;
 use crate::process::Process;
 use crate::scheduler::DeliveryPolicy;
 use crate::stats::StatsRegistry;
+use crate::threaded::ThreadedReport;
 use crate::time::VirtualTime;
-use crate::trace::{Delivery, Trace};
+use crate::trace::Recorder;
 use dbac_graph::{Digraph, NodeId};
 use std::sync::Arc;
 
@@ -96,12 +96,7 @@ pub struct Simulation<P: Process> {
     /// Deliveries before the run aborts with
     /// [`SimError::EventBudgetExhausted`] (10⁸).
     max_events: u64,
-    /// The trace being recorded and the encoder that fills its frames.
-    trace: Option<(Trace, Encoder<P::Message>)>,
 }
-
-/// A message type's [`WireMessage::encode`].
-type Encoder<M> = fn(&M, &mut Vec<u8>);
 
 struct QueuedEvent<M> {
     from: NodeId,
@@ -125,7 +120,6 @@ impl<P: Process> Simulation<P> {
             queue: CalendarQueue::new(),
             delivered: 0,
             max_events: 100_000_000,
-            trace: None,
         }
     }
 
@@ -151,22 +145,6 @@ impl<P: Process> Simulation<P> {
         self
     }
 
-    /// Records every delivery, with the message's wire encoding, into a
-    /// [`Trace`].
-    pub fn record_trace(&mut self) -> &mut Self
-    where
-        P::Message: WireMessage,
-    {
-        self.trace = Some((Trace::default(), <P::Message as WireMessage>::encode));
-        self
-    }
-
-    /// Hands over the recorded trace, if
-    /// [`record_trace`](Simulation::record_trace) was enabled.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take().map(|(trace, _)| trace)
-    }
-
     /// Immutable access to the honest process at `v` (e.g. to read its
     /// output after the run). Returns `None` for Byzantine nodes.
     #[must_use]
@@ -174,12 +152,16 @@ impl<P: Process> Simulation<P> {
         self.fleet.actors[v.index()].as_ref()?.honest()
     }
 
-    /// Consumes the simulation and returns every honest node's final state
-    /// (`None` for Byzantine slots), marking the registry's done gauge of
-    /// each node that satisfies `done`: the event loop runs to quiescence
-    /// and polls no predicate on the way, so the gauges are settled here.
+    /// Consumes the simulation and reports the run as [`Fleet::run`] does:
+    /// every honest node's final state (`None` for Byzantine slots), the
+    /// transport totals and, when the fleet records, the trace in dispatch
+    /// order. It marks the registry's done gauge of each node that
+    /// satisfies `done`: the event loop runs to quiescence and polls no
+    /// predicate on the way, so the gauges are settled here. `incomplete`
+    /// is always empty.
     #[must_use]
-    pub fn into_nodes(self, done: impl Fn(&P) -> bool) -> Vec<Option<P>> {
+    pub fn into_report(self, done: impl Fn(&P) -> bool) -> ThreadedReport<P> {
+        let stats = self.fleet.ledger(self.now());
         let gauge = self.fleet.registry.register();
         let mut nodes = Vec::with_capacity(self.fleet.actors.len());
         for (i, slot) in self.fleet.actors.into_iter().enumerate() {
@@ -189,7 +171,8 @@ impl<P: Process> Simulation<P> {
             }
             nodes.push(node);
         }
-        nodes
+        let trace = self.fleet.trace.map(Recorder::into_trace);
+        ThreadedReport { nodes, incomplete: Vec::new(), stats, trace }
     }
 
     /// Current virtual time.
@@ -211,16 +194,14 @@ impl<P: Process> Simulation<P> {
     /// budget runs out.
     pub fn run(&mut self) -> Result<SimStats, SimError> {
         self.fleet.check_runnable()?;
-        let mut gate = self.fleet.gate();
+        let mut gate = self.fleet.gate(None);
         let graph = Arc::clone(&self.fleet.graph);
-        let Simulation { fleet, policy, queue, delivered, max_events, trace } = self;
-        // One send buffer serves every activation of the run.
-        let mut outbox = Vec::new();
+        let Simulation { fleet, policy, queue, delivered, max_events } = self;
         // Start phase, in node order.
         for v in graph.nodes() {
             let actor = fleet.actors[v.index()].as_mut().expect("assignment checked above");
             let out = graph.out_neighbors(v);
-            actor.activate(&mut gate, v, out, &mut outbox, None, |to, msg, decision| {
+            actor.activate(&mut gate, v, out, VirtualTime::ZERO, None, |to, msg, decision| {
                 carry(queue, policy.as_mut(), v, to, msg, decision);
             });
         }
@@ -239,18 +220,14 @@ impl<P: Process> Simulation<P> {
             }
             let (_, QueuedEvent { from, to: v, msg }) = queue.pop().expect("peeked");
             *delivered += 1;
-            if let Some((trace, encode)) = trace.as_mut() {
-                let mut frame = Vec::new();
-                encode(&msg, &mut frame);
-                let at = VirtualTime::new(at);
-                trace.deliveries.push(Delivery { at, from, to: v, frame });
-            }
             let actor = fleet.actors[v.index()].as_mut().expect("assignment checked above");
-            let (out, arrival) = (graph.out_neighbors(v), Some((from, msg)));
-            actor.activate(&mut gate, v, out, &mut outbox, arrival, |to, msg, decision| {
+            let (out, now, arrival) =
+                (graph.out_neighbors(v), VirtualTime::new(at), Some((from, msg)));
+            actor.activate(&mut gate, v, out, now, arrival, |to, msg, decision| {
                 carry(queue, policy.as_mut(), v, to, msg, decision);
             });
         }
+        self.fleet.absorb(gate.trace);
         Ok(self.fleet.ledger(self.now()))
     }
 }
@@ -291,6 +268,7 @@ impl<P: Process> std::fmt::Debug for Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::codec::WireMessage;
     use crate::process::{Context, Silent};
     use crate::scheduler::{FixedDelay, RandomDelay};
     use dbac_graph::generators;
@@ -349,9 +327,9 @@ mod tests {
     fn deterministic_under_random_policy() {
         let run = |seed: u64| {
             let mut sim = gossip_sim(5, Box::new(RandomDelay::new(seed, 1, 9)));
-            sim.record_trace();
+            sim.fleet.record_trace();
             sim.run().unwrap();
-            sim.take_trace().unwrap()
+            sim.into_report(|_| true).trace.unwrap()
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4), "different seeds give different schedules");
@@ -411,9 +389,9 @@ mod tests {
     #[test]
     fn trace_records_deliveries_in_order() {
         let mut sim = gossip_sim(3, Box::new(FixedDelay::new(2)));
-        sim.record_trace();
+        sim.fleet.record_trace();
         sim.run().unwrap();
-        let trace = sim.take_trace().unwrap();
+        let trace = sim.into_report(|_| true).trace.unwrap();
         assert_eq!(trace.deliveries.len(), 6);
         let times: Vec<u64> = trace.deliveries.iter().map(|d| d.at.ticks()).collect();
         let mut sorted = times.clone();
@@ -485,9 +463,9 @@ mod tests {
             if let Some(plan) = plan {
                 sim.set_link_faults(plan);
             }
-            sim.record_trace();
+            sim.fleet.record_trace();
             let stats = sim.run().unwrap();
-            (stats, sim.take_trace().unwrap())
+            (stats, sim.into_report(|_| true).trace.unwrap())
         };
         let zero = LinkFaultPlan::new(99)
             .fault(id(0), id(1), LinkFault::Drop { prob: 0.0 })
@@ -508,10 +486,11 @@ mod tests {
             id(1),
             LinkFault::Reorder { window: 40 },
         ));
-        sim.record_trace();
+        sim.fleet.record_trace();
         sim.run().unwrap();
         let late = sim
-            .take_trace()
+            .into_report(|_| true)
+            .trace
             .unwrap()
             .deliveries
             .iter()

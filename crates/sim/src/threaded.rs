@@ -26,6 +26,7 @@ use crate::error::SimError;
 use crate::fleet::{Connected, Fleet, Inbox, Wire};
 use crate::sim::SimStats;
 use crate::stats::StatsRegistry;
+use crate::trace::Trace;
 use dbac_graph::{Digraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -89,9 +90,11 @@ pub struct Incomplete {
     pub reason: IncompleteReason,
 }
 
-/// The outcome of a wall-clock run ([`Threaded`] or
-/// [`Net`](crate::net::Net)): per-node final states, per-node stragglers,
-/// and transport totals.
+/// The outcome of a run: per-node final states, per-node stragglers,
+/// transport totals and the recorded trace. [`Fleet::run`] returns it for
+/// both wall-clock runtimes ([`Threaded`] and [`Net`](crate::net::Net)),
+/// [`Simulation::into_report`](crate::sim::Simulation::into_report) for
+/// the simulator.
 #[derive(Debug)]
 pub struct ThreadedReport<P> {
     /// Final process state per node: `None` for Byzantine slots and for
@@ -104,6 +107,11 @@ pub struct ThreadedReport<P> {
     /// once after every thread has joined (`final_time` stays zero —
     /// wall-clock runs have no virtual clock).
     pub stats: SimStats,
+    /// Every arrival of the run, when the fleet was asked to
+    /// [record](Fleet::record_trace): on a wall-clock run, in run-wide
+    /// arrival-index order, without the arrivals of a node whose thread
+    /// panicked.
+    pub trace: Option<Trace>,
 }
 
 /// A thread-per-node execution: a [`Fleet`] whose [`run`](Fleet::run) is

@@ -97,7 +97,8 @@ fn on_sim() -> Observed {
         sim.set_honest(id(i), Burst { me: i, heard: Vec::new() });
     }
     let totals = sim.run().expect("quiesces");
-    let heard = sim.into_nodes(|_| true).into_iter().flatten().map(|p| sorted(p.heard)).collect();
+    let heard =
+        sim.into_report(|_| true).nodes.into_iter().flatten().map(|p| sorted(p.heard)).collect();
     Observed { ledger: ledger_of(&registry), totals, heard }
 }
 

@@ -5,13 +5,23 @@
 //! that a full encode → frame → socket → decode round trip per message
 //! changes nothing: the wire codec is semantics-preserving.
 //!
-//! The fixtures use `f = 0`: with a single fault guess (∅) every
-//! witness/fullness thread waits for the *complete* message pool before
-//! firing, so the value set a node aggregates each round — and therefore
-//! its decision — is independent of message interleaving. That makes the
-//! decisions a pure function of the scenario, which is exactly what a
-//! three-way differential needs (with `f > 0` a node may legitimately
-//! fire on whichever guess completes first, which is schedule-dependent).
+//! The three-way fixtures use `f = 0`: with a single fault guess (∅)
+//! every witness/fullness thread waits for the *complete* message pool
+//! before firing, so the value set a node aggregates each round — and
+//! therefore its decision — is independent of message interleaving. That
+//! makes the decisions a pure function of the scenario, which is exactly
+//! what a three-way differential needs.
+//!
+//! With `f > 0` a node may legitimately fire on whichever guess completes
+//! first, so a wall-clock run's decisions depend on its schedule, and Sim
+//! is no reference for them. The `f = 1` arms check each wall-clock run
+//! against its own schedule instead: K5 with node 4 faulty, once per BW
+//! catalog fault, is recorded on Threaded and on Net and its trace
+//! replayed through `Fleet::replay` on a fresh fleet, which must consume
+//! every delivery as a copy its sender sent and end with the run's
+//! outputs and histories. A failing arm keeps its trace at
+//! `target/repro/<fault>-<runtime>.trace` (`Trace::read_from` reads it
+//! back), which CI's `net` job uploads.
 //!
 //! One sizing note: the full `figure_1b_small` BW flood moves ~1.1M
 //! messages, which is fine in-process but minutes of wall clock once every
@@ -23,11 +33,16 @@
 //! ~16 s in release on a 2-vCPU host (Sim, Threaded and Net together), and
 //! CI's `net` job runs it with `-- --ignored`.
 
+mod common;
+
+use common::{bw_faults, bw_fleet, bw_k5};
 use dbac::graph::generators;
 use dbac::scenario::{
-    Aad04, ByzantineWitness, CrashTwoReach, IterativeTrimmedMean, Outcome, Runtime, Scenario,
-    ScenarioBuilder,
+    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Outcome, Runtime,
+    Scenario, ScenarioBuilder, StatsRegistry, Trace,
 };
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::time::Duration;
 
 fn run_both(build: impl Fn() -> ScenarioBuilder) -> (Outcome, Outcome) {
@@ -53,7 +68,8 @@ fn assert_identical(sim: &Outcome, other: &Outcome, runtime: &str) {
     assert_eq!(sim.rounds, other.rounds, "{runtime}");
     assert_eq!(sim.protocol, other.protocol, "{runtime}");
     // `sim_stats` (transport counters differ between the event queue and
-    // real channels) and `trace` (Sim-only) are exempt.
+    // real channels) and `trace` (its `at` is a virtual tick on Sim and an
+    // arrival index elsewhere, over a different interleaving) are exempt.
 }
 
 /// Three-way gate: Sim is the reference; Threaded and Net must both agree
@@ -183,4 +199,57 @@ fn iterative_engine_past_128_nodes_is_runtime_independent() {
     assert_eq!(sim.honest_messages, Some(8 * 2 * n as u64));
     assert_eq!(threaded.honest_messages, sim.honest_messages);
     assert_eq!(net.honest_messages, sim.honest_messages);
+}
+
+/// Runs `checks`; if one fails, writes `trace` to
+/// `target/repro/<label>.trace` before the failure propagates.
+fn keeping_trace_on_failure(label: &str, trace: &Trace, checks: impl FnOnce()) {
+    if let Err(failure) = catch_unwind(AssertUnwindSafe(checks)) {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/repro");
+        let path = dir.join(format!("{label}.trace"));
+        let mut bytes = Vec::new();
+        let kept = trace.write_to(&mut bytes).is_ok()
+            && std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, bytes)).is_ok();
+        let verdict = if kept { "kept at" } else { "could not be written to" };
+        eprintln!("{label}: trace {verdict} {}", path.display());
+        resume_unwind(failure);
+    }
+}
+
+/// One `f = 1` arm: records `fault`'s K5 row on `runtime`, then replays
+/// its trace on a fresh fleet, which must reproduce the run.
+fn assert_replays_its_own_schedule(fault: FaultKind, runtime: Runtime) {
+    let label = format!("{}-{}", fault.label(), runtime.name());
+    let scenario = bw_k5(fault).seed(6).runtime(runtime).record_trace(true).build().expect("valid");
+    let mut out = scenario.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+    let trace = out.trace.take().expect("every runtime records");
+    keeping_trace_on_failure(&label, &trace, || {
+        assert!(out.incomplete.is_empty(), "{label}: {:?}", out.incomplete);
+        let delivered = out.sim_stats.messages_delivered();
+        assert_eq!(trace.deliveries.len() as u64, delivered, "{label}: one delivery per arrival");
+        let registry = StatsRegistry::new(5);
+        let replay = bw_fleet(&scenario, &registry).replay(&trace.deliveries);
+        let replay = replay.unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!((replay.matched, replay.synthesized), (trace.deliveries.len(), 0), "{label}");
+        for v in out.honest.iter() {
+            let node = replay.nodes[v.index()].as_ref().expect("honest");
+            assert_eq!(node.output(), out.outputs[v.index()], "{label}: {v}'s output");
+            let history = Some(node.x_history().to_vec());
+            assert_eq!(history, out.histories[v.index()], "{label}: {v}'s history");
+        }
+    });
+}
+
+#[test]
+fn bw_f1_threaded_runs_replay_from_their_traces() {
+    for fault in bw_faults() {
+        assert_replays_its_own_schedule(fault, Runtime::threaded(Duration::from_secs(120)));
+    }
+}
+
+#[test]
+fn bw_f1_net_runs_replay_from_their_traces() {
+    for fault in bw_faults() {
+        assert_replays_its_own_schedule(fault, Runtime::net(Duration::from_secs(120)));
+    }
 }

@@ -30,12 +30,15 @@
 //! must end with the recorded outputs, histories and transport and
 //! protocol ledgers.
 
+mod common;
+
+use common::{bw_faults, bw_fleet, bw_k5};
 use dbac::core::crash::{CrashAfter, CrashNode, CrashTopology};
-use dbac::core::{FloodMode, HonestNode, ProtocolConfig, Topology};
+use dbac::core::HonestNode;
 use dbac::graph::{generators, NodeId, PathBudget};
 use dbac::scenario::{
-    ByzantineWitness, CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Outcome, Scenario,
-    ScenarioBuilder, StatsRegistry, Trace, WireMessage,
+    CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Outcome, Scenario, ScenarioBuilder,
+    StatsRegistry, Trace, WireMessage,
 };
 use dbac::sim::{Fleet, Process};
 use std::sync::Arc;
@@ -121,46 +124,12 @@ fn assert_replays<P: Process>(
     assert_eq!(stats.protocol, out.sim_stats.protocol, "{label}: protocol counters");
 }
 
-/// A fresh BW fleet of `scenario`, its honest nodes booking into
-/// `registry`.
-fn bw_fleet(scenario: &Scenario, registry: &StatsRegistry) -> Fleet<HonestNode> {
-    let (graph, f) = (scenario.graph().clone(), scenario.f());
-    let budget = PathBudget::default();
-    let topo = Arc::new(Topology::new(graph.clone(), f, FloodMode::Redundant, budget).unwrap());
-    let config = ProtocolConfig::new(f, scenario.epsilon(), scenario.range());
-    let mut fleet = Fleet::new(Arc::new(graph));
-    for v in scenario.honest_set().iter() {
-        let node = HonestNode::new(Arc::clone(&topo), config, v, scenario.inputs()[v.index()]);
-        fleet.set_honest(v, node.with_stats(registry.register()));
-    }
-    for (v, kind) in scenario.faults() {
-        let adversary = kind.adversary_kind().expect("a BW fault");
-        fleet.set_byzantine(*v, adversary.build(Arc::clone(&topo), *v, config.rounds));
-    }
-    fleet
-}
-
-/// The BW scenario of one catalog row: K5, node 4 faulty.
-fn bw_k5(fault: FaultKind) -> ScenarioBuilder {
-    Scenario::builder(generators::clique(5), 1)
-        .inputs(vec![0.0, 10.0, 4.0, 6.0, 0.0])
-        .epsilon(0.5)
-        .fault(id(4), fault)
-        .protocol(ByzantineWitness::default())
-}
-
 /// One row per BW fault under each plan: each strategy's injections and
 /// relays reach the wire, so the pin covers what it sends as well as the
 /// delivery order.
 #[test]
 fn bw_k5_catalog_delivery_order_is_pinned() {
-    let faults = [
-        FaultKind::Equivocator { low: -100.0, high: 100.0 },
-        FaultKind::ConstantLiar { value: 1e4 },
-        FaultKind::RelayTamperer { spoof: -1e5 },
-        FaultKind::PathFabricator { forged_value: -77.0 },
-        FaultKind::Chaotic { seed: 5 },
-    ];
+    let faults = bw_faults();
     // (deliveries, byte digest, order-only digest), in `faults` order.
     let lossy = [
         (27_910, 11_943_639_418_892_040_270, 10_146_722_805_633_412_924),

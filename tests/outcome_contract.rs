@@ -4,14 +4,15 @@
 //! protocols count their own messages, which attach a certification, the
 //! `None`-exactly-at-fault-slots shape of `outputs`/`histories`, one history
 //! entry per round plus the input, and the attached registry as ground
-//! truth.
+//! truth. A requested trace is part of the contract on every runtime.
 
 use dbac::graph::{generators, NodeId};
 use dbac::scenario::{
-    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Protocol, Scenario,
-    StatsRegistry,
+    Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Protocol, Runtime,
+    Scenario, StatsRegistry,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 struct Case {
     protocol: Arc<dyn Protocol>,
@@ -117,5 +118,31 @@ fn every_protocol_fills_the_outcome_the_same_way() {
         // The attached registry is the outcome's ground truth.
         assert_eq!(registry.snapshot(), out.sim_stats, "{name}: sim_stats");
         assert!(out.sim_stats.messages_delivered() > 0, "{name}");
+    }
+}
+
+/// `record_trace` means the same on every runtime: one delivery per
+/// arrival the ledger counts, each along an edge of the graph.
+#[test]
+fn every_runtime_records_the_requested_trace() {
+    let timeout = Duration::from_secs(120);
+    for runtime in [Runtime::Sim, Runtime::threaded(timeout), Runtime::net(timeout)] {
+        let name = runtime.name();
+        let graph = generators::clique(5);
+        let out = Scenario::builder(graph.clone(), 1)
+            .inputs(vec![0.0, 10.0, 4.0, 6.0, 2.0])
+            .epsilon(0.5)
+            .fault(NodeId::new(4), FaultKind::ConstantLiar { value: 1e6 })
+            .seed(3)
+            .runtime(runtime)
+            .record_trace(true)
+            .protocol(ByzantineWitness::default())
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = out.trace.as_ref().unwrap_or_else(|| panic!("{name}: trace requested"));
+        assert_eq!(trace.deliveries.len() as u64, out.sim_stats.messages_delivered(), "{name}");
+        for d in &trace.deliveries {
+            assert!(graph.has_edge(d.from, d.to), "{name}: {} -> {} is no edge", d.from, d.to);
+        }
     }
 }
