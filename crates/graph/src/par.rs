@@ -10,6 +10,8 @@
 //! Calls do not nest thread pools: a `par_map` issued from inside another
 //! `par_map`'s worker (a sweep cell building its `Topology`) runs inline on
 //! that worker, since the outer fan-out already occupies every core.
+//! [`fan_out`] reports the same to fan-outs that manage their own threads
+//! (the simulator's batched step).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,6 +27,18 @@ thread_local! {
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()))
+}
+
+/// How many threads a fan-out from the calling thread may use: the core
+/// count, or 1 on a [`par_map`] worker, whose caller's fan-out already
+/// occupies every core.
+#[must_use]
+pub fn fan_out() -> usize {
+    if IN_WORKER.with(Cell::get) {
+        1
+    } else {
+        cores()
+    }
 }
 
 /// Applies `f` to every element of `items` across the available cores and
@@ -46,8 +60,8 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    let workers = cores().min(n);
-    if workers <= 1 || IN_WORKER.with(Cell::get) {
+    let workers = fan_out().min(n);
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
@@ -103,6 +117,7 @@ mod tests {
         let inner: Vec<u64> = (0..100).collect();
         let out = par_map(&outer, |_, &x| {
             let caller = std::thread::current().id();
+            assert_eq!(fan_out(), 1, "a worker fans out no further");
             let nested = par_map(&inner, |i, &y| {
                 assert_eq!(i as u64, y);
                 (std::thread::current().id(), x * 1000 + y)
@@ -121,6 +136,7 @@ mod tests {
         // an earlier call.
         par_map(&[1u8, 2], |_, _| ());
         assert!(!IN_WORKER.with(Cell::get));
+        assert_eq!(fan_out(), cores());
         if cores() > 1 {
             let caller = std::thread::current().id();
             let ids = par_map(&[0u8; 4], |_, _| std::thread::current().id());

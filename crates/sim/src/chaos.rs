@@ -15,7 +15,6 @@
 //! nothing and yields bit-identical executions to a run with no plan at all.
 
 use dbac_graph::NodeId;
-use std::collections::HashMap;
 
 /// One fault behaviour on one directed edge.
 ///
@@ -215,32 +214,6 @@ fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Per-edge message counters: assigns each send on `(from, to)` its index
-/// `k` in send order. Each send gate keeps its own instance; because an
-/// edge has exactly one sender, per-sender counting under the wall-clock
-/// driver agrees with the simulator's global counting.
-#[derive(Clone, Debug, Default)]
-pub struct EdgeCounters {
-    counts: HashMap<(usize, usize), u64>,
-}
-
-impl EdgeCounters {
-    /// Creates an empty counter table.
-    #[must_use]
-    pub fn new() -> Self {
-        EdgeCounters::default()
-    }
-
-    /// Returns the index of the next message on `from -> to` and advances
-    /// the counter.
-    pub fn next(&mut self, from: NodeId, to: NodeId) -> u64 {
-        let slot = self.counts.entry((from.index(), to.index())).or_insert(0);
-        let k = *slot;
-        *slot += 1;
-        k
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,14 +318,5 @@ mod tests {
             (0..10_000).filter(|&k| plan.decide(id(0), id(1), k).copies == 0).count() as f64;
         let rate = dropped / 10_000.0;
         assert!((rate - 0.3).abs() < 0.03, "empirical drop rate {rate} far from 0.3");
-    }
-
-    #[test]
-    fn edge_counters_count_per_edge() {
-        let mut counters = EdgeCounters::new();
-        assert_eq!(counters.next(id(0), id(1)), 0);
-        assert_eq!(counters.next(id(0), id(1)), 1);
-        assert_eq!(counters.next(id(1), id(0)), 0, "the reverse edge counts separately");
-        assert_eq!(counters.next(id(0), id(1)), 2);
     }
 }

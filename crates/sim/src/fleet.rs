@@ -1,21 +1,22 @@
-//! Everything the runtimes share, stated once: the [`Actor`] occupying a
-//! node slot and its one receive event, [`Actor::activate`] (the crate's
-//! one place that books an arrival: into the stats and, when the fleet
-//! records, into its [`Trace`](crate::trace::Trace)); the [`Fleet`] under
-//! construction; the [`SendGate`] every message of every driver passes
-//! (the crate's one call to [`LinkFaultPlan::decide`]); and the
+//! Everything the runtimes share, stated once: the [`Slot`] holding a
+//! node's [`Actor`] and its one receive event, [`Slot::activate`] (the
+//! crate's one place that books an arrival: into the stats and, when the
+//! fleet records, into its [`Trace`](crate::trace::Trace)); the [`Fleet`]
+//! under construction; the [`SendGate`] every message of every driver
+//! passes (the crate's one call to [`LinkFaultPlan::decide`]); and the
 //! wall-clock driver [`Fleet::run`] — a thread-per-node loop
 //! monomorphised over the [`Wire`] that carries surviving copies. The
 //! crate docs give the architecture.
 //!
 //! The virtual-time [`Simulation`](crate::sim::Simulation) (one calendar
-//! queue on one thread) and the script replay [`Fleet::replay`] (an
-//! in-flight pool per edge, matched against a recorded trace) keep their
-//! own loops, but every activation of all three drivers is one
-//! `Actor::activate`; they differ only in the clock they hand it and in
-//! what they do with a survivor.
+//! queue, whose crowded ticks it steps across cores and merges back in
+//! serial order) and the script replay [`Fleet::replay`] (an in-flight
+//! pool per edge, matched against a recorded trace) keep their own loops,
+//! but every activation of all three drivers is one `Slot::activate`;
+//! they differ only in the clock they hand it and in what they do with a
+//! survivor.
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
+use crate::chaos::{LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
 use crate::process::{Adversary, Context, Process};
 use crate::sim::SimStats;
@@ -31,19 +32,36 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// One node slot of a fleet: its actor, and how many messages the actor
+/// has put on each of its out-edges.
+pub(crate) struct Slot<P: Process> {
+    actor: Actor<P>,
+    /// Messages admitted so far per out-edge, indexed by receiver: the
+    /// per-edge index `k` a link-fault plan judges (counted only under a
+    /// plan). It travels with the actor, so a sender's `k` is the same
+    /// whichever thread activates it.
+    sent: Vec<u64>,
+}
+
 /// The occupant of one node slot.
-pub(crate) enum Actor<P: Process> {
+enum Actor<P: Process> {
     Honest(P),
     Byzantine(Box<dyn Adversary<P::Message> + Send>),
 }
 
-impl<P: Process> Actor<P> {
+impl<P: Process> Slot<P> {
+    fn new(actor: Actor<P>) -> Self {
+        Slot { actor, sent: Vec::new() }
+    }
+
     /// The model's receive event, for every driver: books `arrival` (if
-    /// any) as delivered and consumed — and, when the gate records, as a
-    /// delivery at `now`, the driver's virtual clock — runs `on_message`
-    /// on it, or `on_start` when there is none, over a [`Context`] on the
-    /// gate's send buffer, then admits each queued send through `gate` and
-    /// hands every survivor to `carry`.
+    /// any), when the gate records, as a delivery at `now`, the driver's
+    /// virtual clock; runs `on_message` on it, or `on_start` when there is
+    /// none, over a [`Context`] on the gate's send buffer; admits each
+    /// queued send through `gate` and hands every survivor to `carry`; and
+    /// only then books the arrival as delivered and consumed — so a live
+    /// snapshot taken while the handler runs, or before its sends are
+    /// admitted, still counts the arrival in flight.
     #[inline]
     pub(crate) fn activate(
         &mut self,
@@ -54,15 +72,14 @@ impl<P: Process> Actor<P> {
         arrival: Option<(NodeId, P::Message)>,
         mut carry: impl FnMut(NodeId, P::Message, LinkDecision),
     ) {
-        if let Some((from, msg)) = &arrival {
-            gate.stats.record_delivered(P::classify(msg));
-            gate.stats.record_consumed(me.index());
+        let class = arrival.as_ref().map(|(from, msg)| {
             if let Some(trace) = &mut gate.trace {
                 trace.book(now, *from, me, msg);
             }
-        }
+            P::classify(msg)
+        });
         let mut ctx = Context::with_outbox(me, out, std::mem::take(&mut gate.outbox));
-        match (self, arrival) {
+        match (&mut self.actor, arrival) {
             (Actor::Honest(p), None) => p.on_start(&mut ctx),
             (Actor::Byzantine(a), None) => a.on_start(&mut ctx),
             (Actor::Honest(p), Some((from, msg))) => p.on_message(&mut ctx, from, msg),
@@ -70,7 +87,7 @@ impl<P: Process> Actor<P> {
         }
         let mut outbox = ctx.take_outbox();
         for (to, msg) in outbox.drain(..) {
-            let decision = gate.admit(me, to, P::classify(&msg));
+            let decision = gate.admit(me, to, P::classify(&msg), &mut self.sent);
             // A destroyed send goes nowhere: on the simulator it draws no
             // arrival, which keeps clean edges bit-identical whether or not
             // a plan is attached.
@@ -79,17 +96,21 @@ impl<P: Process> Actor<P> {
             }
         }
         gate.outbox = outbox;
+        if let Some(class) = class {
+            gate.stats.record_delivered(class);
+            gate.stats.record_consumed(me.index());
+        }
     }
 
     pub(crate) fn honest(&self) -> Option<&P> {
-        match self {
+        match &self.actor {
             Actor::Honest(p) => Some(p),
             Actor::Byzantine(_) => None,
         }
     }
 
     pub(crate) fn into_honest(self) -> Option<P> {
-        match self {
+        match self.actor {
             Actor::Honest(p) => Some(p),
             Actor::Byzantine(_) => None,
         }
@@ -106,7 +127,7 @@ impl<P: Process> Actor<P> {
 /// [`set_stats`](Fleet::set_stats) swaps in the caller's.
 pub struct Fleet<P: Process> {
     pub(crate) graph: Arc<Digraph>,
-    pub(crate) actors: Vec<Option<Actor<P>>>,
+    pub(crate) slots: Vec<Option<Slot<P>>>,
     link_faults: Option<Arc<LinkFaultPlan>>,
     pub(crate) registry: Arc<StatsRegistry>,
     /// The run's trace, once [`record_trace`](Fleet::record_trace) asked
@@ -121,7 +142,7 @@ impl<P: Process> Fleet<P> {
         let n = graph.node_count();
         Fleet {
             graph,
-            actors: (0..n).map(|_| None).collect(),
+            slots: (0..n).map(|_| None).collect(),
             link_faults: None,
             registry: observed(StatsRegistry::new(n)),
             trace: None,
@@ -130,7 +151,7 @@ impl<P: Process> Fleet<P> {
 
     /// Assigns an honest process to `v`.
     pub fn set_honest(&mut self, v: NodeId, process: P) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Honest(process));
+        self.slots[v.index()] = Some(Slot::new(Actor::Honest(process)));
         self
     }
 
@@ -140,7 +161,7 @@ impl<P: Process> Fleet<P> {
         v: NodeId,
         adversary: Box<dyn Adversary<P::Message> + Send>,
     ) -> &mut Self {
-        self.actors[v.index()] = Some(Actor::Byzantine(adversary));
+        self.slots[v.index()] = Some(Slot::new(Actor::Byzantine(adversary)));
         self
     }
 
@@ -154,10 +175,11 @@ impl<P: Process> Fleet<P> {
     }
 
     /// Makes `registry` the run's ledger in place of the fleet's private
-    /// one. Every writer thread of the run (the simulator's event loop,
-    /// each node thread, each connection reader) registers its own shard
-    /// and books transport counters per message class (via
-    /// [`Process::classify`]) plus the per-node queue and done gauges.
+    /// one. Every writer thread of the run (the simulator's event loop and
+    /// each lane of its batched step, each node thread, each connection
+    /// reader) registers its own shard and books transport counters per
+    /// message class (via [`Process::classify`]) plus the per-node queue
+    /// and done gauges.
     /// Snapshots taken from other threads while the run is live are safe
     /// and monotone. The registry must cover every node of the graph, or
     /// the run fails with [`SimError::RegistryTooSmall`].
@@ -184,10 +206,10 @@ impl<P: Process> Fleet<P> {
     /// The check every driver starts with: every node has an actor, and
     /// the registry has a gauge for every node.
     pub(crate) fn check_runnable(&self) -> Result<(), SimError> {
-        if let Some(node) = self.actors.iter().position(Option::is_none) {
+        if let Some(node) = self.slots.iter().position(Option::is_none) {
             return Err(SimError::UnassignedNode { node });
         }
-        let (nodes, registry) = (self.actors.len(), self.registry.node_count());
+        let (nodes, registry) = (self.slots.len(), self.registry.node_count());
         if registry < nodes {
             return Err(SimError::RegistryTooSmall { nodes, registry });
         }
@@ -200,7 +222,6 @@ impl<P: Process> Fleet<P> {
     pub(crate) fn gate(&self, arrivals: Option<&Arc<AtomicU64>>) -> SendGate<P::Message> {
         SendGate {
             plan: self.link_faults.clone(),
-            edges: EdgeCounters::new(),
             stats: self.registry.register(),
             outbox: Vec::new(),
             trace: self.trace.as_ref().map(|trace| trace.shard(arrivals)),
@@ -242,7 +263,6 @@ fn observed(registry: Arc<StatsRegistry>) -> Arc<StatsRegistry> {
 /// One per writer thread, which also books its arrivals here.
 pub(crate) struct SendGate<M> {
     plan: Option<Arc<LinkFaultPlan>>,
-    edges: EdgeCounters,
     /// The owning thread's registry shard; deliveries, the done gauge and
     /// a replay's synthesized sends are booked here too.
     pub(crate) stats: StatsHandle,
@@ -255,15 +275,22 @@ pub(crate) struct SendGate<M> {
 
 impl<M> SendGate<M> {
     /// Admits the next message on `from -> to`: records it as sent,
-    /// consults the plan under the edge's message index, and records the
-    /// verdict — dropped or corrupted when no copy survives, otherwise one
+    /// consults the plan under the edge's message index — `sent[to]`, the
+    /// sender's count for the edge, which it advances — and records the
+    /// verdict: dropped or corrupted when no copy survives, otherwise one
     /// enqueue per surviving copy and one duplicate per extra copy. The
     /// caller moves `decision.copies` copies and nothing else.
     #[inline]
-    pub(crate) fn admit(&mut self, from: NodeId, to: NodeId, class: MsgClass) -> LinkDecision {
+    pub(crate) fn admit(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        class: MsgClass,
+        sent: &mut Vec<u64>,
+    ) -> LinkDecision {
         self.stats.record_sent(class);
         let decision = match &self.plan {
-            Some(plan) => plan.decide(from, to, self.edges.next(from, to)),
+            Some(plan) => judge(plan, from, to, sent),
             None => LinkDecision::CLEAN,
         };
         if decision.copies == 0 {
@@ -281,6 +308,18 @@ impl<M> SendGate<M> {
         }
         decision
     }
+}
+
+/// `plan`'s verdict on the next message on `from -> to`: the `sent[to]`-th,
+/// which it counts. Kept out of line, so a run with no plan pays for none
+/// of it in [`SendGate::admit`].
+#[inline(never)]
+fn judge(plan: &LinkFaultPlan, from: NodeId, to: NodeId, sent: &mut Vec<u64>) -> LinkDecision {
+    if sent.len() <= to.index() {
+        sent.resize(to.index() + 1, 0);
+    }
+    sent[to.index()] += 1;
+    plan.decide(from, to, sent[to.index()] - 1)
 }
 
 /// A node's inbox sender: messages tagged with their authenticated sender.
@@ -366,7 +405,7 @@ type NodeExit<P> = (Option<P>, bool, Option<Recorder<<P as Process>::Message>>);
 struct Node<P: Process, W: Wire<P::Message>> {
     me: NodeId,
     out: NodeSet,
-    actor: Actor<P>,
+    slot: Slot<P>,
     inbox: Receiver<(NodeId, P::Message)>,
     outlet: W::Outlet,
     gate: SendGate<P::Message>,
@@ -400,7 +439,7 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
                 }
             }
         }
-        (self.actor.into_honest(), starved, self.gate.trace)
+        (self.slot.into_honest(), starved, self.gate.trace)
     }
 
     /// Runs one [`Actor::activate`] whose survivors go to the outlet — a
@@ -419,8 +458,8 @@ impl<P: Process, W: Wire<P::Message>> Node<P, W> {
             }
             W::emit(outlet, to, msg, decision.copies);
         };
-        self.actor.activate(&mut self.gate, self.me, self.out, VirtualTime::ZERO, arrival, carry);
-        if !self.reported_done && self.actor.honest().is_some_and(&shared.done) {
+        self.slot.activate(&mut self.gate, self.me, self.out, VirtualTime::ZERO, arrival, carry);
+        if !self.reported_done && self.slot.honest().is_some_and(&shared.done) {
             self.reported_done = true;
             shared.done_count.fetch_add(1, Ordering::SeqCst);
             self.gate.stats.mark_done(self.me.index());
@@ -469,13 +508,13 @@ where
         let mut handles = Vec::with_capacity(n);
         for (i, (inbox, outlet)) in receivers.into_iter().zip(outlets).enumerate() {
             let me = NodeId::new(i);
-            let actor = self.actors[i].take().expect("checked above");
-            let honest = actor.honest().is_some();
+            let slot = self.slots[i].take().expect("checked above");
+            let honest = slot.honest().is_some();
             honest_total += usize::from(honest);
             let node: Node<P, W> = Node {
                 me,
                 out: self.graph.out_neighbors(me),
-                actor,
+                slot,
                 inbox,
                 outlet,
                 gate: self.gate(Some(&arrivals)),
@@ -529,5 +568,63 @@ where
             trace
         });
         Ok(ThreadedReport { nodes, incomplete, stats: self.ledger(VirtualTime::ZERO), trace })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::FixedDelay;
+    use crate::sim::Simulation;
+    use crate::threaded::ThreadedConfig;
+    use dbac_graph::generators;
+
+    /// On K2, node 0 sends node 1 one message; node 1 reads the run's
+    /// ledger while it handles it.
+    struct Probe {
+        registry: Arc<StatsRegistry>,
+        sender: bool,
+        /// In flight overall, and queued toward node 1, as the handler saw.
+        seen: Option<(u64, u64)>,
+    }
+
+    impl Process for Probe {
+        type Message = u64;
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            if self.sender {
+                ctx.send(NodeId::new(1), 7);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Context<u64>, _from: NodeId, _msg: u64) {
+            let snapshot = self.registry.snapshot();
+            let queued = snapshot.nodes.measured().expect("a fleet feeds the gauges")[1];
+            self.seen = Some((snapshot.total().undelivered(), queued.queue_depth()));
+        }
+    }
+
+    fn probes(registry: &Arc<StatsRegistry>) -> Fleet<Probe> {
+        let mut fleet = Fleet::new(Arc::new(generators::clique(2)));
+        fleet.set_stats(Arc::clone(registry));
+        for v in 0..2 {
+            let probe = Probe { registry: Arc::clone(registry), sender: v == 0, seen: None };
+            fleet.set_honest(NodeId::new(v), probe);
+        }
+        fleet
+    }
+
+    #[test]
+    fn a_handler_sees_its_own_arrival_still_in_flight() {
+        let registry = StatsRegistry::new(2);
+        let mut sim = Simulation::over(probes(&registry), Box::new(FixedDelay::new(1)));
+        sim.run().expect("quiesces");
+        assert_eq!(sim.honest(NodeId::new(1)).unwrap().seen, Some((1, 1)), "on Sim");
+        assert_eq!(registry.snapshot().total().undelivered(), 0, "booked once the handler ran");
+
+        let registry = StatsRegistry::new(2);
+        let config = ThreadedConfig { timeout: Duration::from_secs(60), jitter_micros: 0, seed: 0 };
+        let report = probes(&registry).run(|p| p.sender || p.seen.is_some(), config).unwrap();
+        assert!(report.incomplete.is_empty(), "{:?}", report.incomplete);
+        assert_eq!(report.nodes[1].as_ref().unwrap().seen, Some((1, 1)), "on Threaded");
+        assert_eq!(registry.snapshot().total().undelivered(), 0, "booked once the handler ran");
     }
 }

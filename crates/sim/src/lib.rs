@@ -31,9 +31,12 @@
 //!   registry shard — so the fate of the k-th message on an edge is
 //!   runtime-independent.
 //! * The **virtual-time driver**, [`sim::Simulation`], is a deterministic
-//!   discrete-event loop on one thread, delivering in `(time, enqueue
-//!   order)` order out of a calendar queue (a ring of per-tick FIFOs, with
-//!   an ordered map from tick to FIFO for far-future events; see [`sim`]).
+//!   discrete-event loop, delivering in `(time, enqueue order)` order out
+//!   of a calendar queue (a ring of per-tick FIFOs, with an ordered map
+//!   from tick to FIFO for far-future events; see [`sim`]). A tick crowded
+//!   with events is stepped across the host's cores, receivers split over
+//!   threads, and merged back in exactly the order one thread would have
+//!   delivered it in.
 //!   Delivery times come from a pluggable [`scheduler::DeliveryPolicy`]
 //!   (fixed or seeded-random), shifted per edge by a plan's reorder
 //!   window. Runs are reproducible bit-for-bit from a seed.
@@ -102,7 +105,7 @@ pub mod threaded;
 pub mod time;
 pub mod trace;
 
-pub use chaos::{EdgeCounters, LinkDecision, LinkFault, LinkFaultPlan};
+pub use chaos::{LinkDecision, LinkFault, LinkFaultPlan};
 pub use error::SimError;
 pub use fleet::Fleet;
 pub use net::codec::{WireError, WireMessage};

@@ -120,6 +120,23 @@ impl<T> CalendarQueue<T> {
         Some((at, item))
     }
 
+    /// Events queued for tick `at`, the tick [`next_tick`](Self::next_tick)
+    /// names: its bucket if the window covers it, else its overflow FIFO.
+    /// Walks the bucket's chunks, so callers ask once per tick, not per
+    /// event.
+    pub(super) fn tick_len(&self, at: u64) -> usize {
+        if at - self.now >= WINDOW {
+            return self.overflow.get(&at).map_or(0, Vec::len);
+        }
+        let mut len = 0;
+        let mut chunk = self.buckets[(at % WINDOW) as usize].head;
+        while chunk != NIL {
+            len += self.chunks[chunk as usize].items.len();
+            chunk = self.chunks[chunk as usize].next;
+        }
+        len
+    }
+
     /// Moves the clock to `to` and pulls every overflow tick the window
     /// now covers into the ring, each tick's FIFO whole and in order.
     /// Those events were all enqueued while their tick was still outside
@@ -181,7 +198,8 @@ mod tests {
     /// Drives the calendar and the retired design — one `(at, seq)` heap —
     /// with the same seeded script of pushes (delay classes: the tick
     /// being drained, the near ring, both sides of the ring/overflow
-    /// boundary, far, unreachable) and pops, up to `horizon`. Even seeds
+    /// boundary, far, unreachable) and pops, up to `horizon`, checking the
+    /// length of each tick it pops from. Even seeds
     /// push as fast as they pop, so the ring keeps running empty and the
     /// clock jumps to the overflow's head; odd seeds build a backlog.
     /// Returns the pop sequence and what was left queued.
@@ -192,6 +210,7 @@ mod tests {
         let mut oracle_now = 0u64;
         let mut popped = Vec::new();
         let mut seq = 0u64;
+        let mut due = std::collections::HashMap::new();
         for step in 0..20_000 {
             let pushes = if step < 15_000 { rng.gen_range(0..=2 + seed % 2) } else { 0 };
             for _ in 0..pushes {
@@ -208,16 +227,19 @@ mod tests {
                 let at = oracle_now.saturating_add(delay);
                 queue.push(at, seq);
                 oracle.push(Reverse((at, seq)));
+                *due.entry(at).or_insert(0) += 1;
             }
             assert_eq!(queue.len(), oracle.len());
             let next = oracle.peek().map(|&Reverse((at, _))| at);
             assert_eq!(queue.next_tick(), next);
-            if next.is_some_and(|at| at <= horizon) {
+            if let Some(at) = next.filter(|&at| at <= horizon) {
+                assert_eq!(queue.tick_len(at), due[&at], "step {step}, seed {seed}");
                 let Reverse(want) = oracle.pop().expect("peeked");
                 oracle_now = want.0;
                 assert_eq!(queue.pop(), Some(want), "step {step}, seed {seed}");
                 assert_eq!(queue.now(), oracle_now);
                 popped.push(want);
+                *due.get_mut(&at).expect("counted") -= 1;
             }
         }
         (popped, queue.len())

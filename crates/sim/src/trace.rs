@@ -32,7 +32,7 @@
 //! recorded on one machine replays on another.
 
 use crate::error::SimError;
-use crate::fleet::{Actor, Fleet};
+use crate::fleet::{Fleet, Slot};
 use crate::net::codec::{write_frame, FrameReader, WireError, WireMessage, WireReader};
 use crate::process::Process;
 use crate::time::VirtualTime;
@@ -161,6 +161,24 @@ impl<M> Recorder<M> {
         self.deliveries.extend(shard.deliveries);
     }
 
+    /// Appends what `shards` recorded during one batched step of the
+    /// simulator, in wave order: the `i`-th delivery is the next one of
+    /// shard `owners[i]`, which booked one delivery per event it stepped.
+    pub(crate) fn interleave<'a>(
+        &mut self,
+        shards: impl Iterator<Item = &'a mut Recorder<M>>,
+        owners: &[u32],
+    ) where
+        M: 'a,
+    {
+        let mut shards: Vec<_> = shards.map(|shard| shard.deliveries.drain(..)).collect();
+        self.deliveries.extend(
+            owners
+                .iter()
+                .map(|&lane| shards[lane as usize].next().expect("one delivery booked per event")),
+        );
+    }
+
     /// The recorded trace, its deliveries in the order they were absorbed.
     pub(crate) fn into_trace(self) -> Trace {
         Trace { deliveries: self.deliveries }
@@ -218,7 +236,7 @@ where
                         copies.remove(at);
                         matched += 1;
                     } else if graph.has_edge(d.from, v)
-                        && matches!(self.actors[d.from.index()], Some(Actor::Byzantine(_)))
+                        && self.slots[d.from.index()].as_ref().is_some_and(|a| a.honest().is_none())
                     {
                         gate.stats.record_sent(P::classify(&msg));
                         gate.stats.record_enqueued(v.index());
@@ -229,16 +247,16 @@ where
                     (d.at, Some((d.from, msg)))
                 }
             };
-            let actor = self.actors[v.index()].as_mut().expect("assignment checked above");
+            let slot = self.slots[v.index()].as_mut().expect("assignment checked above");
             let out = graph.out_neighbors(v);
-            actor.activate(&mut gate, v, out, now, arrival, |to, msg, decision| {
+            slot.activate(&mut gate, v, out, now, arrival, |to, msg, decision| {
                 let copies = std::iter::repeat(msg.to_bytes()).take(decision.copies as usize);
                 in_flight.entry((v, to)).or_default().extend(copies);
             });
         }
         self.absorb(gate.trace);
         let trace = self.trace.map(Recorder::into_trace);
-        let nodes = self.actors.into_iter().map(|a| a.and_then(Actor::into_honest)).collect();
+        let nodes = self.slots.into_iter().map(|a| a.and_then(Slot::into_honest)).collect();
         Ok(Replay { nodes, matched, synthesized, trace })
     }
 }

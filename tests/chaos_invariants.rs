@@ -22,7 +22,16 @@
 //!    socket runtime — same decisions, same histories, same per-edge loss
 //!    and duplication counters. A partition that starves nodes over real
 //!    sockets must surface as `Outcome::incomplete`, never as an error.
+//!
+//! The randomized Sim cases record their schedules: a case whose checks
+//! fail keeps its trace at `target/repro/chaos-<seed>.trace` (the crash
+//! and iterative families at `chaos-crash-<seed>` and `chaos-iter-<seed>`),
+//! which `Trace::read_from` reads back and `Fleet::replay` re-runs; CI's
+//! `chaos` job uploads them.
 
+mod common;
+
+use common::keeping_trace_on_failure;
 use dbac::core::error::RunError;
 use dbac::graph::{generators, Digraph, NodeId};
 use dbac::scenario::{
@@ -127,7 +136,8 @@ fn randomized_chaos_never_violates_safety() {
             .inputs((0..n).map(|i| i as f64).collect())
             .epsilon(0.5)
             .seed(case)
-            .link_faults(plan);
+            .link_faults(plan)
+            .record_trace(true);
         let cfg = if bw {
             builder.protocol(ByzantineWitness::default())
         } else {
@@ -137,7 +147,10 @@ fn randomized_chaos_never_violates_safety() {
         .expect("random plans over real edges validate");
         match cfg.run() {
             Ok(out) => {
-                assert_safe(&out, case, graph_label);
+                let trace = out.trace.as_ref().expect("recorded");
+                keeping_trace_on_failure(&format!("chaos-{case}"), trace, || {
+                    assert_safe(&out, case, graph_label);
+                });
                 if out.all_decided() {
                     decided_runs += 1;
                 } else {
@@ -167,11 +180,17 @@ fn randomized_chaos_composes_with_crash_faults() {
             .fault(NodeId::new(3), FaultKind::Crash)
             .seed(case)
             .link_faults(plan)
+            .record_trace(true)
             .protocol(CrashTwoReach::default())
             .build()
             .unwrap();
         match cfg.run() {
-            Ok(out) => assert!(out.valid(), "case {case}: {:?}", out.outputs),
+            Ok(out) => {
+                let trace = out.trace.as_ref().expect("recorded");
+                keeping_trace_on_failure(&format!("chaos-crash-{case}"), trace, || {
+                    assert!(out.valid(), "case {case}: {:?}", out.outputs);
+                });
+            }
             Err(RunError::Sim(_)) => {}
             Err(e) => panic!("untyped failure under chaos: case {case}: {e}"),
         }
@@ -452,36 +471,41 @@ fn iterative_chaos_balances_the_iter_ledger() {
             .rounds(rounds)
             .seed(case)
             .link_faults(plan)
+            .record_trace(true)
             .protocol(IterativeTrimmedMean::default())
             .run()
             .expect("chaos stalls the iterative engine, it never errors");
-        assert_safe(&out, case, "circulant-pow2-150");
-        let transport = out.sim_stats.transport.measured().expect("sim transport is observable");
-        assert!(transport.class(MsgClass::Iter).sent > 0, "case {case}: no iter traffic");
-        for class in MsgClass::ALL {
-            if class != MsgClass::Iter {
-                let c = transport.class(class);
-                assert_eq!(
-                    (c.sent, c.duplicated),
-                    (0, 0),
-                    "case {case}: {} traffic in an iterative run",
-                    class.label()
-                );
-            }
-        }
-        // Fired rounds are chaos-proof: whoever decided matches the
-        // chaos-free trajectory bit-for-bit.
+        let trace = out.trace.as_ref().expect("recorded");
         let mut all = true;
-        for (v, decided) in out.outputs.iter().enumerate() {
-            match decided {
-                Some(x) => assert_eq!(
-                    x.to_bits(),
-                    reference.outputs[v].unwrap().to_bits(),
-                    "case {case}: node {v} fired a perturbed round"
-                ),
-                None => all = false,
+        keeping_trace_on_failure(&format!("chaos-iter-{case}"), trace, || {
+            assert_safe(&out, case, "circulant-pow2-150");
+            let transport =
+                out.sim_stats.transport.measured().expect("sim transport is observable");
+            assert!(transport.class(MsgClass::Iter).sent > 0, "case {case}: no iter traffic");
+            for class in MsgClass::ALL {
+                if class != MsgClass::Iter {
+                    let c = transport.class(class);
+                    assert_eq!(
+                        (c.sent, c.duplicated),
+                        (0, 0),
+                        "case {case}: {} traffic in an iterative run",
+                        class.label()
+                    );
+                }
             }
-        }
+            // Fired rounds are chaos-proof: whoever decided matches the
+            // chaos-free trajectory bit-for-bit.
+            for (v, decided) in out.outputs.iter().enumerate() {
+                match decided {
+                    Some(x) => assert_eq!(
+                        x.to_bits(),
+                        reference.outputs[v].unwrap().to_bits(),
+                        "case {case}: node {v} fired a perturbed round"
+                    ),
+                    None => all = false,
+                }
+            }
+        });
         if all {
             decided_runs += 1;
         } else {

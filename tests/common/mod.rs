@@ -1,12 +1,20 @@
-//! The Algorithm BW fixture that `delivery_order.rs` pins on the simulator
-//! and `cross_runtime.rs` records on the wall-clock runtimes: K5 with node
-//! 4 faulty under each catalog fault, and a fresh fleet of it to replay a
-//! recorded trace on.
+//! What several test binaries share: the Algorithm BW fixture that
+//! `delivery_order.rs` pins on the simulator and `cross_runtime.rs`
+//! records on the wall-clock runtimes — K5 with node 4 faulty under each
+//! catalog fault, and a fresh fleet of it to replay a recorded trace on —
+//! and the repro file a failing check leaves behind.
+
+// Each binary compiles this module and uses only part of it.
+#![allow(dead_code)]
 
 use dbac::core::{FloodMode, HonestNode, ProtocolConfig, Topology};
 use dbac::graph::{generators, NodeId, PathBudget};
-use dbac::scenario::{ByzantineWitness, FaultKind, Scenario, ScenarioBuilder, StatsRegistry};
+use dbac::scenario::{
+    ByzantineWitness, FaultKind, Scenario, ScenarioBuilder, StatsRegistry, Trace,
+};
 use dbac::sim::Fleet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::Arc;
 
 /// The five BW faults of the catalog, one row each.
@@ -46,4 +54,19 @@ pub fn bw_fleet(scenario: &Scenario, registry: &StatsRegistry) -> Fleet<HonestNo
         fleet.set_byzantine(*v, adversary.build(Arc::clone(&topo), *v, config.rounds));
     }
     fleet
+}
+
+/// Runs `checks`; if one fails, writes `trace` to
+/// `target/repro/<label>.trace` before the failure propagates.
+pub fn keeping_trace_on_failure(label: &str, trace: &Trace, checks: impl FnOnce()) {
+    if let Err(failure) = catch_unwind(AssertUnwindSafe(checks)) {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/repro");
+        let path = dir.join(format!("{label}.trace"));
+        let mut bytes = Vec::new();
+        let kept = trace.write_to(&mut bytes).is_ok()
+            && std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, bytes)).is_ok();
+        let verdict = if kept { "kept at" } else { "could not be written to" };
+        eprintln!("{label}: trace {verdict} {}", path.display());
+        resume_unwind(failure);
+    }
 }

@@ -35,14 +35,12 @@
 
 mod common;
 
-use common::{bw_faults, bw_fleet, bw_k5};
+use common::{bw_faults, bw_fleet, bw_k5, keeping_trace_on_failure};
 use dbac::graph::generators;
 use dbac::scenario::{
     Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Outcome, Runtime,
-    Scenario, ScenarioBuilder, StatsRegistry, Trace,
+    Scenario, ScenarioBuilder, StatsRegistry,
 };
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::time::Duration;
 
 fn run_both(build: impl Fn() -> ScenarioBuilder) -> (Outcome, Outcome) {
@@ -199,21 +197,6 @@ fn iterative_engine_past_128_nodes_is_runtime_independent() {
     assert_eq!(sim.honest_messages, Some(8 * 2 * n as u64));
     assert_eq!(threaded.honest_messages, sim.honest_messages);
     assert_eq!(net.honest_messages, sim.honest_messages);
-}
-
-/// Runs `checks`; if one fails, writes `trace` to
-/// `target/repro/<label>.trace` before the failure propagates.
-fn keeping_trace_on_failure(label: &str, trace: &Trace, checks: impl FnOnce()) {
-    if let Err(failure) = catch_unwind(AssertUnwindSafe(checks)) {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/repro");
-        let path = dir.join(format!("{label}.trace"));
-        let mut bytes = Vec::new();
-        let kept = trace.write_to(&mut bytes).is_ok()
-            && std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, bytes)).is_ok();
-        let verdict = if kept { "kept at" } else { "could not be written to" };
-        eprintln!("{label}: trace {verdict} {}", path.display());
-        resume_unwind(failure);
-    }
 }
 
 /// One `f = 1` arm: records `fault`'s K5 row on `runtime`, then replays

@@ -1,7 +1,10 @@
 //! Pins the simulator's delivery order: seeded, chaos-injected Sim runs
 //! (one per BW fault kind under a lossy and under a drop-free link plan,
 //! plus a crash-protocol run) whose recorded traces must hash to fixed
-//! digests.
+//! digests. Four more rows crowd their ticks (two BW faults under a
+//! one-tick and a zero-or-one-tick schedule), so on a host with more than
+//! one core most of their deliveries go through the simulator's batched
+//! step; their digests were taken from the serial loop alone.
 //!
 //! Each trace is folded through FNV-1a 64 (offset `0xcbf29ce484222325`,
 //! prime `0x100000001b3`), one delivery at a time: `at` as a `u64` LE,
@@ -38,7 +41,7 @@ use dbac::core::HonestNode;
 use dbac::graph::{generators, NodeId, PathBudget};
 use dbac::scenario::{
     CrashTwoReach, FaultKind, LinkFault, LinkFaultPlan, Outcome, Scenario, ScenarioBuilder,
-    StatsRegistry, Trace, WireMessage,
+    SchedulerSpec, StatsRegistry, Trace, WireMessage,
 };
 use dbac::sim::{Fleet, Process};
 use std::sync::Arc;
@@ -90,17 +93,17 @@ fn chaos() -> LinkFaultPlan {
     drop_free().fault(id(2), id(0), LinkFault::Drop { prob: 0.2 })
 }
 
-/// Runs `builder` under `plan` at seed 6, recording its trace.
-fn traced(builder: ScenarioBuilder, plan: LinkFaultPlan) -> (Scenario, Outcome, Trace) {
-    let scenario = builder.link_faults(plan).seed(6).record_trace(true).build().expect("valid");
+/// Runs `builder`, recording its trace.
+fn traced(builder: ScenarioBuilder) -> (Scenario, Outcome, Trace) {
+    let scenario = builder.record_trace(true).build().expect("valid");
     let mut out = scenario.run().expect("runs");
     let trace = out.trace.take().expect("trace recorded");
     (scenario, out, trace)
 }
 
 /// Replays `trace` on `fleet`, a fresh fleet of `scenario` whose honest
-/// nodes book into `registry`, under the scenario's plan, and checks that
-/// it reproduces `out`.
+/// nodes book into `registry`, under the scenario's plan if it has one,
+/// and checks that it reproduces `out`.
 fn assert_replays<P: Process>(
     mut fleet: Fleet<P>,
     registry: &Arc<StatsRegistry>,
@@ -111,7 +114,9 @@ fn assert_replays<P: Process>(
     P::Message: WireMessage,
 {
     fleet.set_stats(Arc::clone(registry));
-    fleet.set_link_faults(scenario.link_faults().expect("every row has a plan").clone());
+    if let Some(plan) = scenario.link_faults() {
+        fleet.set_link_faults(plan.clone());
+    }
     let replay = fleet.replay(&trace.deliveries).expect(label);
     assert_eq!((replay.matched, replay.synthesized), (trace.deliveries.len(), 0), "{label}");
     for v in out.honest.iter() {
@@ -149,7 +154,7 @@ fn bw_k5_catalog_delivery_order_is_pinned() {
         for (fault, (deliveries, bytes, order)) in faults.iter().zip(pins) {
             let label =
                 format!("{} ({})", fault.label(), if decides { "drop-free" } else { "lossy" });
-            let row = traced(bw_k5(fault.clone()), plan.clone());
+            let row = traced(bw_k5(fault.clone()).link_faults(plan.clone()).seed(6));
             let (scenario, out, trace) = &row;
             assert_eq!(digest(trace), (deliveries, bytes), "{label}");
             assert_eq!(order_digest(trace), order, "{label}: order");
@@ -178,8 +183,9 @@ fn crash_k4_delivery_order_is_pinned() {
             .epsilon(0.5)
             .range((0.0, 8.0))
             .fault(id(3), FaultKind::CrashAfter { sends: 5 })
-            .protocol(CrashTwoReach::default()),
-        chaos(),
+            .protocol(CrashTwoReach::default())
+            .link_faults(chaos())
+            .seed(6),
     );
     let (scenario, out, trace) = &row;
     assert_eq!(digest(trace), (158, 1_973_190_968_338_975_551));
@@ -200,4 +206,50 @@ fn crash_k4_delivery_order_is_pinned() {
     fleet.set_byzantine(id(3), Box::new(CrashAfter::new(node(id(3)), 5)));
     let readout = |p: &CrashNode| (p.output(), p.x_history().to_vec());
     assert_replays(fleet, &StatsRegistry::new(4), &row, readout, "crash K4");
+}
+
+/// Rows whose ticks are crowded: most of their deliveries share a tick with
+/// a thousand others. K5 with a constant liar on clean links, and with an
+/// equivocator under the drop-free plan, each under a one-tick schedule
+/// and under seeded delays in `[0, 1]` (a zero delay lands in the tick
+/// being delivered).
+#[test]
+fn crowded_tick_delivery_order_is_pinned() {
+    let schedules = [SchedulerSpec::Fixed(1), SchedulerSpec::Random { seed: 6, min: 0, max: 1 }];
+    let liar = bw_k5(FaultKind::ConstantLiar { value: 1e4 });
+    let equivocator = bw_k5(FaultKind::Equivocator { low: -100.0, high: 100.0 });
+    // (deliveries, byte digest, order-only digest), per row and schedule.
+    let pins = [
+        [
+            (86_400, 949_764_676_602_921_733, 2_090_084_262_638_510_213),
+            (86_400, 796_351_204_509_103_411, 15_898_535_478_345_983_171),
+        ],
+        [
+            (82_960, 17_375_785_254_879_713_351, 9_383_154_999_400_113_170),
+            (82_960, 12_870_892_150_272_972_757, 9_121_062_177_138_970_068),
+        ],
+    ];
+    let rows = [("liar", liar), ("equivocator", equivocator.link_faults(drop_free()))];
+    for ((name, builder), pins) in rows.into_iter().zip(pins) {
+        for (schedule, (deliveries, bytes, order)) in schedules.iter().zip(pins) {
+            let label = format!("{name} ({schedule:?})");
+            let row = traced(builder.clone().scheduler(schedule.clone()));
+            let (scenario, out, trace) = &row;
+            assert_eq!(digest(trace), (deliveries, bytes), "{label}");
+            assert_eq!(order_digest(trace), order, "{label}: order");
+            assert!(out.all_decided(), "{label}");
+            // At least two deliveries in five share their tick with a
+            // thousand others.
+            let mut per_tick = std::collections::BTreeMap::new();
+            for d in &trace.deliveries {
+                *per_tick.entry(d.at).or_insert(0) += 1;
+            }
+            let crowded: usize = per_tick.values().filter(|&&c| c >= 1024).sum();
+            assert!(5 * crowded > 2 * trace.deliveries.len(), "{label}: {crowded} crowded");
+            let registry = StatsRegistry::new(5);
+            let fleet = bw_fleet(scenario, &registry);
+            let readout = |p: &HonestNode| (p.output(), p.x_history().to_vec());
+            assert_replays(fleet, &registry, &row, readout, &label);
+        }
+    }
 }
