@@ -24,12 +24,32 @@
 //!
 //! The engine is built to scale past 10⁴ nodes, so per-round
 //! `HashMap<NodeId, f64>` buffers are out. Each node stores its
-//! in-neighborhood once as a sorted id slice and keeps one flat
-//! **round-major value buffer** (`rounds × indegree` floats) plus a
-//! presence bitmap; an incoming `(r, value)` from neighbor slot `i` lands
-//! at offset `r·indegree + i` with one binary search and two writes, and
-//! duplicated deliveries (chaos plans re-deliver frames) are absorbed by
-//! the bitmap without perturbing the value column.
+//! in-neighborhood once as a sorted id slice and keeps a **ring of round
+//! rows**: one row of `indegree` floats for each round from the one it
+//! waits to fire to the furthest an in-neighbor has sent, a presence
+//! bitmap of whole words per row, and a per-row count of distinct values.
+//! Round `r` lives in row `head + (r − round)`, wrapped by one
+//! compare-and-subtract.
+//! An incoming `(r, value)` from neighbor slot `i` costs one binary search
+//! and two writes, and duplicated deliveries (chaos plans re-deliver
+//! frames) are absorbed by the bitmap without perturbing the value column:
+//! the first value wins.
+//!
+//! W-MSR is memoryless — round `r`'s update reads only round-`r` values —
+//! so firing a round clears its row (presence bits and count) and moves
+//! `head` on; the row is reused for round `r + rows`. A message for a
+//! round already fired is dropped. That is exact: a fired round is never
+//! read again, so such a value could only ever have set a bit and a count
+//! nobody looks at.
+//!
+//! A message beyond the window grows the ring by doubling (never past
+//! `rounds` rows), copying the live rows with their presence bits so that
+//! first-value-wins holds across a grow. Memory is therefore
+//! O(lead × indegree), where the lead is how far an in-neighbor runs
+//! ahead, rather than O(rounds × indegree). The worst case is an eager
+//! [`IterLiar`], which sends its whole schedule at start: its
+//! out-neighbors grow to `rounds` rows (`rounds × indegree` floats) and no
+//! further.
 //!
 //! [`Runtime::Sim`]: dbac_core::scenario::Runtime::Sim
 //! [`Runtime::Threaded`]: dbac_core::scenario::Runtime::Threaded
@@ -71,20 +91,29 @@ impl WireMessage for IterMsg {
     }
 }
 
-/// An honest W-MSR node: columnar round buffers plus the in-place
+/// Rows the ring starts with (fewer if the run is shorter): enough for an
+/// in-neighbor a few rounds ahead before the first grow.
+const WINDOW: usize = 4;
+
+/// An honest W-MSR node: a ring of round rows plus the in-place
 /// trimmed-mean kernel.
 #[derive(Clone, Debug)]
 pub struct IterNode {
     f: usize,
     /// Total rounds to execute; the node is done entering round `rounds`.
     rounds: u32,
-    /// In-neighbor ids, sorted ascending — the column order of `buf`.
+    /// In-neighbor ids, sorted ascending — the column order of a row.
     in_ids: Vec<NodeId>,
-    /// Round-major value buffer: `buf[r * indegree + slot]`.
-    buf: Vec<f64>,
-    /// Presence bitmap over the same index space (dedups re-deliveries).
+    /// The row of `round`; round `round + k` lives `k` rows on, wrapped.
+    head: usize,
+    /// Ring of round rows: the value from slot `s` for row `row` is
+    /// `vals[row * indegree + s]`.
+    vals: Vec<f64>,
+    /// Presence bits, `indegree.div_ceil(64)` words per row, so a fired row
+    /// is cleared word by word (dedups re-deliveries).
     present: Vec<u64>,
-    /// Distinct round-`r` values received so far.
+    /// Per row, the distinct values received for its round so far; its
+    /// length is the ring's row count (at most `rounds`).
     counts: Vec<u32>,
     /// The round this node is currently waiting to fire.
     round: u32,
@@ -105,14 +134,15 @@ impl IterNode {
     pub fn new(me: NodeId, g: &Digraph, f: usize, rounds: u32, input: f64) -> Self {
         let in_ids: Vec<NodeId> = g.in_neighbors(me).iter().collect();
         let deg = in_ids.len();
-        let cells = rounds as usize * deg;
+        let rows = WINDOW.min(rounds as usize);
         IterNode {
             f,
             rounds,
             in_ids,
-            buf: vec![0.0; cells],
-            present: vec![0u64; cells.div_ceil(64)],
-            counts: vec![0; rounds as usize],
+            head: 0,
+            vals: vec![0.0; rows * deg],
+            present: vec![0; rows * deg.div_ceil(64)],
+            counts: vec![0; rows],
             round: 0,
             value: input,
             history: vec![input],
@@ -156,21 +186,56 @@ impl IterNode {
         ctx.broadcast(&msg);
     }
 
+    /// Presence words per row.
+    fn words(&self) -> usize {
+        self.in_ids.len().div_ceil(64)
+    }
+
+    /// The row of round `round + ahead`, for `ahead ≤` the ring's rows.
+    fn row(&self, ahead: usize) -> usize {
+        let (row, rows) = (self.head + ahead, self.counts.len());
+        if row >= rows {
+            row - rows
+        } else {
+            row
+        }
+    }
+
+    /// Doubles the ring until it holds `ahead + 1` rows (at most `rounds`),
+    /// keeping the live rows with their values, presence bits and counts;
+    /// the waiting round lands in row 0.
+    fn grow(&mut self, ahead: usize) {
+        let mut rows = self.counts.len();
+        while rows <= ahead {
+            rows *= 2;
+        }
+        let rows = rows.min(self.rounds as usize);
+        let (head, deg, words) = (self.head, self.in_ids.len(), self.words());
+        unwrap_to(&mut self.vals, head * deg, rows * deg);
+        unwrap_to(&mut self.present, head * words, rows * words);
+        unwrap_to(&mut self.counts, head, rows);
+        self.head = 0;
+    }
+
     /// Fires every round whose threshold is met, in order. Rounds unlock
     /// strictly in sequence: round `r + 1` values can only be *used* after
-    /// round `r` fires, however early they arrive.
+    /// round `r` fires, however early they arrive. A fired round's row is
+    /// cleared and becomes the ring's last.
     fn fire_ready_rounds(&mut self, ctx: &mut Context<IterMsg>) {
-        let deg = self.in_ids.len();
+        let (deg, words) = (self.in_ids.len(), self.words());
         let need = self.fire_threshold();
-        while !self.is_done() && self.counts[self.round as usize] >= need {
-            let base = self.round as usize * deg;
+        while !self.is_done() && self.counts[self.head] >= need {
+            let row = self.head;
             self.scratch.clear();
-            for slot in 0..deg {
-                let idx = base + slot;
-                if self.present[idx / 64] >> (idx % 64) & 1 == 1 {
-                    self.scratch.push(self.buf[idx]);
+            let bits = &mut self.present[row * words..][..words];
+            for (slot, &value) in self.vals[row * deg..][..deg].iter().enumerate() {
+                if bits[slot / 64] >> (slot % 64) & 1 == 1 {
+                    self.scratch.push(value);
                 }
             }
+            bits.fill(0);
+            self.counts[row] = 0;
+            self.head = self.row(1);
             let mut received = std::mem::take(&mut self.scratch);
             self.value = wmsr_step_in_place(self.value, &mut received, self.f);
             self.scratch = received;
@@ -181,6 +246,14 @@ impl IterNode {
             }
         }
     }
+}
+
+/// Rotates `ring` left by `by` items, so the item at `by` comes first, and
+/// pads it with zeros to exactly `len` items.
+fn unwrap_to<T: Copy + Default>(ring: &mut Vec<T>, by: usize, len: usize) {
+    ring.rotate_left(by);
+    ring.reserve_exact(len - ring.len());
+    ring.resize(len, T::default());
 }
 
 impl Process for IterNode {
@@ -197,21 +270,26 @@ impl Process for IterNode {
     }
 
     fn on_message(&mut self, ctx: &mut Context<IterMsg>, from: NodeId, msg: IterMsg) {
-        if msg.round >= self.rounds || !msg.value.is_finite() {
-            return; // out-of-range round or a value off the real line: drop
+        if !(self.round..self.rounds).contains(&msg.round) || !msg.value.is_finite() {
+            return; // a fired or out-of-range round, or a value off the real line: drop
         }
         let Ok(slot) = self.in_ids.binary_search(&from) else {
             return; // not an in-neighbor (runtime misdelivery guard)
         };
-        let idx = msg.round as usize * self.in_ids.len() + slot;
-        let (word, bit) = (idx / 64, idx % 64);
+        let ahead = (msg.round - self.round) as usize;
+        if ahead >= self.counts.len() {
+            self.grow(ahead);
+        }
+        let row = self.row(ahead);
+        let word = row * self.words() + slot / 64;
+        let bit = slot % 64;
         if self.present[word] >> bit & 1 == 1 {
             return; // duplicate delivery (chaos): first value wins
         }
         self.present[word] |= 1 << bit;
-        self.buf[idx] = msg.value;
-        self.counts[msg.round as usize] += 1;
-        if msg.round == self.round {
+        self.vals[row * self.in_ids.len() + slot] = msg.value;
+        self.counts[row] += 1;
+        if ahead == 0 {
             self.fire_ready_rounds(ctx);
         }
     }
@@ -294,13 +372,17 @@ mod tests {
 
     #[test]
     fn duplicate_deliveries_do_not_double_count() {
-        let g = generators::directed_cycle(3);
-        let mut node = IterNode::new(NodeId::new(1), &g, 0, 5, 1.0);
-        let mut ctx = Context::new(NodeId::new(1), g.out_neighbors(NodeId::new(1)));
-        // Node 1's only in-neighbor on the cycle is node 0.
-        node.on_message(&mut ctx, NodeId::new(0), IterMsg { round: 1, value: 9.0 });
-        node.on_message(&mut ctx, NodeId::new(0), IterMsg { round: 1, value: 7.0 });
-        assert_eq!(node.counts[1], 1, "second delivery is a duplicate");
-        assert_eq!(node.buf[1], 9.0, "first value wins");
+        // Node 0 of K3 waits for both of its in-neighbors at f = 0.
+        let g = generators::clique(3);
+        let (me, a, b) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let mut node = IterNode::new(me, &g, 0, 5, 1.0);
+        let mut ctx = Context::new(me, g.out_neighbors(me));
+        node.on_message(&mut ctx, a, IterMsg { round: 0, value: 9.0 });
+        node.on_message(&mut ctx, a, IterMsg { round: 0, value: 7.0 });
+        assert_eq!(node.rounds_fired(), 0, "second delivery is a duplicate");
+        node.on_message(&mut ctx, b, IterMsg { round: 0, value: 3.0 });
+        assert_eq!(node.rounds_fired(), 1);
+        let first_wins = wmsr_step_in_place(1.0, &mut [9.0, 3.0], 0);
+        assert_eq!(node.value().to_bits(), first_wins.to_bits(), "first value wins");
     }
 }

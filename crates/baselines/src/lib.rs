@@ -13,8 +13,8 @@
 //!   the related work ([13, 25]): purely local filtering, correct under
 //!   graph *robustness* rather than 3-reach; experiment E10 contrasts the
 //!   two conditions.
-//! * [`iterengine`] — the message-passing W-MSR engine: columnar per-round
-//!   value buffers and an in-place trimmed-mean kernel, runnable on all
+//! * [`iterengine`] — the message-passing W-MSR engine: a ring of columnar
+//!   round rows and an in-place trimmed-mean kernel, runnable on all
 //!   three runtimes (Sim, Threaded, Net) and built to scale past 10⁴
 //!   nodes.
 //! * [`scenario`] — [`Protocol`](dbac_core::scenario::Protocol)

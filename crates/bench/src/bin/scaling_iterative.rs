@@ -1,9 +1,9 @@
 //! Experiment **E12 — iterative scaling**: the W-MSR engine past the
 //! 128-node wall. The BW protocol is a feasibility construction whose
 //! footprint explodes with `n` (E11a); the iterative engine is the
-//! scalability counterpoint — constant-degree circulant topologies, flat
-//! columnar round buffers, and runs that reach 10⁴ nodes in one simulated
-//! scenario.
+//! scalability counterpoint — constant-degree circulant topologies, a ring
+//! of columnar round rows per node, and runs that reach 10⁴ nodes in one
+//! simulated scenario.
 //!
 //! Every scale point now reports how its topology's correctness condition
 //! (`(f+1, f+1)`-robustness) was established: the certificate rule that

@@ -51,8 +51,8 @@
 //!   in `n` — it stays the small-`n` exact reference (experiment E11a
 //!   quantifies the footprint).
 //! * `IterativeTrimmedMean` needs only per-neighbor state. Its
-//!   message-passing engine (`dbac-baselines::iterengine`) keeps one flat
-//!   round-major value column per node and runs 10⁴-node circulant
+//!   message-passing engine (`dbac-baselines::iterengine`) keeps a ring
+//!   of the rounds each node can still fire and runs 10⁴-node circulant
 //!   scenarios through this builder unchanged — see the
 //!   `scaling_iterative` bin for the sweep, and
 //!   `dbac_graph::generators::circulant_pow2` /

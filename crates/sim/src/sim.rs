@@ -270,14 +270,17 @@ impl<P: Process> Simulation<P> {
                 carry(queue, policy, v, to, msg, decision);
             });
         }
-        if threads > 1 {
+        let delivered = if threads > 1 {
             std::thread::scope(|scope| {
                 self.deliver(&mut gate, Some(Batch::new(scope, graph, threads, crowded)))
-            })?;
+            })
         } else {
-            self.deliver(&mut gate, None)?;
-        }
+            self.deliver(&mut gate, None)
+        };
+        // The trace is kept even when the budget ran out: an aborted run's
+        // schedule is the one a repro file wants.
         self.fleet.absorb(gate.trace);
+        delivered?;
         Ok(self.fleet.ledger(self.now()))
     }
 
@@ -991,6 +994,12 @@ mod tests {
             };
             let serial = observe(sim(), SERIAL, |p| p.heard);
             assert_eq!(serial.0, Err(SimError::EventBudgetExhausted { delivered: max_events }));
+            let trace = serial.4.as_ref().expect("recorded");
+            assert_eq!(
+                trace.deliveries.len() as u64,
+                max_events,
+                "the aborted run keeps its trace"
+            );
             for batched in BATCHED {
                 assert_eq!(
                     observe(sim(), batched, |p| p.heard),

@@ -1,6 +1,7 @@
 //! Integration across the baseline algorithms and the crash-tolerant
 //! variant: the Table 2 / E9 / E10 claims at test scale.
 
+use dbac::baselines::iterengine::{wmsr_step_in_place, IterMsg, IterNode};
 use dbac::conditions::kreach::{three_reach, two_reach};
 use dbac::conditions::robustness::is_r_s_robust;
 use dbac::graph::{generators, Digraph, NodeId};
@@ -8,6 +9,8 @@ use dbac::scenario::{
     Aad04, ByzantineWitness, CrashTwoReach, FaultKind, IterativeTrimmedMean, Outcome, Scenario,
     SchedulerSpec,
 };
+use dbac::sim::{Context, Process};
+use proptest::prelude::*;
 
 /// Mirrors the legacy crash-run semantics: the a-priori range covers every
 /// potential input (crashed nodes are honest until they crash), and the
@@ -191,4 +194,194 @@ fn iterative_smoke_on_a_220_node_layered_expander() {
     assert!(out.sim_stats.protocol.rounds_fired > 0);
     let transport = out.sim_stats.transport.measured().expect("message-passing engine");
     assert!(transport.class(dbac::scenario::MsgClass::Iter).delivered > 0);
+}
+
+/// The flat `rounds × indegree` table of first values that the iterative
+/// engine's ring of round rows replaced: the reference for the ring's
+/// differential below. Fires rounds in order once `indegree − f` distinct
+/// in-neighbors have sent one, with the product's W-MSR step.
+struct FlatIter {
+    f: usize,
+    rounds: u32,
+    in_ids: Vec<NodeId>,
+    out_ids: Vec<NodeId>,
+    /// `cells[r * indegree + slot]`: the first value from `slot` for `r`.
+    cells: Vec<Option<f64>>,
+    round: u32,
+    history: Vec<f64>,
+    sent: u64,
+    outbox: Vec<(NodeId, IterMsg)>,
+}
+
+impl FlatIter {
+    fn new(me: NodeId, g: &Digraph, f: usize, rounds: u32, input: f64) -> Self {
+        let in_ids: Vec<NodeId> = g.in_neighbors(me).iter().collect();
+        FlatIter {
+            f,
+            rounds,
+            cells: vec![None; rounds as usize * in_ids.len()],
+            in_ids,
+            out_ids: g.out_neighbors(me).iter().collect(),
+            round: 0,
+            history: vec![input],
+            sent: 0,
+            outbox: Vec::new(),
+        }
+    }
+
+    fn value(&self) -> f64 {
+        *self.history.last().expect("holds the input")
+    }
+
+    fn row(&self, round: u32) -> &[Option<f64>] {
+        let deg = self.in_ids.len();
+        &self.cells[round as usize * deg..][..deg]
+    }
+
+    fn broadcast(&mut self) {
+        let msg = IterMsg { round: self.round, value: self.value() };
+        self.outbox.extend(self.out_ids.iter().map(|&w| (w, msg)));
+        self.sent += self.out_ids.len() as u64;
+    }
+
+    fn fire(&mut self) {
+        let need = self.in_ids.len() - self.f.min(self.in_ids.len());
+        while self.round < self.rounds && self.row(self.round).iter().flatten().count() >= need {
+            let mut received: Vec<f64> = self.row(self.round).iter().flatten().copied().collect();
+            let next = wmsr_step_in_place(self.value(), &mut received, self.f);
+            self.history.push(next);
+            self.round += 1;
+            if self.round < self.rounds {
+                self.broadcast();
+            }
+        }
+    }
+
+    fn start(&mut self) {
+        if self.rounds > 0 {
+            self.broadcast();
+            self.fire();
+        }
+    }
+
+    fn deliver(&mut self, from: NodeId, msg: IterMsg) {
+        if msg.round >= self.rounds || !msg.value.is_finite() {
+            return;
+        }
+        let Some(slot) = self.in_ids.iter().position(|&v| v == from) else {
+            return;
+        };
+        let cell = &mut self.cells[msg.round as usize * self.in_ids.len() + slot];
+        if cell.is_none() {
+            *cell = Some(msg.value);
+            if msg.round == self.round {
+                self.fire();
+            }
+        }
+    }
+}
+
+/// A message the differential delivers, decoded from `code` against the
+/// reference's state: mostly values that move the waiting round towards
+/// firing, plus rounds already fired, rounds a little and far ahead (up to
+/// `rounds − 1`, which grows the ring), rounds past the run, replays of
+/// earlier deliveries (whose row may since have been reused), NaN and ±∞,
+/// and senders that are not in-neighbors.
+fn decode(
+    code: u64,
+    flat: &FlatIter,
+    nodes: usize,
+    log: &[(NodeId, IterMsg)],
+) -> (NodeId, IterMsg) {
+    let (kind, param) = (code % 10, (code >> 8) as u32 & 0xffff);
+    let value = match (code >> 40) % 16 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        v => v as f64 - 8.5,
+    };
+    let deg = flat.in_ids.len();
+    let anyone = NodeId::new(param as usize % nodes);
+    let neighbor = |i: u32| if deg == 0 { anyone } else { flat.in_ids[i as usize % deg] };
+    if kind == 9 && !log.is_empty() {
+        let (from, old) = log[param as usize % log.len()];
+        let value = if param % 2 == 0 { old.value } else { value };
+        return (from, IterMsg { round: old.round, value });
+    }
+    let rounds = flat.rounds.max(1);
+    let (from, round) = match kind {
+        // The first in-neighbor, from a drawn one on, still missing for the
+        // waiting round.
+        0..=2 if flat.round < flat.rounds => {
+            let row = flat.row(flat.round);
+            let gap = (0..deg).map(|i| (i + param as usize) % deg).find(|&s| row[s].is_none());
+            (gap.map_or(anyone, |s| flat.in_ids[s]), flat.round)
+        }
+        0..=2 => (neighbor(param), flat.round),
+        3 => (anyone, flat.round.saturating_sub(1) + param % 4),
+        4 => (neighbor(param), flat.round + 1 + param % 3),
+        5 => (neighbor(param), param % rounds),
+        6 => (neighbor(param), flat.rounds + param % 3),
+        7 => (neighbor(param), u32::MAX - param % 2),
+        8 => (anyone, param % (flat.round + 1)),
+        _ => (anyone, flat.round),
+    };
+    (from, IterMsg { round, value })
+}
+
+fn sends(outbox: Vec<(NodeId, IterMsg)>) -> Vec<(NodeId, u32, u64)> {
+    outbox.into_iter().map(|(w, m)| (w, m.round, m.value.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// `IterNode`'s ring of round rows against the flat table it replaced,
+    /// on one node `0` with `deg` in-neighbors (more than 64 in some
+    /// cases, so a row spans presence words) and a few nodes that are not:
+    /// after the start and after every delivery, the history bit for bit,
+    /// the rounds fired, the value, the send tally and the outbox agree.
+    #[test]
+    fn iter_node_ring_matches_a_flat_round_table(
+        shape in 0usize..48,
+        strangers in 0usize..3,
+        f in 0usize..3,
+        rounds in 0u32..24,
+        codes in prop::collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        let deg = if shape >= 40 { shape + 25 } else { shape % 8 };
+        let nodes = 1 + deg + strangers;
+        let mut g = Digraph::new(nodes).unwrap();
+        let me = NodeId::new(0);
+        for v in 1..nodes {
+            if v <= deg {
+                g.add_edge(NodeId::new(v), me).unwrap();
+            }
+            if v % 2 == 1 {
+                g.add_edge(me, NodeId::new(v)).unwrap();
+            }
+        }
+        let mut node = IterNode::new(me, &g, f, rounds, 0.25);
+        let mut flat = FlatIter::new(me, &g, f, rounds, 0.25);
+        let mut ctx = Context::new(me, g.out_neighbors(me));
+        let mut log = Vec::new();
+        node.on_start(&mut ctx);
+        flat.start();
+        for step in 0..=codes.len() {
+            prop_assert_eq!(
+                node.history().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                flat.history.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "history after {} deliveries", step
+            );
+            prop_assert_eq!(node.rounds_fired(), flat.round);
+            prop_assert_eq!(node.value().to_bits(), flat.value().to_bits());
+            prop_assert_eq!(node.sent, flat.sent);
+            prop_assert_eq!(sends(ctx.take_outbox()), sends(std::mem::take(&mut flat.outbox)));
+            let Some(&code) = codes.get(step) else { break };
+            let (from, msg) = decode(code, &flat, nodes, &log);
+            log.push((from, msg));
+            node.on_message(&mut ctx, from, msg);
+            flat.deliver(from, msg);
+        }
+    }
 }
